@@ -190,6 +190,7 @@ struct DbState {
 /// touched once at open, not per operation).
 struct DbMetrics {
     get_micros: Arc<obs::Histogram>,
+    scan_micros: Arc<obs::Histogram>,
     put_micros: Arc<obs::Histogram>,
     group_size: Arc<obs::Histogram>,
     /// Time from a writer enqueueing to its sequence range being
@@ -213,6 +214,7 @@ impl DbMetrics {
     fn new(registry: &obs::Registry) -> Self {
         DbMetrics {
             get_micros: registry.histogram("lsm.get_micros"),
+            scan_micros: registry.histogram("lsm.scan_micros"),
             put_micros: registry.histogram("lsm.put_micros"),
             group_size: registry.histogram("lsm.write.group_size"),
             seq_reserve: registry.histogram("lsm.write.seq_reserve"),
@@ -594,6 +596,8 @@ impl Db {
 
         // Fresh WAL.
         let log_number = versions.new_file_number();
+        // DURABILITY-OK: created empty; the write path syncs the records
+        // appended to it (`sync_writes` / `WriteOptions::sync`).
         let log_file = options
             .env
             .create_writable(&log_file_name(&dir, log_number))?;
@@ -613,29 +617,9 @@ impl Db {
                 &mut mem,
                 MemTable::with_shards(InternalKeyComparator::default(), options.memtable_shards),
             );
-            let mut it = imm.iter();
-            it.seek_to_first();
-            let path = table_file_name(&dir, file_number);
-            let file = options.env.create_writable(&path)?;
-            let mut builder = TableBuilder::new(options.table_builder_options(), file);
-            let smallest = InternalKey::from_encoded(it.key().to_vec());
-            let mut largest = InternalKey::from_encoded(it.key().to_vec());
-            while it.valid() {
-                builder.add(it.key(), it.value())?;
-                largest = InternalKey::from_encoded(it.key().to_vec());
-                it.next();
+            if let Some(meta) = write_memtable_table(&options, &dir, file_number, &Arc::new(imm))? {
+                edit.new_files.push((0, meta));
             }
-            let file_size = builder.finish()?;
-            builder.sync()?;
-            edit.new_files.push((
-                0,
-                FileMetaData {
-                    number: file_number,
-                    file_size,
-                    smallest,
-                    largest,
-                },
-            ));
         }
         // Stage the first rotation's segment number while the version set
         // is still exclusively ours; writers replenish it afterwards.
@@ -1033,9 +1017,9 @@ impl Db {
     }
 
     /// Creates a streaming iterator over the live contents of the store,
-    /// frozen at the current (or a snapshot) sequence. The iterator holds
-    /// its own snapshots of the memtables and version, so writes proceed
-    /// concurrently.
+    /// frozen at the current (or a snapshot) sequence. The iterator pins
+    /// the memtables and version it was opened on and takes a memtable
+    /// shard lock only per step, so writes proceed concurrently.
     pub fn iter_with(&self, opts: ReadOptions) -> Result<crate::db_iter::DbIter> {
         let seq = opts.snapshot.unwrap_or_else(|| self.inner.ledger.visible());
         let (mem, imm, version) = {
@@ -1046,17 +1030,13 @@ impl Db {
                 state.versions.current(),
             )
         };
-        // Materialize the memtable snapshots outside the state lock; the
+        // The memtable iterators are lazy and pin their `Arc`s; the
         // sequence cutoff inside DbIter hides any entries applied after
         // `seq` was sampled.
-        let mem_entries = mem.collect_range(b"", None);
-        let imm_entries = imm
-            .as_ref()
-            .map(|m| m.collect_range(b"", None))
-            .unwrap_or_default();
-        let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
-        children.push(crate::db_iter::vec_child(mem_entries));
-        children.push(crate::db_iter::vec_child(imm_entries));
+        let mut children: Vec<Box<dyn InternalIterator>> = vec![Box::new(mem.iter())];
+        if let Some(imm) = &imm {
+            children.push(Box::new(imm.iter()));
+        }
         for f in &version.files[0] {
             let table = self.inner.table_cache.get(f.number, f.file_size)?;
             children.push(Box::new(table.iter()));
@@ -1113,6 +1093,7 @@ impl Db {
         limit: usize,
         byte_budget: usize,
     ) -> Result<ScanOutcome> {
+        let t0 = self.inner.obs.now_micros();
         let mut it = self.iter_with(opts)?;
         it.seek(start);
         let mut pairs = Vec::new();
@@ -1137,6 +1118,10 @@ impl Db {
             pairs.push((it.key().to_vec(), it.value().to_vec()));
             it.next();
         }
+        self.inner
+            .metrics
+            .scan_micros
+            .record(self.inner.obs.now_micros().saturating_sub(t0));
         it.status()?;
         Ok(ScanOutcome { pairs, complete })
     }
@@ -1389,10 +1374,16 @@ impl Db {
 
 impl Drop for Db {
     fn drop(&mut self) {
-        self.inner
-            .shutting_down
-            .store(true, AtomicOrdering::Release);
-        self.inner.bg_work.notify_all();
+        {
+            // Under the state lock: a worker that has just read the flag
+            // as clear still holds the lock until it parks on `bg_work`,
+            // so it cannot miss this notification.
+            let _state = self.inner.state.lock(); // LOCK-ORDER: db.state 10
+            self.inner
+                .shutting_down
+                .store(true, AtomicOrdering::Release);
+            self.inner.bg_work.notify_all();
+        }
         for handle in self.bg_threads.drain(..) {
             let _ = handle.join();
         }
@@ -2005,7 +1996,7 @@ impl DbInner {
         // the iteration below sees a complete table.
         self.ledger.wait_visible(boundary);
         let t0 = self.obs.now_micros();
-        let result = self.build_memtable_table(&imm, file_number);
+        let result = write_memtable_table(&self.options, &self.dir, file_number, &imm);
         let flush_micros = self.obs.now_micros().saturating_sub(t0);
         let mut state = self.state.lock(); // LOCK-ORDER: db.state 10
         state.flush_in_progress = false;
@@ -2050,36 +2041,6 @@ impl DbInner {
         self.work_done.notify_all();
         self.delete_obsolete_files_locked(&mut state);
         Ok(state)
-    }
-
-    fn build_memtable_table(
-        &self,
-        imm: &Arc<MemTable>,
-        file_number: u64,
-    ) -> Result<Option<FileMetaData>> {
-        let mut it = imm.iter();
-        it.seek_to_first();
-        if !it.valid() {
-            return Ok(None);
-        }
-        let path = table_file_name(&self.dir, file_number);
-        let file = self.options.env.create_writable(&path)?;
-        let mut builder = TableBuilder::new(self.options.table_builder_options(), file);
-        let smallest = InternalKey::from_encoded(it.key().to_vec());
-        let mut largest = InternalKey::from_encoded(it.key().to_vec());
-        while it.valid() {
-            builder.add(it.key(), it.value())?;
-            largest = InternalKey::from_encoded(it.key().to_vec());
-            it.next();
-        }
-        let file_size = builder.finish()?;
-        builder.sync()?;
-        Ok(Some(FileMetaData {
-            number: file_number,
-            file_size,
-            smallest,
-            largest,
-        }))
     }
 
     /// Finds the next piece of admissible background work while holding
@@ -2501,6 +2462,42 @@ impl OutputFileFactory for DbOutputFactory<'_> {
         let file = self.inner.options.env.create_writable(&path)?;
         Ok((number, file))
     }
+}
+
+/// Streams `mem` into table `file_number` and syncs it — the flush,
+/// recovery and repair paths' `WriteLevel0Table`. `None` when `mem` is
+/// empty (no file is created).
+pub(crate) fn write_memtable_table(
+    options: &Options,
+    dir: &Path,
+    file_number: u64,
+    mem: &Arc<MemTable>,
+) -> Result<Option<FileMetaData>> {
+    let mut it = mem.iter();
+    it.seek_to_first();
+    if !it.valid() {
+        return Ok(None);
+    }
+    let file = options
+        .env
+        .create_writable(&table_file_name(dir, file_number))?;
+    let mut builder = TableBuilder::new(options.table_builder_options(), file);
+    let smallest = InternalKey::from_encoded(it.key().to_vec());
+    let mut largest = Vec::new();
+    while it.valid() {
+        builder.add(it.key(), it.value())?;
+        largest.clear();
+        largest.extend_from_slice(it.key());
+        it.next();
+    }
+    let file_size = builder.finish()?;
+    builder.sync()?;
+    Ok(Some(FileMetaData {
+        number: file_number,
+        file_size,
+        smallest,
+        largest: InternalKey::from_encoded(largest),
+    }))
 }
 
 /// Background worker: flushes and compactions until shutdown. All workers

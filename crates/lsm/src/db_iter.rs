@@ -1,5 +1,5 @@
 //! A forward iterator over the live user-visible contents of the store
-//! (LevelDB's `DBIter`, forward-only): merges the memtable snapshots and
+//! (LevelDB's `DBIter`, forward-only): merges the memtable iterators and
 //! every level's tables, then collapses internal-key versions — the
 //! newest visible version of each user key wins, tombstones hide keys.
 
@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use sstable::comparator::{Comparator, InternalKeyComparator};
 use sstable::ikey::{parse_internal_key, LookupKey, SequenceNumber, ValueType};
-use sstable::iterator::{InternalIterator, MergingIterator, VecIterator};
+use sstable::iterator::{InternalIterator, MergingIterator};
 
 use crate::vlog::VlogRuntime;
 use crate::Result;
@@ -24,6 +24,9 @@ pub struct DbIter {
     sequence: SequenceNumber,
     key: Vec<u8>,
     value: Vec<u8>,
+    /// User key whose remaining (older) versions are being skipped;
+    /// swapped with `key` on `next` so neither buffer is reallocated.
+    skip: Vec<u8>,
     valid: bool,
     /// Dereferences tagged stored values when separation is on.
     vlog: Option<Arc<VlogRuntime>>,
@@ -34,7 +37,7 @@ pub struct DbIter {
 
 impl DbIter {
     /// Builds an iterator from already-assembled children (the `Db`
-    /// assembles memtable snapshots + table iterators).
+    /// assembles memtable + table iterators).
     pub(crate) fn new(
         children: Vec<Box<dyn InternalIterator>>,
         sequence: SequenceNumber,
@@ -46,6 +49,7 @@ impl DbIter {
             sequence,
             key: Vec::new(),
             value: Vec::new(),
+            skip: Vec::new(),
             valid: false,
             vlog,
             resolve_error: None,
@@ -72,29 +76,29 @@ impl DbIter {
     /// Positions at the first live key.
     pub fn seek_to_first(&mut self) {
         self.merger.seek_to_first();
-        self.find_next_user_entry(None);
+        self.find_next_user_entry(false);
     }
 
     /// Positions at the first live key >= `user_key`.
     pub fn seek(&mut self, user_key: &[u8]) {
         let lk = LookupKey::new(user_key, self.sequence);
         self.merger.seek(lk.internal_key());
-        self.find_next_user_entry(None);
+        self.find_next_user_entry(false);
     }
 
     /// Advances to the next live key.
     pub fn next(&mut self) {
         debug_assert!(self.valid);
-        let skip = std::mem::take(&mut self.key);
+        std::mem::swap(&mut self.key, &mut self.skip);
         if self.merger.valid() {
             self.merger.next();
         }
-        self.find_next_user_entry(Some(skip));
+        self.find_next_user_entry(true);
     }
 
     /// Scans forward to the newest visible version of the next user key
-    /// that is not `skip` and not deleted.
-    fn find_next_user_entry(&mut self, mut skip: Option<Vec<u8>>) {
+    /// that is not deleted and, when `skipping`, is not `self.skip`.
+    fn find_next_user_entry(&mut self, mut skipping: bool) {
         self.valid = false;
         while self.merger.valid() {
             let Some(parsed) = parse_internal_key(self.merger.key()) else {
@@ -106,16 +110,16 @@ impl DbIter {
                 self.merger.next();
                 continue;
             }
-            if let Some(s) = &skip {
-                if parsed.user_key == s.as_slice() {
-                    self.merger.next();
-                    continue;
-                }
+            if skipping && parsed.user_key == self.skip.as_slice() {
+                self.merger.next();
+                continue;
             }
             match parsed.value_type {
                 ValueType::Deletion => {
                     // Key is dead at this snapshot; skip all older versions.
-                    skip = Some(parsed.user_key.to_vec());
+                    self.skip.clear();
+                    self.skip.extend_from_slice(parsed.user_key);
+                    skipping = true;
                     self.merger.next();
                 }
                 ValueType::Value => {
@@ -149,10 +153,4 @@ impl DbIter {
         }
         self.merger.status().map_err(crate::Error::from)
     }
-}
-
-/// Helper used by the `Db` to wrap memtable snapshots as children.
-pub(crate) fn vec_child(entries: Vec<(Vec<u8>, Vec<u8>)>) -> Box<dyn InternalIterator> {
-    let icmp: Arc<dyn Comparator> = Arc::new(InternalKeyComparator::default());
-    Box::new(VecIterator::new(Arc::new(entries), icmp))
 }

@@ -15,18 +15,28 @@
 //! in safe Rust.
 //!
 //! Size accounting (`approximate_memory_usage`, the flush trigger) is
-//! atomic so the write path can poll it without any lock. Iteration
-//! (`iter`, `collect_range`) merges the shards' sorted runs; iterators
-//! own their snapshot of the entries, so they never hold shard locks
-//! across calls and tolerate concurrent inserts.
+//! atomic so the write path can poll it without any lock.
+//!
+//! Iteration is lazy: [`MemTable::iter`] is a merging iterator over one
+//! cursor per shard. A cursor remembers a node index — indices are
+//! stable because nodes are only ever appended — and takes its shard's
+//! lock (rank `mem.shard 80`) for exactly one `seek`/`next`/`prev`
+//! step, copying the entry it lands on into two reused buffers. Nothing
+//! is locked between calls, nothing is copied that the caller does not
+//! step over, and an open iterator pins only the `Arc<MemTable>` itself.
+//! An entry inserted after the iterator was created is found by a later
+//! seek and may or may not be met by `next`/`prev`; readers that need a
+//! frozen view filter by sequence number (`DbIter`), and the flush path
+//! only iterates frozen memtables.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 use sstable::comparator::{Comparator, InternalKeyComparator};
 use sstable::ikey::{
     append_internal_key, parse_internal_key, LookupKey, SequenceNumber, ValueType,
 };
-use sstable::iterator::InternalIterator;
+use sstable::iterator::{InternalIterator, MergingIterator};
 
 use crate::sync_shim::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use crate::sync_shim::{lock, Mutex};
@@ -184,28 +194,19 @@ impl Core {
         key_len as usize + value.len() + std::mem::size_of::<Node>()
     }
 
-    /// Copies out `(internal_key, value)` pairs starting at the first
-    /// node with internal key >= `from`, stopping at a user key >= `end`
-    /// (when given). The run is sorted in internal-key order.
-    fn collect_from(
-        &self,
-        cmp: &InternalKeyComparator,
-        from: &[u8],
-        end: Option<&[u8]>,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut idx = self.find_greater_or_equal(cmp, from);
-        let mut out = Vec::new();
-        while idx != 0 {
-            let ikey = self.node_key(idx);
-            if let (Some(end), Some(parsed)) = (end, parse_internal_key(ikey)) {
-                if parsed.user_key >= end {
+    /// Last node of the shard (0 if empty); LevelDB's `FindLast`.
+    fn find_last(&self) -> u32 {
+        let mut x = 0u32; // head
+        for level in (0..self.max_height).rev() {
+            loop {
+                let next = self.nodes[x as usize].next[level];
+                if next == 0 {
                     break;
                 }
+                x = next;
             }
-            out.push((ikey.to_vec(), self.node_value(idx).to_vec()));
-            idx = self.nodes[idx as usize].next[0];
         }
-        out
+        x
     }
 }
 
@@ -297,136 +298,91 @@ impl MemTable {
         }
     }
 
-    /// Creates an iterator over internal keys. The iterator owns a
-    /// merged snapshot of the shards' sorted runs taken at creation, so
-    /// it holds no locks afterwards; entries inserted concurrently after
-    /// creation may be missing (the flush path only iterates frozen
-    /// memtables, and the write path's visibility ledger guarantees
-    /// every entry at or below the read sequence is already inserted).
-    pub fn iter(&self) -> MemTableIterator {
-        MemTableIterator {
-            entries: self.collect_range(b"", None),
-            pos: usize::MAX,
-        }
-    }
-
-    /// Copies out all entries whose user key is in `[start, end)` as
-    /// `(internal_key, value)` pairs, in internal-key order. Used by the
-    /// scan path, which needs an owned snapshot it can merge without
-    /// holding any memtable lock.
-    pub fn collect_range(&self, start: &[u8], end: Option<&[u8]>) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let lk = LookupKey::new(start, sstable::ikey::MAX_SEQUENCE_NUMBER);
-        let runs: Vec<Vec<(Vec<u8>, Vec<u8>)>> = self
-            .shards
-            .iter()
-            .map(|s| lock(s).collect_from(&self.cmp, lk.internal_key(), end)) // LOCK-ORDER: mem.shard 80
+    /// Creates a lazy iterator over internal keys: a merge of one
+    /// [`ShardCursor`] per shard (internal keys are unique, so the merge
+    /// never sees a tie). It pins this memtable and holds no lock
+    /// between calls; see the module header for what concurrent inserts
+    /// it observes.
+    pub fn iter(self: &Arc<Self>) -> MergingIterator {
+        let cursors = (0..self.shards.len())
+            .map(|shard| {
+                Box::new(ShardCursor {
+                    mem: Arc::clone(self),
+                    shard,
+                    node: 0,
+                    key: Vec::new(),
+                    value: Vec::new(),
+                }) as Box<dyn InternalIterator>
+            })
             .collect();
-        merge_sorted_runs(&self.cmp, runs)
+        MergingIterator::new(cursors, Arc::new(self.cmp.clone()))
     }
 }
 
-/// K-way merge of per-shard sorted runs into one internal-key-ordered
-/// vector. Shard runs never contain equal internal keys (sequence
-/// numbers are unique), so ties cannot occur.
-fn merge_sorted_runs(
-    cmp: &InternalKeyComparator,
-    runs: Vec<Vec<(Vec<u8>, Vec<u8>)>>,
-) -> Vec<(Vec<u8>, Vec<u8>)> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::vec::IntoIter<(Vec<u8>, Vec<u8>)>> =
-        runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<(Vec<u8>, Vec<u8>)>> = iters.iter_mut().map(Iterator::next).collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<usize> = None;
-        for i in 0..heads.len() {
-            let Some((key, _)) = &heads[i] else { continue };
-            best = match best {
-                None => Some(i),
-                Some(b) => {
-                    let best_key: &[u8] = match &heads[b] {
-                        Some((k, _)) => k,
-                        None => &[],
-                    };
-                    if cmp.compare(key, best_key) == Ordering::Less {
-                        Some(i)
-                    } else {
-                        Some(b)
-                    }
-                }
-            };
+/// A seekable cursor over one shard's skiplist.
+struct ShardCursor {
+    mem: Arc<MemTable>,
+    shard: usize,
+    /// Index of the current node; 0 (the head sentinel) means invalid.
+    node: u32,
+    /// Copies of the current entry, so `key()`/`value()` need no lock.
+    key: Vec<u8>,
+    value: Vec<u8>,
+}
+
+impl ShardCursor {
+    /// Runs one positioning step under the shard lock — `step` picks
+    /// the new node from the shard and the cursor's current state — and
+    /// copies the entry it lands on out of the arena.
+    fn reposition(&mut self, step: impl FnOnce(&Core, &ShardCursor) -> u32) {
+        let core = lock(&self.mem.shards[self.shard]); // LOCK-ORDER: mem.shard 80
+        self.node = step(&core, self);
+        self.key.clear();
+        self.value.clear();
+        if self.node != 0 {
+            self.key.extend_from_slice(core.node_key(self.node));
+            self.value.extend_from_slice(core.node_value(self.node));
         }
-        let Some(b) = best else { break };
-        if let Some(entry) = heads[b].take() {
-            out.push(entry);
-        }
-        heads[b] = iters[b].next();
     }
-    out
 }
 
-/// Iterator over a frozen (or momentarily stable) memtable: an owned,
-/// merged, internal-key-sorted snapshot of every shard.
-pub struct MemTableIterator {
-    entries: Vec<(Vec<u8>, Vec<u8>)>,
-    /// Index into `entries`; `usize::MAX` (or past-end) means invalid.
-    pos: usize,
-}
-
-impl InternalIterator for MemTableIterator {
+impl InternalIterator for ShardCursor {
     fn valid(&self) -> bool {
-        self.pos < self.entries.len()
+        self.node != 0
     }
 
     fn seek_to_first(&mut self) {
-        self.pos = if self.entries.is_empty() {
-            usize::MAX
-        } else {
-            0
-        };
+        self.reposition(|core, _| core.nodes[0].next[0]);
     }
 
     fn seek_to_last(&mut self) {
-        self.pos = match self.entries.len() {
-            0 => usize::MAX,
-            n => n - 1,
-        };
+        self.reposition(|core, _| core.find_last());
     }
 
     fn seek(&mut self, target: &[u8]) {
-        let cmp = InternalKeyComparator::default();
-        self.pos = self
-            .entries
-            .partition_point(|(k, _)| cmp.compare(k, target) == Ordering::Less);
-        if self.pos >= self.entries.len() {
-            self.pos = usize::MAX;
-        }
+        self.reposition(|core, at| core.find_greater_or_equal(&at.mem.cmp, target));
     }
 
     fn next(&mut self) {
         debug_assert!(self.valid());
-        self.pos = match self.pos.checked_add(1) {
-            Some(p) if p < self.entries.len() => p,
-            _ => usize::MAX,
-        };
+        self.reposition(|core, at| core.nodes[at.node as usize].next[0]);
     }
 
+    /// There are no back links; like LevelDB's `FindLessThan`, search
+    /// for the last node before the current key.
     fn prev(&mut self) {
         debug_assert!(self.valid());
-        self.pos = match self.pos.checked_sub(1) {
-            Some(p) => p,
-            None => usize::MAX,
-        };
+        self.reposition(|core, at| core.find_splice(&at.mem.cmp, &at.key)[0]);
     }
 
     fn key(&self) -> &[u8] {
         debug_assert!(self.valid());
-        &self.entries[self.pos].0
+        &self.key
     }
 
     fn value(&self) -> &[u8] {
         debug_assert!(self.valid());
-        &self.entries[self.pos].1
+        &self.value
     }
 
     fn status(&self) -> sstable::Result<()> {
@@ -438,8 +394,20 @@ impl InternalIterator for MemTableIterator {
 mod tests {
     use super::*;
 
-    fn memtable() -> MemTable {
-        MemTable::new(InternalKeyComparator::default())
+    fn memtable() -> Arc<MemTable> {
+        Arc::new(MemTable::new(InternalKeyComparator::default()))
+    }
+
+    /// Every `(internal_key, value)` pair, by a full forward walk.
+    fn entries(m: &Arc<MemTable>) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut it = m.iter();
+        it.seek_to_first();
+        let mut out = Vec::new();
+        while it.valid() {
+            out.push((it.key().to_vec(), it.value().to_vec()));
+            it.next();
+        }
+        out
     }
 
     #[test]
@@ -531,6 +499,20 @@ mod tests {
         assert_eq!(parse_internal_key(it.key()).unwrap().user_key, b"key098");
     }
 
+    /// The iterator reads the shards when it is stepped, not when it is
+    /// created: an entry added in between is found by a later seek.
+    #[test]
+    fn iterator_is_lazy() {
+        let m = memtable();
+        m.add(1, ValueType::Value, b"a", b"1");
+        let mut it = m.iter();
+        m.add(2, ValueType::Value, b"b", b"2");
+        it.seek(LookupKey::new(b"b", u64::MAX >> 8).internal_key());
+        assert!(it.valid());
+        assert_eq!(parse_internal_key(it.key()).unwrap().user_key, b"b");
+        assert_eq!(it.value(), b"2");
+    }
+
     #[test]
     fn memory_usage_grows() {
         let m = memtable();
@@ -579,17 +561,14 @@ mod tests {
 
     #[test]
     fn one_shard_matches_sharded_contents() {
-        let sharded = MemTable::with_shards(InternalKeyComparator::default(), 8);
-        let single = MemTable::with_shards(InternalKeyComparator::default(), 1);
+        let sharded = Arc::new(MemTable::with_shards(InternalKeyComparator::default(), 8));
+        let single = Arc::new(MemTable::with_shards(InternalKeyComparator::default(), 1));
         for i in 0..500u64 {
             let k = format!("k{:04}", (i * 37) % 500);
             sharded.add(i + 1, ValueType::Value, k.as_bytes(), b"v");
             single.add(i + 1, ValueType::Value, k.as_bytes(), b"v");
         }
-        assert_eq!(
-            sharded.collect_range(b"", None),
-            single.collect_range(b"", None)
-        );
+        assert_eq!(entries(&sharded), entries(&single));
         assert_eq!(sharded.len(), single.len());
     }
 
@@ -601,7 +580,7 @@ mod tests {
     fn concurrent_writers_and_readers() {
         const WRITERS: u64 = 4;
         const PER_WRITER: u64 = 400;
-        let m = MemTable::new(InternalKeyComparator::default());
+        let m = memtable();
         std::thread::scope(|s| {
             for w in 0..WRITERS {
                 let m = &m;
@@ -631,7 +610,7 @@ mod tests {
             });
         });
         assert_eq!(m.len() as u64, WRITERS * PER_WRITER);
-        let all = m.collect_range(b"", None);
+        let all = entries(&m);
         assert_eq!(all.len() as u64, WRITERS * PER_WRITER);
         assert!(all
             .windows(2)

@@ -11,12 +11,12 @@
 //!    point CURRENT at it. The next open compacts them back into shape.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::{parse_internal_key, InternalKey, ValueType};
 use sstable::iterator::InternalIterator;
 use sstable::table::Table;
-use sstable::table_builder::TableBuilder;
 
 use crate::filename::{
     current_file_name, manifest_file_name, parse_file_name, table_file_name, FileType,
@@ -120,7 +120,7 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
         let Ok(mut reader) = LogReader::new(file.as_ref()) else {
             continue;
         };
-        let mem = MemTable::new(icmp.clone());
+        let mem = Arc::new(MemTable::new(icmp.clone()));
         while let Some(record) = reader.read_record() {
             let Ok(batch) = WriteBatch::from_data(&record) else {
                 continue;
@@ -164,16 +164,7 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
         report.log_entries_salvaged += mem.len() as u64;
         let number = next_number;
         next_number += 1;
-        let mut it = mem.iter();
-        it.seek_to_first();
-        let out = env.create_writable(&table_file_name(dir, number))?;
-        let mut builder = TableBuilder::new(options.table_builder_options(), out);
-        while it.valid() {
-            builder.add(it.key(), it.value())?;
-            it.next();
-        }
-        builder.finish()?;
-        builder.sync()?;
+        crate::db::write_memtable_table(options, dir, number, &mem)?;
         table_numbers.push(number);
         report.logs_salvaged += 1;
     }
@@ -217,6 +208,8 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
     for (old_number, meta, _) in scanned {
         let new_number = next_number;
         next_number += 1;
+        // DURABILITY-OK: a table found on disk or one just synced by
+        // `write_memtable_table`; the MANIFEST naming it is synced below.
         env.rename(
             &table_file_name(dir, old_number),
             &table_file_name(dir, new_number),

@@ -380,6 +380,57 @@ fn iterator_is_snapshot_consistent() {
     assert_eq!(keys, vec![b"a".to_vec(), b"b".to_vec()]);
 }
 
+/// An iterator reads its memtables lazily, so it must pin them: opened
+/// (not yet positioned) before the active memtable is rotated, flushed
+/// and compacted away under a wave of overwrites and deletes, it still
+/// yields exactly the contents at the moment it was opened.
+#[test]
+fn iterator_pins_memtables_across_rotation_flush_and_compaction() {
+    let (_env, options) = small_options();
+    let db = Db::open("/db", options).unwrap();
+    let key = |i: u32| format!("key{i:04}").into_bytes();
+    let mut expected = Vec::new();
+    for i in 0..400u32 {
+        db.put(&key(i), format!("old{i}").as_bytes()).unwrap();
+    }
+    db.flush().unwrap();
+    // A second generation that is still in the memtable at open time.
+    for i in (0..400u32).step_by(2) {
+        db.put(&key(i), format!("mem{i}").as_bytes()).unwrap();
+    }
+    for i in 0..400u32 {
+        let tag = if i % 2 == 0 { "mem" } else { "old" };
+        expected.push((key(i), format!("{tag}{i}").into_bytes()));
+    }
+    let mut it = db.iter().unwrap();
+
+    let flushes_before = db.stats().flushes;
+    for i in 0..400u32 {
+        if i % 3 == 0 {
+            db.delete(&key(i)).unwrap();
+        } else {
+            db.put(&key(i), &[b'n'; 300]).unwrap();
+        }
+    }
+    db.put(b"key9999", b"appended").unwrap();
+    db.flush().unwrap();
+    db.compact_all().unwrap();
+    assert!(
+        db.stats().flushes >= flushes_before + 2,
+        "the overwrites must rotate the memtable the iterator was opened on"
+    );
+    assert_eq!(db.get(&key(0)).unwrap(), None);
+
+    it.seek_to_first();
+    let mut got = Vec::new();
+    while it.valid() {
+        got.push((it.key().to_vec(), it.value().to_vec()));
+        it.next();
+    }
+    it.status().unwrap();
+    assert_eq!(got, expected);
+}
+
 /// A storage env whose writes carry latency, giving group commit a
 /// realistic window in which concurrent writers can queue up.
 struct SlowWriteEnv {
@@ -576,4 +627,36 @@ fn max_group_commit_bytes_is_honored() {
         "a 1-byte group cap must commit exactly one batch per group"
     );
     assert_eq!(stats.group_commits, 800, "one commit per write");
+}
+
+/// `Db::drop` must wake a background worker that has seen the shutdown
+/// flag clear and is about to park: the flag is set and the workers are
+/// notified under the state lock. Each round leaves compactions for
+/// `wait_for_background_quiescence` to wait on, so the job that ends the
+/// wait also wakes the other workers — they are between the flag check
+/// and the park exactly when `drop` runs. Without the lock one of these
+/// drops in a few dozen joined a sleeping worker forever.
+#[test]
+fn drop_right_after_quiescence_never_hangs() {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        for round in 0..300u32 {
+            let (_env, mut options) = small_options();
+            options.write_buffer_size = 8 << 10;
+            options.background_threads = 4;
+            let db = Db::open("/db", options).unwrap();
+            for i in 0..600u32 {
+                db.put(format!("key{i:04}").as_bytes(), &[round as u8; 100])
+                    .unwrap();
+            }
+            db.wait_for_background_quiescence();
+            drop(db);
+        }
+        let _ = done_tx.send(());
+    });
+    // Watchdog: 300 rounds take a few seconds; a lost wakeup never ends.
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("a Db::drop hung joining its background workers");
+    worker.join().unwrap();
 }

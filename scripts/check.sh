@@ -32,6 +32,10 @@ cargo run --release -p bench --bin db_bench -- \
     | grep -q "counter lsm.write.leader" \
     || { echo "obs smoke failed: no lsm.write.leader in --threads export"; exit 1; }
 cargo test -q -p systemsim identical_runs_export_identical_observability
+# kvbench is a standalone package the workspace build never compiles:
+# build it against the current crates and run all four workloads with
+# every correctness check (mirrors CI's perf-harness job).
+bash benchmark/run.sh --scale 0.02 > /dev/null
 
 # Fault matrix: the randomized power-cut harness already ran on its
 # default seed band in `cargo test -q`; sweep a second band like CI's

@@ -4,11 +4,11 @@
 //! in-flight compaction outputs (`pending_outputs`), version pinning for
 //! concurrent readers, and flush-during-offload.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 use fcae_repro::fcae::{FcaeConfig, FcaeEngine};
-use fcae_repro::lsm::{Db, Options};
+use fcae_repro::lsm::{Db, Options, ReadOptions};
 use fcae_repro::sstable::env::{MemEnv, StorageEnv};
 
 fn stress(engine_is_fcae: bool) {
@@ -152,4 +152,127 @@ fn concurrent_stress_cpu_engine() {
 #[test]
 fn concurrent_stress_fcae_engine() {
     stress(true);
+}
+
+/// A scanner beside four inserting writers. Iterators read the memtables
+/// lazily, a shard lock per step, so inserts (and rotations, flushes and
+/// compactions: the write buffer is tiny) land *between* the steps of an
+/// open iterator — the test forces that by pausing each walk half way
+/// until every writer has moved on. Writer `w` inserts `w{w}-{i:05}` for
+/// ascending `i`, each acknowledged before the next, so the store at any
+/// snapshot is one prefix per writer; the scan must be exactly that, with
+/// the prefix lengths bracketed by the writers' progress counters read
+/// around the snapshot, and a second scan at the same snapshot — opened
+/// after the memtable it started on is long gone — must repeat it.
+#[test]
+fn snapshot_scans_beside_writers_match_the_model() {
+    const WRITERS: usize = 4;
+    const PUTS: u64 = 3_000;
+    /// Inserts per writer the scanner waits for in the middle of a walk.
+    const ADVANCE: u64 = 64;
+
+    let db = Arc::new(
+        Db::open(
+            "/db",
+            Options {
+                env: Arc::new(MemEnv::new()),
+                write_buffer_size: 32 << 10,
+                max_file_size: 16 << 10,
+                level1_max_bytes: 64 << 10,
+                slowdown_sleep: false,
+                ..Default::default()
+            },
+        )
+        .unwrap(),
+    );
+    let value = |w: usize, i: u64| format!("w{w}-i{i}-{}", "x".repeat((i % 64) as usize));
+    let progress: Arc<Vec<AtomicU64>> = Arc::new((0..WRITERS).map(|_| AtomicU64::new(0)).collect());
+    let start = Arc::new(Barrier::new(WRITERS + 1));
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let (db, progress, start) =
+                (Arc::clone(&db), Arc::clone(&progress), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..PUTS {
+                    db.put(format!("w{w}-{i:05}").as_bytes(), value(w, i).as_bytes())
+                        .unwrap();
+                    progress[w].store(i + 1, Ordering::Release);
+                }
+            })
+        })
+        .collect();
+
+    let counts = || -> Vec<u64> { progress.iter().map(|p| p.load(Ordering::Acquire)).collect() };
+    start.wait();
+    let mut overlapped = 0;
+    loop {
+        let lo = counts();
+        let snapshot = db.snapshot();
+        let hi = counts();
+        let opts = || ReadOptions {
+            snapshot: Some(snapshot.sequence),
+        };
+        let mut it = db.iter_with(opts()).unwrap();
+        it.seek_to_first();
+        let mut got = Vec::new();
+        let pause_at = lo.iter().sum::<u64>() as usize / 2;
+        while it.valid() {
+            if got.len() == pause_at {
+                // Let every writer insert under the open iterator.
+                while counts()
+                    .iter()
+                    .zip(&hi)
+                    .any(|(&now, &then)| now < PUTS && now < then + ADVANCE)
+                {
+                    std::thread::yield_now();
+                }
+            }
+            got.push((it.key().to_vec(), it.value().to_vec()));
+            it.next();
+        }
+        it.status().unwrap();
+        if counts()
+            .iter()
+            .zip(&hi)
+            .all(|(&now, &then)| now >= then + ADVANCE)
+        {
+            overlapped += 1;
+        }
+
+        // Keys sort stripe by stripe, ascending `i` within a stripe.
+        let mut next = 0usize;
+        for w in 0..WRITERS {
+            let mut n = 0u64;
+            while next < got.len() && got[next].0.starts_with(format!("w{w}-").as_bytes()) {
+                assert_eq!(got[next].0, format!("w{w}-{n:05}").as_bytes());
+                assert_eq!(got[next].1, value(w, n).as_bytes());
+                n += 1;
+                next += 1;
+            }
+            assert!(
+                lo[w] <= n && n <= hi[w] + 1,
+                "writer {w}: {n} keys in the snapshot, acknowledged {}..={} around it",
+                lo[w],
+                hi[w]
+            );
+        }
+        assert_eq!(next, got.len(), "keys outside every writer's stripe");
+
+        let again = db
+            .scan_with(opts(), b"", None, usize::MAX, usize::MAX)
+            .unwrap();
+        assert!(again.complete);
+        assert_eq!(again.pairs, got, "two scans at one snapshot differ");
+
+        if lo.iter().all(|&n| n == PUTS) {
+            assert_eq!(got.len() as u64, WRITERS as u64 * PUTS);
+            break;
+        }
+    }
+    for h in writers {
+        h.join().expect("writer panicked");
+    }
+    assert!(overlapped >= 1, "no walk had inserts land under it");
 }
