@@ -1,5 +1,5 @@
 //! Encoder stage: Data Block Encoder + Index Block Encoder (paper §V-A,
-//! optimized per §V-B).
+//! optimized per §V-B), with a Filter Block Encoder beside them.
 //!
 //! Valid key-value pairs accumulate into a standard prefix-compressed data
 //! block; at ~4 KiB the block is Snappy-compressed, framed (compression
@@ -9,12 +9,21 @@
 //! current SSTable completes: its smallest/largest keys go to MetaOut and
 //! the encoder resets.
 //!
+//! The Filter Block Encoder is not in the paper: it hashes each emitted
+//! pair's filter key into the same [`FilterBlockBuilder`] the host's
+//! `TableBuilder` uses — 32 bits per key are all it keeps — and cuts a
+//! filter at every data-block flush, so a device-built table carries the
+//! filter block a host-built one would.
+//!
 //! Hardware nicety preserved: the index separator is the block's *last
 //! key* verbatim — the comparator-driven key shortening LevelDB does on
 //! the CPU is skipped, exactly as a hardware encoder would.
 
 use sstable::block_builder::BlockBuilder;
+use sstable::bloom::BloomFilterPolicy;
+use sstable::filter_block::FilterBlockBuilder;
 use sstable::format::{frame_block_into, BlockHandle, CompressionType, BLOCK_TRAILER_SIZE};
+use sstable::table_builder::filter_key;
 
 use crate::memory::{align_up, MetaOutTable, OutputTableImage};
 
@@ -36,6 +45,10 @@ pub struct OutputEncoder {
 
     block: BlockBuilder,
     scratch: Vec<u8>,
+    /// Filter Block Encoder; `None` when the store writes no filters.
+    filter: Option<FilterBlockBuilder>,
+    /// Filters cover user keys (the internal key minus its trailer).
+    internal_key_filter: bool,
 
     /// Current table state.
     data_memory: Vec<u8>,
@@ -65,6 +78,8 @@ impl OutputEncoder {
             compression,
             block: BlockBuilder::new(16),
             scratch: Vec::new(),
+            filter: None,
+            internal_key_filter: false,
             data_memory: Vec::new(),
             index_entries: Vec::new(),
             file_offset: 0,
@@ -75,9 +90,21 @@ impl OutputEncoder {
         }
     }
 
+    /// Adds the Filter Block Encoder: every output table gets a filter
+    /// block built with `policy`, over user keys when
+    /// `internal_key_filter` — `TableBuilderOptions`' two filter fields.
+    pub fn with_filter(mut self, policy: BloomFilterPolicy, internal_key_filter: bool) -> Self {
+        self.filter = Some(FilterBlockBuilder::new(policy));
+        self.internal_key_filter = internal_key_filter;
+        self
+    }
+
     /// Adds a valid pair (in merged order); returns flush/complete events.
     pub fn add(&mut self, key: &[u8], value: &[u8]) -> EncodeEvents {
         let mut events = EncodeEvents::default();
+        if let Some(filter) = &mut self.filter {
+            filter.add_key(filter_key(key, self.internal_key_filter));
+        }
         if self.smallest.is_none() {
             self.smallest = Some(key.to_vec());
         }
@@ -99,7 +126,8 @@ impl OutputEncoder {
 
     /// Flushes the in-progress block (if non-empty) to data memory and
     /// emits its index entry. Frames straight into the table's data
-    /// memory — the only allocation is the index entry's owned key.
+    /// memory — the only allocation is the index entry's owned key —
+    /// and tells the filter encoder where the next block starts.
     fn flush_block(&mut self) {
         if self.block.is_empty() {
             return;
@@ -116,6 +144,9 @@ impl OutputEncoder {
         // the raw last key of the block.
         self.index_entries.push((self.largest.clone(), handle));
         self.file_offset += framed_len as u64;
+        if let Some(filter) = &mut self.filter {
+            filter.start_block(self.file_offset);
+        }
 
         // Data memory is written in W_out-aligned beats.
         let padded = align_up(self.data_memory.len() as u64, u64::from(self.w_out));
@@ -130,6 +161,11 @@ impl OutputEncoder {
             return;
         }
         self.flush_block();
+        let filter_block = self.filter.as_mut().map(|filter| {
+            let block = filter.finish().to_vec();
+            filter.reset();
+            block
+        });
         let meta = MetaOutTable {
             smallest: self.smallest.take().unwrap_or_default(),
             largest: std::mem::take(&mut self.largest),
@@ -139,6 +175,7 @@ impl OutputEncoder {
         self.finished_tables.push(OutputTableImage {
             data_memory: std::mem::take(&mut self.data_memory),
             index_entries: std::mem::take(&mut self.index_entries),
+            filter_block,
             meta,
         });
         self.file_offset = 0;
@@ -232,13 +269,10 @@ mod tests {
             );
             expected += h.size + BLOCK_TRAILER_SIZE as u64;
         }
-        // framed_block() must round-trip each block despite padding.
-        for i in 0..t.index_entries.len() {
-            let framed = t.framed_block(i, 64);
-            assert_eq!(
-                framed.len(),
-                t.index_entries[i].1.size as usize + BLOCK_TRAILER_SIZE
-            );
+        // framed_blocks() must round-trip each block despite padding.
+        assert_eq!(t.framed_blocks(64).count(), t.index_entries.len());
+        for (framed, (_, h)) in t.framed_blocks(64).zip(&t.index_entries) {
+            assert_eq!(framed.len(), h.size as usize + BLOCK_TRAILER_SIZE);
         }
     }
 

@@ -10,7 +10,8 @@ use lsm::compaction::{
     OutputTableMeta,
 };
 use sstable::block_builder::BlockBuilder;
-use sstable::format::{frame_block, CompressionType, Footer};
+use sstable::bloom::BloomFilterPolicy;
+use sstable::format::{frame_block, BlockHandle, CompressionType, Footer, BLOCK_TRAILER_SIZE};
 use sstable::ikey::InternalKey;
 
 use crate::basic_decoder::BasicInputDecoder;
@@ -88,7 +89,9 @@ impl FcaeEngine {
 
     /// Runs the device pipeline over prepared images, returning the output
     /// table images plus the populated timing model. Exposed for kernel
-    /// benchmarks that bypass the store.
+    /// benchmarks that bypass the store; filters are built as a store with
+    /// default `Options` asks for them (10 bits per user key), so the
+    /// benchmarked kernel is the one that ships.
     pub fn run_kernel(
         &self,
         images: &[crate::memory::InputImage],
@@ -98,19 +101,8 @@ impl FcaeEngine {
         block_size: usize,
         table_size: u64,
     ) -> Result<(Vec<OutputTableImage>, PipelineModel, KernelReport)> {
-        let decoders: Vec<InputDecoder<'_>> = images
-            .iter()
-            .map(|im| InputDecoder::new(im, self.config.w_in))
-            .collect();
-        self.run_kernel_with(
-            decoders,
-            images,
-            smallest_snapshot,
-            bottommost,
-            compression,
-            block_size,
-            table_size,
-        )
+        let encoder = self.bench_encoder(compression, block_size, table_size);
+        self.run_optimized(images, smallest_snapshot, bottommost, encoder)
     }
 
     /// Same kernel, decoding with the **basic** (Algorithm 1) decoder
@@ -129,27 +121,43 @@ impl FcaeEngine {
             .iter()
             .map(|im| BasicInputDecoder::new(im, self.config.w_in))
             .collect();
-        self.run_kernel_with(
-            decoders,
-            images,
-            smallest_snapshot,
-            bottommost,
-            compression,
-            block_size,
-            table_size,
-        )
+        let encoder = self.bench_encoder(compression, block_size, table_size);
+        self.run_kernel_with(decoders, images, smallest_snapshot, bottommost, encoder)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The encoder of the store-bypassing kernel entry points.
+    fn bench_encoder(
+        &self,
+        compression: CompressionType,
+        block_size: usize,
+        table_size: u64,
+    ) -> OutputEncoder {
+        OutputEncoder::new(block_size, table_size, self.config.w_out, compression)
+            .with_filter(BloomFilterPolicy::default(), true)
+    }
+
+    /// The kernel with the optimized decoder, encoding into `encoder`.
+    fn run_optimized(
+        &self,
+        images: &[crate::memory::InputImage],
+        smallest_snapshot: u64,
+        bottommost: bool,
+        encoder: OutputEncoder,
+    ) -> Result<(Vec<OutputTableImage>, PipelineModel, KernelReport)> {
+        let decoders: Vec<InputDecoder<'_>> = images
+            .iter()
+            .map(|im| InputDecoder::new(im, self.config.w_in))
+            .collect();
+        self.run_kernel_with(decoders, images, smallest_snapshot, bottommost, encoder)
+    }
+
     fn run_kernel_with<S: MergeSource>(
         &self,
         mut sources: Vec<S>,
         images: &[crate::memory::InputImage],
         smallest_snapshot: u64,
         bottommost: bool,
-        compression: CompressionType,
-        block_size: usize,
-        table_size: u64,
+        mut encoder: OutputEncoder,
     ) -> Result<(Vec<OutputTableImage>, PipelineModel, KernelReport)> {
         let mut model = PipelineModel::new(self.config);
         let mut blocks_seen = vec![0u64; sources.len()];
@@ -159,8 +167,6 @@ impl FcaeEngine {
         }
 
         let mut comparer = Comparer::new(DropFilter::new(smallest_snapshot, bottommost));
-        let mut encoder =
-            OutputEncoder::new(block_size, table_size, self.config.w_out, compression);
 
         while let Some(sel) = comparer.select(&sources) {
             let s = &sources[sel.input_no];
@@ -210,47 +216,47 @@ impl FcaeEngine {
     }
 
     /// Host combine step (§V-B): writes one output image as a standard
-    /// SSTable file — data blocks at their recorded offsets, an empty
-    /// metaindex block, the index block, and the footer.
+    /// SSTable file, laid out as `TableBuilder::finish` lays it out — data
+    /// blocks at their recorded offsets, the device's filter block
+    /// (uncompressed, named `filter.<policy>` in the metaindex; absent
+    /// without a `filter_policy`), the metaindex block, the index block,
+    /// and the footer.
     pub fn assemble_table(
         image: &OutputTableImage,
         w_out: u32,
         compression: CompressionType,
+        filter_policy: Option<BloomFilterPolicy>,
         file: &mut dyn sstable::env::WritableFile,
     ) -> Result<u64> {
         let mut offset = 0u64;
-        for i in 0..image.index_entries.len() {
-            let framed = image.framed_block(i, w_out);
-            debug_assert_eq!(offset, image.index_entries[i].1.offset);
+        for (framed, (_, handle)) in image.framed_blocks(w_out).zip(&image.index_entries) {
+            debug_assert_eq!(offset, handle.offset);
             file.append(framed).map_err(lsm::Error::from)?;
             offset += framed.len() as u64;
         }
 
         let mut scratch = Vec::new();
-        // Empty metaindex block (FPGA outputs carry no filter metablock).
+        let mut write_block = |contents: &[u8], compression| -> Result<BlockHandle> {
+            let (_, framed) = frame_block(contents, compression, &mut scratch);
+            let handle = BlockHandle::new(offset, (framed.len() - BLOCK_TRAILER_SIZE) as u64);
+            file.append(&framed).map_err(lsm::Error::from)?;
+            offset += framed.len() as u64;
+            Ok(handle)
+        };
+
         let mut metaindex = BlockBuilder::new(1);
-        let contents = metaindex.finish().to_vec();
-        let (_, framed) = frame_block(&contents, compression, &mut scratch);
-        let metaindex_handle = sstable::format::BlockHandle::new(
-            offset,
-            (framed.len() - sstable::format::BLOCK_TRAILER_SIZE) as u64,
-        );
-        file.append(&framed).map_err(lsm::Error::from)?;
-        offset += framed.len() as u64;
+        if let (Some(policy), Some(filter)) = (filter_policy, &image.filter_block) {
+            let handle = write_block(filter, CompressionType::None)?;
+            metaindex.add(policy.metaindex_key().as_bytes(), &handle.encode());
+        }
+        let metaindex_handle = write_block(metaindex.finish(), compression)?;
 
         // Index block from the device's index entries.
         let mut index = BlockBuilder::new(1);
         for (key, handle) in &image.index_entries {
             index.add(key, &handle.encode());
         }
-        let contents = index.finish().to_vec();
-        let (_, framed) = frame_block(&contents, compression, &mut scratch);
-        let index_handle = sstable::format::BlockHandle::new(
-            offset,
-            (framed.len() - sstable::format::BLOCK_TRAILER_SIZE) as u64,
-        );
-        file.append(&framed).map_err(lsm::Error::from)?;
-        offset += framed.len() as u64;
+        let index_handle = write_block(index.finish(), compression)?;
 
         let footer = Footer {
             metaindex_handle,
@@ -317,15 +323,20 @@ impl CompactionEngine for FcaeEngine {
             image.meta = crate::meta_wire::decode_meta_in(&wire)?;
         }
 
-        // Device steps 5-7: the kernel.
-        let (tables, _model, report) = self.run_kernel(
-            &images,
-            req.smallest_snapshot,
-            req.bottommost,
-            req.builder_options.compression,
-            req.builder_options.block_size,
+        // Device steps 5-7: the kernel, encoding tables as the request's
+        // builder options describe them.
+        let options = &req.builder_options;
+        let mut encoder = OutputEncoder::new(
+            options.block_size,
             req.max_output_file_size,
-        )?;
+            self.config.w_out,
+            options.compression,
+        );
+        if let Some(policy) = options.filter_policy {
+            encoder = encoder.with_filter(policy, options.internal_key_filter);
+        }
+        let (tables, _model, report) =
+            self.run_optimized(&images, req.smallest_snapshot, req.bottommost, encoder)?;
 
         // MetaOut returns over the same boundary (Fig. 8).
         let meta_out_wire = crate::meta_wire::encode_meta_out(tables.iter().map(|t| &t.meta));
@@ -344,7 +355,8 @@ impl CompactionEngine for FcaeEngine {
             let file_size = Self::assemble_table(
                 image,
                 self.config.w_out,
-                req.builder_options.compression,
+                options.compression,
+                options.filter_policy,
                 file.as_mut(),
             )?;
             file.sync().map_err(lsm::Error::from)?;

@@ -128,16 +128,19 @@ pub struct MetaOutTable {
     pub data_bytes: u64,
 }
 
-/// One produced SSTable, device side: its (padded) data block region and
-/// the index entries the Index Block Encoder emitted. The host combines
-/// these into a standard `.ldb` file (§V-B "the host is in charge of
-/// combining data blocks with index blocks into new formatted SSTables").
+/// One produced SSTable, device side: its (padded) data block region, the
+/// index entries the Index Block Encoder emitted and the filter block the
+/// Filter Block Encoder built. The host combines these into a standard
+/// `.ldb` file (§V-B "the host is in charge of combining data blocks with
+/// index blocks into new formatted SSTables").
 pub struct OutputTableImage {
     /// Framed data blocks, W_out-aligned in device DRAM.
     pub data_memory: Vec<u8>,
     /// `(last key of block, handle)` pairs; handle offsets are cumulative
     /// *unpadded* positions, i.e. final-file offsets.
     pub index_entries: Vec<(Vec<u8>, BlockHandle)>,
+    /// Filter block contents; `None` when the store writes no filters.
+    pub filter_block: Option<Vec<u8>>,
     /// MetaOut record.
     pub meta: MetaOutTable,
 }
@@ -150,21 +153,20 @@ impl OutputTableImage {
             .iter()
             .map(|(k, _)| k.len() + BlockHandle::MAX_ENCODED_LENGTH)
             .sum();
-        (self.data_memory.len() + index_bytes) as u64
+        let filter_bytes = self.filter_block.as_ref().map_or(0, Vec::len);
+        (self.data_memory.len() + index_bytes + filter_bytes) as u64
     }
 
-    /// Extracts the framed bytes of block `i` (without alignment padding).
-    pub fn framed_block(&self, i: usize, w_out: u32) -> &[u8] {
-        // Recompute the padded offset of block i by walking sizes.
-        let mut padded_offset = 0u64;
-        for (_, h) in &self.index_entries[..i] {
-            padded_offset = align_up(
-                padded_offset + h.size + BLOCK_TRAILER_SIZE as u64,
-                u64::from(w_out),
-            );
-        }
-        let len = self.index_entries[i].1.size as usize + BLOCK_TRAILER_SIZE;
-        &self.data_memory[padded_offset as usize..padded_offset as usize + len]
+    /// The framed bytes of every data block in index order, without the
+    /// alignment padding between them.
+    pub fn framed_blocks(&self, w_out: u32) -> impl Iterator<Item = &[u8]> {
+        let mut padded_offset = 0usize;
+        self.index_entries.iter().map(move |(_, h)| {
+            let len = h.size as usize + BLOCK_TRAILER_SIZE;
+            let framed = &self.data_memory[padded_offset..padded_offset + len];
+            padded_offset = align_up((padded_offset + len) as u64, u64::from(w_out)) as usize;
+            framed
+        })
     }
 }
 

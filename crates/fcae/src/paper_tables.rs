@@ -36,6 +36,12 @@ pub const PIPELINE_FILL_PERIODS: f64 = 4.0;
 /// fraction of the steady-state period (decode + compare only).
 pub const DROPPED_PAIR_PERIOD_FACTOR: f64 = 0.5;
 
+/// Mark bytes (sequence number + type) that end every internal key: the
+/// `8` of `K = user key + 8`. The Filter Block Encoder — this
+/// repository's addition, absent from Table III — hashes the user key
+/// only, one byte per cycle, so its period is `K` minus this.
+pub const KEY_MARK_BYTES: f64 = 8.0;
+
 // ---------------------------------------------------------------------
 // Table V calibration (measured speeds) + §V-B memory system.
 // ---------------------------------------------------------------------

@@ -13,6 +13,11 @@
 //! * Key-Value Transfer: `max(K, L/V)`
 //! * Data Block Encoder: `K`
 //!
+//! The Filter Block Encoder (not in the paper; see `encoder`) hashes the
+//! user key at one byte per cycle beside the Data Block Encoder: its
+//! period `K − 8` is below the encoder's `K` for every pair, so it never
+//! is the `max` and no cycle count depends on it.
+//!
 //! Two calibrated terms bring the idealized table in line with the
 //! paper's *measured* speeds (Table V):
 //!
@@ -47,8 +52,8 @@ use crate::config::FcaeConfig;
 pub use crate::paper_tables::{
     BASIC_INDEX_FETCH_ROUND_TRIPS, BASIC_INDEX_FLUSH_ROUND_TRIPS, BLOCK_SETUP_CYCLES,
     COMPARER_BASE_STAGES, DRAM_READ_LATENCY_CYCLES, DROPPED_PAIR_PERIOD_FACTOR,
-    ENTRY_OVERHEAD_CYCLES, MEM_CYCLES_PER_VALUE_BYTE, PIPELINE_FILL_PERIODS, TABLE_RESET_CYCLES,
-    VALUE_DATAPATH_PASSES,
+    ENTRY_OVERHEAD_CYCLES, KEY_MARK_BYTES, MEM_CYCLES_PER_VALUE_BYTE, PIPELINE_FILL_PERIODS,
+    TABLE_RESET_CYCLES, VALUE_DATAPATH_PASSES,
 };
 
 /// Per-module cycle attribution for one kernel invocation.
@@ -96,6 +101,7 @@ struct ModulePeriods {
     comparer: f64,
     transfer: f64,
     encoder: f64,
+    filter_encoder: f64,
     axi: f64,
 }
 
@@ -105,6 +111,7 @@ impl ModulePeriods {
             .max(self.comparer)
             .max(self.transfer)
             .max(self.encoder)
+            .max(self.filter_encoder)
             .max(self.axi)
     }
 }
@@ -180,6 +187,9 @@ impl PipelineModel {
             comparer: (COMPARER_BASE_STAGES + log2n) * cmp_payload,
             transfer: k.max(xfer_value),
             encoder: k,
+            // One user-key byte per cycle into the hash unit; the 8 mark
+            // bytes are not hashed.
+            filter_encoder: (k - KEY_MARK_BYTES).max(0.0),
             axi: ((k + l) / w_in).max((k + l) / w_out),
         }
     }
@@ -332,6 +342,32 @@ mod tests {
         let big = m.pair_period(K, 2048);
         assert!(big > 72.0);
         assert!(m.pair_period(K, 4096) > big);
+    }
+
+    #[test]
+    fn filter_encoder_never_bounds_the_pipeline() {
+        let configs = [
+            FcaeConfig::two_input(),
+            FcaeConfig::nine_input(),
+            FcaeConfig {
+                ablation: AblationFlags::all_off(),
+                ..FcaeConfig::two_input()
+            },
+        ];
+        for cfg in configs {
+            let m = PipelineModel::new(cfg);
+            for key_len in [1usize, 8, 9, K, 64, 1024] {
+                for value_len in [0usize, 64, 4096] {
+                    let p = m.module_periods(key_len, value_len);
+                    assert!(
+                        p.filter_encoder < p.encoder,
+                        "K={key_len} L={value_len}: {} vs encoder {}",
+                        p.filter_encoder,
+                        p.encoder
+                    );
+                }
+            }
+        }
     }
 
     #[test]

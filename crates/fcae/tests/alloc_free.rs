@@ -3,7 +3,10 @@
 //! allocations per key-value pair, for both raw and Snappy-compressed
 //! inputs. Block-boundary work (index entries, per-table setup) is
 //! deliberately amortized outside this loop and is covered by the
-//! allocs/kv figure in `BENCH_PR2.json`.
+//! allocs/kv figure in `BENCH_PR2.json`. The same window is then run
+//! through the output encoder, with and without the Filter Block Encoder:
+//! filter building allocates nothing per pair or per block, only the one
+//! copy of each finished filter block into its table image.
 //!
 //! Single `#[test]` in this binary: the global counter sees every thread,
 //! so parallel tests would pollute the measurement window.
@@ -15,8 +18,10 @@ use std::sync::Arc;
 
 use fcae::comparer::{Comparer, DropFilter};
 use fcae::decoder::{InputDecoder, MergeSource};
-use fcae::memory::build_input_image;
+use fcae::encoder::OutputEncoder;
+use fcae::memory::{build_input_image, InputImage};
 use lsm::compaction::CompactionInput;
+use sstable::bloom::BloomFilterPolicy;
 use sstable::comparator::InternalKeyComparator;
 use sstable::env::{MemEnv, StorageEnv};
 use sstable::format::CompressionType;
@@ -103,21 +108,24 @@ fn build_table(
     Table::open(file, size, read_opts).unwrap()
 }
 
+/// Device images of four interleaved input tables.
+fn input_images(compression: CompressionType) -> Vec<InputImage> {
+    let env = MemEnv::new();
+    (0..4u64)
+        .map(|n| {
+            let input = CompactionInput {
+                tables: vec![build_table(&env, &format!("/t{n}"), n, compression)],
+            };
+            build_input_image(&input, W_IN).unwrap()
+        })
+        .collect()
+}
+
 /// Runs the merge loop over four decoders, measuring allocations in a
 /// steady-state window after a warm-up prefix. Returns (kvs in window,
 /// allocations in window).
 fn measure(compression: CompressionType) -> (u64, u64) {
-    let env = MemEnv::new();
-    let inputs: Vec<CompactionInput> = (0..4u64)
-        .map(|n| CompactionInput {
-            tables: vec![build_table(&env, &format!("/t{n}"), n, compression)],
-        })
-        .collect();
-    let images: Vec<_> = inputs
-        .iter()
-        .map(|i| build_input_image(i, W_IN).unwrap())
-        .collect();
-
+    let images = input_images(compression);
     let mut decoders: Vec<InputDecoder<'_>> = images
         .iter()
         .map(|im| InputDecoder::new(im, W_IN))
@@ -157,6 +165,42 @@ fn measure(compression: CompressionType) -> (u64, u64) {
     (kvs, after - before)
 }
 
+/// Runs the same merge through the output encoder, cutting small tables so
+/// that many complete. Warm-up lasts until two tables are out: by then the
+/// filter builder's reused hash and result buffers have the capacity one
+/// table needs. Returns (tables completed in the window, allocations in
+/// the window).
+fn measure_encoder(with_filter: bool) -> (u64, u64) {
+    let images = input_images(CompressionType::None);
+    let mut decoders: Vec<InputDecoder<'_>> = images
+        .iter()
+        .map(|im| InputDecoder::new(im, W_IN))
+        .collect();
+    for d in &mut decoders {
+        d.advance().unwrap();
+    }
+    let mut comparer = Comparer::new(DropFilter::new(u64::MAX, true));
+    let mut encoder = OutputEncoder::new(1 << 10, 8 << 10, 64, CompressionType::None);
+    if with_filter {
+        encoder = encoder.with_filter(BloomFilterPolicy::default(), true);
+    }
+
+    let mut before = 0;
+    let mut tables = 0u64;
+    while let Some(sel) = comparer.select(&decoders) {
+        let d = &mut decoders[sel.input_no];
+        if !sel.drop && encoder.add(d.key(), d.value()).table_completed {
+            tables += 1;
+            if tables == 2 {
+                before = ALLOCS.allocs.load(Ordering::SeqCst);
+            }
+        }
+        d.advance().unwrap();
+    }
+    let after = ALLOCS.allocs.load(Ordering::SeqCst);
+    (tables - 2, after - before)
+}
+
 #[test]
 fn steady_state_merge_loop_is_allocation_free() {
     for compression in [CompressionType::None, CompressionType::Snappy] {
@@ -170,4 +214,15 @@ fn steady_state_merge_loop_is_allocation_free() {
             "steady-state merge loop allocated {allocs} times over {kvs} kvs ({compression:?})"
         );
     }
+
+    let (tables, without_filter) = measure_encoder(false);
+    let (tables_filtered, with_filter) = measure_encoder(true);
+    assert_eq!(tables, tables_filtered);
+    assert!(tables >= 8, "window too small: {tables} tables");
+    assert_eq!(
+        with_filter - without_filter,
+        tables,
+        "filter building must cost one allocation per finished table and no more \
+         ({without_filter} allocations without it, {with_filter} with, {tables} tables)"
+    );
 }

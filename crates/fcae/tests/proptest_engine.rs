@@ -1,7 +1,8 @@
-//! Model-based property test: the FCAE engine's output over arbitrary
+//! Model-based property tests: the FCAE engine's output over arbitrary
 //! inputs must equal a reference merge computed directly with a
 //! `BTreeMap` (newest version per user key; tombstones drop keys at the
-//! bottommost level).
+//! bottommost level), and the filter block of every output table must
+//! admit every pair the table holds.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -15,7 +16,7 @@ use sstable::comparator::InternalKeyComparator;
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
 use sstable::ikey::{parse_internal_key, InternalKey, ValueType};
 use sstable::iterator::InternalIterator;
-use sstable::table::{Table, TableReadOptions};
+use sstable::table::{GetStats, Table, TableReadOptions};
 use sstable::table_builder::{TableBuilder, TableBuilderOptions};
 
 #[derive(Debug, Clone)]
@@ -67,6 +68,21 @@ fn builder_options() -> TableBuilderOptions {
     }
 }
 
+/// User keys of 6 to 28 bytes: the filter hashes the key, so its length
+/// must vary.
+fn user_key(key_id: u8) -> Vec<u8> {
+    let pad = "x".repeat(usize::from(key_id) * 7 % 23);
+    format!("key{key_id:03}{pad}").into_bytes()
+}
+
+fn read_options() -> TableReadOptions {
+    TableReadOptions {
+        comparator: Arc::new(InternalKeyComparator::default()),
+        internal_key_filter: true,
+        ..Default::default()
+    }
+}
+
 /// Builds inputs; sequence numbers are globally unique, with input 0
 /// holding the NEWEST sequences (as the host-side input ordering
 /// guarantees).
@@ -88,7 +104,7 @@ fn build(
         let mut rows: Vec<(Vec<u8>, u64, ValueType, Vec<u8>)> = Vec::new();
         for e in input_entries {
             next_seq -= 1;
-            let user = format!("key{:03}", e.key_id).into_bytes();
+            let user = user_key(e.key_id);
             let ty = if e.is_delete {
                 ValueType::Deletion
             } else {
@@ -115,16 +131,11 @@ fn build(
             b.add(ik.encoded(), value).unwrap();
         }
         let size = b.finish().unwrap();
-        let ropts = TableReadOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        };
         let file = env
             .open_random_access(Path::new(&format!("/in{i}")))
             .unwrap();
         inputs.push(CompactionInput {
-            tables: vec![Table::open(file, size, ropts).unwrap()],
+            tables: vec![Table::open(file, size, read_options()).unwrap()],
         });
     }
     (inputs, model)
@@ -153,16 +164,11 @@ proptest! {
 
         // Read back every output entry.
         let mut got: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        let ropts = TableReadOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        };
         for meta in &outcome.outputs {
             let file = env
                 .open_random_access(Path::new(&format!("/o{}", meta.number)))
                 .unwrap();
-            let table = Table::open(file, meta.file_size, ropts.clone()).unwrap();
+            let table = Table::open(file, meta.file_size, read_options()).unwrap();
             let mut it = table.iter();
             it.seek_to_first();
             while it.valid() {
@@ -182,5 +188,49 @@ proptest! {
             .filter_map(|(k, (_, v))| v.map(|v| (k, v)))
             .collect();
         prop_assert_eq!(got, expected);
+    }
+
+    /// No false negatives: with tombstones kept (not bottommost) and
+    /// outputs split into several tables, every pair a table holds is
+    /// found through that table's filter, which is consulted every time.
+    #[test]
+    fn every_emitted_pair_passes_its_tables_filter(gen in entries_strategy()) {
+        let env = MemEnv::new();
+        let (inputs, _) = build(&env, &gen);
+        let engine = FcaeEngine::new(FcaeConfig::nine_input());
+        let factory = Factory { env: env.clone(), n: AtomicU64::new(0) };
+        let req = CompactionRequest {
+            level: 0,
+            inputs,
+            smallest_snapshot: 1 << 40,
+            bottommost: false,
+            builder_options: builder_options(),
+            max_output_file_size: 1 << 10,
+        };
+        let outcome = engine.compact(&req, &factory).unwrap();
+
+        let mut pairs = 0u64;
+        for meta in &outcome.outputs {
+            let file = env
+                .open_random_access(Path::new(&format!("/o{}", meta.number)))
+                .unwrap();
+            let table = Table::open(file, meta.file_size, read_options()).unwrap();
+            let mut stats = GetStats::default();
+            let mut it = table.iter();
+            it.seek_to_first();
+            while it.valid() {
+                let found = table.get_counted(it.key(), &mut stats).unwrap();
+                prop_assert_eq!(
+                    found,
+                    Some((it.key().to_vec(), it.value().to_vec())),
+                    "table {} lost a pair it holds", meta.number
+                );
+                pairs += 1;
+                it.next();
+            }
+            prop_assert_eq!(u64::from(stats.filter_checked), meta.entries);
+            prop_assert_eq!(stats.filter_useful + stats.filter_false_positive, 0);
+        }
+        prop_assert_eq!(pairs, outcome.entries_written);
     }
 }

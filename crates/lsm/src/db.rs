@@ -27,6 +27,7 @@ use sstable::comparator::InternalKeyComparator;
 use sstable::env::WritableFile;
 use sstable::ikey::{parse_internal_key, InternalKey, LookupKey, ValueType};
 use sstable::iterator::InternalIterator;
+use sstable::table::GetStats;
 use sstable::table_builder::TableBuilder;
 
 use crate::compaction::{
@@ -208,6 +209,17 @@ struct DbMetrics {
     readonly_rejects: Arc<obs::Counter>,
     compact_retries: Arc<obs::Counter>,
     compact_retry_backoff: Arc<obs::Counter>,
+    /// Tables a point read probed after missing the memtables.
+    get_table_probes: Arc<obs::Counter>,
+    /// Of those probes: consulted a filter / the filter excluded the
+    /// block / it let through a block that did not hold the key.
+    bloom_checked: Arc<obs::Counter>,
+    bloom_useful: Arc<obs::Counter>,
+    bloom_false_positive: Arc<obs::Counter>,
+    /// Block-cache lookups of point reads (scans and compactions use the
+    /// cache too; `DbStats` has the cache's own totals).
+    block_cache_hits: Arc<obs::Counter>,
+    block_cache_misses: Arc<obs::Counter>,
 }
 
 impl DbMetrics {
@@ -228,6 +240,29 @@ impl DbMetrics {
             readonly_rejects: registry.counter("lsm.bg-error.readonly-writes"),
             compact_retries: registry.counter("lsm.compact.retry.count"),
             compact_retry_backoff: registry.counter("lsm.compact.retry.backoff-micros"),
+            get_table_probes: registry.counter("lsm.get.table_probes"),
+            bloom_checked: registry.counter("lsm.bloom.checked"),
+            bloom_useful: registry.counter("lsm.bloom.useful"),
+            bloom_false_positive: registry.counter("lsm.bloom.false_positive"),
+            block_cache_hits: registry.counter("lsm.block_cache.hits"),
+            block_cache_misses: registry.counter("lsm.block_cache.misses"),
+        }
+    }
+
+    /// Adds what one point read did in the tables. Counters that did not
+    /// move are not touched: readers on other cores share these lines.
+    fn record_table_probes(&self, probes: u32, stats: &GetStats) {
+        for (counter, n) in [
+            (&self.get_table_probes, probes),
+            (&self.bloom_checked, stats.filter_checked),
+            (&self.bloom_useful, stats.filter_useful),
+            (&self.bloom_false_positive, stats.filter_false_positive),
+            (&self.block_cache_hits, stats.block_cache_hits),
+            (&self.block_cache_misses, stats.block_cache_misses),
+        ] {
+            if n > 0 {
+                counter.add(u64::from(n));
+            }
         }
     }
 }
@@ -238,6 +273,8 @@ struct DbInner {
     engine: Arc<dyn CompactionEngine>,
     obs: Arc<obs::Obs>,
     metrics: DbMetrics,
+    /// The store's key order, built once (it owns an `Arc`).
+    icmp: InternalKeyComparator,
     state: Mutex<DbState>,
     /// The WAL epoch: the log, the memtable it recovers into, and the log
     /// file number swap *together* under this lock, so a group leader
@@ -640,6 +677,7 @@ impl Db {
             engine,
             obs,
             metrics,
+            icmp: InternalKeyComparator::default(),
             state: Mutex::new(DbState {
                 mem: Arc::clone(&mem),
                 imm: None,
@@ -1454,21 +1492,28 @@ impl DbInner {
             }
         }
 
-        let icmp = InternalKeyComparator::default();
-        for (_, meta) in version.files_for_get(&icmp, key) {
+        let mut probes = 0u32;
+        let mut stats = GetStats::default();
+        let mut answer = None;
+        for (_, meta) in version.files_for_get(&self.icmp, key) {
+            probes += 1;
             let table = self.table_cache.get(meta.number, meta.file_size)?;
-            if let Some((found_key, value)) = table.get(lookup.internal_key())? {
-                if let Some(parsed) = parse_internal_key(&found_key) {
-                    if parsed.user_key == key {
-                        return match parsed.value_type {
-                            ValueType::Value => Ok(Some(value)),
-                            ValueType::Deletion => Ok(None),
-                        };
+            let Some((found_key, value)) = table.get_counted(lookup.internal_key(), &mut stats)?
+            else {
+                continue;
+            };
+            if let Some(parsed) = parse_internal_key(&found_key) {
+                if parsed.user_key == key {
+                    // The newest version decides: a value, or a tombstone.
+                    if matches!(parsed.value_type, ValueType::Value) {
+                        answer = Some(value);
                     }
+                    break;
                 }
             }
         }
-        Ok(None)
+        self.metrics.record_table_probes(probes, &stats);
+        Ok(answer)
     }
 
     /// Collects one sealed value-log segment: rewrites the live records

@@ -234,37 +234,29 @@ impl Version {
 
     /// Files possibly containing `user_key`, in the order the read path
     /// must consult them: all overlapping L0 files newest-first, then at
-    /// most one file per deeper level.
-    pub fn files_for_get(
-        &self,
-        cmp: &InternalKeyComparator,
-        user_key: &[u8],
-    ) -> Vec<(usize, Arc<FileMetaData>)> {
+    /// most one file per deeper level. Lazy: a `get` answered by the
+    /// first candidate never looks for the second.
+    pub fn files_for_get<'a>(
+        &'a self,
+        cmp: &'a InternalKeyComparator,
+        user_key: &'a [u8],
+    ) -> impl Iterator<Item = (usize, &'a Arc<FileMetaData>)> + 'a {
         let ucmp = cmp.user_comparator();
-        let mut out = Vec::new();
-        for f in &self.files[0] {
-            if ucmp.compare(user_key, f.smallest.user_key()) != Ordering::Less
+        let level0 = self.files[0].iter().filter(move |f| {
+            ucmp.compare(user_key, f.smallest.user_key()) != Ordering::Less
                 && ucmp.compare(user_key, f.largest.user_key()) != Ordering::Greater
-            {
-                out.push((0, Arc::clone(f)));
-            }
-        }
-        for level in 1..NUM_LEVELS {
+        });
+        let deeper = (1..NUM_LEVELS).filter_map(move |level| {
             let files = &self.files[level];
-            if files.is_empty() {
-                continue;
-            }
             // Binary search: first file whose largest >= user_key.
             let idx = files.partition_point(|f| {
                 ucmp.compare(f.largest.user_key(), user_key) == Ordering::Less
             });
-            if idx < files.len()
-                && ucmp.compare(user_key, files[idx].smallest.user_key()) != Ordering::Less
-            {
-                out.push((level, Arc::clone(&files[idx])));
-            }
-        }
-        out
+            let file = files.get(idx)?;
+            (ucmp.compare(user_key, file.smallest.user_key()) != Ordering::Less)
+                .then_some((level, file))
+        });
+        level0.map(|f| (0, f)).chain(deeper)
     }
 }
 
@@ -804,12 +796,12 @@ mod tests {
         edit.new_files.push((1, meta(6, "l", "z")));
         vs.log_and_apply(edit).unwrap();
         let v = vs.current();
-        let hits = v.files_for_get(vs.icmp(), b"m");
+        let hits: Vec<_> = v.files_for_get(vs.icmp(), b"m").collect();
         let numbers: Vec<u64> = hits.iter().map(|(_, f)| f.number).collect();
         // L0 newest first (10 then 9), then the single overlapping L1 file.
         assert_eq!(numbers, vec![10, 9, 6]);
         // Key beyond every file's range hits nothing.
-        let hits = v.files_for_get(vs.icmp(), b"zz");
+        let hits: Vec<_> = v.files_for_get(vs.icmp(), b"zz").collect();
         assert!(hits.is_empty(), "{hits:?}");
     }
 

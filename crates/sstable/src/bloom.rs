@@ -25,9 +25,16 @@ impl BloomFilterPolicy {
         "leveldb.BuiltinBloomFilter2"
     }
 
-    /// Appends a filter built from `keys` to `dst`.
-    pub fn create_filter(&self, keys: &[&[u8]], dst: &mut Vec<u8>) {
-        let mut bits = keys.len() * self.bits_per_key;
+    /// The metaindex key under which a table records its filter block.
+    pub fn metaindex_key(&self) -> String {
+        format!("filter.{}", self.name())
+    }
+
+    /// Appends to `dst` the filter of the keys whose [`bloom_hash`]es are
+    /// `hashes`. A filter depends on a key only through that hash, so a
+    /// builder (or a hardware hash unit) need keep nothing else.
+    pub fn create_filter(&self, hashes: &[u32], dst: &mut Vec<u8>) {
+        let mut bits = hashes.len() * self.bits_per_key;
         // Small n yields high false positive rates; floor at 64 bits.
         if bits < 64 {
             bits = 64;
@@ -39,8 +46,8 @@ impl BloomFilterPolicy {
         dst.resize(init + bytes, 0);
         dst.push(self.k as u8);
         let array = &mut dst[init..init + bytes];
-        for key in keys {
-            let mut h = bloom_hash(key);
+        for &hash in hashes {
+            let mut h = hash;
             let delta = h.rotate_right(17);
             for _ in 0..self.k {
                 let bitpos = (h as usize) % bits;
@@ -119,8 +126,9 @@ mod tests {
     use super::*;
 
     fn filter_for(keys: &[&[u8]]) -> Vec<u8> {
+        let hashes: Vec<u32> = keys.iter().map(|k| bloom_hash(k)).collect();
         let mut f = Vec::new();
-        BloomFilterPolicy::new(10).create_filter(keys, &mut f);
+        BloomFilterPolicy::new(10).create_filter(&hashes, &mut f);
         f
     }
 

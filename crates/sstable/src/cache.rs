@@ -28,32 +28,98 @@ struct Key {
     offset: u64,
 }
 
+/// No slot: the end of a shard's recency list.
+const NIL: usize = usize::MAX;
+
 struct Entry {
+    key: Key,
     block: Block,
     charge: usize,
-    /// LRU tick.
-    used: u64,
+    /// Slots of the entries used just before and just after this one.
+    prev: usize,
+    next: usize,
 }
 
+/// One shard: entries in a dense vector, found through `map` and linked
+/// by slot index in order of use, so a hit, an insert and an eviction are
+/// each O(1) and allocate nothing once the vector has grown.
 struct Shard {
-    map: HashMap<Key, Entry>,
+    /// Key → slot in `entries`.
+    map: HashMap<Key, usize>,
+    entries: Vec<Entry>,
+    /// Least and most recently used slots.
+    oldest: usize,
+    newest: usize,
     bytes: usize,
-    tick: u64,
+}
+
+impl Default for Shard {
+    fn default() -> Self {
+        Shard {
+            map: HashMap::new(),
+            entries: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+            bytes: 0,
+        }
+    }
 }
 
 impl Shard {
-    fn evict_to(&mut self, capacity: usize) {
-        while self.bytes > capacity && !self.map.is_empty() {
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.used)
-                .map(|(k, _)| *k)
-                // PANIC-OK: the loop condition just checked !is_empty().
-                .expect("non-empty map");
-            if let Some(e) = self.map.remove(&victim) {
-                self.bytes -= e.charge;
+    /// Takes slot `i` out of the recency list.
+    fn unlink(&mut self, i: usize) {
+        let (prev, next) = (self.entries[i].prev, self.entries[i].next);
+        match prev {
+            NIL => self.oldest = next,
+            p => self.entries[p].next = next,
+        }
+        match next {
+            NIL => self.newest = prev,
+            n => self.entries[n].prev = prev,
+        }
+    }
+
+    /// Puts slot `i` at the most recently used end.
+    fn link_newest(&mut self, i: usize) {
+        self.entries[i].prev = self.newest;
+        self.entries[i].next = NIL;
+        match self.newest {
+            NIL => self.oldest = i,
+            n => self.entries[n].next = i,
+        }
+        self.newest = i;
+    }
+
+    /// Removes the entry in slot `i`; the last entry moves into the hole
+    /// so the vector stays dense.
+    fn remove_slot(&mut self, i: usize) -> Entry {
+        self.unlink(i);
+        let removed = self.entries.swap_remove(i);
+        self.map.remove(&removed.key);
+        self.bytes -= removed.charge;
+        if let Some(moved) = self.entries.get(i) {
+            let (key, prev, next) = (moved.key, moved.prev, moved.next);
+            self.map.insert(key, i);
+            match prev {
+                NIL => self.oldest = i,
+                p => self.entries[p].next = i,
             }
+            match next {
+                NIL => self.newest = i,
+                n => self.entries[n].prev = i,
+            }
+        }
+        removed
+    }
+
+    fn remove(&mut self, key: &Key) -> Option<Entry> {
+        let slot = *self.map.get(key)?;
+        Some(self.remove_slot(slot))
+    }
+
+    fn evict_to(&mut self, capacity: usize) {
+        while self.bytes > capacity && self.oldest != NIL {
+            self.remove_slot(self.oldest);
         }
     }
 }
@@ -70,15 +136,7 @@ impl BlockCache {
     /// Creates a cache of roughly `capacity_bytes` total.
     pub fn new(capacity_bytes: usize) -> Arc<Self> {
         Arc::new(BlockCache {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        bytes: 0,
-                        tick: 0,
-                    })
-                })
-                .collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             capacity_per_shard: (capacity_bytes / SHARDS).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -110,13 +168,12 @@ impl BlockCache {
             offset,
         };
         let mut shard = self.shard(&key).lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        match shard.map.get_mut(&key) {
-            Some(e) => {
-                e.used = tick;
+        match shard.map.get(&key).copied() {
+            Some(slot) => {
+                shard.unlink(slot);
+                shard.link_newest(slot);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(e.block.clone())
+                Some(shard.entries[slot].block.clone())
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -134,18 +191,17 @@ impl BlockCache {
         let charge = block.size().max(1);
         let capacity = self.capacity_per_shard;
         let mut shard = self.shard(&key).lock();
-        shard.tick += 1;
-        let tick = shard.tick;
-        if let Some(old) = shard.map.insert(
+        shard.remove(&key);
+        let slot = shard.entries.len();
+        shard.entries.push(Entry {
             key,
-            Entry {
-                block,
-                charge,
-                used: tick,
-            },
-        ) {
-            shard.bytes -= old.charge;
-        }
+            block,
+            charge,
+            prev: NIL,
+            next: NIL,
+        });
+        shard.map.insert(key, slot);
+        shard.link_newest(slot);
         shard.bytes += charge;
         shard.evict_to(capacity);
     }
@@ -163,8 +219,7 @@ impl BlockCache {
                 .copied()
                 .collect();
             for k in removed {
-                if let Some(e) = shard.map.remove(&k) {
-                    shard.bytes -= e.charge;
+                if let Some(e) = shard.remove(&k) {
                     freed += e.charge;
                 }
             }
@@ -244,6 +299,60 @@ mod tests {
         // unrefreshed one; just assert no panic and bounded memory.
         let _ = c.get(1, refreshed);
         assert!(c.bytes() <= SHARDS * 4500);
+    }
+
+    #[test]
+    fn victims_leave_in_exact_lru_order() {
+        // Eight offsets that share one shard, so one recency order governs.
+        let probe = Key {
+            table: 1,
+            offset: 0,
+        };
+        let shard = BlockCache::shard_index(&probe);
+        let offsets: Vec<u64> = (0..)
+            .filter(|&offset| BlockCache::shard_index(&Key { table: 1, offset }) == shard)
+            .take(8)
+            .collect();
+        let charge = block(1000).size();
+        // Room for exactly four blocks per shard.
+        let c = BlockCache::new(SHARDS * (4 * charge + charge / 2));
+        let resident = |offset: u64| {
+            let key = Key { table: 1, offset };
+            c.shards[shard].lock().map.contains_key(&key)
+        };
+        for &o in &offsets[..4] {
+            c.insert(1, o, block(1000));
+        }
+        // Use order is now 1, 3, 0, 2 (least to most recent).
+        assert!(c.get(1, offsets[0]).is_some());
+        assert!(c.get(1, offsets[2]).is_some());
+        for (new, victim) in [(4, 1), (5, 3), (6, 0), (7, 2)] {
+            assert!(resident(offsets[victim]), "block {victim} left early");
+            c.insert(1, offsets[new], block(1000));
+            assert!(
+                !resident(offsets[victim]),
+                "block {victim} should be the victim"
+            );
+            let live = offsets.iter().filter(|&&o| resident(o)).count();
+            assert_eq!(live, 4, "exactly one victim per insert");
+        }
+        // Re-inserting a resident key replaces it; removing from the
+        // middle (a slot swap) keeps the order of the rest.
+        c.insert(1, offsets[5], block(1000));
+        assert_eq!(c.bytes(), 4 * charge);
+        c.shards[shard].lock().remove(&Key {
+            table: 1,
+            offset: offsets[6],
+        });
+        let guard = c.shards[shard].lock();
+        let mut order = Vec::new();
+        let mut slot = guard.oldest;
+        while slot != NIL {
+            order.push(guard.entries[slot].key.offset);
+            slot = guard.entries[slot].next;
+        }
+        assert_eq!(order, [offsets[4], offsets[7], offsets[5]]);
+        assert_eq!((guard.entries.len(), guard.map.len()), (3, 3));
     }
 
     #[test]

@@ -4,20 +4,21 @@
 //! Layout: `[filter 0][filter 1]... [offset of filter 0 (fixed32)]...
 //! [offset of offsets array (fixed32)][base_lg (1 byte)]`.
 
-use crate::bloom::BloomFilterPolicy;
+use crate::bloom::{bloom_hash, BloomFilterPolicy};
 use crate::coding::{decode_fixed32, put_fixed32};
 
 /// Generate a new filter every 2 KiB of data-block offset space.
 const FILTER_BASE_LG: u8 = 11;
 const FILTER_BASE: u64 = 1 << FILTER_BASE_LG;
 
-/// Builds the filter metablock alongside table construction.
+/// Builds the filter metablock alongside table construction. Keeps only
+/// the 32-bit [`bloom_hash`] of each key of the current filter — all a
+/// filter depends on — in a vector reused from filter to filter, so
+/// adding a key copies and allocates nothing.
 pub struct FilterBlockBuilder {
     policy: BloomFilterPolicy,
-    /// Flattened key bytes for the current filter.
-    keys: Vec<u8>,
-    /// Start offset of each key in `keys`.
-    starts: Vec<usize>,
+    /// Hashes of the keys of the current filter.
+    hashes: Vec<u32>,
     /// Accumulated filter bytes.
     result: Vec<u8>,
     /// Offset of each generated filter within `result`.
@@ -29,8 +30,7 @@ impl FilterBlockBuilder {
     pub fn new(policy: BloomFilterPolicy) -> Self {
         FilterBlockBuilder {
             policy,
-            keys: Vec::new(),
-            starts: Vec::new(),
+            hashes: Vec::new(),
             result: Vec::new(),
             filter_offsets: Vec::new(),
         }
@@ -48,40 +48,38 @@ impl FilterBlockBuilder {
 
     /// Adds a key that belongs to the current data block.
     pub fn add_key(&mut self, key: &[u8]) {
-        self.starts.push(self.keys.len());
-        self.keys.extend_from_slice(key);
+        self.hashes.push(bloom_hash(key));
     }
 
     /// Finalizes and returns the filter block contents.
     pub fn finish(&mut self) -> &[u8] {
-        if !self.starts.is_empty() {
+        if !self.hashes.is_empty() {
             self.generate_filter();
         }
         let array_offset = self.result.len() as u32;
-        let offsets = std::mem::take(&mut self.filter_offsets);
-        for off in &offsets {
-            put_fixed32(&mut self.result, *off);
+        for off in self.filter_offsets.drain(..) {
+            put_fixed32(&mut self.result, off);
         }
         put_fixed32(&mut self.result, array_offset);
         self.result.push(FILTER_BASE_LG);
         &self.result
     }
 
+    /// Empties the builder for the next table, keeping its buffers.
+    pub fn reset(&mut self) {
+        self.hashes.clear();
+        self.result.clear();
+        self.filter_offsets.clear();
+    }
+
     fn generate_filter(&mut self) {
         self.filter_offsets.push(self.result.len() as u32);
-        if self.starts.is_empty() {
+        if self.hashes.is_empty() {
             // Empty range: record the offset, emit no bytes.
             return;
         }
-        self.starts.push(self.keys.len()); // sentinel
-        let key_slices: Vec<&[u8]> = self
-            .starts
-            .windows(2)
-            .map(|w| &self.keys[w[0]..w[1]])
-            .collect();
-        self.policy.create_filter(&key_slices, &mut self.result);
-        self.keys.clear();
-        self.starts.clear();
+        self.policy.create_filter(&self.hashes, &mut self.result);
+        self.hashes.clear();
     }
 }
 
@@ -205,5 +203,33 @@ mod tests {
         bad.extend_from_slice(&100u32.to_le_bytes());
         bad.push(11);
         assert!(FilterBlockReader::new(policy(), bad).is_none());
+    }
+
+    /// Pins the bytes the key-copying builder (flat key buffer plus a
+    /// `Vec<&[u8]>` per filter, before the hash-keeping rewrite) produced
+    /// for this sequence: several keys per filter, ranges with no block
+    /// (empty filters), a tail added after the last `start_block`.
+    #[test]
+    fn golden_block_of_the_key_copying_builder() {
+        const GOLDEN: &str = "780662646620443a6c1672027230702e6e0601c6355405541514255435443146\
+            1182348235061184064b224b0dc926880a9a20126e8b65c22ccb2b8a2a486252\
+            6b0006c124092406a8b7b110b90420173b3c99b31b11a0011128341599273801\
+            2093a838bba31dd8aa8011283a90950600810002080010400600000000120000\
+            0012000000290000002900000048000000480000007000000070000000700000\
+            0070000000790000000b";
+        let mut b = FilterBlockBuilder::new(policy());
+        let mut offset = 0u64;
+        for block in 0..5u32 {
+            for i in 0..(3 + block * 7) {
+                b.add_key(format!("user-key-{block:02}-{i:04}").as_bytes());
+            }
+            offset += 1500 + u64::from(block) * 1300;
+            b.start_block(offset);
+        }
+        b.add_key(b"tail");
+        let hex: String = b.finish().iter().map(|x| format!("{x:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        b.reset();
+        assert_eq!(b.finish().len(), 5, "a reset builder is an empty one");
     }
 }

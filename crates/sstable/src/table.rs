@@ -45,14 +45,33 @@ impl Default for TableReadOptions {
     }
 }
 
+/// What point lookups did on their way: a caller passes one of these
+/// through every table a `get` probes and adds it to its own counters.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct GetStats {
+    /// Lookups that consulted a filter block.
+    pub filter_checked: u32,
+    /// Of those, lookups the filter answered: it excluded the block, so
+    /// none was loaded.
+    pub filter_useful: u32,
+    /// Of those, lookups the filter let through although the block, once
+    /// loaded, did not hold the key.
+    pub filter_false_positive: u32,
+    /// Shared block-cache lookups that found the block.
+    pub block_cache_hits: u32,
+    /// Shared block-cache lookups that did not, so the block was read.
+    pub block_cache_misses: u32,
+}
+
 /// An open, immutable SSTable.
 pub struct Table {
     file: Box<dyn RandomAccessFile>,
     options: TableReadOptions,
     index_block: Block,
     filter: Option<FilterBlockReader>,
-    /// Tiny per-table cache of the most recently loaded data block; avoids
-    /// re-reading during point-lookup bursts without a full block cache.
+    /// Tiny per-table cache of the most recently loaded data block, used
+    /// only when no shared block cache is configured: avoids re-reading
+    /// during point-lookup bursts.
     last_block: Mutex<Option<(u64, Block)>>,
     /// Key prefix in the shared block cache.
     cache_id: u64,
@@ -94,7 +113,7 @@ impl Table {
                 )?;
                 let meta_block = Block::new(meta_contents)?;
                 let mut it = meta_block.iter(Arc::new(crate::comparator::BytewiseComparator));
-                let key = format!("filter.{}", policy.name());
+                let key = policy.metaindex_key();
                 it.seek(key.as_bytes());
                 if it.valid() && it.key() == key.as_bytes() {
                     let (handle, _) = BlockHandle::decode_from(it.value())?;
@@ -156,27 +175,34 @@ impl Table {
         Ok(buf)
     }
 
-    /// Loads the data block at `handle`, consulting the shared block
-    /// cache (if configured) and the per-table one-block cache.
-    fn load_block(&self, handle: &BlockHandle) -> Result<Block> {
-        if let Some((off, block)) = &*self.last_block.lock() {
-            if *off == handle.offset {
-                return Ok(block.clone());
-            }
-        }
+    /// Loads the data block at `handle` through the shared block cache
+    /// or, when none is configured, the per-table one-block cache: one
+    /// lock and one block clone per load either way. Also returns whether
+    /// the shared cache held the block (`None`: it was not consulted).
+    fn load_block(&self, handle: &BlockHandle) -> Result<(Block, Option<bool>)> {
+        let read = || -> Result<Block> {
+            Block::new(read_block(
+                self.file.as_ref(),
+                handle,
+                self.options.verify_checksums,
+            )?)
+        };
         if let Some(cache) = &self.options.block_cache {
             if let Some(block) = cache.get(self.cache_id, handle.offset) {
-                *self.last_block.lock() = Some((handle.offset, block.clone()));
-                return Ok(block);
+                return Ok((block, Some(true)));
+            }
+            let block = read()?;
+            cache.insert(self.cache_id, handle.offset, block.clone());
+            return Ok((block, Some(false)));
+        }
+        if let Some((off, block)) = &*self.last_block.lock() {
+            if *off == handle.offset {
+                return Ok((block.clone(), None));
             }
         }
-        let contents = read_block(self.file.as_ref(), handle, self.options.verify_checksums)?;
-        let block = Block::new(contents)?;
-        if let Some(cache) = &self.options.block_cache {
-            cache.insert(self.cache_id, handle.offset, block.clone());
-        }
+        let block = read()?;
         *self.last_block.lock() = Some((handle.offset, block.clone()));
-        Ok(block)
+        Ok((block, None))
     }
 
     /// This table's id in the shared block cache (for eviction on delete).
@@ -191,28 +217,48 @@ impl Table {
     /// The caller (the LSM layer) interprets the returned entry's internal
     /// key — this method does not require an exact match.
     pub fn get(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        self.get_counted(target, &mut GetStats::default())
+    }
+
+    /// [`get`](Self::get), adding what the lookup did to `stats`.
+    pub fn get_counted(
+        &self,
+        target: &[u8],
+        stats: &mut GetStats,
+    ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         let mut index_iter = self.index_block.iter(Arc::clone(&self.options.comparator));
         index_iter.seek(target);
         if !index_iter.valid() {
             return Ok(None);
         }
         let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
+        let probe = crate::table_builder::filter_key(target, self.options.internal_key_filter);
         if let Some(filter) = &self.filter {
-            let probe = crate::table_builder::filter_key(target, self.options.internal_key_filter);
+            stats.filter_checked += 1;
             if !filter.key_may_match(handle.offset, probe) {
+                stats.filter_useful += 1;
                 return Ok(None);
             }
         }
-        let block = self.load_block(&handle)?;
+        let (block, cached) = self.load_block(&handle)?;
+        match cached {
+            Some(true) => stats.block_cache_hits += 1,
+            Some(false) => stats.block_cache_misses += 1,
+            None => {}
+        }
         let mut it = block.iter(Arc::clone(&self.options.comparator));
         it.seek(target);
         if it.corrupted() {
             return Err(corruption("corrupt data block entry"));
         }
-        if !it.valid() {
-            return Ok(None);
+        let found = it.valid().then(|| (it.key().to_vec(), it.value().to_vec()));
+        if self.filter.is_some() {
+            let holds_key = found.as_ref().is_some_and(|(key, _)| {
+                crate::table_builder::filter_key(key, self.options.internal_key_filter) == probe
+            });
+            stats.filter_false_positive += u32::from(!holds_key);
         }
-        Ok(Some((it.key().to_vec(), it.value().to_vec())))
+        Ok(found)
     }
 
     /// Creates a full-table iterator.
@@ -256,7 +302,7 @@ impl TableIterator {
         }
         match BlockHandle::decode_from(self.index_iter.value()) {
             Ok((handle, _)) => match self.table.load_block(&handle) {
-                Ok(block) => {
+                Ok((block, _)) => {
                     self.data_iter = Some(block.iter(Arc::clone(&self.table.options.comparator)));
                 }
                 Err(e) => self.error = Some(e.to_string()),

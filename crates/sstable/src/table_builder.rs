@@ -48,7 +48,7 @@ impl Default for TableBuilderOptions {
 
 /// Key as seen by the filter: the user-key prefix when the table stores
 /// internal keys, the raw key otherwise.
-pub(crate) fn filter_key(key: &[u8], internal: bool) -> &[u8] {
+pub fn filter_key(key: &[u8], internal: bool) -> &[u8] {
     if internal && key.len() >= 8 {
         &key[..key.len() - 8]
     } else {
@@ -187,16 +187,8 @@ impl TableBuilder {
 
         // Metaindex block: maps "filter.<policy name>" to the handle.
         let mut metaindex = BlockBuilder::new(1);
-        if let Some(handle) = filter_handle {
-            let name = self
-                .options
-                .filter_policy
-                .as_ref()
-                // PANIC-OK: filter_handle is only Some when a policy was
-                // configured and its block was written.
-                .expect("filter handle implies policy")
-                .name();
-            metaindex.add(format!("filter.{name}").as_bytes(), &handle.encode());
+        if let (Some(policy), Some(handle)) = (&self.options.filter_policy, filter_handle) {
+            metaindex.add(policy.metaindex_key().as_bytes(), &handle.encode());
         }
         let metaindex_contents = metaindex.finish().to_vec();
         let metaindex_handle =

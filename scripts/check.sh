@@ -34,8 +34,10 @@ cargo run --release -p bench --bin db_bench -- \
 cargo test -q -p systemsim identical_runs_export_identical_observability
 # kvbench is a standalone package the workspace build never compiles:
 # build it against the current crates and run all four workloads with
-# every correctness check (mirrors CI's perf-harness job).
+# every correctness check, untraced and then traced (the per-layer half
+# of the harness runs only under --trace 1; mirrors CI's perf-harness job).
 bash benchmark/run.sh --scale 0.02 > /dev/null
+bash benchmark/run.sh --scale 0.02 --trace 1 > /dev/null
 
 # Fault matrix: the randomized power-cut harness already ran on its
 # default seed band in `cargo test -q`; sweep a second band like CI's

@@ -15,6 +15,10 @@
 //!    tables differently from the host builder, so its files differ —
 //!    but the concatenated (internal key, value) stream across all output
 //!    tables must equal the CPU engine's exactly.
+//! 4. **Byte-identical filter blocks**: where both engines write one
+//!    table, the device's Filter Block Encoder must produce the host
+//!    `TableBuilder`'s filter block bit for bit — and none at all for a
+//!    store that asks for none.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,9 +29,10 @@ use lsm::compaction::{
     CompactionEngine, CompactionInput, CompactionRequest, CpuCompactionEngine, OutputFileFactory,
 };
 use lsm::PipelinedCompactionEngine;
-use sstable::comparator::InternalKeyComparator;
+use sstable::block::Block;
+use sstable::comparator::{BytewiseComparator, InternalKeyComparator};
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
-use sstable::format::CompressionType;
+use sstable::format::{read_block, BlockHandle, CompressionType, Footer, FOOTER_ENCODED_LENGTH};
 use sstable::ikey::{InternalKey, ValueType};
 use sstable::iterator::InternalIterator;
 use sstable::table::{Table, TableReadOptions};
@@ -280,4 +285,96 @@ fn device_and_cpu_engines_agree_logically() {
         dev_entries.len()
     );
     assert_eq!(cpu_entries, dev_entries, "entry streams diverged");
+}
+
+/// Where a table file's data section ends and the filter block its
+/// metaindex names, if it names one.
+fn data_end_and_filter(env: &MemEnv, path: &str, file_size: u64) -> (u64, Option<Vec<u8>>) {
+    let file = env.open_random_access(Path::new(path)).unwrap();
+    let mut footer = vec![0u8; FOOTER_ENCODED_LENGTH];
+    file.read_at(file_size - FOOTER_ENCODED_LENGTH as u64, &mut footer)
+        .unwrap();
+    let footer = Footer::decode(&footer).unwrap();
+    let metaindex = read_block(file.as_ref(), &footer.metaindex_handle, true).unwrap();
+    let mut it = Block::new(metaindex)
+        .unwrap()
+        .iter(Arc::new(BytewiseComparator));
+    it.seek_to_first();
+    if !it.valid() {
+        return (footer.metaindex_handle.offset, None);
+    }
+    assert_eq!(it.key(), b"filter.leveldb.BuiltinBloomFilter2");
+    let (handle, _) = BlockHandle::decode_from(it.value()).unwrap();
+    let filter = read_block(file.as_ref(), &handle, true).unwrap().to_vec();
+    (handle.offset, Some(filter))
+}
+
+#[test]
+fn device_filter_block_is_the_table_builders() {
+    for compression in [CompressionType::None, CompressionType::Snappy] {
+        let env = MemEnv::new();
+        let mut req = request(&env, compression);
+        // One output table per engine: they split tables differently, and
+        // a filter block belongs to the offsets of one table's blocks.
+        req.max_output_file_size = 64 << 20;
+
+        let cpu_fac = Factory::new(env.clone(), "cpu");
+        let cpu = CpuCompactionEngine.compact(&req, &cpu_fac).unwrap();
+        let dev_fac = Factory::new(env.clone(), "dev");
+        let dev = FcaeEngine::new(FcaeConfig::nine_input())
+            .compact(&req, &dev_fac)
+            .unwrap();
+        assert_eq!((cpu.outputs.len(), dev.outputs.len()), (1, 1));
+        let (cpu_out, dev_out) = (&cpu.outputs[0], &dev.outputs[0]);
+
+        let (cpu_data_end, cpu_filter) =
+            data_end_and_filter(&env, &cpu_fac.path(cpu_out.number), cpu_out.file_size);
+        let (dev_data_end, dev_filter) =
+            data_end_and_filter(&env, &dev_fac.path(dev_out.number), dev_out.file_size);
+        // Same data blocks, hence same offsets, hence same filters.
+        assert_eq!(cpu_data_end, dev_data_end, "{compression:?}");
+        let read_data = |path: String| {
+            let all = env
+                .open_random_access(Path::new(&path))
+                .unwrap()
+                .read_all()
+                .unwrap();
+            all[..cpu_data_end as usize].to_vec()
+        };
+        assert!(
+            read_data(cpu_fac.path(cpu_out.number)) == read_data(dev_fac.path(dev_out.number)),
+            "{compression:?}: data sections differ"
+        );
+        let cpu_filter = cpu_filter.expect("host tables carry a filter");
+        assert!(cpu_filter.len() > 1000, "a filter worth comparing");
+        assert_eq!(Some(cpu_filter), dev_filter, "{compression:?}");
+    }
+}
+
+#[test]
+fn device_writes_no_filter_for_a_store_without_one() {
+    let env = MemEnv::new();
+    let mut req = request(&env, CompressionType::Snappy);
+    req.builder_options.filter_policy = None;
+    let fac = Factory::new(env.clone(), "dev");
+    let dev = FcaeEngine::new(FcaeConfig::nine_input())
+        .compact(&req, &fac)
+        .unwrap();
+    assert!(dev.outputs.len() > 1);
+    for out in &dev.outputs {
+        let (_, filter) = data_end_and_filter(&env, &fac.path(out.number), out.file_size);
+        assert_eq!(
+            filter, None,
+            "table {}: metaindex must be empty",
+            out.number
+        );
+    }
+    // The stock reader (which looks for a filter) opens and reads them.
+    let numbers: Vec<_> = dev
+        .outputs
+        .iter()
+        .map(|o| (o.number, o.file_size))
+        .collect();
+    let entries = entry_stream(&env, &fac, &numbers);
+    assert_eq!(entries.len() as u64, dev.entries_written);
 }
