@@ -202,7 +202,9 @@ impl crate::decoder::MergeSource for BasicInputDecoder<'_> {
     fn value(&self) -> &[u8] {
         BasicInputDecoder::value(self)
     }
+}
 
+impl crate::decoder::DecoderSource for BasicInputDecoder<'_> {
     fn blocks_fetched(&self) -> u64 {
         self.stats.blocks_fetched
     }

@@ -9,108 +9,19 @@
 //! software engine via [`lsm::compaction::DropFilter`] — by construction
 //! both engines keep exactly the same entries.
 //!
-//! The default [`Comparer`] runs Key Compare as a loser tree — the
-//! software analogue of the hardware comparison network — so each
-//! selection after the first costs O(log N) comparisons instead of the
-//! O(N) rescan of [`LinearComparer`]. Both produce identical selection
-//! sequences (property-tested); the cycle model is charged per *pair*,
-//! so swapping the software algorithm leaves timing results bit-identical.
+//! [`Comparer`] is [`lsm::compaction::Merger`] under the paper's name —
+//! the one loser-tree selection every engine in the workspace runs, the
+//! software analogue of the hardware comparison network: each selection
+//! after the first costs O(log N) comparisons instead of the O(N) rescan
+//! of [`LinearComparer`]. Both produce identical selection sequences
+//! (property-tested); the cycle model is charged per *pair*, so the
+//! software algorithm leaves timing results bit-identical.
 
 use sstable::comparator::{Comparator, InternalKeyComparator};
-use sstable::losertree::LoserTree;
 
 use crate::decoder::MergeSource;
 
-pub use lsm::compaction::DropFilter;
-
-/// The Comparer's per-selection output: which input holds the smallest
-/// key, and whether the validity check passed (paper: the `Input No.` and
-/// `Drop` flags sent to Key-Value Transfer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Selection {
-    /// Index of the winning input.
-    pub input_no: usize,
-    /// True if the entry must be dropped.
-    pub drop: bool,
-}
-
-/// `a` beats `b`: valid before exhausted, then smaller internal key,
-/// then lower input index (keys are unique in practice, but the
-/// tie-break keeps the ordering strict on arbitrary inputs).
-fn beats<S: MergeSource>(icmp: &InternalKeyComparator, sources: &[S], a: usize, b: usize) -> bool {
-    match (sources[a].valid(), sources[b].valid()) {
-        (true, false) => true,
-        (false, _) => false,
-        (true, true) => match icmp.compare(sources[a].key(), sources[b].key()) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => a < b,
-        },
-    }
-}
-
-/// N-way smallest-key selection (loser tree) with validity checking.
-///
-/// Contract: between two `select` calls, only the stream returned by the
-/// previous selection may have advanced — exactly how Key-Value Transfer
-/// drains the winner. The tree replays just that leaf's path; violating
-/// the contract yields stale selections (use a fresh comparer instead).
-pub struct Comparer {
-    icmp: InternalKeyComparator,
-    filter: DropFilter,
-    tree: LoserTree,
-    /// Winner of the previous selection, whose leaf must be replayed.
-    last_winner: Option<usize>,
-    built: bool,
-    /// Selections made (for stats).
-    pub selections: u64,
-    /// Entries flagged invalid.
-    pub dropped: u64,
-}
-
-impl Comparer {
-    /// Creates a comparer with the given drop rules.
-    pub fn new(filter: DropFilter) -> Self {
-        Comparer {
-            icmp: InternalKeyComparator::default(),
-            filter,
-            tree: LoserTree::new(0),
-            last_winner: None,
-            built: false,
-            selections: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Selects the input with the smallest current key and checks its
-    /// validity. Returns `None` when every stream is exhausted.
-    pub fn select<S: MergeSource>(&mut self, sources: &[S]) -> Option<Selection> {
-        let icmp = &self.icmp;
-        if !self.built || self.tree.len() != sources.len() {
-            self.tree = LoserTree::new(sources.len());
-            self.tree.rebuild(|a, b| beats(icmp, sources, a, b));
-            self.built = true;
-        } else if let Some(w) = self.last_winner {
-            self.tree.update(w, |a, b| beats(icmp, sources, a, b));
-        }
-        if sources.is_empty() {
-            return None;
-        }
-        let input_no = self.tree.winner();
-        if !sources[input_no].valid() {
-            // The best stream is exhausted, so all are.
-            self.last_winner = None;
-            return None;
-        }
-        self.last_winner = Some(input_no);
-        self.selections += 1;
-        let drop = self.filter.should_drop(sources[input_no].key());
-        if drop {
-            self.dropped += 1;
-        }
-        Some(Selection { input_no, drop })
-    }
-}
+pub use lsm::compaction::{DropFilter, Merger as Comparer, Selection};
 
 /// The original O(N)-per-selection Comparer: rescans every stream. Kept
 /// as the differential-testing baseline for [`Comparer`]; unlike the

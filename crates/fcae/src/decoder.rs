@@ -27,19 +27,13 @@ fn corruption(msg: impl Into<String>) -> lsm::Error {
     lsm::Error::Corruption(msg.into())
 }
 
-/// A positioned stream of decoded key-value pairs, as the Comparer sees
-/// it. Implemented by the optimized [`InputDecoder`] and the baseline
-/// [`crate::basic_decoder::BasicInputDecoder`] so the merge loop and the
-/// Comparer can run against either.
-pub trait MergeSource {
-    /// Moves to the next pair; `Ok(true)` while pairs remain.
-    fn advance(&mut self) -> Result<bool>;
-    /// True when positioned on a pair.
-    fn valid(&self) -> bool;
-    /// Current internal key. Panics when invalid.
-    fn key(&self) -> &[u8];
-    /// Current value. Panics when invalid.
-    fn value(&self) -> &[u8];
+pub use lsm::compaction::MergeSource;
+
+/// A [`MergeSource`] that decodes out of device memory — the optimized
+/// [`InputDecoder`] or the baseline
+/// [`crate::basic_decoder::BasicInputDecoder`] — and so has DRAM block
+/// fetches for the engine to charge.
+pub trait DecoderSource: MergeSource {
     /// Data blocks fetched so far (for timing-model charging).
     fn blocks_fetched(&self) -> u64;
 }
@@ -247,7 +241,9 @@ impl MergeSource for InputDecoder<'_> {
     fn value(&self) -> &[u8] {
         InputDecoder::value(self)
     }
+}
 
+impl DecoderSource for InputDecoder<'_> {
     fn blocks_fetched(&self) -> u64 {
         self.stats.blocks_fetched
     }

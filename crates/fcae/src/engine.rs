@@ -17,7 +17,7 @@ use sstable::ikey::InternalKey;
 use crate::basic_decoder::BasicInputDecoder;
 use crate::comparer::Comparer;
 use crate::config::FcaeConfig;
-use crate::decoder::{InputDecoder, MergeSource};
+use crate::decoder::{DecoderSource, InputDecoder};
 use crate::encoder::OutputEncoder;
 use crate::memory::{build_input_images, OutputTableImage};
 use crate::timing::PipelineModel;
@@ -151,7 +151,7 @@ impl FcaeEngine {
         self.run_kernel_with(decoders, images, smallest_snapshot, bottommost, encoder)
     }
 
-    fn run_kernel_with<S: MergeSource>(
+    fn run_kernel_with<S: DecoderSource>(
         &self,
         mut sources: Vec<S>,
         images: &[crate::memory::InputImage],
@@ -271,7 +271,7 @@ impl FcaeEngine {
 }
 
 /// Charges DRAM block fetches the decoder performed since the last poll.
-fn charge_new_blocks<S: MergeSource>(model: &mut PipelineModel, seen: &mut u64, s: &S) {
+fn charge_new_blocks<S: DecoderSource>(model: &mut PipelineModel, seen: &mut u64, s: &S) {
     while *seen < s.blocks_fetched() {
         model.on_block_fetch();
         *seen += 1;

@@ -6,7 +6,10 @@
 //! allocs/kv figure in `BENCH_PR2.json`. The same window is then run
 //! through the output encoder, with and without the Filter Block Encoder:
 //! filter building allocates nothing per pair or per block, only the one
-//! copy of each finished filter block into its table image.
+//! copy of each finished filter block into its table image. The CPU
+//! engine's inline source runs through the same loop on the same tables:
+//! the standard table reader allocates when it opens a block, never per
+//! pair.
 //!
 //! Single `#[test]` in this binary: the global counter sees every thread,
 //! so parallel tests would pollute the measurement window.
@@ -17,10 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fcae::comparer::{Comparer, DropFilter};
-use fcae::decoder::{InputDecoder, MergeSource};
+use fcae::decoder::{DecoderSource, InputDecoder, MergeSource};
 use fcae::encoder::OutputEncoder;
 use fcae::memory::{build_input_image, InputImage};
-use lsm::compaction::CompactionInput;
+use lsm::compaction::{CompactionInput, TableRunSource};
 use sstable::bloom::BloomFilterPolicy;
 use sstable::comparator::InternalKeyComparator;
 use sstable::env::{MemEnv, StorageEnv};
@@ -108,61 +111,94 @@ fn build_table(
     Table::open(file, size, read_opts).unwrap()
 }
 
-/// Device images of four interleaved input tables.
-fn input_images(compression: CompressionType) -> Vec<InputImage> {
+/// Four interleaved input tables.
+fn input_tables(compression: CompressionType) -> Vec<Arc<Table>> {
     let env = MemEnv::new();
     (0..4u64)
-        .map(|n| {
+        .map(|n| build_table(&env, &format!("/t{n}"), n, compression))
+        .collect()
+}
+
+/// Device images of four interleaved input tables.
+fn input_images(compression: CompressionType) -> Vec<InputImage> {
+    input_tables(compression)
+        .into_iter()
+        .map(|table| {
             let input = CompactionInput {
-                tables: vec![build_table(&env, &format!("/t{n}"), n, compression)],
+                tables: vec![table],
             };
             build_input_image(&input, W_IN).unwrap()
         })
         .collect()
 }
 
-/// Runs the merge loop over four decoders, measuring allocations in a
-/// steady-state window after a warm-up prefix. Returns (kvs in window,
-/// allocations in window).
-fn measure(compression: CompressionType) -> (u64, u64) {
-    let images = input_images(compression);
-    let mut decoders: Vec<InputDecoder<'_>> = images
-        .iter()
-        .map(|im| InputDecoder::new(im, W_IN))
-        .collect();
-    for d in &mut decoders {
-        d.advance().unwrap();
+/// Runs the merge loop over `sources`, measuring allocations in the
+/// steady-state window that opens once `warm` holds. Returns (kvs in
+/// window, allocations in window).
+fn measure<S: MergeSource>(mut sources: Vec<S>, mut warm: impl FnMut(&[S]) -> bool) -> (u64, u64) {
+    for s in &mut sources {
+        s.advance().unwrap();
     }
     let mut comparer = Comparer::new(DropFilter::new(u64::MAX, true));
 
     // Warm-up: grow the cursor key buffers, the Snappy scratch buffer and
     // the drop filter's last-user-key buffer, and build the loser tree.
-    // Run until every decoder has fetched at least two data blocks: the
-    // decompression buffer grows geometrically, so after the second fetch
-    // its capacity covers every subsequent same-sized block.
     let mut checksum = 0u64;
-    while decoders.iter().any(|d| d.blocks_fetched() < 2) {
-        let sel = comparer.select(&decoders).expect("warm-up exhausted input");
+    while !warm(&sources) {
+        let sel = comparer.select(&sources).expect("warm-up exhausted input");
         checksum = checksum
-            .wrapping_add(decoders[sel.input_no].key().len() as u64)
-            .wrapping_add(decoders[sel.input_no].value().len() as u64);
-        decoders[sel.input_no].advance().unwrap();
+            .wrapping_add(sources[sel.input_no].key().len() as u64)
+            .wrapping_add(sources[sel.input_no].value().len() as u64);
+        sources[sel.input_no].advance().unwrap();
     }
 
     // Steady state: every select/read/advance must be allocation-free.
     let before = ALLOCS.allocs.load(Ordering::SeqCst);
     let mut kvs = 0u64;
-    while let Some(sel) = comparer.select(&decoders) {
-        let d = &mut decoders[sel.input_no];
+    while let Some(sel) = comparer.select(&sources) {
+        let s = &mut sources[sel.input_no];
         checksum = checksum
-            .wrapping_add(d.key().len() as u64)
-            .wrapping_add(d.value().len() as u64);
-        d.advance().unwrap();
+            .wrapping_add(s.key().len() as u64)
+            .wrapping_add(s.value().len() as u64);
+        s.advance().unwrap();
         kvs += 1;
     }
     let after = ALLOCS.allocs.load(Ordering::SeqCst);
     assert!(checksum > 0);
     (kvs, after - before)
+}
+
+/// The window over the device decoders. Warm-up runs until every decoder
+/// has fetched at least two data blocks: the decompression buffer grows
+/// geometrically, so after the second fetch its capacity covers every
+/// subsequent same-sized block.
+fn measure_decoders(compression: CompressionType) -> (u64, u64) {
+    let images = input_images(compression);
+    let decoders: Vec<InputDecoder<'_>> = images
+        .iter()
+        .map(|im| InputDecoder::new(im, W_IN))
+        .collect();
+    measure(decoders, |d| d.iter().all(|d| d.blocks_fetched() >= 2))
+}
+
+/// The window over the CPU engine's inline sources, after 600 pairs of
+/// warm-up. Returns (kvs, allocations, data blocks in the four tables).
+fn measure_inline_cpu(compression: CompressionType) -> (u64, u64, u64) {
+    let tables = input_tables(compression);
+    let blocks: usize = tables
+        .iter()
+        .map(|t| t.data_block_handles().unwrap().len())
+        .sum();
+    let sources = tables
+        .into_iter()
+        .map(|t| TableRunSource::new(vec![t]))
+        .collect();
+    let mut pairs = 0;
+    let (kvs, allocs) = measure(sources, |_| {
+        pairs += 1;
+        pairs > 600
+    });
+    (kvs, allocs, blocks as u64)
 }
 
 /// Runs the same merge through the output encoder, cutting small tables so
@@ -204,7 +240,7 @@ fn measure_encoder(with_filter: bool) -> (u64, u64) {
 #[test]
 fn steady_state_merge_loop_is_allocation_free() {
     for compression in [CompressionType::None, CompressionType::Snappy] {
-        let (kvs, allocs) = measure(compression);
+        let (kvs, allocs) = measure_decoders(compression);
         assert!(
             kvs > 2000,
             "window too small to be meaningful: {kvs} kvs ({compression:?})"
@@ -212,6 +248,17 @@ fn steady_state_merge_loop_is_allocation_free() {
         assert_eq!(
             allocs, 0,
             "steady-state merge loop allocated {allocs} times over {kvs} kvs ({compression:?})"
+        );
+
+        let (kvs, allocs, blocks) = measure_inline_cpu(compression);
+        assert!(
+            kvs > 2000 && kvs > 50 * blocks,
+            "{kvs} kvs, {blocks} blocks"
+        );
+        assert!(
+            allocs <= 4 * blocks,
+            "inline CPU source allocated {allocs} times over {kvs} kvs and {blocks} blocks \
+             ({compression:?}): more than opening each block explains"
         );
     }
 

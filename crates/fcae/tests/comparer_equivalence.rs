@@ -33,10 +33,6 @@ impl MergeSource for VecSource {
     fn value(&self) -> &[u8] {
         b"v"
     }
-
-    fn blocks_fetched(&self) -> u64 {
-        0
-    }
 }
 
 /// One raw entry: (user-key id, sequence, is-deletion).

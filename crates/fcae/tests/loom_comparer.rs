@@ -1,15 +1,15 @@
-//! Loom model: the loser-tree [`Comparer`] fed concurrently by
-//! [`InputDecoder`] threads.
+//! Loom model: the loser-tree [`Comparer`] fed concurrently by the CPU
+//! engine's read-ahead readers.
 //!
-//! Built and run only under `RUSTFLAGS="--cfg loom"`. Each input's
-//! decoder runs on its own thread (the shape of the store's pipelined
+//! Built and run only under `RUSTFLAGS="--cfg loom"`. Each input's table
+//! run is walked on its own thread (the shape of the store's read-ahead
 //! CPU path and of the hardware's per-input decode units), streaming
-//! decoded pairs through a bounded channel to the merge thread, which
-//! runs the real `Comparer` over channel-backed [`MergeSource`]s. Across
-//! all explored interleavings the concurrently-fed merge must emit the
+//! pairs through the real [`ReadAheadSource`]'s bounded channel to the
+//! merge thread, which runs the real `Comparer` over them. Across all
+//! explored interleavings the concurrently-fed merge must emit the
 //! byte-identical selection sequence of a single-threaded reference merge
-//! over the same images — the engine's determinism claim, under
-//! scheduling adversity.
+//! of the same tables through the device decoders — the engines'
+//! determinism claim, under scheduling adversity.
 #![cfg(loom)]
 
 use std::path::Path;
@@ -18,9 +18,7 @@ use std::sync::Arc;
 use fcae::comparer::{Comparer, DropFilter};
 use fcae::decoder::{InputDecoder, MergeSource};
 use fcae::memory::build_input_image;
-use fcae::Result;
-use loom::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use lsm::compaction::CompactionInput;
+use lsm::compaction::{CompactionInput, ReadAheadSource};
 use sstable::env::{MemEnv, StorageEnv};
 use sstable::ikey::{InternalKey, ValueType};
 use sstable::table::{Table, TableReadOptions};
@@ -69,109 +67,6 @@ fn inputs(env: &MemEnv) -> Vec<CompactionInput> {
         .collect()
 }
 
-/// One `[u32 klen][u32 vlen][key][value]` framed pair.
-fn push_pair(buf: &mut Vec<u8>, key: &[u8], value: &[u8]) {
-    buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&(value.len() as u32).to_le_bytes());
-    buf.extend_from_slice(key);
-    buf.extend_from_slice(value);
-}
-
-/// A [`MergeSource`] whose pairs arrive over a bounded channel from a
-/// decoder thread; sender disconnect is end-of-stream.
-struct ChannelSource {
-    rx: Receiver<Vec<u8>>,
-    batch: Vec<u8>,
-    pos: usize,
-    key: (usize, usize),
-    value: (usize, usize),
-    valid: bool,
-    fetched: u64,
-}
-
-impl ChannelSource {
-    fn new(rx: Receiver<Vec<u8>>) -> Self {
-        ChannelSource {
-            rx,
-            batch: Vec::new(),
-            pos: 0,
-            key: (0, 0),
-            value: (0, 0),
-            valid: false,
-            fetched: 0,
-        }
-    }
-}
-
-impl MergeSource for ChannelSource {
-    fn advance(&mut self) -> Result<bool> {
-        loop {
-            if self.pos + 8 <= self.batch.len() {
-                let k = u32::from_le_bytes(self.batch[self.pos..self.pos + 4].try_into().unwrap())
-                    as usize;
-                let v =
-                    u32::from_le_bytes(self.batch[self.pos + 4..self.pos + 8].try_into().unwrap())
-                        as usize;
-                let ks = self.pos + 8;
-                self.key = (ks, ks + k);
-                self.value = (ks + k, ks + k + v);
-                self.pos = ks + k + v;
-                self.valid = true;
-                return Ok(true);
-            }
-            match self.rx.recv() {
-                Ok(b) => {
-                    self.batch = b;
-                    self.pos = 0;
-                    self.fetched += 1;
-                }
-                Err(_) => {
-                    self.valid = false;
-                    return Ok(false);
-                }
-            }
-        }
-    }
-
-    fn valid(&self) -> bool {
-        self.valid
-    }
-
-    fn key(&self) -> &[u8] {
-        &self.batch[self.key.0..self.key.1]
-    }
-
-    fn value(&self) -> &[u8] {
-        &self.batch[self.value.0..self.value.1]
-    }
-
-    fn blocks_fetched(&self) -> u64 {
-        self.fetched
-    }
-}
-
-/// Decoder thread body: decode one input image, ship pairs in batches of
-/// three through the bounded channel.
-fn feed(input: CompactionInput, tx: SyncSender<Vec<u8>>) {
-    let image = build_input_image(&input, W_IN).unwrap();
-    let mut dec = InputDecoder::new(&image, W_IN);
-    let mut batch = Vec::new();
-    let mut in_batch = 0;
-    while dec.advance().unwrap() {
-        push_pair(&mut batch, dec.key(), dec.value());
-        in_batch += 1;
-        if in_batch == 3 {
-            if tx.send(std::mem::take(&mut batch)).is_err() {
-                return;
-            }
-            in_batch = 0;
-        }
-    }
-    if !batch.is_empty() {
-        let _ = tx.send(batch);
-    }
-}
-
 /// Reference: the same merge, single-threaded (decoders in-process).
 fn reference_merge(env: &MemEnv) -> Vec<(Vec<u8>, Vec<u8>, bool)> {
     let inputs = inputs(env);
@@ -210,9 +105,10 @@ fn concurrently_fed_comparer_matches_single_threaded_reference() {
         let mut sources = Vec::new();
         let mut threads = Vec::new();
         for input in inputs(&env) {
-            let (tx, rx) = sync_channel(2);
-            threads.push(loom::thread::spawn(move || feed(input, tx)));
-            sources.push(ChannelSource::new(rx));
+            // About three pairs per batch, two batches in flight.
+            let (source, reader) = ReadAheadSource::new(input.tables, 64, 2);
+            threads.push(loom::thread::spawn(reader));
+            sources.push(source);
         }
         for s in &mut sources {
             s.advance().unwrap();
@@ -234,7 +130,7 @@ fn concurrently_fed_comparer_matches_single_threaded_reference() {
             "selection sequence diverged under concurrency"
         );
         for t in threads {
-            t.join().expect("decoder thread exits cleanly");
+            t.join().expect("reader thread exits cleanly");
         }
     });
 }

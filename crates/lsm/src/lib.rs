@@ -29,7 +29,6 @@ pub mod db_iter;
 pub mod filename;
 pub mod memtable;
 pub mod options;
-pub mod pipeline;
 pub mod repair;
 pub mod repl;
 pub mod sync_shim;
@@ -48,7 +47,6 @@ pub use conflict::{ConflictChecker, JobShape, JobTicket};
 pub use db::{Db, DbStats, ScanOutcome, Snapshot, VlogGcReport, SCAN_PAIR_OVERHEAD};
 pub use db_iter::DbIter;
 pub use options::{Options, ReadOptions, WriteOptions};
-pub use pipeline::PipelinedCompactionEngine;
 pub use repair::{repair_db, RepairReport};
 pub use repl::{ChunkEnd, ReplChunk, ReplRecord, WalCursor};
 pub use wal::TailState;

@@ -1,7 +1,8 @@
 //! Concurrency primitives swappable for loom.
 //!
-//! Two subsystems build on this module. The staged pipeline
-//! ([`crate::pipeline`]) talks between threads over bounded channels; the
+//! Two subsystems build on this module. The CPU engine's read-ahead
+//! sources ([`crate::compaction::ReadAheadSource`]) receive from their
+//! reader threads over bounded channels; the
 //! parallel write path ([`crate::write_path`], the sharded
 //! [`crate::memtable::MemTable`], and the group-commit machinery in
 //! [`crate::db`]) coordinates writers with mutexes, condvars, and

@@ -319,6 +319,50 @@ fn compact_all_drains_pending_work() {
     }
 }
 
+/// A block that fails its checksum in a table below L0 must fail the
+/// scan. The level's table-run cursor used to read the failed table as
+/// exhausted and step to the next one, so the scan returned `Ok` with a
+/// hole in it.
+#[test]
+fn scan_surfaces_a_corrupt_block_below_l0() {
+    let (env, options) = small_options();
+    {
+        let db = Db::open("/db", options.clone()).unwrap();
+        for i in 0..3000u32 {
+            db.put(format!("key{i:06}").as_bytes(), &[9u8; 300])
+                .unwrap();
+        }
+        db.compact_all().unwrap();
+        let counts = db.level_file_counts();
+        assert_eq!(counts[0], 0, "everything below L0: {counts:?}");
+        assert!(counts.iter().any(|&c| c > 2), "a run of tables: {counts:?}");
+    }
+    let dir = std::path::Path::new("/db");
+    let table = env
+        .list_dir(dir)
+        .unwrap()
+        .into_iter()
+        .filter(|n| n.ends_with(".ldb"))
+        .min()
+        .expect("a table file");
+    let path = dir.join(table);
+    let mut bytes = env.open_random_access(&path).unwrap().read_all().unwrap();
+    bytes[40] ^= 0x40; // inside the first data block
+    env.create_writable(&path).unwrap().append(&bytes).unwrap();
+
+    let db = Db::open("/db", options).unwrap();
+    let mut it = db.iter().unwrap();
+    it.seek_to_first();
+    let mut rows = 0;
+    while it.valid() {
+        rows += 1;
+        it.next();
+    }
+    assert!(rows < 3000, "the corrupt block's rows cannot be read");
+    assert!(it.status().is_err(), "{rows} rows and no error");
+    assert!(db.scan(b"", None, usize::MAX).is_err());
+}
+
 #[test]
 fn streaming_iterator_walks_live_keys() {
     let (_env, options) = small_options();

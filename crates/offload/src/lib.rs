@@ -42,7 +42,6 @@ use lsm::compaction::{
     CompactionEngine, CompactionOutcome, CompactionRequest, CpuCompactionEngine, OutputFileFactory,
     WritePressure,
 };
-use lsm::PipelinedCompactionEngine;
 use sync_shim::{Condvar, Mutex};
 
 pub use fault::{DeviceFaultKind, FaultInjector};
@@ -67,12 +66,6 @@ pub struct OffloadConfig {
     pub slowdown_queue_depth: usize,
     /// Queued jobs at which the service advises `WritePressure::Stop`.
     pub stop_queue_depth: usize,
-    /// CPU-path jobs whose total input size is at least this many bytes
-    /// run on the staged [`lsm::PipelinedCompactionEngine`] instead of
-    /// the single-threaded CPU engine. Small jobs stay single-threaded —
-    /// the pipeline's thread/channel setup isn't worth it below a few
-    /// megabytes. `u64::MAX` disables the pipelined path.
-    pub pipelined_cpu_threshold_bytes: u64,
 }
 
 impl Default for OffloadConfig {
@@ -84,7 +77,6 @@ impl Default for OffloadConfig {
             aging_interval: Duration::from_millis(20),
             slowdown_queue_depth: 4,
             stop_queue_depth: 8,
-            pipelined_cpu_threshold_bytes: 8 << 20,
         }
     }
 }
@@ -279,8 +271,7 @@ impl OffloadService {
     /// Rough device time for `req`: kernel at `V` bytes/cycle plus two
     /// PCIe crossings. Used only to veto jobs against the per-job
     /// timeout, so it errs simple rather than exact.
-    fn estimated_device_time(&self, req: &CompactionRequest) -> Duration {
-        let bytes: u64 = req.inputs.iter().map(|i| i.bytes()).sum();
+    fn estimated_device_time(&self, bytes: u64) -> Duration {
         let kernel = bytes as f64 / (self.device.v as f64 * self.device.freq_mhz as f64 * 1e6);
         let pcie = 2.0 * self.device.pcie.per_transfer_latency_sec
             + 2.0 * bytes as f64 / self.device.pcie.bandwidth_bytes_per_sec;
@@ -341,31 +332,31 @@ impl OffloadService {
     fn run_cpu(
         &self,
         req: &CompactionRequest,
+        input_bytes: u64,
         out: &dyn OutputFileFactory,
         job: u64,
     ) -> lsm::Result<CompactionOutcome> {
         let t0 = Instant::now();
-        let input_bytes: u64 = req.inputs.iter().map(|i| i.bytes()).sum();
         self.trace(obs::EventKind::EngineDispatch {
             job,
             engine: "cpu",
             bytes: input_bytes,
         });
-        let result = if input_bytes >= self.config.pipelined_cpu_threshold_bytes {
-            // Large fallback job: overlap read/merge/encode across
-            // threads. Byte-identical output to the plain CPU engine.
-            self.state.lock().metrics.cpu_pipelined_jobs += 1; // LOCK-ORDER: offload.state 110
-            if let Some(o) = &self.obs {
-                o.cpu_pipelined_jobs.inc();
-            }
-            PipelinedCompactionEngine::default().compact(req, out)
-        } else {
-            CpuCompactionEngine.compact(req, out)
-        };
+        let result = CpuCompactionEngine.compact(req, out);
         let busy = t0.elapsed();
-        self.state.lock().metrics.cpu_busy_time += busy; // LOCK-ORDER: offload.state 110
+        // Large fallback jobs overlap block reads with the merge on
+        // reader threads; the engine decides from the input size.
+        let read_ahead = result.as_ref().is_ok_and(|o| o.reader_threads > 0);
+        {
+            let mut state = self.state.lock(); // LOCK-ORDER: offload.state 110
+            state.metrics.cpu_busy_time += busy;
+            state.metrics.cpu_pipelined_jobs += u64::from(read_ahead);
+        }
         if let Some(o) = &self.obs {
             o.cpu_busy_micros.record(busy.as_micros() as u64);
+            if read_ahead {
+                o.cpu_pipelined_jobs.inc();
+            }
         }
         result
     }
@@ -376,6 +367,7 @@ impl OffloadService {
         out: &dyn OutputFileFactory,
         job: u64,
     ) -> lsm::Result<CompactionOutcome> {
+        let input_bytes = req.input_bytes();
         // Software paths first (Fig. 6): too many inputs for the device,
         // or a job too large for the per-job device-time budget.
         if req.inputs.len() > self.device.n_inputs {
@@ -387,9 +379,9 @@ impl OffloadService {
                 job,
                 reason: "oversized",
             });
-            return self.run_cpu(req, out, job);
+            return self.run_cpu(req, input_bytes, out, job);
         }
-        if self.estimated_device_time(req) > self.config.job_timeout {
+        if self.estimated_device_time(input_bytes) > self.config.job_timeout {
             self.state.lock().metrics.cpu_fallback_timeout += 1; // LOCK-ORDER: offload.state 110
             if let Some(o) = &self.obs {
                 o.cpu_fallback_timeout.inc();
@@ -398,7 +390,7 @@ impl OffloadService {
                 job,
                 reason: "timeout",
             });
-            return self.run_cpu(req, out, job);
+            return self.run_cpu(req, input_bytes, out, job);
         }
 
         let Some(slot) = self.acquire_slot(JobClass::from_level(req.level)) else {
@@ -411,7 +403,7 @@ impl OffloadService {
                 job,
                 reason: "budget",
             });
-            return self.run_cpu(req, out, job);
+            return self.run_cpu(req, input_bytes, out, job);
         };
 
         {
@@ -428,7 +420,7 @@ impl OffloadService {
         self.trace(obs::EventKind::EngineDispatch {
             job,
             engine: "fcae",
-            bytes: req.inputs.iter().map(|i| i.bytes()).sum(),
+            bytes: input_bytes,
         });
         let injected = self.faults.should_fault();
         let result = if injected == Some(DeviceFaultKind::Transient) {
@@ -500,7 +492,7 @@ impl OffloadService {
                     job,
                     reason: "fault-retry",
                 });
-                self.run_cpu(req, out, job)
+                self.run_cpu(req, input_bytes, out, job)
             }
         }
     }

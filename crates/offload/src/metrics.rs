@@ -38,8 +38,8 @@ pub struct OffloadMetrics {
     pub midjob_outputs_discarded: u64,
     /// Jobs retried on the CPU after a device fault.
     pub cpu_retries_after_fault: u64,
-    /// CPU-path jobs that ran on the staged pipelined engine (input size
-    /// reached `pipelined_cpu_threshold_bytes`).
+    /// CPU-path jobs large enough that the CPU engine merged them from
+    /// read-ahead threads (`CompactionOutcome::reader_threads > 0`).
     pub cpu_pipelined_jobs: u64,
     /// Maintenance jobs (value-log GC) routed through the scheduler.
     pub maintenance_jobs: u64,

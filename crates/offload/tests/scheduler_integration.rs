@@ -120,39 +120,58 @@ fn offload_state_matches_serial_cpu_run() {
     );
 }
 
+/// CPU-path jobs large enough to cross the CPU engine's read-ahead cut
+/// (8 MiB of input) merge from reader threads; the state they leave must
+/// equal a serial run's whose jobs all stay far below the cut.
 #[test]
-fn pipelined_cpu_fallback_matches_serial_run() {
-    // Reference run on the plain CPU engine.
-    let serial = Db::open("/db", small_options(1)).unwrap();
-    run_workload(&serial);
-    let expect = dump(&serial);
+fn large_cpu_fallback_jobs_read_ahead_and_match_the_serial_run() {
+    // ~14 MB of uncompressed pairs, every flush spanning the whole key
+    // range so L0 files overlap each other.
+    let options = |write_buffer_size: usize, background_threads| Options {
+        write_buffer_size,
+        max_file_size: 256 << 10,
+        level1_max_bytes: 1 << 20,
+        compression: sstable::format::CompressionType::None,
+        ..small_options(background_threads)
+    };
+    let workload = |db: &Db| {
+        for i in 0..14_000u32 {
+            let key = format!("key{:06}", i.wrapping_mul(7919) % 12_000);
+            let value = format!("value-{i}-{:0>1000}", i);
+            db.put(key.as_bytes(), value.as_bytes()).unwrap();
+        }
+        db.flush().unwrap();
+        db.wait_for_background_quiescence();
+    };
 
-    // Threshold 0: every CPU-path job takes the staged pipelined engine.
-    // The 2-input device rejects most jobs (oversized), so nearly the
-    // whole workload compacts through the pipeline.
+    // Reference: 512 KiB memtables, so an L0 job reads about 2 MiB.
+    let serial = Db::open("/db", options(512 << 10, 1)).unwrap();
+    workload(&serial);
+    let expect = dump(&serial);
+    assert_eq!(expect.len(), 12_000);
+
+    // 3 MiB memtables: the first L0 job has four ~3 MB inputs, which the
+    // 2-input device rejects as oversized.
     let svc = Arc::new(OffloadService::with_slots(
         FcaeConfig::two_input(),
         1,
-        OffloadConfig {
-            pipelined_cpu_threshold_bytes: 0,
-            ..Default::default()
-        },
+        OffloadConfig::default(),
     ));
     let engine = Arc::clone(&svc) as Arc<dyn CompactionEngine>;
-    let db = Db::open_with_engine("/db", small_options(2), engine).unwrap();
-    run_workload(&db);
-    assert_eq!(dump(&db), expect, "pipelined fallback diverged from serial");
+    let db = Db::open_with_engine("/db", options(3 << 20, 2), engine).unwrap();
+    workload(&db);
+    assert_eq!(
+        dump(&db),
+        expect,
+        "read-ahead fallback diverged from serial"
+    );
 
     let m = svc.metrics();
     assert!(
         m.cpu_pipelined_jobs > 0,
-        "pipelined path never taken: {m:?}"
+        "no CPU job crossed the read-ahead cut: {m:?}"
     );
-    assert_eq!(
-        m.cpu_pipelined_jobs,
-        m.cpu_jobs(),
-        "threshold 0 must route every CPU job through the pipeline: {m:?}"
-    );
+    assert!(m.cpu_pipelined_jobs <= m.cpu_jobs(), "{m:?}");
 }
 
 /// Mid-job faults are the nasty class: the device engine already ran

@@ -68,7 +68,6 @@ pub const DURABILITY_FILES: &[&str] = &[
     "crates/lsm/src/db.rs",
     "crates/lsm/src/vlog.rs",
     "crates/lsm/src/compaction.rs",
-    "crates/lsm/src/pipeline.rs",
 ];
 
 /// Metric name prefixes METRICS.md inventories. Names outside these

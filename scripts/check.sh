@@ -84,8 +84,9 @@ fi
 rm -rf "$SERVER_ROOT" "$SERVER_OUT" "$SERVER_OUT.load"
 cargo test -q -p server --test power_cut
 
-# Loom model suites (shutdown/backpressure/fault-retry/aging
-# interleavings). Deadlocks present as hangs, so bound them.
+# Loom model suites (read-ahead source shutdown/backpressure/reader
+# panic, fault-retry and aging interleavings, readers feeding the one
+# Merger). Deadlocks present as hangs, so bound them.
 RUSTFLAGS="--cfg loom" timeout 1200 cargo test -p lsm --lib -q
 RUSTFLAGS="--cfg loom" timeout 1200 cargo test -p offload --lib -q
 RUSTFLAGS="--cfg loom" timeout 1200 cargo test -p fcae --test loom_comparer -q

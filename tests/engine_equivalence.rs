@@ -1,21 +1,18 @@
 //! Cross-engine equivalence: the same compaction through every execution
 //! path in the workspace must agree.
 //!
-//! Three levels of agreement, from strictest to loosest:
+//! Levels of agreement, from strictest to loosest:
 //!
-//! 1. **Byte-identical files**: the staged [`PipelinedCompactionEngine`]
-//!    must emit exactly the bytes of the single-threaded
-//!    [`CpuCompactionEngine`], for raw and Snappy-compressed outputs.
+//! 1. **Golden files**: the one CPU merge core, fed from its inline
+//!    sources and from its read-ahead sources, must emit exactly the
+//!    bytes [`CpuCompactionEngine`] shipped before the workspace's three
+//!    merge loops became one, for raw and Snappy-compressed outputs.
 //! 2. **Byte-identical images + cycles**: the device kernel with the
 //!    optimized zero-copy decoder must match the basic (Algorithm 1)
 //!    decoder — same output images, same MetaOut, and a bit-identical
 //!    cycle model, because the timing model is charged per pair, not per
 //!    software implementation.
-//! 3. **Logically identical streams**: the device engine splits output
-//!    tables differently from the host builder, so its files differ —
-//!    but the concatenated (internal key, value) stream across all output
-//!    tables must equal the CPU engine's exactly.
-//! 4. **Byte-identical filter blocks**: where both engines write one
+//! 3. **Byte-identical filter blocks**: where both engines write one
 //!    table, the device's Filter Block Encoder must produce the host
 //!    `TableBuilder`'s filter block bit for bit — and none at all for a
 //!    store that asks for none.
@@ -26,9 +23,9 @@ use std::sync::Arc;
 
 use fcae::{FcaeConfig, FcaeEngine};
 use lsm::compaction::{
-    CompactionEngine, CompactionInput, CompactionRequest, CpuCompactionEngine, OutputFileFactory,
+    merge_inline, merge_read_ahead, CompactionEngine, CompactionInput, CompactionOutcome,
+    CompactionRequest, CpuCompactionEngine, OutputFileFactory,
 };
-use lsm::PipelinedCompactionEngine;
 use sstable::block::Block;
 use sstable::comparator::{BytewiseComparator, InternalKeyComparator};
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
@@ -150,38 +147,69 @@ fn entry_stream(env: &MemEnv, fac: &Factory, numbers: &[(u64, u64)]) -> Vec<(Vec
     entries
 }
 
+/// crc32c of every output file `CpuCompactionEngine` wrote for
+/// [`request`] at commit 78536bd — the last one with a linear-scan merge
+/// loop in that engine, a second copy in a staged CPU engine and a third
+/// in `fcae` — in output order.
+const GOLDEN_RAW: [u32; 12] = [
+    0xb86df9a4, 0x4b1252d1, 0x2b78f43b, 0x65068de8, 0xb25a8f54, 0x97e498f6, 0x6b9b9463, 0x299e6aa9,
+    0x555a8ed5, 0x235e99c7, 0xc75f368d, 0x31a943f4,
+];
+const GOLDEN_SNAPPY: [u32; 2] = [0x2a325294, 0x5f5e43a8];
+
+/// crc32c of each output file of `outcome`, in output order.
+fn digests(env: &MemEnv, fac: &Factory, outcome: &CompactionOutcome) -> Vec<u32> {
+    assert_eq!(
+        (outcome.entries_written, outcome.entries_dropped),
+        (1371, 549)
+    );
+    outcome
+        .outputs
+        .iter()
+        .map(|o| {
+            let bytes = env
+                .open_random_access(Path::new(&fac.path(o.number)))
+                .unwrap()
+                .read_all()
+                .unwrap();
+            assert_eq!(bytes.len() as u64, o.file_size);
+            sstable::crc32c::value(&bytes)
+        })
+        .collect()
+}
+
 #[test]
-fn pipelined_and_cpu_engines_emit_identical_files() {
-    for compression in [CompressionType::None, CompressionType::Snappy] {
+fn both_cpu_source_kinds_reproduce_the_shipped_bytes() {
+    for (compression, golden) in [
+        (CompressionType::None, &GOLDEN_RAW[..]),
+        (CompressionType::Snappy, &GOLDEN_SNAPPY[..]),
+    ] {
         let env = MemEnv::new();
         let req = request(&env, compression);
 
-        let cpu_fac = Factory::new(env.clone(), "cpu");
-        let cpu = CpuCompactionEngine.compact(&req, &cpu_fac).unwrap();
-        assert!(cpu.outputs.len() > 1, "want a file split: {compression:?}");
-        assert!(cpu.entries_dropped > 0, "want drops: {compression:?}");
+        let fac = Factory::new(env.clone(), "inline");
+        let inline = merge_inline(&req, &fac).unwrap();
+        assert_eq!(digests(&env, &fac, &inline), golden, "{compression:?}");
 
-        let pipe_fac = Factory::new(env.clone(), "pipe");
-        let pipe = PipelinedCompactionEngine::default()
-            .compact(&req, &pipe_fac)
-            .unwrap();
-
-        assert_eq!(pipe.entries_written, cpu.entries_written, "{compression:?}");
-        assert_eq!(pipe.entries_dropped, cpu.entries_dropped, "{compression:?}");
-        assert_eq!(pipe.outputs.len(), cpu.outputs.len(), "{compression:?}");
-        for (a, b) in cpu.outputs.iter().zip(&pipe.outputs) {
-            let fa = env
-                .open_random_access(Path::new(&cpu_fac.path(a.number)))
-                .unwrap()
-                .read_all()
-                .unwrap();
-            let fb = env
-                .open_random_access(Path::new(&pipe_fac.path(b.number)))
-                .unwrap()
-                .read_all()
-                .unwrap();
-            assert_eq!(fa, fb, "{compression:?} table {}", a.number);
+        // The engine's own batch size and depth, then 97-byte batches
+        // with one in flight: a batch boundary every pair or two and a
+        // reader blocked on nearly every send.
+        for (batch_bytes, depth) in [(256 << 10, 4), (97, 1)] {
+            let fac = Factory::new(env.clone(), "ahead");
+            let ahead = merge_read_ahead(&req, &fac, batch_bytes, depth).unwrap();
+            assert_eq!(ahead.reader_threads, 4);
+            assert_eq!(
+                digests(&env, &fac, &ahead),
+                golden,
+                "{compression:?}, {batch_bytes}-byte batches"
+            );
         }
+
+        // The request is far below the engine's read-ahead cut.
+        let fac = Factory::new(env.clone(), "cpu");
+        let cpu = CpuCompactionEngine.compact(&req, &fac).unwrap();
+        assert_eq!(cpu.reader_threads, 0);
+        assert_eq!(digests(&env, &fac, &cpu), golden, "{compression:?}");
     }
 }
 
@@ -248,43 +276,6 @@ fn optimized_and_basic_decoder_kernels_are_bit_identical() {
             "{compression:?}"
         );
     }
-}
-
-#[test]
-fn device_and_cpu_engines_agree_logically() {
-    let env = MemEnv::new();
-    let req = request(&env, CompressionType::Snappy);
-
-    let cpu_fac = Factory::new(env.clone(), "cpu");
-    let cpu = CpuCompactionEngine.compact(&req, &cpu_fac).unwrap();
-    let cpu_numbers: Vec<_> = cpu
-        .outputs
-        .iter()
-        .map(|o| (o.number, o.file_size))
-        .collect();
-    let cpu_entries = entry_stream(&env, &cpu_fac, &cpu_numbers);
-
-    let dev_fac = Factory::new(env.clone(), "dev");
-    let dev = FcaeEngine::new(FcaeConfig::nine_input())
-        .compact(&req, &dev_fac)
-        .unwrap();
-    let dev_numbers: Vec<_> = dev
-        .outputs
-        .iter()
-        .map(|o| (o.number, o.file_size))
-        .collect();
-    let dev_entries = entry_stream(&env, &dev_fac, &dev_numbers);
-
-    assert_eq!(cpu.entries_written, dev.entries_written);
-    assert_eq!(cpu.entries_dropped, dev.entries_dropped);
-    assert_eq!(
-        cpu_entries.len(),
-        dev_entries.len(),
-        "entry counts differ: cpu={} dev={}",
-        cpu_entries.len(),
-        dev_entries.len()
-    );
-    assert_eq!(cpu_entries, dev_entries, "entry streams diverged");
 }
 
 /// Where a table file's data section ends and the filter block its
