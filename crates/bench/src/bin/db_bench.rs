@@ -35,12 +35,42 @@ use offload::{DeviceFaultKind, OffloadConfig, OffloadService};
 use simkit::SplitMix64;
 use workloads::{DbBenchWorkload, KeyFormat, OpKind, ValueGenerator, YcsbRunner, YcsbWorkload};
 
+#[derive(Clone, Copy, PartialEq)]
+enum Engine {
+    Cpu,
+    Fcae,
+}
+
+#[derive(Clone, Copy)]
+enum Bench {
+    Standard(DbBenchWorkload),
+    /// 50% read / 50% update, zipfian (paper Table IX workload A).
+    YcsbA,
+}
+
+/// Every `--benchmarks` name; the first three are the default run.
+const BENCHES: [(&str, Bench); 5] = [
+    ("fillseq", Bench::Standard(DbBenchWorkload::FillSeq)),
+    ("fillrandom", Bench::Standard(DbBenchWorkload::FillRandom)),
+    ("readrandom", Bench::Standard(DbBenchWorkload::ReadRandom)),
+    ("overwrite", Bench::Standard(DbBenchWorkload::Overwrite)),
+    ("ycsb-a", Bench::YcsbA),
+];
+
+fn parse_bench(name: &str) -> Result<(&'static str, Bench), String> {
+    BENCHES
+        .iter()
+        .find(|(known, _)| *known == name)
+        .copied()
+        .ok_or_else(|| format!("unknown benchmark {name}"))
+}
+
 struct Config {
-    benchmarks: Vec<String>,
+    benchmarks: Vec<(&'static str, Bench)>,
     num: u64,
     value_size: usize,
     key_size: usize,
-    engine: String,
+    engine: Engine,
     n_inputs: usize,
     db_path: PathBuf,
     /// Concurrent client threads per benchmark (ops are split evenly).
@@ -58,11 +88,11 @@ struct Config {
 
 fn parse_args() -> Result<Config, String> {
     let mut cfg = Config {
-        benchmarks: vec!["fillseq".into(), "fillrandom".into(), "readrandom".into()],
+        benchmarks: BENCHES[..3].to_vec(),
         num: 100_000,
         value_size: 128,
         key_size: 16,
-        engine: "cpu".into(),
+        engine: Engine::Cpu,
         n_inputs: 9,
         db_path: std::env::temp_dir().join("fcae-db-bench"),
         threads: 1,
@@ -96,7 +126,12 @@ fn parse_args() -> Result<Config, String> {
             }
         };
         match flag.as_str() {
-            "--benchmarks" => cfg.benchmarks = value.split(',').map(|s| s.to_string()).collect(),
+            "--benchmarks" => {
+                cfg.benchmarks = value
+                    .split(',')
+                    .map(parse_bench)
+                    .collect::<Result<_, _>>()?;
+            }
             "--num" => cfg.num = value.parse().map_err(|e| format!("--num: {e}"))?,
             "--value-size" => {
                 cfg.value_size = value.parse().map_err(|e| format!("--value-size: {e}"))?;
@@ -108,7 +143,13 @@ fn parse_args() -> Result<Config, String> {
                     return Err("--threads must be >= 1".into());
                 }
             }
-            "--engine" => cfg.engine = value,
+            "--engine" => {
+                cfg.engine = match value.as_str() {
+                    "cpu" => Engine::Cpu,
+                    "fcae" => Engine::Fcae,
+                    other => return Err(format!("unknown engine {other}")),
+                };
+            }
             "--n-inputs" => cfg.n_inputs = value.parse().map_err(|e| format!("--n-inputs: {e}"))?,
             "--db" => cfg.db_path = PathBuf::from(value),
             "--fault-every" => {
@@ -141,7 +182,7 @@ fn open_db(cfg: &Config) -> (Db, Option<Arc<OffloadService>>) {
     // Fault injection routes compactions through the offload scheduler so
     // every injected fault exercises the real fallback-and-retry path.
     if cfg.fault_every > 0 {
-        if cfg.engine == "cpu" {
+        if cfg.engine == Engine::Cpu {
             eprintln!("--fault-every targets the device path; using the offload engine");
         }
         let svc = Arc::new(
@@ -154,13 +195,9 @@ fn open_db(cfg: &Config) -> (Db, Option<Arc<OffloadService>>) {
         let db = Db::open_with_engine(&cfg.db_path, options, engine).expect("open db");
         return (db, Some(svc));
     }
-    let engine: Arc<dyn CompactionEngine> = match cfg.engine.as_str() {
-        "cpu" => Arc::new(CpuCompactionEngine),
-        "fcae" => Arc::new(FcaeEngine::new(device_config(cfg))),
-        other => {
-            eprintln!("unknown engine {other}; using cpu");
-            Arc::new(CpuCompactionEngine)
-        }
+    let engine: Arc<dyn CompactionEngine> = match cfg.engine {
+        Engine::Cpu => Arc::new(CpuCompactionEngine),
+        Engine::Fcae => Arc::new(FcaeEngine::new(device_config(cfg))),
     };
     (
         Db::open_with_engine(&cfg.db_path, options, engine).expect("open db"),
@@ -168,13 +205,7 @@ fn open_db(cfg: &Config) -> (Db, Option<Arc<OffloadService>>) {
     )
 }
 
-enum Bench {
-    Standard(DbBenchWorkload),
-    /// 50% read / 50% update, zipfian (paper Table IX workload A).
-    YcsbA,
-}
-
-fn run_benchmark(name: &str, cfg: &Config, db: &Db) {
+fn run_benchmark(name: &str, bench: Bench, cfg: &Config, db: &Db) {
     let kf = KeyFormat {
         key_len: cfg.key_size,
     };
@@ -182,18 +213,6 @@ fn run_benchmark(name: &str, cfg: &Config, db: &Db) {
     let threads = cfg.threads as u64;
     let per_thread = (cfg.num / threads).max(1);
     let total = per_thread * threads;
-
-    let bench = match name {
-        "fillseq" => Bench::Standard(DbBenchWorkload::FillSeq),
-        "fillrandom" => Bench::Standard(DbBenchWorkload::FillRandom),
-        "overwrite" => Bench::Standard(DbBenchWorkload::Overwrite),
-        "readrandom" => Bench::Standard(DbBenchWorkload::ReadRandom),
-        "ycsb-a" => Bench::YcsbA,
-        other => {
-            eprintln!("skipping unknown benchmark {other}");
-            return;
-        }
-    };
 
     let start = Instant::now();
     let found = AtomicU64::new(0);
@@ -276,12 +295,20 @@ fn main() {
     println!(
         "Keys: {} bytes each; Values: {} bytes each; Entries: {}; engine: {}; \
          threads: {}; sync: {}",
-        cfg.key_size, cfg.value_size, cfg.num, cfg.engine, cfg.threads, cfg.sync
+        cfg.key_size,
+        cfg.value_size,
+        cfg.num,
+        match cfg.engine {
+            Engine::Cpu => "cpu",
+            Engine::Fcae => "fcae",
+        },
+        cfg.threads,
+        cfg.sync
     );
     println!("------------------------------------------------");
     let (db, offload_svc) = open_db(&cfg);
-    for b in cfg.benchmarks.clone() {
-        run_benchmark(&b, &cfg, &db);
+    for (name, bench) in &cfg.benchmarks {
+        run_benchmark(name, *bench, &cfg, &db);
     }
     // Flush and drain background work BEFORE reading stats: compactions
     // queued by the last benchmark would otherwise be counted by some

@@ -26,30 +26,3 @@ pub fn fmt(v: f64) -> String {
         format!("{v:.2}")
     }
 }
-
-/// Appends one JSON object to the JSON array file at `path`, creating
-/// the file (as a one-element array) if it does not exist. The bench
-/// trajectory files (`BENCH_PR*.json`) are grown exclusively through
-/// this helper so every harness formats them identically.
-pub fn append_snapshot(path: &str, snapshot: &str) -> std::io::Result<()> {
-    let body = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            let trimmed = existing.trim_end();
-            let without_close = trimmed
-                .strip_suffix(']')
-                .ok_or_else(|| std::io::Error::other(format!("{path} is not a JSON array")))?
-                .trim_end();
-            let sep = if without_close.ends_with('[') {
-                ""
-            } else {
-                ","
-            };
-            format!("{without_close}{sep}\n{snapshot}\n]\n")
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            format!("[\n{snapshot}\n]\n")
-        }
-        Err(e) => return Err(e),
-    };
-    std::fs::write(path, body)
-}

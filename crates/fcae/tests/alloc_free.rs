@@ -2,8 +2,8 @@
 //! decode → compare → validity-check → advance — performs **zero** heap
 //! allocations per key-value pair, for both raw and Snappy-compressed
 //! inputs. Block-boundary work (index entries, per-table setup) is
-//! deliberately amortized outside this loop and is covered by the
-//! allocs/kv figure in `BENCH_PR2.json`. The same window is then run
+//! deliberately amortized outside this loop (EXPERIMENTS.md's history
+//! table has the last whole-job allocs/kv figure). The same window is then run
 //! through the output encoder, with and without the Filter Block Encoder:
 //! filter building allocates nothing per pair or per block, only the one
 //! copy of each finished filter block into its table image. The CPU

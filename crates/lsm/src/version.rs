@@ -348,11 +348,6 @@ impl VersionSet {
         n
     }
 
-    /// The next file number that would be allocated (for recovery).
-    pub fn next_file_number_peek(&self) -> u64 {
-        self.next_file_number
-    }
-
     /// Ensures future allocations start at `floor` or above. Recovery
     /// uses this for files the MANIFEST does not track (value-log
     /// segments), so a reopened store never reissues a live segment's

@@ -78,13 +78,4 @@ impl OffloadMetrics {
             DeviceFaultKind::MidJobPoisoned => self.faults_midjob_poisoned += 1,
         }
     }
-
-    /// The per-kind fault counter.
-    pub fn faults_of_kind(&self, kind: DeviceFaultKind) -> u64 {
-        match kind {
-            DeviceFaultKind::Transient => self.faults_transient,
-            DeviceFaultKind::MidJobTimeout => self.faults_midjob_timeout,
-            DeviceFaultKind::MidJobPoisoned => self.faults_midjob_poisoned,
-        }
-    }
 }

@@ -19,12 +19,12 @@
 //!   apply loop, semi-sync ack waits, and the `repl.*` metric family
 //!   (see DESIGN.md "Replication").
 //! * [`load`] — YCSB replay at configurable connection counts,
-//!   reporting p50/p95/p99 (used by `load_gen` and the saturation
-//!   bench).
+//!   reporting p50/p95/p99 (used by `load_gen`).
 //!
 //! Binaries: `kv-server` (serve), `kv-cli` (one-shot ops), `load_gen`
-//! (workload replay), `server_saturation` (throughput/latency vs.
-//! connection count at K=1 and K=4, appended to `BENCH_PR6.json`).
+//! (workload replay; the wire smoke `scripts/server_smoke.sh` runs).
+//! Wire throughput and latency are measured by `benchmark/run.sh`
+//! (`ycsb_a`, `ycsb_e`), not from this crate.
 
 pub mod client;
 pub mod load;

@@ -1,9 +1,8 @@
 //! Load driver: replays `workloads` YCSB mixes against a running server
 //! at a configurable connection count, measuring client-side latency.
 //!
-//! Shared by the `load_gen` binary (CLI) and the `server_saturation`
-//! bench (programmatic sweeps). Each connection runs on its own thread
-//! with its own seeded [`YcsbRunner`] (seed + connection index, the
+//! The engine of the `load_gen` binary. Each connection runs on its own
+//! thread with its own seeded [`YcsbRunner`] (seed + connection index, the
 //! `FaultEnv` seed-band convention), so a run is reproducible for a
 //! given `(seed, connections)` and no two connections replay the same
 //! operation stream.

@@ -89,12 +89,6 @@ impl InternalKeyComparator {
     pub fn user_comparator(&self) -> &Arc<dyn Comparator> {
         &self.user
     }
-
-    /// Compares only the user-key portions of two internal keys.
-    pub fn compare_user_keys(&self, a: &[u8], b: &[u8]) -> Ordering {
-        debug_assert!(a.len() >= 8 && b.len() >= 8);
-        self.user.compare(&a[..a.len() - 8], &b[..b.len() - 8])
-    }
 }
 
 impl Default for InternalKeyComparator {

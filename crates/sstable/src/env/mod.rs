@@ -220,11 +220,6 @@ impl MemEnv {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Total bytes across all files (test/diagnostic helper).
-    pub fn total_bytes(&self) -> usize {
-        self.files.lock().values().map(|f| f.lock().len()).sum()
-    }
 }
 
 struct MemRandomAccess {

@@ -36,105 +36,6 @@ pub trait InternalIterator {
     fn status(&self) -> Result<()>;
 }
 
-/// An always-empty iterator.
-#[derive(Default)]
-pub struct EmptyIterator;
-
-impl InternalIterator for EmptyIterator {
-    fn valid(&self) -> bool {
-        false
-    }
-    fn seek_to_first(&mut self) {}
-    fn seek_to_last(&mut self) {}
-    fn seek(&mut self, _target: &[u8]) {}
-    fn next(&mut self) {
-        // PANIC-OK: InternalIterator contract — never valid(), so
-        // position/accessor calls are caller bugs.
-        unreachable!("next on empty iterator")
-    }
-    fn prev(&mut self) {
-        // PANIC-OK: see next().
-        unreachable!("prev on empty iterator")
-    }
-    fn key(&self) -> &[u8] {
-        // PANIC-OK: see next().
-        unreachable!("key on empty iterator")
-    }
-    fn value(&self) -> &[u8] {
-        // PANIC-OK: see next().
-        unreachable!("value on empty iterator")
-    }
-    fn status(&self) -> Result<()> {
-        Ok(())
-    }
-}
-
-/// An iterator over an in-memory vector of (key, value) pairs, sorted by
-/// the caller. Used in tests and as a building block for memtable dumps.
-pub struct VecIterator {
-    entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>,
-    cmp: Arc<dyn Comparator>,
-    /// `entries.len()` means invalid.
-    pos: usize,
-}
-
-impl VecIterator {
-    /// Wraps sorted entries.
-    pub fn new(entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>, cmp: Arc<dyn Comparator>) -> Self {
-        let pos = entries.len();
-        VecIterator { entries, cmp, pos }
-    }
-}
-
-impl InternalIterator for VecIterator {
-    fn valid(&self) -> bool {
-        self.pos < self.entries.len()
-    }
-
-    fn seek_to_first(&mut self) {
-        self.pos = 0;
-    }
-
-    fn seek_to_last(&mut self) {
-        self.pos = self.entries.len().saturating_sub(1);
-        if self.entries.is_empty() {
-            self.pos = 0;
-        }
-    }
-
-    fn seek(&mut self, target: &[u8]) {
-        self.pos = self
-            .entries
-            .partition_point(|(k, _)| self.cmp.compare(k, target) == Ordering::Less);
-    }
-
-    fn next(&mut self) {
-        debug_assert!(self.valid());
-        self.pos += 1;
-    }
-
-    fn prev(&mut self) {
-        debug_assert!(self.valid());
-        if self.pos == 0 {
-            self.pos = self.entries.len();
-        } else {
-            self.pos -= 1;
-        }
-    }
-
-    fn key(&self) -> &[u8] {
-        &self.entries[self.pos].0
-    }
-
-    fn value(&self) -> &[u8] {
-        &self.entries[self.pos].1
-    }
-
-    fn status(&self) -> Result<()> {
-        Ok(())
-    }
-}
-
 /// Merges N child iterators into one ordered stream.
 ///
 /// Selection is a linear scan over children (LevelDB does the same for
@@ -295,6 +196,71 @@ impl InternalIterator for MergingIterator {
 mod tests {
     use super::*;
     use crate::comparator::BytewiseComparator;
+
+    /// An iterator over an in-memory vector of (key, value) pairs, sorted by
+    /// the caller.
+    struct VecIterator {
+        entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>,
+        cmp: Arc<dyn Comparator>,
+        /// `entries.len()` means invalid.
+        pos: usize,
+    }
+
+    impl VecIterator {
+        fn new(entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>, cmp: Arc<dyn Comparator>) -> Self {
+            let pos = entries.len();
+            VecIterator { entries, cmp, pos }
+        }
+    }
+
+    impl InternalIterator for VecIterator {
+        fn valid(&self) -> bool {
+            self.pos < self.entries.len()
+        }
+
+        fn seek_to_first(&mut self) {
+            self.pos = 0;
+        }
+
+        fn seek_to_last(&mut self) {
+            self.pos = self.entries.len().saturating_sub(1);
+            if self.entries.is_empty() {
+                self.pos = 0;
+            }
+        }
+
+        fn seek(&mut self, target: &[u8]) {
+            self.pos = self
+                .entries
+                .partition_point(|(k, _)| self.cmp.compare(k, target) == Ordering::Less);
+        }
+
+        fn next(&mut self) {
+            debug_assert!(self.valid());
+            self.pos += 1;
+        }
+
+        fn prev(&mut self) {
+            debug_assert!(self.valid());
+            if self.pos == 0 {
+                self.pos = self.entries.len();
+            } else {
+                self.pos -= 1;
+            }
+        }
+
+        fn key(&self) -> &[u8] {
+            &self.entries[self.pos].0
+        }
+
+        fn value(&self) -> &[u8] {
+            &self.entries[self.pos].1
+        }
+
+        fn status(&self) -> Result<()> {
+            Ok(())
+        }
+    }
 
     fn vec_iter(pairs: &[(&str, &str)]) -> Box<dyn InternalIterator> {
         let entries: Vec<(Vec<u8>, Vec<u8>)> = pairs

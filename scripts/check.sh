@@ -16,21 +16,15 @@ cargo xtask lint
 # Scope-aware concurrency/durability lints: lock-order ranks,
 # hold-across-await, sync-before-rename, metrics-drift.
 cargo xtask analyze
+# Every binary and script the docs, CI and this file name must exist.
+scripts/doc_commands.sh
 cargo build --release
+# Tier 1. Includes the `db_bench --stats` export contract
+# (crates/bench/tests/db_bench_cli.rs).
 cargo test -q
 
-# Observability smoke: the --stats export must carry live metrics, and
-# two identical simulated runs must export byte-identical output.
-cargo run --release -p bench --bin db_bench -- \
-    --num 20000 --benchmarks fillrandom --engine fcae --stats \
-    | grep -q "hist lsm.put_micros" \
-    || { echo "obs smoke failed: no lsm.put_micros in --stats export"; exit 1; }
-# Multi-writer smoke: 4 client threads must exercise (and export) the
-# parallel write path's group-commit metrics.
-cargo run --release -p bench --bin db_bench -- \
-    --num 20000 --benchmarks fillrandom,ycsb-a --threads 4 --stats \
-    | grep -q "counter lsm.write.leader" \
-    || { echo "obs smoke failed: no lsm.write.leader in --threads export"; exit 1; }
+# Observability smoke: two identical simulated runs must export
+# byte-identical output.
 cargo test -q -p systemsim identical_runs_export_identical_observability
 # kvbench is a standalone package the workspace build never compiles:
 # build it against the current crates and run all four workloads with
@@ -60,28 +54,9 @@ cargo run --release -p bench --bin db_bench -- \
 POWER_CUT_SEED_BASE=100 cargo test -q -p fcae-repro --test replication_failover
 POWER_CUT_SEED_BASE=100 cargo test -q -p server --test replication_sigkill
 
-# Server smoke (mirrors CI's server-smoke job): 4-shard kv-server on an
-# OS-assigned port, YCSB-A at 64 connections, zero protocol errors and
-# nonzero throughput required; then the SIGKILL power-cut harness.
-cargo build --release -p server
-SERVER_OUT=$(mktemp)
-SERVER_ROOT=$(mktemp -d)
-./target/release/kv-server --listen 127.0.0.1:0 --shards 4 --engines 2 \
-    --records 10000 --root "$SERVER_ROOT" > "$SERVER_OUT" &
-SERVER_PID=$!
-for _ in $(seq 50); do grep -q "listening on " "$SERVER_OUT" && break; sleep 0.2; done
-SERVER_ADDR=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$SERVER_OUT")
-[ -n "$SERVER_ADDR" ] || { echo "server smoke failed: server never bound"; exit 1; }
-./target/release/load_gen --addr "$SERVER_ADDR" --workload a \
-    --connections 64 --seconds 10 | tee "$SERVER_OUT.load"
-kill "$SERVER_PID" 2>/dev/null || true
-if ! grep -q "protocol_errors=0" "$SERVER_OUT.load"; then
-    echo "server smoke failed: protocol errors"; exit 1
-fi
-if grep -q "throughput_ops_s=0 " "$SERVER_OUT.load"; then
-    echo "server smoke failed: zero throughput"; exit 1
-fi
-rm -rf "$SERVER_ROOT" "$SERVER_OUT" "$SERVER_OUT.load"
+# Server smoke (the same script CI's server-smoke job runs), then the
+# SIGKILL power-cut harness.
+scripts/server_smoke.sh
 cargo test -q -p server --test power_cut
 
 # Loom model suites (read-ahead source shutdown/backpressure/reader
