@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
-use sstable::comparator::InternalKeyComparator;
+use sstable::comparator::{Comparator, InternalKeyComparator};
 use sstable::env::WritableFile;
 use sstable::ikey::{parse_internal_key, InternalKey, LookupKey, ValueType};
 use sstable::iterator::InternalIterator;
@@ -273,8 +273,9 @@ struct DbInner {
     engine: Arc<dyn CompactionEngine>,
     obs: Arc<obs::Obs>,
     metrics: DbMetrics,
-    /// The store's key order, built once (it owns an `Arc`).
-    icmp: InternalKeyComparator,
+    /// The store's key order, built once and lent to every `get`,
+    /// memtable and iterator.
+    icmp: Arc<InternalKeyComparator>,
     state: Mutex<DbState>,
     /// The WAL epoch: the log, the memtable it recovers into, and the log
     /// file number swap *together* under this lock, so a group leader
@@ -521,8 +522,8 @@ impl Db {
 
         // Replay WALs newer than the recovered log number.
         let mut max_sequence = versions.last_sequence;
-        let mut mem =
-            MemTable::with_shards(InternalKeyComparator::default(), options.memtable_shards);
+        let icmp = Arc::new(InternalKeyComparator::default());
+        let mut mem = MemTable::with_shards(Arc::clone(&icmp), options.memtable_shards);
         if existed {
             let mut log_numbers: Vec<u64> = options
                 .env
@@ -652,7 +653,7 @@ impl Db {
             let file_number = versions.new_file_number();
             let imm = std::mem::replace(
                 &mut mem,
-                MemTable::with_shards(InternalKeyComparator::default(), options.memtable_shards),
+                MemTable::with_shards(Arc::clone(&icmp), options.memtable_shards),
             );
             if let Some(meta) = write_memtable_table(&options, &dir, file_number, &Arc::new(imm))? {
                 edit.new_files.push((0, meta));
@@ -666,6 +667,9 @@ impl Db {
         versions.log_and_apply(edit)?;
 
         let metrics = DbMetrics::new(&obs.registry);
+        obs.registry
+            .gauge("lsm.memtable.shards")
+            .set(mem.shard_count() as u64);
         let table_cache =
             TableCache::new(dir.clone(), options.clone(), 1000).with_trace(Arc::clone(&obs.trace));
         let last_sequence = versions.last_sequence;
@@ -677,7 +681,7 @@ impl Db {
             engine,
             obs,
             metrics,
-            icmp: InternalKeyComparator::default(),
+            icmp,
             state: Mutex::new(DbState {
                 mem: Arc::clone(&mem),
                 imm: None,
@@ -1091,6 +1095,7 @@ impl Db {
         }
         Ok(crate::db_iter::DbIter::new(
             children,
+            Arc::clone(&self.inner.icmp) as Arc<dyn Comparator>,
             seq,
             self.inner.vlog.clone(),
         ))
@@ -1131,29 +1136,46 @@ impl Db {
         limit: usize,
         byte_budget: usize,
     ) -> Result<ScanOutcome> {
+        // Short scans usually fill their limit; unbounded ones grow.
+        let mut pairs = Vec::with_capacity(limit.min(256));
+        let (_, complete) = self.scan_each(opts, start, end, limit, byte_budget, &mut |k, v| {
+            pairs.push((k.to_vec(), v.to_vec()));
+        })?;
+        Ok(ScanOutcome { pairs, complete })
+    }
+
+    /// The scan loop under [`Db::scan`] and [`Db::scan_with`]: calls
+    /// `visit` with each live pair of `[start, end)` in key order, lent
+    /// straight from the iterator, until the range, `limit` pairs or
+    /// `byte_budget` (see [`Db::scan_with`]) runs out. Returns the
+    /// number of pairs visited and whether the range was exhausted. On
+    /// an error, pairs already visited stay visited.
+    pub fn scan_each(
+        &self,
+        opts: ReadOptions,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: usize,
+        byte_budget: usize,
+        visit: &mut dyn FnMut(&[u8], &[u8]),
+    ) -> Result<(usize, bool)> {
         let t0 = self.inner.obs.now_micros();
         let mut it = self.iter_with(opts)?;
         it.seek(start);
-        let mut pairs = Vec::new();
-        let mut used = 0usize;
-        let mut complete = true;
+        let (mut count, mut used, mut complete) = (0usize, 0usize, true);
         while it.valid() {
-            if let Some(end) = end {
-                if it.key() >= end {
-                    break;
-                }
-            }
-            if pairs.len() >= limit {
-                complete = false;
+            let (key, value) = (it.key(), it.value());
+            if end.is_some_and(|end| key >= end) {
                 break;
             }
-            let cost = it.key().len() + it.value().len() + SCAN_PAIR_OVERHEAD;
-            if used.saturating_add(cost) > byte_budget {
+            let cost = key.len() + value.len() + SCAN_PAIR_OVERHEAD;
+            if count >= limit || used.saturating_add(cost) > byte_budget {
                 complete = false;
                 break;
             }
             used += cost;
-            pairs.push((it.key().to_vec(), it.value().to_vec()));
+            count += 1;
+            visit(key, value);
             it.next();
         }
         self.inner
@@ -1161,7 +1183,7 @@ impl Db {
             .scan_micros
             .record(self.inner.obs.now_micros().saturating_sub(t0));
         it.status()?;
-        Ok(ScanOutcome { pairs, complete })
+        Ok((count, complete))
     }
 
     /// Garbage-collects sealed value-log segments: live values are
@@ -1975,7 +1997,7 @@ impl DbInner {
         // synced record inside it is unreachable on recovery.
         self.options.env.sync_dir(&self.dir)?;
         let fresh = Arc::new(MemTable::with_shards(
-            InternalKeyComparator::default(),
+            Arc::clone(&self.icmp),
             self.options.memtable_shards,
         ));
         {

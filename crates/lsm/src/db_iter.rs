@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use sstable::comparator::{Comparator, InternalKeyComparator};
+use sstable::comparator::Comparator;
 use sstable::ikey::{parse_internal_key, LookupKey, SequenceNumber, ValueType};
 use sstable::iterator::{InternalIterator, MergingIterator};
 
@@ -23,6 +23,8 @@ pub struct DbIter {
     merger: MergingIterator,
     sequence: SequenceNumber,
     key: Vec<u8>,
+    /// The dereferenced value when separation is on; otherwise unused —
+    /// [`DbIter::value`] borrows the merger's.
     value: Vec<u8>,
     /// User key whose remaining (older) versions are being skipped;
     /// swapped with `key` on `next` so neither buffer is reallocated.
@@ -37,13 +39,13 @@ pub struct DbIter {
 
 impl DbIter {
     /// Builds an iterator from already-assembled children (the `Db`
-    /// assembles memtable + table iterators).
+    /// assembles memtable + table iterators and lends its comparator).
     pub(crate) fn new(
         children: Vec<Box<dyn InternalIterator>>,
+        icmp: Arc<dyn Comparator>,
         sequence: SequenceNumber,
         vlog: Option<Arc<VlogRuntime>>,
     ) -> Self {
-        let icmp: Arc<dyn Comparator> = Arc::new(InternalKeyComparator::default());
         DbIter {
             merger: MergingIterator::new(children, icmp),
             sequence,
@@ -70,7 +72,12 @@ impl DbIter {
     /// Current value.
     pub fn value(&self) -> &[u8] {
         debug_assert!(self.valid);
-        &self.value
+        // While valid, the merger rests on the entry `key` was copied
+        // from, so its value can be lent out as is.
+        match self.vlog {
+            None => self.merger.value(),
+            Some(_) => &self.value,
+        }
     }
 
     /// Positions at the first live key.
@@ -125,19 +132,16 @@ impl DbIter {
                 ValueType::Value => {
                     self.key.clear();
                     self.key.extend_from_slice(parsed.user_key);
-                    self.value.clear();
-                    match &self.vlog {
-                        None => self.value.extend_from_slice(self.merger.value()),
-                        Some(v) => match v.resolve(self.merger.value()) {
+                    if let Some(v) = &self.vlog {
+                        match v.resolve(self.merger.value()) {
                             Ok(resolved) => self.value = resolved,
                             Err(e) => {
                                 // Stop here; the failure surfaces through
                                 // status() like a child-iterator error.
                                 self.resolve_error = Some(e.to_string());
-                                self.valid = false;
                                 return;
                             }
-                        },
+                        }
                     }
                     self.valid = true;
                     return;

@@ -30,7 +30,7 @@
 //! only iterates frozen memtables.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sstable::comparator::{Comparator, InternalKeyComparator};
 use sstable::ikey::{
@@ -45,9 +45,19 @@ const MAX_HEIGHT: usize = 12;
 /// Branching factor 4, as in LevelDB.
 const BRANCHING: u32 = 4;
 
-/// Default shard count for the concurrent memtable; see
-/// [`crate::Options::memtable_shards`].
-pub const DEFAULT_MEMTABLE_SHARDS: usize = 8;
+/// Default shard count for the concurrent memtable (see
+/// [`crate::Options::memtable_shards`]): one per core the process may
+/// run on, at most 8. A shard exists so two inserts can run at the same
+/// instant, and no more can than there are cores, while every iterator,
+/// flush and recovery pays a seek and a merge slot per shard.
+pub fn default_memtable_shards() -> usize {
+    static SHARDS: OnceLock<usize> = OnceLock::new();
+    *SHARDS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .clamp(1, 8)
+    })
+}
 /// Shard counts are clamped to this (routing uses a 64-bit hash, so more
 /// shards buy nothing but per-shard overhead).
 pub const MAX_MEMTABLE_SHARDS: usize = 64;
@@ -212,7 +222,9 @@ impl Core {
 
 /// The concurrent memtable: N independently locked skiplist shards.
 pub struct MemTable {
-    cmp: InternalKeyComparator,
+    /// Shared with the store that owns the memtable and with every
+    /// iterator it hands out.
+    cmp: Arc<InternalKeyComparator>,
     shards: Box<[Mutex<Core>]>,
     /// Approximate memory usage (arena + node overhead), readable
     /// lock-free (drives the flush trigger on the write fast path).
@@ -223,20 +235,26 @@ pub struct MemTable {
 impl MemTable {
     /// Creates an empty memtable with the default shard count.
     pub fn new(cmp: InternalKeyComparator) -> Self {
-        Self::with_shards(cmp, DEFAULT_MEMTABLE_SHARDS)
+        Self::with_shards(cmp, default_memtable_shards())
     }
 
     /// Creates an empty memtable with `shards` skiplist shards (clamped
     /// to `1..=`[`MAX_MEMTABLE_SHARDS`]). One shard reproduces the old
-    /// single-skiplist layout (all writers serialize on it).
-    pub fn with_shards(cmp: InternalKeyComparator, shards: usize) -> Self {
+    /// single-skiplist layout (all writers serialize on it). A store
+    /// passes the `Arc` of the comparator it already owns.
+    pub fn with_shards(cmp: impl Into<Arc<InternalKeyComparator>>, shards: usize) -> Self {
         let n = shards.clamp(1, MAX_MEMTABLE_SHARDS);
         MemTable {
-            cmp,
+            cmp: cmp.into(),
             shards: (0..n).map(|i| Mutex::new(Core::new(i))).collect(),
             approx_bytes: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),
         }
+    }
+
+    /// Number of skiplist shards (the clamped construction argument).
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
     }
 
     /// The shard a user key routes to (FNV-1a; every version of a user
@@ -315,7 +333,7 @@ impl MemTable {
                 }) as Box<dyn InternalIterator>
             })
             .collect();
-        MergingIterator::new(cursors, Arc::new(self.cmp.clone()))
+        MergingIterator::new(cursors, Arc::clone(&self.cmp) as Arc<dyn Comparator>)
     }
 }
 

@@ -52,7 +52,9 @@ pub struct Options {
     /// Skiplist shard count for the concurrent memtable. Concurrent
     /// writers serialize only per shard, so more shards admit more
     /// parallel inserts; one shard reproduces the old single-writer
-    /// layout. Clamped to `1..=`[`crate::memtable::MAX_MEMTABLE_SHARDS`].
+    /// layout. Defaults to
+    /// [`crate::memtable::default_memtable_shards`] (one per core, at
+    /// most 8); clamped to `1..=`[`crate::memtable::MAX_MEMTABLE_SHARDS`].
     pub memtable_shards: usize,
     /// Pre-built data-block cache shared across *stores*. A sharded
     /// serving layer passes the same `Arc` to every shard's `Options` so
@@ -111,7 +113,7 @@ impl Default for Options {
             block_cache_bytes: Some(8 << 20),
             sync_writes: false,
             max_group_commit_bytes: 1 << 20,
-            memtable_shards: crate::memtable::DEFAULT_MEMTABLE_SHARDS,
+            memtable_shards: crate::memtable::default_memtable_shards(),
             shared_block_cache: None,
             env: Arc::new(StdEnv),
             slowdown_sleep: true,

@@ -5,11 +5,11 @@
 //! and then collect the matching responses — the server-side concurrency
 //! model the load generator leans on.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::proto::{self, BatchOp, ProtoError, Request, Response};
+use crate::proto::{self, BatchOp, FrameBuf, ProtoError, Request, Response};
 
 /// Client-side failure: transport or protocol.
 #[derive(Debug)]
@@ -56,7 +56,11 @@ pub type Result<T> = std::result::Result<T, ClientError>;
 /// A connected client.
 pub struct KvClient {
     stream: TcpStream,
+    /// Outgoing frames of the request (or burst) being sent.
     buf: Vec<u8>,
+    /// Incoming bytes; survives a read timeout, so a late reply is still
+    /// framed correctly.
+    inbuf: FrameBuf,
 }
 
 impl KvClient {
@@ -67,6 +71,7 @@ impl KvClient {
         Ok(KvClient {
             stream,
             buf: Vec::new(),
+            inbuf: FrameBuf::new(),
         })
     }
 
@@ -101,8 +106,13 @@ impl KvClient {
 
     /// Sends one request and waits for its response.
     pub fn request(&mut self, req: &Request) -> Result<Response> {
+        self.call(|buf| proto::encode_request(buf, req))
+    }
+
+    /// Sends the one frame `encode` writes and waits for its response.
+    fn call(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Response> {
         self.buf.clear();
-        proto::encode_request(&mut self.buf, req);
+        encode(&mut self.buf);
         self.stream.write_all(&self.buf)?;
         self.read_response()
     }
@@ -124,17 +134,19 @@ impl KvClient {
     }
 
     fn read_response(&mut self) -> Result<Response> {
-        let mut prefix = [0u8; 4];
-        self.stream.read_exact(&mut prefix)?;
-        let len = proto::frame_len(prefix)?;
-        let mut body = vec![0u8; len];
-        self.stream.read_exact(&mut body)?;
-        Ok(proto::decode_response(&body)?)
+        loop {
+            if let Some(body) = self.inbuf.next_frame()? {
+                return Ok(proto::decode_response(body)?);
+            }
+            if self.inbuf.fill_from(&mut self.stream)? == 0 {
+                return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
+            }
+        }
     }
 
     /// Point lookup.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.request(&Request::Get { key: key.to_vec() })? {
+        match self.call(|buf| proto::write_get(buf, key))? {
             Response::Value(v) => Ok(Some(v)),
             Response::NotFound => Ok(None),
             other => Err(unexpected(other)),
@@ -143,11 +155,7 @@ impl KvClient {
 
     /// Write; `sync` demands a durable ack.
     pub fn put(&mut self, key: &[u8], value: &[u8], sync: bool) -> Result<()> {
-        match self.request(&Request::Put {
-            key: key.to_vec(),
-            value: value.to_vec(),
-            sync,
-        })? {
+        match self.call(|buf| proto::write_put(buf, key, value, sync))? {
             Response::Ok => Ok(()),
             other => Err(unexpected(other)),
         }
@@ -155,10 +163,7 @@ impl KvClient {
 
     /// Delete; `sync` demands a durable ack.
     pub fn delete(&mut self, key: &[u8], sync: bool) -> Result<()> {
-        match self.request(&Request::Delete {
-            key: key.to_vec(),
-            sync,
-        })? {
+        match self.call(|buf| proto::write_delete(buf, key, sync))? {
             Response::Ok => Ok(()),
             other => Err(unexpected(other)),
         }
@@ -191,11 +196,7 @@ impl KvClient {
         end: Option<&[u8]>,
         limit: u32,
     ) -> Result<(Vec<(Vec<u8>, Vec<u8>)>, bool)> {
-        match self.request(&Request::Scan {
-            start: start.to_vec(),
-            end: end.map(<[u8]>::to_vec),
-            limit,
-        })? {
+        match self.call(|buf| proto::write_scan(buf, start, end, limit))? {
             Response::Pairs(pairs) => Ok((pairs, true)),
             Response::PairsPartial(pairs) => Ok((pairs, false)),
             other => Err(unexpected(other)),

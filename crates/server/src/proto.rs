@@ -302,85 +302,147 @@ impl std::error::Error for ProtoError {}
 
 // ---------------------------------------------------------------- encode
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// One frame being written in place at the end of a buffer: the length
+/// prefix is reserved by [`Frame::begin`] and back-patched by
+/// [`Frame::finish`], so no body is ever built somewhere else first.
+/// Every encoder in this module goes through it.
+struct Frame<'a> {
+    out: &'a mut Vec<u8>,
+    /// Offset of the reserved length prefix in `out`.
+    start: usize,
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+impl<'a> Frame<'a> {
+    /// Opens a frame whose body starts with the version byte and `kind`
+    /// (a request opcode or a response tag).
+    fn begin(out: &'a mut Vec<u8>, kind: u8) -> Self {
+        let start = out.len();
+        out.extend_from_slice(&[0, 0, 0, 0, PROTO_VERSION, kind]);
+        Frame { out, start }
+    }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
+    fn u8(&mut self, v: u8) {
+        self.out.push(v);
+    }
 
-/// Appends `body` to `out` as a complete frame (length prefix + body).
-pub fn encode_frame(out: &mut Vec<u8>, body: &[u8]) {
-    put_u32(out, body.len() as u32);
-    out.extend_from_slice(body);
-}
+    fn u32(&mut self, v: u32) {
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
 
-/// Encodes `req` (body only, no length prefix) into a fresh buffer.
-pub fn encode_request_body(req: &Request) -> Vec<u8> {
-    let mut out = vec![PROTO_VERSION];
-    match req {
-        Request::Get { key } => {
-            out.push(opcode::GET);
-            put_bytes(&mut out, key);
+    fn u64(&mut self, v: u64) {
+        self.out.extend_from_slice(&v.to_le_bytes());
+    }
+
+    /// Unprefixed bytes: a payload that runs to the end of the body.
+    fn raw(&mut self, b: &[u8]) {
+        self.out.extend_from_slice(b);
+    }
+
+    /// `u32` length + bytes.
+    fn bytes(&mut self, b: &[u8]) {
+        self.u32(b.len() as u32);
+        self.raw(b);
+    }
+
+    fn sync_flag(&mut self, sync: bool) {
+        self.u8(if sync { flags::SYNC } else { 0 });
+    }
+
+    /// Overwrites the four bytes `offset` past the frame's start.
+    fn patch_u32(&mut self, offset: usize, v: u32) {
+        let at = self.start + offset;
+        if let Some(slot) = self.out.get_mut(at..at + 4) {
+            slot.copy_from_slice(&v.to_le_bytes());
         }
-        Request::Put { key, value, sync } => {
-            out.push(opcode::PUT);
-            out.push(if *sync { flags::SYNC } else { 0 });
-            put_bytes(&mut out, key);
-            put_bytes(&mut out, value);
+    }
+
+    /// Back-patches the length prefix; the frame is complete.
+    fn finish(mut self) {
+        let body = self.out.len() - self.start - 4;
+        self.patch_u32(0, body as u32);
+    }
+}
+
+/// Appends a `Get` request frame for a borrowed key.
+pub fn write_get(out: &mut Vec<u8>, key: &[u8]) {
+    let mut f = Frame::begin(out, opcode::GET);
+    f.bytes(key);
+    f.finish();
+}
+
+/// Appends a `Put` request frame for a borrowed key and value.
+pub fn write_put(out: &mut Vec<u8>, key: &[u8], value: &[u8], sync: bool) {
+    let mut f = Frame::begin(out, opcode::PUT);
+    f.sync_flag(sync);
+    f.bytes(key);
+    f.bytes(value);
+    f.finish();
+}
+
+/// Appends a `Delete` request frame for a borrowed key.
+pub fn write_delete(out: &mut Vec<u8>, key: &[u8], sync: bool) {
+    let mut f = Frame::begin(out, opcode::DELETE);
+    f.sync_flag(sync);
+    f.bytes(key);
+    f.finish();
+}
+
+/// Appends a `Scan` request frame for borrowed bounds.
+pub fn write_scan(out: &mut Vec<u8>, start: &[u8], end: Option<&[u8]>, limit: u32) {
+    let mut f = Frame::begin(out, opcode::SCAN);
+    f.bytes(start);
+    match end {
+        Some(end) => {
+            f.u8(1);
+            f.bytes(end);
         }
-        Request::Delete { key, sync } => {
-            out.push(opcode::DELETE);
-            out.push(if *sync { flags::SYNC } else { 0 });
-            put_bytes(&mut out, key);
-        }
+        None => f.u8(0),
+    }
+    f.u32(limit);
+    f.finish();
+}
+
+/// Appends `req` to `out` as a complete frame.
+pub fn encode_request(out: &mut Vec<u8>, req: &Request) {
+    let f = match req {
+        Request::Get { key } => return write_get(out, key),
+        Request::Put { key, value, sync } => return write_put(out, key, value, *sync),
+        Request::Delete { key, sync } => return write_delete(out, key, *sync),
         Request::Scan { start, end, limit } => {
-            out.push(opcode::SCAN);
-            put_bytes(&mut out, start);
-            match end {
-                Some(end) => {
-                    out.push(1);
-                    put_bytes(&mut out, end);
-                }
-                None => out.push(0),
-            }
-            put_u32(&mut out, *limit);
+            return write_scan(out, start, end.as_deref(), *limit)
         }
         Request::WriteBatch { ops, sync } => {
-            out.push(opcode::WRITE_BATCH);
-            out.push(if *sync { flags::SYNC } else { 0 });
-            put_u32(&mut out, ops.len() as u32);
+            let mut f = Frame::begin(out, opcode::WRITE_BATCH);
+            f.sync_flag(*sync);
+            f.u32(ops.len() as u32);
             for op in ops {
                 match op {
                     BatchOp::Put { key, value } => {
-                        out.push(0);
-                        put_bytes(&mut out, key);
-                        put_bytes(&mut out, value);
+                        f.u8(0);
+                        f.bytes(key);
+                        f.bytes(value);
                     }
                     BatchOp::Delete { key } => {
-                        out.push(1);
-                        put_bytes(&mut out, key);
+                        f.u8(1);
+                        f.bytes(key);
                     }
                 }
             }
+            f
         }
         Request::Stats { json } => {
-            out.push(opcode::STATS);
-            out.push(u8::from(*json));
+            let mut f = Frame::begin(out, opcode::STATS);
+            f.u8(u8::from(*json));
+            f
         }
         Request::ReplHello { cursors } => {
-            out.push(opcode::REPL_HELLO);
-            put_u32(&mut out, cursors.len() as u32);
+            let mut f = Frame::begin(out, opcode::REPL_HELLO);
+            f.u32(cursors.len() as u32);
             for (segment, offset) in cursors {
-                put_u64(&mut out, *segment);
-                put_u64(&mut out, *offset);
+                f.u64(*segment);
+                f.u64(*offset);
             }
+            f
         }
         Request::ReplAck {
             replica,
@@ -389,57 +451,51 @@ pub fn encode_request_body(req: &Request) -> Vec<u8> {
             offset,
             seq,
         } => {
-            out.push(opcode::REPL_ACK);
-            put_u64(&mut out, *replica);
-            put_u32(&mut out, *shard);
-            put_u64(&mut out, *segment);
-            put_u64(&mut out, *offset);
-            put_u64(&mut out, *seq);
+            let mut f = Frame::begin(out, opcode::REPL_ACK);
+            f.u64(*replica);
+            f.u32(*shard);
+            f.u64(*segment);
+            f.u64(*offset);
+            f.u64(*seq);
+            f
         }
-        Request::Promote => out.push(opcode::PROMOTE),
-        Request::GetSeq => out.push(opcode::GET_SEQ),
+        Request::Promote => Frame::begin(out, opcode::PROMOTE),
+        Request::GetSeq => Frame::begin(out, opcode::GET_SEQ),
         Request::GetRyw { key, min_seqs } => {
-            out.push(opcode::GET_RYW);
-            put_bytes(&mut out, key);
-            put_u32(&mut out, min_seqs.len() as u32);
+            let mut f = Frame::begin(out, opcode::GET_RYW);
+            f.bytes(key);
+            f.u32(min_seqs.len() as u32);
             for s in min_seqs {
-                put_u64(&mut out, *s);
+                f.u64(*s);
             }
+            f
         }
-        Request::Shutdown => out.push(opcode::SHUTDOWN),
-    }
-    out
+        Request::Shutdown => Frame::begin(out, opcode::SHUTDOWN),
+    };
+    f.finish();
 }
 
-/// Encodes `resp` (body only, no length prefix) into a fresh buffer.
-pub fn encode_response_body(resp: &Response) -> Vec<u8> {
-    let mut out = vec![PROTO_VERSION];
-    match resp {
-        Response::Ok => out.push(tag::OK),
-        Response::NotFound => out.push(tag::NOT_FOUND),
+/// Appends `resp` to `out` as a complete frame.
+pub fn encode_response(out: &mut Vec<u8>, resp: &Response) {
+    let f = match resp {
+        Response::Pairs(pairs) | Response::PairsPartial(pairs) => {
+            let mut w = PairsWriter::begin(out);
+            for (k, v) in pairs {
+                w.push(k, v);
+            }
+            return w.finish(matches!(resp, Response::Pairs(_)));
+        }
+        Response::Ok => Frame::begin(out, tag::OK),
+        Response::NotFound => Frame::begin(out, tag::NOT_FOUND),
         Response::Value(v) => {
-            out.push(tag::VALUE);
-            out.extend_from_slice(v);
-        }
-        Response::Pairs(pairs) => {
-            out.push(tag::PAIRS);
-            put_u32(&mut out, pairs.len() as u32);
-            for (k, v) in pairs {
-                put_bytes(&mut out, k);
-                put_bytes(&mut out, v);
-            }
-        }
-        Response::PairsPartial(pairs) => {
-            out.push(tag::PAIRS_PARTIAL);
-            put_u32(&mut out, pairs.len() as u32);
-            for (k, v) in pairs {
-                put_bytes(&mut out, k);
-                put_bytes(&mut out, v);
-            }
+            let mut f = Frame::begin(out, tag::VALUE);
+            f.raw(v);
+            f
         }
         Response::Stats(s) => {
-            out.push(tag::STATS);
-            out.extend_from_slice(s.as_bytes());
+            let mut f = Frame::begin(out, tag::STATS);
+            f.raw(s.as_bytes());
+            f
         }
         Response::Replicate {
             shard,
@@ -448,46 +504,96 @@ pub fn encode_response_body(resp: &Response) -> Vec<u8> {
             last_seq,
             record,
         } => {
-            out.push(tag::REPLICATE);
-            put_u32(&mut out, *shard);
-            put_u64(&mut out, *segment);
-            put_u64(&mut out, *offset);
-            put_u64(&mut out, *last_seq);
-            put_bytes(&mut out, record);
+            let mut f = Frame::begin(out, tag::REPLICATE);
+            f.u32(*shard);
+            f.u64(*segment);
+            f.u64(*offset);
+            f.u64(*last_seq);
+            f.bytes(record);
+            f
         }
         Response::SeqTokens(seqs) => {
-            out.push(tag::SEQ_TOKENS);
-            put_u32(&mut out, seqs.len() as u32);
+            let mut f = Frame::begin(out, tag::SEQ_TOKENS);
+            f.u32(seqs.len() as u32);
             for s in seqs {
-                put_u64(&mut out, *s);
+                f.u64(*s);
             }
+            f
         }
         Response::Lagging { applied } => {
-            out.push(tag::LAGGING);
-            put_u64(&mut out, *applied);
+            let mut f = Frame::begin(out, tag::LAGGING);
+            f.u64(*applied);
+            f
         }
         Response::Err(msg) => {
-            out.push(tag::ERR);
-            out.extend_from_slice(msg.as_bytes());
+            let mut f = Frame::begin(out, tag::ERR);
+            f.raw(msg.as_bytes());
+            f
         }
         Response::ProtoErr(msg) => {
-            out.push(tag::PROTO_ERR);
-            out.extend_from_slice(msg.as_bytes());
+            let mut f = Frame::begin(out, tag::PROTO_ERR);
+            f.raw(msg.as_bytes());
+            f
         }
+    };
+    f.finish();
+}
+
+/// A scan reply written pair by pair, straight from whatever yields the
+/// pairs, into the buffer the socket write takes. Whether the reply is
+/// [`Response::Pairs`] or [`Response::PairsPartial`] is only known once
+/// the scan stops, so the tag and the pair count are back-patched by
+/// [`PairsWriter::finish`] along with the length prefix.
+pub struct PairsWriter<'a> {
+    frame: Frame<'a>,
+    count: u32,
+}
+
+impl<'a> PairsWriter<'a> {
+    /// Frame offsets of the tag byte and of the pair count.
+    const TAG_AT: usize = 5;
+    const COUNT_AT: usize = 6;
+
+    /// Opens a pair-list frame at the end of `out`.
+    pub fn begin(out: &'a mut Vec<u8>) -> Self {
+        let mut frame = Frame::begin(out, tag::PAIRS);
+        frame.u32(0);
+        PairsWriter { frame, count: 0 }
     }
-    out
-}
 
-/// Encodes `req` as a complete frame.
-pub fn encode_request(out: &mut Vec<u8>, req: &Request) {
-    let body = encode_request_body(req);
-    encode_frame(out, &body);
-}
+    /// Appends one pair.
+    pub fn push(&mut self, key: &[u8], value: &[u8]) {
+        self.frame.bytes(key);
+        self.frame.bytes(value);
+        self.count += 1;
+    }
 
-/// Encodes `resp` as a complete frame.
-pub fn encode_response(out: &mut Vec<u8>, resp: &Response) {
-    let body = encode_response_body(resp);
-    encode_frame(out, &body);
+    /// Pairs appended so far.
+    pub fn len(&self) -> usize {
+        self.count as usize
+    }
+
+    /// True before the first [`PairsWriter::push`].
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Completes the frame; `complete == false` marks the list as cut
+    /// short ([`Response::PairsPartial`]).
+    pub fn finish(mut self, complete: bool) {
+        if !complete {
+            if let Some(t) = self.frame.out.get_mut(self.frame.start + Self::TAG_AT) {
+                *t = tag::PAIRS_PARTIAL;
+            }
+        }
+        self.frame.patch_u32(Self::COUNT_AT, self.count);
+        self.frame.finish();
+    }
+
+    /// Drops the unfinished frame, leaving the buffer as `begin` found it.
+    pub fn abort(self) {
+        self.frame.out.truncate(self.frame.start);
+    }
 }
 
 // ---------------------------------------------------------------- decode
@@ -737,9 +843,132 @@ pub fn frame_len(prefix: [u8; 4]) -> Result<usize, ProtoError> {
     }
 }
 
+/// Sans-IO frame reader: the one place that turns a byte stream into
+/// frame bodies. The owner reads from its socket into [`FrameBuf::space`],
+/// reports the count with [`FrameBuf::filled`] and takes bodies out with
+/// [`FrameBuf::next_frame`] until that returns `None`, so a frame that
+/// arrives whole costs one `read`, and a burst of frames costs one too.
+///
+/// Consuming a frame moves a read cursor; bytes are only moved when a
+/// partial frame has to make room for its remainder. A length prefix is
+/// checked against [`MAX_FRAME`] the moment its four bytes are buffered
+/// — before the buffer grows for the body. The buffer starts at
+/// [`FrameBuf::INITIAL`] bytes, grows to exactly a larger frame's size,
+/// and returns to the initial size once that frame is consumed.
+pub struct FrameBuf {
+    buf: Vec<u8>,
+    /// Start of the unconsumed bytes.
+    read: usize,
+    /// End of the buffered bytes.
+    write: usize,
+    /// Size (prefix included) of the incomplete frame at `read`, once its
+    /// prefix has been seen; 0 otherwise.
+    pending: usize,
+}
+
+impl Default for FrameBuf {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl FrameBuf {
+    /// Capacity at rest: one `read` picks up this much.
+    pub const INITIAL: usize = 64 << 10;
+
+    /// An empty buffer of [`FrameBuf::INITIAL`] bytes.
+    pub fn new() -> Self {
+        FrameBuf {
+            buf: vec![0; Self::INITIAL],
+            read: 0,
+            write: 0,
+            pending: 0,
+        }
+    }
+
+    /// Current buffer size in bytes.
+    pub fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// True when no byte — not even part of a frame — is buffered.
+    pub fn is_empty(&self) -> bool {
+        self.read == self.write
+    }
+
+    /// The next complete frame's body, `None` when more bytes are needed,
+    /// or [`ProtoError::Oversized`] for a prefix past [`MAX_FRAME`].
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, ProtoError> {
+        let buffered = self.buf.get(self.read..self.write).unwrap_or_default();
+        let Some(prefix) = buffered.get(..4).and_then(|p| p.try_into().ok()) else {
+            self.pending = 0;
+            return Ok(None);
+        };
+        let end = self.read + 4 + frame_len(prefix)?;
+        if end > self.write {
+            self.pending = end - self.read;
+            return Ok(None);
+        }
+        let body = self.buf.get(self.read + 4..end);
+        self.read = end;
+        self.pending = 0;
+        Ok(body)
+    }
+
+    /// Where the next `read` goes: never empty after
+    /// [`FrameBuf::next_frame`] returned `None`, and large enough for the
+    /// rest of the frame that call found incomplete.
+    pub fn space(&mut self) -> &mut [u8] {
+        if self.read > 0 {
+            // At most one partial frame is left to move.
+            self.buf.copy_within(self.read..self.write, 0);
+            self.write -= self.read;
+            self.read = 0;
+        }
+        let want = self.pending.max(Self::INITIAL);
+        if self.buf.len() != want && self.write <= want {
+            self.buf.resize(want, 0);
+            self.buf.shrink_to(want);
+        }
+        self.buf.get_mut(self.write..).unwrap_or_default()
+    }
+
+    /// Records that `n` bytes were read into [`FrameBuf::space`].
+    pub fn filled(&mut self, n: usize) {
+        self.write = (self.write + n).min(self.buf.len());
+    }
+
+    /// One blocking `read` from `src` into the free space; returns what
+    /// `read` returned (0 = end of stream).
+    pub fn fill_from(&mut self, src: &mut impl std::io::Read) -> std::io::Result<usize> {
+        let n = src.read(self.space())?;
+        self.filled(n);
+        Ok(n)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The body of `req`'s frame (prefix checked and stripped).
+    fn encode_request_body(req: &Request) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_request(&mut frame, req);
+        strip_prefix(frame)
+    }
+
+    fn encode_response_body(resp: &Response) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_response(&mut frame, resp);
+        strip_prefix(frame)
+    }
+
+    fn strip_prefix(mut frame: Vec<u8>) -> Vec<u8> {
+        let body = frame.split_off(4);
+        assert_eq!(frame_len(frame.try_into().unwrap()), Ok(body.len()));
+        body
+    }
 
     fn round_trip_request(req: Request) {
         let body = encode_request_body(&req);

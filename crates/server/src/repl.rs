@@ -26,7 +26,7 @@
 //! for not having to persist cursors crash-consistently.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -35,7 +35,7 @@ use lsm::WalCursor;
 use tokio::io::AsyncWriteExt;
 use tokio::net::TcpStream;
 
-use crate::proto::{self, Request, Response};
+use crate::proto::{self, FrameBuf, Request, Response};
 use crate::server::Shared;
 
 /// Byte budget per feed chunk read (several WAL blocks' worth).
@@ -435,7 +435,10 @@ fn replica_session(
     let stream = std::net::TcpStream::connect(leader)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(REPLICA_READ_TIMEOUT))?;
-    let mut feed = FrameReader::new(stream);
+    let mut feed = Feed {
+        stream,
+        inbuf: FrameBuf::new(),
+    };
     let mut out = Vec::new();
     proto::encode_request(
         &mut out,
@@ -445,12 +448,12 @@ fn replica_session(
     );
     feed.stream.write_all(&out)?;
     let repl = &shared.repl;
-    let Some(hello) = feed.next_frame(|| repl.stopped())? else {
+    let Some(hello) = feed.next_response(|| repl.stopped())? else {
         return Ok(false);
     };
-    let id = match proto::decode_response(&hello) {
-        Ok(Response::SeqTokens(ids)) if ids.len() == 1 => ids[0],
-        Ok(Response::Err(_)) => {
+    let id = match hello {
+        Response::SeqTokens(ids) if ids.len() == 1 => ids[0],
+        Response::Err(_) => {
             // Our cursors are unserveable: full resync next session.
             for c in cursors.iter_mut() {
                 *c = (0, 0);
@@ -469,17 +472,17 @@ fn replica_session(
         .map_err(|e| stream_error(format!("ack connect failed: {e}")))?;
     let mut progressed = false;
     loop {
-        let Some(body) = feed.next_frame(|| repl.stopped())? else {
+        let Some(frame) = feed.next_response(|| repl.stopped())? else {
             return Ok(progressed);
         };
-        match proto::decode_response(&body) {
-            Ok(Response::Replicate {
+        match frame {
+            Response::Replicate {
                 shard,
                 segment,
                 offset,
                 last_seq,
                 record,
-            }) => {
+            } => {
                 let shard = shard as usize;
                 let Some(db) = shared.shards.get(shard) else {
                     return Err(stream_error(format!("feed for unknown shard {shard}")));
@@ -498,7 +501,7 @@ fn replica_session(
                 ack.repl_ack(id, shard as u32, segment, offset, applied)
                     .map_err(|e| stream_error(format!("ack failed: {e}")))?;
             }
-            Ok(Response::Err(_)) => {
+            Response::Err(_) => {
                 // Mid-stream feed error (e.g. the leader lost a segment
                 // we still need): full resync next session.
                 for c in cursors.iter_mut() {
@@ -506,10 +509,9 @@ fn replica_session(
                 }
                 return Ok(progressed);
             }
-            Ok(other) => {
+            other => {
                 return Err(stream_error(format!("unexpected feed frame: {other:?}")));
             }
-            Err(e) => return Err(stream_error(format!("feed decode: {e}"))),
         }
     }
 }
@@ -518,55 +520,44 @@ fn stream_error(msg: String) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
 }
 
-/// Frame reader over a blocking socket with a read timeout: buffers
-/// partial reads so a timeout can never desynchronize framing, and polls
-/// `stop` between reads so the loop stays responsive to promotion and
-/// shutdown.
-struct FrameReader {
+/// The replica's end of a feed connection: a blocking socket with a
+/// read timeout behind a [`FrameBuf`], which keeps partial reads so a
+/// timeout can never desynchronize framing.
+struct Feed {
     stream: std::net::TcpStream,
-    buf: Vec<u8>,
+    inbuf: FrameBuf,
 }
 
-impl FrameReader {
-    fn new(stream: std::net::TcpStream) -> Self {
-        FrameReader {
-            stream,
-            buf: Vec::new(),
-        }
-    }
-
-    /// Returns the next complete frame body, or `None` when `stop`
-    /// turned true while waiting for bytes.
-    fn next_frame(&mut self, stop: impl Fn() -> bool) -> std::io::Result<Option<Vec<u8>>> {
+impl Feed {
+    /// Returns the next decoded frame, or `None` when `stop` turned true
+    /// while waiting for bytes; `stop` is polled between reads so the
+    /// loop stays responsive to promotion and shutdown.
+    fn next_response(&mut self, stop: impl Fn() -> bool) -> std::io::Result<Option<Response>> {
         loop {
-            if self.buf.len() >= 4 {
-                let prefix = [self.buf[0], self.buf[1], self.buf[2], self.buf[3]];
-                let len = proto::frame_len(prefix)
-                    .map_err(|e| stream_error(format!("feed frame: {e}")))?;
-                if self.buf.len() >= 4 + len {
-                    let body = self.buf[4..4 + len].to_vec();
-                    self.buf.drain(..4 + len);
-                    return Ok(Some(body));
-                }
+            let frame = self
+                .inbuf
+                .next_frame()
+                .map_err(|e| stream_error(format!("feed frame: {e}")))?;
+            if let Some(body) = frame {
+                return proto::decode_response(body)
+                    .map(Some)
+                    .map_err(|e| stream_error(format!("feed decode: {e}")));
             }
             if stop() {
                 return Ok(None);
             }
-            let mut chunk = [0u8; 16 * 1024];
-            match self.stream.read(&mut chunk) {
+            match self.inbuf.fill_from(&mut self.stream) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
                         "feed connection closed",
                     ));
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
+                // Read timeout: loop to re-check `stop`.
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    // Read timeout: loop to re-check `stop`.
-                }
+                        || e.kind() == std::io::ErrorKind::TimedOut => {}
                 Err(e) => return Err(e),
             }
         }

@@ -8,9 +8,10 @@
 //! measured. All shards also share one `obs` bundle and one block
 //! cache, so a single metrics export shows the whole box.
 //!
-//! Each connection is handled by its own task: read a frame, decode,
-//! dispatch, write the response — strictly in request order, which is
-//! what allows clients to pipeline. Writes are moved onto tokio's
+//! Each connection is handled by its own task: read whatever has
+//! arrived, decode and dispatch every complete frame in it, write the
+//! responses — strictly in request order, which is what allows clients
+//! to pipeline. Writes are moved onto tokio's
 //! blocking pool, because `lsm::Db::write` parks the calling thread
 //! while its group commits: run inline it would stall the runtime
 //! worker (and with it every other connection), run on the blocking
@@ -387,63 +388,80 @@ async fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
     }
 }
 
+/// Replies are handed to the socket once no complete request is left
+/// buffered, or sooner once this many bytes are waiting: a pipelined
+/// burst is answered with one `write`, and a burst of large replies
+/// still streams.
+const OUT_FLUSH_BYTES: usize = 256 << 10;
+
 /// Serves one connection until EOF, I/O error, shutdown, or a protocol
 /// violation (which is answered with `ProtoErr` before closing).
 async fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::io::Result<()> {
-    let mut body = Vec::new();
+    let mut inbuf = proto::FrameBuf::new();
     let mut out = Vec::new();
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        let n = stream.read(inbuf.space()).await?;
+        if n == 0 {
+            // EOF ends the connection quietly.
             return Ok(());
         }
-        let mut prefix = [0u8; 4];
-        match stream.read_exact(&mut prefix).await {
-            Ok(()) => {}
-            // Clean EOF between frames ends the connection quietly.
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) => return Err(e),
-        }
-        let len = match proto::frame_len(prefix) {
-            Ok(len) => len,
-            Err(e) => {
-                shared.metrics.proto_errors.inc();
-                out.clear();
-                proto::encode_response(&mut out, &Response::ProtoErr(e.to_string()));
+        inbuf.filled(n);
+        loop {
+            let next = inbuf
+                .next_frame()
+                .and_then(|body| body.map(proto::decode_request).transpose());
+            let req = match next {
+                Ok(Some(req)) => req,
+                Ok(None) => break,
+                Err(e) => return reject(shared, &mut stream, &mut out, &e.to_string()).await,
+            };
+            // A replication handshake converts this connection into a
+            // one-way feed; it never returns to the request/response
+            // loop, and a replica sends nothing after it.
+            if let Request::ReplHello { cursors } = req {
+                if !inbuf.is_empty() {
+                    let why = "bytes after replication handshake";
+                    return reject(shared, &mut stream, &mut out, why).await;
+                }
                 stream.write_all(&out).await?;
-                return Ok(());
+                return repl::serve_feed(shared, stream, cursors).await;
             }
-        };
-        body.resize(len, 0);
-        stream.read_exact(&mut body).await?;
-        let req = match proto::decode_request(&body) {
-            Ok(req) => req,
-            Err(e) => {
-                shared.metrics.proto_errors.inc();
-                out.clear();
-                proto::encode_response(&mut out, &Response::ProtoErr(e.to_string()));
+            dispatch(shared, req, &mut out).await;
+            if shared.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            if out.len() >= OUT_FLUSH_BYTES {
                 stream.write_all(&out).await?;
-                return Ok(());
+                out.clear();
             }
-        };
-        // A replication handshake converts this connection into a one-way
-        // feed; it never returns to the request/response loop.
-        if let Request::ReplHello { cursors } = req {
-            return repl::serve_feed(shared, stream, cursors).await;
         }
-        let resp = dispatch(shared, req).await;
-        out.clear();
-        proto::encode_response(&mut out, &resp);
         stream.write_all(&out).await?;
+        out.clear();
     }
+    Ok(())
 }
 
-/// Executes one decoded request against the shards. Reads and buffered
-/// writes run inline on the runtime worker (microsecond work). A *sync*
-/// write parks its thread for a whole fsync while its group commits, so
-/// it runs on the blocking pool, where concurrent connections' sync
-/// writes overlap and ride one shard's group commit instead of
-/// serializing the runtime worker — the fsync dwarfs the thread hop.
-async fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
+/// Answers a protocol violation: the replies already encoded, then
+/// `ProtoErr(why)`; the caller closes the connection.
+async fn reject(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    out: &mut Vec<u8>,
+    why: &str,
+) -> std::io::Result<()> {
+    shared.metrics.proto_errors.inc();
+    proto::encode_response(out, &Response::ProtoErr(why.to_string()));
+    stream.write_all(out).await
+}
+
+/// Executes one decoded request against the shards and appends its
+/// response frame to `out`. Reads and buffered writes run inline on the
+/// runtime worker (microsecond work). A *sync* write parks its thread
+/// for a whole fsync while its group commits, so it runs on the blocking
+/// pool, where concurrent connections' sync writes overlap and ride one
+/// shard's group commit instead of serializing the runtime worker — the
+/// fsync dwarfs the thread hop.
+async fn dispatch(shared: &Arc<Shared>, req: Request, out: &mut Vec<u8>) {
     let m = &shared.metrics;
     let t0 = shared.obs.now_micros();
     let (hist, resp) = match req {
@@ -456,10 +474,14 @@ async fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
             &m.del_micros,
             run_write(shared, sync, move |s| do_delete(s, &key, sync)).await,
         ),
-        Request::Scan { start, end, limit } => (
-            &m.scan_micros,
-            do_scan(shared, &start, end.as_deref(), limit),
-        ),
+        // The one reply that is not built first: pairs go from the
+        // iterator into `out`.
+        Request::Scan { start, end, limit } => {
+            do_scan(shared, &start, end.as_deref(), limit, out);
+            m.scan_micros
+                .record(shared.obs.now_micros().saturating_sub(t0));
+            return;
+        }
         Request::WriteBatch { ops, sync } => (
             &m.batch_micros,
             run_write(shared, sync, move |s| do_batch(s, ops, sync)).await,
@@ -503,7 +525,7 @@ async fn dispatch(shared: &Arc<Shared>, req: Request) -> Response {
         Request::Shutdown => (&m.ctl_micros, do_shutdown(shared).await),
     };
     hist.record(shared.obs.now_micros().saturating_sub(t0));
-    resp
+    proto::encode_response(out, &resp);
 }
 
 /// Runs a write inline when it is buffered (cheap), or on tokio's
@@ -618,17 +640,18 @@ fn do_delete(shared: &Shared, key: &[u8], sync: bool) -> Response {
     }
 }
 
-/// Scans shards in range order, concatenating results — ranges are
-/// contiguous per shard, so the concatenation is globally sorted.
+/// Scans shards in range order, writing each pair from the shard's
+/// iterator straight into the reply frame at the end of `out` — ranges
+/// are contiguous per shard, so the concatenation is globally sorted.
 ///
 /// Two caps bound the reply: the caller's pair `limit` and a byte budget
 /// that keeps the encoded frame under [`proto::MAX_FRAME`] even when
 /// every pair carries a large value (each pair costs its key + value +
 /// [`lsm::SCAN_PAIR_OVERHEAD`] bytes of budget, which over-covers the
 /// 8 bytes of wire framing per pair). A scan cut short by either cap
-/// returns [`Response::PairsPartial`]; the client resumes past the last
+/// is sent as [`Response::PairsPartial`]; the client resumes past the last
 /// returned key, or falls back to a point read when even a single pair
-/// exceeded the budget.
+/// exceeded the budget. A storage error replaces the whole reply.
 ///
 /// Consistency: a snapshot of *every* shard in range is pinned up front,
 /// before the first shard is read, so slow shard N cannot serve data
@@ -638,13 +661,14 @@ fn do_delete(shared: &Shared, key: &[u8], sync: bool) -> Response {
 /// while missing from an earlier one. A globally consistent multi-shard
 /// scan would need a cross-shard sequence barrier the engine does not
 /// (yet) provide; the protocol deliberately does not promise it.
-fn do_scan(shared: &Shared, start: &[u8], end: Option<&[u8]>, limit: u32) -> Response {
+fn do_scan(shared: &Shared, start: &[u8], end: Option<&[u8]>, limit: u32, out: &mut Vec<u8>) {
     let limit = limit as usize;
     // Headroom under MAX_FRAME for the response tag, pair count, and the
     // slack between SCAN_PAIR_OVERHEAD and the real framing bytes.
     let byte_budget = proto::MAX_FRAME - 4096;
+    let mut pairs = proto::PairsWriter::begin(out);
     let Some((first, last)) = shared.router.shards_for_range(start, end) else {
-        return Response::Pairs(Vec::new());
+        return pairs.finish(true);
     };
     // Pin every shard's snapshot before reading any of them.
     let mut snaps = Vec::new();
@@ -654,12 +678,11 @@ fn do_scan(shared: &Shared, start: &[u8], end: Option<&[u8]>, limit: u32) -> Res
         };
         snaps.push((shard, db, db.snapshot()));
     }
-    let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     let mut used = 0usize;
     for (shard, db, snap) in &snaps {
         shared.metrics.count_shard(*shard);
         shared.metrics.enter_shard(*shard);
-        let result = db.scan_with(
+        let result = db.scan_each(
             lsm::ReadOptions {
                 snapshot: Some(snap.sequence),
             },
@@ -667,22 +690,22 @@ fn do_scan(shared: &Shared, start: &[u8], end: Option<&[u8]>, limit: u32) -> Res
             end,
             limit - pairs.len(),
             byte_budget - used,
+            &mut |k, v| {
+                used += k.len() + v.len() + lsm::SCAN_PAIR_OVERHEAD;
+                pairs.push(k, v);
+            },
         );
         shared.metrics.leave_shard(*shard);
         match result {
-            Ok(outcome) => {
-                for (k, v) in &outcome.pairs {
-                    used += k.len() + v.len() + lsm::SCAN_PAIR_OVERHEAD;
-                }
-                pairs.extend(outcome.pairs);
-                if !outcome.complete {
-                    return Response::PairsPartial(pairs);
-                }
+            Ok((_, true)) => {}
+            Ok((_, false)) => return pairs.finish(false),
+            Err(e) => {
+                pairs.abort();
+                return proto::encode_response(out, &storage_err(&e));
             }
-            Err(e) => return storage_err(&e),
         }
     }
-    Response::Pairs(pairs)
+    pairs.finish(true);
 }
 
 /// Splits the ops by owning shard (preserving per-shard order) and

@@ -1,6 +1,6 @@
 //! Property tests for the wire codec (ISSUE 6, satellite 3).
 //!
-//! Three properties hold the protocol line:
+//! Five properties hold the protocol line:
 //!
 //! 1. **Round-trip** — any representable `Request`/`Response` encodes to
 //!    a body that decodes back to an equal value.
@@ -10,12 +10,36 @@
 //!    fields) either decodes or errors; it never panics or aborts. The
 //!    codec itself sits inside the xtask no-panics lint scope, so this
 //!    is defense in depth on top of the static check.
+//! 4. **Golden frames** — the in-place encoders produce, byte for byte,
+//!    the frames the body-then-frame encoders before them produced.
+//! 5. **One reader** — `FrameBuf` yields the same bodies in the same
+//!    order however a stream of frames is cut into reads.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use server::proto::{
-    self, decode_request, decode_response, encode_request_body, encode_response_body, frame_len,
-    BatchOp, Request, Response,
+    self, decode_request, decode_response, encode_request, encode_response, frame_len, BatchOp,
+    FrameBuf, PairsWriter, ProtoError, Request, Response,
 };
+
+/// The body of `req`'s frame (the prefix checked and stripped).
+fn encode_request_body(req: &Request) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_request(&mut frame, req);
+    strip_prefix(frame)
+}
+
+fn encode_response_body(resp: &Response) -> Vec<u8> {
+    let mut frame = Vec::new();
+    encode_response(&mut frame, resp);
+    strip_prefix(frame)
+}
+
+fn strip_prefix(mut frame: Vec<u8>) -> Vec<u8> {
+    let body = frame.split_off(4);
+    assert_eq!(frame_len(frame.try_into().unwrap()), Ok(body.len()));
+    body
+}
 
 fn bytes_strategy(max: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..max)
@@ -222,5 +246,176 @@ proptest! {
             Ok(len) => prop_assert!(len <= proto::MAX_FRAME),
             Err(e) => prop_assert_eq!(e, proto::ProtoError::Oversized),
         }
+    }
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Golden frames, captured at the last commit that encoded a body into
+/// its own `Vec` and then copied it behind a length prefix: three
+/// literal frames for a legible failure, then a digest over 512
+/// generated requests and 512 generated responses (fixed seed, the
+/// strategies above — changing a strategy means recapturing).
+#[test]
+fn frames_are_byte_identical_to_the_golden_ones() {
+    let mut f = Vec::new();
+    encode_request(
+        &mut f,
+        &Request::Scan {
+            start: b"a".to_vec(),
+            end: Some(b"z".to_vec()),
+            limit: 100,
+        },
+    );
+    assert_eq!(hex(&f), "110000000104010000006101010000007a64000000");
+    f.clear();
+    encode_response(
+        &mut f,
+        &Response::Pairs(vec![(b"k1".to_vec(), b"v1".to_vec())]),
+    );
+    assert_eq!(hex(&f), "12000000010301000000020000006b31020000007631");
+    f.clear();
+    encode_response(&mut f, &Response::PairsPartial(vec![]));
+    assert_eq!(hex(&f), "06000000010500000000");
+
+    let mut rng = TestRng::new(18);
+    let (mut reqs, mut resps) = (Vec::new(), Vec::new());
+    let (rs, ps) = (request_strategy(), response_strategy());
+    for _ in 0..512 {
+        encode_request(&mut reqs, &rs.generate(&mut rng));
+        encode_response(&mut resps, &ps.generate(&mut rng));
+    }
+    assert_eq!(
+        (reqs.len(), fnv1a(&reqs), resps.len(), fnv1a(&resps)),
+        (34503, 0xa834_3c9c_5717_aca2, 53316, 0x7e39_5097_c112_4baa)
+    );
+}
+
+/// Cuts `stream` into reads of the given sizes (cycled; 0 reads as 1)
+/// and returns every body `FrameBuf` yields, the largest capacity it
+/// reached and the capacity it ended with.
+fn bodies_through_framebuf(stream: &[u8], cuts: &[usize]) -> (Vec<Vec<u8>>, usize, usize) {
+    let mut buf = FrameBuf::new();
+    let (mut bodies, mut peak) = (Vec::new(), 0);
+    let (mut at, mut cut) = (0, 0);
+    loop {
+        while let Some(body) = buf.next_frame().expect("valid prefixes") {
+            bodies.push(body.to_vec());
+        }
+        if at == stream.len() {
+            return (bodies, peak, buf.capacity());
+        }
+        let space = buf.space();
+        let n = cuts[cut % cuts.len()]
+            .max(1)
+            .min(space.len())
+            .min(stream.len() - at);
+        space[..n].copy_from_slice(&stream[at..at + n]);
+        buf.filled(n);
+        peak = peak.max(buf.capacity());
+        at += n;
+        cut += 1;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The pairs writer with 0 / 1 / n pairs and either flag writes the
+    /// frame `encode_response` writes for `Pairs` / `PairsPartial`, and
+    /// an aborted one leaves the buffer as it found it.
+    #[test]
+    fn pairs_writer_matches_encode_response(
+        pairs in pairs_strategy(),
+        complete in any::<bool>(),
+        before in bytes_strategy(20),
+    ) {
+        let mut written = before.clone();
+        let mut w = PairsWriter::begin(&mut written);
+        prop_assert!(w.is_empty());
+        for (k, v) in &pairs {
+            w.push(k, v);
+        }
+        prop_assert_eq!(w.len(), pairs.len());
+        w.finish(complete);
+        let mut expected = before.clone();
+        encode_response(&mut expected, &if complete {
+            Response::Pairs(pairs.clone())
+        } else {
+            Response::PairsPartial(pairs.clone())
+        });
+        prop_assert_eq!(&written, &expected);
+
+        let mut w = PairsWriter::begin(&mut written);
+        for (k, v) in &pairs {
+            w.push(k, v);
+        }
+        w.abort();
+        prop_assert_eq!(written, expected);
+    }
+
+    /// A concatenation of frames comes out of `FrameBuf` as the same
+    /// bodies in the same order whether it arrives one byte at a time,
+    /// in random-sized pieces, or many frames to a read.
+    #[test]
+    fn framebuf_yields_every_body_in_order(
+        reqs in proptest::collection::vec(request_strategy(), 0..40),
+        cuts in proptest::collection::vec(0usize..700, 1..12),
+    ) {
+        let mut stream = Vec::new();
+        for req in &reqs {
+            encode_request(&mut stream, req);
+        }
+        let bodies: Vec<Vec<u8>> = reqs.iter().map(encode_request_body).collect();
+        for cuts in [&cuts[..], &[1], &[usize::MAX]] {
+            let (got, peak, _) = bodies_through_framebuf(&stream, cuts);
+            prop_assert_eq!(&got, &bodies);
+            prop_assert!(peak <= FrameBuf::INITIAL);
+        }
+    }
+}
+
+/// A prefix past `MAX_FRAME` is refused as soon as its four bytes are
+/// in, with the buffer still at its initial size: nothing was reserved
+/// for the body it announced.
+#[test]
+fn framebuf_rejects_an_oversized_prefix_before_buffering_its_body() {
+    let mut buf = FrameBuf::new();
+    let prefix = (proto::MAX_FRAME as u32 + 1).to_le_bytes();
+    buf.space()[..3].copy_from_slice(&prefix[..3]);
+    buf.filled(3);
+    assert_eq!(buf.next_frame(), Ok(None));
+    buf.space()[0] = prefix[3];
+    buf.filled(1);
+    assert_eq!(buf.next_frame(), Err(ProtoError::Oversized));
+    assert_eq!(buf.capacity(), FrameBuf::INITIAL);
+}
+
+/// A frame larger than the initial capacity is accepted — the buffer
+/// grows to exactly that frame — and the capacity is back to the
+/// initial one by the time the frames behind it are read.
+#[test]
+fn framebuf_grows_for_a_large_frame_and_shrinks_back() {
+    let big = Response::Value(vec![0xA5; 3 * FrameBuf::INITIAL + 17]);
+    let small = Response::Value(b"small".to_vec());
+    let sent = [&small, &big, &small, &small];
+    let mut stream = Vec::new();
+    for resp in sent {
+        encode_response(&mut stream, resp);
+    }
+    for cuts in [&[usize::MAX][..], &[1000], &[1, 70_000, 3]] {
+        let (got, peak, end) = bodies_through_framebuf(&stream, cuts);
+        let got: Vec<Response> = got.iter().map(|b| decode_response(b).unwrap()).collect();
+        assert!(got.iter().eq(sent));
+        assert_eq!(peak, encode_response_body(&big).len() + 4);
+        assert_eq!(end, FrameBuf::INITIAL);
     }
 }

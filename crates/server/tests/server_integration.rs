@@ -205,6 +205,42 @@ fn protocol_violation_closes_only_that_connection() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A replication handshake turns the connection into a one-way feed, so
+/// a replica sends nothing after it. Bytes that arrive behind the hello
+/// (here: a second request in the same write) are a protocol violation,
+/// answered and closed like any other — not silently dropped with the
+/// read buffer they sit in.
+#[test]
+fn bytes_after_replication_handshake_are_rejected() {
+    use std::io::{Read, Write};
+
+    let (handle, root) = start("hello-tail", ServerConfig::default());
+    let mut burst = Vec::new();
+    server::proto::encode_request(&mut burst, &Request::GetSeq);
+    server::proto::encode_request(&mut burst, &Request::ReplHello { cursors: vec![] });
+    server::proto::encode_request(&mut burst, &Request::GetSeq);
+    let mut raw = std::net::TcpStream::connect(handle.addr()).expect("connect raw");
+    raw.write_all(&burst).expect("send");
+    let mut reply = Vec::new();
+    raw.read_to_end(&mut reply).expect("replies, then close");
+
+    // The request ahead of the hello is still answered, in order.
+    let mut expected = Vec::new();
+    server::proto::encode_response(&mut expected, &Response::SeqTokens(vec![0; 4]));
+    server::proto::encode_response(
+        &mut expected,
+        &Response::ProtoErr("bytes after replication handshake".into()),
+    );
+    assert_eq!(reply, expected, "no handshake reply: no feed was started");
+    assert_eq!(
+        handle.obs().registry.counter("server.proto.errors").get(),
+        1
+    );
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// The ISSUE acceptance gate: one `OffloadService` behind every shard.
 /// Small buffers force flushes + compactions on multiple shards; the
 /// single shared registry must then show `offload.shard<i>.jobs` ≥ 1

@@ -26,6 +26,13 @@ cargo test -q
 # Observability smoke: two identical simulated runs must export
 # byte-identical output.
 cargo test -q -p systemsim identical_runs_export_identical_observability
+# Count guards (mirrors CI's perf-harness job): counts repeat exactly
+# where times wobble — allocations per merged pair, per scan and per
+# SCAN reply, `read` calls per frame. Already in `cargo test -q`; named
+# here so a failure says which budget moved.
+cargo test -q -p fcae --test alloc_free
+cargo test -q -p lsm --test scan_alloc
+cargo test -q -p server --test scan_reply_counts
 # kvbench is a standalone package the workspace build never compiles:
 # build it against the current crates and run all four workloads with
 # every correctness check, untraced and then traced (the per-layer half
