@@ -216,12 +216,13 @@ proptest! {
                 .unwrap();
             let table = Table::open(file, meta.file_size, read_options()).unwrap();
             let mut stats = GetStats::default();
+            let mut found_key = Vec::new();
             let mut it = table.iter();
             it.seek_to_first();
             while it.valid() {
-                let found = table.get_counted(it.key(), &mut stats).unwrap();
+                let found = table.get_counted(it.key(), &mut found_key, &mut stats).unwrap();
                 prop_assert_eq!(
-                    found,
+                    found.map(|value| (found_key.clone(), value)),
                     Some((it.key().to_vec(), it.value().to_vec())),
                     "table {} lost a pair it holds", meta.number
                 );

@@ -41,10 +41,11 @@ use crate::options::{
     Options, ReadOptions, WriteOptions, L0_SLOWDOWN_WRITES_TRIGGER, L0_STOP_WRITES_TRIGGER,
     NUM_LEVELS,
 };
+use crate::read_view::{ReadView, ViewCell};
 use crate::repl::{self, ReplChunk, WalCursor};
 use crate::sync_shim::{self, lock as shim_lock};
 use crate::table_cache::TableCache;
-use crate::version::{FileMetaData, Version, VersionEdit, VersionSet};
+use crate::version::{FileMetaData, VersionEdit, VersionSet};
 use crate::vlog::{self, VlogRuntime};
 use crate::wal::{LogReader, LogWriter};
 use crate::write_batch::{BatchOp, WriteBatch};
@@ -277,6 +278,10 @@ struct DbInner {
     /// memtable and iterator.
     icmp: Arc<InternalKeyComparator>,
     state: Mutex<DbState>,
+    /// What reads see: `state`'s memtables and current version, republished
+    /// (under `state`) whenever one of them changes and loaded by readers
+    /// without it. See [`crate::read_view`].
+    view: ViewCell,
     /// The WAL epoch: the log, the memtable it recovers into, and the log
     /// file number swap *together* under this lock, so a group leader
     /// always pairs its WAL append with the matching memtable even while
@@ -675,6 +680,11 @@ impl Db {
         let last_sequence = versions.last_sequence;
         let l0_files = versions.current().num_files(0);
         let mem = Arc::new(mem);
+        let view = ViewCell::new(ReadView {
+            mem: Arc::clone(&mem),
+            imm: None,
+            version: versions.current(),
+        });
         let inner = Arc::new(DbInner {
             dir,
             options,
@@ -682,6 +692,7 @@ impl Db {
             obs,
             metrics,
             icmp,
+            view,
             state: Mutex::new(DbState {
                 mem: Arc::clone(&mem),
                 imm: None,
@@ -1064,34 +1075,27 @@ impl Db {
     /// shard lock only per step, so writes proceed concurrently.
     pub fn iter_with(&self, opts: ReadOptions) -> Result<crate::db_iter::DbIter> {
         let seq = opts.snapshot.unwrap_or_else(|| self.inner.ledger.visible());
-        let (mem, imm, version) = {
-            let state = self.inner.state.lock(); // LOCK-ORDER: db.state 10
-            (
-                Arc::clone(&state.mem),
-                state.imm.clone(),
-                state.versions.current(),
-            )
-        };
+        let view = self.inner.view();
+        let tables = &self.inner.table_cache;
         // The memtable iterators are lazy and pin their `Arc`s; the
         // sequence cutoff inside DbIter hides any entries applied after
         // `seq` was sampled.
-        let mut children: Vec<Box<dyn InternalIterator>> = vec![Box::new(mem.iter())];
-        if let Some(imm) = &imm {
+        let mut children: Vec<Box<dyn InternalIterator>> = vec![Box::new(view.mem.iter())];
+        if let Some(imm) = &view.imm {
             children.push(Box::new(imm.iter()));
         }
-        for f in &version.files[0] {
-            let table = self.inner.table_cache.get(f.number, f.file_size)?;
-            children.push(Box::new(table.iter()));
+        for f in &view.version.files[0] {
+            children.push(Box::new(tables.pinned(f)?.iter()));
         }
-        for level in 1..NUM_LEVELS {
-            if version.files[level].is_empty() {
+        for files in &view.version.files[1..] {
+            if files.is_empty() {
                 continue;
             }
-            let tables: Result<Vec<_>> = version.files[level]
+            let level: Result<Vec<_>> = files
                 .iter()
-                .map(|f| self.inner.table_cache.get(f.number, f.file_size))
+                .map(|f| tables.pinned(f).map(Arc::clone))
                 .collect();
-            children.push(Box::new(crate::compaction::ChainIterator::new(tables?)));
+            children.push(Box::new(crate::compaction::ChainIterator::new(level?)));
         }
         Ok(crate::db_iter::DbIter::new(
             children,
@@ -1474,40 +1478,42 @@ impl DbInner {
         Ok(())
     }
 
+    /// The view to read through: the memtables and version current when
+    /// it was published, pinned for as long as the caller holds it. Takes
+    /// no `state` lock. A caller reading at "latest" samples
+    /// `ledger.visible()` *before* this, never after — see
+    /// [`crate::read_view`].
+    fn view(&self) -> Arc<ReadView> {
+        self.view.load()
+    }
+
+    /// Publishes what `state` now holds as the view reads load. Called
+    /// wherever `mem`, `imm` or the current version changes, before the
+    /// state lock is released (and, at rotation, inside the epoch section).
+    // LOCK-HELD: db.state -- takes the guarded DbState by ref.
+    fn publish_view(&self, state: &DbState) {
+        self.view.publish(ReadView {
+            mem: Arc::clone(&state.mem),
+            imm: state.imm.clone(),
+            version: state.versions.current(),
+        });
+    }
+
     /// Raw stored bytes for `key` at `seq` — the tagged encoding when
     /// separation is on, the plain value otherwise. `None` covers both
     /// absent and deleted.
     fn get_stored(&self, key: &[u8], seq: u64) -> Result<Option<Vec<u8>>> {
-        let (mem, imm, version) = {
-            let state = self.state.lock(); // LOCK-ORDER: db.state 10
-            (
-                Arc::clone(&state.mem),
-                state.imm.clone(),
-                state.versions.current(),
-            )
-        };
-        self.get_stored_in(key, seq, &mem, imm.as_ref(), &version)
+        self.get_stored_in(key, seq, &self.view())
     }
 
-    /// Lookup against an explicit memtable/version capture. The value-log
-    /// GC calls this while holding the state and epoch locks; the only
-    /// lock taken inside is the table cache's, which ranks above both.
-    fn get_stored_in(
-        &self,
-        key: &[u8],
-        seq: u64,
-        mem: &MemTable,
-        imm: Option<&Arc<MemTable>>,
-        version: &Version,
-    ) -> Result<Option<Vec<u8>>> {
+    /// Lookup against one view. The value-log GC calls this while
+    /// holding the state and epoch locks; no lock is taken inside but a
+    /// memtable shard's and — on the first probe of a table only — the
+    /// table cache's, which rank above both.
+    fn get_stored_in(&self, key: &[u8], seq: u64, view: &ReadView) -> Result<Option<Vec<u8>>> {
         let lookup = LookupKey::new(key, seq);
-        match mem.get(&lookup) {
-            MemGet::Value(v) => return Ok(Some(v)),
-            MemGet::Deleted => return Ok(None),
-            MemGet::NotFound => {}
-        }
-        if let Some(imm_ref) = imm {
-            match imm_ref.get(&lookup) {
+        for mem in std::iter::once(&view.mem).chain(&view.imm) {
+            match mem.get(&lookup) {
                 MemGet::Value(v) => return Ok(Some(v)),
                 MemGet::Deleted => return Ok(None),
                 MemGet::NotFound => {}
@@ -1517,10 +1523,13 @@ impl DbInner {
         let mut probes = 0u32;
         let mut stats = GetStats::default();
         let mut answer = None;
-        for (_, meta) in version.files_for_get(&self.icmp, key) {
+        // Every block seek of every probe decodes into this one buffer.
+        let mut found_key = Vec::with_capacity(lookup.internal_key().len());
+        for (_, meta) in view.version.files_for_get(&self.icmp, key) {
             probes += 1;
-            let table = self.table_cache.get(meta.number, meta.file_size)?;
-            let Some((found_key, value)) = table.get_counted(lookup.internal_key(), &mut stats)?
+            let table = self.table_cache.pinned(meta)?;
+            let Some(value) =
+                table.get_counted(lookup.internal_key(), &mut found_key, &mut stats)?
             else {
                 continue;
             };
@@ -1653,12 +1662,9 @@ impl DbInner {
                                                 // lock held here, so this wait cannot deadlock.
         self.ledger.wait_visible(self.reserver.last_reserved());
         let seq = self.ledger.visible();
-        let current = {
-            let mem = Arc::clone(&state.mem);
-            let imm = state.imm.clone();
-            let version = state.versions.current();
-            self.get_stored_in(key, seq, &mem, imm.as_ref(), &version)?
-        };
+        // The state lock is held, so the published view is what `state`
+        // holds right now.
+        let current = self.get_stored_in(key, seq, &self.view())?;
         if current.as_deref() != Some(old_stored) {
             return Ok(false);
         }
@@ -2023,6 +2029,9 @@ impl DbInner {
             state.imm_boundary_seq = self.reserver.last_reserved();
             state.imm = Some(old_mem);
             state.mem = fresh;
+            // Still inside the epoch section: no group can reserve a
+            // sequence against `fresh` before readers can find it.
+            self.publish_view(&state);
         }
         self.active_mem_bytes.store(0, AtomicOrdering::Relaxed);
         state.log_file_number = new_log_number;
@@ -2096,6 +2105,8 @@ impl DbInner {
             }
         }
         state.imm = None;
+        // One publication drops `imm` and names the table it became.
+        self.publish_view(&state);
         state.pending_outputs.remove(&file_number);
         self.refresh_l0_hint(&state);
         state.stats.flushes += 1;
@@ -2161,6 +2172,7 @@ impl DbInner {
                         self.set_bg_error(state, format!("trivial move failed: {e}"));
                         return None;
                     }
+                    self.publish_view(state);
                     self.refresh_l0_hint(state);
                     state.stats.trivial_moves += 1;
                     self.work_done.notify_all();
@@ -2223,7 +2235,7 @@ impl DbInner {
         for metas in &input_metas {
             let tables: Result<Vec<_>> = metas
                 .iter()
-                .map(|m| self.table_cache.get(m.number, m.file_size))
+                .map(|m| self.table_cache.pinned(m).map(Arc::clone))
                 .collect();
             match tables {
                 Ok(tables) => inputs.push(CompactionInput { tables }),
@@ -2332,12 +2344,12 @@ impl DbInner {
                 for out in &outcome.outputs {
                     edit.new_files.push((
                         level + 1,
-                        FileMetaData {
-                            number: out.number,
-                            file_size: out.file_size,
-                            smallest: out.smallest.clone(),
-                            largest: out.largest.clone(),
-                        },
+                        FileMetaData::new(
+                            out.number,
+                            out.file_size,
+                            out.smallest.clone(),
+                            out.largest.clone(),
+                        ),
                     ));
                 }
                 edit.compact_pointers
@@ -2346,6 +2358,7 @@ impl DbInner {
                 if let Err(e) = state.versions.log_and_apply(edit) {
                     self.set_bg_error(&mut state, format!("compaction install failed: {e}"));
                 } else {
+                    self.publish_view(&state);
                     self.refresh_l0_hint(&state);
                     let stats = &mut state.stats;
                     if use_engine {
@@ -2559,12 +2572,12 @@ pub(crate) fn write_memtable_table(
     }
     let file_size = builder.finish()?;
     builder.sync()?;
-    Ok(Some(FileMetaData {
-        number: file_number,
+    Ok(Some(FileMetaData::new(
+        file_number,
         file_size,
         smallest,
-        largest: InternalKey::from_encoded(largest),
-    }))
+        InternalKey::from_encoded(largest),
+    )))
 }
 
 /// Background worker: flushes and compactions until shutdown. All workers
@@ -2652,6 +2665,39 @@ mod tests {
             Some(big.as_slice()),
             "old pointers readable after new inline writes"
         );
+    }
+
+    /// Reads go through the published view, not through `db.state`: with
+    /// the state lock held by this thread — as a flush or compaction
+    /// install holds it — a memtable hit, a table hit, an absent key and
+    /// an iterator seek on another thread all complete.
+    #[test]
+    fn get_and_iter_do_not_take_the_state_lock() {
+        let env = Arc::new(MemEnv::new());
+        let db = Db::open("/view", test_options(env)).unwrap();
+        db.put(b"in-table", b"t").unwrap();
+        db.flush().unwrap();
+        db.put(b"in-memtable", b"m").unwrap();
+
+        let (done, finished) = std::sync::mpsc::channel();
+        let state = db.inner.state.lock(); // LOCK-ORDER: db.state 10
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(db.get(b"in-memtable").unwrap().as_deref(), Some(&b"m"[..]));
+                assert_eq!(db.get(b"in-table").unwrap().as_deref(), Some(&b"t"[..]));
+                assert_eq!(db.get(b"absent").unwrap(), None);
+                let mut it = db.iter_with(ReadOptions::default()).unwrap();
+                it.seek(b"in-table");
+                assert!(it.valid());
+                assert_eq!((it.key(), it.value()), (&b"in-table"[..], &b"t"[..]));
+                done.send(()).unwrap();
+            });
+            let outcome = finished.recv_timeout(Duration::from_secs(20));
+            // Released before judging, so a blocked reader can finish and
+            // the scope can join it.
+            drop(state);
+            outcome.expect("a read waited for db.state");
+        });
     }
 
     /// The tentpole invariant: writers on several threads share group

@@ -29,6 +29,7 @@ pub mod db_iter;
 pub mod filename;
 pub mod memtable;
 pub mod options;
+mod read_view;
 pub mod repair;
 pub mod repl;
 pub mod sync_shim;

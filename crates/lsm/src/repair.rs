@@ -289,12 +289,7 @@ fn scan_table(
     }
     it.status().map_err(Error::from)?;
     Ok(Some((
-        FileMetaData {
-            number: 0,
-            file_size: size,
-            smallest,
-            largest,
-        },
+        FileMetaData::new(0, size, smallest, largest),
         max_seq,
     )))
 }

@@ -8,6 +8,14 @@
 //! open handle was LRU-dropped from this cache. `cache_ids` therefore
 //! outlives the handle map.
 //!
+//!
+//! The store's own reads do not come through the map: a file's first
+//! probe opens it here and parks the handle in the slot that travels
+//! with its [`FileMetaData`] ([`TableCache::pinned`]), and every later
+//! probe borrows it from there. The map is what makes racing first
+//! probes converge on one handle, and what callers without a version in
+//! hand (tools) still use as an LRU.
+//!
 //! [`BlockCache`]: sstable::cache::BlockCache
 
 use std::collections::HashMap;
@@ -19,6 +27,7 @@ use sstable::table::{Table, TableReadOptions};
 
 use crate::filename::table_file_name;
 use crate::options::Options;
+use crate::version::FileMetaData;
 use crate::Result;
 
 struct Entry {
@@ -134,6 +143,18 @@ impl TableCache {
             }
         }
         Ok(table)
+    }
+
+    /// The open table of the file `meta` describes, borrowed from the
+    /// slot that travels with `meta`. Only the first probe of a file
+    /// reaches [`TableCache::get`]; the store's reads, iterators and
+    /// compactions all come through here, which leaves the LRU map to
+    /// callers that hold no version (repair, tools).
+    pub fn pinned<'a>(&self, meta: &'a FileMetaData) -> Result<&'a Arc<Table>> {
+        match meta.table.get() {
+            Some(table) => Ok(table),
+            None => Ok(meta.table.fill(self.get(meta.number, meta.file_size)?)),
+        }
     }
 
     /// Drops the cached handle for a deleted file, along with its blocks

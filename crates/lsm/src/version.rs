@@ -4,7 +4,7 @@
 
 use std::cmp::Ordering;
 use std::path::PathBuf;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use sstable::coding::{
     get_length_prefixed_slice, get_varint32, get_varint64, put_length_prefixed_slice, put_varint32,
@@ -12,6 +12,7 @@ use sstable::coding::{
 };
 use sstable::comparator::{Comparator, InternalKeyComparator};
 use sstable::ikey::InternalKey;
+use sstable::table::Table;
 
 use crate::filename::{current_file_name, manifest_file_name, temp_file_name};
 use crate::options::{Options, L0_COMPACTION_TRIGGER, NUM_LEVELS};
@@ -29,6 +30,54 @@ pub struct FileMetaData {
     pub smallest: InternalKey,
     /// Largest internal key in the file.
     pub largest: InternalKey,
+    /// The file's open reader, once something has probed it.
+    pub table: TableSlot,
+}
+
+impl FileMetaData {
+    /// Metadata for a file nothing has opened yet.
+    pub fn new(number: u64, file_size: u64, smallest: InternalKey, largest: InternalKey) -> Self {
+        FileMetaData {
+            number,
+            file_size,
+            smallest,
+            largest,
+            table: TableSlot::default(),
+        }
+    }
+}
+
+/// The open [`Table`] of one file, filled on the first probe
+/// ([`crate::table_cache::TableCache::pinned`]) and borrowed by every
+/// probe after it — no table-cache lock, no reference count. The slot
+/// lives in the file's [`FileMetaData`], which versions share by `Arc`,
+/// so a table opened under one version stays open under the next, and
+/// closes when the last version naming the file is dropped (a clone,
+/// as a trivial move makes, carries the reader along).
+#[derive(Clone, Default)]
+pub struct TableSlot(OnceLock<Arc<Table>>);
+
+impl TableSlot {
+    /// The reader, if the file has been probed.
+    pub fn get(&self) -> Option<&Arc<Table>> {
+        self.0.get()
+    }
+
+    /// Fills an empty slot with `table`; returns the reader the slot
+    /// holds afterwards (an earlier filler's, if one won the race).
+    pub fn fill(&self, table: Arc<Table>) -> &Arc<Table> {
+        self.0.get_or_init(|| table)
+    }
+}
+
+impl std::fmt::Debug for TableSlot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.get().is_some() {
+            "open"
+        } else {
+            "unopened"
+        })
+    }
 }
 
 /// A durable, incremental change to the version state.
@@ -146,12 +195,12 @@ impl VersionEdit {
                     src = &src[n..];
                     edit.new_files.push((
                         level as usize,
-                        FileMetaData {
+                        FileMetaData::new(
                             number,
                             file_size,
-                            smallest: InternalKey::from_encoded(sk.to_vec()),
-                            largest: InternalKey::from_encoded(lk.to_vec()),
-                        },
+                            InternalKey::from_encoded(sk.to_vec()),
+                            InternalKey::from_encoded(lk.to_vec()),
+                        ),
                     ));
                 }
                 other => return Err(bad(&format!("unknown tag {other}"))),
@@ -684,12 +733,7 @@ mod tests {
     }
 
     fn meta(number: u64, smallest: &str, largest: &str) -> FileMetaData {
-        FileMetaData {
-            number,
-            file_size: 1000,
-            smallest: ikey(smallest, 100),
-            largest: ikey(largest, 1),
-        }
+        FileMetaData::new(number, 1000, ikey(smallest, 100), ikey(largest, 1))
     }
 
     fn mem_options() -> Options {

@@ -51,6 +51,10 @@ struct Shard {
     oldest: usize,
     newest: usize,
     bytes: usize,
+    /// Lookups this shard answered and did not: counted under the shard
+    /// lock the lookup already holds, summed by [`BlockCache::stats`].
+    hits: u64,
+    misses: u64,
 }
 
 impl Default for Shard {
@@ -61,6 +65,8 @@ impl Default for Shard {
             oldest: NIL,
             newest: NIL,
             bytes: 0,
+            hits: 0,
+            misses: 0,
         }
     }
 }
@@ -117,10 +123,10 @@ impl Shard {
         Some(self.remove_slot(slot))
     }
 
-    fn evict_to(&mut self, capacity: usize) {
-        while self.bytes > capacity && self.oldest != NIL {
-            self.remove_slot(self.oldest);
-        }
+    /// Takes out the least recently used entry if the shard is over
+    /// `capacity`.
+    fn pop_over(&mut self, capacity: usize) -> Option<Entry> {
+        (self.bytes > capacity && self.oldest != NIL).then(|| self.remove_slot(self.oldest))
     }
 }
 
@@ -128,8 +134,6 @@ impl Shard {
 pub struct BlockCache {
     shards: Vec<Mutex<Shard>>,
     capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl BlockCache {
@@ -138,8 +142,6 @@ impl BlockCache {
         Arc::new(BlockCache {
             shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
             capacity_per_shard: (capacity_bytes / SHARDS).max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         })
     }
 
@@ -172,17 +174,20 @@ impl BlockCache {
             Some(slot) => {
                 shard.unlink(slot);
                 shard.link_newest(slot);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                shard.hits += 1;
                 Some(shard.entries[slot].block.clone())
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                shard.misses += 1;
                 None
             }
         }
     }
 
-    /// Inserts a block, evicting LRU entries past capacity.
+    /// Inserts a block, evicting LRU entries past capacity. What leaves
+    /// the cache — the entry this one replaces, the victims — is freed
+    /// after the shard lock is released: a reader of the same shard does
+    /// not wait for 4 KiB blocks to go back to the allocator.
     pub fn insert(&self, table_id: u64, offset: u64, block: Block) {
         let key = Key {
             table: table_id,
@@ -190,20 +195,31 @@ impl BlockCache {
         };
         let charge = block.size().max(1);
         let capacity = self.capacity_per_shard;
-        let mut shard = self.shard(&key).lock();
-        shard.remove(&key);
-        let slot = shard.entries.len();
-        shard.entries.push(Entry {
-            key,
-            block,
-            charge,
-            prev: NIL,
-            next: NIL,
-        });
-        shard.map.insert(key, slot);
-        shard.link_newest(slot);
-        shard.bytes += charge;
-        shard.evict_to(capacity);
+        let evicted = {
+            let mut shard = self.shard(&key).lock();
+            let replaced = shard.remove(&key);
+            let slot = shard.entries.len();
+            shard.entries.push(Entry {
+                key,
+                block,
+                charge,
+                prev: NIL,
+                next: NIL,
+            });
+            shard.map.insert(key, slot);
+            shard.link_newest(slot);
+            shard.bytes += charge;
+            // Equal-sized blocks push out one victim per insert; only a
+            // larger block needs the vector, so the common insert
+            // allocates nothing under the lock.
+            let victim = shard.pop_over(capacity);
+            let mut more_victims = Vec::new();
+            while let Some(entry) = shard.pop_over(capacity) {
+                more_victims.push(entry);
+            }
+            (replaced, victim, more_victims)
+        };
+        drop(evicted);
     }
 
     /// Drops every block belonging to `table_id` (file deleted).
@@ -234,10 +250,10 @@ impl BlockCache {
 
     /// (hits, misses) counters.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        self.shards.iter().fold((0, 0), |(hits, misses), shard| {
+            let shard = shard.lock();
+            (hits + shard.hits, misses + shard.misses)
+        })
     }
 }
 

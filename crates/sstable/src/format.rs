@@ -201,7 +201,11 @@ pub fn read_block(
     buf.truncate(n);
     match ty {
         CompressionType::None => Ok(Bytes::from(buf)),
-        CompressionType::Snappy => Ok(Bytes::from(snap_codec::decompress(&buf)?)),
+        // Decompressed straight into the buffer the block will live in.
+        CompressionType::Snappy => Ok(Bytes::try_init(
+            snap_codec::decompressed_len(&buf)?,
+            |out| snap_codec::decompress_into(&buf, out),
+        )?),
     }
 }
 

@@ -210,28 +210,33 @@ impl Table {
         self.cache_id
     }
 
-    /// Point lookup: returns the value for the first entry with key >=
-    /// `target` whose block may contain it, or `None` if the table cannot
-    /// contain `target` (also consulting the bloom filter).
+    /// Point lookup: returns the first entry with key >= `target` whose
+    /// block may contain it, or `None` if the table cannot contain
+    /// `target` (also consulting the bloom filter).
     ///
     /// The caller (the LSM layer) interprets the returned entry's internal
     /// key — this method does not require an exact match.
     pub fn get(&self, target: &[u8]) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        self.get_counted(target, &mut GetStats::default())
+        let mut key = Vec::new();
+        let value = self.get_counted(target, &mut key, &mut GetStats::default())?;
+        Ok(value.map(|value| (key, value)))
     }
 
-    /// [`get`](Self::get), adding what the lookup did to `stats`.
+    /// [`get`](Self::get), adding what the lookup did to `stats`. The
+    /// found entry's key is left in `key_buf` and its value returned;
+    /// both block seeks decode into `key_buf`, so a caller probing
+    /// several tables for one key lends them all the same buffer.
     pub fn get_counted(
         &self,
         target: &[u8],
+        key_buf: &mut Vec<u8>,
         stats: &mut GetStats,
-    ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        let mut index_iter = self.index_block.iter(Arc::clone(&self.options.comparator));
-        index_iter.seek(target);
-        if !index_iter.valid() {
+    ) -> Result<Option<Vec<u8>>> {
+        let cmp = self.options.comparator.as_ref();
+        let Some(handle_at) = self.index_block.seek(cmp, target, key_buf)? else {
             return Ok(None);
-        }
-        let (handle, _) = BlockHandle::decode_from(index_iter.value())?;
+        };
+        let (handle, _) = BlockHandle::decode_from(&self.index_block.contents()[handle_at])?;
         let probe = crate::table_builder::filter_key(target, self.options.internal_key_filter);
         if let Some(filter) = &self.filter {
             stats.filter_checked += 1;
@@ -246,16 +251,14 @@ impl Table {
             Some(false) => stats.block_cache_misses += 1,
             None => {}
         }
-        let mut it = block.iter(Arc::clone(&self.options.comparator));
-        it.seek(target);
-        if it.corrupted() {
-            return Err(corruption("corrupt data block entry"));
-        }
-        let found = it.valid().then(|| (it.key().to_vec(), it.value().to_vec()));
+        let found = block
+            .seek(cmp, target, key_buf)
+            .map_err(|_| corruption("corrupt data block entry"))?
+            .map(|value_at| block.contents()[value_at].to_vec());
         if self.filter.is_some() {
-            let holds_key = found.as_ref().is_some_and(|(key, _)| {
-                crate::table_builder::filter_key(key, self.options.internal_key_filter) == probe
-            });
+            let holds_key = found.is_some()
+                && crate::table_builder::filter_key(key_buf, self.options.internal_key_filter)
+                    == probe;
             stats.filter_false_positive += u32::from(!holds_key);
         }
         Ok(found)

@@ -27,11 +27,12 @@ cargo test -q
 # byte-identical output.
 cargo test -q -p systemsim identical_runs_export_identical_observability
 # Count guards (mirrors CI's perf-harness job): counts repeat exactly
-# where times wobble — allocations per merged pair, per scan and per
-# SCAN reply, `read` calls per frame. Already in `cargo test -q`; named
-# here so a failure says which budget moved.
+# where times wobble — allocations per merged pair, per scan, per get
+# and per SCAN reply, `read` calls per frame. Already in `cargo test -q`;
+# named here so a failure says which budget moved.
 cargo test -q -p fcae --test alloc_free
 cargo test -q -p lsm --test scan_alloc
+cargo test -q -p lsm --test get_alloc
 cargo test -q -p server --test scan_reply_counts
 # kvbench is a standalone package the workspace build never compiles:
 # build it against the current crates and run all four workloads with
@@ -68,7 +69,8 @@ cargo test -q -p server --test power_cut
 
 # Loom model suites (read-ahead source shutdown/backpressure/reader
 # panic, fault-retry and aging interleavings, readers feeding the one
-# Merger). Deadlocks present as hangs, so bound them.
+# Merger, read-view publication at rotation vs a reader). Deadlocks
+# present as hangs, so bound them.
 RUSTFLAGS="--cfg loom" timeout 1200 cargo test -p lsm --lib -q
 RUSTFLAGS="--cfg loom" timeout 1200 cargo test -p offload --lib -q
 RUSTFLAGS="--cfg loom" timeout 1200 cargo test -p fcae --test loom_comparer -q

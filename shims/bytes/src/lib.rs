@@ -26,6 +26,24 @@ impl Bytes {
         }
     }
 
+    /// Builds a `len`-byte buffer in place: the final allocation is made
+    /// once, zero-filled, and lent to `fill` as `&mut [u8]` while this
+    /// is its only owner — a decoder writes its output where it will
+    /// stay instead of into a `Vec` that `From<Vec<u8>>` copies again.
+    /// Shim-only: the published crate spells this `BytesMut` + `freeze`.
+    pub fn try_init<E>(
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<Bytes, E> {
+        // `RepeatN` reports an exact length, so `collect` allocates the
+        // `Arc<[u8]>` once and fills it; no `Vec` first.
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        // Not yet shared, so `get_mut` lends the bytes; were that ever
+        // to fail, `fill` sees an empty slice and reports its own error.
+        fill(Arc::get_mut(&mut data).unwrap_or(&mut []))?;
+        Ok(Bytes { data })
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -121,5 +139,17 @@ mod tests {
         assert_eq!(&b.slice(1..3)[..], &[2, 3]);
         let c = b.clone();
         assert_eq!(b, c);
+    }
+
+    #[test]
+    fn try_init_fills_in_place_and_passes_errors_through() {
+        let b = Bytes::try_init(4, |out| {
+            out.copy_from_slice(&[9, 8, 7, 6]);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        assert_eq!(&b[..], &[9, 8, 7, 6]);
+        assert_eq!(Bytes::try_init(0, |_| Ok::<(), ()>(())).unwrap().len(), 0);
+        assert_eq!(Bytes::try_init(3, |_| Err("bad")), Err("bad"));
     }
 }

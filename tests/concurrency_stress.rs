@@ -2,7 +2,8 @@
 //! store while background flushes and (FCAE) compactions run. Guards the
 //! races the implementation explicitly handles — obsolete-file GC vs
 //! in-flight compaction outputs (`pending_outputs`), version pinning for
-//! concurrent readers, and flush-during-offload.
+//! concurrent readers, flush-during-offload, and the published read view:
+//! readers that take no state lock beside every kind of install.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -152,6 +153,178 @@ fn concurrent_stress_cpu_engine() {
 #[test]
 fn concurrent_stress_fcae_engine() {
     stress(true);
+}
+
+/// Readers beside every install that republishes the read view: memtable
+/// rotation, flush, trivial move and compaction (on the offload engine,
+/// so flushes also run on writer threads while the device merges). Each
+/// key has one writer, which overwrites it with ascending versions and
+/// publishes a version once its `put` is acknowledged; a reader samples
+/// that floor *before* its `get` and must read the floor or newer — a view
+/// published too late, or one that drops a memtable before the table it
+/// became is named, shows up as an older version or a missing key. Reads
+/// and iterator walks `unwrap`: a table file deleted while a view still
+/// names it fails the first probe that has to open it (`MemEnv` cannot
+/// open a removed file).
+#[test]
+fn acknowledged_writes_stay_readable_across_every_install() {
+    const WRITERS: usize = 2;
+    const READERS: usize = 2;
+    const KEYS: usize = 64;
+    const VERSIONS: u64 = 150;
+
+    let db = Arc::new(
+        Db::open_with_engine(
+            "/db",
+            Options {
+                env: Arc::new(MemEnv::new()),
+                write_buffer_size: 32 << 10,
+                max_file_size: 16 << 10,
+                // The live data (128 keys, ~30 KiB) is a table or two: a
+                // level-1 budget under its size keeps level 1 spilling
+                // into level 2 — by a trivial move while level 2 is
+                // empty, by compactions after.
+                level1_max_bytes: 8 << 10,
+                slowdown_sleep: false,
+                ..Default::default()
+            },
+            Arc::new(FcaeEngine::new(FcaeConfig::nine_input())),
+        )
+        .unwrap(),
+    );
+    let key = |w: usize, k: usize| format!("w{w}-{k:05}");
+    // Padding that does not compress away, so the tables have a size.
+    let value = |w: usize, k: usize, version: u64| {
+        let mut x = (w as u64 + 1) << 40 | (k as u64) << 20 | version;
+        let padding: String = (0..12)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                format!("{x:016x}")
+            })
+            .collect();
+        format!("w{w}-{k:05}-v{version:06}-{padding}")
+    };
+    let version_of = |w: usize, k: usize, v: &[u8]| -> u64 {
+        let text = std::str::from_utf8(v).expect("utf-8 value");
+        let rest = text
+            .strip_prefix(&format!("w{w}-{k:05}-v"))
+            .unwrap_or_else(|| panic!("value of another key: {text}"));
+        rest[..6].parse().expect("version")
+    };
+    // Highest acknowledged version per key, 0 before the first.
+    let acked: Arc<Vec<AtomicU64>> =
+        Arc::new((0..WRITERS * KEYS).map(|_| AtomicU64::new(0)).collect());
+    let writers_done = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(WRITERS + READERS));
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let (db, acked, start) = (Arc::clone(&db), Arc::clone(&acked), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for version in 1..=VERSIONS {
+                    for k in 0..KEYS {
+                        db.put(key(w, k).as_bytes(), value(w, k, version).as_bytes())
+                            .unwrap();
+                        acked[w * KEYS + k].store(version, Ordering::Release);
+                    }
+                }
+            })
+        })
+        .collect();
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
+            let (db, acked, start, writers_done) = (
+                Arc::clone(&db),
+                Arc::clone(&acked),
+                Arc::clone(&start),
+                Arc::clone(&writers_done),
+            );
+            std::thread::spawn(move || {
+                start.wait();
+                let mut i = r as u64;
+                let mut checked = 0u64;
+                // One more sweep after the writers finish: every key at
+                // its final version.
+                let mut last_sweep = false;
+                loop {
+                    let done = writers_done.load(Ordering::Acquire);
+                    for _ in 0..WRITERS * KEYS {
+                        i = i
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let slot = if last_sweep {
+                            (checked % (WRITERS * KEYS) as u64) as usize
+                        } else {
+                            (i >> 33) as usize % (WRITERS * KEYS)
+                        };
+                        let (w, k) = (slot / KEYS, slot % KEYS);
+                        let floor = acked[slot].load(Ordering::Acquire);
+                        let got = db.get(key(w, k).as_bytes()).unwrap();
+                        match got {
+                            Some(v) => {
+                                let version = version_of(w, k, &v);
+                                assert!(
+                                    version >= floor,
+                                    "{}: read version {version}, {floor} was acknowledged",
+                                    key(w, k)
+                                );
+                            }
+                            None => assert_eq!(floor, 0, "{}: acknowledged, not found", key(w, k)),
+                        }
+                        checked += 1;
+                        if checked.is_multiple_of(97) {
+                            // An iterator opened on one view and walked
+                            // while installs replace it.
+                            let floors: Vec<u64> = (0..KEYS)
+                                .map(|k| acked[w * KEYS + k].load(Ordering::Acquire))
+                                .collect();
+                            let mut it = db.iter().unwrap();
+                            it.seek(format!("w{w}-").as_bytes());
+                            let mut k = 0;
+                            while it.valid() && it.key().starts_with(format!("w{w}-").as_bytes()) {
+                                while floors[k] == 0 && it.key() != key(w, k).as_bytes() {
+                                    k += 1; // not written when the floors were read
+                                }
+                                assert_eq!(it.key(), key(w, k).as_bytes());
+                                assert!(version_of(w, k, it.value()) >= floors[k]);
+                                k += 1;
+                                it.next();
+                            }
+                            it.status().unwrap();
+                            assert!(floors[k..].iter().all(|&f| f == 0), "scan ended early");
+                        }
+                    }
+                    if last_sweep {
+                        break;
+                    }
+                    last_sweep = done;
+                }
+                checked
+            })
+        })
+        .collect();
+
+    for h in writers {
+        h.join().expect("writer panicked");
+    }
+    writers_done.store(true, Ordering::Release);
+    for h in readers {
+        assert!(h.join().expect("reader panicked") > 0);
+    }
+    db.wait_for_background_quiescence();
+    for slot in 0..WRITERS * KEYS {
+        let (w, k) = (slot / KEYS, slot % KEYS);
+        let got = db.get(key(w, k).as_bytes()).unwrap().expect("final value");
+        assert_eq!(version_of(w, k, &got), VERSIONS);
+    }
+    // The run crossed every kind of install.
+    let stats = db.stats();
+    assert!(stats.flushes > 0, "no flush: {stats:?}");
+    assert!(stats.trivial_moves > 0, "no trivial move: {stats:?}");
+    assert!(stats.engine_compactions > 0, "no compaction: {stats:?}");
 }
 
 /// A scanner beside four inserting writers. Iterators read the memtables
