@@ -22,21 +22,27 @@
 //! assert_eq!(db.get(b"key").unwrap(), None);
 //! ```
 
+mod background;
 pub mod compaction;
 pub mod conflict;
-pub mod db;
+mod db;
 pub mod db_iter;
 pub mod filename;
 pub mod memtable;
+mod open;
 pub mod options;
+mod read;
 mod read_view;
 pub mod repair;
 pub mod repl;
+mod stats;
 pub mod sync_shim;
 pub mod table_cache;
 pub mod version;
 pub mod vlog;
+mod vlog_gc;
 pub mod wal;
+mod write;
 pub mod write_batch;
 pub mod write_path;
 
@@ -45,11 +51,14 @@ pub use compaction::{
     OutputTableMeta, WritePressure,
 };
 pub use conflict::{ConflictChecker, JobShape, JobTicket};
-pub use db::{Db, DbStats, ScanOutcome, Snapshot, VlogGcReport, SCAN_PAIR_OVERHEAD};
+pub use db::{Db, Snapshot};
 pub use db_iter::DbIter;
 pub use options::{Options, ReadOptions, WriteOptions};
+pub use read::{ScanOutcome, SCAN_PAIR_OVERHEAD};
 pub use repair::{repair_db, RepairReport};
 pub use repl::{ChunkEnd, ReplChunk, ReplRecord, WalCursor};
+pub use stats::{set_level_file_gauges, DbStats, LevelCompactionStats};
+pub use vlog_gc::VlogGcReport;
 pub use wal::TailState;
 pub use write_batch::WriteBatch;
 pub use write_path::{ApplyLedger, SeqReserver};

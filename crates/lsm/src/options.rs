@@ -77,15 +77,6 @@ pub struct Options {
     /// pass a shared bundle driven by a manual clock so exports are
     /// byte-identical across runs.
     pub obs: Option<Arc<obs::Obs>>,
-    /// Transient compaction I/O errors are retried this many times with
-    /// exponential backoff before the store goes read-only. Corruption is
-    /// never retried.
-    pub compaction_max_retries: u32,
-    /// Base backoff between compaction retries, doubling per attempt.
-    /// The wait is accounted on the injectable clock/metrics; a real
-    /// sleep happens only when `slowdown_sleep` is on, so deterministic
-    /// tests never block on wall time.
-    pub compaction_retry_backoff_micros: u64,
     /// Key-value separation threshold: values whose length is `>=` this
     /// go to the append-only value log and the tree stores a fixed-size
     /// pointer (WiscKey-style), shrinking compaction volume in the
@@ -119,8 +110,6 @@ impl Default for Options {
             slowdown_sleep: true,
             background_threads: 1,
             obs: None,
-            compaction_max_retries: 2,
-            compaction_retry_backoff_micros: 1000,
             value_log_threshold_bytes: None,
             value_log_segment_bytes: 8 << 20,
         }

@@ -4,12 +4,12 @@
 //! the active memtable, the immutable memtable being flushed (if any),
 //! and the current [`Version`]. They used to be cloned one by one under
 //! `db.state` — the mutex writers, flushes and compaction installs also
-//! take. Instead the five places that change any of the three (open,
-//! memtable rotation, flush install, trivial move, compaction install)
-//! build a fresh [`ReadView`] while they hold `db.state` and
-//! [`ViewCell::publish`] it; a reader [`ViewCell::load`]s the current
-//! one — a leaf lock held for one `Arc` clone — and never touches
-//! `db.state` (RocksDB's SuperVersion).
+//! take. Instead the places that change any of the three (open, memtable
+//! rotation, and the one version install every flush, trivial move and
+//! compaction goes through) build a fresh [`ReadView`] while they hold
+//! `db.state` and [`ViewCell::publish`] it; a reader [`ViewCell::load`]s
+//! the current one — a leaf lock held for one `Arc` clone — and never
+//! touches `db.state` (RocksDB's SuperVersion).
 //!
 //! **Order against the write path.** A reader samples the visible
 //! sequence *first* and loads the view *second*. Rotation publishes the
@@ -23,9 +23,9 @@
 //!
 //! **What a view pins.** The `Arc<Version>` keeps every table file it
 //! names on disk (`VersionSet::live_files` counts any version still
-//! referenced), and each file's [`crate::version::TableSlot`] keeps the
-//! opened reader from its first probe for as long as some version names
-//! the file.
+//! referenced), and each file's [`crate::table_cache::TableSlot`] keeps
+//! the opened reader from its first probe for as long as some version
+//! names the file.
 
 use std::sync::Arc;
 

@@ -164,7 +164,7 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
         report.log_entries_salvaged += mem.len() as u64;
         let number = next_number;
         next_number += 1;
-        crate::db::write_memtable_table(options, dir, number, &mem)?;
+        crate::background::write_memtable_table(options, dir, number, &mem)?;
         table_numbers.push(number);
         report.logs_salvaged += 1;
     }

@@ -27,13 +27,17 @@
 //! exactly like recovery treats a dangling-but-shadowed pointer.
 
 use std::path::Path;
+use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 
 use sstable::env::StorageEnv;
 
+use crate::db::Db;
 use crate::filename::{log_file_name, parse_file_name, FileType};
+use crate::sync_shim::lock as shim_lock;
 use crate::vlog::{self, VlogRuntime};
 use crate::wal::LogReader;
+use crate::write::{apply_batch, Committed};
 use crate::write_batch::{BatchOp, WriteBatch};
 use crate::{Error, Result};
 
@@ -326,4 +330,136 @@ pub(crate) fn lag_bytes(env: &dyn StorageEnv, dir: &Path, from: WalCursor) -> u6
         }
     }
     total
+}
+
+/// The store's side of replication: what a leader's feed loop and a
+/// replica's apply loop call.
+impl Db {
+    /// The active WAL segment's file number (segments below it are
+    /// sealed).
+    pub fn current_log_number(&self) -> u64 {
+        self.inner.state.lock().log_file_number // LOCK-ORDER: db.state 10
+    }
+
+    /// Pins WAL segments numbered `floor` and above against deletion so
+    /// replication cursors inside them stay serveable. `u64::MAX`
+    /// (the default) disables pinning. The leader keeps this at the
+    /// slowest registered replica's acknowledged segment.
+    pub fn set_wal_retention_floor(&self, floor: u64) {
+        self.inner
+            .wal_retain_floor
+            .store(floor, AtomicOrdering::Release);
+    }
+
+    /// The earliest cursor this store can serve a replica from: the
+    /// oldest WAL segment still on disk that recovery would replay.
+    pub fn repl_start_cursor(&self) -> Result<WalCursor> {
+        let (log_number, active) = {
+            let state = self.inner.state.lock(); // LOCK-ORDER: db.state 10
+            (state.versions.log_number, state.log_file_number)
+        };
+        let names = self.inner.options.env.list_dir(&self.inner.dir)?;
+        let mut earliest = active;
+        for name in names {
+            if let Some(FileType::Log(n)) = parse_file_name(&name) {
+                if n >= log_number && n < earliest {
+                    earliest = n;
+                }
+            }
+        }
+        Ok(WalCursor {
+            segment: earliest,
+            offset: 0,
+        })
+    }
+
+    /// Reads up to `max_bytes` of logical replication records starting
+    /// at `cursor`. Lock-free with respect to the write path: the tailer
+    /// races appends and rotations by design (see [`crate::repl`]).
+    pub fn repl_read_chunk(&self, cursor: WalCursor, max_bytes: usize) -> Result<ReplChunk> {
+        let active = self.current_log_number();
+        let ctx = TailContext {
+            env: self.inner.options.env.as_ref(),
+            dir: &self.inner.dir,
+            vlog: self.inner.vlog.as_ref(),
+            active_segment: active,
+        };
+        read_chunk(&ctx, cursor, max_bytes)
+    }
+
+    /// Pushes buffered WAL (and, when dirty, value-log) bytes out far
+    /// enough for the tailer to read them. The feed loop calls this when
+    /// a chunk comes back `CaughtUp` so buffered commits don't stall the
+    /// stream until the next sync.
+    pub fn repl_flush(&self) -> Result<()> {
+        let mut epoch = shim_lock(&self.inner.epoch); // LOCK-ORDER: db.epoch 20
+        if let Some(v) = &self.inner.vlog {
+            // The tailer re-inlines pointers by reading segment files,
+            // so the value bytes must be readable before the WAL record
+            // that references them becomes so.
+            v.sync_if_dirty()?;
+        }
+        epoch.wal.flush()
+    }
+
+    /// Approximate bytes of WAL the stream position `from` has not yet
+    /// consumed — the `repl.lag.bytes` gauge.
+    pub fn repl_lag_bytes(&self, from: WalCursor) -> u64 {
+        lag_bytes(self.inner.options.env.as_ref(), &self.inner.dir, from)
+    }
+
+    /// Applies one record from a leader's replication stream — the
+    /// replica half of WAL shipping. The record is WAL-appended and
+    /// applied exactly like a local group of one, except the sequence
+    /// range arrives leader-stamped ([`SeqReserver::advance_to`] instead
+    /// of a local reservation), so leader and replica assign identical
+    /// sequences to identical ops and the replica's own recovery path
+    /// replays the shipped history unchanged.
+    ///
+    /// `last_seq` is the stream-declared end of the record's reserved
+    /// range; it may exceed the batch's own op count when the leader
+    /// skipped GC-shadowed pointer ops while re-inlining. Records at or
+    /// below the current visible sequence are duplicates from a cursor
+    /// replay after reconnect and are skipped whole (record boundaries
+    /// are preserved by the stream, so overlap is always all-or-nothing).
+    ///
+    /// Returns the new visible sequence.
+    pub fn apply_replicated(&self, record: &[u8], last_seq: u64, sync: bool) -> Result<u64> {
+        let inner = &self.inner;
+        inner.ensure_room()?;
+        let batch = WriteBatch::from_data(record)?;
+        let base = batch.sequence();
+        let count = u64::from(batch.count());
+        let end_seq = last_seq.max(base + count.saturating_sub(1));
+        if end_seq <= inner.ledger.visible() {
+            return Ok(inner.ledger.visible());
+        }
+        // Re-run this store's own separation policy over the raw values;
+        // the pin guards freshly appended segments against GC until the
+        // apply is visible, mirroring `write_inner`.
+        let (batch, _append_pin) = inner.separate(batch)?;
+        let committed = {
+            let mut epoch = shim_lock(&inner.epoch); // LOCK-ORDER: db.epoch 20
+            if inner.has_bg_error.load(AtomicOrdering::Acquire) {
+                None
+            } else {
+                inner.reserver.advance_to(end_seq);
+                let vlog = inner.vlog.as_deref();
+                Some(epoch.commit([batch.data()], sync, vlog, &inner.ledger, end_seq, 1))
+            }
+        };
+        let Some(Committed { mem, group, result }) = committed else {
+            return Err(inner.read_only_error());
+        };
+        if let Err(e) = result {
+            let mut state = inner.state.lock(); // LOCK-ORDER: db.state 10
+            inner.fail_commit(&mut state, group, 1, "wal commit", &e);
+            return Err(e);
+        }
+        apply_batch(&mem, &batch);
+        inner.ledger.finish_members(group, 1);
+        inner.note_occupancy(&mem);
+        inner.ledger.wait_visible(end_seq);
+        Ok(inner.ledger.visible())
+    }
 }

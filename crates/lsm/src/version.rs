@@ -4,7 +4,7 @@
 
 use std::cmp::Ordering;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 
 use sstable::coding::{
     get_length_prefixed_slice, get_varint32, get_varint64, put_length_prefixed_slice, put_varint32,
@@ -12,10 +12,10 @@ use sstable::coding::{
 };
 use sstable::comparator::{Comparator, InternalKeyComparator};
 use sstable::ikey::InternalKey;
-use sstable::table::Table;
 
 use crate::filename::{current_file_name, manifest_file_name, temp_file_name};
 use crate::options::{Options, L0_COMPACTION_TRIGGER, NUM_LEVELS};
+use crate::table_cache::TableSlot;
 use crate::wal::{LogReader, LogWriter};
 use crate::{Error, Result};
 
@@ -44,39 +44,6 @@ impl FileMetaData {
             largest,
             table: TableSlot::default(),
         }
-    }
-}
-
-/// The open [`Table`] of one file, filled on the first probe
-/// ([`crate::table_cache::TableCache::pinned`]) and borrowed by every
-/// probe after it — no table-cache lock, no reference count. The slot
-/// lives in the file's [`FileMetaData`], which versions share by `Arc`,
-/// so a table opened under one version stays open under the next, and
-/// closes when the last version naming the file is dropped (a clone,
-/// as a trivial move makes, carries the reader along).
-#[derive(Clone, Default)]
-pub struct TableSlot(OnceLock<Arc<Table>>);
-
-impl TableSlot {
-    /// The reader, if the file has been probed.
-    pub fn get(&self) -> Option<&Arc<Table>> {
-        self.0.get()
-    }
-
-    /// Fills an empty slot with `table`; returns the reader the slot
-    /// holds afterwards (an earlier filler's, if one won the race).
-    pub fn fill(&self, table: Arc<Table>) -> &Arc<Table> {
-        self.0.get_or_init(|| table)
-    }
-}
-
-impl std::fmt::Debug for TableSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.get().is_some() {
-            "open"
-        } else {
-            "unopened"
-        })
     }
 }
 

@@ -245,9 +245,8 @@ impl VlogWriter {
     }
 }
 
-/// Open-segment handle cache for the read path (a small LRU, like the
-/// table cache: handles are cheap to reopen, so eviction only bounds
-/// descriptor usage).
+/// Open-segment handle cache for the read path (a small LRU: handles
+/// are cheap to reopen, so eviction only bounds descriptor usage).
 struct VlogReaders {
     env: Arc<dyn StorageEnv>,
     dir: PathBuf,

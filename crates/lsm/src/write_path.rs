@@ -264,7 +264,7 @@ mod tests {
 
 /// Loom models of the write-path protocol, run under
 /// `RUSTFLAGS="--cfg loom"` (see `scripts/check.sh` and the loom CI
-/// job). They model the two invariants `db.rs` relies on:
+/// job). They model the two invariants `write.rs` relies on:
 ///
 /// * **Sequence reservation**: concurrent reservations are disjoint and
 ///   contiguous, and a reader never sees a visible sequence for which

@@ -704,3 +704,240 @@ fn drop_right_after_quiescence_never_hangs() {
         .expect("a Db::drop hung joining its background workers");
     worker.join().unwrap();
 }
+
+// ------------------------------------------------- the WAL commit step's
+// failure contract, through the two callers besides a foreground write
+// (`tests/power_cut.rs::wal_write_fault_moves_store_read_only` has that).
+
+/// Passes everything through to a `MemEnv`, except that once armed every
+/// append to a WAL (`*.log`) fails. `FaultEnv` cannot aim: its injected
+/// append error would land on the value log, which GC appends to first.
+struct WalAppendFault {
+    inner: Arc<MemEnv>,
+    armed: Arc<std::sync::atomic::AtomicBool>,
+}
+
+struct FaultyLog {
+    file: Box<dyn sstable::env::WritableFile>,
+    armed: Arc<std::sync::atomic::AtomicBool>,
+}
+
+impl sstable::env::WritableFile for FaultyLog {
+    fn append(&mut self, data: &[u8]) -> sstable::Result<()> {
+        if self.armed.load(std::sync::atomic::Ordering::SeqCst) {
+            return Err(std::io::Error::other("injected WAL append fault").into());
+        }
+        self.file.append(data)
+    }
+    fn flush(&mut self) -> sstable::Result<()> {
+        self.file.flush()
+    }
+    fn sync(&mut self) -> sstable::Result<()> {
+        self.file.sync()
+    }
+    fn bytes_written(&self) -> u64 {
+        self.file.bytes_written()
+    }
+}
+
+impl StorageEnv for WalAppendFault {
+    fn open_random_access(
+        &self,
+        path: &std::path::Path,
+    ) -> sstable::Result<Box<dyn sstable::env::RandomAccessFile>> {
+        self.inner.open_random_access(path)
+    }
+    fn create_writable(
+        &self,
+        path: &std::path::Path,
+    ) -> sstable::Result<Box<dyn sstable::env::WritableFile>> {
+        let file = self.inner.create_writable(path)?;
+        if path.extension().is_some_and(|ext| ext == "log") {
+            let armed = Arc::clone(&self.armed);
+            return Ok(Box::new(FaultyLog { file, armed }));
+        }
+        Ok(file)
+    }
+    fn remove_file(&self, path: &std::path::Path) -> sstable::Result<()> {
+        self.inner.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &std::path::Path) -> sstable::Result<()> {
+        self.inner.create_dir_all(path)
+    }
+    fn list_dir(&self, path: &std::path::Path) -> sstable::Result<Vec<String>> {
+        self.inner.list_dir(path)
+    }
+    fn file_exists(&self, path: &std::path::Path) -> bool {
+        self.inner.file_exists(path)
+    }
+    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> sstable::Result<()> {
+        self.inner.rename(from, to)
+    }
+}
+
+/// What every caller of the commit step owes after a failed append: the
+/// store is read-only, and the reserved range was skipped — the watermark
+/// stands at `reserved`, so nothing that waits on it can hang.
+fn assert_read_only_and_unwedged(db: &Db, reserved: u64) {
+    assert!(matches!(
+        db.put(b"after", b"fault"),
+        Err(lsm::Error::ReadOnly(_))
+    ));
+    assert_eq!(db.visible_sequence(), reserved);
+    assert_eq!(db.get(b"after").unwrap(), None);
+    assert_eq!(db.obs().registry.counter_value("lsm.bg-error.set"), Some(1));
+}
+
+#[test]
+fn failed_wal_append_under_apply_replicated_goes_read_only_and_skips_the_range() {
+    use sstable::env::{FaultEnv, FaultKind};
+    let env = FaultEnv::new(Arc::new(MemEnv::new()), 20);
+    let options = Options {
+        env: Arc::new(env.clone()) as Arc<dyn StorageEnv>,
+        slowdown_sleep: false,
+        ..Default::default()
+    };
+    let db = Db::open("/replica", options).unwrap();
+    let record = |seq: u64, key: &[u8]| {
+        let mut batch = WriteBatch::new();
+        batch.put(key, b"shipped");
+        batch.set_sequence(seq);
+        batch
+    };
+    assert_eq!(
+        db.apply_replicated(record(1, b"k1").data(), 1, false)
+            .unwrap(),
+        1
+    );
+
+    env.inject_errors(FaultKind::Append, 1);
+    // The leader's range may be wider than the ops that survived
+    // re-inlining: the whole of 2..=4 must be skipped.
+    let err = db
+        .apply_replicated(record(2, b"k2").data(), 4, false)
+        .unwrap_err();
+    assert!(matches!(err, lsm::Error::Io(_)), "got: {err}");
+
+    assert_read_only_and_unwedged(&db, 4);
+    assert_eq!(db.get(b"k1").unwrap(), Some(b"shipped".to_vec()));
+    assert_eq!(db.get(b"k2").unwrap(), None, "a failed record was applied");
+    assert!(matches!(
+        db.apply_replicated(record(5, b"k5").data(), 5, false),
+        Err(lsm::Error::ReadOnly(_))
+    ));
+}
+
+#[test]
+fn failed_wal_append_under_a_vlog_gc_rewrite_goes_read_only_and_skips_the_range() {
+    let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let env = WalAppendFault {
+        inner: Arc::new(MemEnv::new()),
+        armed: Arc::clone(&armed),
+    };
+    let options = Options {
+        env: Arc::new(env) as Arc<dyn StorageEnv>,
+        slowdown_sleep: false,
+        value_log_threshold_bytes: Some(64),
+        value_log_segment_bytes: 4 << 10,
+        ..Default::default()
+    };
+    let db = Db::open("/gc", options).unwrap();
+    // 512-byte values roll the 4 KiB segment every few puts; every one
+    // stays live, so the first sealed segment's first record is rewritten.
+    let big = vec![0x5au8; 512];
+    for i in 0..40u64 {
+        db.put(format!("k{i:03}").as_bytes(), &big).unwrap();
+    }
+    let written = db.visible_sequence();
+
+    armed.store(true, std::sync::atomic::Ordering::SeqCst);
+    let err = db.collect_value_log().unwrap_err();
+    assert!(matches!(err, lsm::Error::Io(_)), "got: {err}");
+
+    // The rewrite reserved exactly one sequence before its append failed.
+    assert_read_only_and_unwedged(&db, written + 1);
+    for i in 0..40u64 {
+        let got = db.get(format!("k{i:03}").as_bytes()).unwrap();
+        assert_eq!(got.as_deref(), Some(big.as_slice()), "k{i:03}");
+    }
+    assert!(matches!(
+        db.collect_value_log(),
+        Err(lsm::Error::ReadOnly(_))
+    ));
+}
+
+// ------------------------------------------------------- table lifetime
+
+/// A table opened by racing first probes closes exactly once, when the
+/// compaction that consumed its file installs: its blocks leave the
+/// shared block cache and one `CacheEviction` is traced per file.
+#[test]
+fn compacted_away_tables_close_once_and_leave_the_block_cache() {
+    let (bundle, _clock) = obs::Obs::manual();
+    let cache = sstable::cache::BlockCache::new(8 << 20);
+    let (_env, options) = small_options();
+    let options = Options {
+        shared_block_cache: Some(Arc::clone(&cache)),
+        obs: Some(Arc::clone(&bundle)),
+        ..options
+    };
+    let db = Db::open("/db", options).unwrap();
+    // Three overlapping L0 files (one short of the compaction trigger),
+    // each also holding one key no other file has.
+    const FILES: usize = 3;
+    for round in 0..FILES {
+        for i in 0..100u32 {
+            let value = format!("round-{round}-{i}").repeat(4);
+            db.put(format!("shared-{i:04}").as_bytes(), value.as_bytes())
+                .unwrap();
+        }
+        db.put(format!("only-in-{round}").as_bytes(), b"unique")
+            .unwrap();
+        db.flush().unwrap();
+    }
+    assert_eq!(db.level_file_counts()[0], FILES);
+    assert_eq!(cache.bytes(), 0, "nothing has been read yet");
+
+    // Eight threads race the first probe of every file: a file's own key
+    // is found only after every newer file was opened and passed over.
+    let barrier = std::sync::Barrier::new(8);
+    std::thread::scope(|s| {
+        for _ in 0..8 {
+            s.spawn(|| {
+                barrier.wait();
+                for round in 0..FILES {
+                    let got = db.get(format!("only-in-{round}").as_bytes()).unwrap();
+                    assert_eq!(got.as_deref(), Some(&b"unique"[..]));
+                }
+            });
+        }
+    });
+    assert!(cache.bytes() > 0, "the probes cached data blocks");
+
+    db.compact_all().unwrap();
+    assert_eq!(db.level_file_counts()[0], 0);
+    assert_eq!(
+        cache.bytes(),
+        0,
+        "the inputs' blocks outlived their files (nothing has read the outputs)"
+    );
+    let mut closed: Vec<u64> = bundle
+        .trace
+        .snapshot()
+        .iter()
+        .filter_map(|e| match e.kind {
+            obs::EventKind::CacheEviction { file_number, bytes } => {
+                assert!(bytes > 0, "file {file_number} closed with nothing cached");
+                Some(file_number)
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(closed.len(), FILES, "one close per input file: {closed:?}");
+    closed.dedup();
+    assert_eq!(closed.len(), FILES, "a file closed twice: {closed:?}");
+    for round in 0..FILES {
+        let got = db.get(format!("only-in-{round}").as_bytes()).unwrap();
+        assert_eq!(got.as_deref(), Some(&b"unique"[..]));
+    }
+}

@@ -165,16 +165,22 @@ impl ServerMetrics {
         }
     }
 
-    fn enter_shard(&self, shard: usize) {
-        if let (Some(n), Some(g)) = (self.in_flight.get(shard), self.shard_in_flight.get(shard)) {
+    /// Runs `f` as one request against `shard`: counted, and in flight on
+    /// the shard's depth gauge while it runs.
+    fn in_shard<T>(&self, shard: usize, f: impl FnOnce() -> T) -> T {
+        self.count_shard(shard);
+        let depth = self
+            .in_flight
+            .get(shard)
+            .zip(self.shard_in_flight.get(shard));
+        if let Some((n, g)) = depth {
             g.set(n.fetch_add(1, Ordering::Relaxed) + 1);
         }
-    }
-
-    fn leave_shard(&self, shard: usize) {
-        if let (Some(n), Some(g)) = (self.in_flight.get(shard), self.shard_in_flight.get(shard)) {
+        let out = f();
+        if let Some((n, g)) = depth {
             g.set(n.fetch_sub(1, Ordering::Relaxed).saturating_sub(1));
         }
+        out
     }
 }
 
@@ -551,19 +557,20 @@ fn storage_err(e: &lsm::Error) -> Response {
     Response::Err(e.to_string())
 }
 
-fn do_get(shared: &Shared, key: &[u8]) -> Response {
-    let shard = shared.router.shard_for(key);
-    let Some(db) = shared.shards.get(shard) else {
-        return Response::Err(format!("no shard {shard}"));
-    };
-    shared.metrics.count_shard(shard);
-    shared.metrics.enter_shard(shard);
-    let result = db.get(key);
-    shared.metrics.leave_shard(shard);
-    match result {
+/// A point read on `shard`, as the reply to send.
+fn get_from_shard(shared: &Shared, shard: usize, db: &lsm::Db, key: &[u8]) -> Response {
+    match shared.metrics.in_shard(shard, || db.get(key)) {
         Ok(Some(v)) => Response::Value(v),
         Ok(None) => Response::NotFound,
         Err(e) => storage_err(&e),
+    }
+}
+
+fn do_get(shared: &Shared, key: &[u8]) -> Response {
+    let shard = shared.router.shard_for(key);
+    match shared.shards.get(shard) {
+        Some(db) => get_from_shard(shared, shard, db, key),
+        None => Response::Err(format!("no shard {shard}")),
     }
 }
 
@@ -594,50 +601,47 @@ fn wait_repl(shared: &Shared, shard: usize, db: &lsm::Db, sync: bool) {
     }
 }
 
+/// Commits `batch` to `shard` — the step under every write handler:
+/// the shard's request accounting around the store's write, then the
+/// semi-synchronous wait. `Err` carries the reply to send instead of
+/// `Ok`.
+fn commit_to_shard(
+    shared: &Shared,
+    shard: usize,
+    batch: lsm::WriteBatch,
+    sync: bool,
+) -> Result<(), Response> {
+    let Some(db) = shared.shards.get(shard) else {
+        return Err(Response::Err(format!("no shard {shard}")));
+    };
+    let result = shared
+        .metrics
+        .in_shard(shard, || db.write(batch, lsm::WriteOptions { sync }));
+    result.map_err(|e| storage_err(&e))?;
+    wait_repl(shared, shard, db, sync);
+    Ok(())
+}
+
 fn do_put(shared: &Shared, key: &[u8], value: &[u8], sync: bool) -> Response {
     if let Some(resp) = reject_replica_write(shared) {
         return resp;
     }
-    let shard = shared.router.shard_for(key);
-    let Some(db) = shared.shards.get(shard) else {
-        return Response::Err(format!("no shard {shard}"));
-    };
-    shared.metrics.count_shard(shard);
-    shared.metrics.enter_shard(shard);
     let mut batch = lsm::WriteBatch::new();
     batch.put(key, value);
-    let result = db.write(batch, lsm::WriteOptions { sync });
-    shared.metrics.leave_shard(shard);
-    match result {
-        Ok(()) => {
-            wait_repl(shared, shard, db, sync);
-            Response::Ok
-        }
-        Err(e) => storage_err(&e),
-    }
+    commit_to_shard(shared, shared.router.shard_for(key), batch, sync)
+        .err()
+        .unwrap_or(Response::Ok)
 }
 
 fn do_delete(shared: &Shared, key: &[u8], sync: bool) -> Response {
     if let Some(resp) = reject_replica_write(shared) {
         return resp;
     }
-    let shard = shared.router.shard_for(key);
-    let Some(db) = shared.shards.get(shard) else {
-        return Response::Err(format!("no shard {shard}"));
-    };
-    shared.metrics.count_shard(shard);
-    shared.metrics.enter_shard(shard);
     let mut batch = lsm::WriteBatch::new();
     batch.delete(key);
-    let result = db.write(batch, lsm::WriteOptions { sync });
-    shared.metrics.leave_shard(shard);
-    match result {
-        Ok(()) => {
-            wait_repl(shared, shard, db, sync);
-            Response::Ok
-        }
-        Err(e) => storage_err(&e),
-    }
+    commit_to_shard(shared, shared.router.shard_for(key), batch, sync)
+        .err()
+        .unwrap_or(Response::Ok)
 }
 
 /// Scans shards in range order, writing each pair from the shard's
@@ -680,22 +684,16 @@ fn do_scan(shared: &Shared, start: &[u8], end: Option<&[u8]>, limit: u32, out: &
     }
     let mut used = 0usize;
     for (shard, db, snap) in &snaps {
-        shared.metrics.count_shard(*shard);
-        shared.metrics.enter_shard(*shard);
-        let result = db.scan_each(
-            lsm::ReadOptions {
-                snapshot: Some(snap.sequence),
-            },
-            start,
-            end,
-            limit - pairs.len(),
-            byte_budget - used,
-            &mut |k, v| {
+        let opts = lsm::ReadOptions {
+            snapshot: Some(snap.sequence),
+        };
+        let (left, budget) = (limit - pairs.len(), byte_budget - used);
+        let result = shared.metrics.in_shard(*shard, || {
+            db.scan_each(opts, start, end, left, budget, &mut |k, v| {
                 used += k.len() + v.len() + lsm::SCAN_PAIR_OVERHEAD;
                 pairs.push(k, v);
-            },
-        );
-        shared.metrics.leave_shard(*shard);
+            })
+        });
         match result {
             Ok((_, true)) => {}
             Ok((_, false)) => return pairs.finish(false),
@@ -737,17 +735,9 @@ fn do_batch(shared: &Shared, ops: Vec<proto::BatchOp>, sync: bool) -> Response {
     }
     for (shard, slot) in per_shard.into_iter().enumerate() {
         let Some(batch) = slot else { continue };
-        let Some(db) = shared.shards.get(shard) else {
-            continue;
-        };
-        shared.metrics.count_shard(shard);
-        shared.metrics.enter_shard(shard);
-        let result = db.write(batch, lsm::WriteOptions { sync });
-        shared.metrics.leave_shard(shard);
-        if let Err(e) = result {
-            return storage_err(&e);
+        if let Err(resp) = commit_to_shard(shared, shard, batch, sync) {
+            return resp;
         }
-        wait_repl(shared, shard, db, sync);
     }
     Response::Ok
 }
@@ -807,15 +797,7 @@ fn do_get_ryw(shared: &Shared, key: &[u8], min_seqs: &[u64]) -> Response {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    shared.metrics.count_shard(shard);
-    shared.metrics.enter_shard(shard);
-    let result = db.get(key);
-    shared.metrics.leave_shard(shard);
-    match result {
-        Ok(Some(v)) => Response::Value(v),
-        Ok(None) => Response::NotFound,
-        Err(e) => storage_err(&e),
-    }
+    get_from_shard(shared, shard, db, key)
 }
 
 /// Graceful shutdown: stop accepting, drain in-flight data-plane work,
@@ -878,13 +860,16 @@ fn drain_and_stop(shared: &Shared) {
 
 fn do_stats(shared: &Shared, json: bool) -> Response {
     shared.metrics.refresh_skew();
-    // Refresh the per-level gauges on every shard so the export carries
-    // live file counts (shards share the registry; last writer wins,
-    // which for the aggregate export is an acceptable approximation).
-    for db in &shared.shards {
-        let _ = db.property("lsm.metrics");
-    }
     let registry = &shared.obs.registry;
+    // Shards share the registry, so the per-level file gauges carry the
+    // server's totals, set once from the shards' own counts.
+    let mut files = vec![0usize; lsm::options::NUM_LEVELS];
+    for db in &shared.shards {
+        for (total, count) in files.iter_mut().zip(db.level_file_counts()) {
+            *total += count;
+        }
+    }
+    lsm::set_level_file_gauges(registry, &files);
     Response::Stats(if json {
         registry.export_json()
     } else {

@@ -297,3 +297,36 @@ fn shards_share_one_offload_scheduler() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Regression: `STATS` refreshed the per-level file gauges once per shard
+/// on the one registry the shards share, so the export carried the *last*
+/// shard's counts. They are the server's totals.
+#[test]
+fn stats_level_gauges_sum_over_shards() {
+    let (handle, root) = start(
+        "stats-levels",
+        ServerConfig {
+            shards: 2,
+            boundaries: Some(vec![b"m".to_vec()]),
+            ..Default::default()
+        },
+    );
+    let mut client = KvClient::connect(handle.addr().to_string()).expect("connect");
+    client.put(b"a", b"first shard", false).expect("put");
+    client.put(b"z", b"second shard", false).expect("put");
+    // One flushed file on each shard.
+    handle.quiesce();
+
+    let text = client.stats(false).expect("stats");
+    let level0 = text
+        .lines()
+        .find(|l| l.contains("lsm.num-files-at-level<0>"))
+        .unwrap_or_else(|| panic!("no level-0 gauge in:\n{text}"));
+    assert!(
+        level0.ends_with(" 2"),
+        "two shards, one file each: {level0}"
+    );
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -56,18 +56,16 @@ pub const LOCK_ORDER_CRATES: &[&str] = &["lsm", "offload", "server"];
 /// Crates whose async code must not hold sync guards across `.await`.
 pub const HOLD_ACROSS_AWAIT_CRATES: &[&str] = &["server"];
 
-/// Files on the durability-critical path: `sstable::env` backends plus
-/// the WAL/manifest/table install paths whose sync-before-rename
-/// ordering the PR 5 crash-consistency work established.
-pub const DURABILITY_FILES: &[&str] = &[
+/// The durability-critical path: the `sstable::env` backends plus every
+/// file of `lsm` — the WAL/manifest/table install paths whose
+/// sync-before-rename ordering the PR 5 crash-consistency work
+/// established live there, and scoping by directory keeps them covered
+/// when a file is split or renamed. A path ending in `/` is a directory,
+/// scanned recursively.
+pub const DURABILITY_PATHS: &[&str] = &[
     "crates/sstable/src/env/mod.rs",
     "crates/sstable/src/env/fault.rs",
-    "crates/lsm/src/wal.rs",
-    "crates/lsm/src/version.rs",
-    "crates/lsm/src/repair.rs",
-    "crates/lsm/src/db.rs",
-    "crates/lsm/src/vlog.rs",
-    "crates/lsm/src/compaction.rs",
+    "crates/lsm/src/",
 ];
 
 /// Metric name prefixes METRICS.md inventories. Names outside these
@@ -130,7 +128,7 @@ struct Walk {
 /// right. `.lock()`/`.read()`/`.write()` require empty argument lists so
 /// `io::Read::read(buf)` and `io::Write::write(buf)` never match; the
 /// bare `lock(` / `shim_lock(` forms cover the `sync_shim::lock` helper
-/// and its `db.rs` alias. `fn lock(` definitions are excluded.
+/// and its `lsm` alias. `fn lock(` definitions are excluded.
 fn acquisition_cols(code: &str) -> Vec<(usize, usize)> {
     let mut out: Vec<(usize, usize)> = Vec::new();
     for tok in [".lock()", ".read()", ".write()"] {
@@ -1009,9 +1007,15 @@ pub fn analyze_repo(root: &Path) -> Vec<Violation> {
         }
     }
 
-    for rel in DURABILITY_FILES {
-        let path = root.join(rel);
-        v.extend(scan_durability(&path, &read(&path)));
+    for rel in DURABILITY_PATHS {
+        let mut files = vec![root.join(rel)];
+        if rel.ends_with('/') {
+            files.clear();
+            rs_files(&root.join(rel), &mut files);
+        }
+        for f in &files {
+            v.extend(scan_durability(f, &read(f)));
+        }
     }
 
     let md_path = root.join("METRICS.md");

@@ -16,6 +16,9 @@ cargo xtask lint
 # Scope-aware concurrency/durability lints: lock-order ranks,
 # hold-across-await, sync-before-rename, metrics-drift.
 cargo xtask analyze
+# No file of the store grows back into a 2,800-line db.rs.
+find crates/lsm/src -name '*.rs' -exec wc -l {} + \
+    | awk '$2 != "total" && $1 > 1200 { print $2 ": " $1 " lines (limit 1200)"; bad = 1 } END { exit bad }'
 # Every binary and script the docs, CI and this file name must exist.
 scripts/doc_commands.sh
 cargo build --release
