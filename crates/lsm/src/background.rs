@@ -47,14 +47,14 @@ impl Db {
                 // stops all flush progress, so bail out instead of
                 // waiting forever on work that will never happen.
                 while state.imm.is_some() {
-                    state.writable()?;
+                    self.inner.writable()?;
                     self.inner.work_done.wait(&mut state);
                 }
                 drop(self.inner.rotate_memtable(state)?);
             }
         }
         self.wait_for_background_quiescence();
-        self.inner.state.lock().writable() // LOCK-ORDER: db.state 10
+        self.inner.writable()
     }
 
     /// Manually compacts the whole key space down, level by level, until
@@ -67,7 +67,7 @@ impl Db {
             loop {
                 {
                     let mut state = self.inner.state.lock(); // LOCK-ORDER: db.state 10
-                    state.writable()?;
+                    self.inner.writable()?;
                     if state.versions.current().num_files(level) == 0 {
                         state.force_compact_level = None;
                         break;
@@ -93,7 +93,7 @@ impl Db {
                 || state
                     .force_compact_level
                     .is_some_and(|l| state.versions.pick_compaction_at(l).is_some());
-            if !needs_work || state.bg_error.is_some() {
+            if !needs_work || self.inner.bg_error.get().is_some() {
                 return;
             }
             self.inner.work_done.wait(&mut state);
@@ -159,7 +159,6 @@ impl DbInner {
             state.imm = Some(imm);
             return Err(e);
         }
-        state.stats.flushes += 1;
         self.metrics.flush_count.inc();
         self.metrics.flush_bytes.add(flushed_bytes);
         self.obs.event(obs::EventKind::Flush {
@@ -209,13 +208,13 @@ impl DbInner {
                     if moved.is_err() {
                         return None;
                     }
-                    state.stats.trivial_moves += 1;
+                    self.metrics.trivial_moves.inc();
                     continue 'rescan;
                 }
 
-                let concurrent = state.conflicts.in_flight() as u64;
-                state.stats.max_concurrent_compactions =
-                    state.stats.max_concurrent_compactions.max(concurrent);
+                self.metrics
+                    .max_concurrent_compactions
+                    .set_max(state.conflicts.in_flight() as u64);
 
                 // Capture the request context under the lock (paper §IV
                 // steps 1-3).
@@ -378,39 +377,23 @@ impl DbInner {
         match result {
             Ok((edit, outcome)) => {
                 if self.install(&mut state, edit, "compaction install").is_ok() {
-                    let stats = &mut state.stats;
+                    let m = &self.metrics;
                     if use_engine {
-                        stats.engine_compactions += 1;
+                        m.engine_compactions.inc();
                     } else {
-                        stats.sw_fallback_compactions += 1;
+                        m.sw_fallback_compactions.inc();
                     }
-                    stats.compaction_bytes_read += outcome.bytes_read;
-                    stats.compaction_bytes_written += outcome.bytes_written;
-                    stats.compaction_time += outcome.wall_time;
-                    if let Some(t) = outcome.modeled_kernel_time {
-                        stats.modeled_kernel_time += t;
-                    }
-                    if let Some(t) = outcome.modeled_transfer_time {
-                        stats.modeled_transfer_time += t;
-                    }
-                    let lv = &mut stats.per_level[level];
-                    lv.compactions += 1;
-                    lv.bytes_read += outcome.bytes_read;
-                    lv.bytes_written += outcome.bytes_written;
-                    lv.files_merged += input_files as u64;
-                    let registry = &self.obs.registry;
-                    registry
-                        .counter(&format!("lsm.compact.l{level}.count"))
-                        .inc();
-                    registry
-                        .counter(&format!("lsm.compact.l{level}.bytes_read"))
-                        .add(outcome.bytes_read);
-                    registry
-                        .counter(&format!("lsm.compact.l{level}.bytes_written"))
-                        .add(outcome.bytes_written);
-                    registry
-                        .counter(&format!("lsm.compact.l{level}.files_merged"))
-                        .add(input_files as u64);
+                    let nanos = |t: Duration| t.as_nanos() as u64;
+                    m.compaction_nanos.add(nanos(outcome.wall_time));
+                    m.kernel_nanos
+                        .add(outcome.modeled_kernel_time.map_or(0, nanos));
+                    m.transfer_nanos
+                        .add(outcome.modeled_transfer_time.map_or(0, nanos));
+                    let lv = &m.per_level[level];
+                    lv.count.inc();
+                    lv.bytes_read.add(outcome.bytes_read);
+                    lv.bytes_written.add(outcome.bytes_written);
+                    lv.files_merged.add(input_files as u64);
                     self.obs.event(obs::EventKind::CompactionFinish {
                         level,
                         bytes_read: outcome.bytes_read,
@@ -569,7 +552,7 @@ pub(crate) fn background_thread(inner: Arc<DbInner>) {
                 if inner.shutting_down.load(AtomicOrdering::Acquire) {
                     return;
                 }
-                if state.bg_error.is_none() {
+                if inner.bg_error.get().is_none() {
                     if state.imm.is_some() && !state.flush_in_progress {
                         // A flush goes first, under the lock hold that found
                         // it (so two workers cannot both take it): the call

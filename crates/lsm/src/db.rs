@@ -28,12 +28,12 @@
 //! | `background.rs` | worker loop, flush, compaction dispatch and install, obsolete files | `db.state`, `db.factory.outputs` |
 //! | `vlog_gc.rs` | value-log segment collection | `db.state`, `db.epoch` |
 //! | `repl.rs` | WAL tailing for a leader, `apply_replicated` for a replica | `db.state`, `db.epoch` |
-//! | `stats.rs` | `DbStats`, metric handles, properties | `db.state` |
+//! | `stats.rs` | metric handles, `DbStats` as a view of them, properties | none for `stats()`; `db.state` to read the version for a property |
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 use sstable::comparator::InternalKeyComparator;
@@ -43,7 +43,7 @@ use crate::conflict::ConflictChecker;
 use crate::memtable::MemTable;
 use crate::options::{Options, ReadOptions, WriteOptions, NUM_LEVELS};
 use crate::read_view::{ReadView, ViewCell};
-use crate::stats::{DbMetrics, DbStats};
+use crate::stats::DbMetrics;
 use crate::sync_shim;
 use crate::table_cache::TableOpener;
 use crate::version::{VersionEdit, VersionSet};
@@ -69,7 +69,6 @@ pub(crate) struct DbState {
     /// lags behind until the immutable memtable is flushed, so the old WAL
     /// survives a crash that happens mid-flush.
     pub(crate) log_file_number: u64,
-    pub(crate) bg_error: Option<String>,
     /// Offloaded (non-CPU) compactions currently executing.
     pub(crate) offloads_in_flight: usize,
     /// Admission control for concurrent compactions.
@@ -84,7 +83,6 @@ pub(crate) struct DbState {
     /// protected from obsolete-file GC until installed in a version
     /// (LevelDB's `pending_outputs_`).
     pub(crate) pending_outputs: HashSet<u64>,
-    pub(crate) stats: DbStats,
 }
 
 pub(crate) struct DbInner {
@@ -114,9 +112,9 @@ pub(crate) struct DbInner {
     /// Tracks which reserved ranges have been applied; reads run at
     /// [`ApplyLedger::visible`], which never exposes a gap.
     pub(crate) ledger: ApplyLedger,
-    /// Mirror of `state.bg_error.is_some()`, readable on the write fast
-    /// path without the state lock.
-    pub(crate) has_bg_error: AtomicBool,
+    /// The sticky background error: empty while the store is writable,
+    /// set once by [`DbInner::record_bg_error`], read without any lock.
+    pub(crate) bg_error: OnceLock<String>,
     /// The current version's L0 file count, stored under `state` by open
     /// and by every [`DbInner::install`]: exact for a caller holding
     /// `state`, a hint for the write fast path that skips the lock.
@@ -143,17 +141,6 @@ pub(crate) struct DbInner {
     /// replica's acknowledged segment.
     pub(crate) wal_retain_floor: AtomicU64,
     pub(crate) shutting_down: AtomicBool,
-}
-
-impl DbState {
-    /// `Err(ReadOnly)` once a background error has made the store
-    /// read-only.
-    pub(crate) fn writable(&self) -> Result<()> {
-        match &self.bg_error {
-            Some(e) => Err(Error::ReadOnly(e.clone())),
-            None => Ok(()),
-        }
-    }
 }
 
 pub(crate) type StateGuard<'a> = parking_lot::MutexGuard<'a, DbState>;
@@ -348,27 +335,34 @@ impl DbInner {
         Ok(())
     }
 
-    /// Records a fatal background error. The first error wins and is
-    /// sticky: the store is read-only from here on (writes return
-    /// [`Error::ReadOnly`]), reads keep working, and everything blocked
-    /// on background progress is woken so it can observe the state.
-    // LOCK-HELD: db.state -- takes the guarded DbState by &mut.
-    pub(crate) fn set_bg_error(&self, state: &mut DbState, msg: String) {
-        if state.bg_error.is_none() {
-            state.bg_error = Some(msg.clone());
-            self.has_bg_error.store(true, AtomicOrdering::Release);
+    /// `Err(ReadOnly)` once a background error has made the store
+    /// read-only.
+    pub(crate) fn writable(&self) -> Result<()> {
+        match self.bg_error.get() {
+            Some(e) => Err(Error::ReadOnly(e.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Records a fatal background error, holding nothing. The first error
+    /// wins and is sticky: the store is read-only from here on (writes
+    /// return [`Error::ReadOnly`]), reads keep working. Wakes nobody — a
+    /// thread between its `writable()` check and its wait on `work_done`
+    /// holds `state`, so the wake-up is [`DbInner::set_bg_error`]'s, or
+    /// [`DbInner::fail_commit`]'s for the commit step.
+    pub(crate) fn record_bg_error(&self, msg: String) {
+        if self.bg_error.set(msg.clone()).is_ok() {
             self.metrics.bg_error_set.inc();
             self.obs.event(obs::EventKind::BgError { message: msg });
         }
-        self.work_done.notify_all();
     }
 
-    /// The error a write gets once [`DbInner::has_bg_error`] is set.
-    pub(crate) fn read_only_error(&self) -> Error {
-        let writable = self.state.lock().writable(); // LOCK-ORDER: db.state 10
-        writable
-            .err()
-            .unwrap_or_else(|| Error::ReadOnly("background error".to_string()))
+    /// [`DbInner::record_bg_error`] under `state`, then wakes everything
+    /// blocked on background progress so it can observe the error.
+    // LOCK-HELD: db.state -- takes the guarded DbState by &mut.
+    pub(crate) fn set_bg_error(&self, _state: &mut DbState, msg: String) {
+        self.record_bg_error(msg);
+        self.work_done.notify_all();
     }
 
     /// Replenishes the value log's staged segment number after a rotation
@@ -445,10 +439,28 @@ mod tests {
         );
     }
 
-    /// Reads go through the published view, not through `db.state`: with
-    /// the state lock held by this thread — as a flush or compaction
-    /// install holds it — a memtable hit, a table hit, an absent key and
-    /// an iterator seek on another thread all complete.
+    /// Runs `work` on another thread while this one holds `db.state` — as
+    /// a flush or compaction install holds it — and fails if it does not
+    /// finish until the lock is released.
+    fn completes_while_state_is_held(db: &Db, work: impl FnOnce() + Send) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let state = db.inner.state.lock(); // LOCK-ORDER: db.state 10
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                work();
+                done.send(()).unwrap();
+            });
+            let outcome = finished.recv_timeout(Duration::from_secs(20));
+            // Released before judging, so blocked work can finish and the
+            // scope can join it.
+            drop(state);
+            outcome.expect("the operation waited for db.state");
+        });
+    }
+
+    /// Reads go through the published view, not through `db.state`: a
+    /// memtable hit, a table hit, an absent key and an iterator seek all
+    /// complete while it is held.
     #[test]
     fn get_and_iter_do_not_take_the_state_lock() {
         let env = Arc::new(MemEnv::new());
@@ -456,26 +468,25 @@ mod tests {
         db.put(b"in-table", b"t").unwrap();
         db.flush().unwrap();
         db.put(b"in-memtable", b"m").unwrap();
-
-        let (done, finished) = std::sync::mpsc::channel();
-        let state = db.inner.state.lock(); // LOCK-ORDER: db.state 10
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                assert_eq!(db.get(b"in-memtable").unwrap().as_deref(), Some(&b"m"[..]));
-                assert_eq!(db.get(b"in-table").unwrap().as_deref(), Some(&b"t"[..]));
-                assert_eq!(db.get(b"absent").unwrap(), None);
-                let mut it = db.iter_with(ReadOptions::default()).unwrap();
-                it.seek(b"in-table");
-                assert!(it.valid());
-                assert_eq!((it.key(), it.value()), (&b"in-table"[..], &b"t"[..]));
-                done.send(()).unwrap();
-            });
-            let outcome = finished.recv_timeout(Duration::from_secs(20));
-            // Released before judging, so a blocked reader can finish and
-            // the scope can join it.
-            drop(state);
-            outcome.expect("a read waited for db.state");
+        completes_while_state_is_held(&db, || {
+            assert_eq!(db.get(b"in-memtable").unwrap().as_deref(), Some(&b"m"[..]));
+            assert_eq!(db.get(b"in-table").unwrap().as_deref(), Some(&b"t"[..]));
+            assert_eq!(db.get(b"absent").unwrap(), None);
+            let mut it = db.iter_with(ReadOptions::default()).unwrap();
+            it.seek(b"in-table");
+            assert!(it.valid());
+            assert_eq!((it.key(), it.value()), (&b"in-table"[..], &b"t"[..]));
         });
+    }
+
+    /// Nor does a group commit: a buffered put into a memtable with room
+    /// is counted on the registry, not under `db.state`.
+    #[test]
+    fn put_with_room_does_not_take_the_state_lock() {
+        let db = Db::open("/put", test_options(Arc::new(MemEnv::new()))).unwrap();
+        completes_while_state_is_held(&db, || db.put(b"k", b"v").unwrap());
+        assert_eq!(db.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+        assert_eq!(db.stats().group_commits, 1);
     }
 
     /// The tentpole invariant: writers on several threads share group

@@ -5,7 +5,7 @@
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
 use sstable::comparator::InternalKeyComparator;
@@ -19,7 +19,7 @@ use crate::filename::{log_file_name, parse_file_name, FileType};
 use crate::memtable::{MemGet, MemTable};
 use crate::options::Options;
 use crate::read_view::{ReadView, ViewCell};
-use crate::stats::{DbMetrics, DbStats};
+use crate::stats::DbMetrics;
 use crate::sync_shim;
 use crate::table_cache::TableOpener;
 use crate::version::{VersionEdit, VersionSet};
@@ -147,20 +147,18 @@ impl Db {
                 imm_boundary_seq: 0,
                 versions,
                 log_file_number: log_number,
-                bg_error: None,
                 offloads_in_flight: 0,
                 conflicts: ConflictChecker::new(),
                 flush_in_progress: false,
                 force_compact_level: None,
                 snapshots: BTreeMap::new(),
                 pending_outputs: HashSet::new(),
-                stats: DbStats::default(),
             }),
             epoch: sync_shim::Mutex::new(WalEpoch { wal: log, mem }),
             commit_queue: sync_shim::Mutex::new(VecDeque::new()),
             reserver: SeqReserver::new(last_sequence),
             ledger: ApplyLedger::new(last_sequence),
-            has_bg_error: AtomicBool::new(false),
+            bg_error: OnceLock::new(),
             l0_hint: AtomicUsize::new(l0_files),
             active_mem_bytes: AtomicUsize::new(0),
             work_done: Condvar::new(),

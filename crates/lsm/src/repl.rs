@@ -438,22 +438,14 @@ impl Db {
         // the pin guards freshly appended segments against GC until the
         // apply is visible, mirroring `write_inner`.
         let (batch, _append_pin) = inner.separate(batch)?;
-        let committed = {
+        let Committed { mem, group, result } = {
             let mut epoch = shim_lock(&inner.epoch); // LOCK-ORDER: db.epoch 20
-            if inner.has_bg_error.load(AtomicOrdering::Acquire) {
-                None
-            } else {
-                inner.reserver.advance_to(end_seq);
-                let vlog = inner.vlog.as_deref();
-                Some(epoch.commit([batch.data()], sync, vlog, &inner.ledger, end_seq, 1))
-            }
-        };
-        let Some(Committed { mem, group, result }) = committed else {
-            return Err(inner.read_only_error());
+            inner.writable()?;
+            inner.reserver.advance_to(end_seq);
+            epoch.commit(inner, "wal commit", [batch.data()], sync, end_seq, 1)
         };
         if let Err(e) = result {
-            let mut state = inner.state.lock(); // LOCK-ORDER: db.state 10
-            inner.fail_commit(&mut state, group, 1, "wal commit", &e);
+            inner.fail_commit(group, 1);
             return Err(e);
         }
         apply_batch(&mem, &batch);

@@ -1,5 +1,6 @@
-//! What the store reports about itself: [`DbStats`], the hot-path metric
-//! handles, and the LevelDB-style named properties.
+//! What the store reports about itself: the metric handles every event is
+//! counted on, [`DbStats`] as a view of them, and the LevelDB-style named
+//! properties.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,7 +24,20 @@ pub struct LevelCompactionStats {
     pub files_merged: u64,
 }
 
-/// Aggregate statistics exposed for the experiments.
+/// Aggregate statistics exposed for the experiments (the paper's Fig. 10 /
+/// 14 / Table VIII quantities).
+///
+/// A *view*: nothing stores this struct. [`Db::stats`] assembles it from
+/// the metric registry of the store's [`obs::Obs`] bundle, where each event
+/// is counted once (METRICS.md names the counter behind every field), and
+/// the aggregates are computed from their parts on read:
+/// `compaction_bytes_read/written == Σ per_level`, `flushes ==
+/// lsm.flush.count`, `group_commits == lsm.write.leader`, `grouped_writes
+/// == leader + follower`, `stall_time == lsm.stall_micros`. Durations are
+/// nanosecond counters underneath, so they round-trip exactly. The two
+/// `block_cache_*` fields are the shared cache's own totals (every reader:
+/// scans and compactions too), unlike the point-reads-only
+/// `lsm.block_cache.*` counters.
 #[derive(Debug, Default, Clone)]
 pub struct DbStats {
     /// Memtable flushes performed.
@@ -99,6 +113,30 @@ pub(crate) struct DbMetrics {
     /// cache too; `DbStats` has the cache's own totals).
     pub(crate) block_cache_hits: Arc<obs::Counter>,
     pub(crate) block_cache_misses: Arc<obs::Counter>,
+    /// Compactions the configured engine ran / that exceeded its input
+    /// count and ran in software / that only relinked a file.
+    pub(crate) engine_compactions: Arc<obs::Counter>,
+    pub(crate) sw_fallback_compactions: Arc<obs::Counter>,
+    pub(crate) trivial_moves: Arc<obs::Counter>,
+    /// Wall time inside engines, and the device model's kernel and PCIe
+    /// time, in nanoseconds.
+    pub(crate) compaction_nanos: Arc<obs::Counter>,
+    pub(crate) kernel_nanos: Arc<obs::Counter>,
+    pub(crate) transfer_nanos: Arc<obs::Counter>,
+    pub(crate) max_concurrent_compactions: Arc<obs::Gauge>,
+    pub(crate) concurrent_flushes: Arc<obs::Counter>,
+    pub(crate) backpressure_slowdowns: Arc<obs::Counter>,
+    pub(crate) backpressure_stalls: Arc<obs::Counter>,
+    /// Compaction traffic by input level.
+    pub(crate) per_level: [LevelCounters; NUM_LEVELS],
+}
+
+/// The counters behind one [`LevelCompactionStats`].
+pub(crate) struct LevelCounters {
+    pub(crate) count: Arc<obs::Counter>,
+    pub(crate) bytes_read: Arc<obs::Counter>,
+    pub(crate) bytes_written: Arc<obs::Counter>,
+    pub(crate) files_merged: Arc<obs::Counter>,
 }
 
 impl DbMetrics {
@@ -125,6 +163,22 @@ impl DbMetrics {
             bloom_false_positive: registry.counter("lsm.bloom.false_positive"),
             block_cache_hits: registry.counter("lsm.block_cache.hits"),
             block_cache_misses: registry.counter("lsm.block_cache.misses"),
+            engine_compactions: registry.counter("lsm.compact.engine_jobs"),
+            sw_fallback_compactions: registry.counter("lsm.compact.sw_fallback_jobs"),
+            trivial_moves: registry.counter("lsm.compact.trivial_moves"),
+            compaction_nanos: registry.counter("lsm.compact.wall_nanos"),
+            kernel_nanos: registry.counter("lsm.compact.kernel_nanos"),
+            transfer_nanos: registry.counter("lsm.compact.transfer_nanos"),
+            max_concurrent_compactions: registry.gauge("lsm.compact.max_concurrent"),
+            concurrent_flushes: registry.counter("lsm.flush.concurrent"),
+            backpressure_slowdowns: registry.counter("lsm.backpressure.slowdowns"),
+            backpressure_stalls: registry.counter("lsm.backpressure.stalls"),
+            per_level: std::array::from_fn(|level| LevelCounters {
+                count: registry.counter(&format!("lsm.compact.l{level}.count")),
+                bytes_read: registry.counter(&format!("lsm.compact.l{level}.bytes_read")),
+                bytes_written: registry.counter(&format!("lsm.compact.l{level}.bytes_written")),
+                files_merged: registry.counter(&format!("lsm.compact.l{level}.files_merged")),
+            }),
         }
     }
 
@@ -162,13 +216,45 @@ pub fn set_level_file_gauges(registry: &obs::Registry, counts: &[usize]) {
 }
 
 impl Db {
-    /// Current statistics snapshot.
+    /// Current statistics, read off the metric registry without taking a
+    /// lock (fields are sampled one by one, not atomically together).
+    ///
+    /// The registry belongs to the store's [`obs::Obs`] bundle: stores
+    /// opened with one shared [`crate::Options::obs`] (a server's shards)
+    /// share one set of totals, and each reports the sum — which is what
+    /// the server's `STATS` prints. A store opened without one counts
+    /// alone.
     pub fn stats(&self) -> DbStats {
-        let mut stats = self.inner.state.lock().stats.clone(); // LOCK-ORDER: db.state 10
-        let (hits, misses) = self.inner.tables.block_cache_stats();
-        stats.block_cache_hits = hits;
-        stats.block_cache_misses = misses;
-        stats
+        let m = &self.inner.metrics;
+        let per_level = m.per_level.each_ref().map(|l| LevelCompactionStats {
+            compactions: l.count.get(),
+            bytes_read: l.bytes_read.get(),
+            bytes_written: l.bytes_written.get(),
+            files_merged: l.files_merged.get(),
+        });
+        let (block_cache_hits, block_cache_misses) = self.inner.tables.block_cache_stats();
+        let group_commits = m.write_leader.get();
+        DbStats {
+            flushes: m.flush_count.get(),
+            engine_compactions: m.engine_compactions.get(),
+            sw_fallback_compactions: m.sw_fallback_compactions.get(),
+            trivial_moves: m.trivial_moves.get(),
+            compaction_bytes_read: per_level.iter().map(|l| l.bytes_read).sum(),
+            compaction_bytes_written: per_level.iter().map(|l| l.bytes_written).sum(),
+            compaction_time: Duration::from_nanos(m.compaction_nanos.get()),
+            modeled_kernel_time: Duration::from_nanos(m.kernel_nanos.get()),
+            modeled_transfer_time: Duration::from_nanos(m.transfer_nanos.get()),
+            stall_time: Duration::from_micros(m.stall_micros.get()),
+            concurrent_flushes: m.concurrent_flushes.get(),
+            group_commits,
+            grouped_writes: group_commits + m.write_follower.get(),
+            block_cache_hits,
+            block_cache_misses,
+            max_concurrent_compactions: m.max_concurrent_compactions.get(),
+            backpressure_slowdowns: m.backpressure_slowdowns.get(),
+            backpressure_stalls: m.backpressure_stalls.get(),
+            per_level,
+        }
     }
 
     /// LevelDB `GetProperty`-style named introspection. Returns `None`
@@ -209,25 +295,20 @@ impl Db {
     /// plus the aggregate write-path counters.
     pub fn stats_report(&self) -> String {
         use std::fmt::Write as _;
-        let (stats, rows) = {
-            let state = self.inner.state.lock(); // LOCK-ORDER: db.state 10
-            let v = state.versions.current();
-            let rows: Vec<(usize, u64)> = (0..NUM_LEVELS)
-                .map(|l| {
-                    (
-                        v.num_files(l),
-                        v.files[l].iter().map(|f| f.file_size).sum::<u64>(),
-                    )
-                })
-                .collect();
-            (state.stats.clone(), rows)
-        };
+        let stats = self.stats();
+        let v = self.inner.state.lock().versions.current(); // LOCK-ORDER: db.state 10
+        let rows = (0..NUM_LEVELS).map(|l| {
+            (
+                v.num_files(l),
+                v.files[l].iter().map(|f| f.file_size).sum::<u64>(),
+            )
+        });
         let mut out = String::new();
         let _ = writeln!(
             out,
             "level  files  size_kb  compactions  read_kb  write_kb  files_merged"
         );
-        for (level, (files, bytes)) in rows.iter().enumerate() {
+        for (level, (files, bytes)) in rows.enumerate() {
             let lv = stats.per_level[level];
             let _ = writeln!(
                 out,

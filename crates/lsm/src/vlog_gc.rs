@@ -188,12 +188,16 @@ impl DbInner {
         old_stored: &[u8],
         new_stored: Vec<u8>,
     ) -> Result<bool> {
-        let mut state = self.state.lock(); // LOCK-ORDER: db.state 10
-        state.writable()?;
+        let _state = self.state.lock(); // LOCK-ORDER: db.state 10
+        self.writable()?;
         // LOCK-ORDER: db.epoch 20
         let mut epoch = shim_lock(&self.epoch);
-        // In-flight groups finish their ledger bookkeeping without either
-        // lock held here, so this wait cannot deadlock.
+        // Waits holding `db.state` and `db.epoch`. Between reserving its
+        // range (under `db.epoch`, so before this hold began) and
+        // `ledger.finish_members`, a group takes neither lock — not when
+        // its WAL commit succeeds (apply, finish) and not when it fails
+        // (`fail_commit` finishes first and takes `db.state` after) — so
+        // every range this waits for becomes visible.
         self.ledger.wait_visible(self.reserver.last_reserved());
         let seq = self.ledger.visible();
         // The state lock is held, so the published view is what `state`
@@ -206,10 +210,13 @@ impl DbInner {
         batch.put(key, &new_stored);
         batch.set_sequence(self.reserver.reserve(1));
         let last_seq = batch.sequence();
+        let records = [batch.data()];
         let Committed { mem, group, result } =
-            epoch.commit([batch.data()], false, None, &self.ledger, last_seq, 1);
+            epoch.commit(self, "vlog gc wal append", records, false, last_seq, 1);
         if let Err(e) = result {
-            self.fail_commit(&mut state, group, 1, "vlog gc wal append", &e);
+            // `fail_commit` with `state` already held.
+            self.ledger.finish_members(group, 1);
+            self.work_done.notify_all();
             return Err(e);
         }
         apply_batch(&mem, &batch);

@@ -9,15 +9,14 @@ use std::time::{Duration, Instant};
 use sstable::ikey::ValueType;
 
 use crate::compaction::WritePressure;
-use crate::db::{Db, DbInner, DbState, StateGuard};
+use crate::db::{Db, DbInner, StateGuard};
 use crate::filename::log_file_name;
 use crate::memtable::MemTable;
 use crate::options::{WriteOptions, L0_SLOWDOWN_WRITES_TRIGGER, L0_STOP_WRITES_TRIGGER};
 use crate::sync_shim::{self, lock as shim_lock};
-use crate::vlog::{AppendPin, VlogRuntime};
+use crate::vlog::AppendPin;
 use crate::wal::LogWriter;
 use crate::write_batch::{BatchOp, WriteBatch};
-use crate::write_path::ApplyLedger;
 use crate::{Error, Result};
 
 /// The WAL and the memtable it replays into, swapped atomically at
@@ -53,22 +52,23 @@ impl WalEpoch {
     /// from later groups may get synced early — harmless, their own
     /// commit re-checks.)
     ///
-    /// **Failure contract.** The range is registered even when the append
-    /// or a sync fails, so the caller can — and must — hand it to
-    /// [`DbInner::fail_commit`]. A failed append or sync leaves the WAL
-    /// tail in an unknown state; appending further records behind it
-    /// could replay as garbage or silently drop acknowledged writes. So
-    /// the first failure is sticky: the store goes read-only, and the
-    /// group is marked fully applied so the visibility watermark skips its
-    /// never-persisted, never-acknowledged range instead of wedging every
-    /// later reader and writer behind it.
+    /// **Failure contract.** A failed append or sync leaves the WAL tail
+    /// in an unknown state; appending further records behind it could
+    /// replay as garbage or silently drop acknowledged writes. So the
+    /// first failure is sticky, and it sticks *here*, inside the epoch
+    /// section: the store is read-only (an error named after `what`)
+    /// before the next committer can take `db.epoch`. The range is
+    /// registered all the same, so the caller can — and must — mark it
+    /// applied ([`DbInner::fail_commit`]): the visibility watermark then
+    /// skips the never-persisted, never-acknowledged range instead of
+    /// wedging every later reader and writer behind it.
     // LOCK-HELD: db.epoch -- a method of the guarded value.
     pub(crate) fn commit<'a>(
         &mut self,
+        db: &DbInner,
+        what: &str,
         records: impl IntoIterator<Item = &'a [u8]>,
         sync: bool,
-        vlog: Option<&VlogRuntime>,
-        ledger: &ApplyLedger,
         last_seq: u64,
         members: usize,
     ) -> Committed {
@@ -77,16 +77,19 @@ impl WalEpoch {
                 self.wal.add_record(record)?;
             }
             if sync {
-                if let Some(v) = vlog {
+                if let Some(v) = &db.vlog {
                     v.sync_if_dirty()?;
                 }
                 self.wal.sync()?;
             }
             Ok(())
         })();
+        if let Err(e) = &result {
+            db.record_bg_error(format!("{what} failed: {e}"));
+        }
         Committed {
             mem: Arc::clone(&self.mem),
-            group: ledger.register(last_seq, members),
+            group: db.ledger.register(last_seq, members),
             result,
         }
     }
@@ -295,7 +298,7 @@ impl DbInner {
     /// state lock. Otherwise it falls back to the full LevelDB
     /// `MakeRoomForWrite` loop (slowdowns, stalls, rotation).
     pub(crate) fn ensure_room(&self) -> Result<()> {
-        if !self.has_bg_error.load(AtomicOrdering::Acquire)
+        if self.bg_error.get().is_none()
             && self.engine.write_pressure() == WritePressure::None
             && self.l0_hint.load(AtomicOrdering::Relaxed) < L0_SLOWDOWN_WRITES_TRIGGER
             && self.active_mem_bytes.load(AtomicOrdering::Relaxed) <= self.options.write_buffer_size
@@ -368,10 +371,10 @@ impl DbInner {
                     next.promote_lead();
                 }
             }
-            if self.has_bg_error.load(AtomicOrdering::Acquire) {
+            if let Err(e) = self.writable() {
                 // Writes queued behind a sticky background error are
                 // rejected as a group (reads keep working).
-                None
+                Err(e)
             } else {
                 for w in &members {
                     sync |= w.sync;
@@ -386,25 +389,25 @@ impl DbInner {
                     seq += u64::from(b.count());
                 }
                 let last_seq = seq.saturating_sub(1);
-                let committed = epoch.commit(
-                    batches.iter().map(WriteBatch::data),
-                    sync,
-                    self.vlog.as_deref(),
-                    &self.ledger,
-                    last_seq,
-                    members.len(),
-                );
-                Some((committed, last_seq))
+                let records = batches.iter().map(WriteBatch::data);
+                let committed =
+                    epoch.commit(self, "wal commit", records, sync, last_seq, members.len());
+                Ok((committed, last_seq))
             }
         };
 
-        let Some((committed, last_seq)) = committed else {
-            let err = self.read_only_error();
-            self.metrics.readonly_rejects.add(members.len() as u64);
+        let fan_out = |e: Error| -> Result<()> {
             for w in members.iter().skip(1) {
-                w.complete(Err(replicate_err(&err)));
+                w.complete(Err(replicate_err(&e)));
             }
-            return Err(err);
+            Err(e)
+        };
+        let (committed, last_seq) = match committed {
+            Ok(committed) => committed,
+            Err(e) => {
+                self.metrics.readonly_rejects.add(members.len() as u64);
+                return fan_out(e);
+            }
         };
         let Committed {
             mem,
@@ -425,14 +428,8 @@ impl DbInner {
         }
 
         if let Err(e) = commit {
-            {
-                let mut state = self.state.lock(); // LOCK-ORDER: db.state 10
-                self.fail_commit(&mut state, group_id, members.len(), "wal commit", &e);
-            }
-            for w in members.iter().skip(1) {
-                w.complete(Err(replicate_err(&e)));
-            }
-            return Err(replicate_err(&e));
+            self.fail_commit(group_id, members.len());
+            return fan_out(e);
         }
 
         // Hand every follower its stamped batch first, then apply our
@@ -446,11 +443,6 @@ impl DbInner {
         self.ledger.finish_members(group_id, 1);
 
         self.note_occupancy(&mem);
-        {
-            let mut state = self.state.lock(); // LOCK-ORDER: db.state 10
-            state.stats.group_commits += 1;
-            state.stats.grouped_writes += members.len() as u64;
-        }
         self.ledger.wait_visible(last_seq);
         Ok(())
     }
@@ -464,27 +456,23 @@ impl DbInner {
         self.metrics.mem_occupancy.set(occupancy as u64);
     }
 
-    /// The failure half of [`WalEpoch::commit`]'s contract: the store
-    /// goes read-only with an error named after `what`, and the group's
-    /// `members` are all marked applied so the watermark moves past the
-    /// range nothing will ever apply.
-    // LOCK-HELD: db.state -- takes the guarded DbState by &mut.
-    pub(crate) fn fail_commit(
-        &self,
-        state: &mut DbState,
-        group: u64,
-        members: usize,
-        what: &str,
-        e: &Error,
-    ) {
-        self.set_bg_error(state, format!("{what} failed: {e}"));
+    /// The caller's half of [`WalEpoch::commit`]'s failure contract (the
+    /// store is read-only already): the group's `members` are all marked
+    /// applied so the watermark moves past the range nothing will ever
+    /// apply. Called holding nothing — a value-log GC install waits for
+    /// exactly this range to become visible while it holds `db.state` and
+    /// `db.epoch`. `db.state` is taken only afterwards, and only so that
+    /// a thread between its `writable()` check and its wait on `work_done`
+    /// (it holds `state` across both) cannot miss the wake-up.
+    pub(crate) fn fail_commit(&self, group: u64, members: usize) {
         self.ledger.finish_members(group, members);
+        let _state = self.state.lock(); // LOCK-ORDER: db.state 10
+        self.work_done.notify_all();
     }
 
-    /// Accounts one writer stall: DbStats, the stall counter, and a
-    /// `write_stall` trace event.
-    fn note_stall(&self, state: &mut DbState, elapsed: Duration) {
-        state.stats.stall_time += elapsed;
+    /// Accounts one writer stall: the stall counter and a `write_stall`
+    /// trace event.
+    fn note_stall(&self, elapsed: Duration) {
         let micros = elapsed.as_micros() as u64;
         self.metrics.stall_micros.add(micros);
         self.obs.event(obs::EventKind::WriteStall { micros });
@@ -498,7 +486,7 @@ impl DbInner {
         let mut allow_delay = true;
         let mut allow_pressure_delay = true;
         loop {
-            if let Err(e) = state.writable() {
+            if let Err(e) = self.writable() {
                 self.metrics.readonly_rejects.inc();
                 return Err(e);
             }
@@ -507,13 +495,13 @@ impl DbInner {
                 state.conflicts.in_flight() > 0 || state.imm.is_some() || state.flush_in_progress;
             if pressure == WritePressure::Stop && background_busy {
                 // The offload queue is full: stall like the L0 stop trigger.
-                state.stats.backpressure_stalls += 1;
+                self.metrics.backpressure_stalls.inc();
                 self.stall(&mut state);
                 continue;
             }
             if pressure != WritePressure::None && allow_pressure_delay {
                 allow_pressure_delay = false;
-                state.stats.backpressure_slowdowns += 1;
+                self.metrics.backpressure_slowdowns.inc();
                 state = self.slowdown_write(state);
                 continue;
             }
@@ -532,7 +520,7 @@ impl DbInner {
                 // Paper's scheduler: the previous memtable is still
                 // waiting and the device is busy compacting, so the host
                 // performs the flush itself, concurrently.
-                state.stats.concurrent_flushes += 1;
+                self.metrics.concurrent_flushes.inc();
                 state = self.flush_immutable(state)?;
                 continue;
             }
@@ -551,7 +539,7 @@ impl DbInner {
         let t0 = Instant::now();
         self.wake_workers(state);
         self.work_done.wait(state);
-        self.note_stall(state, t0.elapsed());
+        self.note_stall(t0.elapsed());
     }
 
     /// One 1 ms write delay (simulated when `slowdown_sleep` is off).
@@ -562,9 +550,9 @@ impl DbInner {
             drop(state);
             std::thread::sleep(Duration::from_millis(1));
             state = self.state.lock(); // LOCK-ORDER: db.state 10
-            self.note_stall(&mut state, t0.elapsed());
+            self.note_stall(t0.elapsed());
         } else {
-            self.note_stall(&mut state, Duration::from_millis(1));
+            self.note_stall(Duration::from_millis(1));
         }
         state
     }

@@ -866,6 +866,95 @@ fn failed_wal_append_under_a_vlog_gc_rewrite_goes_read_only_and_skips_the_range(
     ));
 }
 
+/// ROADMAP item 0(i): a WAL failure while value-log GC installs rewrites.
+/// GC holds `db.state` and `db.epoch` while it waits for every reserved
+/// range to become visible; a group whose commit just failed used to need
+/// `db.state` before it released its range, and the store hung instead of
+/// going read-only. Each round races writers and a GC loop on a fresh
+/// store, starts failing WAL appends, and every thread must come back.
+#[test]
+fn wal_failure_while_vlog_gc_installs_goes_read_only_and_never_hangs() {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const ROUNDS: usize = 40;
+    const PRELOADED: u64 = 64;
+    let key = |i: u64| format!("k{i:03}").into_bytes();
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        for round in 0..ROUNDS {
+            let armed = Arc::new(AtomicBool::new(false));
+            let env = WalAppendFault {
+                inner: Arc::new(MemEnv::new()),
+                armed: Arc::clone(&armed),
+            };
+            let options = Options {
+                env: Arc::new(env) as Arc<dyn StorageEnv>,
+                slowdown_sleep: false,
+                value_log_threshold_bytes: Some(64),
+                value_log_segment_bytes: 4 << 10,
+                ..Default::default()
+            };
+            let db = Db::open("/gc-race", options).unwrap();
+            // Never overwritten, so every sealed segment holds live
+            // records and GC keeps installing rewrites.
+            let big = vec![0x5au8; 512];
+            for i in 0..PRELOADED {
+                db.put(&key(i), &big).unwrap();
+            }
+            let acks = AtomicU64::new(0);
+            let writers_done = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    while !writers_done.load(Ordering::SeqCst) {
+                        let _ = db.collect_value_log();
+                    }
+                });
+                let writers: Vec<_> = (0..3u64)
+                    .map(|w| {
+                        let (db, big, acks) = (&db, &big, &acks);
+                        s.spawn(move || {
+                            for i in 0.. {
+                                let key = format!("w{w}-{:02}", i % 16);
+                                match db.put(key.as_bytes(), big) {
+                                    Ok(()) => acks.fetch_add(1, Ordering::SeqCst),
+                                    Err(lsm::Error::Io(_) | lsm::Error::ReadOnly(_)) => break,
+                                    Err(e) => panic!("round {round}: unexpected error: {e}"),
+                                };
+                            }
+                        })
+                    })
+                    .collect();
+                while acks.load(Ordering::SeqCst) < 100 {
+                    std::thread::yield_now();
+                }
+                armed.store(true, Ordering::SeqCst);
+                for w in writers {
+                    w.join().expect("writer thread");
+                }
+                writers_done.store(true, Ordering::SeqCst);
+            });
+            assert!(
+                matches!(db.put(b"after", b"fault"), Err(lsm::Error::ReadOnly(_))),
+                "round {round}: the store must be read-only"
+            );
+            for i in 0..PRELOADED {
+                let got = db.get(&key(i)).unwrap();
+                assert_eq!(
+                    got.as_deref(),
+                    Some(big.as_slice()),
+                    "round {round}: k{i:03}"
+                );
+            }
+        }
+        let _ = done_tx.send(());
+    });
+    // Watchdog: the rounds take about a second; a hold-and-wait never ends.
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("a WAL failure under value-log GC hung the store");
+    worker.join().unwrap();
+}
+
 // ------------------------------------------------------- table lifetime
 
 /// A table opened by racing first probes closes exactly once, when the

@@ -35,6 +35,7 @@ pub mod metrics;
 pub mod queue;
 pub mod sync_shim;
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fcae::{FcaeConfig, FcaeEngine, ResourceModel};
@@ -81,49 +82,58 @@ impl Default for OffloadConfig {
     }
 }
 
-/// Pre-registered observability handles (`OffloadService::with_obs`).
-/// Counters mirror [`OffloadMetrics`]; the histograms add the queue-wait
-/// and busy-time distributions the scalar totals cannot show; dispatch,
-/// fault and fallback decisions land on the trace with a job id.
+/// Pre-registered handles on the bundle's registry: where every
+/// scheduler event is counted, once ([`OffloadMetrics`] is read back from
+/// these). The histograms add the queue-wait and busy-time distributions
+/// the totals cannot show; dispatch, fault and fallback decisions land on
+/// the bundle's trace with a job id.
 struct OffloadObs {
-    bundle: std::sync::Arc<obs::Obs>,
-    queue_wait_micros: std::sync::Arc<obs::Histogram>,
-    engine_busy_micros: std::sync::Arc<obs::Histogram>,
-    cpu_busy_micros: std::sync::Arc<obs::Histogram>,
-    jobs_submitted: std::sync::Arc<obs::Counter>,
-    fpga_jobs: std::sync::Arc<obs::Counter>,
-    cpu_fallback_oversized: std::sync::Arc<obs::Counter>,
-    cpu_fallback_timeout: std::sync::Arc<obs::Counter>,
-    cpu_fallback_budget: std::sync::Arc<obs::Counter>,
-    device_faults: std::sync::Arc<obs::Counter>,
-    fault_transient: std::sync::Arc<obs::Counter>,
-    fault_midjob_timeout: std::sync::Arc<obs::Counter>,
-    fault_midjob_poisoned: std::sync::Arc<obs::Counter>,
-    fault_outputs_discarded: std::sync::Arc<obs::Counter>,
-    cpu_retries_after_fault: std::sync::Arc<obs::Counter>,
-    cpu_pipelined_jobs: std::sync::Arc<obs::Counter>,
-    maintenance_jobs: std::sync::Arc<obs::Counter>,
-    maintenance_inline: std::sync::Arc<obs::Counter>,
-    max_fpga_in_flight: std::sync::Arc<obs::Gauge>,
-    max_jobs_in_flight: std::sync::Arc<obs::Gauge>,
+    bundle: Arc<obs::Obs>,
+    queue_wait_micros: Arc<obs::Histogram>,
+    engine_busy_micros: Arc<obs::Histogram>,
+    cpu_busy_micros: Arc<obs::Histogram>,
+    /// The same three times as nanosecond totals, so the `Duration`
+    /// fields of [`OffloadMetrics`] are exact.
+    queue_wait_nanos: Arc<obs::Counter>,
+    fpga_busy_nanos: Arc<obs::Counter>,
+    cpu_busy_nanos: Arc<obs::Counter>,
+    jobs_submitted: Arc<obs::Counter>,
+    fpga_jobs: Arc<obs::Counter>,
+    cpu_fallback_oversized: Arc<obs::Counter>,
+    cpu_fallback_timeout: Arc<obs::Counter>,
+    cpu_fallback_budget: Arc<obs::Counter>,
+    device_faults: Arc<obs::Counter>,
+    fault_transient: Arc<obs::Counter>,
+    fault_midjob_timeout: Arc<obs::Counter>,
+    fault_midjob_poisoned: Arc<obs::Counter>,
+    fault_outputs_discarded: Arc<obs::Counter>,
+    cpu_retries_after_fault: Arc<obs::Counter>,
+    cpu_pipelined_jobs: Arc<obs::Counter>,
+    maintenance_jobs: Arc<obs::Counter>,
+    maintenance_inline: Arc<obs::Counter>,
+    max_fpga_in_flight: Arc<obs::Gauge>,
+    max_jobs_in_flight: Arc<obs::Gauge>,
     /// Per-module device cycle attribution (`fcae.cycles.*`), summed
     /// over every job that ran on an engine, truncated to whole cycles.
-    cycles_decoder: std::sync::Arc<obs::Counter>,
-    cycles_comparer: std::sync::Arc<obs::Counter>,
-    cycles_transfer: std::sync::Arc<obs::Counter>,
-    cycles_encoder: std::sync::Arc<obs::Counter>,
-    cycles_axi: std::sync::Arc<obs::Counter>,
-    cycles_overhead: std::sync::Arc<obs::Counter>,
-    cycles_memory: std::sync::Arc<obs::Counter>,
+    cycles_decoder: Arc<obs::Counter>,
+    cycles_comparer: Arc<obs::Counter>,
+    cycles_transfer: Arc<obs::Counter>,
+    cycles_encoder: Arc<obs::Counter>,
+    cycles_axi: Arc<obs::Counter>,
+    cycles_overhead: Arc<obs::Counter>,
+    cycles_memory: Arc<obs::Counter>,
 }
 
 impl OffloadObs {
-    fn new(bundle: std::sync::Arc<obs::Obs>) -> Self {
+    fn new(bundle: Arc<obs::Obs>) -> Self {
         let r = &bundle.registry;
         OffloadObs {
             queue_wait_micros: r.histogram("offload.queue_wait_micros"),
             engine_busy_micros: r.histogram("offload.engine_busy_micros"),
             cpu_busy_micros: r.histogram("offload.cpu_busy_micros"),
+            queue_wait_nanos: r.counter("offload.queue_wait_nanos"),
+            fpga_busy_nanos: r.counter("offload.fpga_busy_nanos"),
+            cpu_busy_nanos: r.counter("offload.cpu_busy_nanos"),
             jobs_submitted: r.counter("offload.jobs_submitted"),
             fpga_jobs: r.counter("offload.fpga_jobs"),
             cpu_fallback_oversized: r.counter("offload.cpu_fallback_oversized"),
@@ -151,12 +161,13 @@ impl OffloadObs {
         }
     }
 
-    /// The registry mirror of the per-kind fault counters.
-    fn fault_counter(&self, kind: DeviceFaultKind) -> &obs::Counter {
+    /// Counts one device fault: the all-kinds counter and `kind`'s own.
+    fn count_fault(&self, kind: DeviceFaultKind) {
+        self.device_faults.inc();
         match kind {
-            DeviceFaultKind::Transient => &self.fault_transient,
-            DeviceFaultKind::MidJobTimeout => &self.fault_midjob_timeout,
-            DeviceFaultKind::MidJobPoisoned => &self.fault_midjob_poisoned,
+            DeviceFaultKind::Transient => self.fault_transient.inc(),
+            DeviceFaultKind::MidJobTimeout => self.fault_midjob_timeout.inc(),
+            DeviceFaultKind::MidJobPoisoned => self.fault_midjob_poisoned.inc(),
         }
     }
 
@@ -170,8 +181,38 @@ impl OffloadObs {
         self.cycles_overhead.add(b.overhead as u64);
         self.cycles_memory.add(b.memory as u64);
     }
+
+    /// The registry's totals in [`OffloadMetrics`]' shape.
+    fn metrics(&self) -> OffloadMetrics {
+        let faults_transient = self.fault_transient.get();
+        let faults_midjob_timeout = self.fault_midjob_timeout.get();
+        let faults_midjob_poisoned = self.fault_midjob_poisoned.get();
+        OffloadMetrics {
+            jobs_submitted: self.jobs_submitted.get(),
+            fpga_jobs: self.fpga_jobs.get(),
+            cpu_fallback_oversized: self.cpu_fallback_oversized.get(),
+            cpu_fallback_timeout: self.cpu_fallback_timeout.get(),
+            cpu_fallback_budget: self.cpu_fallback_budget.get(),
+            device_faults: faults_transient + faults_midjob_timeout + faults_midjob_poisoned,
+            faults_transient,
+            faults_midjob_timeout,
+            faults_midjob_poisoned,
+            midjob_outputs_discarded: self.fault_outputs_discarded.get(),
+            cpu_retries_after_fault: self.cpu_retries_after_fault.get(),
+            cpu_pipelined_jobs: self.cpu_pipelined_jobs.get(),
+            maintenance_jobs: self.maintenance_jobs.get(),
+            maintenance_inline: self.maintenance_inline.get(),
+            max_fpga_in_flight: self.max_fpga_in_flight.get(),
+            max_jobs_in_flight: self.max_jobs_in_flight.get(),
+            total_queue_wait: Duration::from_nanos(self.queue_wait_nanos.get()),
+            fpga_busy_time: Duration::from_nanos(self.fpga_busy_nanos.get()),
+            cpu_busy_time: Duration::from_nanos(self.cpu_busy_nanos.get()),
+        }
+    }
 }
 
+/// Scheduling state only: what is free, who waits, what is in flight.
+/// Event counts live on the registry ([`OffloadObs`]).
 struct ServiceState {
     /// Indices into `engines` that are idle.
     free_slots: Vec<usize>,
@@ -182,7 +223,8 @@ struct ServiceState {
     fpga_in_flight: usize,
     /// Jobs inside the service (any execution path).
     jobs_in_flight: usize,
-    metrics: OffloadMetrics,
+    /// Jobs ever admitted; the latest one's trace id.
+    jobs_admitted: u64,
 }
 
 /// The offload scheduler; a drop-in [`lsm::CompactionEngine`].
@@ -195,7 +237,7 @@ pub struct OffloadService {
     /// Signaled whenever a slot frees or queue membership changes.
     slot_free: Condvar,
     faults: FaultInjector,
-    obs: Option<OffloadObs>,
+    obs: OffloadObs,
 }
 
 impl OffloadService {
@@ -208,7 +250,9 @@ impl OffloadService {
     }
 
     /// Creates a service with exactly `slots` engine instances (tests and
-    /// what-if experiments bypass the resource model this way).
+    /// what-if experiments bypass the resource model this way). It counts
+    /// on a private wall-clock bundle until [`OffloadService::with_obs`]
+    /// replaces it.
     pub fn with_slots(device: FcaeConfig, slots: usize, config: OffloadConfig) -> Self {
         let slots = slots.max(1);
         let engines = (0..slots).map(|_| FcaeEngine::new(device)).collect();
@@ -225,27 +269,27 @@ impl OffloadService {
                 next_waiter_id: 0,
                 fpga_in_flight: 0,
                 jobs_in_flight: 0,
-                metrics: OffloadMetrics::default(),
+                jobs_admitted: 0,
             }),
             slot_free: Condvar::new(),
             faults: FaultInjector::new(),
-            obs: None,
+            obs: OffloadObs::new(obs::Obs::wall()),
         }
     }
 
-    /// Attaches an observability bundle: scheduler counters and
-    /// histograms register on its registry (`offload.*` names) and every
-    /// dispatch/fault/fallback decision is traced. Share the bundle with
-    /// the `lsm::Db` (via `Options::obs`) for one unified export.
-    pub fn with_obs(mut self, bundle: std::sync::Arc<obs::Obs>) -> Self {
-        self.obs = Some(OffloadObs::new(bundle));
+    /// Counts and traces on `bundle` instead of the private one:
+    /// scheduler counters and histograms register on its registry
+    /// (`offload.*` names) and every dispatch/fault/fallback decision is
+    /// traced there. Share the bundle with the `lsm::Db` (via
+    /// `Options::obs`) for one unified export. Services given the same
+    /// bundle share one set of totals.
+    pub fn with_obs(mut self, bundle: Arc<obs::Obs>) -> Self {
+        self.obs = OffloadObs::new(bundle);
         self
     }
 
     fn trace(&self, kind: obs::EventKind) {
-        if let Some(o) = &self.obs {
-            o.bundle.event(kind);
-        }
+        self.obs.bundle.event(kind);
     }
 
     /// Number of engine slots.
@@ -263,9 +307,9 @@ impl OffloadService {
         &self.faults
     }
 
-    /// Snapshot of the scheduler metrics.
+    /// The scheduler's totals, read off its bundle's registry.
     pub fn metrics(&self) -> OffloadMetrics {
-        self.state.lock().metrics.clone() // LOCK-ORDER: offload.state 110
+        self.obs.metrics()
     }
 
     /// Rough device time for `req`: kernel at `V` bytes/cycle plus two
@@ -279,7 +323,8 @@ impl OffloadService {
     }
 
     /// Waits (with priority + aging) for an engine slot, up to the wait
-    /// budget. Returns the slot index, or `None` on budget exhaustion.
+    /// budget. Returns the slot index — occupied, until
+    /// [`OffloadService::release_slot`] — or `None` on budget exhaustion.
     fn acquire_slot(&self, class: JobClass) -> Option<usize> {
         let enqueued = Instant::now();
         let deadline = enqueued + self.config.wait_budget;
@@ -291,35 +336,34 @@ impl OffloadService {
             class,
             enqueued,
         });
-        loop {
+        let (slot, left) = loop {
             let now = Instant::now();
             let chosen = self.policy.pick(now, &state.waiting).map(|w| w.id);
-            if chosen == Some(id) {
-                if let Some(slot) = state.free_slots.pop() {
-                    state.waiting.retain(|w| w.id != id);
-                    let waited = now.saturating_duration_since(enqueued);
-                    state.metrics.total_queue_wait += waited;
-                    if let Some(o) = &self.obs {
-                        o.queue_wait_micros.record(waited.as_micros() as u64);
-                    }
-                    // Other waiters may still find free slots.
-                    self.slot_free.notify_all();
-                    return Some(slot);
-                }
-            }
-            if now >= deadline {
-                state.waiting.retain(|w| w.id != id);
-                let waited = now.saturating_duration_since(enqueued);
-                state.metrics.total_queue_wait += waited;
-                if let Some(o) = &self.obs {
-                    o.queue_wait_micros.record(waited.as_micros() as u64);
-                }
-                // Our departure may promote another waiter.
-                self.slot_free.notify_all();
-                return None;
+            let slot = if chosen == Some(id) {
+                state.free_slots.pop()
+            } else {
+                None
+            };
+            if slot.is_some() || now >= deadline {
+                break (slot, now);
             }
             self.slot_free.wait_until(&mut state, deadline);
+        };
+        state.waiting.retain(|w| w.id != id);
+        if slot.is_some() {
+            state.fpga_in_flight += 1;
+            self.obs
+                .max_fpga_in_flight
+                .set_max(state.fpga_in_flight as u64);
         }
+        // Leaving the queue, with a slot or without, may let another
+        // waiter through.
+        self.slot_free.notify_all();
+        drop(state);
+        let waited = left.saturating_duration_since(enqueued);
+        self.obs.queue_wait_nanos.add(waited.as_nanos() as u64);
+        self.obs.queue_wait_micros.record(waited.as_micros() as u64);
+        slot
     }
 
     fn release_slot(&self, slot: usize) {
@@ -329,34 +373,32 @@ impl OffloadService {
         self.slot_free.notify_all();
     }
 
+    /// Runs `req` on the host CPU: the software path of Fig. 6, counted
+    /// on `fallback` and traced with `reason`.
     fn run_cpu(
         &self,
+        fallback: &obs::Counter,
+        reason: &'static str,
         req: &CompactionRequest,
-        input_bytes: u64,
         out: &dyn OutputFileFactory,
         job: u64,
     ) -> lsm::Result<CompactionOutcome> {
-        let t0 = Instant::now();
+        fallback.inc();
+        self.trace(obs::EventKind::EngineFallback { job, reason });
         self.trace(obs::EventKind::EngineDispatch {
             job,
             engine: "cpu",
-            bytes: input_bytes,
+            bytes: req.input_bytes(),
         });
+        let t0 = Instant::now();
         let result = CpuCompactionEngine.compact(req, out);
         let busy = t0.elapsed();
+        self.obs.cpu_busy_nanos.add(busy.as_nanos() as u64);
+        self.obs.cpu_busy_micros.record(busy.as_micros() as u64);
         // Large fallback jobs overlap block reads with the merge on
         // reader threads; the engine decides from the input size.
-        let read_ahead = result.as_ref().is_ok_and(|o| o.reader_threads > 0);
-        {
-            let mut state = self.state.lock(); // LOCK-ORDER: offload.state 110
-            state.metrics.cpu_busy_time += busy;
-            state.metrics.cpu_pipelined_jobs += u64::from(read_ahead);
-        }
-        if let Some(o) = &self.obs {
-            o.cpu_busy_micros.record(busy.as_micros() as u64);
-            if read_ahead {
-                o.cpu_pipelined_jobs.inc();
-            }
+        if result.as_ref().is_ok_and(|o| o.reader_threads > 0) {
+            self.obs.cpu_pipelined_jobs.inc();
         }
         result
     }
@@ -367,56 +409,21 @@ impl OffloadService {
         out: &dyn OutputFileFactory,
         job: u64,
     ) -> lsm::Result<CompactionOutcome> {
+        let o = &self.obs;
         let input_bytes = req.input_bytes();
         // Software paths first (Fig. 6): too many inputs for the device,
         // or a job too large for the per-job device-time budget.
         if req.inputs.len() > self.device.n_inputs {
-            self.state.lock().metrics.cpu_fallback_oversized += 1; // LOCK-ORDER: offload.state 110
-            if let Some(o) = &self.obs {
-                o.cpu_fallback_oversized.inc();
-            }
-            self.trace(obs::EventKind::EngineFallback {
-                job,
-                reason: "oversized",
-            });
-            return self.run_cpu(req, input_bytes, out, job);
+            return self.run_cpu(&o.cpu_fallback_oversized, "oversized", req, out, job);
         }
         if self.estimated_device_time(input_bytes) > self.config.job_timeout {
-            self.state.lock().metrics.cpu_fallback_timeout += 1; // LOCK-ORDER: offload.state 110
-            if let Some(o) = &self.obs {
-                o.cpu_fallback_timeout.inc();
-            }
-            self.trace(obs::EventKind::EngineFallback {
-                job,
-                reason: "timeout",
-            });
-            return self.run_cpu(req, input_bytes, out, job);
+            return self.run_cpu(&o.cpu_fallback_timeout, "timeout", req, out, job);
         }
-
         let Some(slot) = self.acquire_slot(JobClass::from_level(req.level)) else {
             // Hybrid dispatch: the device is saturated, the host is idle.
-            self.state.lock().metrics.cpu_fallback_budget += 1; // LOCK-ORDER: offload.state 110
-            if let Some(o) = &self.obs {
-                o.cpu_fallback_budget.inc();
-            }
-            self.trace(obs::EventKind::EngineFallback {
-                job,
-                reason: "budget",
-            });
-            return self.run_cpu(req, input_bytes, out, job);
+            return self.run_cpu(&o.cpu_fallback_budget, "budget", req, out, job);
         };
 
-        {
-            let mut state = self.state.lock(); // LOCK-ORDER: offload.state 110
-            state.fpga_in_flight += 1;
-            state.metrics.max_fpga_in_flight = state
-                .metrics
-                .max_fpga_in_flight
-                .max(state.fpga_in_flight as u64);
-            if let Some(o) = &self.obs {
-                o.max_fpga_in_flight.set_max(state.fpga_in_flight as u64);
-            }
-        }
         self.trace(obs::EventKind::EngineDispatch {
             job,
             engine: "fcae",
@@ -433,12 +440,10 @@ impl OffloadService {
             let t0 = Instant::now();
             let r = self.engines[slot].compact(req, out);
             let busy = t0.elapsed();
-            self.state.lock().metrics.fpga_busy_time += busy; // LOCK-ORDER: offload.state 110
-            if let Some(o) = &self.obs {
-                o.engine_busy_micros.record(busy.as_micros() as u64);
-                if r.is_ok() {
-                    o.record_breakdown(&self.engines[slot].last_report().breakdown);
-                }
+            o.fpga_busy_nanos.add(busy.as_nanos() as u64);
+            o.engine_busy_micros.record(busy.as_micros() as u64);
+            if r.is_ok() {
+                o.record_breakdown(&self.engines[slot].last_report().breakdown);
             }
             match (r, injected) {
                 (Ok(outcome), Some(kind)) => {
@@ -448,11 +453,7 @@ impl OffloadService {
                     // pending-outputs GC sweeps — and surface a device
                     // error so the CPU retry installs a fresh set of
                     // outputs exactly once.
-                    let discarded = outcome.outputs.len() as u64;
-                    self.state.lock().metrics.midjob_outputs_discarded += discarded; // LOCK-ORDER: offload.state 110
-                    if let Some(o) = &self.obs {
-                        o.fault_outputs_discarded.add(discarded);
-                    }
+                    o.fault_outputs_discarded.add(outcome.outputs.len() as u64);
                     Err(lsm::Error::Io(std::io::Error::other(match kind {
                         DeviceFaultKind::MidJobTimeout => "injected mid-job device timeout",
                         _ => "injected poisoned device output",
@@ -465,10 +466,7 @@ impl OffloadService {
 
         match result {
             Ok(outcome) => {
-                self.state.lock().metrics.fpga_jobs += 1; // LOCK-ORDER: offload.state 110
-                if let Some(o) = &self.obs {
-                    o.fpga_jobs.inc();
-                }
+                o.fpga_jobs.inc();
                 Ok(outcome)
             }
             Err(_) => {
@@ -477,22 +475,9 @@ impl OffloadService {
                 // as transient; mid-job injections had their outputs
                 // discarded above. Either way the whole job retries on
                 // the CPU without losing or duplicating keys.
-                let kind = injected.unwrap_or(DeviceFaultKind::Transient);
-                let mut state = self.state.lock(); // LOCK-ORDER: offload.state 110
-                state.metrics.record_fault(kind);
-                state.metrics.cpu_retries_after_fault += 1;
-                drop(state);
-                if let Some(o) = &self.obs {
-                    o.device_faults.inc();
-                    o.fault_counter(kind).inc();
-                    o.cpu_retries_after_fault.inc();
-                }
+                o.count_fault(injected.unwrap_or(DeviceFaultKind::Transient));
                 self.trace(obs::EventKind::EngineFault { job });
-                self.trace(obs::EventKind::EngineFallback {
-                    job,
-                    reason: "fault-retry",
-                });
-                self.run_cpu(req, input_bytes, out, job)
+                self.run_cpu(&o.cpu_retries_after_fault, "fault-retry", req, out, job)
             }
         }
     }
@@ -514,19 +499,15 @@ impl CompactionEngine for OffloadService {
         req: &CompactionRequest,
         out: &dyn OutputFileFactory,
     ) -> lsm::Result<CompactionOutcome> {
+        self.obs.jobs_submitted.inc();
         let job = {
             let mut state = self.state.lock(); // LOCK-ORDER: offload.state 110
-            state.metrics.jobs_submitted += 1;
             state.jobs_in_flight += 1;
-            state.metrics.max_jobs_in_flight = state
-                .metrics
+            self.obs
                 .max_jobs_in_flight
-                .max(state.jobs_in_flight as u64);
-            if let Some(o) = &self.obs {
-                o.jobs_submitted.inc();
-                o.max_jobs_in_flight.set_max(state.jobs_in_flight as u64);
-            }
-            state.metrics.jobs_submitted
+                .set_max(state.jobs_in_flight as u64);
+            state.jobs_admitted += 1;
+            state.jobs_admitted
         };
         let result = self.run_job(req, out, job);
         self.state.lock().jobs_in_flight -= 1; // LOCK-ORDER: offload.state 110
@@ -552,31 +533,14 @@ impl CompactionEngine for OffloadService {
     /// exhaustion the job runs inline instead — GC loses the contention
     /// round but is never starved outright.
     fn run_maintenance(&self, job: &mut dyn FnMut()) {
-        self.state.lock().metrics.maintenance_jobs += 1; // LOCK-ORDER: offload.state 110
-        if let Some(o) = &self.obs {
-            o.maintenance_jobs.inc();
-        }
+        self.obs.maintenance_jobs.inc();
         match self.acquire_slot(JobClass::Maintenance) {
             Some(slot) => {
-                {
-                    let mut state = self.state.lock(); // LOCK-ORDER: offload.state 110
-                    state.fpga_in_flight += 1;
-                    state.metrics.max_fpga_in_flight = state
-                        .metrics
-                        .max_fpga_in_flight
-                        .max(state.fpga_in_flight as u64);
-                    if let Some(o) = &self.obs {
-                        o.max_fpga_in_flight.set_max(state.fpga_in_flight as u64);
-                    }
-                }
                 job();
                 self.release_slot(slot);
             }
             None => {
-                self.state.lock().metrics.maintenance_inline += 1; // LOCK-ORDER: offload.state 110
-                if let Some(o) = &self.obs {
-                    o.maintenance_inline.inc();
-                }
+                self.obs.maintenance_inline.inc();
                 job();
             }
         }
@@ -588,15 +552,15 @@ impl CompactionEngine for OffloadService {
 /// A sharded serving layer opens every shard's `lsm::Db` with its own
 /// handle to *one* service, so all shards' compaction jobs contend for
 /// the same K engine slots — the multi-tenant regime the paper never
-/// measured. The handle adds shard attribution on the shared registry
+/// measured. The handle adds shard attribution on the service's registry
 /// (`offload.shard{i}.jobs`, `offload.shard{i}.max_in_flight`) while
 /// every scheduling decision, fallback and fault stays on the service's
 /// aggregate `offload.*` metrics.
 pub struct ShardOffloadHandle {
-    service: std::sync::Arc<OffloadService>,
+    service: Arc<OffloadService>,
     name: String,
-    jobs: Option<std::sync::Arc<obs::Counter>>,
-    max_in_flight: Option<std::sync::Arc<obs::Gauge>>,
+    jobs: Arc<obs::Counter>,
+    max_in_flight: Arc<obs::Gauge>,
     in_flight: std::sync::atomic::AtomicU64,
 }
 
@@ -604,22 +568,13 @@ impl OffloadService {
     /// A [`CompactionEngine`] for shard `shard` backed by this service.
     /// Jobs submitted through the handle share the service's slots,
     /// queue and wait budget with every other shard's.
-    pub fn shard_handle(self: &std::sync::Arc<Self>, shard: usize) -> ShardOffloadHandle {
-        let (jobs, max_in_flight) = match &self.obs {
-            Some(o) => {
-                let r = &o.bundle.registry;
-                (
-                    Some(r.counter(&format!("offload.shard{shard}.jobs"))),
-                    Some(r.gauge(&format!("offload.shard{shard}.max_in_flight"))),
-                )
-            }
-            None => (None, None),
-        };
+    pub fn shard_handle(self: &Arc<Self>, shard: usize) -> ShardOffloadHandle {
+        let r = &self.obs.bundle.registry;
         ShardOffloadHandle {
-            service: std::sync::Arc::clone(self),
+            service: Arc::clone(self),
             name: format!("offload.shard{shard}"),
-            jobs,
-            max_in_flight,
+            jobs: r.counter(&format!("offload.shard{shard}.jobs")),
+            max_in_flight: r.gauge(&format!("offload.shard{shard}.max_in_flight")),
             in_flight: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -640,13 +595,9 @@ impl CompactionEngine for ShardOffloadHandle {
         out: &dyn OutputFileFactory,
     ) -> lsm::Result<CompactionOutcome> {
         use std::sync::atomic::Ordering;
-        if let Some(jobs) = &self.jobs {
-            jobs.inc();
-        }
+        self.jobs.inc();
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(g) = &self.max_in_flight {
-            g.set_max(now);
-        }
+        self.max_in_flight.set_max(now);
         let result = self.service.compact(req, out);
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
         result
@@ -727,8 +678,8 @@ mod tests {
         let st = svc.state.lock();
         assert_eq!(st.free_slots.len(), 1, "slot returned");
         assert_eq!(st.fpga_in_flight, 0);
-        assert_eq!(st.metrics.maintenance_jobs, 1);
-        assert_eq!(st.metrics.maintenance_inline, 0);
+        assert_eq!(svc.metrics().maintenance_jobs, 1);
+        assert_eq!(svc.metrics().maintenance_inline, 0);
     }
 
     #[test]
@@ -740,15 +691,11 @@ mod tests {
         let svc = OffloadService::with_slots(FcaeConfig::two_input(), 1, cfg);
         // Occupy the only slot, as run_job would.
         let held = svc.acquire_slot(JobClass::Flush).expect("idle slot");
-        svc.state.lock().fpga_in_flight += 1;
         let mut ran = false;
         svc.run_maintenance(&mut || ran = true);
         assert!(ran, "GC still runs, just not on a slot");
-        {
-            let st = svc.state.lock();
-            assert_eq!(st.metrics.maintenance_jobs, 1);
-            assert_eq!(st.metrics.maintenance_inline, 1);
-        }
+        assert_eq!(svc.metrics().maintenance_jobs, 1);
+        assert_eq!(svc.metrics().maintenance_inline, 1);
         svc.release_slot(held);
         assert_eq!(svc.state.lock().free_slots.len(), 1);
     }
@@ -816,9 +763,6 @@ mod loom_models {
                             !claimed[slot].swap(true, Ordering::SeqCst),
                             "slot {slot} granted to two jobs at once"
                         );
-                        // Mirror run_job's occupancy accounting so
-                        // release_slot's decrement balances.
-                        svc.state.lock().fpga_in_flight += 1;
                         loom::thread::yield_now();
                         claimed[slot].store(false, Ordering::SeqCst);
                         svc.release_slot(slot);
@@ -1024,7 +968,6 @@ mod loom_models {
             let svc = Arc::new(OffloadService::with_slots(FcaeConfig::two_input(), 1, cfg));
             // Hold the only slot so every acquirer queues behind it.
             let held = svc.acquire_slot(JobClass::Flush).expect("idle slot");
-            svc.state.lock().fpga_in_flight += 1;
 
             let order = Arc::new(std::sync::Mutex::new(Vec::new()));
             let serve = |svc: &OffloadService,
@@ -1033,7 +976,6 @@ mod loom_models {
                          tag: &'static str| {
                 let slot = svc.acquire_slot(class).expect("budget outlasts the model");
                 order.lock().expect("order lock").push(tag);
-                svc.state.lock().fpga_in_flight += 1;
                 svc.release_slot(slot);
             };
 

@@ -1,12 +1,18 @@
-//! Counters the scheduler keeps about its own dispatch decisions — the
+//! What the scheduler reports about its own dispatch decisions — the
 //! observability half of the acceptance criteria ("the service sustains
 //! more than one compaction in flight").
 
 use std::time::Duration;
 
-use crate::fault::DeviceFaultKind;
-
-/// Cumulative scheduler metrics; cheap to clone out under the lock.
+/// Cumulative scheduler metrics.
+///
+/// A *view*: nothing stores this struct. `OffloadService::metrics`
+/// assembles it from the `offload.*` counters on the service's
+/// [`obs::Obs`] registry, where each event is counted once (METRICS.md
+/// names the counter behind every field) — without taking the scheduler
+/// lock, so fields are sampled one by one. Services that share a bundle
+/// share the totals. The three `Duration`s are nanosecond counters
+/// underneath and round-trip exactly.
 #[derive(Debug, Default, Clone)]
 pub struct OffloadMetrics {
     /// Compactions submitted to the service.
@@ -21,7 +27,7 @@ pub struct OffloadMetrics {
     /// Jobs sent to the CPU because no slot freed within the wait budget.
     pub cpu_fallback_budget: u64,
     /// Device faults observed, all kinds (injected or real engine
-    /// errors). Always equals the sum of the per-kind counters below.
+    /// errors): computed as the sum of the per-kind counters below.
     pub device_faults: u64,
     /// Dispatch-time transient faults: the engine never touched the
     /// output factory, so the CPU retry needed no cleanup.
@@ -66,16 +72,5 @@ impl OffloadMetrics {
             + self.cpu_fallback_timeout
             + self.cpu_fallback_budget
             + self.cpu_retries_after_fault
-    }
-
-    /// Bumps the total and the per-kind fault counter together, keeping
-    /// `device_faults == sum(per-kind)` by construction.
-    pub(crate) fn record_fault(&mut self, kind: DeviceFaultKind) {
-        self.device_faults += 1;
-        match kind {
-            DeviceFaultKind::Transient => self.faults_transient += 1,
-            DeviceFaultKind::MidJobTimeout => self.faults_midjob_timeout += 1,
-            DeviceFaultKind::MidJobPoisoned => self.faults_midjob_poisoned += 1,
-        }
     }
 }

@@ -1,6 +1,18 @@
 //! Simulation results.
 
 /// Outcome of one simulated write run.
+///
+/// The event counts (`flushes`, the compaction and trivial-move counts,
+/// `compaction_io_bytes`, `concurrent_flushes`, `max_device_in_flight`
+/// and the value-log fields) are a *view*: the simulator counts each
+/// event once, on its [`obs::Obs`] registry, under the name the real
+/// store uses for the same quantity (METRICS.md), and `WriteSim::run`
+/// reads them back — `device_compactions == offload.fpga_jobs`,
+/// `sw_compactions == lsm.compact.engine_jobs − offload.fpga_jobs`,
+/// `compaction_io_bytes == Σ lsm.compact.l*.bytes_{read,written}`,
+/// `gc_jobs == lsm.vlog.gc.segments-retired`. Simulators that share a
+/// bundle share the totals. The `f64` times are modeled seconds the
+/// simulator sums itself.
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Raw user bytes ingested.

@@ -10,6 +10,7 @@
 //! gets flushes to overlap compactions (§VI-A).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use fcae::timing::ENTRY_OVERHEAD_CYCLES;
 use fcae::{CpuCostModel, FcaeConfig, PipelineModel};
@@ -77,6 +78,56 @@ struct CompJob {
     on_device: bool,
 }
 
+/// Where the run is counted, once: handles on the bundle's registry under
+/// the names the real store uses for the same quantities, so a simulated
+/// and a real run can be diffed by name
+/// (`tests/sim_vs_real_crosscheck.rs`). [`SimReport`]'s integer fields
+/// are read back from these.
+struct SimMetrics {
+    flush_count: Arc<obs::Counter>,
+    flush_bytes: Arc<obs::Counter>,
+    concurrent_flushes: Arc<obs::Counter>,
+    /// Non-trivial compactions dispatched, on the device or in software.
+    engine_jobs: Arc<obs::Counter>,
+    /// Of those, the ones dispatched to an engine slot.
+    fpga_jobs: Arc<obs::Counter>,
+    max_fpga_in_flight: Arc<obs::Gauge>,
+    trivial_moves: Arc<obs::Counter>,
+    stall_micros: Arc<obs::Counter>,
+    vlog_appended_bytes: Arc<obs::Counter>,
+    /// One GC pass collects one segment's worth of log.
+    gc_segments: Arc<obs::Counter>,
+    gc_rewritten_bytes: Arc<obs::Counter>,
+    /// Completed compactions by input level: (count, bytes read, bytes
+    /// written).
+    per_level: [[Arc<obs::Counter>; 3]; NUM_LEVELS],
+}
+
+impl SimMetrics {
+    fn new(r: &obs::Registry) -> Self {
+        SimMetrics {
+            flush_count: r.counter("lsm.flush.count"),
+            flush_bytes: r.counter("lsm.flush.bytes"),
+            concurrent_flushes: r.counter("lsm.flush.concurrent"),
+            engine_jobs: r.counter("lsm.compact.engine_jobs"),
+            fpga_jobs: r.counter("offload.fpga_jobs"),
+            max_fpga_in_flight: r.gauge("offload.max_fpga_in_flight"),
+            trivial_moves: r.counter("lsm.compact.trivial_moves"),
+            stall_micros: r.counter("lsm.stall_micros"),
+            vlog_appended_bytes: r.counter("lsm.vlog.appended-bytes"),
+            gc_segments: r.counter("lsm.vlog.gc.segments-retired"),
+            gc_rewritten_bytes: r.counter("lsm.vlog.gc.rewritten-bytes"),
+            per_level: std::array::from_fn(|level| {
+                [
+                    r.counter(&format!("lsm.compact.l{level}.count")),
+                    r.counter(&format!("lsm.compact.l{level}.bytes_read")),
+                    r.counter(&format!("lsm.compact.l{level}.bytes_written")),
+                ]
+            }),
+        }
+    }
+}
+
 /// Simulated duration in whole microseconds (for traces and metrics).
 fn sim_micros(t: SimTime) -> u64 {
     (to_secs_f64(t) * 1e6) as u64
@@ -126,10 +177,13 @@ pub struct WriteSim {
     /// locking into artificial limit cycles.
     jitter: SplitMix64,
 
-    /// Optional observability bundle. The attached [`obs::ManualClock`]
-    /// is driven from *simulated* time, so traces and metrics from two
+    /// The bundle the run is counted and traced on — private unless
+    /// [`WriteSim::with_obs`] replaced it. Its [`obs::ManualClock`] is
+    /// driven from *simulated* time, so traces and metrics from two
     /// identical runs are byte-identical.
-    obs: Option<(std::sync::Arc<obs::Obs>, std::sync::Arc<obs::ManualClock>)>,
+    obs: Arc<obs::Obs>,
+    clock: Arc<obs::ManualClock>,
+    metrics: SimMetrics,
     /// Start of the in-flight flush (trace durations).
     flush_started: SimTime,
 
@@ -158,6 +212,7 @@ impl WriteSim {
     /// boundary; averaging a few seeds recovers the ensemble behaviour a
     /// real (noisy) system exhibits.
     pub fn with_seed(cfg: SystemConfig, target_bytes: u64, seed: u64) -> Self {
+        let (obs, clock) = obs::Obs::manual();
         WriteSim {
             cfg,
             queue: EventQueue::new(),
@@ -176,7 +231,9 @@ impl WriteSim {
             pending_chunk: 0,
             writer_done_at: None,
             jitter: SplitMix64::new(seed),
-            obs: None,
+            metrics: SimMetrics::new(&obs.registry),
+            obs,
+            clock,
             flush_started: 0,
             vlog_live_bytes: 0,
             vlog_dead_bytes: 0,
@@ -186,32 +243,23 @@ impl WriteSim {
         }
     }
 
-    /// Attaches an observability bundle whose [`obs::ManualClock`] this
-    /// simulator will advance to the modeled time before every recorded
-    /// event — metrics and traces become a deterministic function of the
-    /// configuration and seed.
-    pub fn with_obs(
-        mut self,
-        bundle: std::sync::Arc<obs::Obs>,
-        clock: std::sync::Arc<obs::ManualClock>,
-    ) -> Self {
-        self.obs = Some((bundle, clock));
+    /// Counts and traces on `bundle` instead of the private one. This
+    /// simulator advances `clock` — the bundle's [`obs::ManualClock`] — to
+    /// the modeled time before every recorded event, so metrics and
+    /// traces are a deterministic function of the configuration and seed.
+    /// Simulators given the same bundle share one set of totals, and
+    /// their reports carry the sums.
+    pub fn with_obs(mut self, bundle: Arc<obs::Obs>, clock: Arc<obs::ManualClock>) -> Self {
+        self.metrics = SimMetrics::new(&bundle.registry);
+        self.obs = bundle;
+        self.clock = clock;
         self
     }
 
     /// Records `kind` on the trace at the current simulated time.
     fn obs_event(&self, kind: obs::EventKind) {
-        if let Some((bundle, clock)) = &self.obs {
-            clock.set(sim_micros(self.queue.now()));
-            bundle.event(kind);
-        }
-    }
-
-    /// Adds `n` to counter `name` (no-op without an attached bundle).
-    fn obs_count(&self, name: &str, n: u64) {
-        if let Some((bundle, _)) = &self.obs {
-            bundle.registry.counter(name).add(n);
-        }
+        self.clock.set(sim_micros(self.queue.now()));
+        self.obs.event(kind);
     }
 
     fn chunk_bytes(&self) -> u64 {
@@ -412,7 +460,7 @@ impl WriteSim {
             self.flush_active = true;
             self.flush_started = start;
             if self.jobs.values().any(|j| j.on_device) {
-                self.report.concurrent_flushes += 1;
+                self.metrics.concurrent_flushes.inc();
             }
             self.queue.schedule_at(end, Ev::FlushDone);
         }
@@ -445,7 +493,7 @@ impl WriteSim {
             if trivial {
                 // Pure metadata relink; re-scan for more work.
                 self.apply_compaction(&job, false);
-                self.report.trivial_moves += 1;
+                self.metrics.trivial_moves.inc();
                 continue;
             }
             let id = self.next_job_id;
@@ -473,13 +521,13 @@ impl WriteSim {
                     let kernel = self.kernel_time(&job, &fc);
                     self.report.kernel_time_sec += kernel;
                     self.report.pcie_time_sec += to_secs_f64(dma_end - dma_start);
-                    self.report.device_compactions += 1;
+                    self.metrics.engine_jobs.inc();
+                    self.metrics.fpga_jobs.inc();
                     self.queue
                         .schedule_at(dma_end + from_secs_f64(kernel), Ev::KernelDone(id));
                     self.jobs.insert(id, job);
                     let in_flight = self.jobs.values().filter(|j| j.on_device).count();
-                    self.report.max_device_in_flight =
-                        self.report.max_device_in_flight.max(in_flight as u64);
+                    self.metrics.max_fpga_in_flight.set_max(in_flight as u64);
                 }
                 _ => {
                     if !sw_free {
@@ -488,7 +536,7 @@ impl WriteSim {
                     // Software compaction: read + merge + write on host.
                     let dur = self.jittered(self.comp_io_time(&job) + self.merge_time(&job));
                     self.report.merge_cpu_time_sec += self.merge_time(&job);
-                    self.report.sw_compactions += 1;
+                    self.metrics.engine_jobs.inc();
                     let start = self.host_busy_until.max(now);
                     let end = start + from_secs_f64(dur);
                     self.host_busy_until = end;
@@ -564,7 +612,10 @@ impl WriteSim {
                 (next.bytes / self.cfg.sstable_bytes.max(1)).max(u64::from(next.bytes > 0));
         }
         if charge_io {
-            self.report.compaction_io_bytes += job.bytes_in + job.bytes_out;
+            let [count, bytes_read, bytes_written] = &self.metrics.per_level[level];
+            count.inc();
+            bytes_read.add(job.bytes_in);
+            bytes_written.add(job.bytes_out);
             if self.cfg.separated() {
                 // Every pointer pair the merge dropped strands its value
                 // in the log: that value is now garbage awaiting GC.
@@ -600,7 +651,7 @@ impl WriteSim {
             self.obs_event(obs::EventKind::WriteStall {
                 micros: sim_micros(stalled),
             });
-            self.obs_count("sim.stall_micros", sim_micros(stalled));
+            self.metrics.stall_micros.add(sim_micros(stalled));
             let dur = self.chunk_duration();
             self.queue.schedule(dur, Ev::ChunkDone);
             self.schedule_work();
@@ -614,7 +665,7 @@ impl WriteSim {
             // duration); the memtable only absorbs the pointer entries.
             let ops = self.pending_chunk / self.cfg.pair_raw_bytes().max(1);
             let value_bytes = ops * self.cfg.value_len as u64;
-            self.report.vlog_appended_bytes += value_bytes;
+            self.metrics.vlog_appended_bytes.add(value_bytes);
             self.vlog_live_bytes += value_bytes;
             self.mem_fill += ops * self.cfg.tree_pair_raw_bytes();
         } else {
@@ -676,13 +727,12 @@ impl WriteSim {
                     self.levels[0].bytes += stored;
                     self.levels[0].files += 1;
                     self.flush_active = false;
-                    self.report.flushes += 1;
+                    self.metrics.flush_count.inc();
+                    self.metrics.flush_bytes.add(stored);
                     self.obs_event(obs::EventKind::Flush {
                         bytes: stored,
                         micros: sim_micros(self.queue.now() - self.flush_started),
                     });
-                    self.obs_count("sim.flush.count", 1);
-                    self.obs_count("sim.flush.bytes", stored);
                     self.unblock_writer_if_possible();
                     self.schedule_work();
                 }
@@ -704,24 +754,13 @@ impl WriteSim {
                     // PANIC-OK: CompDone(id) follows KernelDone(id)
                     // exactly once; the job is still in the map.
                     let job = self.jobs.remove(&id).expect("comp done without job");
-                    if job.bytes_in > 0 {
-                        self.apply_compaction(&job, true);
-                    }
+                    self.apply_compaction(&job, true);
                     self.obs_event(obs::EventKind::CompactionFinish {
                         level: job.level,
                         bytes_read: job.bytes_in,
                         bytes_written: job.bytes_out,
                         micros: sim_micros(self.queue.now() - job.started),
                     });
-                    self.obs_count(&format!("sim.compact.l{}.count", job.level), 1);
-                    self.obs_count(
-                        &format!("sim.compact.l{}.bytes_read", job.level),
-                        job.bytes_in,
-                    );
-                    self.obs_count(
-                        &format!("sim.compact.l{}.bytes_written", job.level),
-                        job.bytes_out,
-                    );
                     self.unblock_writer_if_possible();
                     self.schedule_work();
                 }
@@ -730,10 +769,8 @@ impl WriteSim {
                     self.gc_pending = (0, 0);
                     self.gc_active = false;
                     self.vlog_dead_bytes = self.vlog_dead_bytes.saturating_sub(dead);
-                    self.report.gc_jobs += 1;
-                    self.report.gc_rewritten_bytes += live;
-                    self.obs_count("sim.vlog.gc.count", 1);
-                    self.obs_count("sim.vlog.gc.rewritten_bytes", live);
+                    self.metrics.gc_segments.inc();
+                    self.metrics.gc_rewritten_bytes.add(live);
                     self.schedule_work();
                 }
             }
@@ -756,6 +793,21 @@ impl WriteSim {
         };
         self.report.level_bytes = self.levels.iter().map(|l| l.bytes).collect();
         self.report.vlog_dead_bytes = self.vlog_dead_bytes;
+        let m = &self.metrics;
+        self.report.flushes = m.flush_count.get();
+        self.report.concurrent_flushes = m.concurrent_flushes.get();
+        self.report.device_compactions = m.fpga_jobs.get();
+        self.report.sw_compactions = m.engine_jobs.get() - m.fpga_jobs.get();
+        self.report.max_device_in_flight = m.max_fpga_in_flight.get();
+        self.report.trivial_moves = m.trivial_moves.get();
+        self.report.compaction_io_bytes = m
+            .per_level
+            .iter()
+            .map(|[_, read, written]| read.get() + written.get())
+            .sum();
+        self.report.vlog_appended_bytes = m.vlog_appended_bytes.get();
+        self.report.gc_jobs = m.gc_segments.get();
+        self.report.gc_rewritten_bytes = m.gc_rewritten_bytes.get();
         self.report
     }
 }
@@ -877,7 +929,7 @@ mod tests {
             let cfg =
                 SystemConfig::default().with_engine(EngineKind::Fcae(FcaeConfig::nine_input()));
             let r = WriteSim::new(cfg, mb(128))
-                .with_obs(std::sync::Arc::clone(&bundle), clock)
+                .with_obs(Arc::clone(&bundle), clock)
                 .run();
             (bundle.export_text(), r)
         };
@@ -886,7 +938,7 @@ mod tests {
         assert_eq!(a, b, "two identical runs must export identical bytes");
         assert_eq!(ra.flushes, rb.flushes);
         // The export actually carries the simulated activity.
-        assert!(a.contains("counter sim.flush.count"), "{a}");
+        assert!(a.contains("counter lsm.flush.count"), "{a}");
         assert!(a.contains("compaction_finish"), "{a}");
         assert!(a.contains("flush bytes="), "{a}");
     }

@@ -11,7 +11,7 @@
 //! | `lock-order`          | every lock acquisition carries `// LOCK-ORDER: <name> <rank>`; acquiring a lock while a guard of equal or higher rank is live is an inversion, and the cross-crate acquisition graph must be acyclic | `// LOCK-ORDER-OK:` |
 //! | `hold-across-await`   | no sync lock guard may be live across an `.await` (it blocks the executor thread and deadlocks single-threaded runtimes) | `// HOLD-OK:`       |
 //! | `durability-ordering` | a `rename` call must be preceded in the same function by a `sync`/`sync_dir`; a function calling `create_writable` must sync somewhere (the PR 5 crash-consistency ordering, machine-checked) | `// DURABILITY-OK:` |
-//! | `metrics-drift`       | the set of metric names registered against `obs::Registry` equals the METRICS.md inventory (both directions) | fix METRICS.md      |
+//! | `metrics-drift`       | the set of metric names registered against `obs::Registry` equals the METRICS.md inventory (both directions); a name the simulator registers is one its owning crate registers too, with the same kind | fix METRICS.md      |
 //!
 //! Annotation grammar (trailing comment on the acquisition line, or in
 //! the comment block above the statement that contains it):
@@ -68,9 +68,16 @@ pub const DURABILITY_PATHS: &[&str] = &[
     "crates/lsm/src/",
 ];
 
-/// Metric name prefixes METRICS.md inventories. Names outside these
-/// (e.g. the simulator's `sim.*`) are not part of the public surface.
+/// Metric name prefixes METRICS.md inventories. Names outside these are
+/// not part of the public surface (`sim.*` is reserved for simulator
+/// quantities with no store counterpart; none is registered today).
 pub const METRIC_PREFIXES: &[&str] = &["lsm.", "offload.", "server.", "fcae.", "repl."];
+
+/// Crates that count under *other* crates' metric names so their output
+/// can be diffed against the real system's by name. Their registrations
+/// never own a METRICS.md row: each must match, name and kind, a
+/// registration in the crate the row names as owner.
+pub const METRIC_BORROWER_CRATES: &[&str] = &["systemsim"];
 
 // ---------------------------------------------------------------------
 // Token/scope tracker
@@ -882,7 +889,11 @@ pub fn parse_metrics_inventory(text: &str) -> Vec<InventoryRow> {
 
 /// `metrics-drift`: every registered (tracked-prefix) metric must be
 /// documented in METRICS.md with the right kind and crate, and every
-/// documented metric must still be registered somewhere.
+/// documented metric must still be registered by a crate that can own
+/// it. A [`METRIC_BORROWER_CRATES`] registration owns nothing: the crate
+/// METRICS.md names for that metric must register it too, as the same
+/// kind — the shared vocabulary that lets a simulated and a real run be
+/// diffed by name.
 pub fn metrics_drift(
     defs: &[MetricDef],
     md_path: &Path,
@@ -893,9 +904,36 @@ pub fn metrics_drift(
     for row in inventory {
         documented.insert(&row.name, row);
     }
+    let (borrowed, owned): (Vec<&MetricDef>, Vec<&MetricDef>) = defs
+        .iter()
+        .partition(|d| METRIC_BORROWER_CRATES.contains(&d.krate.as_str()));
     let mut registered: BTreeMap<&str, &MetricDef> = BTreeMap::new();
-    for d in defs {
+    for d in &owned {
         registered.entry(&d.name).or_insert(d);
+    }
+    for d in borrowed {
+        let owner = documented
+            .get(d.name.as_str())
+            .map(|row| row.krate.as_str());
+        let shared = owned
+            .iter()
+            .any(|o| Some(o.krate.as_str()) == owner && o.name == d.name && o.kind == d.kind);
+        if !shared {
+            let why = match owner {
+                Some(o) => format!("its owner `{o}` does not register it as a {}", d.kind),
+                None => "METRICS.md lists no owner for it".to_string(),
+            };
+            v.push(Violation {
+                file: d.file.clone(),
+                line: d.line,
+                lint: "metrics-drift",
+                message: format!(
+                    "`{}` registers {} `{}`, but {why}: the simulator speaks the \
+                     store's metric names or its own `sim.*`",
+                    d.krate, d.kind, d.name
+                ),
+            });
+        }
     }
     for (name, d) in &registered {
         match documented.get(name) {

@@ -125,6 +125,34 @@ fn metrics_drift_fires_in_both_directions() {
     assert!(v.iter().all(|v| v.lint == "metrics-drift"));
 }
 
+/// A simulator registration under a tracked prefix must be the owning
+/// crate's registration too, name and kind: the rows it borrows stay
+/// owned (and kept alive) by `lsm` alone.
+#[test]
+fn metrics_drift_fires_on_a_name_the_simulator_does_not_share() {
+    let (rs_path, rs_src) = fixture("metrics.rs");
+    let (sim_path, sim_src) = fixture("metrics_borrowed.rs");
+    let (md_path, md_src) = fixture("METRICS.md");
+    let mut defs = collect_metric_defs(&rs_path, &rs_src, "lsm");
+    let owned_only = metrics_drift(&defs, &md_path, &parse_metrics_inventory(&md_src));
+    defs.extend(collect_metric_defs(&sim_path, &sim_src, "systemsim"));
+    let v = metrics_drift(&defs, &md_path, &parse_metrics_inventory(&md_src));
+    let fired: Vec<&Violation> = v.iter().filter(|v| v.file == sim_path).collect();
+    assert_eq!(
+        fired.iter().map(|v| v.line).collect::<Vec<_>>(),
+        vec![7, 8, 9],
+        "kind mismatch, unregistered owner row and ownerless name must fire; \
+         the shared counter and the `sim.*` name must not: {v:#?}"
+    );
+    assert!(fired[0].message.contains("its owner `lsm`"), "{}", fired[0]);
+    assert!(fired[2].message.contains("no owner"), "{}", fired[2]);
+    assert_eq!(
+        v.len(),
+        owned_only.len() + 3,
+        "a borrowed registration must not satisfy the stale-row check: {v:#?}"
+    );
+}
+
 /// The repo itself must be analysis-clean — this is the `cargo xtask
 /// analyze` gate, enforced from the test suite too so plain `cargo test`
 /// catches violations without a separate CI step.

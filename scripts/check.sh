@@ -23,8 +23,19 @@ find crates/lsm/src -name '*.rs' -exec wc -l {} + \
 scripts/doc_commands.sh
 cargo build --release
 # Tier 1. Includes the `db_bench --stats` export contract
-# (crates/bench/tests/db_bench_cli.rs).
-cargo test -q
+# (crates/bench/tests/db_bench_cli.rs). One red binary must not hide
+# the suites behind it.
+cargo test -q --no-fail-fast
+# The power-cut binary is where a store deadlock and a scheduling-
+# sensitive assertion once hid (about 1 run in 150): loop it on fresh
+# seed bands, each run under a wall-clock ceiling so a hang is a
+# failure, not a stuck job.
+power_cut_bin=$(cargo test -p fcae-repro --test power_cut --no-run --message-format=json 2>/dev/null \
+    | sed -n 's/.*"executable":"\([^"]*power_cut-[^"]*\)".*/\1/p' | tail -n 1)
+for i in $(seq 0 199); do
+    POWER_CUT_SEED_BASE=$((i * 8)) timeout 20 "$power_cut_bin" -q > /dev/null \
+        || { echo "power_cut run $i (POWER_CUT_SEED_BASE=$((i * 8))) failed or hung"; exit 1; }
+done
 
 # Observability smoke: two identical simulated runs must export
 # byte-identical output.

@@ -473,14 +473,16 @@ fn value_log_synced_acks_survive_power_cut_mid_gc() {
 
         // Acked ops only, in ack order: (key, value-or-tombstone, synced).
         let mut journal: Vec<(Vec<u8>, Option<Vec<u8>>, bool)> = Vec::new();
+        let gc_started = std::sync::atomic::AtomicBool::new(false);
         let gc_attempts = std::thread::scope(|s| {
             let gc = {
-                let db = &db;
+                let (db, gc_started) = (&db, &gc_started);
                 let env = env.clone();
                 s.spawn(move || {
                     let mut attempts = 0u64;
                     while !env.is_offline() {
                         attempts += 1;
+                        gc_started.store(true, std::sync::atomic::Ordering::SeqCst);
                         // Offline mid-pass surfaces as an error; anything
                         // else GC must absorb without panicking.
                         if db.collect_value_log().is_err() {
@@ -490,6 +492,12 @@ fn value_log_synced_acks_survive_power_cut_mid_gc() {
                     attempts
                 })
             };
+            // The countdown to the cut starts once GC is on its first
+            // pass: how soon a spawned thread gets a time slice is the
+            // scheduler's business, not the store's.
+            while !gc_started.load(std::sync::atomic::Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
             let mut acked = 0u64;
             for i in 0..OPS {
                 let key = format!("vk{:03}", rng.below(VLOG_KEYS)).into_bytes();
