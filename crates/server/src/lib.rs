@@ -10,10 +10,12 @@
 //!   clients pipeline.
 //! * [`router`] — range partitioning over N shards; scans stay
 //!   contiguous and globally sorted.
-//! * [`server`] — the tokio-based server: one task per connection, one
-//!   `lsm::Db` per shard, **one** `offload::OffloadService` whose K
-//!   engine slots every shard's compactions contend for, and `server.*`
-//!   metrics on the shared `obs` registry.
+//! * [`server`] — the server: one std thread per connection on blocking
+//!   std sockets (so sync writes from different connections meet in one
+//!   shard's group commit), one `lsm::Db` per shard, **one**
+//!   `offload::OffloadService` whose K engine slots every shard's
+//!   compactions contend for, and `server.*` metrics on the shared `obs`
+//!   registry.
 //! * [`client`] — blocking client used by `kv-cli` and the load driver.
 //! * `repl` — WAL-shipping replication: leader feed serving, replica
 //!   apply loop, semi-sync ack waits, and the `repl.*` metric family

@@ -1,12 +1,15 @@
 //! Server-side replication: leader feed serving, replica apply loop,
 //! ack bookkeeping and the `repl.*` metric family.
 //!
-//! The wire design uses **two connections** per replica, because the
-//! runtime shim has no `select!`: a *feed* connection that the replica
-//! opens with [`Request::ReplHello`] and the leader then drives one-way
-//! (a stream of [`Response::Replicate`] frames), and an *ack* control
-//! connection carrying ordinary [`Request::ReplAck`] request/responses.
-//! The handshake reply assigns a replica id that ties the two together.
+//! Protocol v1 uses **two connections** per replica: a *feed*
+//! connection that the replica opens with [`Request::ReplHello`] and the
+//! leader then drives one-way (a stream of [`Response::Replicate`]
+//! frames), and an *ack* control connection carrying ordinary
+//! [`Request::ReplAck`] request/responses. The handshake reply assigns a
+//! replica id that ties the two together. On blocking sockets one
+//! full-duplex connection is a `try_clone` away (feed thread writes, a
+//! second thread reads acks); that is a wire change and rides the
+//! fencing-epoch protocol bump of ROADMAP item 2.
 //!
 //! Durability contract: a leader write with `sync` semantics does not
 //! acknowledge until every *registered* replica has acked the shard's
@@ -27,13 +30,12 @@
 
 use std::collections::HashMap;
 use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use lsm::WalCursor;
-use tokio::io::AsyncWriteExt;
-use tokio::net::TcpStream;
 
 use crate::proto::{self, FrameBuf, Request, Response};
 use crate::server::Shared;
@@ -104,7 +106,7 @@ struct ReplicaProgress {
     segment: Vec<u64>,
 }
 
-/// Replication state shared by dispatch, feed tasks and the replica
+/// Replication state shared by dispatch, feed threads and the replica
 /// apply loop.
 pub(crate) struct ReplState {
     pub(crate) metrics: ReplMetrics,
@@ -278,11 +280,11 @@ impl ReplState {
 
 /// Serves one feed connection: registers the replica, replays from its
 /// cursors, then tails each shard's WAL, shipping records until the
-/// socket drops or a stop is requested. The connection task that decoded
-/// the `ReplHello` hands its stream over to this function and never
-/// returns to request/response dispatch.
-pub(crate) async fn serve_feed(
-    shared: &Arc<Shared>,
+/// socket drops or a stop is requested. The connection thread that
+/// decoded the `ReplHello` hands its stream over to this function and
+/// never returns to request/response dispatch.
+pub(crate) fn serve_feed(
+    shared: &Shared,
     mut stream: TcpStream,
     hello_cursors: Vec<(u64, u64)>,
 ) -> std::io::Result<()> {
@@ -301,8 +303,7 @@ pub(crate) async fn serve_feed(
                     return send_response(
                         &mut stream,
                         &Response::Err(format!("replication feed: {e}")),
-                    )
-                    .await;
+                    );
                 }
             }
         } else {
@@ -315,14 +316,14 @@ pub(crate) async fn serve_feed(
     repl.last_caught_up.store(t0, Ordering::Release);
     // Handshake reply carries the assigned replica id, which the ack
     // connection echoes in every `ReplAck`.
-    send_response(&mut stream, &Response::SeqTokens(vec![id])).await?;
-    let result = feed_loop(shared, &mut stream, &mut cursors, t0).await;
+    send_response(&mut stream, &Response::SeqTokens(vec![id]))?;
+    let result = feed_loop(shared, &mut stream, &mut cursors, t0);
     repl.unregister_replica(id);
     result
 }
 
-async fn feed_loop(
-    shared: &Arc<Shared>,
+fn feed_loop(
+    shared: &Shared,
     stream: &mut TcpStream,
     cursors: &mut [WalCursor],
     t0: u64,
@@ -342,8 +343,7 @@ async fn feed_loop(
                     // The cursor is unserveable (e.g. points at a
                     // retired segment after a long disconnect): tell the
                     // replica so it can fall back to a full resync.
-                    return send_response(stream, &Response::Err(format!("replication feed: {e}")))
-                        .await;
+                    return send_response(stream, &Response::Err(format!("replication feed: {e}")));
                 }
             };
             repl.metrics.skipped_ops.add(chunk.skipped_ops);
@@ -358,8 +358,7 @@ async fn feed_loop(
                         last_seq: record.last_seq,
                         record: record.data,
                     },
-                )
-                .await?;
+                )?;
             }
             cursors[shard] = chunk.cursor;
             if chunk.end == lsm::ChunkEnd::More {
@@ -398,10 +397,10 @@ async fn feed_loop(
     }
 }
 
-async fn send_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
+fn send_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
     let mut out = Vec::new();
     proto::encode_response(&mut out, resp);
-    stream.write_all(&out).await
+    stream.write_all(&out)
 }
 
 // ------------------------------------------------------------ replica
@@ -432,7 +431,7 @@ fn replica_session(
     leader: &str,
     cursors: &mut [(u64, u64)],
 ) -> std::io::Result<bool> {
-    let stream = std::net::TcpStream::connect(leader)?;
+    let stream = TcpStream::connect(leader)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(REPLICA_READ_TIMEOUT))?;
     let mut feed = Feed {
@@ -524,7 +523,7 @@ fn stream_error(msg: String) -> std::io::Error {
 /// read timeout behind a [`FrameBuf`], which keeps partial reads so a
 /// timeout can never desynchronize framing.
 struct Feed {
-    stream: std::net::TcpStream,
+    stream: TcpStream,
     inbuf: FrameBuf,
 }
 

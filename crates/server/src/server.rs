@@ -8,23 +8,23 @@
 //! measured. All shards also share one `obs` bundle and one block
 //! cache, so a single metrics export shows the whole box.
 //!
-//! Each connection is handled by its own task: read whatever has
-//! arrived, decode and dispatch every complete frame in it, write the
-//! responses — strictly in request order, which is what allows clients
-//! to pipeline. Writes are moved onto tokio's
-//! blocking pool, because `lsm::Db::write` parks the calling thread
-//! while its group commits: run inline it would stall the runtime
-//! worker (and with it every other connection), run on the blocking
-//! pool many connections' writes overlap and ride one shard's
-//! leader-elected group commit — one WAL sync acknowledges them all.
+//! One thread per connection on blocking sockets: an accept thread
+//! (`kv-accept`) gives every socket a thread of its own (`kv-conn`),
+//! which reads whatever has arrived, decodes and dispatches every
+//! complete frame in it and writes the responses — strictly in request
+//! order, which is what allows clients to pipeline. Every request runs
+//! on its connection's thread. `lsm::Db::write` parks that thread while
+//! a sync write's group commits, and because the other connections have
+//! threads of their own their sync writes meet in the same shard's
+//! commit queue and ride one leader-elected group: one WAL sync
+//! acknowledges them all.
 
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
-use tokio::net::{TcpListener, TcpStream};
 
 use crate::proto::{self, Request, Response};
 use crate::repl::{self, ReplState, SEMI_SYNC_WAIT};
@@ -105,6 +105,8 @@ struct ServerMetrics {
     /// tokens, token-gated reads, shutdown.
     ctl_micros: Arc<obs::Histogram>,
     proto_errors: Arc<obs::Counter>,
+    /// Sockets the accept loop lost to an `accept` or thread-spawn error.
+    accept_errors: Arc<obs::Counter>,
     connections: Arc<obs::Gauge>,
     /// Per-shard request counters, index = shard.
     shard_requests: Vec<Arc<obs::Counter>>,
@@ -129,6 +131,7 @@ impl ServerMetrics {
             stats_micros: registry.histogram("server.req.stats_micros"),
             ctl_micros: registry.histogram("server.req.ctl_micros"),
             proto_errors: registry.counter("server.proto.errors"),
+            accept_errors: registry.counter("server.accept_errors"),
             connections: registry.gauge("server.connections"),
             shard_requests: (0..shards)
                 .map(|i| registry.counter(&format!("server.shard{i}.requests")))
@@ -184,7 +187,7 @@ impl ServerMetrics {
     }
 }
 
-/// State shared by the accept loop and every connection task.
+/// State shared by the accept loop and every connection thread.
 pub(crate) struct Shared {
     pub(crate) shards: Vec<lsm::Db>,
     router: ShardRouter,
@@ -192,8 +195,7 @@ pub(crate) struct Shared {
     offload: Option<Arc<offload::OffloadService>>,
     metrics: ServerMetrics,
     /// Mirror of [`ServerConfig::sync_writes`]: when set, every write
-    /// fsyncs regardless of its per-request flag, so dispatch must treat
-    /// all writes as blocking-pool work.
+    /// fsyncs regardless of its per-request flag.
     pub(crate) force_sync: bool,
     shutdown: AtomicBool,
     /// Replication role, replica progress table and `repl.*` metrics.
@@ -301,14 +303,15 @@ impl KvServer {
     }
 
     /// Binds `addr` (use port 0 for an OS-assigned port), spawns the
-    /// accept loop, and returns the running server's handle.
+    /// accept thread, and returns the running server's handle.
     pub fn start(self, addr: &str) -> std::io::Result<ServerHandle> {
-        let rt = tokio::runtime::Runtime::new()?;
-        let listener = rt.block_on(TcpListener::bind(addr))?;
+        let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let _ = self.shared.listen_addr.set(local);
         let shared = Arc::clone(&self.shared);
-        tokio::spawn(accept_loop(shared, listener));
+        std::thread::Builder::new()
+            .name("kv-accept".into())
+            .spawn(move || accept_loop(&shared, || listener.accept().map(|(stream, _)| stream)))?;
         if let Some(leader) = self.replica_of {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || repl::run_replica(shared, leader));
@@ -349,12 +352,12 @@ impl ServerHandle {
 
     /// Stops accepting connections. In-flight connections finish their
     /// current request and exit at the next read (connection reset); the
-    /// stores close when the last task drops the shared state.
+    /// stores close when the last thread drops the shared state.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.repl.request_stop();
         // Unblock the accept loop with a throwaway connection.
-        let _ = std::net::TcpStream::connect(self.addr);
+        let _ = TcpStream::connect(self.addr);
     }
 
     /// Blocks until a graceful shutdown ([`proto::Request::Shutdown`] or
@@ -370,28 +373,44 @@ impl ServerHandle {
     }
 }
 
-async fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
+/// How long the accept loop stands back after a failed accept or
+/// spawn, so running out of descriptors or threads cannot spin it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Gives every socket `accept` yields a `kv-conn` thread until shutdown.
+/// A socket that could not be accepted, or for which the OS refused a
+/// thread, is dropped and counted; the loop goes on.
+fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> std::io::Result<TcpStream>) {
     loop {
-        let Ok((stream, _)) = listener.accept().await else {
-            break;
-        };
+        let accepted = accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let _ = stream.set_nodelay(true);
-        let shared = Arc::clone(&shared);
-        tokio::spawn(async move {
-            let m = &shared.metrics;
-            m.connections
-                .set(m.live_connections.fetch_add(1, Ordering::Relaxed) + 1);
-            let _ = handle_connection(&shared, stream).await;
-            m.connections.set(
-                m.live_connections
-                    .fetch_sub(1, Ordering::Relaxed)
-                    .saturating_sub(1),
-            );
+        let spawned = accepted.and_then(|stream| {
+            let shared = Arc::clone(shared);
+            std::thread::Builder::new()
+                .name("kv-conn".into())
+                .spawn(move || serve(&shared, stream))
         });
+        if spawned.is_err() {
+            shared.metrics.accept_errors.inc();
+            std::thread::sleep(ACCEPT_BACKOFF);
+        }
     }
+}
+
+/// A connection thread's whole life: one connection, counted while open.
+fn serve(shared: &Shared, stream: TcpStream) {
+    let m = &shared.metrics;
+    m.connections
+        .set(m.live_connections.fetch_add(1, Ordering::Relaxed) + 1);
+    let _ = stream.set_nodelay(true);
+    let _ = handle_connection(shared, stream);
+    m.connections.set(
+        m.live_connections
+            .fetch_sub(1, Ordering::Relaxed)
+            .saturating_sub(1),
+    );
 }
 
 /// Replies are handed to the socket once no complete request is left
@@ -402,16 +421,14 @@ const OUT_FLUSH_BYTES: usize = 256 << 10;
 
 /// Serves one connection until EOF, I/O error, shutdown, or a protocol
 /// violation (which is answered with `ProtoErr` before closing).
-async fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::io::Result<()> {
+fn handle_connection(shared: &Shared, mut stream: TcpStream) -> std::io::Result<()> {
     let mut inbuf = proto::FrameBuf::new();
     let mut out = Vec::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
-        let n = stream.read(inbuf.space()).await?;
-        if n == 0 {
+        if inbuf.fill_from(&mut stream)? == 0 {
             // EOF ends the connection quietly.
             return Ok(());
         }
-        inbuf.filled(n);
         loop {
             let next = inbuf
                 .next_frame()
@@ -419,7 +436,7 @@ async fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::
             let req = match next {
                 Ok(Some(req)) => req,
                 Ok(None) => break,
-                Err(e) => return reject(shared, &mut stream, &mut out, &e.to_string()).await,
+                Err(e) => return reject(shared, &mut stream, &mut out, &e.to_string()),
             };
             // A replication handshake converts this connection into a
             // one-way feed; it never returns to the request/response
@@ -427,21 +444,21 @@ async fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::
             if let Request::ReplHello { cursors } = req {
                 if !inbuf.is_empty() {
                     let why = "bytes after replication handshake";
-                    return reject(shared, &mut stream, &mut out, why).await;
+                    return reject(shared, &mut stream, &mut out, why);
                 }
-                stream.write_all(&out).await?;
-                return repl::serve_feed(shared, stream, cursors).await;
+                stream.write_all(&out)?;
+                return repl::serve_feed(shared, stream, cursors);
             }
-            dispatch(shared, req, &mut out).await;
+            dispatch(shared, req, &mut out);
             if shared.shutdown.load(Ordering::SeqCst) {
                 break;
             }
             if out.len() >= OUT_FLUSH_BYTES {
-                stream.write_all(&out).await?;
+                stream.write_all(&out)?;
                 out.clear();
             }
         }
-        stream.write_all(&out).await?;
+        stream.write_all(&out)?;
         out.clear();
     }
     Ok(())
@@ -449,7 +466,7 @@ async fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::
 
 /// Answers a protocol violation: the replies already encoded, then
 /// `ProtoErr(why)`; the caller closes the connection.
-async fn reject(
+fn reject(
     shared: &Shared,
     stream: &mut TcpStream,
     out: &mut Vec<u8>,
@@ -457,29 +474,18 @@ async fn reject(
 ) -> std::io::Result<()> {
     shared.metrics.proto_errors.inc();
     proto::encode_response(out, &Response::ProtoErr(why.to_string()));
-    stream.write_all(out).await
+    stream.write_all(out)
 }
 
-/// Executes one decoded request against the shards and appends its
-/// response frame to `out`. Reads and buffered writes run inline on the
-/// runtime worker (microsecond work). A *sync* write parks its thread
-/// for a whole fsync while its group commits, so it runs on the blocking
-/// pool, where concurrent connections' sync writes overlap and ride one
-/// shard's group commit instead of serializing the runtime worker — the
-/// fsync dwarfs the thread hop.
-async fn dispatch(shared: &Arc<Shared>, req: Request, out: &mut Vec<u8>) {
+/// Executes one decoded request against the shards, on the connection's
+/// thread, and appends its response frame to `out`.
+fn dispatch(shared: &Shared, req: Request, out: &mut Vec<u8>) {
     let m = &shared.metrics;
     let t0 = shared.obs.now_micros();
     let (hist, resp) = match req {
         Request::Get { key } => (&m.get_micros, do_get(shared, &key)),
-        Request::Put { key, value, sync } => (
-            &m.put_micros,
-            run_write(shared, sync, move |s| do_put(s, &key, &value, sync)).await,
-        ),
-        Request::Delete { key, sync } => (
-            &m.del_micros,
-            run_write(shared, sync, move |s| do_delete(s, &key, sync)).await,
-        ),
+        Request::Put { key, value, sync } => (&m.put_micros, do_put(shared, &key, &value, sync)),
+        Request::Delete { key, sync } => (&m.del_micros, do_delete(shared, &key, sync)),
         // The one reply that is not built first: pairs go from the
         // iterator into `out`.
         Request::Scan { start, end, limit } => {
@@ -488,10 +494,7 @@ async fn dispatch(shared: &Arc<Shared>, req: Request, out: &mut Vec<u8>) {
                 .record(shared.obs.now_micros().saturating_sub(t0));
             return;
         }
-        Request::WriteBatch { ops, sync } => (
-            &m.batch_micros,
-            run_write(shared, sync, move |s| do_batch(s, ops, sync)).await,
-        ),
+        Request::WriteBatch { ops, sync } => (&m.batch_micros, do_batch(shared, ops, sync)),
         Request::Stats { json } => (&m.stats_micros, do_stats(shared, json)),
         // Intercepted in `handle_connection` before dispatch.
         Request::ReplHello { .. } => (
@@ -519,38 +522,11 @@ async fn dispatch(shared: &Arc<Shared>, req: Request, out: &mut Vec<u8>) {
                     .collect(),
             ),
         ),
-        // A token-gated read may block until the apply loop catches up,
-        // so it runs on the blocking pool like a sync write does.
-        Request::GetRyw { key, min_seqs } => (&m.ctl_micros, {
-            let s = Arc::clone(shared);
-            match tokio::task::spawn_blocking(move || do_get_ryw(&s, &key, &min_seqs)).await {
-                Ok(resp) => resp,
-                Err(e) => Response::Err(format!("read task failed: {e}")),
-            }
-        }),
-        Request::Shutdown => (&m.ctl_micros, do_shutdown(shared).await),
+        Request::GetRyw { key, min_seqs } => (&m.ctl_micros, do_get_ryw(shared, &key, &min_seqs)),
+        Request::Shutdown => (&m.ctl_micros, do_shutdown(shared)),
     };
     hist.record(shared.obs.now_micros().saturating_sub(t0));
     proto::encode_response(out, &resp);
-}
-
-/// Runs a write inline when it is buffered (cheap), or on tokio's
-/// blocking pool when it will fsync (either the request asked or the
-/// server forces sync on every write). A cancelled/panicked pool task
-/// maps to a protocol-level error instead of tearing the server down.
-async fn run_write(
-    shared: &Arc<Shared>,
-    sync: bool,
-    f: impl FnOnce(&Shared) -> Response + Send + 'static,
-) -> Response {
-    if !(sync || shared.force_sync) {
-        return f(shared);
-    }
-    let s = Arc::clone(shared);
-    match tokio::task::spawn_blocking(move || f(&s)).await {
-        Ok(resp) => resp,
-        Err(e) => Response::Err(format!("write task failed: {e}")),
-    }
 }
 
 fn storage_err(e: &lsm::Error) -> Response {
@@ -805,22 +781,12 @@ fn do_get_ryw(shared: &Shared, key: &[u8], min_seqs: &[u64]) -> Response {
 /// whoever parked in [`ServerHandle::wait_shutdown`]. The `Ok` response
 /// is sent *after* all of that, so a client that waited for it knows the
 /// acknowledged state reached the replicas.
-async fn do_shutdown(shared: &Arc<Shared>) -> Response {
+fn do_shutdown(shared: &Shared) -> Response {
     shared.shutdown.store(true, Ordering::SeqCst);
     // Unblock the accept loop so no new connections slip in.
     if let Some(addr) = shared.listen_addr.get() {
-        let _ = std::net::TcpStream::connect(addr);
+        let _ = TcpStream::connect(addr);
     }
-    let s = Arc::clone(shared);
-    match tokio::task::spawn_blocking(move || drain_and_stop(&s)).await {
-        Ok(()) => Response::Ok,
-        Err(e) => Response::Err(format!("shutdown task failed: {e}")),
-    }
-}
-
-/// The blocking tail of [`do_shutdown`]: bounded drain, bounded
-/// replication flush, then stop the feeds and signal the binary.
-fn drain_and_stop(shared: &Shared) {
     // Drain in-flight shard requests (this request itself never enters a
     // shard gauge, so zero is reachable). Bounded: a stuck write cannot
     // wedge shutdown forever.
@@ -856,6 +822,7 @@ fn drain_and_stop(shared: &Shared) {
     }
     shared.repl.request_stop();
     shared.repl.signal_shutdown();
+    Response::Ok
 }
 
 fn do_stats(shared: &Shared, json: bool) -> Response {
@@ -875,4 +842,58 @@ fn do_stats(shared: &Shared, json: bool) -> Response {
     } else {
         registry.export_text()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::KvClient;
+    use std::io::ErrorKind;
+
+    /// accept → error → accept → shutdown: a failed accept costs the loop
+    /// one count and one backoff, and the socket after it is served like
+    /// the socket before it.
+    #[test]
+    fn accept_loop_outlives_an_accept_error() {
+        let shared = KvServer::open(ServerConfig {
+            shards: 1,
+            engine_slots: 0,
+            root: "/accept-loop".into(),
+            env: Some(Arc::new(sstable::env::MemEnv::new())),
+            ..ServerConfig::default()
+        })
+        .expect("open")
+        .shared;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        // Both connections wait in the listener's backlog.
+        let mut first = KvClient::connect(addr).expect("connect first");
+        let mut second = KvClient::connect(addr).expect("connect second");
+
+        let (answered, both_answered) = std::sync::mpsc::channel::<()>();
+        let loop_shared = Arc::clone(&shared);
+        let accepting = std::thread::spawn(move || {
+            let mut step = 0;
+            accept_loop(&loop_shared, || {
+                step += 1;
+                match step {
+                    1 | 3 => listener.accept().map(|(stream, _)| stream),
+                    2 => Err(ErrorKind::ConnectionAborted.into()),
+                    _ => {
+                        // Shutdown ends a connection at its next read:
+                        // not before both clients have their answers.
+                        let _ = both_answered.recv();
+                        loop_shared.shutdown.store(true, Ordering::SeqCst);
+                        Err(ErrorKind::ConnectionAborted.into())
+                    }
+                }
+            });
+        });
+        first.put(b"k", b"v", false).expect("first socket served");
+        let got = second.get(b"k").expect("second socket served");
+        assert_eq!(got.as_deref(), Some(&b"v"[..]));
+        answered.send(()).expect("accept loop alive");
+        accepting.join().expect("accept loop returned");
+        assert_eq!(shared.metrics.accept_errors.get(), 1);
+    }
 }

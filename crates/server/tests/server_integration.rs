@@ -330,3 +330,90 @@ fn stats_level_gauges_sum_over_shards() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&root);
 }
+
+use sstable::env::{MemEnv, RandomAccessFile, StorageEnv, WritableFile};
+use std::path::Path;
+
+/// A `MemEnv` whose WAL (`*.log`) `sync` takes 2 ms — long enough for the
+/// other connections' writes to reach the shard's commit queue while one
+/// group's sync is in flight.
+struct SlowWalSync(MemEnv);
+
+struct SlowSyncLog(Box<dyn WritableFile>);
+
+impl WritableFile for SlowSyncLog {
+    fn append(&mut self, data: &[u8]) -> sstable::Result<()> {
+        self.0.append(data)
+    }
+    fn flush(&mut self) -> sstable::Result<()> {
+        self.0.flush()
+    }
+    fn sync(&mut self) -> sstable::Result<()> {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        self.0.sync()
+    }
+    fn bytes_written(&self) -> u64 {
+        self.0.bytes_written()
+    }
+}
+
+impl StorageEnv for SlowWalSync {
+    fn open_random_access(&self, path: &Path) -> sstable::Result<Box<dyn RandomAccessFile>> {
+        self.0.open_random_access(path)
+    }
+    fn create_writable(&self, path: &Path) -> sstable::Result<Box<dyn WritableFile>> {
+        let file = self.0.create_writable(path)?;
+        if path.extension().is_some_and(|ext| ext == "log") {
+            return Ok(Box::new(SlowSyncLog(file)));
+        }
+        Ok(file)
+    }
+    fn remove_file(&self, path: &Path) -> sstable::Result<()> {
+        self.0.remove_file(path)
+    }
+    fn create_dir_all(&self, path: &Path) -> sstable::Result<()> {
+        self.0.create_dir_all(path)
+    }
+    fn list_dir(&self, path: &Path) -> sstable::Result<Vec<String>> {
+        self.0.list_dir(path)
+    }
+    fn file_exists(&self, path: &Path) -> bool {
+        self.0.file_exists(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> sstable::Result<()> {
+        self.0.rename(from, to)
+    }
+}
+
+/// Every connection has a thread of its own, so sync writes from
+/// different connections park in one shard's commit queue together and a
+/// leader's WAL sync acknowledges its followers' writes too: 400 sync
+/// `PUT`s take fewer than 400 group commits.
+#[test]
+fn sync_writes_from_many_connections_share_group_commits() {
+    let kv = KvServer::open(ServerConfig {
+        shards: 1,
+        root: "/group-commit".into(),
+        env: Some(std::sync::Arc::new(SlowWalSync(MemEnv::new()))),
+        ..Default::default()
+    })
+    .expect("open server");
+    let handle = kv.start("127.0.0.1:0").expect("bind");
+    let addr = handle.addr();
+    std::thread::scope(|s| {
+        for conn in 0..8u64 {
+            s.spawn(move || {
+                let mut client = KvClient::connect(addr).expect("connect");
+                for i in 0..50 {
+                    client.put(&key(conn * 50 + i), b"v", true).expect("put");
+                }
+            });
+        }
+    });
+    let registry = &handle.obs().registry;
+    let leaders = registry.counter("lsm.write.leader").get();
+    let followers = registry.counter("lsm.write.follower").get();
+    assert!(followers > 0, "no sync write ever rode another's commit");
+    assert!(leaders < 400, "{leaders} group commits for 400 sync writes");
+    handle.shutdown();
+}

@@ -4,12 +4,11 @@
 //! little state on top of the same [`scan_lines`] infrastructure: brace
 //! depth, the liveness of lock guards bound by `let g = x.lock()`,
 //! function extents, and the ordered sync/rename events inside each
-//! function. Four lints ride on that tracker:
+//! function. Three lints ride on that tracker:
 //!
 //! | lint                  | rule                                                | waiver              |
 //! |-----------------------|-----------------------------------------------------|---------------------|
 //! | `lock-order`          | every lock acquisition carries `// LOCK-ORDER: <name> <rank>`; acquiring a lock while a guard of equal or higher rank is live is an inversion, and the cross-crate acquisition graph must be acyclic | `// LOCK-ORDER-OK:` |
-//! | `hold-across-await`   | no sync lock guard may be live across an `.await` (it blocks the executor thread and deadlocks single-threaded runtimes) | `// HOLD-OK:`       |
 //! | `durability-ordering` | a `rename` call must be preceded in the same function by a `sync`/`sync_dir`; a function calling `create_writable` must sync somewhere (the PR 5 crash-consistency ordering, machine-checked) | `// DURABILITY-OK:` |
 //! | `metrics-drift`       | the set of metric names registered against `obs::Registry` equals the METRICS.md inventory (both directions); a name the simulator registers is one its owning crate registers too, with the same kind | fix METRICS.md      |
 //!
@@ -53,9 +52,6 @@ use crate::{brace_delta, has_word, read, rs_files, scan_lines, ScanLine, Violati
 /// Crates whose lock acquisitions must all carry `LOCK-ORDER` ranks.
 pub const LOCK_ORDER_CRATES: &[&str] = &["lsm", "offload", "server"];
 
-/// Crates whose async code must not hold sync guards across `.await`.
-pub const HOLD_ACROSS_AWAIT_CRATES: &[&str] = &["server"];
-
 /// The durability-critical path: the `sstable::env` backends plus every
 /// file of `lsm` — the WAL/manifest/table install paths whose
 /// sync-before-rename ordering the PR 5 crash-consistency work
@@ -94,10 +90,6 @@ struct GuardRec {
     /// Brace depth the guard lives at; it dies when the running depth
     /// drops below this.
     depth: i32,
-    /// 1-based line the guard was born on.
-    line: usize,
-    /// Column of the acquisition (same-line `.await` ordering).
-    col: usize,
 }
 
 /// One annotated acquisition site (rank table input).
@@ -116,19 +108,11 @@ struct EdgeRec {
     line: usize,
 }
 
-/// An `.await` reached with live guards.
-struct AwaitHold {
-    line: usize,
-    guards: Vec<String>,
-    waived: bool,
-}
-
 #[derive(Default)]
 struct Walk {
     violations: Vec<Violation>,
     sites: Vec<SiteRec>,
     edges: Vec<EdgeRec>,
-    awaits: Vec<AwaitHold>,
 }
 
 /// Byte offsets in `code` where a lock acquisition starts, left to
@@ -346,20 +330,9 @@ fn apply_drops(code: &str, guards: &mut Vec<GuardRec>) {
     }
 }
 
-/// One human-readable description of a live guard.
-fn describe(g: &GuardRec) -> String {
-    match (&g.lock, &g.var) {
-        (Some(l), _) => format!("`{l}` (line {})", g.line),
-        (None, Some(v)) => format!("`{v}` (line {})", g.line),
-        (None, None) => format!("guard from line {}", g.line),
-    }
-}
-
 /// The core pass: tracks guard liveness through one file, collecting
-/// annotation violations, rank sites, nesting edges, and awaits reached
-/// with guards live. `require_annotations` is off for the
-/// hold-across-await use, which cares about liveness only.
-fn walk_guards(file: &Path, source: &str, require_annotations: bool) -> Walk {
+/// annotation violations, rank sites and nesting edges.
+fn walk_guards(file: &Path, source: &str) -> Walk {
     let lines = scan_lines(source);
     let mut w = Walk::default();
     let mut depth = 0i32;
@@ -408,8 +381,6 @@ fn walk_guards(file: &Path, source: &str, require_annotations: bool) -> Walk {
                     lock: Some(name),
                     var,
                     depth: before + 1,
-                    line: l.no,
-                    col: 0,
                 });
             }
         }
@@ -417,7 +388,7 @@ fn walk_guards(file: &Path, source: &str, require_annotations: bool) -> Walk {
         apply_drops(&l.code, &mut guards);
 
         let mut line_temps: Vec<GuardRec> = Vec::new();
-        for (col, col_after) in acquisition_cols(&l.code) {
+        for (_, col_after) in acquisition_cols(&l.code) {
             let stmt = statement_start(&lines, i);
             let var = binding_var(lines[stmt].code.trim());
             let temporary = var.is_none() || chained_past_guard(&lines, i, col_after);
@@ -448,7 +419,7 @@ fn walk_guards(file: &Path, source: &str, require_annotations: bool) -> Walk {
                             }),
                         }
                     }
-                    None if require_annotations => w.violations.push(Violation {
+                    None => w.violations.push(Violation {
                         file: file.to_path_buf(),
                         line: l.no,
                         lint: "lock-order",
@@ -456,7 +427,6 @@ fn walk_guards(file: &Path, source: &str, require_annotations: bool) -> Walk {
                                   annotation (waiver: // LOCK-ORDER-OK: <why>)"
                             .into(),
                     }),
-                    None => {}
                 }
             }
             // A rebinding (`state = self.state.lock()`) replaces the old
@@ -480,28 +450,11 @@ fn walk_guards(file: &Path, source: &str, require_annotations: bool) -> Walk {
                 lock: name,
                 var: var.clone(),
                 depth: after,
-                line: l.no,
-                col,
             };
             if temporary {
                 line_temps.push(rec);
             } else {
                 guards.push(rec);
-            }
-        }
-
-        // `.await` with live guards. Same-line temporaries count when
-        // the acquisition precedes the await (`f(&*m.lock()).await`).
-        if let Some(acol) = l.code.find(".await") {
-            let mut held: Vec<String> = guards.iter().map(describe).collect();
-            held.extend(line_temps.iter().filter(|g| g.col < acol).map(describe));
-            if !held.is_empty() {
-                let stmt = statement_start(&lines, i);
-                w.awaits.push(AwaitHold {
-                    line: l.no,
-                    guards: held,
-                    waived: annotation_payload(&lines, i, stmt, "HOLD-OK:").is_some(),
-                });
             }
         }
     }
@@ -623,37 +576,11 @@ fn lock_graph_check(sites: &[SiteRec], edges: &[EdgeRec]) -> Vec<Violation> {
 /// repo driver merges sites and edges across files before the graph
 /// checks so cross-crate nestings are seen).
 pub fn scan_lock_order(file: &Path, source: &str) -> Vec<Violation> {
-    let w = walk_guards(file, source, true);
+    let w = walk_guards(file, source);
     let mut v = w.violations;
     v.extend(lock_graph_check(&w.sites, &w.edges));
     v.sort_by_key(|x| x.line);
     v
-}
-
-// ---------------------------------------------------------------------
-// hold-across-await
-// ---------------------------------------------------------------------
-
-/// `hold-across-await`: a sync lock guard live across an `.await` parks
-/// the guard on a suspended future — any other task needing that lock
-/// blocks its executor thread, which deadlocks a single-threaded
-/// runtime and stalls a multi-threaded one.
-pub fn scan_hold_across_await(file: &Path, source: &str) -> Vec<Violation> {
-    let w = walk_guards(file, source, false);
-    w.awaits
-        .into_iter()
-        .filter(|a| !a.waived)
-        .map(|a| Violation {
-            file: file.to_path_buf(),
-            line: a.line,
-            lint: "hold-across-await",
-            message: format!(
-                "`.await` while {} live — release sync guards before suspending \
-                 (waiver: // HOLD-OK: <why>)",
-                a.guards.join(", ")
-            ),
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -1009,7 +936,7 @@ pub fn collect_repo_metrics(root: &Path) -> Vec<MetricDef> {
 // Repo driver + JSON
 // ---------------------------------------------------------------------
 
-/// Runs all four analysis lints over the repo rooted at `root`.
+/// Runs all three analysis lints over the repo rooted at `root`.
 pub fn analyze_repo(root: &Path) -> Vec<Violation> {
     let mut v = Vec::new();
     let mut sites = Vec::new();
@@ -1018,7 +945,7 @@ pub fn analyze_repo(root: &Path) -> Vec<Violation> {
         let mut files = Vec::new();
         rs_files(&root.join("crates").join(krate).join("src"), &mut files);
         for f in &files {
-            let w = walk_guards(f, &read(f), true);
+            let w = walk_guards(f, &read(f));
             v.extend(w.violations);
             sites.extend(w.sites);
             edges.extend(w.edges);
@@ -1034,14 +961,6 @@ pub fn analyze_repo(root: &Path) -> Vec<Violation> {
                 e.file.display(),
                 e.line
             );
-        }
-    }
-
-    for krate in HOLD_ACROSS_AWAIT_CRATES {
-        let mut files = Vec::new();
-        rs_files(&root.join("crates").join(krate).join("src"), &mut files);
-        for f in &files {
-            v.extend(scan_hold_across_await(f, &read(f)));
         }
     }
 

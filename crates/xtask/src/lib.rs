@@ -26,9 +26,9 @@
 //! source stays well inside what the scanner handles.
 //!
 //! The scope-aware pass (`cargo xtask analyze`: lock-order,
-//! hold-across-await, durability-ordering, metrics-drift) builds on the
-//! same line scanner — see `src/analyze.rs`'s module docs for the
-//! tracker model and annotation grammar.
+//! durability-ordering, metrics-drift) builds on the same line scanner —
+//! see `src/analyze.rs`'s module docs for the tracker model and
+//! annotation grammar.
 
 use std::fmt;
 use std::path::{Path, PathBuf};

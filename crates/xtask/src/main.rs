@@ -6,9 +6,9 @@
 //!   docs) over the whole repo. Exits nonzero if any lint fires; prints
 //!   one `path:line: [lint] message` per violation.
 //! * `analyze [--json]` — run the scope-aware concurrency/durability
-//!   lints (lock-order, hold-across-await, durability-ordering,
-//!   metrics-drift). `--json` emits a machine-readable violation array
-//!   on stdout for CI annotation.
+//!   lints (lock-order, durability-ordering, metrics-drift). `--json`
+//!   emits a machine-readable violation array on stdout for CI
+//!   annotation.
 //! * `metrics` — print the live metric inventory (name, kind, crate,
 //!   site) collected from source, for regenerating METRICS.md rows.
 
@@ -81,9 +81,7 @@ fn analyze(json: bool) -> ExitCode {
         };
     }
     if violations.is_empty() {
-        println!(
-            "xtask analyze: clean (lock-order, hold-across-await, durability-ordering, metrics-drift)"
-        );
+        println!("xtask analyze: clean (lock-order, durability-ordering, metrics-drift)");
         ExitCode::SUCCESS
     } else {
         print_violations(root, &violations);

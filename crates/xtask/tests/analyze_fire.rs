@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 
 use xtask::{
     analyze_repo, collect_metric_defs, metrics_drift, parse_metrics_inventory, scan_durability,
-    scan_hold_across_await, scan_lock_order, Violation,
+    scan_lock_order, Violation,
 };
 
 fn fixture(name: &str) -> (PathBuf, String) {
@@ -65,19 +65,6 @@ fn lock_order_lint_detects_ab_ba_cycles() {
             .any(|v| v.message.contains("cycle") && v.message.contains("cyc.a -> cyc.b -> cyc.a")),
         "{v:#?}"
     );
-}
-
-#[test]
-fn hold_across_await_fires_on_live_guards_only() {
-    let (path, src) = fixture("hold_await.rs");
-    let v = scan_hold_across_await(&path, &src);
-    assert_eq!(
-        lines(&v),
-        vec![7, 12],
-        "the held guard and the same-line temporary must fire; dropped, \
-         scoped-out, waived, and test-mod awaits must not: {v:#?}"
-    );
-    assert!(v.iter().all(|v| v.lint == "hold-across-await"));
 }
 
 #[test]

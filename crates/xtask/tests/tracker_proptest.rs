@@ -5,14 +5,13 @@
 //! take the whole lint gate down. Two generators drive the property:
 //! fully arbitrary char soup, and a "rustish" token stream that steers
 //! the generator toward the shapes the tracker actually parses
-//! (acquisitions, annotations, awaits, renames, registrations).
+//! (acquisitions, annotations, renames, registrations).
 
 use std::path::Path;
 
 use proptest::prelude::*;
 use xtask::{
-    collect_metric_defs, parse_metrics_inventory, scan_durability, scan_hold_across_await,
-    scan_lock_order, violations_json,
+    collect_metric_defs, parse_metrics_inventory, scan_durability, scan_lock_order, violations_json,
 };
 
 /// Tokens biased toward every construct the tracker inspects.
@@ -42,7 +41,6 @@ const RUSTISH: &[&str] = &[
     ".unwrap()",
     ".expect(\"x\")",
     ".unwrap_or_else(|e| e.into_inner())",
-    ".await",
     "drop(g)",
     "drop(",
     "// LOCK-ORDER: a 10",
@@ -50,7 +48,6 @@ const RUSTISH: &[&str] = &[
     "// LOCK-ORDER-OK: why",
     "// LOCK-HELD: a via g",
     "// LOCK-HELD:",
-    "// HOLD-OK: why",
     "// DURABILITY-OK: why",
     "env.rename(a, b)",
     "::rename(",
@@ -73,7 +70,6 @@ fn run_all(src: &str) {
     let path = Path::new("generated.rs");
     let root = Path::new("/");
     let mut v = scan_lock_order(path, src);
-    v.extend(scan_hold_across_await(path, src));
     v.extend(scan_durability(path, src));
     let _ = violations_json(root, &v);
     let _ = collect_metric_defs(path, src, "lsm");

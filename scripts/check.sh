@@ -14,8 +14,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # wall-clock bans in model code, no-panics in libraries.
 cargo xtask lint
 # Scope-aware concurrency/durability lints: lock-order ranks,
-# hold-across-await, sync-before-rename, metrics-drift.
+# sync-before-rename, metrics-drift.
 cargo xtask analyze
+# The server is threads on blocking sockets; no async costume grows
+# back. (`set -e` ignores a `!` status, hence the `|| exit`.)
+! grep -rnE 'async fn|async move|\.await|tokio::' --include='*.rs' crates tests examples || exit 1
 # No file of the store grows back into a 2,800-line db.rs.
 find crates/lsm/src -name '*.rs' -exec wc -l {} + \
     | awk '$2 != "total" && $1 > 1200 { print $2 ": " $1 " lines (limit 1200)"; bad = 1 } END { exit bad }'
@@ -41,13 +44,14 @@ done
 # byte-identical output.
 cargo test -q -p systemsim identical_runs_export_identical_observability
 # Count guards (mirrors CI's perf-harness job): counts repeat exactly
-# where times wobble — allocations per merged pair, per scan, per get
-# and per SCAN reply, `read` calls per frame. Already in `cargo test -q`;
-# named here so a failure says which budget moved.
+# where times wobble — allocations per merged pair, per scan, per get,
+# per SCAN reply and per sync write, `read` calls per frame. Already in
+# `cargo test -q`; named here so a failure says which budget moved.
 cargo test -q -p fcae --test alloc_free
 cargo test -q -p lsm --test scan_alloc
 cargo test -q -p lsm --test get_alloc
 cargo test -q -p server --test scan_reply_counts
+cargo test -q -p server --test write_reply_counts
 # kvbench is a standalone package the workspace build never compiles:
 # build it against the current crates and run all four workloads with
 # every correctness check, untraced and then traced (the per-layer half

@@ -1,29 +1,5 @@
-//! Offline stand-in for `tokio`.
-//!
-//! Implements the API subset the workspace uses (the build environment
-//! has no registry access): a [`runtime::Runtime`] with `block_on`,
-//! [`task::spawn`] returning an awaitable [`task::JoinHandle`], blocking
-//! TCP types under [`net`], and the `AsyncReadExt`/`AsyncWriteExt`
-//! traits under [`io`].
-//!
-//! The execution model is deliberately simple — and honest about it:
-//! every spawned task runs on its own OS thread, and the I/O futures
-//! perform *blocking* syscalls inside `poll`, completing on first poll.
-//! Concurrency therefore comes from threads (one per task), not from a
-//! reactor multiplexing an event loop. For the serving layer's target
-//! scale (tens to a few hundred connections) a thread per connection is
-//! well within OS limits, and the async surface means the server code is
-//! source-compatible with the real tokio when the workspace gains
-//! registry access.
-//!
-//! What this shim does *not* provide: timers (`tokio::time`), task
-//! abortion, cooperative scheduling, or `select!`. Code that needs a
-//! timeout around I/O uses the socket-level read/write timeouts exposed
-//! by [`net::TcpStream`].
-
-pub mod io;
-pub mod net;
-pub mod runtime;
-pub mod task;
-
-pub use task::spawn;
+//! Empty. This package was an offline stand-in for `tokio`; the server
+//! that used it now runs one std thread per connection on blocking std
+//! sockets. The package and `crates/server`'s dependency line on it stay
+//! only so `benchmark/Cargo.lock` remains valid; both go with the next
+//! benchmark-scoped refresh (ROADMAP 8(h)).
