@@ -181,14 +181,17 @@ pub trait CompactionEngine: Send + Sync {
 pub struct ChainIterator {
     tables: Vec<Arc<Table>>,
     current: Option<(usize, TableIterator)>,
+    fill_cache: bool,
 }
 
 impl ChainIterator {
-    /// Creates an iterator over `tables` (ascending key order).
-    pub fn new(tables: Vec<Arc<Table>>) -> Self {
+    /// Creates an iterator over `tables` (ascending key order) that
+    /// leaves the blocks it reads in the block cache only with `fill_cache`.
+    pub fn new(tables: Vec<Arc<Table>>, fill_cache: bool) -> Self {
         ChainIterator {
             tables,
             current: None,
+            fill_cache,
         }
     }
 
@@ -197,7 +200,7 @@ impl ChainIterator {
     /// An `idx` past either end (`usize::MAX` below table 0) ends the run.
     fn settle(&mut self, mut idx: usize, forward: bool, position: impl Fn(&mut TableIterator)) {
         while let Some(table) = self.tables.get(idx) {
-            let mut it = table.iter();
+            let mut it = table.iter_with(self.fill_cache);
             position(&mut it);
             let stop = it.valid() || it.status().is_err();
             self.current = Some((idx, it));
@@ -464,7 +467,9 @@ impl TableRunSource {
     /// (ascending key order).
     pub fn new(tables: Vec<Arc<Table>>) -> Self {
         TableRunSource {
-            run: ChainIterator::new(tables),
+            // The inputs are deleted at install: their blocks stay out of
+            // the block cache, as on the engine's path.
+            run: ChainIterator::new(tables, false),
             started: false,
         }
     }
@@ -546,26 +551,27 @@ fn guard_reader(
 }
 
 /// Reader body: walks one input's table run and ships batches of about
-/// `batch_bytes`. A failed send means the merge hung up (error or early
-/// exit) — just stop.
+/// `batch_bytes`, each in a buffer lent through `free`. A hang-up on
+/// either channel means the merge is gone (error or early exit) — stop.
 fn ship_run(
     tables: Vec<Arc<Table>>,
     batch_bytes: usize,
     tx: &SyncSender<BatchResult>,
+    free: &Receiver<Vec<u8>>,
 ) -> Result<()> {
     let mut run = TableRunSource::new(tables);
-    let mut batch = Vec::with_capacity(batch_bytes + 1024);
-    while run.advance()? {
-        push_entry(&mut batch, run.key(), run.value());
-        if batch.len() >= batch_bytes {
-            let full = std::mem::replace(&mut batch, Vec::with_capacity(batch_bytes + 1024));
-            if tx.send(Ok(full)).is_err() {
-                return Ok(());
-            }
+    let mut more = run.advance()?;
+    while more {
+        let Ok(mut batch) = free.recv() else {
+            break;
+        };
+        while more && batch.len() < batch_bytes {
+            push_entry(&mut batch, run.key(), run.value());
+            more = run.advance()?;
         }
-    }
-    if !batch.is_empty() {
-        let _ = tx.send(Ok(batch));
+        if tx.send(Ok(batch)).is_err() {
+            break;
+        }
     }
     Ok(())
 }
@@ -573,9 +579,13 @@ fn ship_run(
 /// The read-ahead CPU source: one input's pairs, decoded by a reader
 /// thread and received over a bounded channel, so block reads and
 /// decompression overlap the merge and a slow merge backpressures the
-/// readers instead of buffering unboundedly.
+/// readers instead of buffering unboundedly. The merge thread allocates
+/// the `depth + 2` batch buffers and lends them round: allocated by the
+/// readers they stay behind, megabytes per input, in per-thread malloc
+/// arenas (EXPERIMENTS.md, "Write-path budget").
 pub struct ReadAheadSource {
     rx: Receiver<BatchResult>,
+    free: SyncSender<Vec<u8>>,
     batch: Vec<u8>,
     pos: usize,
     key: (usize, usize),
@@ -594,14 +604,20 @@ impl ReadAheadSource {
         depth: usize,
     ) -> (Self, impl FnOnce() + Send + 'static) {
         let (tx, rx) = sync_channel(depth);
-        let reader = move || guard_reader(tx, |tx| ship_run(tables, batch_bytes, tx));
-        (Self::receiving(rx), reader)
+        let (free, lent) = sync_channel(depth + 2);
+        let buffer = || Vec::with_capacity(batch_bytes + 1024);
+        for _ in 0..=depth {
+            let _ = free.send(buffer());
+        }
+        let reader = move || guard_reader(tx, |tx| ship_run(tables, batch_bytes, tx, &lent));
+        (Self::receiving(rx, free, buffer()), reader)
     }
 
-    fn receiving(rx: Receiver<BatchResult>) -> Self {
+    fn receiving(rx: Receiver<BatchResult>, free: SyncSender<Vec<u8>>, batch: Vec<u8>) -> Self {
         ReadAheadSource {
             rx,
-            batch: Vec::new(),
+            free,
+            batch,
             pos: 0,
             key: (0, 0),
             value: (0, 0),
@@ -620,8 +636,11 @@ impl MergeSource for ReadAheadSource {
             let Ok(batch) = self.rx.recv() else {
                 return Ok(false);
             };
-            self.batch = batch?;
+            let mut drained = std::mem::replace(&mut self.batch, batch?);
             self.pos = 0;
+            drained.clear();
+            // A reader that is done has hung up; the buffer just drops.
+            let _ = self.free.send(drained);
         }
         (self.key, self.value, self.pos) = parse_entry(&self.batch, self.pos);
         self.valid = true;
@@ -1102,6 +1121,8 @@ mod tests {
         std::panic::set_hook(Box::new(|_| {}));
         model(|| {
             let (tx, rx) = sync_channel(1);
+            // Nobody takes buffers back: the hung-up send is ignored.
+            let (free, _) = sync_channel(1);
             let reader = thread::spawn(move || {
                 guard_reader(tx, |tx| {
                     let mut batch = Vec::new();
@@ -1113,8 +1134,11 @@ mod tests {
             });
             let env = MemEnv::new();
             let out = Factory::new(&env);
-            let merged =
-                merge_sources(vec![ReadAheadSource::receiving(rx)], &request(vec![]), &out);
+            let merged = merge_sources(
+                vec![ReadAheadSource::receiving(rx, free, Vec::new())],
+                &request(vec![]),
+                &out,
+            );
             assert!(
                 matches!(&merged, Err(Error::Corruption(m)) if m.contains("panicked")),
                 "panicking reader produced {merged:?}"

@@ -30,7 +30,7 @@
 //! | `repl.rs` | WAL tailing for a leader, `apply_replicated` for a replica | `db.state`, `db.epoch` |
 //! | `stats.rs` | metric handles, `DbStats` as a view of them, properties | none for `stats()`; `db.state` to read the version for a property |
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
@@ -48,7 +48,7 @@ use crate::sync_shim;
 use crate::table_cache::TableOpener;
 use crate::version::{VersionEdit, VersionSet};
 use crate::vlog::VlogRuntime;
-use crate::write::{WalEpoch, WriteWaiter};
+use crate::write::{CommitQueue, WalEpoch};
 use crate::write_batch::WriteBatch;
 use crate::write_path::{ApplyLedger, SeqReserver};
 use crate::{Error, Result};
@@ -105,8 +105,8 @@ pub(crate) struct DbInner {
     /// a rotation is in flight. Lock order: `state` may be acquired
     /// before `epoch`, never after.
     pub(crate) epoch: sync_shim::Mutex<WalEpoch>,
-    /// Writers awaiting group commit; the front is the leader.
-    pub(crate) commit_queue: sync_shim::Mutex<VecDeque<Arc<WriteWaiter>>>,
+    /// Writers awaiting group commit behind the current leader.
+    pub(crate) commit_queue: sync_shim::Mutex<CommitQueue>,
     /// Hands out contiguous, disjoint sequence ranges without a lock.
     pub(crate) reserver: SeqReserver,
     /// Tracks which reserved ranges have been applied; reads run at
@@ -182,14 +182,14 @@ impl Db {
 
     /// Inserts or overwrites `key`.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let mut batch = WriteBatch::new();
+        let mut batch = WriteBatch::with_capacity(1, key.len() + value.len());
         batch.put(key, value);
         self.write(batch, WriteOptions::default())
     }
 
     /// Deletes `key`.
     pub fn delete(&self, key: &[u8]) -> Result<()> {
-        let mut batch = WriteBatch::new();
+        let mut batch = WriteBatch::with_capacity(1, key.len());
         batch.delete(key);
         self.write(batch, WriteOptions::default())
     }

@@ -182,10 +182,8 @@ impl Core {
             self.max_height = height;
         }
 
-        let key_range = (key_off as usize, (key_off + key_len) as usize);
-        // Borrow-split: compute the splice against the arena before pushing.
-        let key_bytes = self.arena[key_range.0..key_range.1].to_vec();
-        let prev = self.find_splice(cmp, &key_bytes);
+        // The splice is computed against the key where it now lies.
+        let prev = self.find_splice(cmp, &self.arena[key_off as usize..value_off as usize]);
 
         let new_idx = self.nodes.len() as u32;
         let mut node = Node {

@@ -2,7 +2,7 @@
 //! and the first version install. Nothing is shared until the last line,
 //! so no lock is taken here.
 
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, OnceLock};
@@ -25,7 +25,7 @@ use crate::table_cache::TableOpener;
 use crate::version::{VersionEdit, VersionSet};
 use crate::vlog::{self, VlogRuntime};
 use crate::wal::{LogReader, LogWriter};
-use crate::write::WalEpoch;
+use crate::write::{CommitQueue, WalEpoch};
 use crate::write_batch::{BatchOp, WriteBatch};
 use crate::write_path::{ApplyLedger, SeqReserver};
 use crate::{Error, Result};
@@ -155,7 +155,7 @@ impl Db {
                 pending_outputs: HashSet::new(),
             }),
             epoch: sync_shim::Mutex::new(WalEpoch { wal: log, mem }),
-            commit_queue: sync_shim::Mutex::new(VecDeque::new()),
+            commit_queue: sync_shim::Mutex::new(CommitQueue::default()),
             reserver: SeqReserver::new(last_sequence),
             ledger: ApplyLedger::new(last_sequence),
             bg_error: OnceLock::new(),

@@ -99,7 +99,9 @@ impl Db {
                 .iter()
                 .map(|f| tables.pinned(f).map(Arc::clone))
                 .collect();
-            children.push(Box::new(crate::compaction::ChainIterator::new(level?)));
+            children.push(Box::new(crate::compaction::ChainIterator::new(
+                level?, true,
+            )));
         }
         Ok(crate::db_iter::DbIter::new(
             children,

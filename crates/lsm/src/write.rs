@@ -1,7 +1,13 @@
 //! The write path: the commit queue and its group leader, the one WAL
 //! commit step, write stalls, and memtable rotation. Sequence
 //! reservation and the visibility ledger are in [`crate::write_path`].
+//!
+//! One rule for every signal on this path: it goes only to a waiter that
+//! is parked, and a writer never signals itself. A writer that finds no
+//! leader leads with nothing to be woken through; a condvar is notified
+//! only when the state under its own mutex records a parked thread.
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -95,105 +101,91 @@ impl WalEpoch {
     }
 }
 
-/// One writer queued for group commit. The leader stamps each member's
-/// batch with its reserved sequences and hands it back; every member
-/// applies its own batch into the (shared, concurrent) memtable in
-/// parallel, then reports to the [`ApplyLedger`].
-pub(crate) struct WriteWaiter {
+/// One write on its way through a group commit.
+struct PendingWrite {
+    batch: WriteBatch,
     sync: bool,
-    /// Enqueue timestamp for the `lsm.write.seq_reserve` histogram.
+    /// `Db::write`'s entry timestamp, for the `lsm.write.seq_reserve`
+    /// histogram.
     enqueued_micros: u64,
+}
+
+/// The commit queue. The leader is not in it: `leading` says one exists
+/// (collecting, or on its way to the epoch lock), `waiting` holds the
+/// writers that arrived behind it.
+#[derive(Default)]
+pub(crate) struct CommitQueue {
+    leading: bool,
+    waiting: VecDeque<QueuedWrite>,
+}
+
+/// A writer parked behind a leader, with the write it brought.
+struct QueuedWrite {
+    write: PendingWrite,
+    waiter: Arc<WriteWaiter>,
+}
+
+/// Where a queued writer waits for the leader's word. A writer that
+/// found no leader never has one: nobody signals it.
+struct WriteWaiter {
     slot: sync_shim::Mutex<WaiterSlot>,
     cv: sync_shim::Condvar,
 }
 
+#[derive(Default)]
 struct WaiterSlot {
-    /// Present until the leader takes it (or it is handed back stamped).
-    batch: Option<WriteBatch>,
-    phase: WaiterPhase,
-    /// Outcome for members completed by a leader (error fan-out).
-    result: Option<Result<()>>,
+    assignment: Option<Assignment>,
+    /// Whether the owner is parked on `cv`; `assign` notifies only then.
+    parked: bool,
 }
 
-enum WaiterPhase {
-    /// Still queued behind a leader.
-    Queued,
-    /// Promoted: this writer must lead the next group.
-    Lead,
-    /// A leader committed this member's batch to the WAL; the member
-    /// applies it into `mem` and then reports to the ledger.
+/// What a leader tells a queued writer.
+enum Assignment {
+    /// Promoted: lead the next group, starting with the write handed back.
+    Lead(PendingWrite),
+    /// The leader committed this member's batch to the WAL, stamped; the
+    /// member applies it into `mem` and then reports to the ledger.
     Apply {
+        batch: WriteBatch,
         mem: Arc<MemTable>,
         group: u64,
         last_seq: u64,
     },
-    /// Finished (result present in the slot).
-    Done,
+    /// Finished by the leader (error fan-out).
+    Done(Result<()>),
 }
 
 impl WriteWaiter {
-    fn new(batch: WriteBatch, sync: bool, enqueued_micros: u64) -> Self {
+    fn new() -> Self {
         WriteWaiter {
-            sync,
-            enqueued_micros,
-            slot: sync_shim::Mutex::new(WaiterSlot {
-                batch: Some(batch),
-                phase: WaiterPhase::Queued,
-                result: None,
-            }),
+            slot: sync_shim::Mutex::new(WaiterSlot::default()),
             cv: sync_shim::Condvar::new(),
         }
     }
 
-    // LOCK-HELD: db.commit_queue -- the leader sizes queued waiters mid-scan.
-    fn batch_size(&self) -> usize {
-        shim_lock(&self.slot) // LOCK-ORDER: db.waiter.slot 40
-            .batch
-            .as_ref()
-            .map_or(0, WriteBatch::approximate_size)
-    }
-
-    /// Marks this waiter as the next leader (queue lock held by caller).
-    // LOCK-HELD: db.commit_queue
-    fn promote_lead(&self) {
+    /// Hands the owner its assignment, waking it if it is parked.
+    // LOCK-HELD: db.epoch -- a promotion is made inside the leader's epoch section.
+    fn assign(&self, assignment: Assignment) {
         let mut slot = shim_lock(&self.slot); // LOCK-ORDER: db.waiter.slot 40
-        slot.phase = WaiterPhase::Lead;
-        self.cv.notify_all();
-    }
-
-    /// Returns the member its sequence-stamped batch for parallel apply.
-    fn hand_apply(&self, batch: WriteBatch, mem: Arc<MemTable>, group: u64, last_seq: u64) {
-        let mut slot = shim_lock(&self.slot); // LOCK-ORDER: db.waiter.slot 40
-        slot.batch = Some(batch);
-        slot.phase = WaiterPhase::Apply {
-            mem,
-            group,
-            last_seq,
-        };
-        self.cv.notify_all();
-    }
-
-    /// Completes the member with `result` (leader-side error fan-out).
-    fn complete(&self, result: Result<()>) {
-        let mut slot = shim_lock(&self.slot); // LOCK-ORDER: db.waiter.slot 40
-        slot.result = Some(result);
-        slot.phase = WaiterPhase::Done;
-        self.cv.notify_all();
+        slot.assignment = Some(assignment);
+        if slot.parked {
+            self.cv.notify_one();
+        }
     }
 
     /// Blocks until a leader assigns this waiter a role.
-    fn wait_assignment(&self) -> WaiterPhase {
+    fn wait_assignment(&self) -> Assignment {
         let mut slot = shim_lock(&self.slot); // LOCK-ORDER: db.waiter.slot 40
         loop {
-            match slot.phase {
-                WaiterPhase::Queued => {
-                    slot = self
-                        .cv
-                        .wait(slot)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                _ => return std::mem::replace(&mut slot.phase, WaiterPhase::Queued),
+            if let Some(assignment) = slot.assignment.take() {
+                return assignment;
             }
+            slot.parked = true;
+            slot = self
+                .cv
+                .wait(slot)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            slot.parked = false;
         }
     }
 }
@@ -210,16 +202,17 @@ pub(crate) fn apply_batch(mem: &MemTable, batch: &WriteBatch) {
 
 impl Db {
     /// Applies a batch atomically, with leader-elected group commit:
-    /// concurrent writers enqueue; whoever finds the queue empty becomes
-    /// the leader, reserves one contiguous sequence range for the whole
-    /// group, writes every member's batch to the WAL in one pass (and one
-    /// sync), then hands each member its stamped batch back. Members apply
-    /// into the concurrent memtable *in parallel* and acknowledge once the
-    /// group's last sequence is visible, so a writer never returns before
-    /// its own write is readable.
+    /// whoever finds no leader becomes it, without a hand-off; writers
+    /// arriving behind it enqueue. The leader reserves one contiguous
+    /// sequence range for the whole group, writes every member's batch to
+    /// the WAL in one pass (and one sync), then hands each member its
+    /// stamped batch back. Members apply into the concurrent memtable *in
+    /// parallel* and acknowledge once the group's last sequence is
+    /// visible, so a writer never returns before its own write is
+    /// readable.
     pub fn write(&self, batch: WriteBatch, opts: WriteOptions) -> Result<()> {
         let t0 = self.inner.obs.now_micros();
-        let result = self.write_inner(batch, opts);
+        let result = self.write_inner(batch, opts, t0);
         self.inner
             .metrics
             .put_micros
@@ -227,7 +220,7 @@ impl Db {
         result
     }
 
-    fn write_inner(&self, batch: WriteBatch, opts: WriteOptions) -> Result<()> {
+    fn write_inner(&self, batch: WriteBatch, opts: WriteOptions, t0: u64) -> Result<()> {
         let inner = &self.inner;
         inner.ensure_room()?;
         // Key-value separation happens before the commit queue: large
@@ -240,38 +233,45 @@ impl Db {
         // uncommitted append is invisible to GC's liveness check, so an
         // unpinned segment could be retired out from under the write.
         let (batch, _append_pin) = inner.separate(batch)?;
-        let sync = opts.sync || inner.options.sync_writes;
-        let waiter = Arc::new(WriteWaiter::new(batch, sync, inner.obs.now_micros()));
-        {
+        let write = PendingWrite {
+            batch,
+            sync: opts.sync || inner.options.sync_writes,
+            enqueued_micros: t0,
+        };
+        let waiter = {
             let mut queue = shim_lock(&inner.commit_queue); // LOCK-ORDER: db.commit_queue 30
-            queue.push_back(Arc::clone(&waiter));
-            if queue.len() == 1 {
-                // Empty queue: self-promote. A previous leader may still
-                // be inside its epoch section — the new leader simply
-                // blocks on the epoch lock, pipelining the two groups.
-                waiter.promote_lead();
+            if !queue.leading {
+                // No leader: this writer is it. The previous one may
+                // still be inside its epoch section — the new leader
+                // simply blocks on the epoch lock, pipelining the two
+                // groups.
+                queue.leading = true;
+                drop(queue);
+                return inner.lead_group(write);
             }
-        }
+            let waiter = Arc::new(WriteWaiter::new());
+            queue.waiting.push_back(QueuedWrite {
+                write,
+                waiter: Arc::clone(&waiter),
+            });
+            waiter
+        };
         match waiter.wait_assignment() {
-            WaiterPhase::Lead => inner.lead_group(&waiter),
-            WaiterPhase::Apply {
+            Assignment::Lead(write) => inner.lead_group(write),
+            Assignment::Apply {
+                batch,
                 mem,
                 group,
                 last_seq,
             } => {
-                let batch = shim_lock(&waiter.slot).batch.take(); // LOCK-ORDER: db.waiter.slot 40
-                if let Some(b) = &batch {
-                    apply_batch(&mem, b);
-                }
+                apply_batch(&mem, &batch);
                 inner.ledger.finish_members(group, 1);
                 // Ack only once every earlier sequence is applied too:
                 // after this returns, a read at "latest" sees this write.
                 inner.ledger.wait_visible(last_seq);
                 Ok(())
             }
-            WaiterPhase::Done => shim_lock(&waiter.slot).result.take().unwrap_or(Ok(())), // LOCK-ORDER: db.waiter.slot 40
-            // wait_assignment never returns Queued.
-            WaiterPhase::Queued => Ok(()),
+            Assignment::Done(result) => result,
         }
     }
 }
@@ -309,18 +309,17 @@ impl DbInner {
         self.make_room_for_write(state).map(drop)
     }
 
-    /// Leads one group commit. The leader drains the queue (up to the
-    /// group byte cap), promotes the next queued writer so the pipeline
-    /// never idles, then under the epoch lock reserves the group's
-    /// sequence range, appends every batch to the WAL (one sync covers
-    /// them all), and registers the group with the apply ledger. Members
-    /// — including the leader — then apply their own batches into the
-    /// shared concurrent memtable in parallel.
-    fn lead_group(&self, me: &Arc<WriteWaiter>) -> Result<()> {
+    /// Leads one group commit, `mine` first. Under the epoch lock the
+    /// leader drains the queue (up to the group byte cap) and promotes the
+    /// next queued writer so the pipeline never idles — or, when nobody
+    /// is left, gives the lead up to whoever arrives next — then reserves
+    /// the group's sequence range, appends every batch to the WAL (one
+    /// sync covers them all), and registers the group with the apply
+    /// ledger. Members — including the leader — then apply their own
+    /// batches into the shared concurrent memtable in parallel.
+    fn lead_group(&self, mut mine: PendingWrite) -> Result<()> {
         let max_group_bytes = self.options.max_group_commit_bytes.max(1);
-        let mut members: Vec<Arc<WriteWaiter>> = Vec::new();
-        let mut batches: Vec<WriteBatch> = Vec::new();
-        let mut sync = false;
+        let mut followers: Vec<QueuedWrite> = Vec::new();
 
         // A sync commit costs an fsync — orders of magnitude more than
         // an enqueue — so before sealing the group give writers that
@@ -329,11 +328,11 @@ impl DbInner {
         // queue. Without it, lock-step writers alternate groups of 1
         // and N-1 and half the fsync amortization is lost. Buffered
         // commits are too cheap to ever be worth waiting for.
-        if me.sync {
-            let mut prev = 1;
+        if mine.sync {
+            let mut prev = 0;
             for _ in 0..8 {
                 std::thread::yield_now();
-                let len = shim_lock(&self.commit_queue).len(); // LOCK-ORDER: db.commit_queue 30
+                let len = shim_lock(&self.commit_queue).waiting.len(); // LOCK-ORDER: db.commit_queue 30
                 if len <= prev {
                     break; // nobody new arrived during the last yield
                 }
@@ -351,62 +350,73 @@ impl DbInner {
         // piled up in the queue, so group size tracks commit latency.
         let committed = {
             let mut epoch = shim_lock(&self.epoch); // LOCK-ORDER: db.epoch 20
-            {
+            let next = {
                 let mut queue = shim_lock(&self.commit_queue); // LOCK-ORDER: db.commit_queue 30
-                debug_assert!(queue.front().is_some_and(|w| Arc::ptr_eq(w, me)));
-                let mut bytes = 0usize;
-                while let Some(front) = queue.front() {
-                    let size = front.batch_size();
-                    if !members.is_empty() && bytes + size > max_group_bytes {
+                let mut bytes = mine.batch.approximate_size();
+                while let Some(front) = queue.waiting.front() {
+                    bytes += front.write.batch.approximate_size();
+                    if bytes > max_group_bytes {
                         break;
                     }
-                    bytes += size;
-                    let Some(w) = queue.pop_front() else { break };
-                    members.push(w);
+                    followers.extend(queue.waiting.pop_front());
                 }
-                // The next queued writer leads the following group; it
-                // will block on the epoch lock until this commit is done,
-                // collecting its own group as writers keep arriving.
-                if let Some(next) = queue.front() {
-                    next.promote_lead();
-                }
+                let next = queue.waiting.pop_front();
+                queue.leading = next.is_some();
+                next
+            };
+            // The next queued writer leads the following group; it will
+            // block on the epoch lock until this commit is done,
+            // collecting its own group as writers keep arriving. With
+            // nobody queued the lead is free for whoever arrives next.
+            if let Some(next) = next {
+                next.waiter.assign(Assignment::Lead(next.write));
             }
             if let Err(e) = self.writable() {
                 // Writes queued behind a sticky background error are
                 // rejected as a group (reads keep working).
                 Err(e)
             } else {
-                for w in &members {
-                    sync |= w.sync;
-                    let b = shim_lock(&w.slot).batch.take(); // LOCK-ORDER: db.waiter.slot 40
-                    batches.push(b.unwrap_or_else(WriteBatch::new));
-                }
-                let total: u64 = batches.iter().map(|b| u64::from(b.count())).sum();
-                let start = self.reserver.reserve(total);
-                let mut seq = start;
-                for b in &mut batches {
-                    b.set_sequence(seq);
-                    seq += u64::from(b.count());
+                let mut sync = mine.sync;
+                let total = followers
+                    .iter()
+                    .fold(u64::from(mine.batch.count()), |n, f| {
+                        n + u64::from(f.write.batch.count())
+                    });
+                let mut seq = self.reserver.reserve(total);
+                mine.batch.set_sequence(seq);
+                seq += u64::from(mine.batch.count());
+                for f in &mut followers {
+                    sync |= f.write.sync;
+                    f.write.batch.set_sequence(seq);
+                    seq += u64::from(f.write.batch.count());
                 }
                 let last_seq = seq.saturating_sub(1);
-                let records = batches.iter().map(WriteBatch::data);
-                let committed =
-                    epoch.commit(self, "wal commit", records, sync, last_seq, members.len());
+                let records = std::iter::once(mine.batch.data())
+                    .chain(followers.iter().map(|f| f.write.batch.data()));
+                let committed = epoch.commit(
+                    self,
+                    "wal commit",
+                    records,
+                    sync,
+                    last_seq,
+                    1 + followers.len(),
+                );
                 Ok((committed, last_seq))
             }
         };
 
-        let fan_out = |e: Error| -> Result<()> {
-            for w in members.iter().skip(1) {
-                w.complete(Err(replicate_err(&e)));
+        let members = 1 + followers.len();
+        let fan_out = |followers: Vec<QueuedWrite>, e: Error| -> Result<()> {
+            for f in followers {
+                f.waiter.assign(Assignment::Done(Err(replicate_err(&e))));
             }
             Err(e)
         };
         let (committed, last_seq) = match committed {
             Ok(committed) => committed,
             Err(e) => {
-                self.metrics.readonly_rejects.add(members.len() as u64);
-                return fan_out(e);
+                self.metrics.readonly_rejects.add(members as u64);
+                return fan_out(followers, e);
             }
         };
         let Committed {
@@ -417,29 +427,29 @@ impl DbInner {
 
         let now = self.obs.now_micros();
         self.metrics.write_leader.inc();
-        self.metrics
-            .write_follower
-            .add(members.len().saturating_sub(1) as u64);
-        self.metrics.group_size.record(members.len() as u64);
-        for w in &members {
-            self.metrics
-                .seq_reserve
-                .record(now.saturating_sub(w.enqueued_micros));
+        self.metrics.write_follower.add(followers.len() as u64);
+        self.metrics.group_size.record(members as u64);
+        let enqueued = followers.iter().map(|f| f.write.enqueued_micros);
+        for t in std::iter::once(mine.enqueued_micros).chain(enqueued) {
+            self.metrics.seq_reserve.record(now.saturating_sub(t));
         }
 
         if let Err(e) = commit {
-            self.fail_commit(group_id, members.len());
-            return fan_out(e);
+            self.fail_commit(group_id, members);
+            return fan_out(followers, e);
         }
 
         // Hand every follower its stamped batch first, then apply our
         // own — members insert into disjoint memtable shards in parallel.
-        let mut stamped = batches.into_iter();
-        let my_batch = stamped.next().unwrap_or_default();
-        for (w, b) in members.iter().skip(1).zip(stamped) {
-            w.hand_apply(b, Arc::clone(&mem), group_id, last_seq);
+        for f in followers {
+            f.waiter.assign(Assignment::Apply {
+                batch: f.write.batch,
+                mem: Arc::clone(&mem),
+                group: group_id,
+                last_seq,
+            });
         }
-        apply_batch(&mem, &my_batch);
+        apply_batch(&mem, &mine.batch);
         self.ledger.finish_members(group_id, 1);
 
         self.note_occupancy(&mem);
@@ -623,5 +633,53 @@ fn replicate_err(e: &Error) -> Error {
         Error::Io(io) => Error::Io(std::io::Error::new(io.kind(), io.to_string())),
         Error::Corruption(m) => Error::Corruption(m.clone()),
         other => Error::Corruption(other.to_string()),
+    }
+}
+
+/// Loom model of the commit queue on a real store, run under
+/// `RUSTFLAGS="--cfg loom"` beside the ledger models in
+/// [`crate::write_path`].
+#[cfg(all(loom, test))]
+mod loom_models {
+    use super::*;
+    use crate::options::Options;
+    use sstable::env::MemEnv;
+
+    /// Two writers meet at the commit queue. Whichever finds no leader
+    /// leads, and nothing signals it; the other finds a leader again, or
+    /// queues behind this one and is either applied by it (the group cap
+    /// has room) or promoted by it (the cap of one byte never has). No
+    /// interleaving loses a wake-up: every write returns `Ok`, was
+    /// committed in exactly one group, and is readable.
+    #[test]
+    fn two_writers_lead_unsignalled_or_are_assigned_by_the_leader() {
+        const WRITES: u64 = 3;
+        for max_group_commit_bytes in [1, 1 << 20] {
+            loom::model(move || {
+                let options = Options {
+                    env: Arc::new(MemEnv::new()),
+                    max_group_commit_bytes,
+                    ..Options::default()
+                };
+                let db = Arc::new(Db::open("/loom", options).unwrap());
+                let write = |db: &Db, writer: char| {
+                    for i in 0..WRITES {
+                        db.put(format!("{writer}{i}").as_bytes(), b"v").unwrap();
+                    }
+                };
+                let other = {
+                    let db = Arc::clone(&db);
+                    loom::thread::spawn(move || write(&db, 'b'))
+                };
+                write(&db, 'a');
+                other.join().unwrap();
+                for key in ["a0", "a2", "b0", "b2"] {
+                    assert_eq!(db.get(key.as_bytes()).unwrap().as_deref(), Some(&b"v"[..]));
+                }
+                assert_eq!(db.stats().grouped_writes, 2 * WRITES);
+                let queue = shim_lock(&db.inner.commit_queue);
+                assert!(!queue.leading && queue.waiting.is_empty());
+            });
+        }
     }
 }

@@ -13,6 +13,9 @@ use sstable::ikey::{SequenceNumber, ValueType};
 use crate::{Error, Result};
 
 const HEADER_SIZE: usize = 12;
+/// Most a record adds to its key and value: the tag and two length
+/// prefixes of up to five bytes each.
+const RECORD_OVERHEAD: usize = 11;
 
 /// A batch of updates applied atomically.
 #[derive(Clone, Debug)]
@@ -29,13 +32,20 @@ impl Default for WriteBatch {
 impl WriteBatch {
     /// Creates an empty batch.
     pub fn new() -> Self {
-        WriteBatch {
-            rep: vec![0u8; HEADER_SIZE],
-        }
+        Self::with_capacity(0, 0)
+    }
+
+    /// Creates an empty batch with room for `ops` operations whose keys
+    /// and values total `bytes`, so filling it allocates nothing more.
+    pub fn with_capacity(ops: usize, bytes: usize) -> Self {
+        let mut rep = Vec::with_capacity(HEADER_SIZE + ops * RECORD_OVERHEAD + bytes);
+        rep.resize(HEADER_SIZE, 0);
+        WriteBatch { rep }
     }
 
     /// Queues a `put`.
     pub fn put(&mut self, key: &[u8], value: &[u8]) {
+        self.rep.reserve(RECORD_OVERHEAD + key.len() + value.len());
         self.set_count(self.count() + 1);
         self.rep.push(ValueType::Value as u8);
         put_length_prefixed_slice(&mut self.rep, key);
@@ -44,6 +54,7 @@ impl WriteBatch {
 
     /// Queues a deletion.
     pub fn delete(&mut self, key: &[u8]) {
+        self.rep.reserve(RECORD_OVERHEAD + key.len());
         self.set_count(self.count() + 1);
         self.rep.push(ValueType::Deletion as u8);
         put_length_prefixed_slice(&mut self.rep, key);

@@ -17,7 +17,9 @@
 //! 3. The ledger advances the **visible sequence** — the snapshot
 //!    readers use — only when every group at or below a sequence has
 //!    fully applied, so a reader never observes sequence `s` while some
-//!    write with sequence `< s` is still mid-insert.
+//!    write with sequence `< s` is still mid-insert. The advance wakes
+//!    the threads the ledger has counted into [`ApplyLedger::wait_visible`]
+//!    and signals nothing when there are none.
 //! 4. Memtable rotation records the last reserved sequence as the epoch
 //!    **boundary**; the flush waits [`ApplyLedger::wait_visible`] on the
 //!    boundary so every in-flight writer that holds the old memtable has
@@ -91,6 +93,9 @@ struct LedgerInner {
     /// happens under the epoch lock).
     groups: VecDeque<GroupState>,
     next_id: u64,
+    /// Threads parked on `advanced`; `finish_members` notifies only
+    /// when there are some.
+    waiting: usize,
 }
 
 /// Tracks apply completion of commit groups in sequence order and
@@ -103,7 +108,7 @@ pub struct ApplyLedger {
     /// Lock-free mirror of the visible sequence for the read path.
     visible: AtomicU64,
     inner: Mutex<LedgerInner>,
-    /// Signaled whenever `visible` advances.
+    /// Signaled when `visible` advances past a parked waiter.
     advanced: Condvar,
 }
 
@@ -115,6 +120,7 @@ impl ApplyLedger {
             inner: Mutex::new(LedgerInner {
                 groups: VecDeque::new(),
                 next_id: 1,
+                waiting: 0,
             }),
             advanced: Condvar::new(),
         }
@@ -146,7 +152,7 @@ impl ApplyLedger {
     /// Marks `count` members of group `id` as applied. When the group —
     /// and every group registered before it — has fully applied, the
     /// visible sequence advances over the whole completed prefix and
-    /// waiters are woken.
+    /// parked waiters, if there are any, are woken.
     pub fn finish_members(&self, id: u64, count: usize) {
         let mut inner = lock(&self.inner); // LOCK-ORDER: write.ledger 50
         if let Some(g) = inner.groups.iter_mut().find(|g| g.id == id) {
@@ -159,10 +165,13 @@ impl ApplyLedger {
             new_visible = Some(g.end_seq);
         }
         if let Some(v) = new_visible {
-            // Publish under the lock so `wait_visible`'s re-check after
-            // a wakeup always observes the latest value.
+            // Publish under the lock: a waiter re-checks `visible` and
+            // counts itself into `waiting` under it too, so it either
+            // sees this value or is counted here.
             self.visible.fetch_max(v, Ordering::AcqRel);
-            self.advanced.notify_all();
+            if inner.waiting > 0 {
+                self.advanced.notify_all();
+            }
         }
     }
 
@@ -174,6 +183,7 @@ impl ApplyLedger {
             return;
         }
         let mut inner = lock(&self.inner); // LOCK-ORDER: write.ledger 50
+        inner.waiting += 1;
         while self.visible() < seq {
             // A group may still be unregistered (leader between reserve
             // and register is impossible — both happen under the epoch
@@ -184,6 +194,7 @@ impl ApplyLedger {
                 .wait(inner)
                 .unwrap_or_else(PoisonError::into_inner);
         }
+        inner.waiting -= 1;
     }
 }
 
@@ -264,7 +275,7 @@ mod tests {
 
 /// Loom models of the write-path protocol, run under
 /// `RUSTFLAGS="--cfg loom"` (see `scripts/check.sh` and the loom CI
-/// job). They model the two invariants `write.rs` relies on:
+/// job). They model the three invariants `write.rs` relies on:
 ///
 /// * **Sequence reservation**: concurrent reservations are disjoint and
 ///   contiguous, and a reader never sees a visible sequence for which
@@ -273,6 +284,9 @@ mod tests {
 ///   memtable lands in it before the flush barrier releases, so the
 ///   frozen memtable contains *exactly* the sequences at or below the
 ///   rotation boundary.
+/// * **No lost wake-up**: `finish_members` notifies only a waiter the
+///   ledger has counted as parked, and a waiter is always either counted
+///   or already satisfied.
 #[cfg(all(loom, test))]
 mod loom_models {
     use super::*;
@@ -332,6 +346,29 @@ mod loom_models {
             }
             reader.join().unwrap();
             assert_eq!(ledger.visible(), 2);
+        });
+    }
+
+    /// The wake-up `finish_members` gives only to a counted waiter is
+    /// never lost: a thread in `wait_visible(s)` races the finish that
+    /// makes `s` visible and returns whether it parks before the finish
+    /// (it is counted, so it is notified) or arrives after it (it sees
+    /// the published value under the same lock and never parks).
+    #[test]
+    fn a_waiter_racing_the_finish_that_satisfies_it_always_returns() {
+        loom::model(|| {
+            let ledger = Arc::new(ApplyLedger::new(0));
+            let group = ledger.register(1, 1);
+            let waiter = {
+                let ledger = Arc::clone(&ledger);
+                loom::thread::spawn(move || {
+                    ledger.wait_visible(1);
+                    assert_eq!(ledger.visible(), 1);
+                })
+            };
+            ledger.finish_members(group, 1);
+            waiter.join().unwrap();
+            assert_eq!(lock(&ledger.inner).waiting, 0);
         });
     }
 

@@ -602,7 +602,7 @@ fn do_put(shared: &Shared, key: &[u8], value: &[u8], sync: bool) -> Response {
     if let Some(resp) = reject_replica_write(shared) {
         return resp;
     }
-    let mut batch = lsm::WriteBatch::new();
+    let mut batch = lsm::WriteBatch::with_capacity(1, key.len() + value.len());
     batch.put(key, value);
     commit_to_shard(shared, shared.router.shard_for(key), batch, sync)
         .err()
@@ -613,7 +613,7 @@ fn do_delete(shared: &Shared, key: &[u8], sync: bool) -> Response {
     if let Some(resp) = reject_replica_write(shared) {
         return resp;
     }
-    let mut batch = lsm::WriteBatch::new();
+    let mut batch = lsm::WriteBatch::with_capacity(1, key.len());
     batch.delete(key);
     commit_to_shard(shared, shared.router.shard_for(key), batch, sync)
         .err()
@@ -692,21 +692,35 @@ fn do_batch(shared: &Shared, ops: Vec<proto::BatchOp>, sync: bool) -> Response {
     if let Some(resp) = reject_replica_write(shared) {
         return resp;
     }
-    let mut per_shard: Vec<Option<lsm::WriteBatch>> = Vec::new();
-    per_shard.resize_with(shared.shards.len(), || None);
+    fn parts(op: &proto::BatchOp) -> (&[u8], Option<&[u8]>) {
+        match op {
+            proto::BatchOp::Put { key, value } => (key, Some(value)),
+            proto::BatchOp::Delete { key } => (key, None),
+        }
+    }
+    // Sized first — ops and key + value bytes per shard — so each shard's
+    // batch is allocated once.
+    let mut sizes = vec![(0usize, 0usize); shared.shards.len()];
     for op in &ops {
-        let key = match op {
-            proto::BatchOp::Put { key, .. } => key,
-            proto::BatchOp::Delete { key } => key,
-        };
+        let (key, value) = parts(op);
         let shard = shared.router.shard_for(key);
-        let Some(slot) = per_shard.get_mut(shard) else {
+        let Some((count, bytes)) = sizes.get_mut(shard) else {
             return Response::Err(format!("no shard {shard}"));
         };
-        let batch = slot.get_or_insert_with(lsm::WriteBatch::new);
-        match op {
-            proto::BatchOp::Put { key, value } => batch.put(key, value),
-            proto::BatchOp::Delete { key } => batch.delete(key),
+        *count += 1;
+        *bytes += key.len() + value.map_or(0, <[u8]>::len);
+    }
+    let mut per_shard: Vec<Option<lsm::WriteBatch>> = sizes
+        .iter()
+        .map(|&(count, bytes)| (count > 0).then(|| lsm::WriteBatch::with_capacity(count, bytes)))
+        .collect();
+    for op in &ops {
+        let (key, value) = parts(op);
+        if let Some(Some(batch)) = per_shard.get_mut(shared.router.shard_for(key)) {
+            match value {
+                Some(value) => batch.put(key, value),
+                None => batch.delete(key),
+            }
         }
     }
     for (shard, slot) in per_shard.into_iter().enumerate() {

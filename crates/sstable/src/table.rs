@@ -179,7 +179,9 @@ impl Table {
     /// or, when none is configured, the per-table one-block cache: one
     /// lock and one block clone per load either way. Also returns whether
     /// the shared cache held the block (`None`: it was not consulted).
-    fn load_block(&self, handle: &BlockHandle) -> Result<(Block, Option<bool>)> {
+    /// Without `fill_cache` a miss is read and returned but not kept
+    /// (LevelDB's `ReadOptions::fill_cache`).
+    fn load_block(&self, handle: &BlockHandle, fill_cache: bool) -> Result<(Block, Option<bool>)> {
         let read = || -> Result<Block> {
             Block::new(read_block(
                 self.file.as_ref(),
@@ -192,7 +194,9 @@ impl Table {
                 return Ok((block, Some(true)));
             }
             let block = read()?;
-            cache.insert(self.cache_id, handle.offset, block.clone());
+            if fill_cache {
+                cache.insert(self.cache_id, handle.offset, block.clone());
+            }
             return Ok((block, Some(false)));
         }
         if let Some((off, block)) = &*self.last_block.lock() {
@@ -201,7 +205,9 @@ impl Table {
             }
         }
         let block = read()?;
-        *self.last_block.lock() = Some((handle.offset, block.clone()));
+        if fill_cache {
+            *self.last_block.lock() = Some((handle.offset, block.clone()));
+        }
         Ok((block, None))
     }
 
@@ -245,7 +251,7 @@ impl Table {
                 return Ok(None);
             }
         }
-        let (block, cached) = self.load_block(&handle)?;
+        let (block, cached) = self.load_block(&handle, true)?;
         match cached {
             Some(true) => stats.block_cache_hits += 1,
             Some(false) => stats.block_cache_misses += 1,
@@ -266,11 +272,20 @@ impl Table {
 
     /// Creates a full-table iterator.
     pub fn iter(self: &Arc<Self>) -> TableIterator {
+        self.iter_with(true)
+    }
+
+    /// A full-table iterator that keeps the blocks it reads in the block
+    /// cache only with `fill_cache`. A compaction passes `false`: its
+    /// inputs are deleted when it installs, so their blocks would only
+    /// push live ones out.
+    pub fn iter_with(self: &Arc<Self>, fill_cache: bool) -> TableIterator {
         TableIterator {
             table: Arc::clone(self),
             index_iter: self.index_block.iter(Arc::clone(&self.options.comparator)),
             data_iter: None,
             error: None,
+            fill_cache,
         }
     }
 
@@ -294,6 +309,7 @@ pub struct TableIterator {
     index_iter: BlockIter,
     data_iter: Option<BlockIter>,
     error: Option<String>,
+    fill_cache: bool,
 }
 
 impl TableIterator {
@@ -304,7 +320,7 @@ impl TableIterator {
             return;
         }
         match BlockHandle::decode_from(self.index_iter.value()) {
-            Ok((handle, _)) => match self.table.load_block(&handle) {
+            Ok((handle, _)) => match self.table.load_block(&handle, self.fill_cache) {
                 Ok((block, _)) => {
                     self.data_iter = Some(block.iter(Arc::clone(&self.table.options.comparator)));
                 }
@@ -470,6 +486,36 @@ mod tests {
             assert_eq!(count, 2000);
             it.status().unwrap();
         }
+    }
+
+    /// A scan with `fill_cache` off reads every block and leaves the
+    /// shared cache as it found it; the default scan fills it.
+    #[test]
+    fn a_scan_without_fill_cache_keeps_nothing() {
+        let env = MemEnv::new();
+        let size = build_table(&env, "/t", 2000, 1024, CompressionType::Snappy).file_size();
+        let cache = crate::cache::BlockCache::new(8 << 20);
+        let options = TableReadOptions {
+            block_cache: Some(Arc::clone(&cache)),
+            ..TableReadOptions::default()
+        };
+        let file = env.open_random_access(Path::new("/t")).unwrap();
+        let table = Table::open(file, size, options).unwrap();
+        let scan = |fill_cache| {
+            let mut it = table.iter_with(fill_cache);
+            it.seek_to_first();
+            let mut count = 0;
+            while it.valid() {
+                count += 1;
+                it.next();
+            }
+            it.status().unwrap();
+            count
+        };
+        assert_eq!(scan(false), 2000);
+        assert_eq!(cache.bytes(), 0);
+        assert_eq!(scan(true), 2000);
+        assert!(cache.bytes() > 0);
     }
 
     #[test]

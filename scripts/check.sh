@@ -45,11 +45,13 @@ done
 cargo test -q -p systemsim identical_runs_export_identical_observability
 # Count guards (mirrors CI's perf-harness job): counts repeat exactly
 # where times wobble — allocations per merged pair, per scan, per get,
-# per SCAN reply and per sync write, `read` calls per frame. Already in
-# `cargo test -q`; named here so a failure says which budget moved.
+# per put, per SCAN reply and per sync write, `read` calls per frame.
+# Already in `cargo test -q`; named here so a failure says which budget
+# moved.
 cargo test -q -p fcae --test alloc_free
 cargo test -q -p lsm --test scan_alloc
 cargo test -q -p lsm --test get_alloc
+cargo test -q -p lsm --test put_alloc
 cargo test -q -p server --test scan_reply_counts
 cargo test -q -p server --test write_reply_counts
 # kvbench is a standalone package the workspace build never compiles:
