@@ -13,7 +13,8 @@ use lsm::compaction::{CompactionEngine, CpuCompactionEngine};
 use lsm::memtable::MemTable;
 use sstable::comparator::InternalKeyComparator;
 use sstable::env::MemEnv;
-use sstable::ikey::ValueType;
+use sstable::ikey::{append_internal_key, ValueType};
+use sstable::BlockBuilder;
 
 fn bench_snappy(c: &mut Criterion) {
     let mut values = workloads::ValueGenerator::new(1, 0.5);
@@ -25,7 +26,55 @@ fn bench_snappy(c: &mut Criterion) {
     g.bench_function("decompress_64k", |b| {
         b.iter(|| snap_codec::decompress(&compressed).unwrap());
     });
+    // What a block load decodes: 64 data blocks per iteration.
+    let (blocks, raw_bytes) = harness_data_blocks(0.5, 64);
+    let mut outs: Vec<Vec<u8>> = blocks
+        .iter()
+        .map(|b| vec![0; snap_codec::decompressed_len(b).unwrap()])
+        .collect();
+    g.throughput(Throughput::Bytes(raw_bytes));
+    g.bench_function("decompress_data_block_4k", |b| {
+        b.iter(|| {
+            for (block, out) in blocks.iter().zip(&mut outs) {
+                snap_codec::decompress_into(block, out).unwrap();
+            }
+        });
+    });
     g.finish();
+}
+
+/// `count` Snappy-compressed 4 KiB data blocks shaped like kvbench's:
+/// 16-byte decimal keys with their 8-byte internal-key trailer and
+/// 128-byte values (the key, then 112 bytes of a db_bench pool
+/// compressible to `ratio`). Returns them with their raw byte total.
+fn harness_data_blocks(ratio: f64, count: usize) -> (Vec<Vec<u8>>, u64) {
+    let pool = workloads::ValueGenerator::new(7, ratio)
+        .generate(1 << 20)
+        .to_vec();
+    let mut rng = simkit::SplitMix64::new(11);
+    let mut builder = BlockBuilder::new(16);
+    let (mut blocks, mut raw_bytes) = (Vec::new(), 0);
+    let (mut ikey, mut value) = (Vec::new(), Vec::new());
+    let mut n = 0u64;
+    while blocks.len() < count {
+        n += 1 + rng.next_u64() % 8;
+        let key = format!("{n:016}");
+        let seq = rng.next_u64() >> 8;
+        ikey.clear();
+        append_internal_key(&mut ikey, key.as_bytes(), seq, ValueType::Value);
+        let at = (rng.next_u64() % (pool.len() as u64 - 112)) as usize;
+        value.clear();
+        value.extend_from_slice(key.as_bytes());
+        value.extend_from_slice(&pool[at..at + 112]);
+        builder.add(&ikey, &value);
+        if builder.current_size_estimate() >= 4096 {
+            let block = builder.finish();
+            raw_bytes += block.len() as u64;
+            blocks.push(snap_codec::compress(block));
+            builder.reset();
+        }
+    }
+    (blocks, raw_bytes)
 }
 
 fn bench_crc32c(c: &mut Criterion) {

@@ -228,6 +228,24 @@ mod tests {
     }
 
     #[test]
+    fn decompressed_len_rejects_a_header_the_body_cannot_back() {
+        // Three body bytes (one 64-byte copy) decode to at most 64.
+        assert_eq!(decompressed_len(&[64, 0b1111_1110, 1, 0]), Ok(64));
+        assert_eq!(
+            decompressed_len(&[65, 0b1111_1110, 1, 0]),
+            Err(Error::TooLarge(65))
+        );
+        // A 1 GiB header on a one-byte body fails before anything is
+        // allocated for it.
+        let stream = [0x80, 0x80, 0x80, 0x80, 0x04, 0];
+        assert_eq!(decompress(&stream), Err(Error::TooLarge(1 << 30)));
+        assert_eq!(
+            decompress_to_vec(&stream, &mut Vec::new()),
+            Err(Error::TooLarge(1 << 30))
+        );
+    }
+
+    #[test]
     fn decompress_into_checks_buffer_size() {
         let c = compress(b"hello");
         let mut out = vec![0u8; 4];

@@ -80,6 +80,27 @@ impl BlockHandle {
             get_varint64(&src[n1..]).ok_or_else(|| corruption("bad block handle size"))?;
         Ok((BlockHandle { offset, size }, n1 + n2))
     }
+
+    /// The block's length with its trailer, once the block is known to
+    /// lie inside a file of `file_size` bytes. Handles come from a footer
+    /// no CRC covers and from index blocks, so one past the end is
+    /// `Corruption` here, before anything is allocated for it.
+    pub(crate) fn framed_len_within(&self, file_size: u64) -> Result<usize> {
+        self.size
+            .checked_add(BLOCK_TRAILER_SIZE as u64)
+            .filter(|&framed| {
+                self.offset
+                    .checked_add(framed)
+                    .is_some_and(|end| end <= file_size)
+            })
+            .and_then(|framed| usize::try_from(framed).ok())
+            .ok_or_else(|| {
+                corruption(format!(
+                    "block handle {}+{} runs past the end of a {file_size}-byte file",
+                    self.offset, self.size
+                ))
+            })
+    }
 }
 
 /// Table footer: metaindex + index handles, zero padding, magic.
@@ -170,14 +191,25 @@ pub fn frame_block_into(
 }
 
 /// Reads and verifies one block (contents + trailer) from `file` at
-/// `handle`, decompressing if needed.
+/// `handle`, decompressing if needed. Asks `file` its length to check
+/// the handle against; an open [`Table`](crate::table::Table) knows it.
 pub fn read_block(
     file: &dyn RandomAccessFile,
     handle: &BlockHandle,
     verify_checksums: bool,
 ) -> Result<Bytes> {
-    let n = handle.size as usize;
-    let mut buf = vec![0u8; n + BLOCK_TRAILER_SIZE];
+    read_block_within(file, file.len()?, handle, verify_checksums)
+}
+
+/// [`read_block`] from a file of `file_size` bytes.
+pub(crate) fn read_block_within(
+    file: &dyn RandomAccessFile,
+    file_size: u64,
+    handle: &BlockHandle,
+    verify_checksums: bool,
+) -> Result<Bytes> {
+    let mut buf = vec![0u8; handle.framed_len_within(file_size)?];
+    let n = buf.len() - BLOCK_TRAILER_SIZE;
     let read = file.read_at(handle.offset, &mut buf)?;
     if read != buf.len() {
         return Err(corruption(format!(

@@ -12,7 +12,7 @@ use crate::bloom::BloomFilterPolicy;
 use crate::comparator::Comparator;
 use crate::env::RandomAccessFile;
 use crate::filter_block::FilterBlockReader;
-use crate::format::{read_block, BlockHandle, Footer, FOOTER_ENCODED_LENGTH};
+use crate::format::{read_block_within, BlockHandle, Footer, FOOTER_ENCODED_LENGTH};
 use crate::iterator::InternalIterator;
 use crate::{corruption, Error, Result};
 
@@ -95,8 +95,9 @@ impl Table {
         }
         let footer = Footer::decode(&footer_buf)?;
 
-        let index_contents = read_block(
+        let index_contents = read_block_within(
             file.as_ref(),
+            file_size,
             &footer.index_handle,
             options.verify_checksums,
         )?;
@@ -106,8 +107,9 @@ impl Table {
         let mut filter = None;
         if let Some(policy) = options.filter_policy {
             if footer.metaindex_handle.size > 0 {
-                let meta_contents = read_block(
+                let meta_contents = read_block_within(
                     file.as_ref(),
+                    file_size,
                     &footer.metaindex_handle,
                     options.verify_checksums,
                 )?;
@@ -117,8 +119,12 @@ impl Table {
                 it.seek(key.as_bytes());
                 if it.valid() && it.key() == key.as_bytes() {
                     let (handle, _) = BlockHandle::decode_from(it.value())?;
-                    let filter_contents =
-                        read_block(file.as_ref(), &handle, options.verify_checksums)?;
+                    let filter_contents = read_block_within(
+                        file.as_ref(),
+                        file_size,
+                        &handle,
+                        options.verify_checksums,
+                    )?;
                     filter = FilterBlockReader::new(policy, filter_contents.to_vec());
                 }
             }
@@ -166,7 +172,7 @@ impl Table {
     /// compressed) plus the 5-byte trailer. This is what the host DMA
     /// ships to the device's Data Block Memory.
     pub fn read_raw_framed_block(&self, handle: &BlockHandle) -> Result<Vec<u8>> {
-        let n = handle.size as usize + crate::format::BLOCK_TRAILER_SIZE;
+        let n = handle.framed_len_within(self.file_size)?;
         let mut buf = vec![0u8; n];
         let read = self.file.read_at(handle.offset, &mut buf)?;
         if read != n {
@@ -183,8 +189,9 @@ impl Table {
     /// (LevelDB's `ReadOptions::fill_cache`).
     fn load_block(&self, handle: &BlockHandle, fill_cache: bool) -> Result<(Block, Option<bool>)> {
         let read = || -> Result<Block> {
-            Block::new(read_block(
+            Block::new(read_block_within(
                 self.file.as_ref(),
+                self.file_size,
                 handle,
                 self.options.verify_checksums,
             )?)

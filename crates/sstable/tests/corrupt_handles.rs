@@ -1,0 +1,107 @@
+//! A block handle that points past the end of its file is `Corruption`,
+//! found before anything is allocated for it. The footer carries no CRC,
+//! so a flipped size there used to make `Table::open` allocate whatever
+//! it named (a 1 TiB index block aborted the process).
+
+use std::path::Path;
+
+use sstable::env::{MemEnv, StorageEnv};
+use sstable::format::{frame_block, BlockHandle, CompressionType, Footer, FOOTER_ENCODED_LENGTH};
+use sstable::iterator::InternalIterator;
+use sstable::table::{Table, TableReadOptions};
+use sstable::table_builder::{TableBuilder, TableBuilderOptions};
+use sstable::{BlockBuilder, Error};
+
+const TIB: u64 = 1 << 40;
+
+/// A small valid table's bytes.
+fn table_bytes(env: &MemEnv) -> Vec<u8> {
+    let file = env.create_writable(Path::new("/valid")).unwrap();
+    let mut b = TableBuilder::new(TableBuilderOptions::default(), file);
+    for i in 0..200 {
+        b.add(format!("key{i:06}").as_bytes(), b"value").unwrap();
+    }
+    b.finish().unwrap();
+    env.open_random_access(Path::new("/valid"))
+        .unwrap()
+        .read_all()
+        .unwrap()
+}
+
+fn open(env: &MemEnv, name: &str, bytes: &[u8]) -> sstable::Result<std::sync::Arc<Table>> {
+    let path = Path::new(name);
+    env.create_writable(path).unwrap().append(bytes).unwrap();
+    Table::open(
+        env.open_random_access(path).unwrap(),
+        bytes.len() as u64,
+        TableReadOptions::default(),
+    )
+}
+
+fn assert_corruption<T>(what: &str, r: sstable::Result<T>) {
+    match r {
+        Err(Error::Corruption(_)) => {}
+        Err(e) => panic!("{what}: expected Corruption, got {e}"),
+        Ok(_) => panic!("{what}: expected Corruption, got Ok"),
+    }
+}
+
+#[test]
+fn a_footer_naming_a_huge_or_overflowing_block_is_corruption() {
+    let env = MemEnv::new();
+    let bytes = table_bytes(&env);
+    let body = bytes.len() - FOOTER_ENCODED_LENGTH;
+    let footer = Footer::decode(&bytes[body..]).unwrap();
+    let bad_handles = [
+        BlockHandle::new(footer.index_handle.offset, TIB),
+        BlockHandle::new(u64::MAX - 2, 10),
+        BlockHandle::new(0, u64::MAX),
+        BlockHandle::new(footer.index_handle.offset, bytes.len() as u64),
+    ];
+    for (i, handle) in bad_handles.into_iter().enumerate() {
+        for index_side in [true, false] {
+            let mut bad = footer;
+            if index_side {
+                bad.index_handle = handle;
+            } else {
+                bad.metaindex_handle = handle;
+            }
+            let mut file = bytes[..body].to_vec();
+            file.extend_from_slice(&bad.encode());
+            assert_corruption(
+                &format!("handle {handle:?}, index {index_side}"),
+                open(&env, &format!("/bad{i}{index_side}"), &file),
+            );
+        }
+    }
+}
+
+#[test]
+fn a_data_handle_past_the_end_is_corruption_on_every_read() {
+    let env = MemEnv::new();
+    let bytes = table_bytes(&env);
+    let body = bytes.len() - FOOTER_ENCODED_LENGTH;
+    let footer = Footer::decode(&bytes[body..]).unwrap();
+    // Keep the data blocks, replace the index with one naming a 1 TiB
+    // block and drop the metaindex (so no filter hides the lookup).
+    let mut file = bytes[..footer.metaindex_handle.offset as usize].to_vec();
+    let huge = BlockHandle::new(0, TIB);
+    let mut index = BlockBuilder::new(1);
+    index.add(b"key999999", &huge.encode());
+    let (_, framed) = frame_block(index.finish(), CompressionType::None, &mut Vec::new());
+    let index_handle = BlockHandle::new(file.len() as u64, framed.len() as u64 - 5);
+    file.extend_from_slice(&framed);
+    let footer = Footer {
+        metaindex_handle: BlockHandle::new(0, 0),
+        index_handle,
+    };
+    file.extend_from_slice(&footer.encode());
+
+    let table = open(&env, "/bad", &file).expect("the index block itself is sound");
+    assert_corruption("get", table.get(b"key000100"));
+    assert_corruption("raw block read", table.read_raw_framed_block(&huge));
+    let mut it = table.iter();
+    it.seek_to_first();
+    assert!(!it.valid());
+    assert_corruption("scan", it.status());
+}

@@ -54,6 +54,9 @@ cargo test -q -p lsm --test get_alloc
 cargo test -q -p lsm --test put_alloc
 cargo test -q -p server --test scan_reply_counts
 cargo test -q -p server --test write_reply_counts
+# The block decoder against the one it replaced, frozen as an oracle:
+# identical results on harness-shaped blocks, truncations, flips, garbage.
+cargo test -q -p snap-codec --test decoder_oracle
 # kvbench is a standalone package the workspace build never compiles:
 # build it against the current crates and run all four workloads with
 # every correctness check, untraced and then traced (the per-layer half
