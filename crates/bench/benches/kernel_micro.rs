@@ -2,6 +2,7 @@
 //! experiment: Snappy, CRC32C, block building/iteration, the memtable
 //! skiplist, and the two compaction engines end to end.
 
+use std::hint::black_box;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
@@ -13,7 +14,7 @@ use lsm::compaction::{CompactionEngine, CpuCompactionEngine};
 use lsm::memtable::MemTable;
 use sstable::comparator::InternalKeyComparator;
 use sstable::env::MemEnv;
-use sstable::ikey::{append_internal_key, ValueType};
+use sstable::ikey::{append_internal_key, LookupKey, ValueType, MAX_SEQUENCE_NUMBER};
 use sstable::BlockBuilder;
 
 fn bench_snappy(c: &mut Criterion) {
@@ -100,7 +101,57 @@ fn bench_memtable(c: &mut Criterion) {
             BatchSize::SmallInput,
         );
     });
+
+    // What a kvbench `fill` memtable holds: two shards, filled to the
+    // 4 MiB write buffer's charge.
+    let rows = fill_shape_rows();
+    let fresh = || MemTable::with_shards(InternalKeyComparator::default(), 2);
+    g.throughput(Throughput::Elements(rows.len() as u64));
+    g.bench_function("insert_fill_shape", |b| {
+        b.iter_batched(
+            fresh,
+            |m| {
+                for (seq, (key, value)) in (1..).zip(&rows) {
+                    m.add(seq, ValueType::Value, key, value);
+                }
+                m
+            },
+            BatchSize::LargeInput,
+        );
+    });
+    let full = fresh();
+    for (seq, (key, value)) in (1..).zip(&rows) {
+        full.add(seq, ValueType::Value, key, value);
+    }
+    g.bench_function("get_fill_shape", |b| {
+        b.iter(|| {
+            for (key, _) in &rows {
+                black_box(full.get(&LookupKey::new(key, MAX_SEQUENCE_NUMBER)));
+            }
+        });
+    });
     g.finish();
+}
+
+/// kvbench-shaped puts: 16-byte decimal keys uniform over 1.35M, 128-byte
+/// values (the key, then 112 bytes of a half-compressible pool), as many
+/// as charge a memtable 4 MiB.
+fn fill_shape_rows() -> Vec<(Vec<u8>, Vec<u8>)> {
+    let keys = workloads::KeyFormat { key_len: 16 };
+    let pool = workloads::ValueGenerator::new(7, 0.5)
+        .generate(1 << 20)
+        .to_vec();
+    let mut rng = simkit::SplitMix64::new(211);
+    let charged = MemTable::with_shards(InternalKeyComparator::default(), 2);
+    let mut rows = Vec::new();
+    while charged.approximate_memory_usage() < 4 << 20 {
+        let key = keys.format(rng.next_u64() % 1_350_000);
+        let at = (rng.next_u64() % (pool.len() as u64 - 112)) as usize;
+        let value = [&key[..], &pool[at..at + 112]].concat();
+        charged.add(rows.len() as u64 + 1, ValueType::Value, &key, &value);
+        rows.push((key, value));
+    }
+    rows
 }
 
 fn bench_engines(c: &mut Criterion) {

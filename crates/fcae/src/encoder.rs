@@ -44,6 +44,8 @@ pub struct OutputEncoder {
     compression: CompressionType,
 
     block: BlockBuilder,
+    /// One Snappy encoder for every block the engine emits.
+    snappy: snap_codec::Encoder,
     scratch: Vec<u8>,
     /// Filter Block Encoder; `None` when the store writes no filters.
     filter: Option<FilterBlockBuilder>,
@@ -77,6 +79,7 @@ impl OutputEncoder {
             w_out,
             compression,
             block: BlockBuilder::new(16),
+            snappy: snap_codec::Encoder::new(),
             scratch: Vec::new(),
             filter: None,
             internal_key_filter: false,
@@ -136,6 +139,7 @@ impl OutputEncoder {
         let (_, framed_len) = frame_block_into(
             contents,
             self.compression,
+            &mut self.snappy,
             &mut self.scratch,
             &mut self.data_memory,
         );

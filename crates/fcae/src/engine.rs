@@ -11,7 +11,7 @@ use lsm::compaction::{
 };
 use sstable::block_builder::BlockBuilder;
 use sstable::bloom::BloomFilterPolicy;
-use sstable::format::{frame_block, BlockHandle, CompressionType, Footer, BLOCK_TRAILER_SIZE};
+use sstable::format::{frame_block_into, BlockHandle, CompressionType, Footer, BLOCK_TRAILER_SIZE};
 use sstable::ikey::InternalKey;
 
 use crate::basic_decoder::BasicInputDecoder;
@@ -235,12 +235,20 @@ impl FcaeEngine {
             offset += framed.len() as u64;
         }
 
-        let mut scratch = Vec::new();
+        let (mut snappy, mut scratch, mut framed) =
+            (snap_codec::Encoder::new(), Vec::new(), Vec::new());
         let mut write_block = |contents: &[u8], compression| -> Result<BlockHandle> {
-            let (_, framed) = frame_block(contents, compression, &mut scratch);
-            let handle = BlockHandle::new(offset, (framed.len() - BLOCK_TRAILER_SIZE) as u64);
+            framed.clear();
+            let (_, len) = frame_block_into(
+                contents,
+                compression,
+                &mut snappy,
+                &mut scratch,
+                &mut framed,
+            );
+            let handle = BlockHandle::new(offset, (len - BLOCK_TRAILER_SIZE) as u64);
             file.append(&framed).map_err(lsm::Error::from)?;
-            offset += framed.len() as u64;
+            offset += len as u64;
             Ok(handle)
         };
 

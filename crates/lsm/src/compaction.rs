@@ -27,6 +27,7 @@
 //! [`CpuCompactionEngine`] picks between the first two from the request's
 //! input size.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -39,6 +40,7 @@ use sstable::table::{Table, TableIterator};
 use sstable::table_builder::{TableBuilder, TableBuilderOptions};
 
 use crate::sync_shim::{sync_channel, Receiver, SyncSender};
+use crate::version::FileMetaData;
 use crate::{Error, Result};
 
 /// One merge input: a run of tables that is internally sorted and
@@ -180,6 +182,10 @@ pub trait CompactionEngine: Send + Sync {
 /// whatever is reading the run.
 pub struct ChainIterator {
     tables: Vec<Arc<Table>>,
+    /// The tables' files when the run is a level of the tree: `seek`
+    /// binary-searches their largest keys and opens one table. Empty for
+    /// a compaction input, which is only walked from the front.
+    files: Vec<Arc<FileMetaData>>,
     current: Option<(usize, TableIterator)>,
     fill_cache: bool,
 }
@@ -188,8 +194,16 @@ impl ChainIterator {
     /// Creates an iterator over `tables` (ascending key order) that
     /// leaves the blocks it reads in the block cache only with `fill_cache`.
     pub fn new(tables: Vec<Arc<Table>>, fill_cache: bool) -> Self {
+        Self::level(tables, Vec::new(), fill_cache)
+    }
+
+    /// [`ChainIterator::new`] over a level's `tables` and their `files`,
+    /// in the same order, so a seek opens only the table that can hold
+    /// its target.
+    pub fn level(tables: Vec<Arc<Table>>, files: Vec<Arc<FileMetaData>>, fill_cache: bool) -> Self {
         ChainIterator {
             tables,
+            files,
             current: None,
             fill_cache,
         }
@@ -240,9 +254,13 @@ impl InternalIterator for ChainIterator {
     }
 
     fn seek(&mut self, target: &[u8]) {
-        // Tables are disjoint and ordered: scan for the first table whose
-        // contents can reach `target`, then seek within it.
-        self.settle(0, true, |it| it.seek(target));
+        // Tables are disjoint and ordered: the first whose largest key is
+        // not below `target` holds it (without files, settle walks there).
+        let icmp = InternalKeyComparator::default();
+        let first = self
+            .files
+            .partition_point(|f| icmp.compare(f.largest.encoded(), target) == Ordering::Less);
+        self.settle(first, true, |it| it.seek(target));
     }
 
     fn next(&mut self) {
@@ -384,9 +402,9 @@ fn beats<S: MergeSource>(icmp: &InternalKeyComparator, sources: &[S], a: usize, 
         (true, false) => true,
         (false, _) => false,
         (true, true) => match icmp.compare(sources[a].key(), sources[b].key()) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => a < b,
+            Ordering::Less => true,
+            Ordering::Greater => false,
+            Ordering::Equal => a < b,
         },
     }
 }

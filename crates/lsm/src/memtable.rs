@@ -2,11 +2,11 @@
 //! internal keys (the paper's *MemTable* / *Immutable MemTable*, Fig. 1),
 //! supporting concurrent multi-reader/multi-writer inserts.
 //!
-//! Each shard is the original safe-Rust skiplist: index-based links into
-//! a node vector instead of raw pointers (preserving the O(log n)
-//! insert/seek structure of LevelDB's `SkipList`), with all entry bytes
-//! in one arena so a 4 MiB memtable performs a handful of large
-//! allocations rather than millions of small ones. A user key is routed
+//! Each shard is a safe-Rust skiplist with LevelDB's O(log n)
+//! insert/seek structure, kept in one arena: a node's links are arena
+//! offsets stored just before its key and value, so a search touches one
+//! cache line per node visited and a 4 MiB memtable performs a handful of
+//! large allocations rather than millions of small ones. A user key is routed
 //! to a shard by an FNV-1a hash, so every version of a key lives in one
 //! shard and a point lookup locks exactly one shard. Concurrent writers
 //! on different shards proceed in parallel; writers on the same shard
@@ -18,8 +18,8 @@
 //! atomic so the write path can poll it without any lock.
 //!
 //! Iteration is lazy: [`MemTable::iter`] is a merging iterator over one
-//! cursor per shard. A cursor remembers a node index — indices are
-//! stable because nodes are only ever appended — and takes its shard's
+//! cursor per shard. A cursor remembers a node's arena offset — offsets
+//! are stable because nodes are only ever appended — and takes its shard's
 //! lock (rank `mem.shard 80`) for exactly one `seek`/`next`/`prev`
 //! step, copying the entry it lands on into two reused buffers. Nothing
 //! is locked between calls, nothing is copied that the caller does not
@@ -73,20 +73,23 @@ pub enum MemGet {
     NotFound,
 }
 
-struct Node {
-    /// (offset, len) of the internal key in the arena.
-    key: (u32, u32),
-    /// (offset, len) of the value in the arena.
-    value: (u32, u32),
-    /// next[i] = index of the next node at level i; 0 = none (head is 0).
-    next: [u32; MAX_HEIGHT],
-}
+/// Bytes charged to the size counter per entry beyond its key and value.
+/// A node's own bytes are 9 + 4 × height (at most 57); the charge stays at
+/// the 64 that a separate node struct took, so memtables rotate, and
+/// flushes cut tables, at the same entries as then.
+const NODE_CHARGE: usize = 64;
 
-/// One shard: the original single-writer index-linked skiplist.
+/// One shard: a single-writer skiplist whose nodes live in one arena,
+/// each laid out as `[height u8][next u32 × height][key_len u32]
+/// [value_len u32][internal key][value]`, links highest level first. A
+/// node is named by the arena offset of its `key_len`: its key is read
+/// without reading its height, and its link at level `l` lies `4 × (l + 1)`
+/// bytes before that offset. No node starts at offset 0, so a link of 0
+/// means "none".
 struct Core {
     arena: Vec<u8>,
-    /// nodes[0] is the head sentinel.
-    nodes: Vec<Node>,
+    /// The head sentinel's links.
+    head: [u32; MAX_HEIGHT],
     max_height: usize,
     /// Cheap xorshift state for height selection (deterministic per
     /// shard given its insert order).
@@ -95,14 +98,9 @@ struct Core {
 
 impl Core {
     fn new(shard_index: usize) -> Self {
-        let head = Node {
-            key: (0, 0),
-            value: (0, 0),
-            next: [0; MAX_HEIGHT],
-        };
         Core {
             arena: Vec::with_capacity(1 << 16),
-            nodes: vec![head],
+            head: [0; MAX_HEIGHT],
             max_height: 1,
             // Distinct deterministic seed per shard (must be nonzero for
             // xorshift).
@@ -128,14 +126,43 @@ impl Core {
         height
     }
 
-    fn node_key(&self, idx: u32) -> &[u8] {
-        let n = &self.nodes[idx as usize];
-        &self.arena[n.key.0 as usize..(n.key.0 + n.key.1) as usize]
+    fn read_u32(&self, at: usize) -> u32 {
+        let mut word = [0u8; 4];
+        word.copy_from_slice(&self.arena[at..at + 4]);
+        u32::from_le_bytes(word)
     }
 
-    fn node_value(&self, idx: u32) -> &[u8] {
-        let n = &self.nodes[idx as usize];
-        &self.arena[n.value.0 as usize..(n.value.0 + n.value.1) as usize]
+    /// Where `node`'s link at `level` is stored.
+    fn link_at(node: u32, level: usize) -> usize {
+        node as usize - 4 * (level + 1)
+    }
+
+    /// `node`'s successor at `level` (0 = the head sentinel).
+    fn next(&self, node: u32, level: usize) -> u32 {
+        if node == 0 {
+            self.head[level]
+        } else {
+            self.read_u32(Self::link_at(node, level))
+        }
+    }
+
+    fn set_next(&mut self, node: u32, level: usize, to: u32) {
+        if node == 0 {
+            self.head[level] = to;
+        } else {
+            let at = Self::link_at(node, level);
+            self.arena[at..at + 4].copy_from_slice(&to.to_le_bytes());
+        }
+    }
+
+    fn node_key(&self, node: u32) -> &[u8] {
+        let at = node as usize + 8;
+        &self.arena[at..at + self.read_u32(node as usize) as usize]
+    }
+
+    fn node_value(&self, node: u32) -> &[u8] {
+        let at = node as usize + 8 + self.read_u32(node as usize) as usize;
+        &self.arena[at..at + self.read_u32(node as usize + 4) as usize]
     }
 
     /// Finds, for each level, the last node whose key is < `key`.
@@ -144,7 +171,7 @@ impl Core {
         let mut x = 0u32; // head
         for (level, slot) in prev.iter_mut().enumerate().take(self.max_height).rev() {
             loop {
-                let next = self.nodes[x as usize].next[level];
+                let next = self.next(x, level);
                 if next != 0 && cmp.compare(self.node_key(next), key) == Ordering::Less {
                     x = next;
                 } else {
@@ -158,48 +185,40 @@ impl Core {
 
     /// First node with key >= `key` (0 if none).
     fn find_greater_or_equal(&self, cmp: &InternalKeyComparator, key: &[u8]) -> u32 {
-        let prev = self.find_splice(cmp, key);
-        self.nodes[prev[0] as usize].next[0]
+        self.next(self.find_splice(cmp, key)[0], 0)
     }
 
-    /// Inserts an entry; returns the bytes charged to the size counter.
+    /// Inserts an entry as a node of `height`; returns the bytes charged
+    /// to the size counter.
     fn add(
         &mut self,
         cmp: &InternalKeyComparator,
+        height: usize,
         seq: SequenceNumber,
         value_type: ValueType,
         user_key: &[u8],
         value: &[u8],
     ) -> usize {
-        let key_off = self.arena.len() as u32;
+        self.max_height = self.max_height.max(height);
+        let key_len = user_key.len() + 8;
+        let node = self.arena.len() + 1 + 4 * height;
+        self.arena.push(height as u8);
+        self.arena.resize(node, 0); // links, set below
+        self.arena
+            .extend_from_slice(&(key_len as u32).to_le_bytes());
+        self.arena
+            .extend_from_slice(&(value.len() as u32).to_le_bytes());
         append_internal_key(&mut self.arena, user_key, seq, value_type);
-        let key_len = (self.arena.len() - key_off as usize) as u32;
-        let value_off = self.arena.len() as u32;
         self.arena.extend_from_slice(value);
 
-        let height = self.random_height();
-        if height > self.max_height {
-            self.max_height = height;
-        }
-
         // The splice is computed against the key where it now lies.
-        let prev = self.find_splice(cmp, &self.arena[key_off as usize..value_off as usize]);
-
-        let new_idx = self.nodes.len() as u32;
-        let mut node = Node {
-            key: (key_off, key_len),
-            value: (value_off, value.len() as u32),
-            next: [0; MAX_HEIGHT],
-        };
-        for (level, slot) in node.next.iter_mut().enumerate().take(height) {
-            *slot = self.nodes[prev[level] as usize].next[level];
-        }
-        self.nodes.push(node);
+        let prev = self.find_splice(cmp, &self.arena[node + 8..node + 8 + key_len]);
+        let node = node as u32;
         for (level, &p) in prev.iter().enumerate().take(height) {
-            self.nodes[p as usize].next[level] = new_idx;
+            self.set_next(node, level, self.next(p, level));
+            self.set_next(p, level, node);
         }
-
-        key_len as usize + value.len() + std::mem::size_of::<Node>()
+        key_len + value.len() + NODE_CHARGE
     }
 
     /// Last node of the shard (0 if empty); LevelDB's `FindLast`.
@@ -207,7 +226,7 @@ impl Core {
         let mut x = 0u32; // head
         for level in (0..self.max_height).rev() {
             loop {
-                let next = self.nodes[x as usize].next[level];
+                let next = self.next(x, level);
                 if next == 0 {
                     break;
                 }
@@ -224,7 +243,7 @@ pub struct MemTable {
     /// iterator it hands out.
     cmp: Arc<InternalKeyComparator>,
     shards: Box<[Mutex<Core>]>,
-    /// Approximate memory usage (arena + node overhead), readable
+    /// Approximate memory usage (keys + values + [`NODE_CHARGE`] each), readable
     /// lock-free (drives the flush trigger on the write fast path).
     approx_bytes: AtomicUsize,
     entries: AtomicUsize,
@@ -287,7 +306,8 @@ impl MemTable {
     pub fn add(&self, seq: SequenceNumber, value_type: ValueType, user_key: &[u8], value: &[u8]) {
         let charged = {
             let mut core = lock(self.shard_for(user_key)); // LOCK-ORDER: mem.shard 80
-            core.add(&self.cmp, seq, value_type, user_key, value)
+            let height = core.random_height();
+            core.add(&self.cmp, height, seq, value_type, user_key, value)
         };
         self.entries.fetch_add(1, AtomicOrdering::AcqRel);
         self.approx_bytes.fetch_add(charged, AtomicOrdering::AcqRel);
@@ -339,7 +359,7 @@ impl MemTable {
 struct ShardCursor {
     mem: Arc<MemTable>,
     shard: usize,
-    /// Index of the current node; 0 (the head sentinel) means invalid.
+    /// Arena offset of the current node; 0 (never a node) means invalid.
     node: u32,
     /// Copies of the current entry, so `key()`/`value()` need no lock.
     key: Vec<u8>,
@@ -368,7 +388,7 @@ impl InternalIterator for ShardCursor {
     }
 
     fn seek_to_first(&mut self) {
-        self.reposition(|core, _| core.nodes[0].next[0]);
+        self.reposition(|core, _| core.head[0]);
     }
 
     fn seek_to_last(&mut self) {
@@ -381,7 +401,7 @@ impl InternalIterator for ShardCursor {
 
     fn next(&mut self) {
         debug_assert!(self.valid());
-        self.reposition(|core, at| core.nodes[at.node as usize].next[0]);
+        self.reposition(|core, at| core.next(at.node, 0));
     }
 
     /// There are no back links; like LevelDB's `FindLessThan`, search
@@ -409,6 +429,7 @@ impl InternalIterator for ShardCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sstable::ikey::MAX_SEQUENCE_NUMBER;
 
     fn memtable() -> Arc<MemTable> {
         Arc::new(MemTable::new(InternalKeyComparator::default()))
@@ -573,6 +594,102 @@ mod tests {
             it.next();
         }
         assert_eq!(count, 5000);
+    }
+
+    /// Nodes of every height, with empty and 1 KiB values, read back
+    /// through the arena's own layout, every level's links, point gets,
+    /// both cursor directions and `find_last` — after the arena has
+    /// reallocated under them: links are offsets, not addresses.
+    #[test]
+    fn nodes_of_every_height_survive_arena_growth() {
+        let m = Arc::new(MemTable::with_shards(InternalKeyComparator::default(), 1));
+        let shard = &m.shards[0];
+        let initial = lock(shard).arena.capacity();
+        // (user key, value, height), in insert order.
+        let mut inserted: Vec<(Vec<u8>, Vec<u8>, usize)> = Vec::new();
+        while lock(shard).arena.capacity() == initial {
+            for height in 1..=MAX_HEIGHT {
+                for value_len in [0, 1024] {
+                    let n = inserted.len() as u64;
+                    // Distinct and out of order: n ↦ n·k mod a prime.
+                    let key = format!("{:010}", n * 2_654_435_761 % 4_294_967_311).into_bytes();
+                    let value = vec![n as u8; value_len];
+                    let mut core = lock(shard);
+                    core.add(&m.cmp, height, n + 1, ValueType::Value, &key, &value);
+                    inserted.push((key, value, height));
+                }
+            }
+        }
+        let core = lock(shard);
+
+        // The arena walked in insert order, node by node.
+        let mut at = 0;
+        for (key, value, height) in &inserted {
+            assert_eq!(usize::from(core.arena[at]), *height);
+            let node = (at + 1 + 4 * height) as u32;
+            assert_eq!(
+                parse_internal_key(core.node_key(node)).unwrap().user_key,
+                key
+            );
+            assert_eq!(core.node_value(node), value);
+            at = node as usize + 8 + key.len() + 8 + value.len();
+        }
+        assert_eq!(at, core.arena.len());
+
+        // Level `l` links, in key order, exactly the nodes taller than `l`.
+        let mut sorted = inserted.clone();
+        sorted.sort();
+        for level in 0..MAX_HEIGHT {
+            let mut chain = Vec::new();
+            let mut x = core.next(0, level);
+            while x != 0 {
+                chain.push(
+                    parse_internal_key(core.node_key(x))
+                        .unwrap()
+                        .user_key
+                        .to_vec(),
+                );
+                x = core.next(x, level);
+            }
+            let taller: Vec<_> = sorted
+                .iter()
+                .filter(|e| e.2 > level)
+                .map(|e| e.0.clone())
+                .collect();
+            assert_eq!(chain, taller, "level {level}");
+        }
+        drop(core);
+
+        for (key, value, _) in &inserted {
+            let got = m.get(&LookupKey::new(key, MAX_SEQUENCE_NUMBER));
+            assert_eq!(got, MemGet::Value(value.clone()));
+        }
+        let walk = |forward: bool| {
+            let mut it = m.iter();
+            let mut out = Vec::new();
+            if forward {
+                it.seek_to_first();
+            } else {
+                it.seek_to_last();
+            }
+            while it.valid() {
+                out.push((
+                    parse_internal_key(it.key()).unwrap().user_key.to_vec(),
+                    it.value().to_vec(),
+                ));
+                if forward {
+                    it.next();
+                } else {
+                    it.prev();
+                }
+            }
+            out
+        };
+        let expected: Vec<_> = sorted.into_iter().map(|(k, v, _)| (k, v)).collect();
+        assert_eq!(walk(true), expected);
+        let mut backward = walk(false);
+        backward.reverse();
+        assert_eq!(backward, expected);
     }
 
     #[test]

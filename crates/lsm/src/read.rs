@@ -99,8 +99,10 @@ impl Db {
                 .iter()
                 .map(|f| tables.pinned(f).map(Arc::clone))
                 .collect();
-            children.push(Box::new(crate::compaction::ChainIterator::new(
-                level?, true,
+            children.push(Box::new(crate::compaction::ChainIterator::level(
+                level?,
+                files.clone(),
+                true,
             )));
         }
         Ok(crate::db_iter::DbIter::new(
@@ -209,7 +211,7 @@ impl DbInner {
         let mut answer = None;
         // Every block seek of every probe decodes into this one buffer.
         let mut found_key = Vec::with_capacity(lookup.internal_key().len());
-        for (_, meta) in view.version.files_for_get(&self.icmp, key) {
+        for (_, meta) in view.version.files_for_get(key) {
             probes += 1;
             let table = self.tables.pinned(meta)?;
             let Some(value) =

@@ -207,12 +207,10 @@ impl Version {
     /// (LevelDB's `GetOverlappingInputs` expansion).
     pub fn overlapping_inputs(
         &self,
-        cmp: &InternalKeyComparator,
         level: usize,
         smallest_user: &[u8],
         largest_user: &[u8],
     ) -> Vec<Arc<FileMetaData>> {
-        let ucmp = cmp.user_comparator();
         let mut begin = smallest_user.to_vec();
         let mut end = largest_user.to_vec();
         let mut inputs: Vec<Arc<FileMetaData>> = Vec::new();
@@ -221,20 +219,18 @@ impl Version {
             for f in &self.files[level] {
                 let fstart = f.smallest.user_key();
                 let flimit = f.largest.user_key();
-                if ucmp.compare(flimit, &begin) == Ordering::Less
-                    || ucmp.compare(fstart, &end) == Ordering::Greater
-                {
+                if flimit < begin.as_slice() || fstart > end.as_slice() {
                     continue; // disjoint
                 }
                 if level == 0 {
                     // Expand the range and restart, since other L0 files
                     // may overlap the enlarged range.
                     let mut expanded = false;
-                    if ucmp.compare(fstart, &begin) == Ordering::Less {
+                    if fstart < begin.as_slice() {
                         begin = fstart.to_vec();
                         expanded = true;
                     }
-                    if ucmp.compare(flimit, &end) == Ordering::Greater {
+                    if flimit > end.as_slice() {
                         end = flimit.to_vec();
                         expanded = true;
                     }
@@ -254,23 +250,17 @@ impl Version {
     /// first candidate never looks for the second.
     pub fn files_for_get<'a>(
         &'a self,
-        cmp: &'a InternalKeyComparator,
         user_key: &'a [u8],
     ) -> impl Iterator<Item = (usize, &'a Arc<FileMetaData>)> + 'a {
-        let ucmp = cmp.user_comparator();
-        let level0 = self.files[0].iter().filter(move |f| {
-            ucmp.compare(user_key, f.smallest.user_key()) != Ordering::Less
-                && ucmp.compare(user_key, f.largest.user_key()) != Ordering::Greater
-        });
+        let level0 = self.files[0]
+            .iter()
+            .filter(move |f| f.smallest.user_key() <= user_key && user_key <= f.largest.user_key());
         let deeper = (1..NUM_LEVELS).filter_map(move |level| {
             let files = &self.files[level];
             // Binary search: first file whose largest >= user_key.
-            let idx = files.partition_point(|f| {
-                ucmp.compare(f.largest.user_key(), user_key) == Ordering::Less
-            });
+            let idx = files.partition_point(|f| f.largest.user_key() < user_key);
             let file = files.get(idx)?;
-            (ucmp.compare(user_key, file.smallest.user_key()) != Ordering::Less)
-                .then_some((level, file))
+            (file.smallest.user_key() <= user_key).then_some((level, file))
         });
         level0.map(|f| (0, f)).chain(deeper)
     }
@@ -620,12 +610,7 @@ impl VersionSet {
 
         // Expand within the level (mandatory for L0 where ranges overlap).
         let mut inputs0 = if level == 0 {
-            version.overlapping_inputs(
-                &self.icmp,
-                0,
-                seed.smallest.user_key(),
-                seed.largest.user_key(),
-            )
+            version.overlapping_inputs(0, seed.smallest.user_key(), seed.largest.user_key())
         } else {
             vec![seed]
         };
@@ -638,12 +623,8 @@ impl VersionSet {
         inputs0.sort_by_key(|f| std::cmp::Reverse(f.number));
 
         let (smallest, largest) = self.key_range(&inputs0);
-        let inputs1 = version.overlapping_inputs(
-            &self.icmp,
-            level + 1,
-            smallest.user_key(),
-            largest.user_key(),
-        );
+        let inputs1 =
+            version.overlapping_inputs(level + 1, smallest.user_key(), largest.user_key());
 
         let largest_input_key = InternalKey::from_encoded(largest.encoded().to_vec());
         Some(Compaction {
@@ -802,12 +783,12 @@ mod tests {
         edit.new_files.push((1, meta(6, "l", "z")));
         vs.log_and_apply(edit).unwrap();
         let v = vs.current();
-        let hits: Vec<_> = v.files_for_get(vs.icmp(), b"m").collect();
+        let hits: Vec<_> = v.files_for_get(b"m").collect();
         let numbers: Vec<u64> = hits.iter().map(|(_, f)| f.number).collect();
         // L0 newest first (10 then 9), then the single overlapping L1 file.
         assert_eq!(numbers, vec![10, 9, 6]);
         // Key beyond every file's range hits nothing.
-        let hits: Vec<_> = v.files_for_get(vs.icmp(), b"zz").collect();
+        let hits: Vec<_> = v.files_for_get(b"zz").collect();
         assert!(hits.is_empty(), "{hits:?}");
     }
 

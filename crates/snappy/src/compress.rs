@@ -48,11 +48,10 @@ impl Default for Encoder {
 }
 
 impl Encoder {
-    /// Creates an encoder with a fresh hash table.
+    /// Creates an encoder; its hash table is allocated by the first
+    /// fragment long enough to need one.
     pub fn new() -> Self {
-        Encoder {
-            table: vec![0u16; HASH_TABLE_SIZE],
-        }
+        Encoder { table: Vec::new() }
     }
 
     /// Compresses `input`, appending the Snappy stream to `out`.
@@ -68,7 +67,8 @@ impl Encoder {
             emit_literal(out, frag);
             return;
         }
-        self.table.fill(0);
+        self.table.clear();
+        self.table.resize(HASH_TABLE_SIZE, 0);
 
         // `next_emit` is the start of the pending literal run.
         let mut next_emit = 0usize;

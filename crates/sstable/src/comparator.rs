@@ -3,7 +3,6 @@
 //! first).
 
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 use crate::coding::decode_fixed64;
 
@@ -71,30 +70,32 @@ impl Comparator for BytewiseComparator {
     }
 }
 
-/// Orders internal keys: user key ascending (by the wrapped user
-/// comparator), then the 8-byte trailer descending, so that for one user
-/// key the freshest sequence number is encountered first.
-#[derive(Clone)]
-pub struct InternalKeyComparator {
-    user: Arc<dyn Comparator>,
+/// Orders internal keys: user key ascending, bytewise, then the 8-byte
+/// trailer descending, so that for one user key the freshest sequence
+/// number is encountered first. User keys are compared a big-endian word
+/// at a time; the workspace has no other user order.
+#[derive(Debug, Clone, Default)]
+pub struct InternalKeyComparator(());
+
+/// An 8-byte chunk as a big-endian word: words compare as their bytes do.
+#[inline(always)]
+fn word(chunk: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(chunk);
+    u64::from_be_bytes(word)
 }
 
-impl InternalKeyComparator {
-    /// Wraps a user comparator.
-    pub fn new(user: Arc<dyn Comparator>) -> Self {
-        InternalKeyComparator { user }
+/// Bytewise order, eight bytes per step while both keys have eight left.
+#[inline(always)]
+fn compare_user_keys(a: &[u8], b: &[u8]) -> Ordering {
+    let words = a.len().min(b.len()) / 8 * 8;
+    for (x, y) in a[..words].chunks_exact(8).zip(b[..words].chunks_exact(8)) {
+        let (x, y) = (word(x), word(y));
+        if x != y {
+            return x.cmp(&y);
+        }
     }
-
-    /// The wrapped user-key comparator.
-    pub fn user_comparator(&self) -> &Arc<dyn Comparator> {
-        &self.user
-    }
-}
-
-impl Default for InternalKeyComparator {
-    fn default() -> Self {
-        InternalKeyComparator::new(Arc::new(BytewiseComparator))
-    }
+    a[words..].cmp(&b[words..])
 }
 
 impl Comparator for InternalKeyComparator {
@@ -102,24 +103,22 @@ impl Comparator for InternalKeyComparator {
         "leveldb.InternalKeyComparator"
     }
 
+    #[inline]
     fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
         debug_assert!(a.len() >= 8, "internal key too short: {a:?}");
         debug_assert!(b.len() >= 8, "internal key too short: {b:?}");
-        let ord = self.user.compare(&a[..a.len() - 8], &b[..b.len() - 8]);
-        if ord != Ordering::Equal {
-            return ord;
-        }
-        let atag = decode_fixed64(&a[a.len() - 8..]);
-        let btag = decode_fixed64(&b[b.len() - 8..]);
+        let (user_a, tag_a) = a.split_at(a.len() - 8);
+        let (user_b, tag_b) = b.split_at(b.len() - 8);
         // Higher sequence number sorts first.
-        btag.cmp(&atag)
+        compare_user_keys(user_a, user_b)
+            .then_with(|| decode_fixed64(tag_b).cmp(&decode_fixed64(tag_a)))
     }
 
     fn find_shortest_separator(&self, start: &[u8], limit: &[u8]) -> Vec<u8> {
         let user_start = &start[..start.len() - 8];
         let user_limit = &limit[..limit.len() - 8];
-        let tmp = self.user.find_shortest_separator(user_start, user_limit);
-        if tmp.len() < user_start.len() && self.user.compare(user_start, &tmp) == Ordering::Less {
+        let tmp = BytewiseComparator.find_shortest_separator(user_start, user_limit);
+        if tmp.len() < user_start.len() && user_start < tmp.as_slice() {
             // Shortened physically; tag it with the maximal trailer so it
             // still sorts before all real entries for that user key.
             let mut out = tmp;
@@ -133,8 +132,8 @@ impl Comparator for InternalKeyComparator {
 
     fn find_short_successor(&self, key: &[u8]) -> Vec<u8> {
         let user_key = &key[..key.len() - 8];
-        let tmp = self.user.find_short_successor(user_key);
-        if tmp.len() < user_key.len() && self.user.compare(user_key, &tmp) == Ordering::Less {
+        let tmp = BytewiseComparator.find_short_successor(user_key);
+        if tmp.len() < user_key.len() && user_key < tmp.as_slice() {
             let mut out = tmp;
             out.extend_from_slice(&crate::ikey::pack_tag_max().to_le_bytes());
             debug_assert!(self.compare(key, &out) == Ordering::Less);

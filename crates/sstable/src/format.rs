@@ -148,24 +148,28 @@ impl Footer {
 /// Frames block contents for writing: appends the compression tag and the
 /// masked CRC (over contents + tag), returning the bytes to write and the
 /// tag actually used (compression is skipped when it does not help,
-/// mirroring LevelDB's 12.5% rule).
+/// mirroring LevelDB's 12.5% rule). For a one-off block; a writer of many
+/// lends its own encoder to [`frame_block_into`].
 pub fn frame_block(
     contents: &[u8],
     requested: CompressionType,
     scratch: &mut Vec<u8>,
 ) -> (CompressionType, Vec<u8>) {
     let mut framed = Vec::with_capacity(contents.len() + BLOCK_TRAILER_SIZE);
-    let (ty, _) = frame_block_into(contents, requested, scratch, &mut framed);
+    let mut encoder = snap_codec::Encoder::new();
+    let (ty, _) = frame_block_into(contents, requested, &mut encoder, scratch, &mut framed);
     (ty, framed)
 }
 
-/// Like [`frame_block`] but appends the framed block (payload + trailer)
-/// to `out` instead of allocating a fresh buffer, returning the tag used
-/// and the framed length appended. Lets encoders frame straight into a
-/// long-lived output memory with zero per-block allocation.
+/// Like [`frame_block`] but compresses with the caller's `encoder` and
+/// appends the framed block (payload + trailer) to `out` instead of
+/// allocating a fresh buffer, returning the tag used and the framed
+/// length appended. Lets encoders frame straight into a long-lived output
+/// memory with zero per-block allocation.
 pub fn frame_block_into(
     contents: &[u8],
     requested: CompressionType,
+    encoder: &mut snap_codec::Encoder,
     scratch: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) -> (CompressionType, usize) {
@@ -173,8 +177,7 @@ pub fn frame_block_into(
         CompressionType::None => (CompressionType::None, contents),
         CompressionType::Snappy => {
             scratch.clear();
-            let mut enc = snap_codec::Encoder::new();
-            enc.compress_into(contents, scratch);
+            encoder.compress_into(contents, scratch);
             if scratch.len() < contents.len() - contents.len() / 8 {
                 (CompressionType::Snappy, scratch.as_slice())
             } else {

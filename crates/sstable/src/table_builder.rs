@@ -11,7 +11,7 @@ use crate::bloom::BloomFilterPolicy;
 use crate::comparator::Comparator;
 use crate::env::WritableFile;
 use crate::filter_block::FilterBlockBuilder;
-use crate::format::{frame_block, BlockHandle, CompressionType, Footer};
+use crate::format::{frame_block_into, BlockHandle, CompressionType, Footer, BLOCK_TRAILER_SIZE};
 use crate::{Error, Result};
 
 /// Table construction options.
@@ -69,7 +69,12 @@ pub struct TableBuilder {
     /// next key arrives so the separator can be shortened.
     pending_index_entry: Option<BlockHandle>,
     last_key: Vec<u8>,
+    /// One Snappy encoder for every block of the table: its match table
+    /// is allocated once, not once a block.
+    snappy: snap_codec::Encoder,
     compressed_scratch: Vec<u8>,
+    /// The block being written, framed.
+    framed: Vec<u8>,
     finished: bool,
     /// Raw (uncompressed) data bytes added, for size stats.
     raw_data_bytes: u64,
@@ -90,7 +95,9 @@ impl TableBuilder {
             filter_builder,
             pending_index_entry: None,
             last_key: Vec::new(),
+            snappy: snap_codec::Encoder::new(),
             compressed_scratch: Vec::new(),
+            framed: Vec::new(),
             finished: false,
             raw_data_bytes: 0,
         }
@@ -157,13 +164,17 @@ impl TableBuilder {
         contents: &[u8],
         compression: CompressionType,
     ) -> Result<BlockHandle> {
-        let (_, framed) = frame_block(contents, compression, &mut self.compressed_scratch);
-        let handle = BlockHandle::new(
-            self.offset,
-            (framed.len() - crate::format::BLOCK_TRAILER_SIZE) as u64,
+        self.framed.clear();
+        let (_, framed_len) = frame_block_into(
+            contents,
+            compression,
+            &mut self.snappy,
+            &mut self.compressed_scratch,
+            &mut self.framed,
         );
-        self.file.append(&framed)?;
-        self.offset += framed.len() as u64;
+        let handle = BlockHandle::new(self.offset, (framed_len - BLOCK_TRAILER_SIZE) as u64);
+        self.file.append(&self.framed)?;
+        self.offset += framed_len as u64;
         Ok(handle)
     }
 

@@ -44,12 +44,13 @@ done
 # byte-identical output.
 cargo test -q -p systemsim identical_runs_export_identical_observability
 # Count guards (mirrors CI's perf-harness job): counts repeat exactly
-# where times wobble — allocations per merged pair, per scan, per get,
-# per put, per SCAN reply and per sync write, `read` calls per frame.
-# Already in `cargo test -q`; named here so a failure says which budget
-# moved.
+# where times wobble — allocations per merged pair, per scan, per level
+# seek, per get, per put, per SCAN reply and per sync write, `read` calls
+# per frame. Already in `cargo test -q`; named here so a failure says
+# which budget moved.
 cargo test -q -p fcae --test alloc_free
 cargo test -q -p lsm --test scan_alloc
+cargo test -q -p lsm --test chain_seek_alloc
 cargo test -q -p lsm --test get_alloc
 cargo test -q -p lsm --test put_alloc
 cargo test -q -p server --test scan_reply_counts
@@ -57,6 +58,10 @@ cargo test -q -p server --test write_reply_counts
 # The block decoder against the one it replaced, frozen as an oracle:
 # identical results on harness-shaped blocks, truncations, flips, garbage.
 cargo test -q -p snap-codec --test decoder_oracle
+# The word-wise internal-key order against bytewise-then-trailer, and the
+# arena skiplist against a BTreeMap model at 1, 2 and 8 shards.
+cargo test -q -p sstable --test proptest_internal_key_order
+cargo test -q -p lsm --test proptest_memtable
 # kvbench is a standalone package the workspace build never compiles:
 # build it against the current crates and run all four workloads with
 # every correctness check, untraced and then traced (the per-layer half
