@@ -35,7 +35,11 @@
 //!
 //! A pointer must never become durable before the bytes it points at:
 //!
-//! 1. value appended to the vlog (writer lock);
+//! 1. value appended to the vlog and flushed to the OS (writer lock),
+//!    so the bytes are *readable* before any pointer to them is — the
+//!    real-file writer buffers up to 64 KiB in the process, and a `get`
+//!    that followed a non-sync put would otherwise read past the end of
+//!    the segment;
 //! 2. on a sync commit, the vlog is synced **before** the WAL
 //!    ([`crate::Db`]'s group leader does this under the epoch lock);
 //! 3. at rotation the retiring segment is synced before it is sealed;
@@ -529,7 +533,14 @@ impl VlogRuntime {
                 // offset advanced — which it did not (offset moves only
                 // on success).
                 Some(e) => Err(e),
-                None => Ok((out, pin)),
+                // The pointers go to the memtable next, where any reader
+                // can follow them: the bytes must leave the writer's
+                // buffer first. A flush, not a sync — durability is the
+                // commit step's.
+                None => {
+                    w.file.flush()?;
+                    Ok((out, pin))
+                }
             }
         }
     }
@@ -545,6 +556,9 @@ impl VlogRuntime {
         let mut w = shim_lock(&self.writer); // LOCK-ORDER: db.vlog.writer 25
         self.rotate_if_full(&mut w)?;
         let ptr = w.append(key, value)?;
+        // Readable before the install publishes the pointer; the pass
+        // syncs only once, at its end.
+        w.file.flush()?;
         let pin = self
             .pin_segments(&[ptr.segment])
             // PANIC-OK: None only for an empty slice; one segment given.

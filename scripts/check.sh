@@ -46,13 +46,17 @@ cargo test -q -p systemsim identical_runs_export_identical_observability
 # Count guards (mirrors CI's perf-harness job): counts repeat exactly
 # where times wobble — allocations per merged pair, per scan, per level
 # seek, per get, per put, per SCAN reply and per sync write, `read` calls
-# per frame. Already in `cargo test -q`; named here so a failure says
-# which budget moved.
+# per frame, `write` calls per put. Already in `cargo test -q`; named
+# here so a failure says which budget moved.
 cargo test -q -p fcae --test alloc_free
 cargo test -q -p lsm --test scan_alloc
 cargo test -q -p lsm --test chain_seek_alloc
 cargo test -q -p lsm --test get_alloc
 cargo test -q -p lsm --test put_alloc
+# `write(2)` calls per non-sync put on a real directory (the 64 KiB file
+# buffer), and value-log bytes readable before any pointer to them.
+cargo test -q -p lsm --test put_writes
+cargo test -q -p lsm --test vlog_std_env
 cargo test -q -p server --test scan_reply_counts
 cargo test -q -p server --test write_reply_counts
 # The block decoder against the one it replaced, frozen as an oracle:
