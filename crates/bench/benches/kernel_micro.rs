@@ -90,7 +90,7 @@ fn bench_memtable(c: &mut Criterion) {
     let mut g = c.benchmark_group("memtable");
     g.bench_function("insert_10k", |b| {
         b.iter_batched(
-            || MemTable::new(InternalKeyComparator::default()),
+            || MemTable::new(InternalKeyComparator),
             |m| {
                 for i in 0..10_000u64 {
                     let key = format!("{:016}", i.wrapping_mul(2_654_435_761) % 10_000);
@@ -105,7 +105,7 @@ fn bench_memtable(c: &mut Criterion) {
     // What a kvbench `fill` memtable holds: two shards, filled to the
     // 4 MiB write buffer's charge.
     let rows = fill_shape_rows();
-    let fresh = || MemTable::with_shards(InternalKeyComparator::default(), 2);
+    let fresh = || MemTable::with_shards(2);
     g.throughput(Throughput::Elements(rows.len() as u64));
     g.bench_function("insert_fill_shape", |b| {
         b.iter_batched(
@@ -142,7 +142,7 @@ fn fill_shape_rows() -> Vec<(Vec<u8>, Vec<u8>)> {
         .generate(1 << 20)
         .to_vec();
     let mut rng = simkit::SplitMix64::new(211);
-    let charged = MemTable::with_shards(InternalKeyComparator::default(), 2);
+    let charged = MemTable::with_shards(2);
     let mut rows = Vec::new();
     while charged.approximate_memory_usage() < 4 << 20 {
         let key = keys.format(rng.next_u64() % 1_350_000);

@@ -4,10 +4,8 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use lsm::compaction::{CompactionInput, CompactionRequest, OutputFileFactory};
-use sstable::comparator::InternalKeyComparator;
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
 use sstable::ikey::{InternalKey, ValueType};
 use sstable::table::{Table, TableReadOptions};
@@ -46,8 +44,6 @@ impl Default for KernelInputSpec {
 
 fn builder_options(spec: &KernelInputSpec) -> TableBuilderOptions {
     TableBuilderOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
         compression: spec.table_compression,
         ..Default::default()
     }
@@ -57,11 +53,7 @@ fn builder_options(spec: &KernelInputSpec) -> TableBuilderOptions {
 /// `{k : k % n == i}` so every merge step alternates inputs — the worst
 /// case for the Comparer, as in the paper's speed tests.
 pub fn build_kernel_inputs(env: &MemEnv, spec: &KernelInputSpec) -> Vec<CompactionInput> {
-    let read_opts = TableReadOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
-        ..Default::default()
-    };
+    let read_opts = TableReadOptions::default();
     (0..spec.n_inputs)
         .map(|input| {
             let name = format!(
@@ -98,11 +90,7 @@ pub fn kernel_request(inputs: Vec<CompactionInput>) -> CompactionRequest {
         inputs,
         smallest_snapshot: 1 << 40,
         bottommost: true,
-        builder_options: TableBuilderOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        },
+        builder_options: TableBuilderOptions::default(),
         max_output_file_size: 2 << 20,
     }
 }

@@ -16,7 +16,7 @@ use sstable::coding::decode_fixed32;
 use sstable::crc32c;
 use sstable::format::{BlockHandle, CompressionType, BLOCK_TRAILER_SIZE};
 
-use crate::memory::{align_up, index_block_from_region, index_walk_comparator, InputImage};
+use crate::memory::{align_up, index_block_from_region, InputImage};
 use crate::Result;
 
 fn corruption(msg: &str) -> lsm::Error {
@@ -129,7 +129,7 @@ impl<'a> BasicInputDecoder<'a> {
                 }
                 let meta = self.image.meta.sstables[self.sst_idx];
                 let block = index_block_from_region(&self.image.index_memory, &meta)?;
-                let mut it = block.iter(index_walk_comparator());
+                let mut it = block.iter();
                 it.seek_to_first();
                 self.index_iter = Some(it);
                 self.data_cursor = meta.data_offset;
@@ -148,7 +148,7 @@ impl<'a> BasicInputDecoder<'a> {
             // Pointer moves to the data block to stream it in.
             self.switch(Pointer::DataBlock);
             let block = self.fetch_block(&handle)?;
-            let mut it = block.iter(index_walk_comparator());
+            let mut it = block.iter();
             it.seek_to_first();
             if it.valid() {
                 self.stats.pairs_decoded += 1;
@@ -216,18 +216,14 @@ mod tests {
     use crate::decoder::InputDecoder;
     use crate::memory::build_input_image;
     use lsm::compaction::CompactionInput;
-    use sstable::comparator::InternalKeyComparator;
     use sstable::env::{MemEnv, StorageEnv};
     use sstable::ikey::{InternalKey, ValueType};
     use sstable::table::{Table, TableReadOptions};
     use sstable::table_builder::{TableBuilder, TableBuilderOptions};
     use std::path::Path;
-    use std::sync::Arc;
 
     fn build_input(env: &MemEnv, n: u32) -> CompactionInput {
         let opts = TableBuilderOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
             block_size: 512,
             ..Default::default()
         };
@@ -242,11 +238,7 @@ mod tests {
             b.add(k.encoded(), format!("val{i}").as_bytes()).unwrap();
         }
         let size = b.finish().unwrap();
-        let ropts = TableReadOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        };
+        let ropts = TableReadOptions::default();
         let file = env.open_random_access(Path::new("/t")).unwrap();
         CompactionInput {
             tables: vec![Table::open(file, size, ropts).unwrap()],

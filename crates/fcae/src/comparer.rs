@@ -17,7 +17,7 @@
 //! (property-tested); the cycle model is charged per *pair*, so the
 //! software algorithm leaves timing results bit-identical.
 
-use sstable::comparator::{Comparator, InternalKeyComparator};
+use sstable::comparator::InternalKeyComparator;
 
 use crate::decoder::MergeSource;
 
@@ -27,7 +27,6 @@ pub use lsm::compaction::{DropFilter, Merger as Comparer, Selection};
 /// as the differential-testing baseline for [`Comparer`]; unlike the
 /// tree it tolerates arbitrary stream movement between calls.
 pub struct LinearComparer {
-    icmp: InternalKeyComparator,
     filter: DropFilter,
     /// Selections made (for stats).
     pub selections: u64,
@@ -39,7 +38,6 @@ impl LinearComparer {
     /// Creates a comparer with the given drop rules.
     pub fn new(filter: DropFilter) -> Self {
         LinearComparer {
-            icmp: InternalKeyComparator::default(),
             filter,
             selections: 0,
             dropped: 0,
@@ -57,7 +55,9 @@ impl LinearComparer {
             match winner {
                 None => winner = Some(i),
                 Some(w) => {
-                    if self.icmp.compare(s.key(), sources[w].key()) == std::cmp::Ordering::Less {
+                    if InternalKeyComparator.compare(s.key(), sources[w].key())
+                        == std::cmp::Ordering::Less
+                    {
                         winner = Some(i);
                     }
                 }
@@ -90,11 +90,7 @@ mod tests {
         path: &str,
         entries: &[(&str, u64, ValueType, &str)],
     ) -> Arc<Table> {
-        let opts = TableBuilderOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        };
+        let opts = TableBuilderOptions::default();
         let f = env.create_writable(Path::new(path)).unwrap();
         let mut b = TableBuilder::new(opts, f);
         for (k, seq, t, v) in entries {
@@ -103,11 +99,7 @@ mod tests {
         }
         let size = b.finish().unwrap();
         let file = env.open_random_access(Path::new(path)).unwrap();
-        let read_opts = TableReadOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        };
+        let read_opts = TableReadOptions::default();
         Table::open(file, size, read_opts).unwrap()
     }
 

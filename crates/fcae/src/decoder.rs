@@ -20,7 +20,7 @@ use sstable::coding::decode_fixed32;
 use sstable::crc32c;
 use sstable::format::{BlockHandle, CompressionType, BLOCK_TRAILER_SIZE};
 
-use crate::memory::{align_up, index_block_from_region, index_walk_comparator, InputImage};
+use crate::memory::{align_up, index_block_from_region, InputImage};
 use crate::Result;
 
 fn corruption(msg: impl Into<String>) -> lsm::Error {
@@ -174,7 +174,7 @@ impl<'a> InputDecoder<'a> {
         }
         let meta = self.image.meta.sstables[self.sst_idx];
         let block = index_block_from_region(&self.image.index_memory, &meta)?;
-        let mut it = block.iter(index_walk_comparator());
+        let mut it = block.iter();
         it.seek_to_first();
         self.index_iter = Some(it);
         self.data_cursor = meta.data_offset;
@@ -263,8 +263,6 @@ mod tests {
 
     fn internal_table_options() -> TableBuilderOptions {
         TableBuilderOptions {
-            comparator: Arc::new(sstable::comparator::InternalKeyComparator::default()),
-            internal_key_filter: true,
             block_size: 512,
             ..Default::default()
         }
@@ -284,11 +282,7 @@ mod tests {
         }
         let size = b.finish().unwrap();
         let file = env.open_random_access(Path::new(path)).unwrap();
-        let read_opts = TableReadOptions {
-            comparator: Arc::new(sstable::comparator::InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        };
+        let read_opts = TableReadOptions::default();
         Table::open(file, size, read_opts).unwrap()
     }
 

@@ -19,7 +19,7 @@
 //! key* verbatim — the comparator-driven key shortening LevelDB does on
 //! the CPU is skipped, exactly as a hardware encoder would.
 
-use sstable::block_builder::BlockBuilder;
+use sstable::block_builder::{BlockBuilder, RESTART_INTERVAL};
 use sstable::bloom::BloomFilterPolicy;
 use sstable::filter_block::FilterBlockBuilder;
 use sstable::format::{frame_block_into, BlockHandle, CompressionType, BLOCK_TRAILER_SIZE};
@@ -47,10 +47,9 @@ pub struct OutputEncoder {
     /// One Snappy encoder for every block the engine emits.
     snappy: snap_codec::Encoder,
     scratch: Vec<u8>,
-    /// Filter Block Encoder; `None` when the store writes no filters.
+    /// Filter Block Encoder over user keys (the internal key minus its
+    /// trailer); `None` when the store writes no filters.
     filter: Option<FilterBlockBuilder>,
-    /// Filters cover user keys (the internal key minus its trailer).
-    internal_key_filter: bool,
 
     /// Current table state.
     data_memory: Vec<u8>,
@@ -78,11 +77,10 @@ impl OutputEncoder {
             table_size,
             w_out,
             compression,
-            block: BlockBuilder::new(16),
+            block: BlockBuilder::new(RESTART_INTERVAL),
             snappy: snap_codec::Encoder::new(),
             scratch: Vec::new(),
             filter: None,
-            internal_key_filter: false,
             data_memory: Vec::new(),
             index_entries: Vec::new(),
             file_offset: 0,
@@ -94,11 +92,10 @@ impl OutputEncoder {
     }
 
     /// Adds the Filter Block Encoder: every output table gets a filter
-    /// block built with `policy`, over user keys when
-    /// `internal_key_filter` — `TableBuilderOptions`' two filter fields.
-    pub fn with_filter(mut self, policy: BloomFilterPolicy, internal_key_filter: bool) -> Self {
+    /// block over user keys built with `policy`, as `TableBuilder` builds
+    /// one with `TableBuilderOptions::filter_policy`.
+    pub fn with_filter(mut self, policy: BloomFilterPolicy) -> Self {
         self.filter = Some(FilterBlockBuilder::new(policy));
-        self.internal_key_filter = internal_key_filter;
         self
     }
 
@@ -106,7 +103,7 @@ impl OutputEncoder {
     pub fn add(&mut self, key: &[u8], value: &[u8]) -> EncodeEvents {
         let mut events = EncodeEvents::default();
         if let Some(filter) = &mut self.filter {
-            filter.add_key(filter_key(key, self.internal_key_filter));
+            filter.add_key(filter_key(key));
         }
         if self.smallest.is_none() {
             self.smallest = Some(key.to_vec());

@@ -133,7 +133,7 @@ impl FcaeEngine {
         table_size: u64,
     ) -> OutputEncoder {
         OutputEncoder::new(block_size, table_size, self.config.w_out, compression)
-            .with_filter(BloomFilterPolicy::default(), true)
+            .with_filter(BloomFilterPolicy::default())
     }
 
     /// The kernel with the optimized decoder, encoding into `encoder`.
@@ -341,7 +341,7 @@ impl CompactionEngine for FcaeEngine {
             options.compression,
         );
         if let Some(policy) = options.filter_policy {
-            encoder = encoder.with_filter(policy, options.internal_key_filter);
+            encoder = encoder.with_filter(policy);
         }
         let (tables, _model, report) =
             self.run_optimized(&images, req.smallest_snapshot, req.bottommost, encoder)?;

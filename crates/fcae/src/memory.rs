@@ -19,7 +19,6 @@
 use std::sync::Arc;
 
 use lsm::compaction::CompactionInput;
-use sstable::comparator::BytewiseComparator;
 use sstable::format::{BlockHandle, BLOCK_TRAILER_SIZE};
 use sstable::table::Table;
 
@@ -180,13 +179,6 @@ pub fn index_block_from_region(
     let end = start + meta.index_len as usize;
     let contents = bytes::Bytes::copy_from_slice(&index_memory[start..end]);
     sstable::block::Block::new(contents).map_err(lsm::Error::from)
-}
-
-/// The comparator used to walk index blocks (entries are internal keys,
-/// but ordering within one table is already fixed; bytewise works for
-/// pure iteration).
-pub fn index_walk_comparator() -> Arc<dyn sstable::comparator::Comparator> {
-    Arc::new(BytewiseComparator)
 }
 
 #[cfg(test)]

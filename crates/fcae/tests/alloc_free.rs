@@ -25,7 +25,6 @@ use fcae::encoder::OutputEncoder;
 use fcae::memory::{build_input_image, InputImage};
 use lsm::compaction::{CompactionInput, TableRunSource};
 use sstable::bloom::BloomFilterPolicy;
-use sstable::comparator::InternalKeyComparator;
 use sstable::env::{MemEnv, StorageEnv};
 use sstable::format::CompressionType;
 use sstable::ikey::{InternalKey, ValueType};
@@ -79,7 +78,6 @@ fn build_table(
 ) -> Arc<Table> {
     let opts = TableBuilderOptions {
         compression,
-        comparator: Arc::new(InternalKeyComparator::default()),
         // 8 KiB blocks: several block fetches per table, so the measured
         // window crosses block boundaries on the decode side too.
         block_size: 8 << 10,
@@ -104,10 +102,7 @@ fn build_table(
     }
     let size = b.finish().unwrap();
     let file = env.open_random_access(Path::new(path)).unwrap();
-    let read_opts = TableReadOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        ..Default::default()
-    };
+    let read_opts = TableReadOptions::default();
     Table::open(file, size, read_opts).unwrap()
 }
 
@@ -218,7 +213,7 @@ fn measure_encoder(with_filter: bool) -> (u64, u64) {
     let mut comparer = Comparer::new(DropFilter::new(u64::MAX, true));
     let mut encoder = OutputEncoder::new(1 << 10, 8 << 10, 64, CompressionType::None);
     if with_filter {
-        encoder = encoder.with_filter(BloomFilterPolicy::default(), true);
+        encoder = encoder.with_filter(BloomFilterPolicy::default());
     }
 
     let mut before = 0;

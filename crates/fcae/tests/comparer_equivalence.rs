@@ -6,7 +6,7 @@
 use fcae::comparer::{Comparer, DropFilter, LinearComparer};
 use fcae::decoder::MergeSource;
 use proptest::prelude::*;
-use sstable::comparator::{Comparator, InternalKeyComparator};
+use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::{InternalKey, ValueType};
 
 /// In-memory merge stream: a sorted run of encoded internal keys.
@@ -48,7 +48,7 @@ fn streams_strategy() -> impl Strategy<Value = Vec<Vec<RawEntry>>> {
 }
 
 fn build_sources(raw: &[Vec<RawEntry>]) -> Vec<VecSource> {
-    let icmp = InternalKeyComparator::default();
+    let icmp = InternalKeyComparator;
     raw.iter()
         .map(|entries| {
             let mut keys: Vec<Vec<u8>> = entries

@@ -11,7 +11,6 @@ use lsm::compaction::{
     CompactionEngine, CompactionInput, CompactionRequest, CpuCompactionEngine, OutputFileFactory,
 };
 use lsm::{Db, Options};
-use sstable::comparator::InternalKeyComparator;
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
 use sstable::format::CompressionType;
 use sstable::ikey::{parse_internal_key, InternalKey, ValueType};
@@ -21,19 +20,13 @@ use sstable::table_builder::{TableBuilder, TableBuilderOptions};
 
 fn builder_options() -> TableBuilderOptions {
     TableBuilderOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
         block_size: 1024,
         ..Default::default()
     }
 }
 
 fn read_options() -> TableReadOptions {
-    TableReadOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
-        ..Default::default()
-    }
+    TableReadOptions::default()
 }
 
 fn build_table(

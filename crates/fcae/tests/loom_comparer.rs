@@ -28,8 +28,6 @@ const W_IN: u32 = 64;
 
 fn build_table(env: &MemEnv, path: &str, stride: u64, offset: u64, n: u64) -> Arc<Table> {
     let opts = TableBuilderOptions {
-        comparator: Arc::new(sstable::comparator::InternalKeyComparator::default()),
-        internal_key_filter: true,
         block_size: 256,
         ..Default::default()
     };
@@ -51,11 +49,7 @@ fn build_table(env: &MemEnv, path: &str, stride: u64, offset: u64, n: u64) -> Ar
     }
     let size = b.finish().unwrap();
     let file = env.open_random_access(Path::new(path)).unwrap();
-    let read_opts = TableReadOptions {
-        comparator: Arc::new(sstable::comparator::InternalKeyComparator::default()),
-        internal_key_filter: true,
-        ..Default::default()
-    };
+    let read_opts = TableReadOptions::default();
     Table::open(file, size, read_opts).unwrap()
 }
 

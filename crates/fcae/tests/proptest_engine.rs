@@ -7,12 +7,10 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use fcae::{FcaeConfig, FcaeEngine};
 use lsm::compaction::{CompactionEngine, CompactionInput, CompactionRequest, OutputFileFactory};
 use proptest::prelude::*;
-use sstable::comparator::InternalKeyComparator;
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
 use sstable::ikey::{parse_internal_key, InternalKey, ValueType};
 use sstable::iterator::InternalIterator;
@@ -61,8 +59,6 @@ impl OutputFileFactory for Factory {
 
 fn builder_options() -> TableBuilderOptions {
     TableBuilderOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
         block_size: 256,
         ..Default::default()
     }
@@ -76,11 +72,7 @@ fn user_key(key_id: u8) -> Vec<u8> {
 }
 
 fn read_options() -> TableReadOptions {
-    TableReadOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
-        ..Default::default()
-    }
+    TableReadOptions::default()
 }
 
 /// Builds inputs; sequence numbers are globally unique, with input 0

@@ -10,11 +10,9 @@
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use lsm::filename::{parse_file_name, FileType};
 use lsm::{Db, Options};
-use sstable::comparator::InternalKeyComparator;
 use sstable::env::{StdEnv, StorageEnv};
 use sstable::ikey::parse_internal_key;
 use sstable::iterator::InternalIterator;
@@ -119,11 +117,7 @@ fn dump(file: &Path) -> lsm::Result<()> {
     let env = StdEnv;
     let f = env.open_random_access(file).map_err(lsm::Error::from)?;
     let size = f.len().map_err(lsm::Error::from)?;
-    let opts = TableReadOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
-        ..Default::default()
-    };
+    let opts = TableReadOptions::default();
     let table = Table::open(f, size, opts).map_err(lsm::Error::from)?;
     let mut it = table.iter();
     it.seek_to_first();

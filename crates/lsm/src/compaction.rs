@@ -31,7 +31,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sstable::comparator::{Comparator, InternalKeyComparator};
+use sstable::comparator::InternalKeyComparator;
 use sstable::env::WritableFile;
 use sstable::ikey::{parse_internal_key, InternalKey, SequenceNumber, ValueType};
 use sstable::iterator::InternalIterator;
@@ -256,10 +256,9 @@ impl InternalIterator for ChainIterator {
     fn seek(&mut self, target: &[u8]) {
         // Tables are disjoint and ordered: the first whose largest key is
         // not below `target` holds it (without files, settle walks there).
-        let icmp = InternalKeyComparator::default();
-        let first = self
-            .files
-            .partition_point(|f| icmp.compare(f.largest.encoded(), target) == Ordering::Less);
+        let first = self.files.partition_point(|f| {
+            InternalKeyComparator.compare(f.largest.encoded(), target) == Ordering::Less
+        });
         self.settle(first, true, |it| it.seek(target));
     }
 
@@ -397,11 +396,11 @@ pub struct Selection {
 /// then lower input index — the same user key at the same sequence is
 /// taken from the earlier (newer) input first, and the tie-break keeps
 /// the ordering strict on arbitrary inputs.
-fn beats<S: MergeSource>(icmp: &InternalKeyComparator, sources: &[S], a: usize, b: usize) -> bool {
+fn beats<S: MergeSource>(sources: &[S], a: usize, b: usize) -> bool {
     match (sources[a].valid(), sources[b].valid()) {
         (true, false) => true,
         (false, _) => false,
-        (true, true) => match icmp.compare(sources[a].key(), sources[b].key()) {
+        (true, true) => match InternalKeyComparator.compare(sources[a].key(), sources[b].key()) {
             Ordering::Less => true,
             Ordering::Greater => false,
             Ordering::Equal => a < b,
@@ -419,7 +418,6 @@ fn beats<S: MergeSource>(icmp: &InternalKeyComparator, sources: &[S], a: usize, 
 /// the winner. The tree replays just that leaf's path; violating the
 /// contract yields stale selections (use a fresh merger instead).
 pub struct Merger {
-    icmp: InternalKeyComparator,
     filter: DropFilter,
     tree: LoserTree,
     /// Winner of the previous selection, whose leaf must be replayed.
@@ -434,7 +432,6 @@ impl Merger {
     /// Creates a merger with the given drop rules.
     pub fn new(filter: DropFilter) -> Self {
         Merger {
-            icmp: InternalKeyComparator::default(),
             filter,
             tree: LoserTree::new(0),
             last_winner: None,
@@ -446,13 +443,12 @@ impl Merger {
     /// Selects the input with the smallest current key and checks its
     /// validity. Returns `None` when every stream is exhausted.
     pub fn select<S: MergeSource>(&mut self, sources: &[S]) -> Option<Selection> {
-        let icmp = &self.icmp;
         if self.tree.len() != sources.len() {
             // First selection (the tree starts with no players).
             self.tree = LoserTree::new(sources.len());
-            self.tree.rebuild(|a, b| beats(icmp, sources, a, b));
+            self.tree.rebuild(|a, b| beats(sources, a, b));
         } else if let Some(w) = self.last_winner {
-            self.tree.update(w, |a, b| beats(icmp, sources, a, b));
+            self.tree.update(w, |a, b| beats(sources, a, b));
         }
         if sources.is_empty() {
             return None;
@@ -980,8 +976,6 @@ mod tests {
 
     fn opts() -> TableBuilderOptions {
         TableBuilderOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
             block_size: 512,
             ..Default::default()
         }
@@ -1011,11 +1005,7 @@ mod tests {
             bytes[40] ^= 0x40;
             env.create_writable(path).unwrap().append(&bytes).unwrap();
         }
-        let ropts = TableReadOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        };
+        let ropts = TableReadOptions::default();
         let file = env.open_random_access(path).unwrap();
         Table::open(file, size, ropts).unwrap()
     }

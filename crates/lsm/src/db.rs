@@ -36,7 +36,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOr
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
-use sstable::comparator::InternalKeyComparator;
 
 use crate::compaction::{CompactionEngine, CpuCompactionEngine};
 use crate::conflict::ConflictChecker;
@@ -91,9 +90,6 @@ pub(crate) struct DbInner {
     pub(crate) engine: Arc<dyn CompactionEngine>,
     pub(crate) obs: Arc<obs::Obs>,
     pub(crate) metrics: DbMetrics,
-    /// The store's key order, built once and lent to every `get`,
-    /// memtable and iterator.
-    pub(crate) icmp: Arc<InternalKeyComparator>,
     pub(crate) state: Mutex<DbState>,
     /// What reads see: `state`'s memtables and current version, republished
     /// (under `state`) whenever one of them changes and loaded by readers

@@ -5,7 +5,6 @@
 
 use std::sync::Arc;
 
-use sstable::comparator::Comparator;
 use sstable::ikey::{parse_internal_key, LookupKey, SequenceNumber, ValueType};
 use sstable::iterator::{InternalIterator, MergingIterator};
 
@@ -39,15 +38,14 @@ pub struct DbIter {
 
 impl DbIter {
     /// Builds an iterator from already-assembled children (the `Db`
-    /// assembles memtable + table iterators and lends its comparator).
+    /// assembles memtable + table iterators).
     pub(crate) fn new(
         children: Vec<Box<dyn InternalIterator>>,
-        icmp: Arc<dyn Comparator>,
         sequence: SequenceNumber,
         vlog: Option<Arc<VlogRuntime>>,
     ) -> Self {
         DbIter {
-            merger: MergingIterator::new(children, icmp),
+            merger: MergingIterator::new(children),
             sequence,
             key: Vec::new(),
             value: Vec::new(),

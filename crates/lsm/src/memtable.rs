@@ -32,7 +32,7 @@
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
-use sstable::comparator::{Comparator, InternalKeyComparator};
+use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::{
     append_internal_key, parse_internal_key, LookupKey, SequenceNumber, ValueType,
 };
@@ -166,13 +166,15 @@ impl Core {
     }
 
     /// Finds, for each level, the last node whose key is < `key`.
-    fn find_splice(&self, cmp: &InternalKeyComparator, key: &[u8]) -> [u32; MAX_HEIGHT] {
+    fn find_splice(&self, key: &[u8]) -> [u32; MAX_HEIGHT] {
         let mut prev = [0u32; MAX_HEIGHT];
         let mut x = 0u32; // head
         for (level, slot) in prev.iter_mut().enumerate().take(self.max_height).rev() {
             loop {
                 let next = self.next(x, level);
-                if next != 0 && cmp.compare(self.node_key(next), key) == Ordering::Less {
+                if next != 0
+                    && InternalKeyComparator.compare(self.node_key(next), key) == Ordering::Less
+                {
                     x = next;
                 } else {
                     break;
@@ -184,15 +186,14 @@ impl Core {
     }
 
     /// First node with key >= `key` (0 if none).
-    fn find_greater_or_equal(&self, cmp: &InternalKeyComparator, key: &[u8]) -> u32 {
-        self.next(self.find_splice(cmp, key)[0], 0)
+    fn find_greater_or_equal(&self, key: &[u8]) -> u32 {
+        self.next(self.find_splice(key)[0], 0)
     }
 
     /// Inserts an entry as a node of `height`; returns the bytes charged
     /// to the size counter.
     fn add(
         &mut self,
-        cmp: &InternalKeyComparator,
         height: usize,
         seq: SequenceNumber,
         value_type: ValueType,
@@ -212,7 +213,7 @@ impl Core {
         self.arena.extend_from_slice(value);
 
         // The splice is computed against the key where it now lies.
-        let prev = self.find_splice(cmp, &self.arena[node + 8..node + 8 + key_len]);
+        let prev = self.find_splice(&self.arena[node + 8..node + 8 + key_len]);
         let node = node as u32;
         for (level, &p) in prev.iter().enumerate().take(height) {
             self.set_next(node, level, self.next(p, level));
@@ -239,9 +240,6 @@ impl Core {
 
 /// The concurrent memtable: N independently locked skiplist shards.
 pub struct MemTable {
-    /// Shared with the store that owns the memtable and with every
-    /// iterator it hands out.
-    cmp: Arc<InternalKeyComparator>,
     shards: Box<[Mutex<Core>]>,
     /// Approximate memory usage (keys + values + [`NODE_CHARGE`] each), readable
     /// lock-free (drives the flush trigger on the write fast path).
@@ -250,19 +248,18 @@ pub struct MemTable {
 }
 
 impl MemTable {
-    /// Creates an empty memtable with the default shard count.
-    pub fn new(cmp: InternalKeyComparator) -> Self {
-        Self::with_shards(cmp, default_memtable_shards())
+    /// Creates an empty memtable with the default shard count. Its keys
+    /// are in the store's one order, which the argument only names.
+    pub fn new(_order: InternalKeyComparator) -> Self {
+        Self::with_shards(default_memtable_shards())
     }
 
     /// Creates an empty memtable with `shards` skiplist shards (clamped
     /// to `1..=`[`MAX_MEMTABLE_SHARDS`]). One shard reproduces the old
-    /// single-skiplist layout (all writers serialize on it). A store
-    /// passes the `Arc` of the comparator it already owns.
-    pub fn with_shards(cmp: impl Into<Arc<InternalKeyComparator>>, shards: usize) -> Self {
+    /// single-skiplist layout (all writers serialize on it).
+    pub fn with_shards(shards: usize) -> Self {
         let n = shards.clamp(1, MAX_MEMTABLE_SHARDS);
         MemTable {
-            cmp: cmp.into(),
             shards: (0..n).map(|i| Mutex::new(Core::new(i))).collect(),
             approx_bytes: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),
@@ -307,7 +304,7 @@ impl MemTable {
         let charged = {
             let mut core = lock(self.shard_for(user_key)); // LOCK-ORDER: mem.shard 80
             let height = core.random_height();
-            core.add(&self.cmp, height, seq, value_type, user_key, value)
+            core.add(height, seq, value_type, user_key, value)
         };
         self.entries.fetch_add(1, AtomicOrdering::AcqRel);
         self.approx_bytes.fetch_add(charged, AtomicOrdering::AcqRel);
@@ -317,7 +314,7 @@ impl MemTable {
     /// the shard owning the user key.
     pub fn get(&self, lookup: &LookupKey) -> MemGet {
         let core = lock(self.shard_for(lookup.user_key())); // LOCK-ORDER: mem.shard 80
-        let idx = core.find_greater_or_equal(&self.cmp, lookup.internal_key());
+        let idx = core.find_greater_or_equal(lookup.internal_key());
         if idx == 0 {
             return MemGet::NotFound;
         }
@@ -351,7 +348,7 @@ impl MemTable {
                 }) as Box<dyn InternalIterator>
             })
             .collect();
-        MergingIterator::new(cursors, Arc::clone(&self.cmp) as Arc<dyn Comparator>)
+        MergingIterator::new(cursors)
     }
 }
 
@@ -396,7 +393,7 @@ impl InternalIterator for ShardCursor {
     }
 
     fn seek(&mut self, target: &[u8]) {
-        self.reposition(|core, at| core.find_greater_or_equal(&at.mem.cmp, target));
+        self.reposition(|core, _| core.find_greater_or_equal(target));
     }
 
     fn next(&mut self) {
@@ -408,7 +405,7 @@ impl InternalIterator for ShardCursor {
     /// for the last node before the current key.
     fn prev(&mut self) {
         debug_assert!(self.valid());
-        self.reposition(|core, at| core.find_splice(&at.mem.cmp, &at.key)[0]);
+        self.reposition(|core, at| core.find_splice(&at.key)[0]);
     }
 
     fn key(&self) -> &[u8] {
@@ -432,7 +429,7 @@ mod tests {
     use sstable::ikey::MAX_SEQUENCE_NUMBER;
 
     fn memtable() -> Arc<MemTable> {
-        Arc::new(MemTable::new(InternalKeyComparator::default()))
+        Arc::new(MemTable::new(InternalKeyComparator))
     }
 
     /// Every `(internal_key, value)` pair, by a full forward walk.
@@ -602,7 +599,7 @@ mod tests {
     /// reallocated under them: links are offsets, not addresses.
     #[test]
     fn nodes_of_every_height_survive_arena_growth() {
-        let m = Arc::new(MemTable::with_shards(InternalKeyComparator::default(), 1));
+        let m = Arc::new(MemTable::with_shards(1));
         let shard = &m.shards[0];
         let initial = lock(shard).arena.capacity();
         // (user key, value, height), in insert order.
@@ -615,7 +612,7 @@ mod tests {
                     let key = format!("{:010}", n * 2_654_435_761 % 4_294_967_311).into_bytes();
                     let value = vec![n as u8; value_len];
                     let mut core = lock(shard);
-                    core.add(&m.cmp, height, n + 1, ValueType::Value, &key, &value);
+                    core.add(height, n + 1, ValueType::Value, &key, &value);
                     inserted.push((key, value, height));
                 }
             }
@@ -694,8 +691,8 @@ mod tests {
 
     #[test]
     fn one_shard_matches_sharded_contents() {
-        let sharded = Arc::new(MemTable::with_shards(InternalKeyComparator::default(), 8));
-        let single = Arc::new(MemTable::with_shards(InternalKeyComparator::default(), 1));
+        let sharded = Arc::new(MemTable::with_shards(8));
+        let single = Arc::new(MemTable::with_shards(1));
         for i in 0..500u64 {
             let k = format!("k{:04}", (i * 37) % 500);
             sharded.add(i + 1, ValueType::Value, k.as_bytes(), b"v");

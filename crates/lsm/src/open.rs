@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Condvar, Mutex};
-use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::{LookupKey, ValueType};
 
 use crate::background::{background_thread, write_memtable_table};
@@ -79,8 +78,7 @@ impl Db {
         };
 
         // Replay WALs newer than the recovered log number.
-        let icmp = Arc::new(InternalKeyComparator::default());
-        let mut mem = MemTable::with_shards(Arc::clone(&icmp), options.memtable_shards);
+        let mut mem = MemTable::with_shards(options.memtable_shards);
         if existed {
             versions.last_sequence =
                 replay_wals(&options, &dir, &versions, vlog_rt.as_deref(), &mem)?;
@@ -105,10 +103,7 @@ impl Db {
         };
         if !mem.is_empty() {
             let file_number = versions.new_file_number();
-            let imm = std::mem::replace(
-                &mut mem,
-                MemTable::with_shards(Arc::clone(&icmp), options.memtable_shards),
-            );
+            let imm = std::mem::replace(&mut mem, MemTable::with_shards(options.memtable_shards));
             if let Some(meta) = write_memtable_table(&options, &dir, file_number, &Arc::new(imm))? {
                 edit.new_files.push((0, meta));
             }
@@ -139,7 +134,6 @@ impl Db {
             engine,
             obs,
             metrics,
-            icmp,
             view,
             state: Mutex::new(DbState {
                 mem: Arc::clone(&mem),

@@ -37,8 +37,6 @@ pub struct Options {
     pub compression: CompressionType,
     /// Bloom filter bits per key; `None` disables filters.
     pub filter_bits_per_key: Option<usize>,
-    /// Verify checksums on reads.
-    pub verify_checksums: bool,
     /// Shared data-block cache capacity (LevelDB default 8 MiB);
     /// `None` disables the shared cache.
     pub block_cache_bytes: Option<usize>,
@@ -100,7 +98,6 @@ impl Default for Options {
             level1_max_bytes: 10 << 20,
             compression: CompressionType::Snappy,
             filter_bits_per_key: Some(10),
-            verify_checksums: true,
             block_cache_bytes: Some(8 << 20),
             sync_writes: false,
             max_group_commit_bytes: 1 << 20,
@@ -137,11 +134,8 @@ impl Options {
     pub fn table_builder_options(&self) -> sstable::table_builder::TableBuilderOptions {
         sstable::table_builder::TableBuilderOptions {
             block_size: self.block_size,
-            block_restart_interval: 16,
             compression: self.compression,
             filter_policy: self.filter_policy(),
-            internal_key_filter: true,
-            comparator: Arc::new(sstable::comparator::InternalKeyComparator::default()),
         }
     }
 
@@ -153,11 +147,8 @@ impl Options {
         block_cache: Option<Arc<BlockCache>>,
     ) -> sstable::table::TableReadOptions {
         sstable::table::TableReadOptions {
-            verify_checksums: self.verify_checksums,
             block_cache,
-            comparator: Arc::new(sstable::comparator::InternalKeyComparator::default()),
             filter_policy: self.filter_policy(),
-            internal_key_filter: true,
         }
     }
 
@@ -203,7 +194,6 @@ mod tests {
         let o = Options::default();
         let b = o.table_builder_options();
         let r = o.table_read_options();
-        assert_eq!(b.internal_key_filter, r.internal_key_filter);
         assert_eq!(b.filter_policy.is_some(), r.filter_policy.is_some());
     }
 }

@@ -5,7 +5,6 @@
 
 use std::sync::Arc;
 
-use sstable::comparator::Comparator;
 use sstable::ikey::{parse_internal_key, LookupKey, ValueType};
 use sstable::iterator::InternalIterator;
 use sstable::table::GetStats;
@@ -107,7 +106,6 @@ impl Db {
         }
         Ok(crate::db_iter::DbIter::new(
             children,
-            Arc::clone(&self.inner.icmp) as Arc<dyn Comparator>,
             seq,
             self.inner.vlog.clone(),
         ))

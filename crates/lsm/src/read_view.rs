@@ -82,16 +82,12 @@ mod loom_models {
     use super::*;
     use crate::sync_shim::Mutex;
     use crate::write_path::{ApplyLedger, SeqReserver};
-    use sstable::comparator::InternalKeyComparator;
     use sstable::ikey::{LookupKey, ValueType};
 
     use crate::memtable::MemGet;
 
     fn memtable() -> Arc<MemTable> {
-        Arc::new(MemTable::with_shards(
-            Arc::new(InternalKeyComparator::default()),
-            1,
-        ))
+        Arc::new(MemTable::with_shards(1))
     }
 
     fn holds(mem: &MemTable, seq: u64) -> bool {

@@ -111,7 +111,6 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
     }
 
     // 1. Salvage WALs oldest-first into fresh tables.
-    let icmp = InternalKeyComparator::default();
     for log in &log_numbers {
         let path = crate::filename::log_file_name(dir, *log);
         let Ok(file) = env.open_random_access(&path) else {
@@ -120,7 +119,7 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
         let Ok(mut reader) = LogReader::new(file.as_ref()) else {
             continue;
         };
-        let mem = Arc::new(MemTable::new(icmp.clone()));
+        let mem = Arc::new(MemTable::new(InternalKeyComparator));
         while let Some(record) = reader.read_record() {
             let Ok(batch) = WriteBatch::from_data(&record) else {
                 continue;

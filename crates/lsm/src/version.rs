@@ -10,7 +10,7 @@ use sstable::coding::{
     get_length_prefixed_slice, get_varint32, get_varint64, put_length_prefixed_slice, put_varint32,
     put_varint64,
 };
-use sstable::comparator::{Comparator, InternalKeyComparator};
+use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::InternalKey;
 
 use crate::filename::{current_file_name, manifest_file_name, temp_file_name};
@@ -300,7 +300,6 @@ impl Compaction {
 pub struct VersionSet {
     options: Options,
     dir: PathBuf,
-    icmp: InternalKeyComparator,
     current: Arc<Version>,
     /// Next file number to hand out.
     next_file_number: u64,
@@ -325,7 +324,6 @@ impl VersionSet {
         VersionSet {
             options,
             dir,
-            icmp: InternalKeyComparator::default(),
             current: Arc::new(Version::empty()),
             next_file_number: 2,
             last_sequence: 0,
@@ -335,11 +333,6 @@ impl VersionSet {
             compact_pointers: vec![Vec::new(); NUM_LEVELS],
             live_versions: Vec::new(),
         }
-    }
-
-    /// The comparator used for version bookkeeping.
-    pub fn icmp(&self) -> &InternalKeyComparator {
-        &self.icmp
     }
 
     /// The live version.
@@ -418,15 +411,13 @@ impl VersionSet {
         files[0].sort_by_key(|f| std::cmp::Reverse(f.number));
         for level_files in files.iter_mut().skip(1) {
             level_files.sort_by(|a, b| {
-                self.icmp
-                    .compare(a.smallest.encoded(), b.smallest.encoded())
+                InternalKeyComparator.compare(a.smallest.encoded(), b.smallest.encoded())
             });
         }
         // Invariant: no overlap within levels >= 1.
         for (level, level_files) in files.iter().enumerate().skip(1) {
             for pair in level_files.windows(2) {
-                if self
-                    .icmp
+                if InternalKeyComparator
                     .compare(pair[0].largest.encoded(), pair[1].smallest.encoded())
                     != Ordering::Less
                 {
@@ -600,7 +591,7 @@ impl VersionSet {
         let pointer = &self.compact_pointers[level];
         for f in &version.files[level] {
             if pointer.is_empty()
-                || self.icmp.compare(f.largest.encoded(), pointer) == Ordering::Greater
+                || InternalKeyComparator.compare(f.largest.encoded(), pointer) == Ordering::Greater
             {
                 seed = Some(Arc::clone(f));
                 break;
@@ -639,10 +630,14 @@ impl VersionSet {
         let mut smallest = files[0].smallest.clone();
         let mut largest = files[0].largest.clone();
         for f in &files[1..] {
-            if self.icmp.compare(f.smallest.encoded(), smallest.encoded()) == Ordering::Less {
+            if InternalKeyComparator.compare(f.smallest.encoded(), smallest.encoded())
+                == Ordering::Less
+            {
                 smallest = f.smallest.clone();
             }
-            if self.icmp.compare(f.largest.encoded(), largest.encoded()) == Ordering::Greater {
+            if InternalKeyComparator.compare(f.largest.encoded(), largest.encoded())
+                == Ordering::Greater
+            {
                 largest = f.largest.clone();
             }
         }

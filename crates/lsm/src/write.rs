@@ -587,10 +587,7 @@ impl DbInner {
         // The new WAL's directory entry must survive a power cut or every
         // synced record inside it is unreachable on recovery.
         self.options.env.sync_dir(&self.dir)?;
-        let fresh = Arc::new(MemTable::with_shards(
-            Arc::clone(&self.icmp),
-            self.options.memtable_shards,
-        ));
+        let fresh = Arc::new(MemTable::with_shards(self.options.memtable_shards));
         {
             // LOCK-ORDER: db.epoch 20
             let mut epoch = shim_lock(&self.epoch);

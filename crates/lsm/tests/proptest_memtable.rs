@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use lsm::memtable::{MemGet, MemTable};
 use proptest::prelude::*;
-use sstable::comparator::{Comparator, InternalKeyComparator};
+use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::{
     append_internal_key, parse_internal_key, LookupKey, ValueType, MAX_SEQUENCE_NUMBER,
 };
@@ -73,8 +73,7 @@ type Model = Vec<(Vec<u8>, Vec<u8>)>;
 /// Inserts `ops` (sequence = position + 1) into a memtable with `shards`
 /// shards; returns it with the model of its contents.
 fn build(ops: &[Ins], shards: usize) -> (Arc<MemTable>, Model) {
-    let icmp = InternalKeyComparator::default();
-    let mem = MemTable::with_shards(icmp.clone(), shards);
+    let mem = MemTable::with_shards(shards);
     let mut model = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         let ty = if op.delete {
@@ -88,7 +87,7 @@ fn build(ops: &[Ins], shards: usize) -> (Arc<MemTable>, Model) {
         append_internal_key(&mut ik, &uk, i as u64 + 1, ty);
         model.push((ik, op.value.clone()));
     }
-    model.sort_by(|a, b| icmp.compare(&a.0, &b.0));
+    model.sort_by(|a, b| InternalKeyComparator.compare(&a.0, &b.0));
     (Arc::new(mem), model)
 }
 
@@ -101,7 +100,7 @@ proptest! {
     /// Point lookups at every snapshot agree with the reference history.
     #[test]
     fn get_matches_reference(ops in inserts(), probe_seqs in proptest::collection::vec(0u64..260, 1..12)) {
-        let mem = MemTable::new(InternalKeyComparator::default());
+        let mem = MemTable::new(InternalKeyComparator);
         let mut history: History = BTreeMap::new();
         for (i, op) in ops.iter().enumerate() {
             let seq = i as u64 + 1;
@@ -140,7 +139,7 @@ proptest! {
     /// every inserted entry.
     #[test]
     fn iteration_is_sorted_and_complete(ops in inserts()) {
-        let mem = MemTable::new(InternalKeyComparator::default());
+        let mem = MemTable::new(InternalKeyComparator);
         for (i, op) in ops.iter().enumerate() {
             let ty = if op.delete { ValueType::Deletion } else { ValueType::Value };
             mem.add(i as u64 + 1, ty, &user_key(op.key_id), &op.value);
@@ -206,7 +205,6 @@ proptest! {
         shards in shard_counts(),
     ) {
         let (mem, model) = build(&ops, shards);
-        let icmp = InternalKeyComparator::default();
         let mut it = mem.iter();
         // `model.len()` stands for "not valid".
         let mut pos = model.len();
@@ -224,7 +222,8 @@ proptest! {
                     let lk = LookupKey::new(&user_key(key_id), seq);
                     it.seek(lk.internal_key());
                     pos = model.partition_point(|(ik, _)| {
-                        icmp.compare(ik, lk.internal_key()) == std::cmp::Ordering::Less
+                        InternalKeyComparator.compare(ik, lk.internal_key())
+                            == std::cmp::Ordering::Less
                     });
                 }
                 // Stepping an invalid iterator is a contract violation.

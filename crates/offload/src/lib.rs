@@ -781,8 +781,6 @@ mod loom_models {
 
     fn builder_options() -> TableBuilderOptions {
         TableBuilderOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
             block_size: 512,
             ..Default::default()
         }
@@ -803,11 +801,7 @@ mod loom_models {
         }
         let size = b.finish().expect("finish");
         let file = env.open_random_access(Path::new(path)).expect("open");
-        let read_opts = TableReadOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        };
+        let read_opts = TableReadOptions::default();
         CompactionInput {
             tables: vec![Table::open(file, size, read_opts).expect("table")],
         }
@@ -848,11 +842,7 @@ mod loom_models {
         env: &MemEnv,
         outputs: &[lsm::compaction::OutputTableMeta],
     ) -> Vec<(Vec<u8>, u64, ValueType, Vec<u8>)> {
-        let read_opts = TableReadOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        };
+        let read_opts = TableReadOptions::default();
         let mut all = Vec::new();
         for meta in outputs {
             let path = format!("/out-{}.ldb", meta.number);

@@ -3,12 +3,11 @@
 
 use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::coding::{decode_fixed32, get_varint32};
-use crate::comparator::Comparator;
+use crate::comparator::InternalKeyComparator;
 use crate::{corruption, Result};
 
 /// An immutable, decoded-on-demand block (data or index).
@@ -64,31 +63,21 @@ impl Block {
         decode_fixed32(&self.contents[self.restart_offset + i as usize * 4..]) as usize
     }
 
-    /// Finds the first entry with key >= `target`: binary search over the
-    /// restart points, then a scan inside the restart block. The entry's
-    /// key is left in `key_buf` (whose capacity is reused from call to
-    /// call) and the range of its value within [`Block::contents`] is
-    /// returned; `None` when every key is smaller. Borrows the block and
-    /// the comparator — a point lookup needs no iterator.
-    pub fn seek(
-        &self,
-        cmp: &dyn Comparator,
-        target: &[u8],
-        key_buf: &mut Vec<u8>,
-    ) -> Result<Option<Range<usize>>> {
+    /// Finds the first entry with key >= `target` in internal-key order:
+    /// binary search over the restart points, then a scan inside the
+    /// restart block. The entry's key is left in `key_buf` (whose
+    /// capacity is reused from call to call) and the range of its value
+    /// within [`Block::contents`] is returned; `None` when every key is
+    /// smaller. Borrows the block — a point lookup needs no iterator.
+    pub fn seek(&self, target: &[u8], key_buf: &mut Vec<u8>) -> Result<Option<Range<usize>>> {
         Ok(self
-            .seek_entry(cmp, target, key_buf)?
+            .seek_entry(target, key_buf)?
             .map(|entry| entry.value.0..entry.value.1))
     }
 
     /// [`Block::seek`], also saying where the entry sits so that
     /// [`BlockIter::seek`] can step on from it.
-    fn seek_entry(
-        &self,
-        cmp: &dyn Comparator,
-        target: &[u8],
-        key: &mut Vec<u8>,
-    ) -> Result<Option<EntryPos>> {
+    fn seek_entry(&self, target: &[u8], key: &mut Vec<u8>) -> Result<Option<EntryPos>> {
         key.clear();
         if self.num_restarts == 0 || self.restart_offset == 0 {
             return Ok(None);
@@ -101,7 +90,7 @@ impl Block {
             let mid = (left + right).div_ceil(2);
             let restart_key = restart_key(data, self.restart_point(mid))
                 .ok_or_else(|| corruption("corrupt restart entry"))?;
-            if cmp.compare(restart_key, target) == Ordering::Less {
+            if InternalKeyComparator.compare(restart_key, target) == Ordering::Less {
                 left = mid;
             } else {
                 right = mid - 1;
@@ -112,7 +101,7 @@ impl Block {
         loop {
             let value =
                 decode_entry(data, offset, key).ok_or_else(|| corruption("corrupt block entry"))?;
-            if cmp.compare(key, target) != Ordering::Less {
+            if InternalKeyComparator.compare(key, target) != Ordering::Less {
                 return Ok(Some(EntryPos {
                     offset,
                     restart_index,
@@ -132,10 +121,9 @@ impl Block {
     }
 
     /// Creates an iterator over this block.
-    pub fn iter(&self, cmp: Arc<dyn Comparator>) -> BlockIter {
+    pub fn iter(&self) -> BlockIter {
         BlockIter {
             block: self.clone(),
-            cmp,
             current: self.restart_offset,
             restart_index: self.num_restarts,
             key: Vec::new(),
@@ -155,10 +143,15 @@ struct EntryPos {
     value: (usize, usize),
 }
 
+/// Every key a block holds is an internal key: a user key and the
+/// 8-byte trailer. A shorter decoded key is corruption, caught here
+/// before the internal-key order splits it.
+const MIN_KEY_LEN: usize = 8;
+
 /// Decodes the entry at `offset` of `data` (a block's entry area) on top
 /// of the previous entry's key in `key`, and returns the range of its
-/// value. `None` — with `key` untouched — when the entry is malformed or
-/// reaches outside `data`.
+/// value. `None` — with `key` untouched — when the entry is malformed,
+/// reaches outside `data` or decodes a key under [`MIN_KEY_LEN`] bytes.
 #[inline]
 fn decode_entry(data: &[u8], offset: usize, key: &mut Vec<u8>) -> Option<(usize, usize)> {
     let mut p = offset;
@@ -170,7 +163,10 @@ fn decode_entry(data: &[u8], offset: usize, key: &mut Vec<u8>) -> Option<(usize,
     p += n;
     let key_end = p.checked_add(non_shared as usize)?;
     let value_end = key_end.checked_add(value_len as usize)?;
-    if shared as usize > key.len() || value_end > data.len() {
+    if shared as usize > key.len()
+        || value_end > data.len()
+        || (shared as usize + non_shared as usize) < MIN_KEY_LEN
+    {
         return None;
     }
     key.truncate(shared as usize);
@@ -179,7 +175,8 @@ fn decode_entry(data: &[u8], offset: usize, key: &mut Vec<u8>) -> Option<(usize,
 }
 
 /// The key of the restart entry at `offset` of `data`, which shares
-/// nothing with its predecessor and so lies whole in the block. Decodes
+/// nothing with its predecessor and so lies whole in the block; `None`
+/// when malformed or under [`MIN_KEY_LEN`] bytes. Decodes
 /// the entry's three lengths itself rather than through a helper shared
 /// with [`decode_entry`]: this runs once per step of the binary search,
 /// and a helper handing back four numbers measured 100 ns a seek slower.
@@ -192,7 +189,7 @@ fn restart_key(data: &[u8], offset: usize) -> Option<&[u8]> {
     p += n;
     let (_value_len, n) = get_varint32(&data[p..])?;
     p += n;
-    if shared != 0 {
+    if shared != 0 || (non_shared as usize) < MIN_KEY_LEN {
         return None;
     }
     data.get(p..p.checked_add(non_shared as usize)?)
@@ -205,7 +202,6 @@ fn restart_key(data: &[u8], offset: usize) -> Option<&[u8]> {
 /// range pointing at the value bytes inside the block.
 pub struct BlockIter {
     block: Block,
-    cmp: Arc<dyn Comparator>,
     /// Offset of the current entry; `restart_offset` means "past the end".
     current: usize,
     /// Restart block containing `current`.
@@ -269,10 +265,7 @@ impl BlockIter {
 
     /// Positions at the first entry with key >= `target`.
     pub fn seek(&mut self, target: &[u8]) {
-        match self
-            .block
-            .seek_entry(self.cmp.as_ref(), target, &mut self.key)
-        {
+        match self.block.seek_entry(target, &mut self.key) {
             Ok(Some(entry)) => {
                 self.current = entry.offset;
                 self.restart_index = entry.restart_index;
@@ -473,14 +466,14 @@ impl BlockCursor {
 mod tests {
     use super::*;
     use crate::block_builder::BlockBuilder;
-    use crate::comparator::BytewiseComparator;
+    use crate::ikey::{test_key as ikey, MAX_SEQUENCE_NUMBER as MAX};
 
     #[allow(clippy::type_complexity)]
     fn sample_block(n: usize, interval: usize) -> (Block, Vec<(Vec<u8>, Vec<u8>)>) {
         let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..n)
             .map(|i| {
                 (
-                    format!("key{i:05}").into_bytes(),
+                    ikey(format!("key{i:05}").as_bytes(), 1),
                     format!("value-{i}").into_bytes(),
                 )
             })
@@ -495,7 +488,7 @@ mod tests {
     #[test]
     fn seek_finds_exact_and_between() {
         let (block, entries) = sample_block(100, 16);
-        let mut it = block.iter(Arc::new(BytewiseComparator));
+        let mut it = block.iter();
         // Exact hits.
         for (k, v) in &entries {
             it.seek(k);
@@ -504,15 +497,15 @@ mod tests {
             assert_eq!(it.value(), &v[..]);
         }
         // Between keys: "key00010x" -> key00011.
-        it.seek(b"key00010x");
+        it.seek(&ikey(b"key00010x", MAX));
         assert!(it.valid());
-        assert_eq!(it.key(), b"key00011");
+        assert_eq!(it.key(), ikey(b"key00011", 1));
         // Before all.
-        it.seek(b"aaa");
+        it.seek(&ikey(b"aaa", MAX));
         assert!(it.valid());
-        assert_eq!(it.key(), b"key00000");
+        assert_eq!(it.key(), ikey(b"key00000", 1));
         // Past all.
-        it.seek(b"zzz");
+        it.seek(&ikey(b"zzz", MAX));
         assert!(!it.valid());
     }
 
@@ -556,7 +549,7 @@ mod tests {
     fn forward_scan_covers_all() {
         for interval in [1usize, 2, 7, 16, 64] {
             let (block, entries) = sample_block(137, interval);
-            let mut it = block.iter(Arc::new(BytewiseComparator));
+            let mut it = block.iter();
             it.seek_to_first();
             let mut count = 0;
             while it.valid() {
@@ -571,7 +564,7 @@ mod tests {
     #[test]
     fn backward_scan_covers_all() {
         let (block, entries) = sample_block(60, 8);
-        let mut it = block.iter(Arc::new(BytewiseComparator));
+        let mut it = block.iter();
         it.seek_to_last();
         let mut idx = entries.len();
         while it.valid() {
@@ -599,22 +592,56 @@ mod tests {
         contents.extend_from_slice(&0u32.to_le_bytes()); // restart[0] = 0
         contents.extend_from_slice(&1u32.to_le_bytes()); // num_restarts = 1
         let block = Block::new(contents.into()).unwrap();
-        let mut it = block.iter(Arc::new(BytewiseComparator));
+        let mut it = block.iter();
         it.seek_to_first();
         assert!(!it.valid());
         assert!(it.corrupted());
     }
 
+    /// A key too short to hold the trailer is corruption wherever the
+    /// order would meet it: as the only entry, as a restart key the
+    /// binary search reads, and after a good key.
+    #[test]
+    fn a_key_shorter_than_the_trailer_is_corruption() {
+        let (good, after) = (ikey(b"key", 1), ikey(b"zzz", 1));
+        for (keys, interval) in [
+            (vec![&b"abc"[..]], 16),
+            (vec![&good[..], b"abc", &after[..]], 1),
+            (vec![&good[..], b"abc"], 16),
+        ] {
+            let mut b = BlockBuilder::new(interval);
+            for k in keys {
+                b.add(k, b"v");
+            }
+            let block = Block::new(b.finish().to_vec().into()).unwrap();
+            let probe = ikey(b"yyy", MAX);
+            assert!(block.seek(&probe, &mut Vec::new()).is_err());
+            let mut it = block.iter();
+            it.seek(&probe);
+            assert!(!it.valid() && it.corrupted());
+            let mut it = block.iter();
+            it.seek_to_first();
+            while it.valid() {
+                it.next();
+            }
+            assert!(it.corrupted());
+            let mut cursor = BlockCursor::new();
+            cursor.reset(block.contents()).unwrap();
+            while cursor.advance(block.contents()) {}
+            assert!(cursor.corrupted());
+        }
+    }
+
     #[test]
     fn seek_on_single_entry_block() {
         let (block, _) = sample_block(1, 16);
-        let mut it = block.iter(Arc::new(BytewiseComparator));
-        it.seek(b"key00000");
+        let mut it = block.iter();
+        it.seek(&ikey(b"key00000", MAX));
         assert!(it.valid());
-        it.seek(b"key00001");
+        it.seek(&ikey(b"key00001", MAX));
         assert!(!it.valid());
         it.seek_to_last();
         assert!(it.valid());
-        assert_eq!(it.key(), b"key00000");
+        assert_eq!(it.key(), ikey(b"key00000", 1));
     }
 }

@@ -9,6 +9,10 @@
 
 use crate::coding::{put_fixed32, put_varint32};
 
+/// Restart interval of every data block the store writes, host- or
+/// device-built (LevelDB's default). Index and metaindex blocks use 1.
+pub const RESTART_INTERVAL: usize = 16;
+
 /// Incremental builder for one block.
 pub struct BlockBuilder {
     buffer: Vec<u8>,
@@ -20,7 +24,8 @@ pub struct BlockBuilder {
 }
 
 impl BlockBuilder {
-    /// Creates a builder; LevelDB's default restart interval is 16.
+    /// Creates a builder restarting prefix sharing every
+    /// `restart_interval` entries.
     pub fn new(restart_interval: usize) -> Self {
         assert!(restart_interval >= 1);
         BlockBuilder {
@@ -34,7 +39,7 @@ impl BlockBuilder {
     }
 
     /// Appends an entry. Keys must be added in strictly increasing order
-    /// (the caller — `TableBuilder` — enforces the comparator order;
+    /// (the caller — `TableBuilder` — enforces the internal-key order;
     /// this type only assumes byte-prefix sharing is meaningful).
     pub fn add(&mut self, key: &[u8], value: &[u8]) {
         debug_assert!(!self.finished, "add after finish");
@@ -100,21 +105,21 @@ impl BlockBuilder {
 mod tests {
     use super::*;
     use crate::block::Block;
-    use crate::comparator::BytewiseComparator;
-    use std::sync::Arc;
+    use crate::ikey::test_key as ikey;
 
+    /// Round-trips `entries`, each user key as an internal key.
     fn build_and_read(entries: &[(&[u8], &[u8])], interval: usize) {
         let mut b = BlockBuilder::new(interval);
         for (k, v) in entries {
-            b.add(k, v);
+            b.add(&ikey(k, 1), v);
         }
         let contents = b.finish().to_vec();
         let block = Block::new(contents.into()).unwrap();
-        let mut it = block.iter(Arc::new(BytewiseComparator));
+        let mut it = block.iter();
         it.seek_to_first();
         for (k, v) in entries {
             assert!(it.valid());
-            assert_eq!(it.key(), *k);
+            assert_eq!(it.key(), ikey(k, 1));
             assert_eq!(it.value(), *v);
             it.next();
         }
@@ -123,10 +128,10 @@ mod tests {
 
     #[test]
     fn empty_block_roundtrip() {
-        let mut b = BlockBuilder::new(16);
+        let mut b = BlockBuilder::new(RESTART_INTERVAL);
         let contents = b.finish().to_vec();
         let block = Block::new(contents.into()).unwrap();
-        let mut it = block.iter(Arc::new(BytewiseComparator));
+        let mut it = block.iter();
         it.seek_to_first();
         assert!(!it.valid());
     }
@@ -169,7 +174,7 @@ mod tests {
         let mut b = BlockBuilder::new(4);
         for i in 0..100 {
             let k = format!("key{i:06}");
-            b.add(k.as_bytes(), b"some value bytes");
+            b.add(&ikey(k.as_bytes(), 1), b"some value bytes");
         }
         let est = b.current_size_estimate();
         let actual = b.finish().len();
@@ -179,16 +184,16 @@ mod tests {
     #[test]
     fn reset_clears_state() {
         let mut b = BlockBuilder::new(16);
-        b.add(b"aaa", b"1");
+        b.add(&ikey(b"aaa", 1), b"1");
         b.finish();
         b.reset();
         assert!(b.is_empty());
-        b.add(b"bbb", b"2");
+        b.add(&ikey(b"bbb", 1), b"2");
         let contents = b.finish().to_vec();
         let block = Block::new(contents.into()).unwrap();
-        let mut it = block.iter(Arc::new(BytewiseComparator));
+        let mut it = block.iter();
         it.seek_to_first();
-        assert_eq!(it.key(), b"bbb");
+        assert_eq!(it.key(), ikey(b"bbb", 1));
         it.next();
         assert!(!it.valid());
     }

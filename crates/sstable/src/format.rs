@@ -196,12 +196,8 @@ pub fn frame_block_into(
 /// Reads and verifies one block (contents + trailer) from `file` at
 /// `handle`, decompressing if needed. Asks `file` its length to check
 /// the handle against; an open [`Table`](crate::table::Table) knows it.
-pub fn read_block(
-    file: &dyn RandomAccessFile,
-    handle: &BlockHandle,
-    verify_checksums: bool,
-) -> Result<Bytes> {
-    read_block_within(file, file.len()?, handle, verify_checksums)
+pub fn read_block(file: &dyn RandomAccessFile, handle: &BlockHandle) -> Result<Bytes> {
+    read_block_within(file, file.len()?, handle)
 }
 
 /// [`read_block`] from a file of `file_size` bytes.
@@ -209,7 +205,6 @@ pub(crate) fn read_block_within(
     file: &dyn RandomAccessFile,
     file_size: u64,
     handle: &BlockHandle,
-    verify_checksums: bool,
 ) -> Result<Bytes> {
     let mut buf = vec![0u8; handle.framed_len_within(file_size)?];
     let n = buf.len() - BLOCK_TRAILER_SIZE;
@@ -221,15 +216,13 @@ pub(crate) fn read_block_within(
         )));
     }
     let ty_byte = buf[n];
-    if verify_checksums {
-        let stored = crc32c::unmask(decode_fixed32(&buf[n + 1..]));
-        let actual = crc32c::value(&buf[..n + 1]);
-        if stored != actual {
-            return Err(corruption(format!(
-                "block checksum mismatch at offset {}",
-                handle.offset
-            )));
-        }
+    let stored = crc32c::unmask(decode_fixed32(&buf[n + 1..]));
+    let actual = crc32c::value(&buf[..n + 1]);
+    if stored != actual {
+        return Err(corruption(format!(
+            "block checksum mismatch at offset {}",
+            handle.offset
+        )));
     }
     let ty = CompressionType::from_u8(ty_byte)
         .ok_or_else(|| corruption(format!("unknown compression tag {ty_byte}")))?;
@@ -298,7 +291,7 @@ mod tests {
         write_file(&env, Path::new("/b"), &framed);
         let f = env.open_random_access(Path::new("/b")).unwrap();
         let h = BlockHandle::new(0, contents.len() as u64);
-        let got = read_block(f.as_ref(), &h, true).unwrap();
+        let got = read_block(f.as_ref(), &h).unwrap();
         assert_eq!(&got[..], contents);
     }
 
@@ -313,7 +306,7 @@ mod tests {
         write_file(&env, Path::new("/b"), &framed);
         let f = env.open_random_access(Path::new("/b")).unwrap();
         let h = BlockHandle::new(0, (framed.len() - BLOCK_TRAILER_SIZE) as u64);
-        let got = read_block(f.as_ref(), &h, true).unwrap();
+        let got = read_block(f.as_ref(), &h).unwrap();
         assert_eq!(&got[..], &contents[..]);
     }
 
@@ -343,9 +336,7 @@ mod tests {
         write_file(&env, Path::new("/b"), &framed);
         let f = env.open_random_access(Path::new("/b")).unwrap();
         let h = BlockHandle::new(0, contents.len() as u64);
-        assert!(read_block(f.as_ref(), &h, true).is_err());
-        // With verification off, the corruption passes through.
-        assert!(read_block(f.as_ref(), &h, false).is_ok());
+        assert!(read_block(f.as_ref(), &h).is_err());
     }
 
     #[test]
@@ -354,6 +345,6 @@ mod tests {
         write_file(&env, Path::new("/b"), b"tiny");
         let f = env.open_random_access(Path::new("/b")).unwrap();
         let h = BlockHandle::new(0, 100);
-        assert!(read_block(f.as_ref(), &h, true).is_err());
+        assert!(read_block(f.as_ref(), &h).is_err());
     }
 }

@@ -128,6 +128,13 @@ impl InternalKey {
     }
 }
 
+/// `user_key` at `seq` as a live entry's encoded internal key; at
+/// [`MAX_SEQUENCE_NUMBER`] it probes before every stored version.
+#[cfg(test)]
+pub(crate) fn test_key(user_key: &[u8], seq: SequenceNumber) -> Vec<u8> {
+    InternalKey::new(user_key, seq, ValueType::Value).0
+}
+
 /// A seek key usable against both the memtable format (length-prefixed
 /// internal key) and the table format (bare internal key).
 pub struct LookupKey {

@@ -2,13 +2,12 @@
 //! CPU compaction and reads are built on.
 //!
 //! The merging iterator is the software equivalent of the paper's
-//! *Comparer* stage: it repeatedly selects the smallest key across N
-//! decoded input streams.
+//! *Comparer* stage: it repeatedly selects the smallest internal key
+//! across N decoded input streams.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
 
-use crate::comparator::Comparator;
+use crate::comparator::InternalKeyComparator;
 use crate::Result;
 
 /// A cursor over ordered key/value entries.
@@ -36,7 +35,8 @@ pub trait InternalIterator {
     fn status(&self) -> Result<()>;
 }
 
-/// Merges N child iterators into one ordered stream.
+/// Merges N child iterators over internal keys into one stream in
+/// internal-key order.
 ///
 /// Selection is a linear scan over children (LevelDB does the same for
 /// its typical small N); ties between children are broken by child index,
@@ -44,7 +44,6 @@ pub trait InternalIterator {
 /// deduplication relies on.
 pub struct MergingIterator {
     children: Vec<Box<dyn InternalIterator>>,
-    cmp: Arc<dyn Comparator>,
     /// Index of the child currently holding the smallest key.
     current: Option<usize>,
     /// Direction of the last movement (affects how re-seeks happen).
@@ -53,10 +52,9 @@ pub struct MergingIterator {
 
 impl MergingIterator {
     /// Creates a merging iterator over `children`.
-    pub fn new(children: Vec<Box<dyn InternalIterator>>, cmp: Arc<dyn Comparator>) -> Self {
+    pub fn new(children: Vec<Box<dyn InternalIterator>>) -> Self {
         MergingIterator {
             children,
-            cmp,
             current: None,
             forward: true,
         }
@@ -71,7 +69,9 @@ impl MergingIterator {
             match smallest {
                 None => smallest = Some(i),
                 Some(s) => {
-                    if self.cmp.compare(child.key(), self.children[s].key()) == Ordering::Less {
+                    if InternalKeyComparator.compare(child.key(), self.children[s].key())
+                        == Ordering::Less
+                    {
                         smallest = Some(i);
                     }
                 }
@@ -89,7 +89,9 @@ impl MergingIterator {
             match largest {
                 None => largest = Some(i),
                 Some(l) => {
-                    if self.cmp.compare(child.key(), self.children[l].key()) != Ordering::Less {
+                    if InternalKeyComparator.compare(child.key(), self.children[l].key())
+                        != Ordering::Less
+                    {
                         largest = Some(i);
                     }
                 }
@@ -140,7 +142,9 @@ impl InternalIterator for MergingIterator {
                     continue;
                 }
                 child.seek(&key);
-                if child.valid() && self.cmp.compare(child.key(), &key) == Ordering::Equal {
+                if child.valid()
+                    && InternalKeyComparator.compare(child.key(), &key) == Ordering::Equal
+                {
                     child.next();
                 }
             }
@@ -195,22 +199,14 @@ impl InternalIterator for MergingIterator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparator::BytewiseComparator;
+    use crate::ikey::{test_key as ikey, MAX_SEQUENCE_NUMBER as MAX};
 
-    /// An iterator over an in-memory vector of (key, value) pairs, sorted by
-    /// the caller.
+    /// An iterator over an in-memory vector of (internal key, value)
+    /// pairs, sorted by the caller.
     struct VecIterator {
-        entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>,
-        cmp: Arc<dyn Comparator>,
+        entries: Vec<(Vec<u8>, Vec<u8>)>,
         /// `entries.len()` means invalid.
         pos: usize,
-    }
-
-    impl VecIterator {
-        fn new(entries: Arc<Vec<(Vec<u8>, Vec<u8>)>>, cmp: Arc<dyn Comparator>) -> Self {
-            let pos = entries.len();
-            VecIterator { entries, cmp, pos }
-        }
     }
 
     impl InternalIterator for VecIterator {
@@ -230,9 +226,9 @@ mod tests {
         }
 
         fn seek(&mut self, target: &[u8]) {
-            self.pos = self
-                .entries
-                .partition_point(|(k, _)| self.cmp.compare(k, target) == Ordering::Less);
+            self.pos = self.entries.partition_point(|(k, _)| {
+                InternalKeyComparator.compare(k, target) == Ordering::Less
+            });
         }
 
         fn next(&mut self) {
@@ -262,23 +258,23 @@ mod tests {
         }
     }
 
+    /// A child holding `pairs`, each user key at sequence 1.
     fn vec_iter(pairs: &[(&str, &str)]) -> Box<dyn InternalIterator> {
         let entries: Vec<(Vec<u8>, Vec<u8>)> = pairs
             .iter()
-            .map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()))
+            .map(|(k, v)| (ikey(k.as_bytes(), 1), v.as_bytes().to_vec()))
             .collect();
-        Box::new(VecIterator::new(
-            Arc::new(entries),
-            Arc::new(BytewiseComparator),
-        ))
+        let pos = entries.len();
+        Box::new(VecIterator { entries, pos })
     }
 
+    /// (user key, value) of every entry, first to last.
     fn collect_forward(it: &mut dyn InternalIterator) -> Vec<(String, String)> {
         let mut out = Vec::new();
         it.seek_to_first();
         while it.valid() {
             out.push((
-                String::from_utf8(it.key().to_vec()).unwrap(),
+                String::from_utf8(it.key()[..it.key().len() - 8].to_vec()).unwrap(),
                 String::from_utf8(it.value().to_vec()).unwrap(),
             ));
             it.next();
@@ -288,14 +284,11 @@ mod tests {
 
     #[test]
     fn merge_interleaved_sources() {
-        let mut m = MergingIterator::new(
-            vec![
-                vec_iter(&[("a", "1"), ("d", "4"), ("g", "7")]),
-                vec_iter(&[("b", "2"), ("e", "5")]),
-                vec_iter(&[("c", "3"), ("f", "6"), ("h", "8")]),
-            ],
-            Arc::new(BytewiseComparator),
-        );
+        let mut m = MergingIterator::new(vec![
+            vec_iter(&[("a", "1"), ("d", "4"), ("g", "7")]),
+            vec_iter(&[("b", "2"), ("e", "5")]),
+            vec_iter(&[("c", "3"), ("f", "6"), ("h", "8")]),
+        ]);
         let got = collect_forward(&mut m);
         let keys: Vec<&str> = got.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["a", "b", "c", "d", "e", "f", "g", "h"]);
@@ -303,10 +296,8 @@ mod tests {
 
     #[test]
     fn ties_prefer_earlier_child() {
-        let mut m = MergingIterator::new(
-            vec![vec_iter(&[("k", "new")]), vec_iter(&[("k", "old")])],
-            Arc::new(BytewiseComparator),
-        );
+        let mut m =
+            MergingIterator::new(vec![vec_iter(&[("k", "new")]), vec_iter(&[("k", "old")])]);
         m.seek_to_first();
         assert_eq!(m.value(), b"new");
         m.next();
@@ -316,52 +307,50 @@ mod tests {
 
     #[test]
     fn seek_lands_on_lower_bound() {
-        let mut m = MergingIterator::new(
-            vec![vec_iter(&[("a", "1"), ("e", "5")]), vec_iter(&[("c", "3")])],
-            Arc::new(BytewiseComparator),
-        );
-        m.seek(b"b");
+        let mut m = MergingIterator::new(vec![
+            vec_iter(&[("a", "1"), ("e", "5")]),
+            vec_iter(&[("c", "3")]),
+        ]);
+        m.seek(&ikey(b"b", MAX));
         assert!(m.valid());
-        assert_eq!(m.key(), b"c");
-        m.seek(b"e");
-        assert_eq!(m.key(), b"e");
-        m.seek(b"z");
+        assert_eq!(m.key(), ikey(b"c", 1));
+        m.seek(&ikey(b"e", MAX));
+        assert_eq!(m.key(), ikey(b"e", 1));
+        m.seek(&ikey(b"z", MAX));
         assert!(!m.valid());
+        // A version older than the stored one lies past it.
+        m.seek(&ikey(b"c", 0));
+        assert_eq!(m.key(), ikey(b"e", 1));
     }
 
     #[test]
     fn empty_children_are_fine() {
-        let mut m = MergingIterator::new(
-            vec![vec_iter(&[]), vec_iter(&[("x", "1")]), vec_iter(&[])],
-            Arc::new(BytewiseComparator),
-        );
+        let mut m =
+            MergingIterator::new(vec![vec_iter(&[]), vec_iter(&[("x", "1")]), vec_iter(&[])]);
         let got = collect_forward(&mut m);
         assert_eq!(got, [("x".to_string(), "1".to_string())]);
-        let mut all_empty = MergingIterator::new(vec![vec_iter(&[])], Arc::new(BytewiseComparator));
+        let mut all_empty = MergingIterator::new(vec![vec_iter(&[])]);
         all_empty.seek_to_first();
         assert!(!all_empty.valid());
     }
 
     #[test]
     fn backward_scan_and_direction_switch() {
-        let mut m = MergingIterator::new(
-            vec![
-                vec_iter(&[("a", "1"), ("c", "3")]),
-                vec_iter(&[("b", "2"), ("d", "4")]),
-            ],
-            Arc::new(BytewiseComparator),
-        );
+        let mut m = MergingIterator::new(vec![
+            vec_iter(&[("a", "1"), ("c", "3")]),
+            vec_iter(&[("b", "2"), ("d", "4")]),
+        ]);
         m.seek_to_last();
-        assert_eq!(m.key(), b"d");
+        assert_eq!(m.key(), ikey(b"d", 1));
         m.prev();
-        assert_eq!(m.key(), b"c");
+        assert_eq!(m.key(), ikey(b"c", 1));
         m.prev();
-        assert_eq!(m.key(), b"b");
+        assert_eq!(m.key(), ikey(b"b", 1));
         // Switch direction: next should return to "c".
         m.next();
-        assert_eq!(m.key(), b"c");
+        assert_eq!(m.key(), ikey(b"c", 1));
         m.next();
-        assert_eq!(m.key(), b"d");
+        assert_eq!(m.key(), ikey(b"d", 1));
         m.next();
         assert!(!m.valid());
     }

@@ -5,21 +5,28 @@
 //! implements that format faithfully:
 //!
 //! * **Data blocks** (`block`, `block_builder`) — prefix-compressed
-//!   key/value entries with restart points every 16 entries, followed by
-//!   the restart array and its count.
+//!   key/value entries with restart points every
+//!   [`block_builder::RESTART_INTERVAL`] (16) entries, followed by the
+//!   restart array and its count.
 //! * **Block trailer** (`format`) — a one-byte compression tag (none /
-//!   Snappy) plus a masked CRC32C over the block contents and tag.
+//!   Snappy) plus a masked CRC32C over the block contents and tag,
+//!   verified on every block read.
 //! * **Index block** — a data block whose keys are separators between
 //!   adjacent data blocks and whose values are [`format::BlockHandle`]s
 //!   (offset + size varints). This is the block the paper's *Index Block
 //!   Decoder* parses.
 //! * **Filter block** (`filter_block`, `bloom`) — LevelDB's bloom-filter
-//!   metablock.
+//!   metablock, built over user keys (each internal key minus its
+//!   trailer), found in the metaindex by its exact name.
 //! * **Footer** — metaindex handle + index handle, padded to 48 bytes,
 //!   ending in the 8-byte LevelDB magic number.
 //! * **Internal keys** (`ikey`) — user key + the 8-byte trailer packing a
 //!   56-bit sequence number and a value type. The trailer is the paper's
 //!   "mark fields": with 16-byte user keys, `L_key = 16 + 8 = 24`.
+//! * **Key order** (`comparator`) — one order, the paper's Comparer's:
+//!   [`InternalKeyComparator`], user key ascending, then sequence
+//!   descending. Data and index blocks hold internal keys only; a decoded
+//!   key shorter than the trailer is corruption.
 //!
 //! [`table_builder::TableBuilder`] writes tables, [`table::Table`] reads
 //! them, and [`iterator`] provides the
@@ -44,7 +51,7 @@ pub mod table_builder;
 pub use block::Block;
 pub use block_builder::BlockBuilder;
 pub use cache::BlockCache;
-pub use comparator::{BytewiseComparator, Comparator, InternalKeyComparator};
+pub use comparator::InternalKeyComparator;
 pub use env::{
     FaultEnv, FaultKind, MemEnv, PowerCutReport, RandomAccessFile, StdEnv, StorageEnv, WritableFile,
 };

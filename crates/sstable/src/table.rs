@@ -1,7 +1,8 @@
 //! SSTable reader: footer/index parsing, filtered point lookups, and the
 //! two-level iterator (index block → data block), i.e. exactly the
 //! "stop scanning, fetch meta data of the next data block from the index
-//! block, then come back" walk the paper describes in §II-B.
+//! block, then come back" walk the paper describes in §II-B. Every block
+//! read verifies its checksum.
 
 use std::sync::Arc;
 
@@ -9,38 +10,28 @@ use parking_lot::Mutex;
 
 use crate::block::{Block, BlockIter};
 use crate::bloom::BloomFilterPolicy;
-use crate::comparator::Comparator;
 use crate::env::RandomAccessFile;
 use crate::filter_block::FilterBlockReader;
 use crate::format::{read_block_within, BlockHandle, Footer, FOOTER_ENCODED_LENGTH};
 use crate::iterator::InternalIterator;
+use crate::table_builder::filter_key;
 use crate::{corruption, Error, Result};
 
 /// Options controlling how a table is read.
 #[derive(Clone)]
 pub struct TableReadOptions {
-    /// Verify block CRCs on every read.
-    pub verify_checksums: bool,
     /// Shared block cache; `None` keeps only the per-table one-block
     /// cache.
-    pub block_cache: Option<std::sync::Arc<crate::cache::BlockCache>>,
-    /// Comparator; must match the one the table was built with.
-    pub comparator: Arc<dyn Comparator>,
+    pub block_cache: Option<Arc<crate::cache::BlockCache>>,
     /// Filter policy for the filter metablock, if one was written.
     pub filter_policy: Option<BloomFilterPolicy>,
-    /// Must match `TableBuilderOptions::internal_key_filter`: filter probes
-    /// strip the 8-byte internal-key trailer before the bloom check.
-    pub internal_key_filter: bool,
 }
 
 impl Default for TableReadOptions {
     fn default() -> Self {
         TableReadOptions {
-            verify_checksums: true,
             block_cache: None,
-            comparator: Arc::new(crate::comparator::BytewiseComparator),
             filter_policy: Some(BloomFilterPolicy::new(10)),
-            internal_key_filter: false,
         }
     }
 }
@@ -95,36 +86,27 @@ impl Table {
         }
         let footer = Footer::decode(&footer_buf)?;
 
-        let index_contents = read_block_within(
-            file.as_ref(),
-            file_size,
-            &footer.index_handle,
-            options.verify_checksums,
-        )?;
+        let index_contents = read_block_within(file.as_ref(), file_size, &footer.index_handle)?;
         let index_block = Block::new(index_contents)?;
 
-        // Filter metablock, if present and a policy is configured.
+        // Filter metablock, if present and a policy is configured. The
+        // metaindex holds one entry per metablock; it is searched by
+        // exact key, as its keys are names, not internal keys.
         let mut filter = None;
         if let Some(policy) = options.filter_policy {
             if footer.metaindex_handle.size > 0 {
-                let meta_contents = read_block_within(
-                    file.as_ref(),
-                    file_size,
-                    &footer.metaindex_handle,
-                    options.verify_checksums,
-                )?;
+                let meta_contents =
+                    read_block_within(file.as_ref(), file_size, &footer.metaindex_handle)?;
                 let meta_block = Block::new(meta_contents)?;
-                let mut it = meta_block.iter(Arc::new(crate::comparator::BytewiseComparator));
+                let mut it = meta_block.iter();
                 let key = policy.metaindex_key();
-                it.seek(key.as_bytes());
-                if it.valid() && it.key() == key.as_bytes() {
+                it.seek_to_first();
+                while it.valid() && it.key() != key.as_bytes() {
+                    it.next();
+                }
+                if it.valid() {
                     let (handle, _) = BlockHandle::decode_from(it.value())?;
-                    let filter_contents = read_block_within(
-                        file.as_ref(),
-                        file_size,
-                        &handle,
-                        options.verify_checksums,
-                    )?;
+                    let filter_contents = read_block_within(file.as_ref(), file_size, &handle)?;
                     filter = FilterBlockReader::new(policy, filter_contents.to_vec());
                 }
             }
@@ -155,7 +137,7 @@ impl Table {
     /// All data block handles in key order, as recorded in the index block.
     pub fn data_block_handles(&self) -> Result<Vec<BlockHandle>> {
         let mut out = Vec::new();
-        let mut it = self.index_block.iter(Arc::clone(&self.options.comparator));
+        let mut it = self.index_block.iter();
         it.seek_to_first();
         while it.valid() {
             let (handle, _) = BlockHandle::decode_from(it.value())?;
@@ -193,7 +175,6 @@ impl Table {
                 self.file.as_ref(),
                 self.file_size,
                 handle,
-                self.options.verify_checksums,
             )?)
         };
         if let Some(cache) = &self.options.block_cache {
@@ -245,12 +226,11 @@ impl Table {
         key_buf: &mut Vec<u8>,
         stats: &mut GetStats,
     ) -> Result<Option<Vec<u8>>> {
-        let cmp = self.options.comparator.as_ref();
-        let Some(handle_at) = self.index_block.seek(cmp, target, key_buf)? else {
+        let Some(handle_at) = self.index_block.seek(target, key_buf)? else {
             return Ok(None);
         };
         let (handle, _) = BlockHandle::decode_from(&self.index_block.contents()[handle_at])?;
-        let probe = crate::table_builder::filter_key(target, self.options.internal_key_filter);
+        let probe = filter_key(target);
         if let Some(filter) = &self.filter {
             stats.filter_checked += 1;
             if !filter.key_may_match(handle.offset, probe) {
@@ -265,13 +245,11 @@ impl Table {
             None => {}
         }
         let found = block
-            .seek(cmp, target, key_buf)
+            .seek(target, key_buf)
             .map_err(|_| corruption("corrupt data block entry"))?
             .map(|value_at| block.contents()[value_at].to_vec());
         if self.filter.is_some() {
-            let holds_key = found.is_some()
-                && crate::table_builder::filter_key(key_buf, self.options.internal_key_filter)
-                    == probe;
+            let holds_key = found.is_some() && filter_key(key_buf) == probe;
             stats.filter_false_positive += u32::from(!holds_key);
         }
         Ok(found)
@@ -289,7 +267,7 @@ impl Table {
     pub fn iter_with(self: &Arc<Self>, fill_cache: bool) -> TableIterator {
         TableIterator {
             table: Arc::clone(self),
-            index_iter: self.index_block.iter(Arc::clone(&self.options.comparator)),
+            index_iter: self.index_block.iter(),
             data_iter: None,
             error: None,
             fill_cache,
@@ -299,7 +277,7 @@ impl Table {
     /// Approximate file offset of `key` within the table (used for
     /// `ApproximateSizes`-style queries and compaction splitting).
     pub fn approximate_offset_of(&self, key: &[u8]) -> u64 {
-        let mut it = self.index_block.iter(Arc::clone(&self.options.comparator));
+        let mut it = self.index_block.iter();
         it.seek(key);
         if it.valid() {
             if let Ok((handle, _)) = BlockHandle::decode_from(it.value()) {
@@ -329,7 +307,7 @@ impl TableIterator {
         match BlockHandle::decode_from(self.index_iter.value()) {
             Ok((handle, _)) => match self.table.load_block(&handle, self.fill_cache) {
                 Ok((block, _)) => {
-                    self.data_iter = Some(block.iter(Arc::clone(&self.table.options.comparator)));
+                    self.data_iter = Some(block.iter());
                 }
                 Err(e) => self.error = Some(e.to_string()),
             },
@@ -337,9 +315,14 @@ impl TableIterator {
         }
     }
 
-    /// Advances past empty data blocks in the forward direction.
+    /// Advances past empty data blocks in the forward direction; stops
+    /// at a corrupt one, which `status` reports.
     fn skip_empty_data_blocks_forward(&mut self) {
-        while self.data_iter.as_ref().is_some_and(|d| !d.valid()) {
+        while self
+            .data_iter
+            .as_ref()
+            .is_some_and(|d| !d.valid() && !d.corrupted())
+        {
             if !self.index_iter.valid() {
                 self.data_iter = None;
                 return;
@@ -353,7 +336,11 @@ impl TableIterator {
     }
 
     fn skip_empty_data_blocks_backward(&mut self) {
-        while self.data_iter.as_ref().is_some_and(|d| !d.valid()) {
+        while self
+            .data_iter
+            .as_ref()
+            .is_some_and(|d| !d.valid() && !d.corrupted())
+        {
             if !self.index_iter.valid() {
                 self.data_iter = None;
                 return;
@@ -432,8 +419,11 @@ impl InternalIterator for TableIterator {
     }
 
     fn status(&self) -> Result<()> {
+        let corrupt_entry = self.index_iter.corrupted()
+            || self.data_iter.as_ref().is_some_and(BlockIter::corrupted);
         match &self.error {
             Some(e) => Err(Error::Corruption(e.clone())),
+            None if corrupt_entry => Err(corruption("corrupt block entry")),
             None => Ok(()),
         }
     }
@@ -444,6 +434,7 @@ mod tests {
     use super::*;
     use crate::env::{MemEnv, StorageEnv};
     use crate::format::CompressionType;
+    use crate::ikey::{test_key as ikey, MAX_SEQUENCE_NUMBER as MAX};
     use crate::table_builder::{TableBuilder, TableBuilderOptions};
     use std::path::Path;
 
@@ -464,7 +455,7 @@ mod tests {
         for i in 0..n {
             let k = format!("key{i:06}");
             let v = format!("value-{i}-{}", "x".repeat(i % 40));
-            b.add(k.as_bytes(), v.as_bytes()).unwrap();
+            b.add(&ikey(k.as_bytes(), 1), v.as_bytes()).unwrap();
         }
         let size = b.finish().unwrap();
         let file = env.open_random_access(Path::new(path)).unwrap();
@@ -485,7 +476,7 @@ mod tests {
                 if let Some(prev) = &last {
                     assert!(prev < &k, "keys out of order");
                 }
-                assert_eq!(k, format!("key{count:06}").as_bytes());
+                assert_eq!(k, ikey(format!("key{count:06}").as_bytes(), 1));
                 last = Some(k);
                 count += 1;
                 it.next();
@@ -532,14 +523,14 @@ mod tests {
         // Hits.
         for i in [0usize, 1, 77, 250, 499] {
             let k = format!("key{i:06}");
-            let got = table.get(k.as_bytes()).unwrap();
+            let got = table.get(&ikey(k.as_bytes(), MAX)).unwrap();
             let (fk, _) = got.expect("should find key");
-            assert_eq!(fk, k.as_bytes());
+            assert_eq!(fk, ikey(k.as_bytes(), 1));
         }
         // Miss past the end.
-        assert!(table.get(b"zzzzzz").unwrap().is_none());
+        assert!(table.get(&ikey(b"zzzzzz", MAX)).unwrap().is_none());
         // Between-keys probe: the bloom filter excludes it outright.
-        assert!(table.get(b"key000250a").unwrap().is_none());
+        assert!(table.get(&ikey(b"key000250a", MAX)).unwrap().is_none());
 
         // Without a filter, between-keys probes return the successor and
         // callers check exactness (the LSM layer relies on this).
@@ -550,7 +541,8 @@ mod tests {
         };
         let mut b = TableBuilder::new(bopts, f);
         for i in 0..100 {
-            b.add(format!("key{i:06}").as_bytes(), b"v").unwrap();
+            b.add(&ikey(format!("key{i:06}").as_bytes(), 1), b"v")
+                .unwrap();
         }
         let size = b.finish().unwrap();
         let file = env.open_random_access(Path::new("/nofilter")).unwrap();
@@ -559,8 +551,8 @@ mod tests {
             ..Default::default()
         };
         let table = Table::open(file, size, ropts).unwrap();
-        let got = table.get(b"key000050a").unwrap().unwrap();
-        assert_eq!(got.0, b"key000051");
+        let got = table.get(&ikey(b"key000050a", MAX)).unwrap().unwrap();
+        assert_eq!(got.0, ikey(b"key000051", 1));
     }
 
     #[test]
@@ -568,15 +560,18 @@ mod tests {
         let env = MemEnv::new();
         let table = build_table(&env, "/t", 300, 256, CompressionType::None);
         let mut it = table.iter();
-        it.seek(b"key000123");
+        it.seek(&ikey(b"key000123", MAX));
         assert!(it.valid());
-        assert_eq!(it.key(), b"key000123");
-        it.seek(b"key000123a");
-        assert_eq!(it.key(), b"key000124");
-        it.seek(b"zzz");
+        assert_eq!(it.key(), ikey(b"key000123", 1));
+        // A version older than the stored one lies past it.
+        it.seek(&ikey(b"key000123", 0));
+        assert_eq!(it.key(), ikey(b"key000124", 1));
+        it.seek(&ikey(b"key000123a", MAX));
+        assert_eq!(it.key(), ikey(b"key000124", 1));
+        it.seek(&ikey(b"zzz", MAX));
         assert!(!it.valid());
-        it.seek(b"");
-        assert_eq!(it.key(), b"key000000");
+        it.seek(&ikey(b"", MAX));
+        assert_eq!(it.key(), ikey(b"key000000", 1));
     }
 
     #[test]
@@ -588,7 +583,7 @@ mod tests {
         let mut idx = 100;
         while it.valid() {
             idx -= 1;
-            assert_eq!(it.key(), format!("key{idx:06}").as_bytes());
+            assert_eq!(it.key(), ikey(format!("key{idx:06}").as_bytes(), 1));
             it.prev();
         }
         assert_eq!(idx, 0);
@@ -605,7 +600,7 @@ mod tests {
         let mut it = table.iter();
         it.seek_to_first();
         assert!(!it.valid());
-        assert!(table.get(b"anything").unwrap().is_none());
+        assert!(table.get(&ikey(b"anything", MAX)).unwrap().is_none());
     }
 
     #[test]
@@ -624,10 +619,10 @@ mod tests {
     fn approximate_offsets_monotonic() {
         let env = MemEnv::new();
         let table = build_table(&env, "/t", 1000, 512, CompressionType::None);
-        let o1 = table.approximate_offset_of(b"key000100");
-        let o2 = table.approximate_offset_of(b"key000500");
-        let o3 = table.approximate_offset_of(b"key000900");
+        let o1 = table.approximate_offset_of(&ikey(b"key000100", MAX));
+        let o2 = table.approximate_offset_of(&ikey(b"key000500", MAX));
+        let o3 = table.approximate_offset_of(&ikey(b"key000900", MAX));
         assert!(o1 <= o2 && o2 <= o3);
-        assert!(table.approximate_offset_of(b"zzzz") <= table.file_size());
+        assert!(table.approximate_offset_of(&ikey(b"zzzz", MAX)) <= table.file_size());
     }
 }

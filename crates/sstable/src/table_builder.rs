@@ -2,13 +2,16 @@
 //!
 //! Emits data blocks of ~`block_size` bytes, the optional filter
 //! metablock, the metaindex block, the index block whose entries the
-//! paper's Index Block Decoder consumes, and the footer.
+//! paper's Index Block Decoder consumes, and the footer. Keys are
+//! internal keys in [`InternalKeyComparator`] order, data blocks restart
+//! every [`RESTART_INTERVAL`] entries and filters cover user keys: the
+//! one table format every writer of the store shares.
 
-use std::sync::Arc;
+use std::cmp::Ordering;
 
-use crate::block_builder::BlockBuilder;
+use crate::block_builder::{BlockBuilder, RESTART_INTERVAL};
 use crate::bloom::BloomFilterPolicy;
-use crate::comparator::Comparator;
+use crate::comparator::InternalKeyComparator;
 use crate::env::WritableFile;
 use crate::filter_block::FilterBlockBuilder;
 use crate::format::{frame_block_into, BlockHandle, CompressionType, Footer, BLOCK_TRAILER_SIZE};
@@ -19,41 +22,27 @@ use crate::{Error, Result};
 pub struct TableBuilderOptions {
     /// Target uncompressed data block size (paper default: 4 KiB).
     pub block_size: usize,
-    /// Restart interval within blocks.
-    pub block_restart_interval: usize,
     /// Compression applied to blocks.
     pub compression: CompressionType,
     /// Bloom filter policy; `None` disables the filter metablock.
     pub filter_policy: Option<BloomFilterPolicy>,
-    /// When true, the keys being added are internal keys and the filter is
-    /// built over their user-key prefix (LevelDB's `InternalFilterPolicy`),
-    /// so point lookups with any sequence number can use the filter.
-    pub internal_key_filter: bool,
-    /// Key ordering.
-    pub comparator: Arc<dyn Comparator>,
 }
 
 impl Default for TableBuilderOptions {
     fn default() -> Self {
         TableBuilderOptions {
             block_size: 4096,
-            block_restart_interval: 16,
             compression: CompressionType::Snappy,
             filter_policy: Some(BloomFilterPolicy::new(10)),
-            internal_key_filter: false,
-            comparator: Arc::new(crate::comparator::BytewiseComparator),
         }
     }
 }
 
-/// Key as seen by the filter: the user-key prefix when the table stores
-/// internal keys, the raw key otherwise.
-pub fn filter_key(key: &[u8], internal: bool) -> &[u8] {
-    if internal && key.len() >= 8 {
-        &key[..key.len() - 8]
-    } else {
-        key
-    }
+/// Key as seen by the filter: the user-key prefix of an internal key
+/// (LevelDB's `InternalFilterPolicy`), so point lookups at any sequence
+/// number can use the filter.
+pub fn filter_key(key: &[u8]) -> &[u8] {
+    &key[..key.len().saturating_sub(8)]
 }
 
 /// Incrementally builds one SSTable into a writable file.
@@ -85,7 +74,7 @@ impl TableBuilder {
     pub fn new(options: TableBuilderOptions, file: Box<dyn WritableFile>) -> Self {
         let filter_builder = options.filter_policy.map(FilterBlockBuilder::new);
         TableBuilder {
-            data_block: BlockBuilder::new(options.block_restart_interval),
+            data_block: BlockBuilder::new(RESTART_INTERVAL),
             // LevelDB uses restart interval 1 for index blocks.
             index_block: BlockBuilder::new(1),
             options,
@@ -103,14 +92,19 @@ impl TableBuilder {
         }
     }
 
-    /// Adds a key/value pair; keys must arrive in strictly increasing
-    /// comparator order.
+    /// Adds a key/value pair; keys must be internal keys arriving in
+    /// strictly increasing internal-key order.
     pub fn add(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         if self.finished {
             return Err(Error::InvalidArgument("add after finish".into()));
         }
+        if key.len() < 8 {
+            return Err(Error::InvalidArgument(format!(
+                "key {key:?} is shorter than the internal-key trailer"
+            )));
+        }
         if self.num_entries > 0
-            && self.options.comparator.compare(key, &self.last_key) != std::cmp::Ordering::Greater
+            && InternalKeyComparator.compare(key, &self.last_key) != Ordering::Greater
         {
             return Err(Error::InvalidArgument(format!(
                 "keys out of order: {:?} after {:?}",
@@ -120,15 +114,12 @@ impl TableBuilder {
 
         if let Some(handle) = self.pending_index_entry.take() {
             // First key of a new block: index separator between blocks.
-            let sep = self
-                .options
-                .comparator
-                .find_shortest_separator(&self.last_key, key);
+            let sep = InternalKeyComparator.find_shortest_separator(&self.last_key, key);
             self.index_block.add(&sep, &handle.encode());
         }
 
         if let Some(fb) = &mut self.filter_builder {
-            fb.add_key(filter_key(key, self.options.internal_key_filter));
+            fb.add_key(filter_key(key));
         }
 
         self.last_key.clear();
@@ -207,7 +198,7 @@ impl TableBuilder {
 
         // Index block: flush the pending entry with a short successor key.
         if let Some(handle) = self.pending_index_entry.take() {
-            let succ = self.options.comparator.find_short_successor(&self.last_key);
+            let succ = InternalKeyComparator.find_short_successor(&self.last_key);
             self.index_block.add(&succ, &handle.encode());
         }
         let index_contents = self.index_block.finish().to_vec();
@@ -249,6 +240,7 @@ impl TableBuilder {
 mod tests {
     use super::*;
     use crate::env::{MemEnv, StorageEnv};
+    use crate::ikey::test_key as ikey;
     use std::path::Path;
 
     #[test]
@@ -256,13 +248,19 @@ mod tests {
         let env = MemEnv::new();
         let f = env.create_writable(Path::new("/t")).unwrap();
         let mut b = TableBuilder::new(TableBuilderOptions::default(), f);
-        b.add(b"bbb", b"1").unwrap();
-        assert!(b.add(b"aaa", b"2").is_err());
+        b.add(&ikey(b"bbb", 5), b"1").unwrap();
+        assert!(b.add(&ikey(b"aaa", 5), b"2").is_err());
         assert!(
-            b.add(b"bbb", b"2").is_err(),
+            b.add(&ikey(b"bbb", 5), b"2").is_err(),
             "duplicate key must be rejected"
         );
-        b.add(b"ccc", b"3").unwrap();
+        assert!(b.add(&ikey(b"bbb", 6), b"2").is_err(), "newer sorts first");
+        b.add(&ikey(b"ccc", 5), b"3").unwrap();
+        // Too short to hold the trailer: refused, not ordered.
+        assert!(matches!(
+            b.add(b"abc", b"4"),
+            Err(Error::InvalidArgument(_))
+        ));
     }
 
     #[test]
@@ -270,9 +268,9 @@ mod tests {
         let env = MemEnv::new();
         let f = env.create_writable(Path::new("/t")).unwrap();
         let mut b = TableBuilder::new(TableBuilderOptions::default(), f);
-        b.add(b"a", b"1").unwrap();
+        b.add(&ikey(b"a", 1), b"1").unwrap();
         b.finish().unwrap();
-        assert!(b.add(b"b", b"2").is_err());
+        assert!(b.add(&ikey(b"b", 1), b"2").is_err());
         assert!(b.finish().is_err());
     }
 
@@ -299,7 +297,7 @@ mod tests {
             let mut b = TableBuilder::new(opts, f);
             for i in 0..1000 {
                 let k = format!("key{i:06}");
-                b.add(k.as_bytes(), &[0xab; 100]).unwrap();
+                b.add(&ikey(k.as_bytes(), 1), &[0xab; 100]).unwrap();
             }
             b.finish().unwrap()
         };

@@ -7,6 +7,7 @@ use std::path::Path;
 
 use sstable::env::{MemEnv, StorageEnv};
 use sstable::format::{frame_block, BlockHandle, CompressionType, Footer, FOOTER_ENCODED_LENGTH};
+use sstable::ikey::{InternalKey, ValueType, MAX_SEQUENCE_NUMBER};
 use sstable::iterator::InternalIterator;
 use sstable::table::{Table, TableReadOptions};
 use sstable::table_builder::{TableBuilder, TableBuilderOptions};
@@ -14,12 +15,19 @@ use sstable::{BlockBuilder, Error};
 
 const TIB: u64 = 1 << 40;
 
+fn ikey(user: &[u8], seq: u64) -> Vec<u8> {
+    InternalKey::new(user, seq, ValueType::Value)
+        .encoded()
+        .to_vec()
+}
+
 /// A small valid table's bytes.
 fn table_bytes(env: &MemEnv) -> Vec<u8> {
     let file = env.create_writable(Path::new("/valid")).unwrap();
     let mut b = TableBuilder::new(TableBuilderOptions::default(), file);
     for i in 0..200 {
-        b.add(format!("key{i:06}").as_bytes(), b"value").unwrap();
+        let key = ikey(format!("key{i:06}").as_bytes(), 1);
+        b.add(&key, b"value").unwrap();
     }
     b.finish().unwrap();
     env.open_random_access(Path::new("/valid"))
@@ -87,7 +95,7 @@ fn a_data_handle_past_the_end_is_corruption_on_every_read() {
     let mut file = bytes[..footer.metaindex_handle.offset as usize].to_vec();
     let huge = BlockHandle::new(0, TIB);
     let mut index = BlockBuilder::new(1);
-    index.add(b"key999999", &huge.encode());
+    index.add(&ikey(b"key999999", 1), &huge.encode());
     let (_, framed) = frame_block(index.finish(), CompressionType::None, &mut Vec::new());
     let index_handle = BlockHandle::new(file.len() as u64, framed.len() as u64 - 5);
     file.extend_from_slice(&framed);
@@ -98,10 +106,45 @@ fn a_data_handle_past_the_end_is_corruption_on_every_read() {
     file.extend_from_slice(&footer.encode());
 
     let table = open(&env, "/bad", &file).expect("the index block itself is sound");
-    assert_corruption("get", table.get(b"key000100"));
+    let probe = ikey(b"key000100", MAX_SEQUENCE_NUMBER);
+    assert_corruption("get", table.get(&probe));
     assert_corruption("raw block read", table.read_raw_framed_block(&huge));
     let mut it = table.iter();
     it.seek_to_first();
+    assert!(!it.valid());
+    assert_corruption("scan", it.status());
+}
+
+/// A data block whose CRC holds but whose second entry decodes to a key
+/// shorter than the internal-key trailer: a point read and a scan both
+/// report corruption; neither panics nor steps over the block.
+#[test]
+fn a_key_shorter_than_the_trailer_is_corruption_on_every_read() {
+    let mut file = Vec::new();
+    let mut data = BlockBuilder::new(16);
+    data.add(&ikey(b"key000000", 1), b"v");
+    data.add(b"abc", b"v");
+    let (_, framed) = frame_block(data.finish(), CompressionType::None, &mut Vec::new());
+    let data_handle = BlockHandle::new(0, framed.len() as u64 - 5);
+    file.extend_from_slice(&framed);
+    let mut index = BlockBuilder::new(1);
+    index.add(&ikey(b"zzz", 1), &data_handle.encode());
+    let (_, framed) = frame_block(index.finish(), CompressionType::None, &mut Vec::new());
+    let index_handle = BlockHandle::new(file.len() as u64, framed.len() as u64 - 5);
+    file.extend_from_slice(&framed);
+    let footer = Footer {
+        metaindex_handle: BlockHandle::new(0, 0),
+        index_handle,
+    };
+    file.extend_from_slice(&footer.encode());
+
+    let table = open(&MemEnv::new(), "/short", &file).expect("both blocks are sound");
+    let probe = ikey(b"key000001", MAX_SEQUENCE_NUMBER);
+    assert_corruption("get", table.get(&probe));
+    let mut it = table.iter();
+    it.seek_to_first();
+    assert_eq!(it.key(), ikey(b"key000000", 1));
+    it.next();
     assert!(!it.valid());
     assert_corruption("scan", it.status());
 }

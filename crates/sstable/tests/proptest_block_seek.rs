@@ -1,29 +1,31 @@
 //! `Block::seek` — the borrowed binary-search-then-scan a point lookup
 //! uses — against `BlockIter::seek`, which positions an iterator with the
-//! same code: on random blocks they agree on the entry found, and on a
-//! truncated or bit-flipped block each answers `Err` / `corrupted` or an
+//! same code: on random blocks of internal keys they agree on the entry
+//! found, and on a damaged block each answers `Err` / `corrupted` or an
 //! in-range entry, never a panic or a slice outside the block.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
+mod common;
 
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+
+use common::{encode, first, model_key, ModelKey};
 use proptest::prelude::*;
 use sstable::block::Block;
 use sstable::block_builder::BlockBuilder;
-use sstable::comparator::BytewiseComparator;
 
-fn entries_strategy() -> impl Strategy<Value = BTreeMap<Vec<u8>, Vec<u8>>> {
+fn entries_strategy() -> impl Strategy<Value = BTreeMap<ModelKey, Vec<u8>>> {
     proptest::collection::btree_map(
-        proptest::collection::vec(any::<u8>(), 1..24),
+        model_key(16),
         proptest::collection::vec(any::<u8>(), 0..60),
         0..80,
     )
 }
 
-fn build(entries: &BTreeMap<Vec<u8>, Vec<u8>>, restart_interval: usize) -> Vec<u8> {
+fn build(entries: &BTreeMap<ModelKey, Vec<u8>>, restart_interval: usize) -> Vec<u8> {
     let mut b = BlockBuilder::new(restart_interval);
     for (k, v) in entries {
-        b.add(k, v);
+        b.add(&encode(k), v);
     }
     b.finish().to_vec()
 }
@@ -37,8 +39,8 @@ fn seek_both(
     target: &[u8],
     key_buf: &mut Vec<u8>,
 ) -> Result<Option<(Vec<u8>, Vec<u8>)>, ()> {
-    let direct = block.seek(&BytewiseComparator, target, key_buf);
-    let mut it = block.iter(Arc::new(BytewiseComparator));
+    let direct = block.seek(target, key_buf);
+    let mut it = block.iter();
     it.seek(target);
     match direct {
         Err(_) => {
@@ -77,13 +79,12 @@ proptest! {
     fn block_seek_agrees_with_the_iterator(
         entries in entries_strategy(),
         dense in any::<bool>(),
-        probes in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..24), 1..12),
+        probes in proptest::collection::vec(model_key(16), 1..12),
     ) {
         let block = Block::new(build(&entries, if dense { 1 } else { 16 }).into()).unwrap();
         let mut targets = probes;
-        targets.push(Vec::new()); // before every key
-        targets.push(vec![0xff; 25]); // after every key
+        targets.push(first()); // before every key
+        targets.push((vec![0xff; 25], Reverse(0))); // after every key
         targets.extend(entries.keys().step_by(7).cloned());
         // One buffer for every seek, as a `get` reuses it across tables.
         let mut key_buf = Vec::new();
@@ -91,17 +92,19 @@ proptest! {
             let expect = entries
                 .range(target.clone()..)
                 .next()
-                .map(|(k, v)| (k.clone(), v.clone()));
-            let got = seek_both(&block, target, &mut key_buf);
+                .map(|(k, v)| (encode(k), v.clone()));
+            let got = seek_both(&block, &encode(target), &mut key_buf);
             prop_assert_eq!(got, Ok(expect), "target {:?}", target);
         }
     }
 
     /// Damaged blocks: a block cut short (a new restart trailer is read
-    /// from whatever bytes end it) or with one bit flipped anywhere —
-    /// entries, restart array or count. Whatever survives `Block::new`
-    /// must seek without panicking and without reaching outside the
-    /// block, and the two seeks must still agree.
+    /// from whatever bytes end it), with one bit flipped anywhere —
+    /// entries, restart array or count — or holding one key shorter than
+    /// the 8-byte trailer, as a file whose CRC was computed over that key
+    /// holds it. Whatever survives `Block::new` must seek without
+    /// panicking and without reaching outside the block, and the two
+    /// seeks must still agree; a scan over the short key ends corrupted.
     #[test]
     fn damaged_blocks_fail_cleanly(
         entries in entries_strategy(),
@@ -109,23 +112,43 @@ proptest! {
         cut in any::<prop::sample::Index>(),
         flip in any::<prop::sample::Index>(),
         bit in 0u8..8,
-        truncate in any::<bool>(),
+        damage in 0u8..3,
     ) {
-        let mut bytes = build(&entries, if dense { 1 } else { 16 });
-        if truncate {
-            bytes.truncate(cut.index(bytes.len()));
-        } else {
-            let at = flip.index(bytes.len());
-            bytes[at] ^= 1 << bit;
+        let interval = if dense { 1 } else { 16 };
+        let mut bytes = build(&entries, interval);
+        match damage {
+            0 => bytes.truncate(cut.index(bytes.len())),
+            1 => {
+                let at = flip.index(bytes.len());
+                bytes[at] ^= 1 << bit;
+            }
+            _ if entries.is_empty() => return,
+            _ => {
+                let short = cut.index(entries.len());
+                let mut b = BlockBuilder::new(interval);
+                for (i, (k, v)) in entries.iter().enumerate() {
+                    let key = encode(k);
+                    b.add(if i == short { &key[..usize::from(bit)] } else { &key }, v);
+                }
+                bytes = b.finish().to_vec();
+            }
         }
         let Ok(block) = Block::new(bytes.into()) else {
             return;
         };
         let mut key_buf = Vec::new();
-        let mut targets: Vec<Vec<u8>> = vec![Vec::new(), vec![0xff; 25]];
+        let mut targets = vec![first(), (vec![0xff; 25], Reverse(0))];
         targets.extend(entries.keys().step_by(5).cloned());
         for target in &targets {
-            let _ = seek_both(&block, target, &mut key_buf);
+            let _ = seek_both(&block, &encode(target), &mut key_buf);
+        }
+        if damage == 2 {
+            let mut it = block.iter();
+            it.seek_to_first();
+            while it.valid() {
+                it.next();
+            }
+            prop_assert!(it.corrupted(), "a scan passed a {}-byte key", bit);
         }
     }
 }

@@ -10,7 +10,7 @@
 use std::cmp::Ordering;
 
 use proptest::prelude::*;
-use sstable::comparator::{Comparator, InternalKeyComparator};
+use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::{append_internal_key, ValueType, MAX_SEQUENCE_NUMBER};
 
 /// Longest user key generated.
@@ -106,7 +106,7 @@ proptest! {
     #[test]
     fn word_wise_order_is_the_bytewise_internal_order(pair in pair()) {
         let (a, b) = pair;
-        let icmp = InternalKeyComparator::default();
+        let icmp = InternalKeyComparator;
         let (ka, kb) = (a.encoded(), b.encoded());
         let expected = a.cmp_model(&b);
         prop_assert_eq!(icmp.compare(&ka, &kb), expected, "{:?} vs {:?}", ka, kb);
@@ -121,7 +121,7 @@ proptest! {
     /// Sorting many keys at once also checks transitivity.
     #[test]
     fn sorting_agrees_with_the_model(pairs in proptest::collection::vec(pair(), 0..32)) {
-        let icmp = InternalKeyComparator::default();
+        let icmp = InternalKeyComparator;
         let mut entries: Vec<Entry> = pairs.into_iter().flat_map(|(a, b)| [a, b]).collect();
         let mut keys: Vec<Vec<u8>> = entries.iter().map(Entry::encoded).collect();
         keys.sort_by(|x, y| icmp.compare(x, y));

@@ -1,22 +1,24 @@
-//! Property-based tests of the table format: arbitrary entry sets round-
-//! trip through build → open → iterate/seek, under every compression and
-//! block-size choice.
+//! Property-based tests of the table format: arbitrary sets of internal
+//! keys round-trip through build → open → iterate/seek, under every
+//! compression and block-size choice.
+
+mod common;
 
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
+use common::{encode, first, model_key, ModelKey};
 use proptest::prelude::*;
-use sstable::comparator::BytewiseComparator;
 use sstable::env::{MemEnv, StorageEnv};
 use sstable::format::CompressionType;
 use sstable::iterator::InternalIterator;
 use sstable::table::{Table, TableReadOptions};
 use sstable::table_builder::{TableBuilder, TableBuilderOptions};
 
-fn entries_strategy() -> impl Strategy<Value = BTreeMap<Vec<u8>, Vec<u8>>> {
+fn entries_strategy() -> impl Strategy<Value = BTreeMap<ModelKey, Vec<u8>>> {
     proptest::collection::btree_map(
-        proptest::collection::vec(any::<u8>(), 1..40),
+        model_key(32),
         proptest::collection::vec(any::<u8>(), 0..200),
         1..120,
     )
@@ -24,20 +26,19 @@ fn entries_strategy() -> impl Strategy<Value = BTreeMap<Vec<u8>, Vec<u8>>> {
 
 fn build(
     env: &MemEnv,
-    entries: &BTreeMap<Vec<u8>, Vec<u8>>,
+    entries: &BTreeMap<ModelKey, Vec<u8>>,
     block_size: usize,
     compression: CompressionType,
 ) -> Arc<Table> {
     let opts = TableBuilderOptions {
         block_size,
         compression,
-        comparator: Arc::new(BytewiseComparator),
         ..Default::default()
     };
     let file = env.create_writable(Path::new("/t")).unwrap();
     let mut b = TableBuilder::new(opts, file);
     for (k, v) in entries {
-        b.add(k, v).unwrap();
+        b.add(&encode(k), v).unwrap();
     }
     let size = b.finish().unwrap();
     let file = env.open_random_access(Path::new("/t")).unwrap();
@@ -61,32 +62,35 @@ proptest! {
         let table = build(&env, &entries, block_size, compression);
         let mut it = table.iter();
         it.seek_to_first();
-        let mut got = BTreeMap::new();
+        let mut got = Vec::new();
         while it.valid() {
-            got.insert(it.key().to_vec(), it.value().to_vec());
+            got.push((it.key().to_vec(), it.value().to_vec()));
             it.next();
         }
         it.status().unwrap();
-        prop_assert_eq!(got, entries);
+        let want: Vec<_> = entries.iter().map(|(k, v)| (encode(k), v.clone())).collect();
+        prop_assert_eq!(got, want);
     }
 
     /// `seek(k)` always lands on the smallest key >= k.
     #[test]
     fn seek_is_lower_bound(
         entries in entries_strategy(),
-        probes in proptest::collection::vec(
-            proptest::collection::vec(any::<u8>(), 0..40), 1..20),
+        probes in proptest::collection::vec(model_key(32), 1..20),
     ) {
         let env = MemEnv::new();
         let table = build(&env, &entries, 256, CompressionType::Snappy);
         let mut it = table.iter();
+        let mut probes = probes;
+        probes.push(first());
+        probes.extend(entries.keys().step_by(5).cloned());
         for probe in &probes {
-            it.seek(probe);
+            it.seek(&encode(probe));
             let expected = entries.range(probe.clone()..).next();
             match expected {
                 Some((k, v)) => {
                     prop_assert!(it.valid(), "expected {:?}", k);
-                    prop_assert_eq!(it.key(), &k[..]);
+                    prop_assert_eq!(it.key(), &encode(k)[..]);
                     prop_assert_eq!(it.value(), &v[..]);
                 }
                 None => prop_assert!(!it.valid()),
@@ -99,7 +103,7 @@ proptest! {
     fn backward_matches_forward(entries in entries_strategy()) {
         let env = MemEnv::new();
         let table = build(&env, &entries, 128, CompressionType::None);
-        let forward: Vec<Vec<u8>> = entries.keys().cloned().collect();
+        let forward: Vec<Vec<u8>> = entries.keys().map(encode).collect();
         let mut it = table.iter();
         it.seek_to_last();
         let mut backward = Vec::new();
@@ -142,7 +146,7 @@ proptest! {
             // status() may error; it must not panic.
             let _ = it.status();
             for (k, _) in entries.iter().take(5) {
-                let _ = table.get(k);
+                let _ = table.get(&encode(k));
             }
         }
     }

@@ -8,13 +8,11 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use fcae_repro::fcae::{CpuCostModel, FcaeConfig, FcaeEngine};
 use fcae_repro::lsm::compaction::{
     CompactionEngine, CompactionInput, CompactionRequest, CpuCompactionEngine, OutputFileFactory,
 };
-use fcae_repro::sstable::comparator::InternalKeyComparator;
 use fcae_repro::sstable::env::{MemEnv, StorageEnv, WritableFile};
 use fcae_repro::sstable::ikey::{InternalKey, ValueType};
 use fcae_repro::sstable::table::{Table, TableReadOptions};
@@ -41,11 +39,7 @@ fn build_input(
     seq0: u64,
     value_len: usize,
 ) -> CompactionInput {
-    let opts = TableBuilderOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
-        ..Default::default()
-    };
+    let opts = TableBuilderOptions::default();
     let file = env.create_writable(Path::new(name)).unwrap();
     let mut b = TableBuilder::new(opts, file);
     let mut values = ValueGenerator::new(7, 0.5);
@@ -58,11 +52,7 @@ fn build_input(
         b.add(ik.encoded(), values.generate(value_len)).unwrap();
     }
     let size = b.finish().unwrap();
-    let ropts = TableReadOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
-        ..Default::default()
-    };
+    let ropts = TableReadOptions::default();
     let file = env.open_random_access(Path::new(name)).unwrap();
     CompactionInput {
         tables: vec![Table::open(file, size, ropts).unwrap()],
@@ -99,11 +89,7 @@ fn main() {
         inputs,
         smallest_snapshot: 1 << 40,
         bottommost: true,
-        builder_options: TableBuilderOptions {
-            comparator: Arc::new(InternalKeyComparator::default()),
-            internal_key_filter: true,
-            ..Default::default()
-        },
+        builder_options: TableBuilderOptions::default(),
         max_output_file_size: 2 << 20,
     };
 

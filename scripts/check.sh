@@ -19,6 +19,10 @@ cargo xtask analyze
 # The server is threads on blocking sockets; no async costume grows
 # back. (`set -e` ignores a `!` status, hence the `|| exit`.)
 ! grep -rnE 'async fn|async move|\.await|tokio::' --include='*.rs' crates tests examples || exit 1
+# A table has one key order, user-key filters, restart interval 16 and
+# checksummed reads: no knob for any of them grows back.
+! grep -rnE 'dyn Comparator|BytewiseComparator|internal_key_filter|block_restart_interval|verify_checksums' \
+    --include='*.rs' crates tests examples || exit 1
 # No file of the store grows back into a 2,800-line db.rs.
 find crates/lsm/src -name '*.rs' -exec wc -l {} + \
     | awk '$2 != "total" && $1 > 1200 { print $2 ": " $1 " lines (limit 1200)"; bad = 1 } END { exit bad }'
@@ -62,9 +66,13 @@ cargo test -q -p server --test write_reply_counts
 # The block decoder against the one it replaced, frozen as an oracle:
 # identical results on harness-shaped blocks, truncations, flips, garbage.
 cargo test -q -p snap-codec --test decoder_oracle
-# The word-wise internal-key order against bytewise-then-trailer, and the
-# arena skiplist against a BTreeMap model at 1, 2 and 8 shards.
+# The word-wise internal-key order against bytewise-then-trailer, block
+# and table seeks in that order against a model (damaged blocks and keys
+# shorter than the trailer fail cleanly), and the arena skiplist against
+# a BTreeMap model at 1, 2 and 8 shards.
 cargo test -q -p sstable --test proptest_internal_key_order
+cargo test -q -p sstable --test proptest_block_seek
+cargo test -q -p sstable --test proptest_table
 cargo test -q -p lsm --test proptest_memtable
 # kvbench is a standalone package the workspace build never compiles:
 # build it against the current crates and run all four workloads with

@@ -19,7 +19,6 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use fcae::{FcaeConfig, FcaeEngine};
 use lsm::compaction::{
@@ -27,7 +26,6 @@ use lsm::compaction::{
     CompactionRequest, CpuCompactionEngine, OutputFileFactory,
 };
 use sstable::block::Block;
-use sstable::comparator::{BytewiseComparator, InternalKeyComparator};
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
 use sstable::format::{read_block, BlockHandle, CompressionType, Footer, FOOTER_ENCODED_LENGTH};
 use sstable::ikey::{InternalKey, ValueType};
@@ -65,8 +63,6 @@ impl OutputFileFactory for Factory {
 
 fn builder_opts(compression: CompressionType) -> TableBuilderOptions {
     TableBuilderOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
         block_size: 1024,
         compression,
         ..Default::default()
@@ -74,11 +70,7 @@ fn builder_opts(compression: CompressionType) -> TableBuilderOptions {
 }
 
 fn read_opts() -> TableReadOptions {
-    TableReadOptions {
-        comparator: Arc::new(InternalKeyComparator::default()),
-        internal_key_filter: true,
-        ..Default::default()
-    }
+    TableReadOptions::default()
 }
 
 /// Four overlapping sorted runs with interleaved tombstones and duplicate
@@ -286,17 +278,15 @@ fn data_end_and_filter(env: &MemEnv, path: &str, file_size: u64) -> (u64, Option
     file.read_at(file_size - FOOTER_ENCODED_LENGTH as u64, &mut footer)
         .unwrap();
     let footer = Footer::decode(&footer).unwrap();
-    let metaindex = read_block(file.as_ref(), &footer.metaindex_handle, true).unwrap();
-    let mut it = Block::new(metaindex)
-        .unwrap()
-        .iter(Arc::new(BytewiseComparator));
+    let metaindex = read_block(file.as_ref(), &footer.metaindex_handle).unwrap();
+    let mut it = Block::new(metaindex).unwrap().iter();
     it.seek_to_first();
     if !it.valid() {
         return (footer.metaindex_handle.offset, None);
     }
     assert_eq!(it.key(), b"filter.leveldb.BuiltinBloomFilter2");
     let (handle, _) = BlockHandle::decode_from(it.value()).unwrap();
-    let filter = read_block(file.as_ref(), &handle, true).unwrap().to_vec();
+    let filter = read_block(file.as_ref(), &handle).unwrap().to_vec();
     (handle.offset, Some(filter))
 }
 
