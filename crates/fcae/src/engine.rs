@@ -9,6 +9,7 @@ use lsm::compaction::{
     CompactionEngine, CompactionOutcome, CompactionRequest, DropFilter, OutputFileFactory,
     OutputTableMeta,
 };
+use lsm::sync_shim::Mutex;
 use sstable::block_builder::BlockBuilder;
 use sstable::bloom::BloomFilterPolicy;
 use sstable::format::{frame_block_into, BlockHandle, CompressionType, Footer, BLOCK_TRAILER_SIZE};
@@ -54,7 +55,7 @@ pub struct KernelReport {
 pub struct FcaeEngine {
     config: FcaeConfig,
     /// Last kernel report, for benches that want the detail.
-    last_report: std::sync::Mutex<KernelReport>,
+    last_report: Mutex<KernelReport>,
 }
 
 impl FcaeEngine {
@@ -68,7 +69,7 @@ impl FcaeEngine {
         }
         FcaeEngine {
             config,
-            last_report: std::sync::Mutex::new(KernelReport::default()),
+            last_report: Mutex::new(KernelReport::default()),
         }
     }
 
@@ -77,14 +78,9 @@ impl FcaeEngine {
         &self.config
     }
 
-    /// Kernel accounting of the most recent compaction. Never panics: a
-    /// poisoned lock (a panicking compaction elsewhere) still yields the
-    /// last stored report.
+    /// Kernel accounting of the most recent compaction.
     pub fn last_report(&self) -> KernelReport {
-        self.last_report
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.last_report.lock().clone()
     }
 
     /// Runs the device pipeline over prepared images, returning the output
@@ -380,7 +376,7 @@ impl CompactionEngine for FcaeEngine {
         outcome.wall_time = start.elapsed();
         outcome.modeled_kernel_time = Some(Duration::from_secs_f64(report.kernel_time_sec));
         outcome.modeled_transfer_time = Some(Duration::from_secs_f64(report.pcie_time_sec));
-        *self.last_report.lock().unwrap_or_else(|e| e.into_inner()) = report;
+        *self.last_report.lock() = report;
         Ok(outcome)
     }
 }

@@ -22,6 +22,7 @@ use crate::db::{Db, DbInner, DbState, StateGuard};
 use crate::filename::{parse_file_name, table_file_name, FileType};
 use crate::memtable::MemTable;
 use crate::options::{Options, NUM_LEVELS};
+use crate::sync_shim::Mutex;
 use crate::version::{FileMetaData, VersionEdit};
 use crate::{Error, Result};
 
@@ -300,7 +301,7 @@ impl DbInner {
         }
         let factory = DbOutputFactory {
             inner: self,
-            allocated: std::sync::Mutex::new(Vec::new()),
+            allocated: Mutex::new(Vec::new()),
         };
         // Transient I/O errors get a bounded number of retries with
         // exponential backoff. Each attempt allocates fresh output file
@@ -369,7 +370,7 @@ impl DbInner {
         // Un-protect exactly this job's outputs: on success they enter
         // the version below (same lock hold, so GC cannot run between);
         // on failure the orphaned files become collectable.
-        let allocated = factory.allocated.lock().unwrap_or_else(|e| e.into_inner()); // LOCK-ORDER: db.factory.outputs 60
+        let allocated = factory.allocated.lock(); // LOCK-ORDER: db.factory.outputs 60
         for number in allocated.iter() {
             state.pending_outputs.remove(number);
         }
@@ -483,7 +484,7 @@ fn job_shape(compaction: &crate::version::Compaction) -> JobShape {
 /// `pending_outputs` entries.
 struct DbOutputFactory<'a> {
     inner: &'a DbInner,
-    allocated: std::sync::Mutex<Vec<u64>>,
+    allocated: Mutex<Vec<u64>>,
 }
 
 impl OutputFileFactory for DbOutputFactory<'_> {
@@ -494,10 +495,7 @@ impl OutputFileFactory for DbOutputFactory<'_> {
             state.pending_outputs.insert(n);
             n
         };
-        self.allocated
-            .lock() // LOCK-ORDER: db.factory.outputs 60
-            .unwrap_or_else(|e| e.into_inner())
-            .push(number);
+        self.allocated.lock().push(number); // LOCK-ORDER: db.factory.outputs 60
         let path = table_file_name(&self.inner.dir, number);
         // DURABILITY-OK: the compaction executor syncs every output
         // (TableBuilder::sync) before the version install references it.

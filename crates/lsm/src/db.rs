@@ -35,15 +35,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Condvar, Mutex};
-
 use crate::compaction::{CompactionEngine, CpuCompactionEngine};
 use crate::conflict::ConflictChecker;
 use crate::memtable::MemTable;
 use crate::options::{Options, ReadOptions, WriteOptions, NUM_LEVELS};
 use crate::read_view::{ReadView, ViewCell};
 use crate::stats::DbMetrics;
-use crate::sync_shim;
+use crate::sync_shim::{Condvar, Mutex, MutexGuard};
 use crate::table_cache::TableOpener;
 use crate::version::{VersionEdit, VersionSet};
 use crate::vlog::VlogRuntime;
@@ -100,9 +98,9 @@ pub(crate) struct DbInner {
     /// always pairs its WAL append with the matching memtable even while
     /// a rotation is in flight. Lock order: `state` may be acquired
     /// before `epoch`, never after.
-    pub(crate) epoch: sync_shim::Mutex<WalEpoch>,
+    pub(crate) epoch: Mutex<WalEpoch>,
     /// Writers awaiting group commit behind the current leader.
-    pub(crate) commit_queue: sync_shim::Mutex<CommitQueue>,
+    pub(crate) commit_queue: Mutex<CommitQueue>,
     /// Hands out contiguous, disjoint sequence ranges without a lock.
     pub(crate) reserver: SeqReserver,
     /// Tracks which reserved ranges have been applied; reads run at
@@ -139,7 +137,7 @@ pub(crate) struct DbInner {
     pub(crate) shutting_down: AtomicBool,
 }
 
-pub(crate) type StateGuard<'a> = parking_lot::MutexGuard<'a, DbState>;
+pub(crate) type StateGuard<'a> = MutexGuard<'a, DbState>;
 
 /// A LevelDB-like key-value store.
 ///

@@ -39,7 +39,7 @@ use sstable::ikey::{
 use sstable::iterator::{InternalIterator, MergingIterator};
 
 use crate::sync_shim::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use crate::sync_shim::{lock, Mutex};
+use crate::sync_shim::Mutex;
 
 const MAX_HEIGHT: usize = 12;
 /// Branching factor 4, as in LevelDB.
@@ -302,7 +302,7 @@ impl MemTable {
     /// concurrent writers are legal and serialize only per shard.
     pub fn add(&self, seq: SequenceNumber, value_type: ValueType, user_key: &[u8], value: &[u8]) {
         let charged = {
-            let mut core = lock(self.shard_for(user_key)); // LOCK-ORDER: mem.shard 80
+            let mut core = self.shard_for(user_key).lock(); // LOCK-ORDER: mem.shard 80
             let height = core.random_height();
             core.add(height, seq, value_type, user_key, value)
         };
@@ -313,7 +313,7 @@ impl MemTable {
     /// Point lookup at the snapshot encoded in `lookup`. Locks exactly
     /// the shard owning the user key.
     pub fn get(&self, lookup: &LookupKey) -> MemGet {
-        let core = lock(self.shard_for(lookup.user_key())); // LOCK-ORDER: mem.shard 80
+        let core = self.shard_for(lookup.user_key()).lock(); // LOCK-ORDER: mem.shard 80
         let idx = core.find_greater_or_equal(lookup.internal_key());
         if idx == 0 {
             return MemGet::NotFound;
@@ -368,7 +368,7 @@ impl ShardCursor {
     /// the new node from the shard and the cursor's current state — and
     /// copies the entry it lands on out of the arena.
     fn reposition(&mut self, step: impl FnOnce(&Core, &ShardCursor) -> u32) {
-        let core = lock(&self.mem.shards[self.shard]); // LOCK-ORDER: mem.shard 80
+        let core = self.mem.shards[self.shard].lock(); // LOCK-ORDER: mem.shard 80
         self.node = step(&core, self);
         self.key.clear();
         self.value.clear();
@@ -601,23 +601,23 @@ mod tests {
     fn nodes_of_every_height_survive_arena_growth() {
         let m = Arc::new(MemTable::with_shards(1));
         let shard = &m.shards[0];
-        let initial = lock(shard).arena.capacity();
+        let initial = shard.lock().arena.capacity();
         // (user key, value, height), in insert order.
         let mut inserted: Vec<(Vec<u8>, Vec<u8>, usize)> = Vec::new();
-        while lock(shard).arena.capacity() == initial {
+        while shard.lock().arena.capacity() == initial {
             for height in 1..=MAX_HEIGHT {
                 for value_len in [0, 1024] {
                     let n = inserted.len() as u64;
                     // Distinct and out of order: n ↦ n·k mod a prime.
                     let key = format!("{:010}", n * 2_654_435_761 % 4_294_967_311).into_bytes();
                     let value = vec![n as u8; value_len];
-                    let mut core = lock(shard);
+                    let mut core = shard.lock();
                     core.add(height, n + 1, ValueType::Value, &key, &value);
                     inserted.push((key, value, height));
                 }
             }
         }
-        let core = lock(shard);
+        let core = shard.lock();
 
         // The arena walked in insert order, node by node.
         let mut at = 0;

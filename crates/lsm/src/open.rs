@@ -7,7 +7,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::{Condvar, Mutex};
 use sstable::ikey::{LookupKey, ValueType};
 
 use crate::background::{background_thread, write_memtable_table};
@@ -19,7 +18,7 @@ use crate::memtable::{MemGet, MemTable};
 use crate::options::Options;
 use crate::read_view::{ReadView, ViewCell};
 use crate::stats::DbMetrics;
-use crate::sync_shim;
+use crate::sync_shim::{Condvar, Mutex};
 use crate::table_cache::TableOpener;
 use crate::version::{VersionEdit, VersionSet};
 use crate::vlog::{self, VlogRuntime};
@@ -148,8 +147,8 @@ impl Db {
                 snapshots: BTreeMap::new(),
                 pending_outputs: HashSet::new(),
             }),
-            epoch: sync_shim::Mutex::new(WalEpoch { wal: log, mem }),
-            commit_queue: sync_shim::Mutex::new(CommitQueue::default()),
+            epoch: Mutex::new(WalEpoch { wal: log, mem }),
+            commit_queue: Mutex::new(CommitQueue::default()),
             reserver: SeqReserver::new(last_sequence),
             ledger: ApplyLedger::new(last_sequence),
             bg_error: OnceLock::new(),

@@ -11,6 +11,8 @@ use sstable::format::CompressionType;
 
 /// Number of levels, as in LevelDB.
 pub const NUM_LEVELS: usize = 7;
+/// Size ratio between adjacent levels (paper Table IV default 10).
+pub const LEVELING_RATIO: u64 = 10;
 
 /// L0 file count that triggers a compaction.
 pub const L0_COMPACTION_TRIGGER: usize = 4;
@@ -29,8 +31,6 @@ pub struct Options {
     pub block_size: usize,
     /// Target SSTable file size (paper §V-A example: 2 MiB).
     pub max_file_size: u64,
-    /// Size ratio between adjacent levels (paper Table IV default 10).
-    pub leveling_ratio: u64,
     /// Base size for level 1 (LevelDB: 10 MiB).
     pub level1_max_bytes: u64,
     /// Block compression.
@@ -94,7 +94,6 @@ impl Default for Options {
             write_buffer_size: 4 << 20,
             block_size: 4096,
             max_file_size: 2 << 20,
-            leveling_ratio: 10,
             level1_max_bytes: 10 << 20,
             compression: CompressionType::Snappy,
             filter_bits_per_key: Some(10),
@@ -120,7 +119,7 @@ impl Options {
         debug_assert!(level >= 1);
         let mut bytes = self.level1_max_bytes;
         for _ in 1..level {
-            bytes = bytes.saturating_mul(self.leveling_ratio);
+            bytes = bytes.saturating_mul(LEVELING_RATIO);
         }
         bytes
     }
@@ -178,15 +177,15 @@ mod tests {
 
     #[test]
     fn level_budgets_scale_by_ratio() {
-        let mut o = Options {
-            leveling_ratio: 10,
-            ..Default::default()
-        };
+        let o = Options::default();
         assert_eq!(o.max_bytes_for_level(1), 10 << 20);
         assert_eq!(o.max_bytes_for_level(2), 100 << 20);
         assert_eq!(o.max_bytes_for_level(3), 1000 << 20);
-        o.leveling_ratio = 4;
-        assert_eq!(o.max_bytes_for_level(2), 40 << 20);
+        let o = Options {
+            level1_max_bytes: 1 << 20,
+            ..Default::default()
+        };
+        assert_eq!(o.max_bytes_for_level(4), 1000 << 20);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 use std::sync::Arc;
 
 use crate::memtable::MemTable;
-use crate::sync_shim::{self, lock};
+use crate::sync_shim::Mutex;
 use crate::version::Version;
 
 /// One consistent capture of everything a read consults.
@@ -46,20 +46,20 @@ pub(crate) struct ReadView {
 /// Holds the current [`ReadView`]. Built on [`crate::sync_shim`] so the
 /// loom model explores exactly this code.
 pub(crate) struct ViewCell {
-    current: sync_shim::Mutex<Arc<ReadView>>,
+    current: Mutex<Arc<ReadView>>,
 }
 
 impl ViewCell {
     pub(crate) fn new(view: ReadView) -> Self {
         ViewCell {
-            current: sync_shim::Mutex::new(Arc::new(view)),
+            current: Mutex::new(Arc::new(view)),
         }
     }
 
     /// The view to read through. Sample the visible sequence before
     /// calling this, not after.
     pub(crate) fn load(&self) -> Arc<ReadView> {
-        Arc::clone(&lock(&self.current)) // LOCK-ORDER: db.view 45
+        Arc::clone(&self.current.lock()) // LOCK-ORDER: db.view 45
     }
 
     /// Replaces the view. The replaced one is dropped after the lock is
@@ -69,7 +69,7 @@ impl ViewCell {
     pub(crate) fn publish(&self, view: ReadView) {
         let mut view = Arc::new(view);
         std::mem::swap(
-            &mut *lock(&self.current), // LOCK-ORDER: db.view 45
+            &mut *self.current.lock(), // LOCK-ORDER: db.view 45
             &mut view,
         );
     }
@@ -80,7 +80,6 @@ impl ViewCell {
 #[cfg(all(loom, test))]
 mod loom_models {
     use super::*;
-    use crate::sync_shim::Mutex;
     use crate::write_path::{ApplyLedger, SeqReserver};
     use sstable::ikey::{LookupKey, ValueType};
 
@@ -133,7 +132,7 @@ mod loom_models {
                     );
                     loom::thread::spawn(move || {
                         let (seq, group, mem) = {
-                            let ep = lock(&epoch);
+                            let ep = epoch.lock();
                             let seq = reserver.reserve(1);
                             let group = ledger.register(seq, 1);
                             (seq, group, Arc::clone(&ep.mem))
@@ -147,7 +146,7 @@ mod loom_models {
                 let (epoch, cell) = (Arc::clone(&epoch), Arc::clone(&cell));
                 loom::thread::spawn(move || {
                     let fresh = memtable();
-                    let mut ep = lock(&epoch);
+                    let mut ep = epoch.lock();
                     let old = std::mem::replace(&mut ep.mem, Arc::clone(&fresh));
                     cell.publish(ReadView {
                         mem: fresh,

@@ -3,12 +3,15 @@
 //!
 //! Strategy, as in LevelDB:
 //! 1. salvage every WAL into a fresh L0 table (best-effort: corrupt tails
-//!    are dropped by the log reader's recovery semantics);
+//!    are dropped by the log reader's recovery semantics; a WAL that
+//!    cannot be read at all is moved aside to `lost/`);
 //! 2. scan every readable table for its key range and maximum sequence
 //!    number (unreadable tables are moved aside to `lost/`);
 //! 3. write a new MANIFEST placing all recovered tables at level 0 —
 //!    the only level that tolerates arbitrary key-range overlap — and
-//!    point CURRENT at it. The next open compacts them back into shape.
+//!    point CURRENT at it, through [`VersionSet`] so the renames, the
+//!    MANIFEST and CURRENT are durable when repair returns. The next
+//!    open compacts them back into shape.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -18,14 +21,12 @@ use sstable::ikey::{parse_internal_key, InternalKey, ValueType};
 use sstable::iterator::InternalIterator;
 use sstable::table::Table;
 
-use crate::filename::{
-    current_file_name, manifest_file_name, parse_file_name, table_file_name, FileType,
-};
+use crate::filename::{parse_file_name, table_file_name, FileType};
 use crate::memtable::MemTable;
 use crate::options::Options;
-use crate::version::{FileMetaData, VersionEdit};
+use crate::version::{FileMetaData, VersionEdit, VersionSet};
 use crate::vlog::{self, PointerCheck, Stored};
-use crate::wal::{LogReader, LogWriter};
+use crate::wal::LogReader;
 use crate::write_batch::{BatchOp, WriteBatch};
 use crate::{Error, Result};
 
@@ -38,14 +39,17 @@ pub struct RepairReport {
     pub tables_lost: usize,
     /// WAL files salvaged into new tables.
     pub logs_salvaged: usize,
+    /// WAL files that could not be opened or read, moved aside to `lost/`
+    /// (their writes are not in the repaired store).
+    pub logs_lost: usize,
     /// Entries salvaged out of WALs.
     pub log_entries_salvaged: u64,
     /// Highest sequence number observed.
     pub max_sequence: u64,
-    /// Corrupt tables that could not be moved into `lost/` (path and
-    /// error). These files are still in the database directory; the
-    /// caller must deal with them before reopening, because a later
-    /// repair or open may trip over them again.
+    /// Corrupt tables and unreadable WALs that could not be moved into
+    /// `lost/` (path and error). These files are still in the database
+    /// directory; the caller must deal with them before reopening,
+    /// because a later repair or open may trip over them again.
     pub quarantine_failures: Vec<String>,
     /// Value-log segments whose torn tail was truncated back to the last
     /// whole record (key-value separation only).
@@ -110,13 +114,19 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
         }
     }
 
-    // 1. Salvage WALs oldest-first into fresh tables.
+    // 1. Salvage WALs oldest-first into fresh tables; set aside the ones
+    // that cannot be read.
+    let mut unreadable_logs = Vec::new();
     for log in &log_numbers {
         let path = crate::filename::log_file_name(dir, *log);
-        let Ok(file) = env.open_random_access(&path) else {
-            continue;
-        };
-        let Ok(mut reader) = LogReader::new(file.as_ref()) else {
+        let reader = env
+            .open_random_access(&path)
+            .map_err(Error::from)
+            .and_then(|file| LogReader::new(file.as_ref()));
+        let Ok(mut reader) = reader else {
+            set_aside(options, dir, &path, &mut report);
+            report.logs_lost += 1;
+            unreadable_logs.push(*log);
             continue;
         };
         let mem = Arc::new(MemTable::new(InternalKeyComparator));
@@ -184,15 +194,7 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
                 let _ = env.remove_file(&path);
             }
             Err(_) => {
-                if let Err(e) = quarantine(env.as_ref(), dir, &path) {
-                    let failure = format!("{}: {e}", path.display());
-                    if let Some(obs) = &options.obs {
-                        obs.event(obs::EventKind::QuarantineFailure {
-                            path: failure.clone(),
-                        });
-                    }
-                    report.quarantine_failures.push(failure);
-                }
+                set_aside(options, dir, &path, &mut report);
                 report.tables_lost += 1;
             }
         }
@@ -220,31 +222,19 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
     }
 
     // 3. Fresh MANIFEST with everything at L0 (ordered newest-first by
-    // file number, the L0 convention).
-    let manifest_number = next_number;
-    next_number += 1;
-    let mut edit = VersionEdit {
-        log_number: Some(next_number),
-        next_file_number: Some(next_number + 1),
-        last_sequence: Some(report.max_sequence),
+    // file number, the L0 convention). `log_and_apply` syncs the directory
+    // (the renames above), the MANIFEST and the CURRENT swap; the log
+    // number names no file, so every old WAL is obsolete.
+    let mut versions = VersionSet::new(dir.to_path_buf(), options.clone());
+    versions.bump_file_number(next_number);
+    let manifest_number = versions.start_new_manifest();
+    let log_number = versions.new_file_number();
+    versions.last_sequence = report.max_sequence;
+    versions.log_and_apply(VersionEdit {
+        log_number: Some(log_number),
+        new_files: metas.into_iter().map(|meta| (0, meta)).collect(),
         ..Default::default()
-    };
-    for meta in metas {
-        edit.new_files.push((0, meta));
-    }
-    let manifest_path = manifest_file_name(dir, manifest_number);
-    let file = env.create_writable(&manifest_path)?;
-    let mut writer = LogWriter::new(file);
-    writer.add_record(&edit.encode())?;
-    writer.sync()?;
-
-    // Point CURRENT at it (atomic rename).
-    let tmp = crate::filename::temp_file_name(dir, manifest_number);
-    let mut f = env.create_writable(&tmp)?;
-    f.append(format!("MANIFEST-{manifest_number:06}\n").as_bytes())?;
-    f.sync()?;
-    drop(f);
-    env.rename(&tmp, &current_file_name(dir))?;
+    })?;
 
     // Old manifests and salvaged logs are obsolete.
     for name in env.list_dir(dir)? {
@@ -252,7 +242,7 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
             Some(FileType::Manifest(n)) if n != manifest_number => {
                 let _ = env.remove_file(&dir.join(&name));
             }
-            Some(FileType::Log(_)) => {
+            Some(FileType::Log(n)) if !unreadable_logs.contains(&n) => {
                 let _ = env.remove_file(&dir.join(&name));
             }
             _ => {}
@@ -291,6 +281,20 @@ fn scan_table(
         FileMetaData::new(0, size, smallest, largest),
         max_seq,
     )))
+}
+
+/// Moves an unreadable table or WAL into `lost/`, recording (and tracing)
+/// a failure to move it in `report`.
+fn set_aside(options: &Options, dir: &Path, path: &Path, report: &mut RepairReport) {
+    if let Err(e) = quarantine(options.env.as_ref(), dir, path) {
+        let failure = format!("{}: {e}", path.display());
+        if let Some(obs) = &options.obs {
+            obs.event(obs::EventKind::QuarantineFailure {
+                path: failure.clone(),
+            });
+        }
+        report.quarantine_failures.push(failure);
+    }
 }
 
 /// Moves an unreadable file into `lost/`. A failure here must reach the
@@ -425,17 +429,30 @@ mod tests {
         assert!(!rows.is_empty());
     }
 
-    /// MemEnv wrapper whose renames into `lost/` fail, emulating a
-    /// read-only or full filesystem during quarantine.
-    struct RenameFailEnv {
-        inner: Arc<MemEnv>,
+    fn injected(what: &str) -> sstable::Error {
+        sstable::Error::Io(std::io::Error::new(
+            std::io::ErrorKind::PermissionDenied,
+            format!("injected {what} failure"),
+        ))
     }
 
-    impl sstable::env::StorageEnv for RenameFailEnv {
+    /// MemEnv wrapper that fails chosen operations: renames into `lost/`
+    /// (a read-only or full filesystem during quarantine), or opening one
+    /// file for reading.
+    struct FailEnv {
+        inner: Arc<MemEnv>,
+        fail_lost_renames: bool,
+        fail_open: Option<std::path::PathBuf>,
+    }
+
+    impl sstable::env::StorageEnv for FailEnv {
         fn open_random_access(
             &self,
             path: &Path,
         ) -> sstable::Result<Box<dyn sstable::env::RandomAccessFile>> {
+            if self.fail_open.as_deref() == Some(path) {
+                return Err(injected("open"));
+            }
             self.inner.open_random_access(path)
         }
         fn create_writable(
@@ -457,11 +474,8 @@ mod tests {
             self.inner.file_exists(path)
         }
         fn rename(&self, from: &Path, to: &Path) -> sstable::Result<()> {
-            if to.components().any(|c| c.as_os_str() == "lost") {
-                return Err(sstable::Error::Io(std::io::Error::new(
-                    std::io::ErrorKind::PermissionDenied,
-                    "injected rename failure",
-                )));
+            if self.fail_lost_renames && to.components().any(|c| c.as_os_str() == "lost") {
+                return Err(injected("rename"));
             }
             self.inner.rename(from, to)
         }
@@ -500,8 +514,10 @@ mod tests {
 
         let (obs, _clock) = obs::Obs::manual();
         let options = Options {
-            env: Arc::new(RenameFailEnv {
+            env: Arc::new(FailEnv {
                 inner: Arc::clone(&env),
+                fail_lost_renames: true,
+                fail_open: None,
             }) as Arc<dyn sstable::env::StorageEnv>,
             obs: Some(Arc::clone(&obs)),
             ..mem_options(&env)
@@ -525,6 +541,108 @@ mod tests {
             ),
             "trace must record the quarantine failure: {events:?}"
         );
+    }
+
+    /// A WAL that cannot be opened is moved into `lost/` and counted, not
+    /// deleted with the salvaged logs: its writes are in no table.
+    #[test]
+    fn unreadable_wal_is_set_aside_not_deleted() {
+        use sstable::env::StorageEnv as _;
+        let env = Arc::new(MemEnv::new());
+        let dir = Path::new("/db");
+        {
+            let db = Db::open(dir, mem_options(&env)).unwrap();
+            for i in 0..200u64 {
+                db.put(format!("{i:08}").as_bytes(), b"v").unwrap();
+            }
+        }
+        destroy_metadata(&env, dir);
+        let wal = env
+            .list_dir(dir)
+            .unwrap()
+            .into_iter()
+            .filter(|n| matches!(parse_file_name(n), Some(FileType::Log(_))))
+            .max()
+            .expect("the store left a WAL");
+        let wal_bytes = env
+            .open_random_access(&dir.join(&wal))
+            .unwrap()
+            .read_all()
+            .unwrap();
+        assert!(!wal_bytes.is_empty());
+
+        let options = Options {
+            env: Arc::new(FailEnv {
+                inner: Arc::clone(&env),
+                fail_lost_renames: false,
+                fail_open: Some(dir.join(&wal)),
+            }) as Arc<dyn sstable::env::StorageEnv>,
+            ..mem_options(&env)
+        };
+        let report = repair_db(dir, &options).unwrap();
+        assert_eq!(report.logs_lost, 1, "{report:?}");
+        assert!(report.quarantine_failures.is_empty(), "{report:?}");
+        assert!(
+            !env.file_exists(&dir.join(&wal)),
+            "moved out of the live dir"
+        );
+        let kept = env
+            .open_random_access(&dir.join("lost").join(&wal))
+            .expect("the WAL is in lost/")
+            .read_all()
+            .unwrap();
+        assert_eq!(kept, wal_bytes, "byte for byte");
+    }
+
+    /// The repaired MANIFEST, CURRENT and table renames are durable once
+    /// `repair_db` returns: a power cut right after it loses nothing.
+    #[test]
+    fn repaired_store_survives_a_power_cut() {
+        use sstable::env::{FaultEnv, StorageEnv};
+        for seed in 0..3u64 {
+            let fault = FaultEnv::new(Arc::new(MemEnv::new()), seed);
+            let env: Arc<dyn StorageEnv> = Arc::new(fault.clone());
+            let options = Options {
+                env: Arc::clone(&env),
+                write_buffer_size: 32 << 10,
+                max_file_size: 16 << 10,
+                slowdown_sleep: false,
+                ..Default::default()
+            };
+            let dir = Path::new("/db");
+            {
+                let db = Db::open(dir, options.clone()).unwrap();
+                for i in 0..2_000u64 {
+                    db.put(format!("{i:08}").as_bytes(), format!("v{i}").as_bytes())
+                        .unwrap();
+                }
+                db.flush().unwrap();
+                db.wait_for_background_quiescence();
+            }
+            // Lose the metadata, durably.
+            for name in env.list_dir(dir).unwrap() {
+                if matches!(
+                    parse_file_name(&name),
+                    Some(FileType::Manifest(_)) | Some(FileType::Current)
+                ) {
+                    env.remove_file(&dir.join(&name)).unwrap();
+                }
+            }
+            env.sync_dir(dir).unwrap();
+
+            let report = repair_db(dir, &options).unwrap();
+            assert!(report.tables_recovered > 0, "{report:?}");
+            fault.power_cut(seed).unwrap();
+
+            let db = Db::open(dir, options).unwrap();
+            for i in 0..2_000u64 {
+                assert_eq!(
+                    db.get(format!("{i:08}").as_bytes()).unwrap(),
+                    Some(format!("v{i}").into_bytes()),
+                    "seed {seed}, key {i}"
+                );
+            }
+        }
     }
 
     /// Torn value-log tails are cut back to the last whole record and

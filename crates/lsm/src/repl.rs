@@ -34,7 +34,6 @@ use sstable::env::StorageEnv;
 
 use crate::db::Db;
 use crate::filename::{log_file_name, parse_file_name, FileType};
-use crate::sync_shim::lock as shim_lock;
 use crate::vlog::{self, VlogRuntime};
 use crate::wal::LogReader;
 use crate::write::{apply_batch, Committed};
@@ -392,7 +391,7 @@ impl Db {
     /// a chunk comes back `CaughtUp` so buffered commits don't stall the
     /// stream until the next sync.
     pub fn repl_flush(&self) -> Result<()> {
-        let mut epoch = shim_lock(&self.inner.epoch); // LOCK-ORDER: db.epoch 20
+        let mut epoch = self.inner.epoch.lock(); // LOCK-ORDER: db.epoch 20
         if let Some(v) = &self.inner.vlog {
             // The tailer re-inlines pointers by reading segment files,
             // so the value bytes must be readable before the WAL record
@@ -439,7 +438,7 @@ impl Db {
         // apply is visible, mirroring `write_inner`.
         let (batch, _append_pin) = inner.separate(batch)?;
         let Committed { mem, group, result } = {
-            let mut epoch = shim_lock(&inner.epoch); // LOCK-ORDER: db.epoch 20
+            let mut epoch = inner.epoch.lock(); // LOCK-ORDER: db.epoch 20
             inner.writable()?;
             inner.reserver.advance_to(end_seq);
             epoch.commit(inner, "wal commit", [batch.data()], sync, end_seq, 1)

@@ -525,10 +525,17 @@ impl VersionSet {
         }
         self.current = Arc::new(version);
         // Continue appending to a fresh manifest on next log_and_apply.
-        self.manifest_number = self.next_file_number;
-        self.next_file_number += 1;
-        self.manifest = None;
+        self.start_new_manifest();
         Ok(true)
+    }
+
+    /// Makes the next [`VersionSet::log_and_apply`] write a fresh MANIFEST
+    /// under a newly allocated file number (never over an existing one),
+    /// and returns that number.
+    pub(crate) fn start_new_manifest(&mut self) -> u64 {
+        self.manifest_number = self.new_file_number();
+        self.manifest = None;
+        self.manifest_number
     }
 
     /// Compaction priority score of the most loaded level; >= 1.0 means a

@@ -61,7 +61,7 @@ use sstable::crc32c;
 use sstable::env::{RandomAccessFile, StorageEnv, WritableFile};
 
 use crate::filename::{temp_file_name, vlog_file_name};
-use crate::sync_shim::{self, lock as shim_lock};
+use crate::sync_shim::{self, Mutex};
 use crate::write_batch::{BatchOp, WriteBatch};
 use crate::{Error, Result};
 
@@ -255,7 +255,7 @@ struct VlogReaders {
     env: Arc<dyn StorageEnv>,
     dir: PathBuf,
     capacity: usize,
-    inner: sync_shim::Mutex<ReadersInner>,
+    inner: Mutex<ReadersInner>,
 }
 
 #[derive(Default)]
@@ -268,7 +268,7 @@ struct ReadersInner {
 impl VlogReaders {
     fn get(&self, segment: u64) -> Result<Arc<dyn RandomAccessFile>> {
         {
-            let mut inner = shim_lock(&self.inner); // LOCK-ORDER: db.vlog.readers 65
+            let mut inner = self.inner.lock(); // LOCK-ORDER: db.vlog.readers 65
             if let Some(h) = inner.handles.get(&segment).cloned() {
                 inner.order.retain(|&s| s != segment);
                 inner.order.push(segment);
@@ -287,7 +287,7 @@ impl VlogReaders {
                 ))
             })?
             .into();
-        let mut inner = shim_lock(&self.inner); // LOCK-ORDER: db.vlog.readers 65
+        let mut inner = self.inner.lock(); // LOCK-ORDER: db.vlog.readers 65
         inner.handles.insert(segment, Arc::clone(&file));
         inner.order.retain(|&s| s != segment);
         inner.order.push(segment);
@@ -299,7 +299,7 @@ impl VlogReaders {
     }
 
     fn evict(&self, segment: u64) {
-        let mut inner = shim_lock(&self.inner); // LOCK-ORDER: db.vlog.readers 65
+        let mut inner = self.inner.lock(); // LOCK-ORDER: db.vlog.readers 65
         inner.handles.remove(&segment);
         inner.order.retain(|&s| s != segment);
     }
@@ -342,7 +342,7 @@ pub(crate) struct VlogRuntime {
     segment_max: u64,
     env: Arc<dyn StorageEnv>,
     dir: PathBuf,
-    writer: sync_shim::Mutex<VlogWriter>,
+    writer: Mutex<VlogWriter>,
     /// Pre-allocated file number for the next rotation (0 = none staged;
     /// file numbers start at 2, so 0 is free as a sentinel). Staged
     /// outside the writer lock because allocating a number takes the
@@ -358,7 +358,7 @@ pub(crate) struct VlogRuntime {
     /// deleted file. [`Self::is_pinned`] lets GC defer such segments;
     /// pins only drain once a segment is sealed (appends go to the
     /// active segment only), so deferral terminates.
-    pending: sync_shim::Mutex<HashMap<u64, usize>>,
+    pending: Mutex<HashMap<u64, usize>>,
     /// Segments on disk including the active one (mirrored into the
     /// `lsm.vlog.segments` gauge).
     segment_count: sync_shim::atomic::AtomicU64,
@@ -377,7 +377,7 @@ pub(crate) struct AppendPin {
 
 impl Drop for AppendPin {
     fn drop(&mut self) {
-        let mut pending = shim_lock(&self.runtime.pending); // LOCK-ORDER: db.vlog.pending 26
+        let mut pending = self.runtime.pending.lock(); // LOCK-ORDER: db.vlog.pending 26
         for &s in &self.segments {
             if let Some(n) = pending.get_mut(&s) {
                 *n -= 1;
@@ -422,7 +422,7 @@ impl VlogRuntime {
             segment_max,
             env: Arc::clone(&env),
             dir: dir.to_path_buf(),
-            writer: sync_shim::Mutex::new(VlogWriter {
+            writer: Mutex::new(VlogWriter {
                 file,
                 segment: active_segment,
                 offset: 0,
@@ -430,13 +430,13 @@ impl VlogRuntime {
             }),
             staged_segment: sync_shim::atomic::AtomicU64::new(0),
             dirty: sync_shim::atomic::AtomicBool::new(false),
-            pending: sync_shim::Mutex::new(HashMap::new()),
+            pending: Mutex::new(HashMap::new()),
             segment_count: sync_shim::atomic::AtomicU64::new(segments.len() as u64 + 1),
             readers: VlogReaders {
                 env,
                 dir: dir.to_path_buf(),
                 capacity: 64,
-                inner: sync_shim::Mutex::new(ReadersInner::default()),
+                inner: Mutex::new(ReadersInner::default()),
             },
             metrics,
         })
@@ -492,7 +492,7 @@ impl VlogRuntime {
         let mut append_err: Option<Error> = None;
         let mut pinned: Vec<u64> = Vec::new();
         {
-            let mut w = shim_lock(&self.writer); // LOCK-ORDER: db.vlog.writer 25
+            let mut w = self.writer.lock(); // LOCK-ORDER: db.vlog.writer 25
             let iter_result = batch.iterate(|op, _| {
                 if append_err.is_some() {
                     return;
@@ -553,7 +553,7 @@ impl VlogRuntime {
         key: &[u8],
         value: &[u8],
     ) -> Result<(VlogPointer, AppendPin)> {
-        let mut w = shim_lock(&self.writer); // LOCK-ORDER: db.vlog.writer 25
+        let mut w = self.writer.lock(); // LOCK-ORDER: db.vlog.writer 25
         self.rotate_if_full(&mut w)?;
         let ptr = w.append(key, value)?;
         // Readable before the install publishes the pointer; the pass
@@ -578,7 +578,7 @@ impl VlogRuntime {
             return None;
         }
         {
-            let mut pending = shim_lock(&self.pending); // LOCK-ORDER: db.vlog.pending 26
+            let mut pending = self.pending.lock(); // LOCK-ORDER: db.vlog.pending 26
             for &s in segments {
                 *pending.entry(s).or_insert(0) += 1;
             }
@@ -594,7 +594,7 @@ impl VlogRuntime {
     /// candidate): sealed segments take no new appends, so once this
     /// reads `false` it stays `false`.
     pub(crate) fn is_pinned(&self, segment: u64) -> bool {
-        shim_lock(&self.pending).contains_key(&segment) // LOCK-ORDER: db.vlog.pending 26
+        self.pending.lock().contains_key(&segment) // LOCK-ORDER: db.vlog.pending 26
     }
 
     /// Rotates the active segment when it passed the size cap and a next
@@ -637,7 +637,7 @@ impl VlogRuntime {
     /// retire a segment) with value bytes that are not durable.
     pub(crate) fn sync_if_dirty(&self) -> Result<()> {
         use sync_shim::atomic::Ordering;
-        let mut w = shim_lock(&self.writer); // LOCK-ORDER: db.vlog.writer 25
+        let mut w = self.writer.lock(); // LOCK-ORDER: db.vlog.writer 25
         if !self.dirty.swap(false, Ordering::AcqRel) {
             return Ok(());
         }
@@ -650,7 +650,7 @@ impl VlogRuntime {
 
     /// The segment currently accepting appends.
     pub(crate) fn active_segment(&self) -> u64 {
-        shim_lock(&self.writer).segment // LOCK-ORDER: db.vlog.writer 25
+        self.writer.lock().segment // LOCK-ORDER: db.vlog.writer 25
     }
 
     /// Resolves a tagged stored value to the user-visible bytes.
@@ -996,7 +996,7 @@ mod tests {
     /// whatever it looked at before.
     struct HookedListing {
         inner: MemEnv,
-        before_list: sync_shim::Mutex<Option<Box<dyn FnOnce() + Send>>>,
+        before_list: Mutex<Option<Box<dyn FnOnce() + Send>>>,
     }
 
     impl StorageEnv for HookedListing {
@@ -1019,7 +1019,7 @@ mod tests {
             self.inner.create_dir_all(path)
         }
         fn list_dir(&self, path: &Path) -> sstable::Result<Vec<String>> {
-            let hook = shim_lock(&self.before_list).take();
+            let hook = self.before_list.lock().take();
             if let Some(hook) = hook {
                 hook();
             }
@@ -1043,7 +1043,7 @@ mod tests {
     fn a_segment_born_while_gc_lists_is_not_called_sealed() {
         let env = Arc::new(HookedListing {
             inner: MemEnv::new(),
-            before_list: sync_shim::Mutex::new(None),
+            before_list: Mutex::new(None),
         });
         env.create_dir_all(Path::new("/v")).unwrap();
         let (obs, _clock) = obs::Obs::manual();
@@ -1062,7 +1062,7 @@ mod tests {
         // append rotates. It happens inside the listing.
         rt.append_for_gc(b"k1", &[7u8; 200]).unwrap();
         assert!(rt.stage_segment(3));
-        *shim_lock(&env.before_list) = Some(Box::new({
+        *env.before_list.lock() = Some(Box::new({
             let rt = Arc::clone(&rt);
             move || drop(rt.append_for_gc(b"k2", &[8u8; 200]).unwrap())
         }));

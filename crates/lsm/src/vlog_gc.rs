@@ -4,7 +4,6 @@
 use std::sync::Arc;
 
 use crate::db::{Db, DbInner};
-use crate::sync_shim::lock as shim_lock;
 use crate::vlog::VlogRuntime;
 use crate::write::{apply_batch, Committed};
 use crate::write_batch::WriteBatch;
@@ -157,7 +156,7 @@ impl DbInner {
         // before the only other copy of those values disappears.
         v.sync_if_dirty()?;
         {
-            let mut epoch = shim_lock(&self.epoch); // LOCK-ORDER: db.epoch 20
+            let mut epoch = self.epoch.lock(); // LOCK-ORDER: db.epoch 20
             epoch.wal.sync()?;
         }
 
@@ -191,7 +190,7 @@ impl DbInner {
         let _state = self.state.lock(); // LOCK-ORDER: db.state 10
         self.writable()?;
         // LOCK-ORDER: db.epoch 20
-        let mut epoch = shim_lock(&self.epoch);
+        let mut epoch = self.epoch.lock();
         // Waits holding `db.state` and `db.epoch`. Between reserving its
         // range (under `db.epoch`, so before this hold began) and
         // `ledger.finish_members`, a group takes neither lock — not when

@@ -19,7 +19,7 @@ use crate::db::{Db, DbInner, StateGuard};
 use crate::filename::log_file_name;
 use crate::memtable::MemTable;
 use crate::options::{WriteOptions, L0_SLOWDOWN_WRITES_TRIGGER, L0_STOP_WRITES_TRIGGER};
-use crate::sync_shim::{self, lock as shim_lock};
+use crate::sync_shim::{Condvar, Mutex};
 use crate::vlog::AppendPin;
 use crate::wal::LogWriter;
 use crate::write_batch::{BatchOp, WriteBatch};
@@ -128,8 +128,8 @@ struct QueuedWrite {
 /// Where a queued writer waits for the leader's word. A writer that
 /// found no leader never has one: nobody signals it.
 struct WriteWaiter {
-    slot: sync_shim::Mutex<WaiterSlot>,
-    cv: sync_shim::Condvar,
+    slot: Mutex<WaiterSlot>,
+    cv: Condvar,
 }
 
 #[derive(Default)]
@@ -158,15 +158,15 @@ enum Assignment {
 impl WriteWaiter {
     fn new() -> Self {
         WriteWaiter {
-            slot: sync_shim::Mutex::new(WaiterSlot::default()),
-            cv: sync_shim::Condvar::new(),
+            slot: Mutex::new(WaiterSlot::default()),
+            cv: Condvar::new(),
         }
     }
 
     /// Hands the owner its assignment, waking it if it is parked.
     // LOCK-HELD: db.epoch -- a promotion is made inside the leader's epoch section.
     fn assign(&self, assignment: Assignment) {
-        let mut slot = shim_lock(&self.slot); // LOCK-ORDER: db.waiter.slot 40
+        let mut slot = self.slot.lock(); // LOCK-ORDER: db.waiter.slot 40
         slot.assignment = Some(assignment);
         if slot.parked {
             self.cv.notify_one();
@@ -175,16 +175,13 @@ impl WriteWaiter {
 
     /// Blocks until a leader assigns this waiter a role.
     fn wait_assignment(&self) -> Assignment {
-        let mut slot = shim_lock(&self.slot); // LOCK-ORDER: db.waiter.slot 40
+        let mut slot = self.slot.lock(); // LOCK-ORDER: db.waiter.slot 40
         loop {
             if let Some(assignment) = slot.assignment.take() {
                 return assignment;
             }
             slot.parked = true;
-            slot = self
-                .cv
-                .wait(slot)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.cv.wait(&mut slot);
             slot.parked = false;
         }
     }
@@ -239,7 +236,7 @@ impl Db {
             enqueued_micros: t0,
         };
         let waiter = {
-            let mut queue = shim_lock(&inner.commit_queue); // LOCK-ORDER: db.commit_queue 30
+            let mut queue = inner.commit_queue.lock(); // LOCK-ORDER: db.commit_queue 30
             if !queue.leading {
                 // No leader: this writer is it. The previous one may
                 // still be inside its epoch section — the new leader
@@ -332,7 +329,7 @@ impl DbInner {
             let mut prev = 0;
             for _ in 0..8 {
                 std::thread::yield_now();
-                let len = shim_lock(&self.commit_queue).waiting.len(); // LOCK-ORDER: db.commit_queue 30
+                let len = self.commit_queue.lock().waiting.len(); // LOCK-ORDER: db.commit_queue 30
                 if len <= prev {
                     break; // nobody new arrived during the last yield
                 }
@@ -349,9 +346,9 @@ impl DbInner {
         // previous leader's commit (and fsync) held the lock, followers
         // piled up in the queue, so group size tracks commit latency.
         let committed = {
-            let mut epoch = shim_lock(&self.epoch); // LOCK-ORDER: db.epoch 20
+            let mut epoch = self.epoch.lock(); // LOCK-ORDER: db.epoch 20
             let next = {
-                let mut queue = shim_lock(&self.commit_queue); // LOCK-ORDER: db.commit_queue 30
+                let mut queue = self.commit_queue.lock(); // LOCK-ORDER: db.commit_queue 30
                 let mut bytes = mine.batch.approximate_size();
                 while let Some(front) = queue.waiting.front() {
                     bytes += front.write.batch.approximate_size();
@@ -590,7 +587,7 @@ impl DbInner {
         let fresh = Arc::new(MemTable::with_shards(self.options.memtable_shards));
         {
             // LOCK-ORDER: db.epoch 20
-            let mut epoch = shim_lock(&self.epoch);
+            let mut epoch = self.epoch.lock();
             // Sync the retiring WAL before installing its successor.
             // Without this, a later `sync: true` write only reaches the
             // new WAL, and a power cut could drop acknowledged records
@@ -674,7 +671,7 @@ mod loom_models {
                     assert_eq!(db.get(key.as_bytes()).unwrap().as_deref(), Some(&b"v"[..]));
                 }
                 assert_eq!(db.stats().grouped_writes, 2 * WRITES);
-                let queue = shim_lock(&db.inner.commit_queue);
+                let queue = db.inner.commit_queue.lock();
                 assert!(!queue.leading && queue.waiting.is_empty());
             });
         }

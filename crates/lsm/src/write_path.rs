@@ -30,10 +30,9 @@
 //! explore interleavings of exactly this code.
 
 use std::collections::VecDeque;
-use std::sync::PoisonError;
 
 use crate::sync_shim::atomic::{AtomicU64, Ordering};
-use crate::sync_shim::{lock, Condvar, Mutex};
+use crate::sync_shim::{Condvar, Mutex};
 
 /// Atomic allocator of contiguous sequence-number ranges.
 ///
@@ -137,7 +136,7 @@ impl ApplyLedger {
     /// id used by [`Self::finish_members`].
     // LOCK-HELD: db.epoch -- registration order is the epoch lock's order.
     pub fn register(&self, end_seq: u64, members: usize) -> u64 {
-        let mut inner = lock(&self.inner); // LOCK-ORDER: write.ledger 50
+        let mut inner = self.inner.lock(); // LOCK-ORDER: write.ledger 50
         debug_assert!(inner.groups.back().is_none_or(|g| g.end_seq <= end_seq));
         let id = inner.next_id;
         inner.next_id += 1;
@@ -154,7 +153,7 @@ impl ApplyLedger {
     /// visible sequence advances over the whole completed prefix and
     /// parked waiters, if there are any, are woken.
     pub fn finish_members(&self, id: u64, count: usize) {
-        let mut inner = lock(&self.inner); // LOCK-ORDER: write.ledger 50
+        let mut inner = self.inner.lock(); // LOCK-ORDER: write.ledger 50
         if let Some(g) = inner.groups.iter_mut().find(|g| g.id == id) {
             g.remaining = g.remaining.saturating_sub(count);
         }
@@ -182,17 +181,14 @@ impl ApplyLedger {
         if self.visible() >= seq {
             return;
         }
-        let mut inner = lock(&self.inner); // LOCK-ORDER: write.ledger 50
+        let mut inner = self.inner.lock(); // LOCK-ORDER: write.ledger 50
         inner.waiting += 1;
         while self.visible() < seq {
             // A group may still be unregistered (leader between reserve
             // and register is impossible — both happen under the epoch
             // lock — but a member can finish before we start waiting):
             // re-check after every wakeup.
-            inner = self
-                .advanced
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+            self.advanced.wait(&mut inner);
         }
         inner.waiting -= 1;
     }
@@ -315,13 +311,13 @@ mod loom_models {
                 );
                 handles.push(loom::thread::spawn(move || {
                     let (seq, gid) = {
-                        let _ep = lock(&epoch);
+                        let _ep = epoch.lock();
                         let seq = reserver.reserve(1);
                         let gid = ledger.register(seq, 1);
                         (seq, gid)
                     };
                     // Parallel apply happens outside the epoch lock.
-                    lock(&applied).push(seq);
+                    applied.lock().push(seq);
                     ledger.finish_members(gid, 1);
                     ledger.wait_visible(seq);
                 }));
@@ -333,7 +329,7 @@ mod loom_models {
                     for _ in 0..4 {
                         let v = ledger.visible();
                         assert!(v >= last, "visible moved backwards");
-                        let seen = lock(&applied).clone();
+                        let seen = applied.lock().clone();
                         for s in 1..=v {
                             assert!(seen.contains(&s), "seq {s} visible but unapplied");
                         }
@@ -368,7 +364,7 @@ mod loom_models {
             };
             ledger.finish_members(group, 1);
             waiter.join().unwrap();
-            assert_eq!(lock(&ledger.inner).waiting, 0);
+            assert_eq!(ledger.inner.lock().waiting, 0);
         });
     }
 
@@ -401,12 +397,12 @@ mod loom_models {
                         // Leader protocol: reserve + capture mem under
                         // the epoch lock, apply outside it.
                         let (seq, gid, mem) = {
-                            let ep = lock(&epoch);
+                            let ep = epoch.lock();
                             let seq = reserver.reserve(1);
                             let gid = ledger.register(seq, 1);
                             (seq, gid, Arc::clone(&ep.mem))
                         };
-                        lock(&mem).push(seq);
+                        mem.lock().push(seq);
                         ledger.finish_members(gid, 1);
                     }
                 }));
@@ -419,7 +415,7 @@ mod loom_models {
                 );
                 loom::thread::spawn(move || {
                     let (old, boundary) = {
-                        let mut ep = lock(&epoch);
+                        let mut ep = epoch.lock();
                         let boundary = reserver.last_reserved();
                         let old = std::mem::replace(&mut ep.mem, Arc::new(Mutex::new(Vec::new())));
                         (old, boundary)
@@ -427,7 +423,7 @@ mod loom_models {
                     // Flush barrier: wait for in-flight writers that
                     // captured the old memtable.
                     ledger.wait_visible(boundary);
-                    let frozen = lock(&old).clone();
+                    let frozen = old.lock().clone();
                     let mut sorted = frozen.clone();
                     sorted.sort_unstable();
                     sorted.dedup();

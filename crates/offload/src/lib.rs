@@ -29,11 +29,14 @@
 //! `Db::open_with_engine(dir, opts, Arc::new(OffloadService::new(..)))`
 //! is all it takes; pair it with `Options::background_threads >= slots`
 //! so the store can actually keep several slots busy.
+//!
+//! The slot table and its condvar are [`lsm::sync_shim`] locks, like the
+//! store's: under `RUSTFLAGS="--cfg loom"` the model suite drives the
+//! scheduler's real lock protocol through loom's primitives.
 
 pub mod fault;
 pub mod metrics;
 pub mod queue;
-pub mod sync_shim;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,7 +46,7 @@ use lsm::compaction::{
     CompactionEngine, CompactionOutcome, CompactionRequest, CpuCompactionEngine, OutputFileFactory,
     WritePressure,
 };
-use sync_shim::{Condvar, Mutex};
+use lsm::sync_shim::{Condvar, Mutex};
 
 pub use fault::{DeviceFaultKind, FaultInjector};
 pub use metrics::OffloadMetrics;
@@ -52,8 +55,6 @@ pub use queue::{JobClass, PriorityPolicy, Waiter};
 /// Scheduler tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct OffloadConfig {
-    /// Cap on engine slots (the resource model may allow fewer).
-    pub max_engines: usize,
     /// How long a job waits for a free slot before falling back to the
     /// CPU (hybrid dispatch).
     pub wait_budget: Duration,
@@ -72,7 +73,6 @@ pub struct OffloadConfig {
 impl Default for OffloadConfig {
     fn default() -> Self {
         OffloadConfig {
-            max_engines: usize::MAX,
             wait_budget: Duration::from_millis(50),
             job_timeout: Duration::from_secs(5),
             aging_interval: Duration::from_millis(20),
@@ -242,11 +242,11 @@ pub struct OffloadService {
 
 impl OffloadService {
     /// Creates a service with as many engine instances of `device` as fit
-    /// the card per the Table VII resource model (capped by
-    /// `config.max_engines`).
+    /// the card per the Table VII resource model (at least one);
+    /// [`OffloadService::with_slots`] picks the count instead.
     pub fn new(device: FcaeConfig, config: OffloadConfig) -> Self {
         let fit = ResourceModel.max_instances(&device);
-        Self::with_slots(device, fit.min(config.max_engines).max(1), config)
+        Self::with_slots(device, fit, config)
     }
 
     /// Creates a service with exactly `slots` engine instances (tests and
@@ -625,12 +625,8 @@ mod tests {
         // The narrow 9-input design fills the card: one slot.
         let svc = OffloadService::new(FcaeConfig::nine_input(), OffloadConfig::default());
         assert_eq!(svc.engine_slots(), 1);
-        // Explicit caps win.
-        let cfg = OffloadConfig {
-            max_engines: 1,
-            ..Default::default()
-        };
-        let svc = OffloadService::new(FcaeConfig::two_input(), cfg);
+        // An explicit count wins.
+        let svc = OffloadService::with_slots(FcaeConfig::two_input(), 1, OffloadConfig::default());
         assert_eq!(svc.engine_slots(), 1);
     }
 
@@ -718,16 +714,15 @@ mod tests {
 /// Loom model suite (`RUSTFLAGS="--cfg loom"`): the scheduler invariants
 /// that only break under adversarial interleavings — slot exclusivity,
 /// exactly-once execution across the fault-retry path, and priority-queue
-/// aging with concurrent enqueue/dequeue. The service is built against
-/// [`sync_shim`], so these models drive the exact lock/condvar protocol
-/// production uses.
+/// aging with concurrent enqueue/dequeue. The service locks through
+/// [`lsm::sync_shim`], so these models drive the exact lock/condvar
+/// protocol production uses.
 #[cfg(all(loom, test))]
 mod loom_models {
     use std::path::Path;
     use std::sync::Arc;
 
     use loom::sync::atomic::{AtomicBool, Ordering};
-    use sstable::comparator::InternalKeyComparator;
     use sstable::env::{MemEnv, StorageEnv, WritableFile};
     use sstable::ikey::{parse_internal_key, InternalKey, ValueType};
     use sstable::iterator::InternalIterator;
@@ -959,13 +954,13 @@ mod loom_models {
             // Hold the only slot so every acquirer queues behind it.
             let held = svc.acquire_slot(JobClass::Flush).expect("idle slot");
 
-            let order = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let order = Arc::new(Mutex::new(Vec::new()));
             let serve = |svc: &OffloadService,
-                         order: &std::sync::Mutex<Vec<&'static str>>,
+                         order: &Mutex<Vec<&'static str>>,
                          class: JobClass,
                          tag: &'static str| {
                 let slot = svc.acquire_slot(class).expect("budget outlasts the model");
-                order.lock().expect("order lock").push(tag);
+                order.lock().push(tag);
                 svc.release_slot(slot);
             };
 
@@ -998,7 +993,7 @@ mod loom_models {
             for t in l0s {
                 t.join().expect("l0 waiter");
             }
-            let order = order.lock().expect("order lock");
+            let order = order.lock();
             assert_eq!(order.len(), 3, "every waiter served exactly once");
             assert_eq!(
                 order[0], "deep",

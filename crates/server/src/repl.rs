@@ -32,9 +32,10 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use lsm::sync_shim::{Condvar, Mutex};
 use lsm::WalCursor;
 
 use crate::proto::{self, FrameBuf, Request, Response};
@@ -167,10 +168,7 @@ impl ReplState {
 
     fn register_replica(&self, shards: usize) -> u64 {
         let id = self.next_id.fetch_add(1, Ordering::AcqRel);
-        let mut table = self
-            .replicas
-            .lock() // LOCK-ORDER: server.repl.replicas 90
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut table = self.replicas.lock(); // LOCK-ORDER: server.repl.replicas 90
         table.insert(
             id,
             ReplicaProgress {
@@ -182,21 +180,14 @@ impl ReplState {
     }
 
     fn unregister_replica(&self, id: u64) {
-        let mut table = self
-            .replicas
-            .lock() // LOCK-ORDER: server.repl.replicas 90
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut table = self.replicas.lock(); // LOCK-ORDER: server.repl.replicas 90
         table.remove(&id);
         // Wake semi-sync waiters: a gone replica no longer gates acks.
         self.ack_cv.notify_all();
     }
 
     pub(crate) fn has_replicas(&self) -> bool {
-        !self
-            .replicas
-            .lock() // LOCK-ORDER: server.repl.replicas 90
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_empty()
+        !self.replicas.lock().is_empty() // LOCK-ORDER: server.repl.replicas 90
     }
 
     /// Records one ack and returns the new minimum acked segment across
@@ -204,10 +195,7 @@ impl ReplState {
     /// caller installs on the shard's store. `None` when the replica id
     /// is unknown (stale ack after a disconnect).
     pub(crate) fn record_ack(&self, id: u64, shard: usize, segment: u64, seq: u64) -> Option<u64> {
-        let mut table = self
-            .replicas
-            .lock() // LOCK-ORDER: server.repl.replicas 90
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut table = self.replicas.lock(); // LOCK-ORDER: server.repl.replicas 90
         let progress = table.get_mut(&id)?;
         if let (Some(s), Some(g)) = (progress.seq.get_mut(shard), progress.segment.get_mut(shard)) {
             *s = (*s).max(seq);
@@ -226,10 +214,7 @@ impl ReplState {
     /// (immediately true with no replicas), or `timeout` passes.
     pub(crate) fn wait_replicated(&self, shard: usize, seq: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut table = self
-            .replicas
-            .lock() // LOCK-ORDER: server.repl.replicas 90
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut table = self.replicas.lock(); // LOCK-ORDER: server.repl.replicas 90
         loop {
             let all_acked = table
                 .values()
@@ -237,25 +222,17 @@ impl ReplState {
             if all_acked {
                 return true;
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 return false;
             }
-            let (guard, _timeout) = self
-                .ack_cv
-                .wait_timeout(table, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            table = guard;
+            self.ack_cv.wait_until(&mut table, deadline);
         }
     }
 
     /// Marks graceful shutdown complete and wakes
     /// [`ReplState::wait_shutdown`] callers.
     pub(crate) fn signal_shutdown(&self) {
-        let mut done = self
-            .done
-            .lock() // LOCK-ORDER: server.repl.done 95
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut done = self.done.lock(); // LOCK-ORDER: server.repl.done 95
         *done = true;
         self.done_cv.notify_all();
     }
@@ -263,15 +240,9 @@ impl ReplState {
     /// Blocks until a graceful shutdown completes (the `kv-server`
     /// binary's replacement for parking forever).
     pub(crate) fn wait_shutdown(&self) {
-        let mut done = self
-            .done
-            .lock() // LOCK-ORDER: server.repl.done 95
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut done = self.done.lock(); // LOCK-ORDER: server.repl.done 95
         while !*done {
-            done = self
-                .done_cv
-                .wait(done)
-                .unwrap_or_else(PoisonError::into_inner);
+            self.done_cv.wait(&mut done);
         }
     }
 }

@@ -19,8 +19,9 @@
 //!   its rank. Ranks are global: the same name must carry the same rank
 //!   everywhere, and a lock may only be acquired while strictly
 //!   lower-ranked guards are held.
-//! * `// LOCK-ORDER-OK: <why>` — waives one site (generic helpers whose
-//!   lock identity is unknowable, e.g. `sync_shim::lock`).
+//! * `// LOCK-ORDER-OK: <why>` — waives one site (generic wrappers whose
+//!   lock identity is unknowable, e.g. the loom facade's `Mutex::lock`
+//!   in `lsm::sync_shim`).
 //! * `// LOCK-HELD: <name> [via <var>] [prose]` — on a function,
 //!   declares a lock the *caller* holds on entry (a guard parameter or a
 //!   `&mut` borrow of guarded state). The tracker treats it as live for
@@ -118,8 +119,9 @@ struct Walk {
 /// Byte offsets in `code` where a lock acquisition starts, left to
 /// right. `.lock()`/`.read()`/`.write()` require empty argument lists so
 /// `io::Read::read(buf)` and `io::Write::write(buf)` never match; the
-/// bare `lock(` / `shim_lock(` forms cover the `sync_shim::lock` helper
-/// and its `lsm` alias. `fn lock(` definitions are excluded.
+/// bare `lock(` / `shim_lock(` forms cover free-function lock helpers,
+/// which `check.sh` keeps out of `crates/*/src` today. `fn lock(`
+/// definitions are excluded.
 fn acquisition_cols(code: &str) -> Vec<(usize, usize)> {
     let mut out: Vec<(usize, usize)> = Vec::new();
     for tok in [".lock()", ".read()", ".write()"] {

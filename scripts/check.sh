@@ -23,6 +23,12 @@ cargo xtask analyze
 # checksummed reads: no knob for any of them grows back.
 ! grep -rnE 'dyn Comparator|BytewiseComparator|internal_key_filter|block_restart_interval|verify_checksums' \
     --include='*.rs' crates tests examples || exit 1
+# One lock API: parking_lot's shape from `lsm::sync_shim` (or
+# `parking_lot` below `lsm`), never std's poisoning locks or a lock
+# helper. The loom facade in sync_shim.rs and xtask's lint patterns
+# are the only places these names may appear.
+! grep -rnE 'PoisonError|std::sync::(Mutex|Condvar|RwLock)|use std::sync::\{[^}]*(Mutex|Condvar)|shim_lock|sync_shim::lock' \
+    --include='*.rs' crates/*/src | grep -vE '^crates/(xtask/|lsm/src/sync_shim\.rs:)' || exit 1
 # No file of the store grows back into a 2,800-line db.rs.
 find crates/lsm/src -name '*.rs' -exec wc -l {} + \
     | awk '$2 != "total" && $1 > 1200 { print $2 ": " $1 " lines (limit 1200)"; bad = 1 } END { exit bad }'

@@ -2,7 +2,8 @@
 //!
 //! Real loom has no `mpsc` module — models there hand-build channels from
 //! loom primitives. This shim extension instead mirrors the exact
-//! `std::sync::mpsc` subset `lsm::sync_shim` re-exports, so the pipeline
+//! `std::sync::mpsc` subset that `lsm::sync_shim`, the workspace's one
+//! loom switch, re-exports beside its locks, so the pipeline
 //! code is byte-identical under `cfg(loom)` and `cfg(not(loom))` and the
 //! models exercise the very channel protocol production runs.
 

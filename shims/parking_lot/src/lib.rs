@@ -6,7 +6,7 @@
 //! poisoning at all), and `Condvar::wait` takes `&mut MutexGuard`.
 
 use std::sync::PoisonError;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Mutual exclusion primitive (no poisoning).
 pub struct Mutex<T: ?Sized> {
@@ -26,13 +26,6 @@ impl<T> Mutex<T> {
             inner: std::sync::Mutex::new(value),
         }
     }
-
-    /// Consumes the mutex, returning the value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -40,22 +33,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         MutexGuard { guard: Some(guard) }
-    }
-
-    /// Attempts to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(MutexGuard { guard: Some(guard) }),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard {
-                guard: Some(e.into_inner()),
-            }),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -118,33 +95,20 @@ impl Condvar {
         guard.guard = Some(g);
     }
 
-    /// Waits with a timeout.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.guard.take().expect("guard present outside wait");
-        let (g, result) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, r)) => (g, r),
-            Err(e) => {
-                let (g, r) = e.into_inner();
-                (g, r)
-            }
-        };
-        guard.guard = Some(g);
-        WaitTimeoutResult(result.timed_out())
-    }
-
-    /// Waits until a deadline.
+    /// Like [`Condvar::wait`], but returns once `deadline` passes.
     pub fn wait_until<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
         deadline: Instant,
     ) -> WaitTimeoutResult {
-        let now = Instant::now();
-        let timeout = deadline.saturating_duration_since(now);
-        self.wait_for(guard, timeout)
+        let timeout = deadline.saturating_duration_since(Instant::now());
+        let g = guard.guard.take().expect("guard present outside wait");
+        let (g, result) = self
+            .inner
+            .wait_timeout(g, timeout)
+            .unwrap_or_else(PoisonError::into_inner);
+        guard.guard = Some(g);
+        WaitTimeoutResult(result.timed_out())
     }
 
     /// Wakes one waiter.
@@ -158,72 +122,11 @@ impl Condvar {
     }
 }
 
-/// Reader-writer lock (std-backed, no poisoning).
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-/// Shared-read guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    guard: std::sync::RwLockReadGuard<'a, T>,
-}
-
-/// Exclusive-write guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    guard: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new lock.
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard {
-            guard: self.inner.read().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard {
-            guard: self.inner.write().unwrap_or_else(PoisonError::into_inner),
-        }
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn mutex_and_condvar_roundtrip() {
@@ -245,11 +148,16 @@ mod tests {
     }
 
     #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
+    fn wait_until_times_out_at_the_deadline() {
+        let m = Mutex::new(7);
         let cv = Condvar::new();
         let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(5));
+        let deadline = Instant::now() + Duration::from_millis(5);
+        let r = cv.wait_until(&mut g, deadline);
         assert!(r.timed_out());
+        assert!(Instant::now() >= deadline);
+        assert_eq!(*g, 7, "the guard is held again after the wait");
+        // A deadline already past returns at once.
+        assert!(cv.wait_until(&mut g, deadline).timed_out());
     }
 }
