@@ -12,6 +12,15 @@ pub struct PcieConfig {
     pub per_transfer_latency_sec: f64,
 }
 
+impl PcieConfig {
+    /// Seconds to move `bytes` across the link in one round trip: two
+    /// transfers' setup latency (to the device and back) plus the bytes
+    /// of both directions at the link bandwidth.
+    pub fn round_trip_sec(&self, bytes: u64) -> f64 {
+        2.0 * self.per_transfer_latency_sec + bytes as f64 / self.bandwidth_bytes_per_sec
+    }
+}
+
 impl Default for PcieConfig {
     fn default() -> Self {
         PcieConfig {

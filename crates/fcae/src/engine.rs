@@ -194,8 +194,7 @@ impl FcaeEngine {
         let bytes_to_device: u64 = images.iter().map(|im| im.transfer_bytes()).sum();
         let bytes_from_device: u64 = tables.iter().map(|t| t.transfer_bytes()).sum();
         let pcie = &self.config.pcie;
-        let pcie_time_sec = 2.0 * pcie.per_transfer_latency_sec
-            + (bytes_to_device + bytes_from_device) as f64 / pcie.bandwidth_bytes_per_sec;
+        let pcie_time_sec = pcie.round_trip_sec(bytes_to_device + bytes_from_device);
         let report = KernelReport {
             cycles: model.cycles(),
             kernel_time_sec: model.kernel_time_sec(),

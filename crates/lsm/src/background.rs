@@ -4,26 +4,22 @@
 //! version change here goes through [`DbInner::install`].
 
 use std::collections::HashSet;
-use std::path::Path;
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use sstable::env::WritableFile;
-use sstable::ikey::InternalKey;
-use sstable::iterator::InternalIterator;
-use sstable::table_builder::TableBuilder;
 
 use crate::compaction::{
-    CompactionEngine, CompactionInput, CompactionRequest, CpuCompactionEngine, OutputFileFactory,
+    write_level0_table, CompactionEngine, CompactionInput, CompactionRequest, CpuCompactionEngine,
+    OutputFileFactory, OutputTableMeta,
 };
 use crate::conflict::{JobShape, JobTicket};
 use crate::db::{Db, DbInner, DbState, StateGuard};
 use crate::filename::{parse_file_name, table_file_name, FileType};
-use crate::memtable::MemTable;
-use crate::options::{Options, NUM_LEVELS};
+use crate::options::NUM_LEVELS;
 use crate::sync_shim::Mutex;
-use crate::version::{FileMetaData, VersionEdit};
+use crate::version::VersionEdit;
 use crate::{Error, Result};
 
 /// Transient compaction I/O errors are retried this many times before
@@ -130,7 +126,7 @@ impl DbInner {
         // the iteration below sees a complete table.
         self.ledger.wait_visible(boundary);
         let t0 = self.obs.now_micros();
-        let result = write_memtable_table(&self.options, &self.dir, file_number, &imm);
+        let result = write_level0_table(&self.options, &self.dir, file_number, &imm);
         let flush_micros = self.obs.now_micros().saturating_sub(t0);
         let mut state = self.state.lock(); // LOCK-ORDER: db.state 10
         state.flush_in_progress = false;
@@ -344,15 +340,8 @@ impl DbInner {
                 let gone = files.iter().map(|f| (level + i, f.number));
                 edit.deleted_files.extend(gone);
             }
-            for out in &outcome.outputs {
-                let meta = FileMetaData::new(
-                    out.number,
-                    out.file_size,
-                    out.smallest.clone(),
-                    out.largest.clone(),
-                );
-                edit.new_files.push((level + 1, meta));
-            }
+            let outputs = outcome.outputs.iter().map(OutputTableMeta::file_meta);
+            edit.new_files.extend(outputs.map(|meta| (level + 1, meta)));
             edit.compact_pointers
                 .push((level, compaction.largest_input_key.clone()));
             (edit, outcome)
@@ -502,42 +491,6 @@ impl OutputFileFactory for DbOutputFactory<'_> {
         let file = self.inner.options.env.create_writable(&path)?;
         Ok((number, file))
     }
-}
-
-/// Streams `mem` into table `file_number` and syncs it — the flush,
-/// recovery and repair paths' `WriteLevel0Table`. `None` when `mem` is
-/// empty (no file is created).
-pub(crate) fn write_memtable_table(
-    options: &Options,
-    dir: &Path,
-    file_number: u64,
-    mem: &Arc<MemTable>,
-) -> Result<Option<FileMetaData>> {
-    let mut it = mem.iter();
-    it.seek_to_first();
-    if !it.valid() {
-        return Ok(None);
-    }
-    let file = options
-        .env
-        .create_writable(&table_file_name(dir, file_number))?;
-    let mut builder = TableBuilder::new(options.table_builder_options(), file);
-    let smallest = InternalKey::from_encoded(it.key().to_vec());
-    let mut largest = Vec::new();
-    while it.valid() {
-        builder.add(it.key(), it.value())?;
-        largest.clear();
-        largest.extend_from_slice(it.key());
-        it.next();
-    }
-    let file_size = builder.finish()?;
-    builder.sync()?;
-    Ok(Some(FileMetaData::new(
-        file_number,
-        file_size,
-        smallest,
-        InternalKey::from_encoded(largest),
-    )))
 }
 
 /// Background worker: flushes and compactions until shutdown. All workers

@@ -9,8 +9,8 @@ use std::sync::{Arc, OnceLock};
 
 use sstable::ikey::{LookupKey, ValueType};
 
-use crate::background::{background_thread, write_memtable_table};
-use crate::compaction::CompactionEngine;
+use crate::background::background_thread;
+use crate::compaction::{write_level0_table, CompactionEngine};
 use crate::conflict::ConflictChecker;
 use crate::db::{Db, DbInner, DbState};
 use crate::filename::{log_file_name, parse_file_name, FileType};
@@ -103,7 +103,7 @@ impl Db {
         if !mem.is_empty() {
             let file_number = versions.new_file_number();
             let imm = std::mem::replace(&mut mem, MemTable::with_shards(options.memtable_shards));
-            if let Some(meta) = write_memtable_table(&options, &dir, file_number, &Arc::new(imm))? {
+            if let Some(meta) = write_level0_table(&options, &dir, file_number, &Arc::new(imm))? {
                 edit.new_files.push((0, meta));
             }
         }

@@ -173,7 +173,7 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
         report.log_entries_salvaged += mem.len() as u64;
         let number = next_number;
         next_number += 1;
-        crate::background::write_memtable_table(options, dir, number, &mem)?;
+        crate::compaction::write_level0_table(options, dir, number, &mem)?;
         table_numbers.push(number);
         report.logs_salvaged += 1;
     }
@@ -210,7 +210,7 @@ pub fn repair_db(dir: impl AsRef<Path>, options: &Options) -> Result<RepairRepor
         let new_number = next_number;
         next_number += 1;
         // DURABILITY-OK: a table found on disk or one just synced by
-        // `write_memtable_table`; the MANIFEST naming it is synced below.
+        // `write_level0_table`; the MANIFEST naming it is synced below.
         env.rename(
             &table_file_name(dir, old_number),
             &table_file_name(dir, new_number),

@@ -665,11 +665,7 @@ impl VlogRuntime {
     pub(crate) fn read_pointer(&self, ptr: VlogPointer) -> Result<Vec<u8>> {
         self.metrics.resolves.inc();
         let file = self.readers.get(ptr.segment)?;
-        let total = RECORD_HEADER as u64 + record_body_upper_bound(ptr.len);
-        let mut buf = vec![0u8; total as usize];
-        let n = file.read_at(ptr.offset, &mut buf).map_err(Error::from)?;
-        buf.truncate(n);
-        match parse_record(&buf, 0)? {
+        match read_record_at(file.as_ref(), ptr)? {
             Some(rec) if rec.ptr.len == ptr.len => Ok(rec.value),
             Some(_) => Err(Error::Corruption(format!(
                 "vlog record at {}:{} length mismatch",
@@ -746,14 +742,34 @@ impl VlogRuntime {
     }
 }
 
-/// Upper bound on a record's body size given its value length (the key
-/// length is unknown until the header is read; reads fetch
-/// header + value + a key allowance and re-read exactly when a key is
-/// longer).
-fn record_body_upper_bound(value_len: u32) -> u64 {
-    // Keys in this store are small (the paper's workloads use 16-byte
-    // keys); 4 KiB covers any realistic key without a second read.
-    value_len as u64 + 4096
+/// Key bytes a pointer read fetches beside the header and the value, so
+/// one read usually covers the record. Keys in this store are small (the
+/// paper's workloads use 16-byte keys); a longer one costs a second read.
+const KEY_ALLOWANCE: u64 = 4096;
+
+/// Reads the record at `ptr` from its segment `file`: header, value and
+/// [`KEY_ALLOWANCE`], then the whole record when the header names a
+/// longer key — but never past the end of the file, since the header is
+/// not verified yet. `Ok(None)` when the file ends first (torn tail).
+fn read_record_at(file: &dyn RandomAccessFile, ptr: VlogPointer) -> Result<Option<VlogRecord>> {
+    let read = |len: u64| -> Result<Vec<u8>> {
+        let mut buf = vec![0u8; len as usize];
+        let n = file.read_at(ptr.offset, &mut buf)?;
+        buf.truncate(n);
+        Ok(buf)
+    };
+    let allowance = RECORD_HEADER as u64 + u64::from(ptr.len) + KEY_ALLOWANCE;
+    let mut buf = read(allowance)?;
+    if buf.len() as u64 == allowance {
+        let klen = u64::from(decode_fixed32(&buf[4..]));
+        let vlen = u64::from(decode_fixed32(&buf[8..]));
+        let whole = RECORD_HEADER as u64 + klen + vlen;
+        if whole > allowance {
+            let available = file.len()?.saturating_sub(ptr.offset);
+            buf = read(whole.min(available))?;
+        }
+    }
+    parse_record(&buf, 0)
 }
 
 /// Lists the `.vlog` segment numbers in `dir`.
@@ -772,9 +788,6 @@ pub(crate) fn list_segments(env: &dyn StorageEnv, dir: &Path) -> Result<Vec<u64>
 /// Classifies `ptr` against the segment files in `dir`.
 pub(crate) fn check_pointer_in(env: &dyn StorageEnv, dir: &Path, ptr: VlogPointer) -> PointerCheck {
     let path = vlog_file_name(dir, ptr.segment);
-    if !env.file_exists(&path) {
-        return PointerCheck::MissingSegment;
-    }
     let Ok(file) = env.open_random_access(&path) else {
         return PointerCheck::MissingSegment;
     };
@@ -784,35 +797,10 @@ pub(crate) fn check_pointer_in(env: &dyn StorageEnv, dir: &Path, ptr: VlogPointe
     if ptr.offset + RECORD_HEADER as u64 > len {
         return PointerCheck::TornTail;
     }
-    let want = RECORD_HEADER as u64 + record_body_upper_bound(ptr.len);
-    let to_read = want.min(len.saturating_sub(ptr.offset)) as usize;
-    let mut buf = vec![0u8; to_read];
-    let Ok(n) = file.read_at(ptr.offset, &mut buf) else {
-        return PointerCheck::Corrupt;
-    };
-    buf.truncate(n);
-    match parse_record(&buf, 0) {
+    match read_record_at(file.as_ref(), ptr) {
         Ok(Some(rec)) if rec.ptr.len == ptr.len => PointerCheck::Ok,
-        Ok(Some(_)) => PointerCheck::Corrupt,
-        // Record extends past what we read: either a key longer than the
-        // allowance (re-read the whole tail) or a genuinely torn tail.
-        Ok(None) => {
-            if ptr.offset + RECORD_HEADER as u64 > len {
-                return PointerCheck::TornTail;
-            }
-            let mut full = vec![0u8; len.saturating_sub(ptr.offset) as usize];
-            let Ok(n) = file.read_at(ptr.offset, &mut full) else {
-                return PointerCheck::Corrupt;
-            };
-            full.truncate(n);
-            match parse_record(&full, 0) {
-                Ok(Some(rec)) if rec.ptr.len == ptr.len => PointerCheck::Ok,
-                Ok(Some(_)) => PointerCheck::Corrupt,
-                Ok(None) => PointerCheck::TornTail,
-                Err(_) => PointerCheck::Corrupt,
-            }
-        }
-        Err(_) => PointerCheck::Corrupt,
+        Ok(Some(_)) | Err(_) => PointerCheck::Corrupt,
+        Ok(None) => PointerCheck::TornTail,
     }
 }
 

@@ -827,6 +827,32 @@ fn failed_wal_append_under_apply_replicated_goes_read_only_and_skips_the_range()
     ));
 }
 
+/// A value in the value log reads back whatever its key's length. A
+/// pointer read fetched the record header, the value and a 4 KiB key
+/// allowance and never read again, so a 5,000-byte key's `get` returned
+/// `Corruption("vlog pointer 2:0 past end of segment")`.
+#[test]
+fn separated_values_read_back_under_keys_longer_than_the_read_allowance() {
+    let (_env, mut options) = mem_options();
+    options.value_log_threshold_bytes = Some(64);
+    let value = vec![0x6bu8; 200];
+    for key_len in [16, 4_000, 5_000, 20_000] {
+        let dir = format!("/long-key-{key_len}");
+        let key = vec![b'k'; key_len];
+        let db = Db::open(&dir, options.clone()).unwrap();
+        db.put(&key, &value).unwrap();
+        assert_eq!(db.get(&key).unwrap(), Some(value.clone()), "{key_len}: get");
+        drop(db);
+        // Recovery replays the WAL, checking the pointer it holds.
+        let db = Db::open(&dir, options.clone()).unwrap();
+        assert_eq!(
+            db.get(&key).unwrap(),
+            Some(value.clone()),
+            "{key_len}: reopened"
+        );
+    }
+}
+
 #[test]
 fn failed_wal_append_under_a_vlog_gc_rewrite_goes_read_only_and_skips_the_range() {
     let armed = Arc::new(std::sync::atomic::AtomicBool::new(false));

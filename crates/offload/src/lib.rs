@@ -30,13 +30,15 @@
 //! is all it takes; pair it with `Options::background_threads >= slots`
 //! so the store can actually keep several slots busy.
 //!
-//! The slot table and its condvar are [`lsm::sync_shim`] locks, like the
-//! store's: under `RUSTFLAGS="--cfg loom"` the model suite drives the
-//! scheduler's real lock protocol through loom's primitives.
+//! The slot table (`slots.rs`) is the pure scheduling core: its lock and
+//! condvar are [`lsm::sync_shim`] locks, like the store's, so under
+//! `RUSTFLAGS="--cfg loom"` the model suites drive the scheduler's real
+//! lock protocol through loom's primitives.
 
 pub mod fault;
 pub mod metrics;
 pub mod queue;
+mod slots;
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -46,11 +48,12 @@ use lsm::compaction::{
     CompactionEngine, CompactionOutcome, CompactionRequest, CpuCompactionEngine, OutputFileFactory,
     WritePressure,
 };
-use lsm::sync_shim::{Condvar, Mutex};
 
 pub use fault::{DeviceFaultKind, FaultInjector};
 pub use metrics::OffloadMetrics;
+use metrics::OffloadObs;
 pub use queue::{JobClass, PriorityPolicy, Waiter};
+use slots::{Slot, SlotTable};
 
 /// Scheduler tunables.
 #[derive(Debug, Clone, Copy)]
@@ -82,160 +85,12 @@ impl Default for OffloadConfig {
     }
 }
 
-/// Pre-registered handles on the bundle's registry: where every
-/// scheduler event is counted, once ([`OffloadMetrics`] is read back from
-/// these). The histograms add the queue-wait and busy-time distributions
-/// the totals cannot show; dispatch, fault and fallback decisions land on
-/// the bundle's trace with a job id.
-struct OffloadObs {
-    bundle: Arc<obs::Obs>,
-    queue_wait_micros: Arc<obs::Histogram>,
-    engine_busy_micros: Arc<obs::Histogram>,
-    cpu_busy_micros: Arc<obs::Histogram>,
-    /// The same three times as nanosecond totals, so the `Duration`
-    /// fields of [`OffloadMetrics`] are exact.
-    queue_wait_nanos: Arc<obs::Counter>,
-    fpga_busy_nanos: Arc<obs::Counter>,
-    cpu_busy_nanos: Arc<obs::Counter>,
-    jobs_submitted: Arc<obs::Counter>,
-    fpga_jobs: Arc<obs::Counter>,
-    cpu_fallback_oversized: Arc<obs::Counter>,
-    cpu_fallback_timeout: Arc<obs::Counter>,
-    cpu_fallback_budget: Arc<obs::Counter>,
-    device_faults: Arc<obs::Counter>,
-    fault_transient: Arc<obs::Counter>,
-    fault_midjob_timeout: Arc<obs::Counter>,
-    fault_midjob_poisoned: Arc<obs::Counter>,
-    fault_outputs_discarded: Arc<obs::Counter>,
-    cpu_retries_after_fault: Arc<obs::Counter>,
-    cpu_pipelined_jobs: Arc<obs::Counter>,
-    maintenance_jobs: Arc<obs::Counter>,
-    maintenance_inline: Arc<obs::Counter>,
-    max_fpga_in_flight: Arc<obs::Gauge>,
-    max_jobs_in_flight: Arc<obs::Gauge>,
-    /// Per-module device cycle attribution (`fcae.cycles.*`), summed
-    /// over every job that ran on an engine, truncated to whole cycles.
-    cycles_decoder: Arc<obs::Counter>,
-    cycles_comparer: Arc<obs::Counter>,
-    cycles_transfer: Arc<obs::Counter>,
-    cycles_encoder: Arc<obs::Counter>,
-    cycles_axi: Arc<obs::Counter>,
-    cycles_overhead: Arc<obs::Counter>,
-    cycles_memory: Arc<obs::Counter>,
-}
-
-impl OffloadObs {
-    fn new(bundle: Arc<obs::Obs>) -> Self {
-        let r = &bundle.registry;
-        OffloadObs {
-            queue_wait_micros: r.histogram("offload.queue_wait_micros"),
-            engine_busy_micros: r.histogram("offload.engine_busy_micros"),
-            cpu_busy_micros: r.histogram("offload.cpu_busy_micros"),
-            queue_wait_nanos: r.counter("offload.queue_wait_nanos"),
-            fpga_busy_nanos: r.counter("offload.fpga_busy_nanos"),
-            cpu_busy_nanos: r.counter("offload.cpu_busy_nanos"),
-            jobs_submitted: r.counter("offload.jobs_submitted"),
-            fpga_jobs: r.counter("offload.fpga_jobs"),
-            cpu_fallback_oversized: r.counter("offload.cpu_fallback_oversized"),
-            cpu_fallback_timeout: r.counter("offload.cpu_fallback_timeout"),
-            cpu_fallback_budget: r.counter("offload.cpu_fallback_budget"),
-            device_faults: r.counter("offload.device_faults"),
-            fault_transient: r.counter("offload.fault.transient"),
-            fault_midjob_timeout: r.counter("offload.fault.midjob_timeout"),
-            fault_midjob_poisoned: r.counter("offload.fault.midjob_poisoned"),
-            fault_outputs_discarded: r.counter("offload.fault.outputs_discarded"),
-            cpu_retries_after_fault: r.counter("offload.cpu_retries_after_fault"),
-            cpu_pipelined_jobs: r.counter("offload.cpu_pipelined_jobs"),
-            maintenance_jobs: r.counter("offload.maintenance.jobs"),
-            maintenance_inline: r.counter("offload.maintenance.inline"),
-            max_fpga_in_flight: r.gauge("offload.max_fpga_in_flight"),
-            max_jobs_in_flight: r.gauge("offload.max_jobs_in_flight"),
-            cycles_decoder: r.counter("fcae.cycles.decoder"),
-            cycles_comparer: r.counter("fcae.cycles.comparer"),
-            cycles_transfer: r.counter("fcae.cycles.transfer"),
-            cycles_encoder: r.counter("fcae.cycles.encoder"),
-            cycles_axi: r.counter("fcae.cycles.axi"),
-            cycles_overhead: r.counter("fcae.cycles.overhead"),
-            cycles_memory: r.counter("fcae.cycles.memory"),
-            bundle,
-        }
-    }
-
-    /// Counts one device fault: the all-kinds counter and `kind`'s own.
-    fn count_fault(&self, kind: DeviceFaultKind) {
-        self.device_faults.inc();
-        match kind {
-            DeviceFaultKind::Transient => self.fault_transient.inc(),
-            DeviceFaultKind::MidJobTimeout => self.fault_midjob_timeout.inc(),
-            DeviceFaultKind::MidJobPoisoned => self.fault_midjob_poisoned.inc(),
-        }
-    }
-
-    /// Adds one kernel's per-module cycle attribution to the registry.
-    fn record_breakdown(&self, b: &fcae::ModuleBreakdown) {
-        self.cycles_decoder.add(b.decoder as u64);
-        self.cycles_comparer.add(b.comparer as u64);
-        self.cycles_transfer.add(b.transfer as u64);
-        self.cycles_encoder.add(b.encoder as u64);
-        self.cycles_axi.add(b.axi as u64);
-        self.cycles_overhead.add(b.overhead as u64);
-        self.cycles_memory.add(b.memory as u64);
-    }
-
-    /// The registry's totals in [`OffloadMetrics`]' shape.
-    fn metrics(&self) -> OffloadMetrics {
-        let faults_transient = self.fault_transient.get();
-        let faults_midjob_timeout = self.fault_midjob_timeout.get();
-        let faults_midjob_poisoned = self.fault_midjob_poisoned.get();
-        OffloadMetrics {
-            jobs_submitted: self.jobs_submitted.get(),
-            fpga_jobs: self.fpga_jobs.get(),
-            cpu_fallback_oversized: self.cpu_fallback_oversized.get(),
-            cpu_fallback_timeout: self.cpu_fallback_timeout.get(),
-            cpu_fallback_budget: self.cpu_fallback_budget.get(),
-            device_faults: faults_transient + faults_midjob_timeout + faults_midjob_poisoned,
-            faults_transient,
-            faults_midjob_timeout,
-            faults_midjob_poisoned,
-            midjob_outputs_discarded: self.fault_outputs_discarded.get(),
-            cpu_retries_after_fault: self.cpu_retries_after_fault.get(),
-            cpu_pipelined_jobs: self.cpu_pipelined_jobs.get(),
-            maintenance_jobs: self.maintenance_jobs.get(),
-            maintenance_inline: self.maintenance_inline.get(),
-            max_fpga_in_flight: self.max_fpga_in_flight.get(),
-            max_jobs_in_flight: self.max_jobs_in_flight.get(),
-            total_queue_wait: Duration::from_nanos(self.queue_wait_nanos.get()),
-            fpga_busy_time: Duration::from_nanos(self.fpga_busy_nanos.get()),
-            cpu_busy_time: Duration::from_nanos(self.cpu_busy_nanos.get()),
-        }
-    }
-}
-
-/// Scheduling state only: what is free, who waits, what is in flight.
-/// Event counts live on the registry ([`OffloadObs`]).
-struct ServiceState {
-    /// Indices into `engines` that are idle.
-    free_slots: Vec<usize>,
-    /// Jobs waiting for a slot.
-    waiting: Vec<Waiter>,
-    next_waiter_id: u64,
-    /// Engine slots currently executing.
-    fpga_in_flight: usize,
-    /// Jobs inside the service (any execution path).
-    jobs_in_flight: usize,
-    /// Jobs ever admitted; the latest one's trace id.
-    jobs_admitted: u64,
-}
-
 /// The offload scheduler; a drop-in [`lsm::CompactionEngine`].
 pub struct OffloadService {
     device: FcaeConfig,
     config: OffloadConfig,
-    policy: PriorityPolicy,
     engines: Vec<FcaeEngine>,
-    state: Mutex<ServiceState>,
-    /// Signaled whenever a slot frees or queue membership changes.
-    slot_free: Condvar,
+    slots: SlotTable,
     faults: FaultInjector,
     obs: OffloadObs,
 }
@@ -259,19 +114,8 @@ impl OffloadService {
         OffloadService {
             device,
             config,
-            policy: PriorityPolicy {
-                aging_interval: config.aging_interval,
-            },
             engines,
-            state: Mutex::new(ServiceState {
-                free_slots: (0..slots).collect(),
-                waiting: Vec::new(),
-                next_waiter_id: 0,
-                fpga_in_flight: 0,
-                jobs_in_flight: 0,
-                jobs_admitted: 0,
-            }),
-            slot_free: Condvar::new(),
+            slots: SlotTable::new(slots, config),
             faults: FaultInjector::new(),
             obs: OffloadObs::new(obs::Obs::wall()),
         }
@@ -317,60 +161,22 @@ impl OffloadService {
     /// timeout, so it errs simple rather than exact.
     fn estimated_device_time(&self, bytes: u64) -> Duration {
         let kernel = bytes as f64 / (self.device.v as f64 * self.device.freq_mhz as f64 * 1e6);
-        let pcie = 2.0 * self.device.pcie.per_transfer_latency_sec
-            + 2.0 * bytes as f64 / self.device.pcie.bandwidth_bytes_per_sec;
+        let pcie = self.device.pcie.round_trip_sec(2 * bytes);
         Duration::from_secs_f64(kernel + pcie)
     }
 
-    /// Waits (with priority + aging) for an engine slot, up to the wait
-    /// budget. Returns the slot index — occupied, until
-    /// [`OffloadService::release_slot`] — or `None` on budget exhaustion.
-    fn acquire_slot(&self, class: JobClass) -> Option<usize> {
+    /// Waits for an engine slot ([`SlotTable::acquire_slot`]), counting
+    /// the wait and the busy-slot high-water mark.
+    fn acquire_slot(&self, class: JobClass) -> Option<Slot<'_>> {
         let enqueued = Instant::now();
-        let deadline = enqueued + self.config.wait_budget;
-        let mut state = self.state.lock(); // LOCK-ORDER: offload.state 110
-        let id = state.next_waiter_id;
-        state.next_waiter_id += 1;
-        state.waiting.push(Waiter {
-            id,
-            class,
-            enqueued,
-        });
-        let (slot, left) = loop {
-            let now = Instant::now();
-            let chosen = self.policy.pick(now, &state.waiting).map(|w| w.id);
-            let slot = if chosen == Some(id) {
-                state.free_slots.pop()
-            } else {
-                None
-            };
-            if slot.is_some() || now >= deadline {
-                break (slot, now);
-            }
-            self.slot_free.wait_until(&mut state, deadline);
-        };
-        state.waiting.retain(|w| w.id != id);
-        if slot.is_some() {
-            state.fpga_in_flight += 1;
-            self.obs
-                .max_fpga_in_flight
-                .set_max(state.fpga_in_flight as u64);
+        let slot = self.slots.acquire_slot(class);
+        let waited = enqueued.elapsed();
+        if let Some(slot) = &slot {
+            self.obs.max_fpga_in_flight.set_max(slot.busy as u64);
         }
-        // Leaving the queue, with a slot or without, may let another
-        // waiter through.
-        self.slot_free.notify_all();
-        drop(state);
-        let waited = left.saturating_duration_since(enqueued);
         self.obs.queue_wait_nanos.add(waited.as_nanos() as u64);
         self.obs.queue_wait_micros.record(waited.as_micros() as u64);
         slot
-    }
-
-    fn release_slot(&self, slot: usize) {
-        let mut state = self.state.lock(); // LOCK-ORDER: offload.state 110
-        state.fpga_in_flight -= 1;
-        state.free_slots.push(slot);
-        self.slot_free.notify_all();
     }
 
     /// Runs `req` on the host CPU: the software path of Fig. 6, counted
@@ -438,12 +244,12 @@ impl OffloadService {
             )))
         } else {
             let t0 = Instant::now();
-            let r = self.engines[slot].compact(req, out);
+            let r = self.engines[slot.index].compact(req, out);
             let busy = t0.elapsed();
             o.fpga_busy_nanos.add(busy.as_nanos() as u64);
             o.engine_busy_micros.record(busy.as_micros() as u64);
             if r.is_ok() {
-                o.record_breakdown(&self.engines[slot].last_report().breakdown);
+                o.record_breakdown(&self.engines[slot.index].last_report().breakdown);
             }
             match (r, injected) {
                 (Ok(outcome), Some(kind)) => {
@@ -462,7 +268,7 @@ impl OffloadService {
                 (r, _) => r,
             }
         };
-        self.release_slot(slot);
+        drop(slot);
 
         match result {
             Ok(outcome) => {
@@ -501,7 +307,7 @@ impl CompactionEngine for OffloadService {
     ) -> lsm::Result<CompactionOutcome> {
         self.obs.jobs_submitted.inc();
         let job = {
-            let mut state = self.state.lock(); // LOCK-ORDER: offload.state 110
+            let mut state = self.slots.state.lock(); // LOCK-ORDER: offload.state 110
             state.jobs_in_flight += 1;
             self.obs
                 .max_jobs_in_flight
@@ -510,20 +316,12 @@ impl CompactionEngine for OffloadService {
             state.jobs_admitted
         };
         let result = self.run_job(req, out, job);
-        self.state.lock().jobs_in_flight -= 1; // LOCK-ORDER: offload.state 110
+        self.slots.state.lock().jobs_in_flight -= 1; // LOCK-ORDER: offload.state 110
         result
     }
 
     fn write_pressure(&self) -> WritePressure {
-        let state = self.state.lock(); // LOCK-ORDER: offload.state 110
-        let queued = state.waiting.len();
-        if queued >= self.config.stop_queue_depth {
-            WritePressure::Stop
-        } else if queued >= self.config.slowdown_queue_depth {
-            WritePressure::Slowdown
-        } else {
-            WritePressure::None
-        }
+        self.slots.write_pressure()
     }
 
     /// Value-log GC contends with compactions for engine slots: the job
@@ -534,16 +332,14 @@ impl CompactionEngine for OffloadService {
     /// round but is never starved outright.
     fn run_maintenance(&self, job: &mut dyn FnMut()) {
         self.obs.maintenance_jobs.inc();
-        match self.acquire_slot(JobClass::Maintenance) {
-            Some(slot) => {
-                job();
-                self.release_slot(slot);
-            }
-            None => {
-                self.obs.maintenance_inline.inc();
-                job();
-            }
+        // A granted slot frees when `slot` drops: after the job, or while
+        // a panicking job unwinds.
+        let slot = self.acquire_slot(JobClass::Maintenance);
+        if slot.is_none() {
+            self.obs.maintenance_inline.inc();
         }
+        job();
+        drop(slot);
     }
 }
 
@@ -631,49 +427,19 @@ mod tests {
     }
 
     #[test]
-    fn pressure_follows_queue_depth() {
-        let cfg = OffloadConfig {
-            slowdown_queue_depth: 1,
-            stop_queue_depth: 2,
-            ..Default::default()
-        };
-        let svc = OffloadService::with_slots(FcaeConfig::two_input(), 1, cfg);
-        assert_eq!(svc.write_pressure(), WritePressure::None);
-        {
-            let mut st = svc.state.lock();
-            st.waiting.push(Waiter {
-                id: 0,
-                class: JobClass::L0ToL1,
-                enqueued: Instant::now(),
-            });
-        }
-        assert_eq!(svc.write_pressure(), WritePressure::Slowdown);
-        {
-            let mut st = svc.state.lock();
-            st.waiting.push(Waiter {
-                id: 1,
-                class: JobClass::Deeper(2),
-                enqueued: Instant::now(),
-            });
-        }
-        assert_eq!(svc.write_pressure(), WritePressure::Stop);
-    }
-
-    #[test]
     fn maintenance_occupies_and_releases_a_slot() {
         let svc = OffloadService::with_slots(FcaeConfig::two_input(), 1, OffloadConfig::default());
         let mut ran = false;
         svc.run_maintenance(&mut || {
             ran = true;
             assert!(
-                svc.state.lock().free_slots.is_empty(),
+                svc.slots.state.lock().free_slots.is_empty(),
                 "GC must hold the slot while it runs"
             );
         });
         assert!(ran);
-        let st = svc.state.lock();
+        let st = svc.slots.state.lock();
         assert_eq!(st.free_slots.len(), 1, "slot returned");
-        assert_eq!(st.fpga_in_flight, 0);
         assert_eq!(svc.metrics().maintenance_jobs, 1);
         assert_eq!(svc.metrics().maintenance_inline, 0);
     }
@@ -692,37 +458,33 @@ mod tests {
         assert!(ran, "GC still runs, just not on a slot");
         assert_eq!(svc.metrics().maintenance_jobs, 1);
         assert_eq!(svc.metrics().maintenance_inline, 1);
-        svc.release_slot(held);
-        assert_eq!(svc.state.lock().free_slots.len(), 1);
+        drop(held);
+        assert_eq!(svc.slots.state.lock().free_slots.len(), 1);
     }
 
+    /// The slot a maintenance job holds is a guard: a job that panics
+    /// frees it while unwinding instead of leaking it for good.
     #[test]
-    fn zero_budget_falls_back_to_cpu() {
-        let cfg = OffloadConfig {
-            wait_budget: Duration::ZERO,
-            ..Default::default()
-        };
-        let svc = OffloadService::with_slots(FcaeConfig::two_input(), 1, cfg);
-        // An idle slot is handed out even with a zero budget...
-        let slot = svc.acquire_slot(JobClass::L0ToL1);
-        assert_eq!(slot, Some(0));
-        // ...but once the only slot is busy, a zero budget cannot wait.
-        assert_eq!(svc.acquire_slot(JobClass::L0ToL1), None);
+    fn a_panicking_maintenance_job_frees_its_slot() {
+        let svc = OffloadService::with_slots(FcaeConfig::two_input(), 1, OffloadConfig::default());
+        let run = std::panic::AssertUnwindSafe(|| {
+            svc.run_maintenance(&mut || panic!("injected maintenance fault"));
+        });
+        assert!(std::panic::catch_unwind(run).is_err());
+        assert_eq!(svc.slots.state.lock().free_slots.len(), 1);
     }
 }
 
-/// Loom model suite (`RUSTFLAGS="--cfg loom"`): the scheduler invariants
-/// that only break under adversarial interleavings — slot exclusivity,
-/// exactly-once execution across the fault-retry path, and priority-queue
-/// aging with concurrent enqueue/dequeue. The service locks through
-/// [`lsm::sync_shim`], so these models drive the exact lock/condvar
-/// protocol production uses.
+/// Loom model suite (`RUSTFLAGS="--cfg loom"`): exactly-once execution
+/// across the fault-retry path, an invariant that only breaks under
+/// adversarial interleavings (the slot table's own models are in
+/// `slots.rs`). The service locks through [`lsm::sync_shim`], so these
+/// models drive the exact lock/condvar protocol production uses.
 #[cfg(all(loom, test))]
 mod loom_models {
     use std::path::Path;
     use std::sync::Arc;
 
-    use loom::sync::atomic::{AtomicBool, Ordering};
     use sstable::env::{MemEnv, StorageEnv, WritableFile};
     use sstable::ikey::{parse_internal_key, InternalKey, ValueType};
     use sstable::iterator::InternalIterator;
@@ -731,48 +493,6 @@ mod loom_models {
 
     use super::*;
     use lsm::compaction::CompactionInput;
-
-    /// Two slots, four contending threads: a granted slot must never be
-    /// held by two jobs at once, and the free list must be whole after
-    /// the storm.
-    #[test]
-    fn slots_are_never_double_granted() {
-        loom::model(|| {
-            let cfg = OffloadConfig {
-                wait_budget: Duration::from_secs(30),
-                ..Default::default()
-            };
-            let svc = Arc::new(OffloadService::with_slots(FcaeConfig::two_input(), 2, cfg));
-            let claimed: Arc<Vec<AtomicBool>> =
-                Arc::new((0..2).map(|_| AtomicBool::new(false)).collect());
-            let mut threads = Vec::new();
-            for t in 0..4usize {
-                let svc = Arc::clone(&svc);
-                let claimed = Arc::clone(&claimed);
-                threads.push(loom::thread::spawn(move || {
-                    for _ in 0..3 {
-                        let slot = svc
-                            .acquire_slot(JobClass::from_level(t % 3))
-                            .expect("budget is far beyond any model schedule");
-                        assert!(
-                            !claimed[slot].swap(true, Ordering::SeqCst),
-                            "slot {slot} granted to two jobs at once"
-                        );
-                        loom::thread::yield_now();
-                        claimed[slot].store(false, Ordering::SeqCst);
-                        svc.release_slot(slot);
-                    }
-                }));
-            }
-            for t in threads {
-                t.join().expect("contender thread must not panic");
-            }
-            let state = svc.state.lock();
-            assert_eq!(state.free_slots.len(), 2, "a slot leaked");
-            assert!(state.waiting.is_empty(), "a waiter was stranded");
-            assert_eq!(state.fpga_in_flight, 0);
-        });
-    }
 
     fn builder_options() -> TableBuilderOptions {
         TableBuilderOptions {
@@ -934,74 +654,7 @@ mod loom_models {
                 0,
                 "no job may take an unrelated CPU path in this model"
             );
-            assert_eq!(svc.state.lock().jobs_in_flight, 0);
-        });
-    }
-
-    /// Aging regression under concurrent enqueue/dequeue: a Deeper(4)
-    /// waiter that has starved past five aging intervals must be served
-    /// before fresh L0ToL1 waiters when the slot frees — and every waiter
-    /// must be served exactly once.
-    #[test]
-    fn aged_deep_waiter_beats_fresh_l0_under_churn() {
-        loom::model(|| {
-            let cfg = OffloadConfig {
-                wait_budget: Duration::from_secs(30),
-                aging_interval: Duration::from_millis(2),
-                ..Default::default()
-            };
-            let svc = Arc::new(OffloadService::with_slots(FcaeConfig::two_input(), 1, cfg));
-            // Hold the only slot so every acquirer queues behind it.
-            let held = svc.acquire_slot(JobClass::Flush).expect("idle slot");
-
-            let order = Arc::new(Mutex::new(Vec::new()));
-            let serve = |svc: &OffloadService,
-                         order: &Mutex<Vec<&'static str>>,
-                         class: JobClass,
-                         tag: &'static str| {
-                let slot = svc.acquire_slot(class).expect("budget outlasts the model");
-                order.lock().push(tag);
-                svc.release_slot(slot);
-            };
-
-            let deep = {
-                let svc = Arc::clone(&svc);
-                let order = Arc::clone(&order);
-                loom::thread::spawn(move || serve(&svc, &order, JobClass::Deeper(4), "deep"))
-            };
-            // Deeper(4) must be queued before it can starve.
-            while svc.state.lock().waiting.is_empty() {
-                loom::thread::yield_now();
-            }
-            // Let it starve past five aging intervals (base rank 5 -> 0),
-            // then race in fresh L0 waiters — base rank 1, no aging yet.
-            std::thread::sleep(Duration::from_millis(11));
-            let mut l0s = Vec::new();
-            for _ in 0..2 {
-                let svc = Arc::clone(&svc);
-                let order = Arc::clone(&order);
-                l0s.push(loom::thread::spawn(move || {
-                    serve(&svc, &order, JobClass::L0ToL1, "l0")
-                }));
-            }
-            while svc.state.lock().waiting.len() < 3 {
-                loom::thread::yield_now();
-            }
-            svc.release_slot(held);
-
-            deep.join().expect("deep waiter");
-            for t in l0s {
-                t.join().expect("l0 waiter");
-            }
-            let order = order.lock();
-            assert_eq!(order.len(), 3, "every waiter served exactly once");
-            assert_eq!(
-                order[0], "deep",
-                "starvation aging must promote the deep job past fresh L0 work"
-            );
-            let state = svc.state.lock();
-            assert_eq!(state.free_slots.len(), 1);
-            assert!(state.waiting.is_empty());
+            assert_eq!(svc.slots.state.lock().jobs_in_flight, 0);
         });
     }
 }

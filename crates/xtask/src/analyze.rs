@@ -34,7 +34,9 @@
 //! rebinding of `g`; an acquisition whose result is consumed by further
 //! chaining (`x.lock().field.clone()`) is a temporary, live only for its
 //! own statement. `.unwrap()` / `.expect(..)` / `.unwrap_or_else(..)`
-//! after `.lock()` still yield the guard (std `Mutex` returns `Result`).
+//! after `.lock()` are still read as yielding the guard: a lock whose
+//! `lock()` returns a `Result` (std's poisoning `Mutex`) would bind
+//! that way. The workspace's locks return the guard directly.
 //!
 //! Limitations, deliberate: the tracker sees syntactic nesting within
 //! one function only. A guard passed to a callee is invisible at the
