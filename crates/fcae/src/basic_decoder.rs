@@ -12,11 +12,9 @@
 //! the timing model charges for (`AblationFlags::index_data_separation`).
 
 use sstable::block::{Block, BlockIter};
-use sstable::coding::decode_fixed32;
-use sstable::crc32c;
-use sstable::format::{BlockHandle, CompressionType, BLOCK_TRAILER_SIZE};
+use sstable::format::{BlockHandle, CompressionType};
 
-use crate::memory::{align_up, index_block_from_region, InputImage};
+use crate::memory::{index_block_from_region, DataWindow, InputImage};
 use crate::Result;
 
 fn corruption(msg: &str) -> lsm::Error {
@@ -48,10 +46,9 @@ pub struct BasicDecoderStats {
 /// The Algorithm 1 decoder.
 pub struct BasicInputDecoder<'a> {
     image: &'a InputImage,
-    w_in: u32,
     sst_idx: usize,
     index_iter: Option<BlockIter>,
-    data_cursor: u64,
+    window: DataWindow,
     block_iter: Option<BlockIter>,
     pointer: Pointer,
     /// Counters.
@@ -63,10 +60,9 @@ impl<'a> BasicInputDecoder<'a> {
     pub fn new(image: &'a InputImage, w_in: u32) -> Self {
         BasicInputDecoder {
             image,
-            w_in,
             sst_idx: 0,
             index_iter: None,
-            data_cursor: 0,
+            window: DataWindow::new(w_in),
             block_iter: None,
             pointer: Pointer::IndexBlock,
             stats: BasicDecoderStats::default(),
@@ -132,7 +128,7 @@ impl<'a> BasicInputDecoder<'a> {
                 let mut it = block.iter();
                 it.seek_to_first();
                 self.index_iter = Some(it);
-                self.data_cursor = meta.data_offset;
+                self.window.seek(meta.data_offset);
                 self.sst_idx += 1;
             }
             // PANIC-OK: the branch above just set index_iter to Some or
@@ -159,28 +155,14 @@ impl<'a> BasicInputDecoder<'a> {
     }
 
     fn fetch_block(&mut self, handle: &BlockHandle) -> Result<Block> {
-        let framed_len = handle.size as usize + BLOCK_TRAILER_SIZE;
-        let start = self.data_cursor as usize;
-        let end = start + framed_len;
-        if end > self.image.data_memory.len() {
-            return Err(corruption("data block exceeds device memory"));
-        }
-        let framed = &self.image.data_memory[start..end];
-        self.data_cursor = align_up(end as u64, u64::from(self.w_in));
+        let (contents, compression) = self.window.next_block(self.image, handle)?;
         self.stats.blocks_fetched += 1;
-
-        let n = handle.size as usize;
-        let stored = crc32c::unmask(decode_fixed32(&framed[n + 1..]));
-        if stored != crc32c::value(&framed[..n + 1]) {
-            return Err(corruption("data block checksum mismatch"));
-        }
-        let contents = match CompressionType::from_u8(framed[n]) {
-            Some(CompressionType::None) => bytes::Bytes::copy_from_slice(&framed[..n]),
-            Some(CompressionType::Snappy) => bytes::Bytes::from(
-                snap_codec::decompress(&framed[..n])
-                    .map_err(|e| corruption(&format!("snappy: {e}")))?,
+        let raw = &self.window.bytes()[contents];
+        let contents = match compression {
+            CompressionType::None => bytes::Bytes::copy_from_slice(raw),
+            CompressionType::Snappy => bytes::Bytes::from(
+                snap_codec::decompress(raw).map_err(|e| corruption(&format!("snappy: {e}")))?,
             ),
-            None => return Err(corruption("unknown compression tag")),
         };
         Block::new(contents).map_err(lsm::Error::from)
     }

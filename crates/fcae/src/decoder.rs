@@ -9,18 +9,17 @@
 //! blocks were fetched so the engine can charge the timing model.
 //!
 //! The data path is allocation-free in steady state: uncompressed blocks
-//! are borrowed in place from Data Block Memory, Snappy blocks are
+//! are borrowed in place from the decoder's `DataWindow` onto Data
+//! Block Memory (refilled into the same buffer), Snappy blocks are
 //! decompressed into one reusable buffer, and entries are parsed with a
 //! forward-only [`BlockCursor`] whose key buffer is reused across blocks.
 //! Only opening a new SSTable's index block allocates (once per table,
 //! not per pair).
 
 use sstable::block::{BlockCursor, BlockIter};
-use sstable::coding::decode_fixed32;
-use sstable::crc32c;
-use sstable::format::{BlockHandle, CompressionType, BLOCK_TRAILER_SIZE};
+use sstable::format::{BlockHandle, CompressionType};
 
-use crate::memory::{align_up, index_block_from_region, InputImage};
+use crate::memory::{index_block_from_region, DataWindow, InputImage};
 use crate::Result;
 
 fn corruption(msg: impl Into<String>) -> lsm::Error {
@@ -47,16 +46,14 @@ pub struct DecoderStats {
     pub index_blocks_opened: u64,
     /// Key-value pairs decoded.
     pub pairs_decoded: u64,
-    /// Compressed bytes consumed.
-    pub bytes_consumed: u64,
 }
 
 /// Where the current block's contents live.
 enum BlockSrc {
     /// No block open.
     None,
-    /// Borrowed directly from Data Block Memory (uncompressed block).
-    Image { start: usize, end: usize },
+    /// Borrowed directly from the data window (uncompressed block).
+    Window { start: usize, end: usize },
     /// In the reusable decompression buffer (Snappy block).
     Buf,
 }
@@ -64,13 +61,13 @@ enum BlockSrc {
 /// One input's decoder (Index Block Decoder + Data Block Decoder pair).
 pub struct InputDecoder<'a> {
     image: &'a InputImage,
-    w_in: u32,
     /// Index of the SSTable currently being decoded.
     sst_idx: usize,
     /// Iterator over the current SSTable's index block.
     index_iter: Option<BlockIter>,
-    /// Cursor into Data Block Memory (aligned offset of the next block).
-    data_cursor: u64,
+    /// The data cursor and the read window its blocks are fetched
+    /// through.
+    window: DataWindow,
     /// Source of the current data block's contents.
     block_src: BlockSrc,
     /// Entry cursor over the current block.
@@ -87,7 +84,7 @@ macro_rules! contents {
     ($d:expr) => {
         match $d.block_src {
             BlockSrc::None => &[][..],
-            BlockSrc::Image { start, end } => &$d.image.data_memory[start..end],
+            BlockSrc::Window { start, end } => &$d.window.bytes()[start..end],
             BlockSrc::Buf => &$d.decomp_buf,
         }
     };
@@ -99,10 +96,9 @@ impl<'a> InputDecoder<'a> {
     pub fn new(image: &'a InputImage, w_in: u32) -> Self {
         InputDecoder {
             image,
-            w_in,
             sst_idx: 0,
             index_iter: None,
-            data_cursor: 0,
+            window: DataWindow::new(w_in),
             block_src: BlockSrc::None,
             cursor: BlockCursor::new(),
             decomp_buf: Vec::new(),
@@ -177,50 +173,28 @@ impl<'a> InputDecoder<'a> {
         let mut it = block.iter();
         it.seek_to_first();
         self.index_iter = Some(it);
-        self.data_cursor = meta.data_offset;
+        self.window.seek(meta.data_offset);
         self.sst_idx += 1;
         self.stats.index_blocks_opened += 1;
         Ok(true)
     }
 
-    /// Streams in the block at the data cursor, checks its trailer,
+    /// Streams in the block at the data cursor (its trailer checked),
     /// decompresses it if needed, and resets the entry cursor onto it.
     fn fetch_and_decode_block(&mut self, handle: &BlockHandle) -> Result<()> {
-        let framed_len = handle.size as usize + BLOCK_TRAILER_SIZE;
-        let start = self.data_cursor as usize;
-        let end = start + framed_len;
-        if end > self.image.data_memory.len() {
-            return Err(corruption(format!(
-                "data block at {start} (+{framed_len}) exceeds data memory ({})",
-                self.image.data_memory.len()
-            )));
-        }
-        let framed = &self.image.data_memory[start..end];
-        self.data_cursor = align_up(end as u64, u64::from(self.w_in));
+        let (contents, compression) = self.window.next_block(self.image, handle)?;
         self.stats.blocks_fetched += 1;
-        self.stats.bytes_consumed += framed_len as u64;
-
-        let n = handle.size as usize;
-        let ty_byte = framed[n];
-        let stored = crc32c::unmask(decode_fixed32(&framed[n + 1..]));
-        let actual = crc32c::value(&framed[..n + 1]);
-        if stored != actual {
-            return Err(corruption("data block checksum mismatch in device memory"));
-        }
-        match CompressionType::from_u8(ty_byte) {
-            Some(CompressionType::None) => {
-                self.block_src = BlockSrc::Image {
-                    start,
-                    end: start + n,
-                };
-            }
-            Some(CompressionType::Snappy) => {
-                snap_codec::decompress_to_vec(framed[..n].as_ref(), &mut self.decomp_buf)
+        self.block_src = match compression {
+            CompressionType::None => BlockSrc::Window {
+                start: contents.start,
+                end: contents.end,
+            },
+            CompressionType::Snappy => {
+                snap_codec::decompress_to_vec(&self.window.bytes()[contents], &mut self.decomp_buf)
                     .map_err(|e| corruption(format!("snappy: {e}")))?;
-                self.block_src = BlockSrc::Buf;
+                BlockSrc::Buf
             }
-            None => return Err(corruption(format!("unknown compression tag {ty_byte}"))),
-        }
+        };
         self.cursor.reset(contents!(self)).map_err(lsm::Error::from)
     }
 }
@@ -269,6 +243,16 @@ mod tests {
     }
 
     fn build_table(env: &MemEnv, path: &str, range: std::ops::Range<u32>) -> Arc<Table> {
+        build_table_then(env, path, range, |_| {})
+    }
+
+    /// Builds the table, lets `damage` edit the file's bytes, then opens it.
+    fn build_table_then(
+        env: &MemEnv,
+        path: &str,
+        range: std::ops::Range<u32>,
+        damage: impl FnOnce(&mut Vec<u8>),
+    ) -> Arc<Table> {
         let f = env.create_writable(Path::new(path)).unwrap();
         let mut b = TableBuilder::new(internal_table_options(), f);
         for i in range {
@@ -281,6 +265,16 @@ mod tests {
                 .unwrap();
         }
         let size = b.finish().unwrap();
+        let mut bytes = env
+            .open_random_access(Path::new(path))
+            .unwrap()
+            .read_all()
+            .unwrap();
+        damage(&mut bytes);
+        env.create_writable(Path::new(path))
+            .unwrap()
+            .append(&bytes)
+            .unwrap();
         let file = env.open_random_access(Path::new(path)).unwrap();
         let read_opts = TableReadOptions::default();
         Table::open(file, size, read_opts).unwrap()
@@ -311,13 +305,37 @@ mod tests {
     }
 
     #[test]
+    fn decoder_streams_tables_larger_than_its_window() {
+        let env = MemEnv::new();
+        let t1 = build_table(&env, "/t1", 0..40_000);
+        let t2 = build_table(&env, "/t2", 40_000..50_000);
+        let window = lsm::compaction::READ_AHEAD_BATCH_BYTES as u64;
+        assert!(t1.file_size() > 2 * window, "{} bytes", t1.file_size());
+        let input = CompactionInput {
+            tables: vec![t1, t2],
+        };
+        for w in [8u32, 64] {
+            let image = build_input_image(&input, w).unwrap();
+            let mut dec = InputDecoder::new(&image, w);
+            let mut count = 0u32;
+            while dec.advance().unwrap() {
+                let parsed = sstable::ikey::parse_internal_key(dec.key()).unwrap();
+                assert_eq!(parsed.user_key, format!("key{count:06}").as_bytes());
+                assert_eq!(dec.value(), format!("value-{count}").as_bytes());
+                count += 1;
+            }
+            assert_eq!(count, 50_000, "w_in={w}");
+            assert_eq!(dec.stats.blocks_fetched, image.data_blocks.len() as u64);
+        }
+    }
+
+    #[test]
     fn decoder_detects_corrupted_device_memory() {
         let env = MemEnv::new();
-        let t1 = build_table(&env, "/t1", 0..100);
+        // Flip a byte of the first data block in the table file.
+        let t1 = build_table_then(&env, "/t1", 0..100, |bytes| bytes[10] ^= 0xff);
         let input = CompactionInput { tables: vec![t1] };
-        let mut image = build_input_image(&input, 64).unwrap();
-        // Flip a byte in the first data block.
-        image.data_memory[10] ^= 0xff;
+        let image = build_input_image(&input, 64).unwrap();
         let mut dec = InputDecoder::new(&image, 64);
         assert!(dec.advance().is_err());
     }

@@ -6,8 +6,8 @@
 //! tag + masked CRC32C) and flushed to the output Data Block Memory, while
 //! the Index Block Encoder immediately emits the block's index entry —
 //! that immediacy is the §V-B separation optimization. At ~2 MiB the
-//! current SSTable completes: its smallest/largest keys go to MetaOut and
-//! the encoder resets.
+//! current SSTable completes: its smallest/largest keys go to MetaOut,
+//! the engine drains the table to the host, and the encoder resets.
 //!
 //! The Filter Block Encoder is not in the paper: it hashes each emitted
 //! pair's filter key into the same [`FilterBlockBuilder`] the host's
@@ -132,6 +132,15 @@ impl OutputEncoder {
         if self.block.is_empty() {
             return;
         }
+        if self.data_memory.capacity() == 0 {
+            // A table's data memory is allocated once, at its first block,
+            // with an eighth over the table size for the padding and the
+            // block that crosses the size: growing it by doubling would
+            // copy the table on the way and hold up to twice its size.
+            // Tables past 64 MiB grow as they fill.
+            let table_size = self.table_size.min(64 << 20) as usize;
+            self.data_memory.reserve(table_size + table_size / 8);
+        }
         let contents = self.block.finish();
         let (_, framed_len) = frame_block_into(
             contents,
@@ -183,9 +192,17 @@ impl OutputEncoder {
         self.entries = 0;
     }
 
+    /// Hands over the tables completed since the last call, oldest first.
+    /// The engine drains each table as soon as
+    /// [`EncodeEvents::table_completed`] reports it, so a job holds one
+    /// output table at a time.
+    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, OutputTableImage> {
+        self.finished_tables.drain(..)
+    }
+
     /// Ends the stream: flushes the tail block/table and returns every
-    /// produced table image. Returns the number of tail events
-    /// (block flush, table completion) for timing.
+    /// produced table image not yet drained. Returns the number of tail
+    /// events (block flush, table completion) for timing.
     pub fn finish(mut self) -> (Vec<OutputTableImage>, EncodeEvents) {
         let mut events = EncodeEvents::default();
         if !self.block.is_empty() {

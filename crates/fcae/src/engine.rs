@@ -2,6 +2,14 @@
 //! transfer → encoder pipeline, host-side image construction and output
 //! SSTable assembly, and the timing/transfer accounting — a drop-in
 //! [`lsm::CompactionEngine`].
+//!
+//! A job holds a window, not the job: the card's DRAM is accounted, not
+//! allocated ([`crate::memory`]). Host steps 3–4 stage MetaIn and Index
+//! Block Memory up front and each input's data blocks one read window at
+//! a time as its decoder reaches them; host step 8 runs per output table,
+//! as soon as the encoder completes it. So an engine job holds one window
+//! per input plus the one output table being encoded, while the DRAM
+//! check, block fetches and PCIe bytes are those of the whole images.
 
 use std::time::{Duration, Instant};
 
@@ -20,7 +28,7 @@ use crate::comparer::Comparer;
 use crate::config::FcaeConfig;
 use crate::decoder::{DecoderSource, InputDecoder};
 use crate::encoder::OutputEncoder;
-use crate::memory::{build_input_images, OutputTableImage};
+use crate::memory::{build_input_images, InputImage, OutputTableImage};
 use crate::timing::PipelineModel;
 use crate::Result;
 
@@ -90,7 +98,7 @@ impl FcaeEngine {
     /// benchmarked kernel is the one that ships.
     pub fn run_kernel(
         &self,
-        images: &[crate::memory::InputImage],
+        images: &[InputImage],
         smallest_snapshot: u64,
         bottommost: bool,
         compression: CompressionType,
@@ -98,7 +106,9 @@ impl FcaeEngine {
         table_size: u64,
     ) -> Result<(Vec<OutputTableImage>, PipelineModel, KernelReport)> {
         let encoder = self.bench_encoder(compression, block_size, table_size);
-        self.run_optimized(images, smallest_snapshot, bottommost, encoder)
+        collect_tables(|sink| {
+            self.run_optimized(images, smallest_snapshot, bottommost, encoder, sink)
+        })
     }
 
     /// Same kernel, decoding with the **basic** (Algorithm 1) decoder
@@ -106,7 +116,7 @@ impl FcaeEngine {
     /// byte-identical; only decoder-side counters differ.
     pub fn run_kernel_basic(
         &self,
-        images: &[crate::memory::InputImage],
+        images: &[InputImage],
         smallest_snapshot: u64,
         bottommost: bool,
         compression: CompressionType,
@@ -118,7 +128,16 @@ impl FcaeEngine {
             .map(|im| BasicInputDecoder::new(im, self.config.w_in))
             .collect();
         let encoder = self.bench_encoder(compression, block_size, table_size);
-        self.run_kernel_with(decoders, images, smallest_snapshot, bottommost, encoder)
+        collect_tables(|sink| {
+            self.run_kernel_with(
+                decoders,
+                images,
+                smallest_snapshot,
+                bottommost,
+                encoder,
+                sink,
+            )
+        })
     }
 
     /// The encoder of the store-bypassing kernel entry points.
@@ -135,26 +154,37 @@ impl FcaeEngine {
     /// The kernel with the optimized decoder, encoding into `encoder`.
     fn run_optimized(
         &self,
-        images: &[crate::memory::InputImage],
+        images: &[InputImage],
         smallest_snapshot: u64,
         bottommost: bool,
         encoder: OutputEncoder,
-    ) -> Result<(Vec<OutputTableImage>, PipelineModel, KernelReport)> {
+        sink: &mut dyn FnMut(OutputTableImage) -> Result<()>,
+    ) -> Result<(PipelineModel, KernelReport)> {
         let decoders: Vec<InputDecoder<'_>> = images
             .iter()
             .map(|im| InputDecoder::new(im, self.config.w_in))
             .collect();
-        self.run_kernel_with(decoders, images, smallest_snapshot, bottommost, encoder)
+        self.run_kernel_with(
+            decoders,
+            images,
+            smallest_snapshot,
+            bottommost,
+            encoder,
+            sink,
+        )
     }
 
+    /// The kernel proper. Each output table goes to `sink` as soon as the
+    /// encoder completes it, so the job holds one output table at a time.
     fn run_kernel_with<S: DecoderSource>(
         &self,
         mut sources: Vec<S>,
-        images: &[crate::memory::InputImage],
+        images: &[InputImage],
         smallest_snapshot: u64,
         bottommost: bool,
         mut encoder: OutputEncoder,
-    ) -> Result<(Vec<OutputTableImage>, PipelineModel, KernelReport)> {
+        sink: &mut dyn FnMut(OutputTableImage) -> Result<()>,
+    ) -> Result<(PipelineModel, KernelReport)> {
         let mut model = PipelineModel::new(self.config);
         let mut blocks_seen = vec![0u64; sources.len()];
         for (i, s) in sources.iter_mut().enumerate() {
@@ -163,6 +193,11 @@ impl FcaeEngine {
         }
 
         let mut comparer = Comparer::new(DropFilter::new(smallest_snapshot, bottommost));
+        let mut bytes_from_device = 0u64;
+        let mut ship = |table: OutputTableImage| {
+            bytes_from_device += table.transfer_bytes();
+            sink(table)
+        };
 
         while let Some(sel) = comparer.select(&sources) {
             let s = &sources[sel.input_no];
@@ -176,23 +211,24 @@ impl FcaeEngine {
                 }
                 if events.table_completed {
                     model.on_table_complete();
+                    encoder.drain_completed().try_for_each(&mut ship)?;
                 }
             }
             let s = &mut sources[sel.input_no];
             s.advance()?;
             charge_new_blocks(&mut model, &mut blocks_seen[sel.input_no], s);
         }
-        let (tables, tail) = encoder.finish();
+        let (tail_tables, tail) = encoder.finish();
         if tail.block_flushed {
             model.on_block_flush();
         }
         if tail.table_completed {
             model.on_table_complete();
         }
+        tail_tables.into_iter().try_for_each(&mut ship)?;
 
         let input_bytes: u64 = images.iter().map(|im| im.source_bytes).sum();
         let bytes_to_device: u64 = images.iter().map(|im| im.transfer_bytes()).sum();
-        let bytes_from_device: u64 = tables.iter().map(|t| t.transfer_bytes()).sum();
         let pcie = &self.config.pcie;
         let pcie_time_sec = pcie.round_trip_sec(bytes_to_device + bytes_from_device);
         let report = KernelReport {
@@ -207,7 +243,7 @@ impl FcaeEngine {
             pairs_dropped: comparer.dropped,
             breakdown: model.breakdown(),
         };
-        Ok((tables, model, report))
+        Ok((model, report))
     }
 
     /// Host combine step (§V-B): writes one output image as a standard
@@ -273,6 +309,20 @@ impl FcaeEngine {
     }
 }
 
+/// Runs `kernel` with a sink that keeps every table.
+fn collect_tables(
+    kernel: impl FnOnce(
+        &mut dyn FnMut(OutputTableImage) -> Result<()>,
+    ) -> Result<(PipelineModel, KernelReport)>,
+) -> Result<(Vec<OutputTableImage>, PipelineModel, KernelReport)> {
+    let mut tables = Vec::new();
+    let (model, report) = kernel(&mut |t| {
+        tables.push(t);
+        Ok(())
+    })?;
+    Ok((tables, model, report))
+}
+
 /// Charges DRAM block fetches the decoder performed since the last poll.
 fn charge_new_blocks<S: DecoderSource>(model: &mut PipelineModel, seen: &mut u64, s: &S) {
     while *seen < s.blocks_fetched() {
@@ -307,9 +357,11 @@ impl CompactionEngine for FcaeEngine {
             )));
         }
 
-        // Host step 3-4: read SSTables into the device image and "DMA" it.
-        // MetaIn crosses the boundary in its wire format (Fig. 8): encode
-        // on the host side, decode on the device side.
+        // Host steps 3-4: lay out the device image and "DMA" it. MetaIn
+        // and Index Block Memory cross whole, MetaIn in its wire format
+        // (Fig. 8): encode on the host side, decode on the device side.
+        // Data blocks cross a read window at a time as the decoders
+        // reach them.
         let mut images = build_input_images(&req.inputs, self.config.w_in)?;
         // The card's DRAM must hold the inputs plus roughly equal output
         // space (§IV step 3 allocates both before the DMA).
@@ -338,25 +390,17 @@ impl CompactionEngine for FcaeEngine {
         if let Some(policy) = options.filter_policy {
             encoder = encoder.with_filter(policy);
         }
-        let (tables, _model, report) =
-            self.run_optimized(&images, req.smallest_snapshot, req.bottommost, encoder)?;
-
-        // MetaOut returns over the same boundary (Fig. 8).
-        let meta_out_wire = crate::meta_wire::encode_meta_out(tables.iter().map(|t| &t.meta));
-        let metas_from_device = crate::meta_wire::decode_meta_out(&meta_out_wire)?;
-        debug_assert_eq!(metas_from_device.len(), tables.len());
-
-        // Host step 8: combine into standard SSTables on disk.
-        let mut outcome = CompactionOutcome {
-            bytes_read: report.input_bytes,
-            entries_dropped: report.pairs_dropped,
-            entries_written: report.pairs_compared - report.pairs_dropped,
-            ..Default::default()
-        };
-        for (image, meta) in tables.iter().zip(metas_from_device) {
+        let mut outcome = CompactionOutcome::default();
+        // Host step 8, once per table as the kernel completes it: its
+        // MetaOut record returns over the same boundary (Fig. 8), then
+        // the host combines it into a standard SSTable on disk.
+        let mut write_table = |image: OutputTableImage| -> Result<()> {
+            let wire = crate::meta_wire::encode_meta_out(std::iter::once(&image.meta));
+            let [meta] = <[_; 1]>::try_from(crate::meta_wire::decode_meta_out(&wire)?)
+                .map_err(|_| lsm::Error::Corruption("MetaOut lost its table".into()))?;
             let (number, mut file) = out.new_output()?;
             let file_size = Self::assemble_table(
-                image,
+                &image,
                 self.config.w_out,
                 options.compression,
                 options.filter_policy,
@@ -371,7 +415,18 @@ impl CompactionEngine for FcaeEngine {
                 largest: InternalKey::from_encoded(meta.largest),
                 entries: meta.entries,
             });
-        }
+            Ok(())
+        };
+        let (_model, report) = self.run_optimized(
+            &images,
+            req.smallest_snapshot,
+            req.bottommost,
+            encoder,
+            &mut write_table,
+        )?;
+        outcome.bytes_read = report.input_bytes;
+        outcome.entries_dropped = report.pairs_dropped;
+        outcome.entries_written = report.pairs_compared - report.pairs_dropped;
         outcome.wall_time = start.elapsed();
         outcome.modeled_kernel_time = Some(Duration::from_secs_f64(report.kernel_time_sec));
         outcome.modeled_transfer_time = Some(Duration::from_secs_f64(report.pcie_time_sec));

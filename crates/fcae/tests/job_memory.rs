@@ -1,0 +1,215 @@
+//! Counting-allocator proof that an FCAE job's host memory is bounded by
+//! its read windows and one output table, not by its inputs: the card's
+//! DRAM is accounted, and the engine stages each input's data blocks one
+//! window at a time and hands each output table to the host as soon as
+//! it is complete. A job over 16 MiB of inputs must grow the heap by at
+//! most `inputs × READ_AHEAD_BATCH_BYTES + 2 × max_output_file_size` plus
+//! a fixed slack (MetaIn, Index Block Memory, the block list, decoder and
+//! encoder buffers).
+//!
+//! Single `#[test]` in this binary: the global counter sees every thread,
+//! so parallel tests would pollute the measurement.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use fcae::{FcaeConfig, FcaeEngine};
+use lsm::compaction::{
+    CompactionEngine, CompactionInput, CompactionRequest, OutputFileFactory, READ_AHEAD_BATCH_BYTES,
+};
+use sstable::env::{MemEnv, StorageEnv, WritableFile};
+use sstable::format::CompressionType;
+use sstable::ikey::{InternalKey, ValueType};
+use sstable::table::{Table, TableReadOptions};
+use sstable::table_builder::{TableBuilder, TableBuilderOptions};
+
+struct LiveBytes {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl LiveBytes {
+    fn grow(&self, n: usize) {
+        let live = self.live.fetch_add(n, Ordering::Relaxed) + n;
+        self.peak.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn shrink(&self, n: usize) {
+        self.live.fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// Restarts the high-water mark at the current live bytes, returning
+    /// them.
+    fn reset_peak(&self) -> usize {
+        let live = self.live.load(Ordering::SeqCst);
+        self.peak.store(live, Ordering::SeqCst);
+        live
+    }
+}
+
+static HEAP: LiveBytes = LiveBytes {
+    live: AtomicUsize::new(0),
+    peak: AtomicUsize::new(0),
+};
+
+#[global_allocator]
+static GLOBAL: &LiveBytes = &HEAP;
+
+// SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
+// contract; the only additions are relaxed atomic counter updates, which
+// allocate nothing and cannot reenter the allocator.
+unsafe impl GlobalAlloc for &'static LiveBytes {
+    // SAFETY: forwards `layout` unchanged to `System.alloc`; caller
+    // obligations are exactly the system allocator's.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        self.grow(layout.size());
+        System.alloc(layout)
+    }
+
+    // SAFETY: `ptr`/`layout` come from a matching `alloc`/`realloc` on
+    // this same wrapper, which always returns `System` memory.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        self.shrink(layout.size());
+        System.dealloc(ptr, layout);
+    }
+
+    // SAFETY: same pass-through argument as `dealloc` — `ptr` was
+    // produced by `System` via this wrapper. The old and new blocks may
+    // both be live during the move, so the new size is counted first.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        self.grow(new_size);
+        let p = System.realloc(ptr, layout, new_size);
+        self.shrink(layout.size());
+        p
+    }
+}
+
+/// An output file that keeps only its length: the engine's memory, not
+/// the outputs', is under test.
+struct Discard {
+    len: u64,
+    total: Arc<AtomicU64>,
+}
+
+impl WritableFile for Discard {
+    fn append(&mut self, data: &[u8]) -> sstable::Result<()> {
+        self.len += data.len() as u64;
+        self.total.fetch_add(data.len() as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn flush(&mut self) -> sstable::Result<()> {
+        Ok(())
+    }
+
+    fn sync(&mut self) -> sstable::Result<()> {
+        Ok(())
+    }
+
+    fn bytes_written(&self) -> u64 {
+        self.len
+    }
+}
+
+struct DiscardFactory {
+    next: AtomicU64,
+    written: Arc<AtomicU64>,
+}
+
+impl OutputFileFactory for DiscardFactory {
+    fn new_output(&self) -> lsm::Result<(u64, Box<dyn WritableFile>)> {
+        let n = self.next.fetch_add(1, Ordering::SeqCst) + 1;
+        let file = Discard {
+            len: 0,
+            total: Arc::clone(&self.written),
+        };
+        Ok((n, Box::new(file)))
+    }
+}
+
+fn builder_options() -> TableBuilderOptions {
+    TableBuilderOptions {
+        compression: CompressionType::Snappy,
+        ..Default::default()
+    }
+}
+
+/// One table holding the keys `keys` of stride `input` of four, with
+/// hex values Snappy barely shrinks.
+fn table(env: &MemEnv, name: &str, input: u64, keys: std::ops::Range<u64>) -> Arc<Table> {
+    let f = env.create_writable(Path::new(name)).unwrap();
+    let mut b = TableBuilder::new(builder_options(), f);
+    for e in keys {
+        let i = e * 4 + input;
+        let a = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let c = a.rotate_left(17) ^ 0xd1b5_4a32_d192_ed03;
+        let value = format!(
+            "{a:016x}{c:016x}{:016x}{:016x}",
+            a ^ (c >> 29),
+            c.wrapping_mul(a | 1)
+        );
+        let key = InternalKey::new(format!("key{i:09}").as_bytes(), i + 1, ValueType::Value);
+        b.add(key.encoded(), value.as_bytes()).unwrap();
+    }
+    let size = b.finish().unwrap();
+    let file = env.open_random_access(Path::new(name)).unwrap();
+    Table::open(file, size, TableReadOptions::default()).unwrap()
+}
+
+#[test]
+fn an_engine_job_holds_its_windows_and_one_output_table() {
+    const KEYS: u64 = 54_000;
+    let env = MemEnv::new();
+    let mut inputs: Vec<CompactionInput> = (0..3)
+        .map(|input| CompactionInput {
+            tables: vec![table(&env, &format!("/in-{input}"), input, 0..KEYS)],
+        })
+        .collect();
+    // The fourth input is a run of three tables.
+    let third = KEYS / 3;
+    inputs.push(CompactionInput {
+        tables: (0..3)
+            .map(|t| table(&env, &format!("/in-3-{t}"), 3, t * third..(t + 1) * third))
+            .collect(),
+    });
+    let input_bytes: u64 = inputs.iter().map(CompactionInput::bytes).sum();
+    assert!(input_bytes >= 16 << 20, "{input_bytes} input bytes");
+
+    let req = CompactionRequest {
+        level: 1,
+        inputs,
+        smallest_snapshot: u64::MAX >> 8,
+        bottommost: true,
+        builder_options: builder_options(),
+        max_output_file_size: 2 << 20,
+    };
+    let engine = FcaeEngine::new(FcaeConfig::nine_input());
+    let written = Arc::new(AtomicU64::new(0));
+    let out = DiscardFactory {
+        next: AtomicU64::new(0),
+        written: Arc::clone(&written),
+    };
+
+    let before = HEAP.reset_peak();
+    let outcome = engine.compact(&req, &out).unwrap();
+    let growth = HEAP.peak.load(Ordering::SeqCst) - before;
+
+    assert_eq!(outcome.entries_written, 4 * KEYS - KEYS % 3);
+    assert!(
+        outcome.outputs.len() >= 8,
+        "{} outputs",
+        outcome.outputs.len()
+    );
+    assert_eq!(outcome.bytes_written, written.load(Ordering::SeqCst));
+
+    let slack = 1 << 20;
+    let bound =
+        req.inputs.len() * READ_AHEAD_BATCH_BYTES + 2 * req.max_output_file_size as usize + slack;
+    assert!(
+        growth <= bound,
+        "a job over {input_bytes} input bytes grew the heap by {growth} bytes, \
+         more than {bound} (windows, one output table and {slack} of slack)"
+    );
+}

@@ -37,7 +37,6 @@ mod sources;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sstable::env::WritableFile;
 use sstable::ikey::SequenceNumber;
 use sstable::table::Table;
 use sstable::table_builder::TableBuilderOptions;
@@ -48,6 +47,8 @@ pub use merge::{merge_sources, DropFilter, MergeSource, Merger, Selection};
 pub(crate) use output::write_level0_table;
 pub use output::OutputTableMeta;
 pub use sources::{ChainIterator, ReadAheadSource, TableRunSource};
+/// The writer an [`OutputFileFactory`] hands out.
+pub use sstable::env::WritableFile;
 
 /// One merge input: a run of tables that is internally sorted and
 /// disjoint (a single table for L0 inputs; the whole level-i+1 overlap
@@ -209,8 +210,9 @@ pub fn merge_read_ahead(
 /// 1.05–1.25× faster from 26 MB up (more the smaller the values), so
 /// thread and channel setup is only paid where it is earned back.
 const READ_AHEAD_MIN_INPUT_BYTES: u64 = 8 << 20;
-/// Target size of one reader batch.
-const READ_AHEAD_BATCH_BYTES: usize = 256 << 10;
+/// Target size of one reader batch; also the size of an FCAE decoder's
+/// read window over its input.
+pub const READ_AHEAD_BATCH_BYTES: usize = 256 << 10;
 /// Batches in flight per reader.
 const READ_AHEAD_DEPTH: usize = 4;
 

@@ -18,9 +18,11 @@
 //!   the CPU. *Transient* faults fire before the engine touches the
 //!   output-file factory, so those retries never duplicate or lose keys;
 //!   *mid-job* faults (device timeout, poisoned output) fire after the
-//!   engine produced real outputs — the scheduler discards the outcome
-//!   (the store's pending-outputs GC sweeps the orphans) and the CPU
-//!   retry installs a fresh set of files exactly once.
+//!   engine produced real outputs, and a real engine error can leave the
+//!   tables it already wrote — the scheduler discards the outcome,
+//!   counts the files the attempt created (the store's pending-outputs
+//!   GC sweeps the orphans) and the CPU retry installs a fresh set of
+//!   files exactly once.
 //! * **Backpressure** — queue saturation surfaces to the store as
 //!   [`lsm::WritePressure`], which `lsm::Db` turns into the same
 //!   slowdown/stall mechanics as its L0 triggers.
@@ -40,13 +42,14 @@ pub mod metrics;
 pub mod queue;
 mod slots;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fcae::{FcaeConfig, FcaeEngine, ResourceModel};
 use lsm::compaction::{
     CompactionEngine, CompactionOutcome, CompactionRequest, CpuCompactionEngine, OutputFileFactory,
-    WritePressure,
+    WritableFile, WritePressure,
 };
 
 pub use fault::{DeviceFaultKind, FaultInjector};
@@ -236,6 +239,10 @@ impl OffloadService {
             bytes: input_bytes,
         });
         let injected = self.faults.should_fault();
+        let device_out = CountingFactory {
+            inner: out,
+            created: AtomicU64::new(0),
+        };
         let result = if injected == Some(DeviceFaultKind::Transient) {
             // Dispatch-time fault: the engine never runs, the factory is
             // never touched, nothing to clean up.
@@ -244,7 +251,7 @@ impl OffloadService {
             )))
         } else {
             let t0 = Instant::now();
-            let r = self.engines[slot.index].compact(req, out);
+            let r = self.engines[slot.index].compact(req, &device_out);
             let busy = t0.elapsed();
             o.fpga_busy_nanos.add(busy.as_nanos() as u64);
             o.engine_busy_micros.record(busy.as_micros() as u64);
@@ -252,14 +259,11 @@ impl OffloadService {
                 o.record_breakdown(&self.engines[slot.index].last_report().breakdown);
             }
             match (r, injected) {
-                (Ok(outcome), Some(kind)) => {
+                (Ok(_), Some(kind)) => {
                     // Mid-job fault: the engine already ran against the
-                    // real output factory. Discard the outcome — the
-                    // allocated files become orphans the store's
-                    // pending-outputs GC sweeps — and surface a device
-                    // error so the CPU retry installs a fresh set of
-                    // outputs exactly once.
-                    o.fault_outputs_discarded.add(outcome.outputs.len() as u64);
+                    // real output factory. Discard the outcome and
+                    // surface a device error so the CPU retry installs a
+                    // fresh set of outputs exactly once.
                     Err(lsm::Error::Io(std::io::Error::other(match kind {
                         DeviceFaultKind::MidJobTimeout => "injected mid-job device timeout",
                         _ => "injected poisoned device output",
@@ -276,16 +280,36 @@ impl OffloadService {
                 Ok(outcome)
             }
             Err(_) => {
-                // Device fault. Real (non-injected) engine errors happen
-                // before any output file is allocated, so they classify
-                // as transient; mid-job injections had their outputs
-                // discarded above. Either way the whole job retries on
-                // the CPU without losing or duplicating keys.
+                // Device fault. Every file the attempt created — all of a
+                // mid-job injection's outputs, or the tables a failing
+                // engine had already written, since the engine writes
+                // each table as it completes — is an orphan the store's
+                // pending-outputs GC sweeps. Real (non-injected) engine
+                // errors classify as transient. Either way the whole job
+                // retries on the CPU without losing or duplicating keys.
+                o.fault_outputs_discarded
+                    .add(device_out.created.load(Ordering::Relaxed));
                 o.count_fault(injected.unwrap_or(DeviceFaultKind::Transient));
                 self.trace(obs::EventKind::EngineFault { job });
                 self.run_cpu(&o.cpu_retries_after_fault, "fault-retry", req, out, job)
             }
         }
+    }
+}
+
+/// The output factory a device attempt runs against: the store's, plus a
+/// count of the files the attempt created, which become orphans if it
+/// fails.
+struct CountingFactory<'a> {
+    inner: &'a dyn OutputFileFactory,
+    created: AtomicU64,
+}
+
+impl OutputFileFactory for CountingFactory<'_> {
+    fn new_output(&self) -> lsm::Result<(u64, Box<dyn WritableFile>)> {
+        let output = self.inner.new_output()?;
+        self.created.fetch_add(1, Ordering::Relaxed);
+        Ok(output)
     }
 }
 

@@ -42,9 +42,11 @@ pub struct OffloadMetrics {
     /// Mid-job poisoned outputs: the device "completed" but its output
     /// failed validation; outputs were discarded.
     pub faults_midjob_poisoned: u64,
-    /// Output files discarded after mid-job faults. The files become
-    /// orphans swept by the store's obsolete-file GC; this counter is
-    /// how tests prove the discard actually happened.
+    /// Output files a failed device attempt had created: every output of
+    /// an injected mid-job fault, and the tables an engine error left
+    /// behind (the engine writes each table as it completes). The files
+    /// become orphans swept by the store's obsolete-file GC; this counter
+    /// is how tests prove the discard actually happened.
     pub midjob_outputs_discarded: u64,
     /// Jobs retried on the CPU after a device fault.
     pub cpu_retries_after_fault: u64,

@@ -7,10 +7,13 @@
 //! many engines ran concurrently or how many jobs were retried on the
 //! host after a fault.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fcae::FcaeConfig;
-use lsm::compaction::CompactionEngine;
+use lsm::compaction::{
+    CompactionEngine, CompactionOutcome, CompactionRequest, OutputFileFactory, WritableFile,
+};
 use lsm::filename::{parse_file_name, FileType};
 use lsm::{Db, Options};
 use offload::{DeviceFaultKind, OffloadConfig, OffloadService};
@@ -227,9 +230,13 @@ fn midjob_faults_discard_outputs_and_stay_correct() {
         "every mid-job fault must be retried on the CPU: {m:?}"
     );
 
-    // Exactly-once cleanup: the GC pass after each compaction sweeps the
-    // discarded device outputs, so once the store is quiescent every
-    // table file in the directory is referenced by the live version.
+    assert_no_orphan_tables(&db, &env);
+}
+
+/// Exactly-once cleanup: the GC pass after each compaction sweeps the
+/// outputs of discarded device attempts, so once the store is quiescent
+/// every table file in the directory is referenced by the live version.
+fn assert_no_orphan_tables(db: &Db, env: &MemEnv) {
     db.wait_for_background_quiescence();
     let on_disk: Vec<String> = env
         .list_dir(std::path::Path::new("/db"))
@@ -241,8 +248,110 @@ fn midjob_faults_discard_outputs_and_stay_correct() {
     assert_eq!(
         on_disk.len(),
         live,
-        "discarded mid-job outputs leaked: {on_disk:?}"
+        "discarded device outputs leaked: {on_disk:?}"
     );
+}
+
+/// Runs every job through `svc` with an output factory whose second
+/// output of a job fails, once: the first job to need a second table
+/// fails after the engine wrote its first.
+struct SecondOutputFailsOnce {
+    svc: Arc<OffloadService>,
+    armed: AtomicBool,
+}
+
+struct SecondOutputFails<'a> {
+    inner: &'a dyn OutputFileFactory,
+    armed: &'a AtomicBool,
+    made: AtomicU64,
+}
+
+impl OutputFileFactory for SecondOutputFails<'_> {
+    fn new_output(&self) -> lsm::Result<(u64, Box<dyn WritableFile>)> {
+        if self.made.fetch_add(1, Ordering::SeqCst) == 1 && self.armed.swap(false, Ordering::SeqCst)
+        {
+            return Err(lsm::Error::Io(std::io::Error::other(
+                "injected failure creating a job's second output",
+            )));
+        }
+        self.inner.new_output()
+    }
+}
+
+impl CompactionEngine for SecondOutputFailsOnce {
+    fn name(&self) -> &str {
+        "second-output-fails-once"
+    }
+
+    fn max_inputs(&self) -> usize {
+        self.svc.max_inputs()
+    }
+
+    fn compact(
+        &self,
+        req: &CompactionRequest,
+        out: &dyn OutputFileFactory,
+    ) -> lsm::Result<CompactionOutcome> {
+        let out = SecondOutputFails {
+            inner: out,
+            armed: &self.armed,
+            made: AtomicU64::new(0),
+        };
+        self.svc.compact(req, &out)
+    }
+}
+
+/// The device engine writes each output table as it completes, so a real
+/// engine error can come after it created files. Here the first table is
+/// written and synced when creating the second fails: the service must
+/// count that table among the discarded outputs, the CPU retry must
+/// leave the serial run's state, and the table must be swept.
+#[test]
+fn a_device_job_failing_after_its_first_table_counts_and_sweeps_it() {
+    let serial = Db::open("/db", small_options(1)).unwrap();
+    run_workload(&serial);
+    let expect = dump(&serial);
+
+    let env = Arc::new(MemEnv::new());
+    // One slot and one worker: every job that fits the device runs on it.
+    let svc = Arc::new(OffloadService::with_slots(
+        FcaeConfig::nine_input(),
+        1,
+        OffloadConfig::default(),
+    ));
+    let engine = Arc::new(SecondOutputFailsOnce {
+        svc: Arc::clone(&svc),
+        armed: AtomicBool::new(true),
+    });
+    let options = Options {
+        env: Arc::clone(&env) as Arc<dyn StorageEnv>,
+        ..small_options(1)
+    };
+    let db = Db::open_with_engine(
+        "/db",
+        options,
+        Arc::clone(&engine) as Arc<dyn CompactionEngine>,
+    )
+    .unwrap();
+    run_workload(&db);
+    assert!(
+        !engine.armed.load(Ordering::SeqCst),
+        "the failure never fired"
+    );
+    assert_eq!(dump(&db), expect, "the CPU retry diverged from serial");
+
+    let m = svc.metrics();
+    assert_eq!(m.device_faults, 1, "{m:?}");
+    assert_eq!(
+        m.faults_transient, 1,
+        "real engine errors classify as transient: {m:?}"
+    );
+    assert_eq!(m.cpu_retries_after_fault, 1, "{m:?}");
+    assert!(
+        m.midjob_outputs_discarded >= 1,
+        "the table written before the failure was not counted: {m:?}"
+    );
+    assert_no_orphan_tables(&db, &env);
 }
 
 #[test]

@@ -85,7 +85,7 @@ impl BlockHandle {
     /// lie inside a file of `file_size` bytes. Handles come from a footer
     /// no CRC covers and from index blocks, so one past the end is
     /// `Corruption` here, before anything is allocated for it.
-    pub(crate) fn framed_len_within(&self, file_size: u64) -> Result<usize> {
+    pub fn framed_len_within(&self, file_size: u64) -> Result<usize> {
         self.size
             .checked_add(BLOCK_TRAILER_SIZE as u64)
             .filter(|&framed| {

@@ -150,17 +150,30 @@ impl Table {
         Ok(out)
     }
 
-    /// Reads one data block exactly as stored on disk: contents (possibly
-    /// compressed) plus the 5-byte trailer. This is what the host DMA
-    /// ships to the device's Data Block Memory.
-    pub fn read_raw_framed_block(&self, handle: &BlockHandle) -> Result<Vec<u8>> {
-        let n = handle.framed_len_within(self.file_size)?;
-        let mut buf = vec![0u8; n];
-        let read = self.file.read_at(handle.offset, &mut buf)?;
-        if read != n {
+    /// Reads the blocks from `first` through `last` exactly as stored on
+    /// disk — contents (possibly compressed) plus 5-byte trailers, and
+    /// whatever lies between them — into `buf`, replacing its contents,
+    /// with one read. This is what the host DMA ships to the device's
+    /// Data Block Memory. Both handles are checked against the file
+    /// before `buf` grows.
+    pub fn read_blocks(
+        &self,
+        first: &BlockHandle,
+        last: &BlockHandle,
+        buf: &mut Vec<u8>,
+    ) -> Result<()> {
+        first.framed_len_within(self.file_size)?;
+        let end = last.offset + last.framed_len_within(self.file_size)? as u64;
+        if end < first.offset {
+            return Err(corruption("block range ends before it starts"));
+        }
+        let n = (end - first.offset) as usize;
+        buf.clear();
+        buf.resize(n, 0);
+        if self.file.read_at(first.offset, buf)? != n {
             return Err(corruption("truncated raw block read"));
         }
-        Ok(buf)
+        Ok(())
     }
 
     /// Loads the data block at `handle` through the shared block cache

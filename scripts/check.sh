@@ -59,6 +59,13 @@ cargo test -q -p systemsim identical_runs_export_identical_observability
 # per frame, `write` calls per put. Already in `cargo test -q`; named
 # here so a failure says which budget moved.
 cargo test -q -p fcae --test alloc_free
+# Host bytes per FCAE job: one read window per input plus one output
+# table, not its images; one job's kernel report pinned bit for bit; and
+# a device job failing after its first table has that table counted as
+# discarded and swept, and the CPU retry leaves the serial run's state.
+cargo test -q -p fcae --test job_memory
+cargo test -q -p fcae --test kernel_report_golden
+cargo test -q -p offload --test scheduler_integration a_device_job_failing_after_its_first_table_counts_and_sweeps_it
 cargo test -q -p lsm --test scan_alloc
 cargo test -q -p lsm --test chain_seek_alloc
 cargo test -q -p lsm --test get_alloc
