@@ -12,66 +12,12 @@
 //! [`Comparer`] is [`lsm::compaction::Merger`] under the paper's name —
 //! the one loser-tree selection every engine in the workspace runs, the
 //! software analogue of the hardware comparison network: each selection
-//! after the first costs O(log N) comparisons instead of the O(N) rescan
-//! of [`LinearComparer`]. Both produce identical selection sequences
-//! (property-tested); the cycle model is charged per *pair*, so the
+//! after the first costs O(log N) comparisons instead of an O(N) rescan.
+//! Its selection sequence is property-tested against a stable sort of
+//! every stream's keys; the cycle model is charged per *pair*, so the
 //! software algorithm leaves timing results bit-identical.
 
-use sstable::comparator::InternalKeyComparator;
-
-use crate::decoder::MergeSource;
-
 pub use lsm::compaction::{DropFilter, Merger as Comparer, Selection};
-
-/// The original O(N)-per-selection Comparer: rescans every stream. Kept
-/// as the differential-testing baseline for [`Comparer`]; unlike the
-/// tree it tolerates arbitrary stream movement between calls.
-pub struct LinearComparer {
-    filter: DropFilter,
-    /// Selections made (for stats).
-    pub selections: u64,
-    /// Entries flagged invalid.
-    pub dropped: u64,
-}
-
-impl LinearComparer {
-    /// Creates a comparer with the given drop rules.
-    pub fn new(filter: DropFilter) -> Self {
-        LinearComparer {
-            filter,
-            selections: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Selects the input with the smallest current key and checks its
-    /// validity. Returns `None` when every stream is exhausted.
-    pub fn select<S: MergeSource>(&mut self, sources: &[S]) -> Option<Selection> {
-        let mut winner: Option<usize> = None;
-        for (i, s) in sources.iter().enumerate() {
-            if !s.valid() {
-                continue;
-            }
-            match winner {
-                None => winner = Some(i),
-                Some(w) => {
-                    if InternalKeyComparator.compare(s.key(), sources[w].key())
-                        == std::cmp::Ordering::Less
-                    {
-                        winner = Some(i);
-                    }
-                }
-            }
-        }
-        let input_no = winner?;
-        self.selections += 1;
-        let drop = self.filter.should_drop(sources[input_no].key());
-        if drop {
-            self.dropped += 1;
-        }
-        Some(Selection { input_no, drop })
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -104,20 +50,12 @@ mod tests {
     }
 
     fn run_selection(
-        cmp_kind: &str,
         decoders: &mut [crate::decoder::InputDecoder<'_>],
     ) -> (Vec<String>, Vec<String>, u64, u64) {
-        let filter = DropFilter::new(1000, true);
-        let mut tree = Comparer::new(filter.clone());
-        let mut linear = LinearComparer::new(filter);
+        let mut tree = Comparer::new(DropFilter::new(1000, true));
         let mut kept = Vec::new();
         let mut dropped = Vec::new();
-        loop {
-            let sel = match cmp_kind {
-                "tree" => tree.select(&*decoders),
-                _ => linear.select(&*decoders),
-            };
-            let Some(sel) = sel else { break };
+        while let Some(sel) = tree.select(&*decoders) {
             let key = decoders[sel.input_no].key().to_vec();
             let parsed = parse_internal_key(&key).unwrap();
             let label = format!(
@@ -132,10 +70,7 @@ mod tests {
             }
             decoders[sel.input_no].advance().unwrap();
         }
-        match cmp_kind {
-            "tree" => (kept, dropped, tree.selections, tree.dropped),
-            _ => (kept, dropped, linear.selections, linear.dropped),
-        }
+        (kept, dropped, tree.selections, tree.dropped)
     }
 
     #[test]
@@ -173,21 +108,19 @@ mod tests {
             .map(|i| build_input_image(i, 64).unwrap())
             .collect();
 
-        for kind in ["tree", "linear"] {
-            let mut decoders: Vec<_> = images
-                .iter()
-                .map(|im| crate::decoder::InputDecoder::new(im, 64))
-                .collect();
-            for d in &mut decoders {
-                d.advance().unwrap();
-            }
-            // Bottom-level compaction, everything older than snapshot.
-            let (kept, dropped, selections, dropped_n) = run_selection(kind, &mut decoders);
-            assert_eq!(kept, ["a@10", "b@4"], "{kind}");
-            // a@3 shadowed; c@11 tombstone at bottom; c@5 under tombstone.
-            assert_eq!(dropped, ["a@3", "c@11", "c@5"], "{kind}");
-            assert_eq!(selections, 5, "{kind}");
-            assert_eq!(dropped_n, 3, "{kind}");
+        let mut decoders: Vec<_> = images
+            .iter()
+            .map(|im| crate::decoder::InputDecoder::new(im, 64))
+            .collect();
+        for d in &mut decoders {
+            d.advance().unwrap();
         }
+        // Bottom-level compaction, everything older than snapshot.
+        let (kept, dropped, selections, dropped_n) = run_selection(&mut decoders);
+        assert_eq!(kept, ["a@10", "b@4"]);
+        // a@3 shadowed; c@11 tombstone at bottom; c@5 under tombstone.
+        assert_eq!(dropped, ["a@3", "c@11", "c@5"]);
+        assert_eq!(selections, 5);
+        assert_eq!(dropped_n, 3);
     }
 }

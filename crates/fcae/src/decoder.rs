@@ -1,5 +1,6 @@
-//! Decoder stage: per-input Index Block Decoder + Data Block Decoder
-//! (paper §V-A Algorithm 1, optimized per §V-B).
+//! Decoder stage: per-input Index Block Decoder + Data Block Decoder, as
+//! §V-B separates them — the index walk and the data cursor each keep
+//! their own pointer.
 //!
 //! Functionally the decoder walks one input's SSTables in order: for each
 //! index entry it locates the next (W_in-aligned) framed data block in
@@ -7,6 +8,12 @@
 //! iterates its prefix-compressed entries — producing the decoded
 //! key-value stream the Comparer consumes. Counters record how many
 //! blocks were fetched so the engine can charge the timing model.
+//!
+//! The basic decoder of §V-A (Algorithm 1: one read pointer that returns
+//! to the index block after every data block) decodes the same stream,
+//! so it has no functional twin here: its cost is the timing model's
+//! `AblationFlags::index_data_separation = false` charge per block fetch
+//! ([`crate::timing::PipelineModel::on_block_fetch`]).
 //!
 //! The data path is allocation-free in steady state: uncompressed blocks
 //! are borrowed in place from the decoder's `DataWindow` onto Data
@@ -27,15 +34,6 @@ fn corruption(msg: impl Into<String>) -> lsm::Error {
 }
 
 pub use lsm::compaction::MergeSource;
-
-/// A [`MergeSource`] that decodes out of device memory — the optimized
-/// [`InputDecoder`] or the baseline
-/// [`crate::basic_decoder::BasicInputDecoder`] — and so has DRAM block
-/// fetches for the engine to charge.
-pub trait DecoderSource: MergeSource {
-    /// Data blocks fetched so far (for timing-model charging).
-    fn blocks_fetched(&self) -> u64;
-}
 
 /// Decoder counters, polled by the engine after each advance.
 #[derive(Debug, Default, Clone, Copy)]
@@ -217,12 +215,6 @@ impl MergeSource for InputDecoder<'_> {
     }
 }
 
-impl DecoderSource for InputDecoder<'_> {
-    fn blocks_fetched(&self) -> u64 {
-        self.stats.blocks_fetched
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,15 +227,8 @@ mod tests {
     use std::path::Path;
     use std::sync::Arc;
 
-    fn internal_table_options() -> TableBuilderOptions {
-        TableBuilderOptions {
-            block_size: 512,
-            ..Default::default()
-        }
-    }
-
     fn build_table(env: &MemEnv, path: &str, range: std::ops::Range<u32>) -> Arc<Table> {
-        build_table_then(env, path, range, |_| {})
+        build_table_then(env, path, range, CompressionType::Snappy, |_| {})
     }
 
     /// Builds the table, lets `damage` edit the file's bytes, then opens it.
@@ -251,10 +236,16 @@ mod tests {
         env: &MemEnv,
         path: &str,
         range: std::ops::Range<u32>,
+        compression: CompressionType,
         damage: impl FnOnce(&mut Vec<u8>),
     ) -> Arc<Table> {
+        let options = TableBuilderOptions {
+            block_size: 512,
+            compression,
+            ..Default::default()
+        };
         let f = env.create_writable(Path::new(path)).unwrap();
-        let mut b = TableBuilder::new(internal_table_options(), f);
+        let mut b = TableBuilder::new(options, f);
         for i in range {
             let key = InternalKey::new(
                 format!("key{i:06}").as_bytes(),
@@ -280,13 +271,16 @@ mod tests {
         Table::open(file, size, read_opts).unwrap()
     }
 
+    /// Snappy tables decode through the reusable buffer, the raw one in
+    /// place in the window: both block sources in one stream.
     #[test]
     fn decoder_streams_all_pairs_in_order() {
         let env = MemEnv::new();
         let t1 = build_table(&env, "/t1", 0..300);
         let t2 = build_table(&env, "/t2", 300..500);
+        let t3 = build_table_then(&env, "/t3", 500..700, CompressionType::None, |_| {});
         let input = CompactionInput {
-            tables: vec![t1, t2],
+            tables: vec![t1, t2, t3],
         };
         let image = build_input_image(&input, 64).unwrap();
         let mut dec = InputDecoder::new(&image, 64);
@@ -298,10 +292,10 @@ mod tests {
             assert_eq!(dec.value(), format!("value-{count}").as_bytes());
             count += 1;
         }
-        assert_eq!(count, 500);
+        assert_eq!(count, 700);
         assert!(dec.stats.blocks_fetched > 1, "multiple blocks expected");
-        assert_eq!(dec.stats.index_blocks_opened, 2);
-        assert_eq!(dec.stats.pairs_decoded, 500);
+        assert_eq!(dec.stats.index_blocks_opened, 3);
+        assert_eq!(dec.stats.pairs_decoded, 700);
     }
 
     #[test]
@@ -333,7 +327,9 @@ mod tests {
     fn decoder_detects_corrupted_device_memory() {
         let env = MemEnv::new();
         // Flip a byte of the first data block in the table file.
-        let t1 = build_table_then(&env, "/t1", 0..100, |bytes| bytes[10] ^= 0xff);
+        let t1 = build_table_then(&env, "/t1", 0..100, CompressionType::Snappy, |bytes| {
+            bytes[10] ^= 0xff;
+        });
         let input = CompactionInput { tables: vec![t1] };
         let image = build_input_image(&input, 64).unwrap();
         let mut dec = InputDecoder::new(&image, 64);

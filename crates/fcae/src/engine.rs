@@ -23,10 +23,9 @@ use sstable::bloom::BloomFilterPolicy;
 use sstable::format::{frame_block_into, BlockHandle, CompressionType, Footer, BLOCK_TRAILER_SIZE};
 use sstable::ikey::InternalKey;
 
-use crate::basic_decoder::BasicInputDecoder;
 use crate::comparer::Comparer;
 use crate::config::FcaeConfig;
-use crate::decoder::{DecoderSource, InputDecoder};
+use crate::decoder::InputDecoder;
 use crate::encoder::OutputEncoder;
 use crate::memory::{build_input_images, InputImage, OutputTableImage};
 use crate::timing::PipelineModel;
@@ -107,36 +106,7 @@ impl FcaeEngine {
     ) -> Result<(Vec<OutputTableImage>, PipelineModel, KernelReport)> {
         let encoder = self.bench_encoder(compression, block_size, table_size);
         collect_tables(|sink| {
-            self.run_optimized(images, smallest_snapshot, bottommost, encoder, sink)
-        })
-    }
-
-    /// Same kernel, decoding with the **basic** (Algorithm 1) decoder
-    /// instead of the optimized one. The output images must be
-    /// byte-identical; only decoder-side counters differ.
-    pub fn run_kernel_basic(
-        &self,
-        images: &[InputImage],
-        smallest_snapshot: u64,
-        bottommost: bool,
-        compression: CompressionType,
-        block_size: usize,
-        table_size: u64,
-    ) -> Result<(Vec<OutputTableImage>, PipelineModel, KernelReport)> {
-        let decoders: Vec<BasicInputDecoder<'_>> = images
-            .iter()
-            .map(|im| BasicInputDecoder::new(im, self.config.w_in))
-            .collect();
-        let encoder = self.bench_encoder(compression, block_size, table_size);
-        collect_tables(|sink| {
-            self.run_kernel_with(
-                decoders,
-                images,
-                smallest_snapshot,
-                bottommost,
-                encoder,
-                sink,
-            )
+            self.run_kernel_with(images, smallest_snapshot, bottommost, encoder, sink)
         })
     }
 
@@ -151,34 +121,11 @@ impl FcaeEngine {
             .with_filter(BloomFilterPolicy::default())
     }
 
-    /// The kernel with the optimized decoder, encoding into `encoder`.
-    fn run_optimized(
+    /// The kernel proper: one decoder per input image, encoding into
+    /// `encoder`. Each output table goes to `sink` as soon as the encoder
+    /// completes it, so the job holds one output table at a time.
+    fn run_kernel_with(
         &self,
-        images: &[InputImage],
-        smallest_snapshot: u64,
-        bottommost: bool,
-        encoder: OutputEncoder,
-        sink: &mut dyn FnMut(OutputTableImage) -> Result<()>,
-    ) -> Result<(PipelineModel, KernelReport)> {
-        let decoders: Vec<InputDecoder<'_>> = images
-            .iter()
-            .map(|im| InputDecoder::new(im, self.config.w_in))
-            .collect();
-        self.run_kernel_with(
-            decoders,
-            images,
-            smallest_snapshot,
-            bottommost,
-            encoder,
-            sink,
-        )
-    }
-
-    /// The kernel proper. Each output table goes to `sink` as soon as the
-    /// encoder completes it, so the job holds one output table at a time.
-    fn run_kernel_with<S: DecoderSource>(
-        &self,
-        mut sources: Vec<S>,
         images: &[InputImage],
         smallest_snapshot: u64,
         bottommost: bool,
@@ -186,6 +133,10 @@ impl FcaeEngine {
         sink: &mut dyn FnMut(OutputTableImage) -> Result<()>,
     ) -> Result<(PipelineModel, KernelReport)> {
         let mut model = PipelineModel::new(self.config);
+        let mut sources: Vec<InputDecoder<'_>> = images
+            .iter()
+            .map(|im| InputDecoder::new(im, self.config.w_in))
+            .collect();
         let mut blocks_seen = vec![0u64; sources.len()];
         for (i, s) in sources.iter_mut().enumerate() {
             s.advance()?;
@@ -324,8 +275,8 @@ fn collect_tables(
 }
 
 /// Charges DRAM block fetches the decoder performed since the last poll.
-fn charge_new_blocks<S: DecoderSource>(model: &mut PipelineModel, seen: &mut u64, s: &S) {
-    while *seen < s.blocks_fetched() {
+fn charge_new_blocks(model: &mut PipelineModel, seen: &mut u64, dec: &InputDecoder<'_>) {
+    while *seen < dec.stats.blocks_fetched {
         model.on_block_fetch();
         *seen += 1;
     }
@@ -417,7 +368,7 @@ impl CompactionEngine for FcaeEngine {
             });
             Ok(())
         };
-        let (_model, report) = self.run_optimized(
+        let (_model, report) = self.run_kernel_with(
             &images,
             req.smallest_snapshot,
             req.bottommost,

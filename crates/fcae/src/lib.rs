@@ -15,7 +15,8 @@
 //!
 //! | Paper module | Here |
 //! |---|---|
-//! | Index Block Decoder / Data Block Decoder | [`decoder::InputDecoder`] |
+//! | Index Block Decoder / Data Block Decoder (§V-B) | [`decoder::InputDecoder`] |
+//! | Basic Decoder (§V-A Algorithm 1, Fig. 2) | its block-fetch cost only: [`AblationFlags`]`::index_data_separation` |
 //! | Key Compare + Validity Check (Comparer) | [`comparer::Comparer`] |
 //! | Key-Value Transfer | folded into [`engine::FcaeEngine`]'s select loop |
 //! | Data/Index Block Encoder | [`encoder::OutputEncoder`] |
@@ -24,7 +25,6 @@
 //! | Resource usage (Table VII) | [`resources::ResourceModel`] |
 //! | CPU baseline (Table V, CPU column) | [`cpu_model::CpuCostModel`] |
 
-pub mod basic_decoder;
 pub mod comparer;
 pub mod config;
 pub mod cpu_model;

@@ -333,16 +333,27 @@ impl OutputTableImage {
     }
 }
 
-/// Convenience: parse an index block region back into a
-/// [`sstable::block::Block`] (used by the decoder and by tests).
+/// Parses the index block a MetaIn record names in Index Block Memory.
+/// A record naming bytes outside the region is corruption: MetaIn
+/// crosses the PCIe boundary, and the decoder trusts nothing that does.
 pub fn index_block_from_region(
     index_memory: &[u8],
     meta: &SstableMeta,
 ) -> Result<sstable::block::Block> {
-    let start = meta.index_offset as usize;
-    let end = start + meta.index_len as usize;
-    let contents = bytes::Bytes::copy_from_slice(&index_memory[start..end]);
-    sstable::block::Block::new(contents).map_err(lsm::Error::from)
+    let region = usize::try_from(meta.index_offset)
+        .ok()
+        .zip(usize::try_from(meta.index_len).ok())
+        .and_then(|(start, len)| Some(start..start.checked_add(len)?))
+        .and_then(|range| index_memory.get(range))
+        .ok_or_else(|| {
+            corruption(format!(
+                "index block at {} (+{}) exceeds index memory ({})",
+                meta.index_offset,
+                meta.index_len,
+                index_memory.len()
+            ))
+        })?;
+    sstable::block::Block::new(bytes::Bytes::copy_from_slice(region)).map_err(lsm::Error::from)
 }
 
 #[cfg(test)]
@@ -356,5 +367,40 @@ mod tests {
         assert_eq!(align_up(64, 64), 64);
         assert_eq!(align_up(65, 8), 72);
         assert_eq!(align_up(4101, 64), 4160);
+    }
+
+    /// Index Block Memory of 64 bytes holding whatever `index_offset` and
+    /// `index_len` a MetaIn record off the wire names.
+    fn index_region(index_offset: u64, index_len: u64) -> Result<sstable::block::Block> {
+        let meta = SstableMeta {
+            index_offset,
+            index_len,
+            data_offset: 0,
+        };
+        index_block_from_region(&[0u8; 64], &meta)
+    }
+
+    #[test]
+    fn a_meta_in_record_past_index_memory_is_corruption() {
+        assert!(matches!(
+            index_region(40, 32),
+            Err(lsm::Error::Corruption(_))
+        ));
+        assert!(matches!(
+            index_region(65, 0),
+            Err(lsm::Error::Corruption(_))
+        ));
+    }
+
+    #[test]
+    fn a_meta_in_record_whose_end_overflows_is_corruption() {
+        assert!(matches!(
+            index_region(8, u64::MAX),
+            Err(lsm::Error::Corruption(_))
+        ));
+        assert!(matches!(
+            index_region(u64::MAX, 1),
+            Err(lsm::Error::Corruption(_))
+        ));
     }
 }

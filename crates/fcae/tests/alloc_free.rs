@@ -14,13 +14,11 @@
 //! Single `#[test]` in this binary: the global counter sees every thread,
 //! so parallel tests would pollute the measurement window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fcae::comparer::{Comparer, DropFilter};
-use fcae::decoder::{DecoderSource, InputDecoder, MergeSource};
+use fcae::decoder::{InputDecoder, MergeSource};
 use fcae::encoder::OutputEncoder;
 use fcae::memory::{build_input_image, InputImage};
 use lsm::compaction::{CompactionInput, TableRunSource};
@@ -31,41 +29,8 @@ use sstable::ikey::{InternalKey, ValueType};
 use sstable::table::{Table, TableReadOptions};
 use sstable::table_builder::{TableBuilder, TableBuilderOptions};
 
-struct CountingAllocator {
-    allocs: AtomicU64,
-}
-
-static ALLOCS: CountingAllocator = CountingAllocator {
-    allocs: AtomicU64::new(0),
-};
-
 #[global_allocator]
-static GLOBAL: &CountingAllocator = &ALLOCS;
-
-// SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
-// contract; the only addition is a relaxed atomic counter bump, which
-// allocates nothing and cannot reenter the allocator.
-unsafe impl GlobalAlloc for &'static CountingAllocator {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`; caller
-    // obligations are exactly the system allocator's.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: `ptr`/`layout` come from a matching `alloc`/`realloc` on
-    // this same wrapper, which always returns `System` memory.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    // SAFETY: same pass-through argument as `dealloc` — `ptr` was
-    // produced by `System` via this wrapper.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
 const W_IN: u32 = 64;
 const ENTRIES_PER_TABLE: usize = 1200;
@@ -148,7 +113,7 @@ fn measure<S: MergeSource>(mut sources: Vec<S>, mut warm: impl FnMut(&[S]) -> bo
     }
 
     // Steady state: every select/read/advance must be allocation-free.
-    let before = ALLOCS.allocs.load(Ordering::SeqCst);
+    let before = ALLOC.allocations();
     let mut kvs = 0u64;
     while let Some(sel) = comparer.select(&sources) {
         let s = &mut sources[sel.input_no];
@@ -158,7 +123,7 @@ fn measure<S: MergeSource>(mut sources: Vec<S>, mut warm: impl FnMut(&[S]) -> bo
         s.advance().unwrap();
         kvs += 1;
     }
-    let after = ALLOCS.allocs.load(Ordering::SeqCst);
+    let after = ALLOC.allocations();
     assert!(checksum > 0);
     (kvs, after - before)
 }
@@ -173,7 +138,7 @@ fn measure_decoders(compression: CompressionType) -> (u64, u64) {
         .iter()
         .map(|im| InputDecoder::new(im, W_IN))
         .collect();
-    measure(decoders, |d| d.iter().all(|d| d.blocks_fetched() >= 2))
+    measure(decoders, |d| d.iter().all(|d| d.stats.blocks_fetched >= 2))
 }
 
 /// The window over the CPU engine's inline sources, after 600 pairs of
@@ -223,12 +188,12 @@ fn measure_encoder(with_filter: bool) -> (u64, u64) {
         if !sel.drop && encoder.add(d.key(), d.value()).table_completed {
             tables += 1;
             if tables == 2 {
-                before = ALLOCS.allocs.load(Ordering::SeqCst);
+                before = ALLOC.allocations();
             }
         }
         d.advance().unwrap();
     }
-    let after = ALLOCS.allocs.load(Ordering::SeqCst);
+    let after = ALLOC.allocations();
     (tables - 2, after - before)
 }
 

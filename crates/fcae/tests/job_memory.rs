@@ -10,9 +10,8 @@
 //! Single `#[test]` in this binary: the global counter sees every thread,
 //! so parallel tests would pollute the measurement.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use fcae::{FcaeConfig, FcaeEngine};
@@ -25,66 +24,8 @@ use sstable::ikey::{InternalKey, ValueType};
 use sstable::table::{Table, TableReadOptions};
 use sstable::table_builder::{TableBuilder, TableBuilderOptions};
 
-struct LiveBytes {
-    live: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl LiveBytes {
-    fn grow(&self, n: usize) {
-        let live = self.live.fetch_add(n, Ordering::Relaxed) + n;
-        self.peak.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn shrink(&self, n: usize) {
-        self.live.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Restarts the high-water mark at the current live bytes, returning
-    /// them.
-    fn reset_peak(&self) -> usize {
-        let live = self.live.load(Ordering::SeqCst);
-        self.peak.store(live, Ordering::SeqCst);
-        live
-    }
-}
-
-static HEAP: LiveBytes = LiveBytes {
-    live: AtomicUsize::new(0),
-    peak: AtomicUsize::new(0),
-};
-
 #[global_allocator]
-static GLOBAL: &LiveBytes = &HEAP;
-
-// SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
-// contract; the only additions are relaxed atomic counter updates, which
-// allocate nothing and cannot reenter the allocator.
-unsafe impl GlobalAlloc for &'static LiveBytes {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`; caller
-    // obligations are exactly the system allocator's.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.grow(layout.size());
-        System.alloc(layout)
-    }
-
-    // SAFETY: `ptr`/`layout` come from a matching `alloc`/`realloc` on
-    // this same wrapper, which always returns `System` memory.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.shrink(layout.size());
-        System.dealloc(ptr, layout);
-    }
-
-    // SAFETY: same pass-through argument as `dealloc` — `ptr` was
-    // produced by `System` via this wrapper. The old and new blocks may
-    // both be live during the move, so the new size is counted first.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.grow(new_size);
-        let p = System.realloc(ptr, layout, new_size);
-        self.shrink(layout.size());
-        p
-    }
-}
+static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
 /// An output file that keeps only its length: the engine's memory, not
 /// the outputs', is under test.
@@ -192,9 +133,9 @@ fn an_engine_job_holds_its_windows_and_one_output_table() {
         written: Arc::clone(&written),
     };
 
-    let before = HEAP.reset_peak();
+    let before = ALLOC.reset_peak();
     let outcome = engine.compact(&req, &out).unwrap();
-    let growth = HEAP.peak.load(Ordering::SeqCst) - before;
+    let growth = ALLOC.peak_bytes() - before;
 
     assert_eq!(outcome.entries_written, 4 * KEYS - KEYS % 3);
     assert!(

@@ -12,48 +12,13 @@
 //! buffer is far larger than what is written, so nothing rotates and the
 //! background workers stay parked while the writes are counted.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lsm::{Db, Options};
 use sstable::env::MemEnv;
 
-struct CountingAllocator {
-    allocs: AtomicU64,
-}
-
-static ALLOCS: CountingAllocator = CountingAllocator {
-    allocs: AtomicU64::new(0),
-};
-
 #[global_allocator]
-static GLOBAL: &CountingAllocator = &ALLOCS;
-
-// SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
-// contract; the only addition is a relaxed atomic counter bump, which
-// allocates nothing and cannot reenter the allocator.
-unsafe impl GlobalAlloc for &'static CountingAllocator {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`; caller
-    // obligations are exactly the system allocator's.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: `ptr`/`layout` come from a matching `alloc`/`realloc` on
-    // this same wrapper, which always returns `System` memory.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    // SAFETY: same pass-through argument as `dealloc` — `ptr` was
-    // produced by `System` via this wrapper.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
 /// Writes per measurement: enough that a memtable arena or node vector
 /// doubling inside the window (a few per shard over the whole test)
@@ -62,11 +27,11 @@ const WRITES: u64 = 1_000;
 
 /// Allocations per write over `WRITES` calls of `write(i)`, rounded down.
 fn allocations_per_write(mut write: impl FnMut(u64)) -> u64 {
-    let before = ALLOCS.allocs.load(Ordering::Relaxed);
+    let before = ALLOC.allocations();
     for i in 0..WRITES {
         write(i);
     }
-    (ALLOCS.allocs.load(Ordering::Relaxed) - before) / WRITES
+    (ALLOC.allocations() - before) / WRITES
 }
 
 /// A 16-byte key, built without allocating.

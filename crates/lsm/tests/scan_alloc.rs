@@ -20,55 +20,20 @@
 //! flushes (the write buffer is larger than the data), so their
 //! background workers stay parked while the scans are counted.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use lsm::{Db, Options};
 use sstable::env::MemEnv;
 
-struct CountingAllocator {
-    allocs: AtomicU64,
-}
-
-static ALLOCS: CountingAllocator = CountingAllocator {
-    allocs: AtomicU64::new(0),
-};
-
 #[global_allocator]
-static GLOBAL: &CountingAllocator = &ALLOCS;
-
-// SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
-// contract; the only addition is a relaxed atomic counter bump, which
-// allocates nothing and cannot reenter the allocator.
-unsafe impl GlobalAlloc for &'static CountingAllocator {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`; caller
-    // obligations are exactly the system allocator's.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: `ptr`/`layout` come from a matching `alloc`/`realloc` on
-    // this same wrapper, which always returns `System` memory.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    // SAFETY: same pass-through argument as `dealloc` — `ptr` was
-    // produced by `System` via this wrapper.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
 use lsm::ReadOptions;
 
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.allocs.load(Ordering::Relaxed);
+    let before = ALLOC.allocations();
     f();
-    ALLOCS.allocs.load(Ordering::Relaxed) - before
+    ALLOC.allocations() - before
 }
 
 /// Opens a store holding `entries` keys, all in its active memtable

@@ -15,14 +15,20 @@
 //!   simulators drive a [`ManualClock`] from modeled time so two
 //!   identical runs export byte-identical metrics and traces.
 //!
+//! * [`CountingAlloc`] — a pass-through global allocator counting
+//!   allocations and live bytes, for tests that pin what a path
+//!   allocates.
+//!
 //! Export is deterministic by construction: names iterate in `BTreeMap`
 //! order and all numbers are integers.
 
+pub mod alloc;
 pub mod clock;
 pub mod json;
 pub mod metrics;
 pub mod trace;
 
+pub use alloc::CountingAlloc;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use trace::{Event, EventKind, TraceBuffer};

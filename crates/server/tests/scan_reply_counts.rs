@@ -15,50 +15,15 @@
 //! a `FrameBuf` built beforehand), the stores never flush, and no other
 //! connection is open, so what is counted is the server answering.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use server::proto::{self, FrameBuf};
 use server::{KvClient, KvServer, Response, ServerConfig};
 use sstable::env::MemEnv;
 
-struct CountingAllocator {
-    allocs: AtomicU64,
-}
-
-static ALLOCS: CountingAllocator = CountingAllocator {
-    allocs: AtomicU64::new(0),
-};
-
 #[global_allocator]
-static GLOBAL: &CountingAllocator = &ALLOCS;
-
-// SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
-// contract; the only addition is a relaxed atomic counter bump, which
-// allocates nothing and cannot reenter the allocator.
-unsafe impl GlobalAlloc for &'static CountingAllocator {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`; caller
-    // obligations are exactly the system allocator's.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    // SAFETY: `ptr`/`layout` come from a matching `alloc`/`realloc` on
-    // this same wrapper, which always returns `System` memory.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    // SAFETY: same pass-through argument as `dealloc` — `ptr` was
-    // produced by `System` via this wrapper.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        self.allocs.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
 fn key(n: u64) -> Vec<u8> {
     format!("{n:016}").into_bytes()
@@ -73,7 +38,7 @@ fn allocations_to_answer(
     request: &[u8],
     pairs: usize,
 ) -> u64 {
-    let before = ALLOCS.allocs.load(Ordering::Relaxed);
+    let before = ALLOC.allocations();
     raw.write_all(request).expect("send");
     let body_len = loop {
         if let Some(body) = inbuf.next_frame().expect("frame") {
@@ -81,7 +46,7 @@ fn allocations_to_answer(
         }
         assert_ne!(inbuf.fill_from(raw).expect("read"), 0, "server hung up");
     };
-    let counted = ALLOCS.allocs.load(Ordering::Relaxed) - before;
+    let counted = ALLOC.allocations() - before;
     // version, tag, count, then (4 + 16 + 4 + 64) a pair.
     assert_eq!(body_len, 6 + pairs * 88);
     counted

@@ -14,54 +14,27 @@
 //! windows and not others: each kind is counted over many rounds and its
 //! cheapest round compared.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use server::proto::{self, FrameBuf};
 use server::{KvServer, Request, ServerConfig};
 
-struct CountingAllocator;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
-
-// SAFETY: pure pass-through to `System`, which upholds the `GlobalAlloc`
-// contract; the only addition is a relaxed atomic counter bump, which
-// allocates nothing and cannot reenter the allocator.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: forwards `layout` unchanged to `System.alloc`.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    // SAFETY: `ptr`/`layout` come from a matching `alloc`/`realloc` on
-    // this same wrapper, which always returns `System` memory.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-    // SAFETY: as `dealloc` — `ptr` was produced by `System`.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
+static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
 /// Sends the pre-encoded `request` 32 times, each time waiting for its
 /// reply frame, and returns the fewest allocations the process made
 /// between a send and its reply.
 fn cheapest_answer(raw: &mut TcpStream, inbuf: &mut FrameBuf, request: &[u8]) -> u64 {
     let rounds = (0..32).map(|_| {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = ALLOC.allocations();
         raw.write_all(request).expect("send");
         while inbuf.next_frame().expect("frame").is_none() {
             assert_ne!(inbuf.fill_from(raw).expect("read"), 0, "server hung up");
         }
-        ALLOCS.load(Ordering::Relaxed) - before
+        ALLOC.allocations() - before
     });
     rounds.min().unwrap_or(0)
 }

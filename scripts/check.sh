@@ -23,6 +23,11 @@ cargo xtask analyze
 # checksummed reads: no knob for any of them grows back.
 ! grep -rnE 'dyn Comparator|BytewiseComparator|internal_key_filter|block_restart_interval|verify_checksums' \
     --include='*.rs' crates tests examples || exit 1
+# The kernel has one decoder and one comparer: neither second
+# implementation, nor the trait that let two decoders share a kernel,
+# grows back.
+! grep -rnE 'BasicInputDecoder|LinearComparer|run_kernel_basic|DecoderSource' \
+    --include='*.rs' crates tests examples || exit 1
 # One lock API: parking_lot's shape from `lsm::sync_shim` (or
 # `parking_lot` below `lsm`), never std's poisoning locks or a lock
 # helper. The loom facade in sync_shim.rs and xtask's lint patterns
@@ -53,40 +58,13 @@ done
 # Observability smoke: two identical simulated runs must export
 # byte-identical output.
 cargo test -q -p systemsim identical_runs_export_identical_observability
-# Count guards (mirrors CI's perf-harness job): counts repeat exactly
-# where times wobble — allocations per merged pair, per scan, per level
-# seek, per get, per put, per SCAN reply and per sync write, `read` calls
-# per frame, `write` calls per put. Already in `cargo test -q`; named
-# here so a failure says which budget moved.
-cargo test -q -p fcae --test alloc_free
-# Host bytes per FCAE job: one read window per input plus one output
-# table, not its images; one job's kernel report pinned bit for bit; and
-# a device job failing after its first table has that table counted as
-# discarded and swept, and the CPU retry leaves the serial run's state.
-cargo test -q -p fcae --test job_memory
-cargo test -q -p fcae --test kernel_report_golden
-cargo test -q -p offload --test scheduler_integration a_device_job_failing_after_its_first_table_counts_and_sweeps_it
-cargo test -q -p lsm --test scan_alloc
-cargo test -q -p lsm --test chain_seek_alloc
-cargo test -q -p lsm --test get_alloc
-cargo test -q -p lsm --test put_alloc
-# `write(2)` calls per non-sync put on a real directory (the 64 KiB file
-# buffer), and value-log bytes readable before any pointer to them.
-cargo test -q -p lsm --test put_writes
-cargo test -q -p lsm --test vlog_std_env
-cargo test -q -p server --test scan_reply_counts
-cargo test -q -p server --test write_reply_counts
-# The block decoder against the one it replaced, frozen as an oracle:
-# identical results on harness-shaped blocks, truncations, flips, garbage.
-cargo test -q -p snap-codec --test decoder_oracle
-# The word-wise internal-key order against bytewise-then-trailer, block
-# and table seeks in that order against a model (damaged blocks and keys
-# shorter than the trailer fail cleanly), and the arena skiplist against
-# a BTreeMap model at 1, 2 and 8 shards.
-cargo test -q -p sstable --test proptest_internal_key_order
-cargo test -q -p sstable --test proptest_block_seek
-cargo test -q -p sstable --test proptest_table
-cargo test -q -p lsm --test proptest_memtable
+# Guard tests (scripts/guards.txt, which CI's perf-harness job runs
+# too): counts, golden bytes and oracles that repeat exactly where times
+# wobble. Already in `cargo test -q`; run by name so a failure says which
+# budget moved.
+while read -ra guard; do
+    cargo test -q "${guard[@]}" < /dev/null
+done < <(grep -vE '^[[:space:]]*(#|$)' scripts/guards.txt)
 # kvbench is a standalone package the workspace build never compiles:
 # build it against the current crates and run all four workloads with
 # every correctness check, untraced and then traced (the per-layer half

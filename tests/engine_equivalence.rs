@@ -7,11 +7,11 @@
 //!    sources and from its read-ahead sources, must emit exactly the
 //!    bytes [`CpuCompactionEngine`] shipped before the workspace's three
 //!    merge loops became one, for raw and Snappy-compressed outputs.
-//! 2. **Byte-identical images + cycles**: the device kernel with the
-//!    optimized zero-copy decoder must match the basic (Algorithm 1)
-//!    decoder — same output images, same MetaOut, and a bit-identical
-//!    cycle model, because the timing model is charged per pair, not per
-//!    software implementation.
+//! 2. **Golden device files**: the FCAE engine must emit exactly the
+//!    bytes it wrote when a second, Algorithm 1 decoder was proven
+//!    bit-identical to its one (images, MetaOut and cycle model), for raw
+//!    and Snappy-compressed outputs; `fcae`'s `kernel_report_golden`
+//!    pins the cycle model.
 //! 3. **Byte-identical filter blocks**: where both engines write one
 //!    table, the device's Filter Block Encoder must produce the host
 //!    `TableBuilder`'s filter block bit for bit — and none at all for a
@@ -149,6 +149,16 @@ const GOLDEN_RAW: [u32; 12] = [
 ];
 const GOLDEN_SNAPPY: [u32; 2] = [0x2a325294, 0x5f5e43a8];
 
+/// crc32c of every output file `FcaeEngine::compact` wrote for
+/// [`request`] with `FcaeConfig::nine_input()` at commit d72c417 — the
+/// last with a second, Algorithm 1 decoder proven bit-identical to the
+/// kernel's (images, MetaOut and cycle model) — in output order.
+const GOLDEN_FCAE_RAW: [u32; 12] = [
+    0x3319934d, 0x260b6d8b, 0xf049e1ed, 0xa8428fa0, 0x001a5666, 0x9e15f2e4, 0xa488cfad, 0x568f486a,
+    0x99f9a33e, 0x25f45aef, 0x996caa8c, 0x4e2d3534,
+];
+const GOLDEN_FCAE_SNAPPY: [u32; 2] = [0xf6182d66, 0xf098d7c7];
+
 /// crc32c of each output file of `outcome`, in output order.
 fn digests(env: &MemEnv, fac: &Factory, outcome: &CompactionOutcome) -> Vec<u32> {
     assert_eq!(
@@ -206,67 +216,18 @@ fn both_cpu_source_kinds_reproduce_the_shipped_bytes() {
 }
 
 #[test]
-fn optimized_and_basic_decoder_kernels_are_bit_identical() {
-    for compression in [CompressionType::None, CompressionType::Snappy] {
+fn fcae_engine_reproduces_the_shipped_bytes() {
+    for (compression, golden) in [
+        (CompressionType::None, &GOLDEN_FCAE_RAW[..]),
+        (CompressionType::Snappy, &GOLDEN_FCAE_SNAPPY[..]),
+    ] {
         let env = MemEnv::new();
         let req = request(&env, compression);
-        let config = FcaeConfig::nine_input();
-        let images = fcae::memory::build_input_images(&req.inputs, config.w_in).unwrap();
-        let engine = FcaeEngine::new(config);
-
-        let (opt_tables, opt_model, opt_report) = engine
-            .run_kernel(
-                &images,
-                req.smallest_snapshot,
-                true,
-                compression,
-                4096,
-                48 << 10,
-            )
+        let fac = Factory::new(env.clone(), "fcae");
+        let dev = FcaeEngine::new(FcaeConfig::nine_input())
+            .compact(&req, &fac)
             .unwrap();
-        let (basic_tables, basic_model, basic_report) = engine
-            .run_kernel_basic(
-                &images,
-                req.smallest_snapshot,
-                true,
-                compression,
-                4096,
-                48 << 10,
-            )
-            .unwrap();
-
-        assert_eq!(opt_tables.len(), basic_tables.len(), "{compression:?}");
-        for (i, (a, b)) in opt_tables.iter().zip(&basic_tables).enumerate() {
-            assert_eq!(
-                a.data_memory, b.data_memory,
-                "{compression:?} image {i} data bytes"
-            );
-            assert_eq!(
-                format!("{:?}", a.index_entries),
-                format!("{:?}", b.index_entries),
-                "{compression:?} image {i} index"
-            );
-            assert_eq!(
-                format!("{:?}", a.meta),
-                format!("{:?}", b.meta),
-                "{compression:?} image {i} meta"
-            );
-        }
-        // The cycle model is charged per pair/block/table event, so the
-        // decoder implementation must not change a single count.
-        assert_eq!(
-            format!("{opt_model:?}"),
-            format!("{basic_model:?}"),
-            "{compression:?} cycle model diverged"
-        );
-        assert_eq!(
-            opt_report.pairs_compared, basic_report.pairs_compared,
-            "{compression:?}"
-        );
-        assert_eq!(
-            opt_report.pairs_dropped, basic_report.pairs_dropped,
-            "{compression:?}"
-        );
+        assert_eq!(digests(&env, &fac, &dev), golden, "{compression:?}");
     }
 }
 
