@@ -538,27 +538,13 @@ impl VersionSet {
         self.manifest_number
     }
 
-    /// Compaction priority score of the most loaded level; >= 1.0 means a
-    /// compaction is needed (LevelDB `Finalize`).
-    pub fn compaction_score(&self) -> (usize, f64) {
-        let mut best_level = 0;
-        let mut best_score = self.current.num_files(0) as f64 / L0_COMPACTION_TRIGGER as f64;
-        for level in 1..NUM_LEVELS - 1 {
-            let score = self.current.level_bytes(level) as f64
-                / self.options.max_bytes_for_level(level) as f64;
-            if score > best_score {
-                best_level = level;
-                best_score = score;
-            }
-        }
-        (best_level, best_score)
-    }
-
-    /// Every level whose score reaches 1.0, most urgent first. A
-    /// multi-worker scheduler walks this list and starts the first
-    /// candidate that does not conflict with in-flight work;
-    /// [`VersionSet::pick_compaction`] is the single-worker special case
-    /// (first candidate only).
+    /// Every level whose score reaches 1.0, most urgent first; equal
+    /// scores keep the shallower level first (LevelDB `Finalize`: L0
+    /// scores by file count against its trigger, deeper levels by bytes
+    /// against their budget). A multi-worker scheduler walks this list
+    /// and starts the first candidate that does not conflict with
+    /// in-flight work; [`VersionSet::pick_compaction`] is the
+    /// single-worker special case (first candidate only).
     pub fn candidate_levels(&self) -> Vec<usize> {
         let mut scored: Vec<(usize, f64)> = Vec::new();
         let l0 = self.current.num_files(0) as f64 / L0_COMPACTION_TRIGGER as f64;
@@ -578,11 +564,7 @@ impl VersionSet {
 
     /// Picks the next compaction, or `None` if nothing is needed.
     pub fn pick_compaction(&self) -> Option<Compaction> {
-        let (level, score) = self.compaction_score();
-        if score < 1.0 {
-            return None;
-        }
-        self.pick_compaction_at(level)
+        self.pick_compaction_at(*self.candidate_levels().first()?)
     }
 
     /// Builds a compaction for `level` regardless of its score (manual
@@ -821,6 +803,39 @@ mod tests {
         edit.new_files.push((0, meta(10, "a", "m")));
         vs.log_and_apply(edit).unwrap();
         assert!(vs.pick_compaction().is_none());
+    }
+
+    /// Equal scores go to the shallower level, L0 included.
+    #[test]
+    fn tied_scores_pick_the_shallower_level() {
+        let opts = || Options {
+            level1_max_bytes: 10_000,
+            ..mem_options()
+        };
+        let sized = |number, smallest, largest, file_size| {
+            let mut f = meta(number, smallest, largest);
+            f.file_size = file_size;
+            f
+        };
+        // L0 at twice its trigger, L1 at twice its budget: both score 2.0.
+        let mut vs = VersionSet::new(PathBuf::from("/db"), opts());
+        let mut edit = VersionEdit::default();
+        for n in 0..2 * L0_COMPACTION_TRIGGER as u64 {
+            edit.new_files.push((0, meta(10 + n, "a", "m")));
+        }
+        edit.new_files.push((1, sized(30, "a", "z", 20_000)));
+        vs.log_and_apply(edit).unwrap();
+        assert_eq!(vs.candidate_levels(), vec![0, 1]);
+        assert_eq!(vs.pick_compaction().map(|c| c.level), Some(0));
+
+        // L1 and L2 both at three times their budgets.
+        let mut vs = VersionSet::new(PathBuf::from("/db"), opts());
+        let mut edit = VersionEdit::default();
+        edit.new_files.push((1, sized(40, "a", "m", 30_000)));
+        edit.new_files.push((2, sized(41, "n", "z", 300_000)));
+        vs.log_and_apply(edit).unwrap();
+        assert_eq!(vs.candidate_levels(), vec![1, 2]);
+        assert_eq!(vs.pick_compaction().map(|c| c.level), Some(1));
     }
 
     #[test]

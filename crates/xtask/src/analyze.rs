@@ -1,10 +1,8 @@
 //! `cargo xtask analyze` — scope-aware concurrency and durability lints.
 //!
-//! Where `cargo xtask lint` matches single lines, `analyze` tracks a
-//! little state on top of the same [`scan_lines`] infrastructure: brace
-//! depth, the liveness of lock guards bound by `let g = x.lock()`,
-//! function extents, and the ordered sync/rename events inside each
-//! function. Three lints ride on that tracker:
+//! These lints follow state through a file on the lexer and scope pass
+//! of `src/scan.rs`: lock guards alive by brace depth, `fn` bodies,
+//! statement starts, and the order of sync and rename calls in a body.
 //!
 //! | lint                  | rule                                                | waiver              |
 //! |-----------------------|-----------------------------------------------------|---------------------|
@@ -12,45 +10,39 @@
 //! | `durability-ordering` | a `rename` call must be preceded in the same function by a `sync`/`sync_dir`; a function calling `create_writable` must sync somewhere (the PR 5 crash-consistency ordering, machine-checked) | `// DURABILITY-OK:` |
 //! | `metrics-drift`       | the set of metric names registered against `obs::Registry` equals the METRICS.md inventory (both directions); a name the simulator registers is one its owning crate registers too, with the same kind | fix METRICS.md      |
 //!
-//! Annotation grammar (trailing comment on the acquisition line, or in
-//! the comment block above the statement that contains it):
+//! Annotations sit where waivers do (see the crate docs); a function's
+//! statement is its signature.
 //!
 //! * `// LOCK-ORDER: <name> <rank> [prose]` — names the lock and pins
-//!   its rank. Ranks are global: the same name must carry the same rank
-//!   everywhere, and a lock may only be acquired while strictly
-//!   lower-ranked guards are held.
-//! * `// LOCK-ORDER-OK: <why>` — waives one site (generic wrappers whose
-//!   lock identity is unknowable, e.g. the loom facade's `Mutex::lock`
-//!   in `lsm::sync_shim`).
-//! * `// LOCK-HELD: <name> [via <var>] [prose]` — on a function,
-//!   declares a lock the *caller* holds on entry (a guard parameter or a
-//!   `&mut` borrow of guarded state). The tracker treats it as live for
-//!   the body — until `drop(<var>)` when `via <var>` names the binding —
-//!   so cross-function nesting like `rotate_memtable` (state held by the
-//!   caller, epoch acquired inside) is still checked.
+//!   its rank. Ranks are global: one name, one rank, and a lock may only
+//!   be acquired while strictly lower-ranked guards are held.
+//! * `// LOCK-ORDER-OK: <why>` — waives one site (a generic wrapper whose
+//!   lock is unknowable, e.g. the loom facade's `Mutex::lock` in
+//!   `lsm::sync_shim`).
+//! * `// LOCK-HELD: <name> [via <var>] [prose]` — on a function: a lock
+//!   the caller holds on entry (a guard parameter or a `&mut` borrow of
+//!   guarded state). It is live for the body, until `drop(<var>)` when
+//!   `via <var>` names the binding, so nesting like `rotate_memtable`'s
+//!   (state held by the caller, epoch acquired inside) is checked.
 //!
-//! Guard-liveness model: a `let g = x.lock()` binding is live from its
-//! statement to the end of the enclosing brace scope, `drop(g)`, or a
-//! rebinding of `g`; an acquisition whose result is consumed by further
-//! chaining (`x.lock().field.clone()`) is a temporary, live only for its
-//! own statement. `.unwrap()` / `.expect(..)` / `.unwrap_or_else(..)`
-//! after `.lock()` are still read as yielding the guard: a lock whose
-//! `lock()` returns a `Result` (std's poisoning `Mutex`) would bind
-//! that way. The workspace's locks return the guard directly.
+//! Guard liveness, line by line: a `let g = x.lock()` guard lives to the
+//! end of its brace scope, `drop(g)` or a rebinding of `g`; a chained
+//! acquisition (`x.lock().len()`) is a temporary, live for the rest of
+//! its line. `.unwrap()`, `.expect(..)` and `.unwrap_or_else(..)` after
+//! `.lock()` still yield the guard (std's poisoning `Mutex` binds that
+//! way; the workspace's locks return the guard directly).
 //!
-//! Limitations, deliberate: the tracker sees syntactic nesting within
-//! one function only. A guard passed to a callee is invisible at the
-//! callee's acquisitions unless the callee declares it with
-//! `// LOCK-HELD:` — the rank table in DESIGN.md encodes the full
-//! design intent, so any future in-function nesting is checked against
-//! it even where today's edges are cross-function. Like the PR 3 lints,
-//! the scanner is textual: `rustfmt`-normalized source stays well inside
-//! what it handles, and the fixture tests pin the behavior that matters.
+//! What the tracker cannot see: a guard passed to another function,
+//! unless that function declares it with `// LOCK-HELD:`, and code a
+//! macro generates. The rank table in DESIGN.md states the whole design,
+//! so any in-function nesting is checked against it even where today's
+//! edges cross functions.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use crate::{brace_delta, has_word, read, rs_files, scan_lines, ScanLine, Violation};
+use crate::scan::{Code, Kind, Scan};
+use crate::{read, rs_files, Violation};
 
 /// Crates whose lock acquisitions must all carry `LOCK-ORDER` ranks.
 pub const LOCK_ORDER_CRATES: &[&str] = &["lsm", "offload", "server"];
@@ -79,17 +71,17 @@ pub const METRIC_PREFIXES: &[&str] = &["lsm.", "offload.", "server.", "fcae.", "
 pub const METRIC_BORROWER_CRATES: &[&str] = &["systemsim"];
 
 // ---------------------------------------------------------------------
-// Token/scope tracker
+// Guard tracker
 // ---------------------------------------------------------------------
 
 /// A live guard: a named lock acquisition bound to a variable, or a
 /// `LOCK-HELD` precondition covering a function body.
-struct GuardRec {
+struct GuardRec<'a> {
     /// Lock name from the annotation (`None` for waived/unannotated
     /// sites — they stay live for scoping but produce no edges).
-    lock: Option<String>,
+    lock: Option<&'a str>,
     /// Variable the guard is bound to (drop/rebind target).
-    var: Option<String>,
+    var: Option<&'a str>,
     /// Brace depth the guard lives at; it dies when the running depth
     /// drops below this.
     depth: i32,
@@ -118,341 +110,174 @@ struct Walk {
     edges: Vec<EdgeRec>,
 }
 
-/// Byte offsets in `code` where a lock acquisition starts, left to
-/// right. `.lock()`/`.read()`/`.write()` require empty argument lists so
+/// If a lock acquisition starts at token `k`, the index just past it.
+/// `.lock()`/`.read()`/`.write()` take no arguments, so
 /// `io::Read::read(buf)` and `io::Write::write(buf)` never match; the
-/// bare `lock(` / `shim_lock(` forms cover free-function lock helpers,
-/// which `check.sh` keeps out of `crates/*/src` today. `fn lock(`
-/// definitions are excluded.
-fn acquisition_cols(code: &str) -> Vec<(usize, usize)> {
-    let mut out: Vec<(usize, usize)> = Vec::new();
-    for tok in [".lock()", ".read()", ".write()"] {
-        let mut start = 0;
-        while let Some(pos) = code[start..].find(tok) {
-            let at = start + pos;
-            start = at + tok.len();
-            out.push((at, at + tok.len()));
-        }
+/// bare `lock(..)` / `shim_lock(..)` calls cover free-function lock
+/// helpers, which `check.sh` keeps out of `crates/*/src` today. A
+/// `fn lock(` definition is not a call.
+fn acquisition(scan: &Scan, k: usize) -> Option<usize> {
+    if ["lock", "read", "write"]
+        .iter()
+        .any(|m| scan.reads(k, &[".", m, "(", ")"]))
+    {
+        return Some(k + 4);
     }
-    for tok in ["lock(", "shim_lock("] {
-        let mut start = 0;
-        while let Some(pos) = code[start..].find(tok) {
-            let at = start + pos;
-            start = at + tok.len();
-            let before = code[..at].chars().next_back();
-            if before.is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '.') {
-                continue; // part of a longer identifier, or the `.lock()` form
-            }
-            if code[..at].trim_end().ends_with("fn") {
-                continue; // `fn lock(` definition, not a call
-            }
-            // The call takes arguments: the guard expression ends at the
-            // matching close paren.
-            out.push((at, skip_to_close(code, at + tok.len())));
-        }
-    }
-    out.sort_unstable();
-    out.dedup_by_key(|(at, _)| *at);
-    out
+    let bare = matches!(scan.code[k].text, "lock" | "shim_lock")
+        && scan.reads(k + 1, &["("])
+        && (k == 0 || !matches!(scan.code[k - 1].text, "." | "fn"));
+    bare.then(|| scan.close(k + 1))
 }
 
-/// Given `code` and the offset just past an opening paren, returns the
-/// offset just past the matching close (or the end of the line).
-fn skip_to_close(code: &str, from: usize) -> usize {
-    let mut depth = 1i32;
-    for (i, c) in code[from..].char_indices() {
-        match c {
-            '(' => depth += 1,
-            ')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return from + i + 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    code.len()
-}
-
-/// Walks back from line `idx` to the first line of the statement
-/// containing it: the walk continues while the previous line ends
-/// mid-expression (anything but `;`, `{`, `}`, `,`).
-fn statement_start(lines: &[ScanLine], idx: usize) -> usize {
-    let mut i = idx;
-    while i > 0 {
-        let prev = lines[i - 1].code.trim_end();
-        let Some(last) = prev.chars().next_back() else {
-            break; // blank or comment-only line
-        };
-        if matches!(last, ';' | '{' | '}' | ',') {
-            break;
-        }
-        i -= 1;
-    }
-    i
-}
-
-/// If the statement binds its value (`let g = ...`, `g = ...`, match-arm
-/// `... => g = ...`), returns the bound variable name.
-fn binding_var(stmt_code: &str) -> Option<String> {
-    let mut s = stmt_code.trim_start();
-    if let Some(arrow) = s.find("=>") {
-        s = s[arrow + 2..].trim_start();
-    }
-    let ident = |t: &str| -> String {
-        t.chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect()
+/// If the statement (its tokens up to the acquisition) binds its value
+/// (`let g = ...`, `g = ...`, match-arm `... => g = ...`), the bound
+/// variable.
+fn binding_var<'a>(stmt: &[Code<'a>]) -> Option<&'a str> {
+    let t = match stmt.iter().position(|c| c.text == "=>") {
+        Some(arrow) => &stmt[arrow + 1..],
+        None => stmt,
     };
-    if let Some(rest) = s.strip_prefix("let ") {
-        let mut rest = rest.trim_start();
-        rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-        for pat in ["Ok(", "Some("] {
-            if let Some(inner) = rest.strip_prefix(pat) {
-                rest = inner.trim_start();
-                rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-                break;
-            }
+    let text = |k: usize| t.get(k).map_or("", |c| c.text);
+    if text(0) == "let" {
+        let mut k = 1 + usize::from(text(1) == "mut");
+        if matches!(text(k), "Ok" | "Some") && text(k + 1) == "(" {
+            k += 2 + usize::from(text(k + 2) == "mut");
         }
-        let name = ident(rest);
-        if name.is_empty() || name == "_" {
-            None
-        } else {
-            Some(name)
-        }
+        t.get(k)
+            .filter(|c| c.kind == Kind::Ident && c.text != "_")
+            .map(|c| c.text)
     } else {
-        let name = ident(s);
-        if name.is_empty() {
-            return None;
-        }
-        let rest = s[name.len()..].trim_start();
-        if rest.starts_with('=') && !rest.starts_with("==") && !rest.starts_with("=>") {
-            Some(name)
-        } else {
-            None
-        }
+        (t.first()?.kind == Kind::Ident && text(1) == "=").then(|| t[0].text)
     }
 }
 
-/// True if the acquisition's result is consumed by further chaining
-/// (field access or a non-guard method) instead of kept as a guard.
-/// `.unwrap()` / `.expect(..)` / `.unwrap_or_else(..)` still yield the
-/// guard, so chaining is followed through them first. The statement tail
-/// may continue on following lines.
-fn chained_past_guard(lines: &[ScanLine], idx: usize, col_after: usize) -> bool {
-    let mut tail = lines[idx].code[col_after.min(lines[idx].code.len())..].to_string();
-    let mut i = idx;
-    while i + 1 < lines.len() && tail.len() < 1024 {
-        let t = tail.trim_end();
-        if t.ends_with(';') || t.ends_with('{') || t.ends_with('}') {
-            break;
-        }
-        i += 1;
-        tail.push(' ');
-        tail.push_str(lines[i].code.trim());
-    }
-    let mut rest = tail.trim_start();
+/// True if the acquisition ending at token `k` is consumed by further
+/// chaining (field access or a non-guard method) instead of kept as a
+/// guard. `.unwrap()` / `.expect(..)` / `.unwrap_or_else(..)` still
+/// yield the guard, so chaining is followed through them first.
+fn chained_past_guard(scan: &Scan, mut k: usize) -> bool {
     loop {
-        if let Some(r) = rest.strip_prefix(".unwrap()") {
-            rest = r.trim_start();
-        } else if let Some(r) = rest
-            .strip_prefix(".unwrap_or_else(")
-            .or_else(|| rest.strip_prefix(".expect("))
+        if scan.reads(k, &[".", "unwrap", "(", ")"]) {
+            k += 4;
+        } else if scan.reads(k, &[".", "expect", "("])
+            || scan.reads(k, &[".", "unwrap_or_else", "("])
         {
-            let close = skip_to_close(r, 0);
-            rest = r[close.min(r.len())..].trim_start();
+            k = scan.close(k + 2);
         } else {
-            break;
-        }
-    }
-    rest.starts_with('.')
-}
-
-/// Extracts the payload after `token` from line `idx`'s trailing comment
-/// or the contiguous comment/attribute block above line `stmt`.
-fn annotation_payload(lines: &[ScanLine], idx: usize, stmt: usize, token: &str) -> Option<String> {
-    let raw = &lines[idx].raw;
-    if let Some(c) = raw.find("//") {
-        if let Some(p) = raw[c..].find(token) {
-            return Some(raw[c + p + token.len()..].trim().to_string());
-        }
-    }
-    let mut i = stmt;
-    while i > 0 {
-        i -= 1;
-        let t = lines[i].raw.trim();
-        if t.starts_with("//") {
-            if let Some(p) = t.find(token) {
-                return Some(t[p + token.len()..].trim().to_string());
-            }
-        } else if t.starts_with("#[") || t.starts_with("#![") {
-            // Attributes may sit between the comment and the item.
-        } else {
-            break;
-        }
-    }
-    None
-}
-
-/// Minimum brace depth reached while scanning the line (so `} else {`
-/// ends the `if` branch's guards even though its net delta is zero).
-fn min_depth_in_line(code: &str, before: i32) -> i32 {
-    let mut d = before;
-    let mut min = before;
-    for c in code.chars() {
-        match c {
-            '{' => d += 1,
-            '}' => {
-                d -= 1;
-                min = min.min(d);
-            }
-            _ => {}
-        }
-    }
-    min
-}
-
-/// Kills guards whose bound variable is dropped on this line.
-fn apply_drops(code: &str, guards: &mut Vec<GuardRec>) {
-    let mut start = 0;
-    while let Some(pos) = code[start..].find("drop(") {
-        let at = start + pos;
-        start = at + 5;
-        let before = code[..at].chars().next_back();
-        if before.is_some_and(|c| c.is_alphanumeric() || c == '_') {
-            continue;
-        }
-        let var: String = code[at + 5..]
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_alphanumeric() || *c == '_')
-            .collect();
-        if !var.is_empty() {
-            guards.retain(|g| g.var.as_deref() != Some(var.as_str()));
+            return scan.reads(k, &["."]);
         }
     }
 }
 
-/// The core pass: tracks guard liveness through one file, collecting
-/// annotation violations, rank sites and nesting edges.
+/// The core pass: tracks guard liveness through one file, line by line,
+/// collecting annotation violations, rank sites and nesting edges.
 fn walk_guards(file: &Path, source: &str) -> Walk {
-    let lines = scan_lines(source);
+    let scan = Scan::new(source);
+    let code = &scan.code;
     let mut w = Walk::default();
-    let mut depth = 0i32;
     let mut guards: Vec<GuardRec> = Vec::new();
-    let mut pending_held: Vec<(String, Option<String>)> = Vec::new();
+    let violation = |line, message: String| Violation::new(file, line, "lock-order", message);
 
-    for (i, l) in lines.iter().enumerate() {
-        let before = depth;
-        let delta = brace_delta(&l.code);
-        let after = before + delta;
-        let min = min_depth_in_line(&l.code, before);
-        depth = after;
+    for line in scan.code_lines() {
+        let toks = &code[line.clone()];
+        // The lowest depth the line reaches (so `} else {` ends the `if`
+        // branch's guards even though its net delta is zero).
+        let min = toks
+            .iter()
+            .map(Code::depth_after)
+            .fold(toks[0].depth, i32::min);
+        let after = toks[toks.len() - 1].depth_after();
         guards.retain(|g| g.depth <= min);
-        if l.in_test_mod {
-            pending_held.clear();
+        if toks[0].test {
             continue;
         }
+        let no = toks[0].line;
 
-        // `LOCK-HELD` preconditions on function declarations become
-        // pseudo-guards covering the body.
-        let trimmed = l.code.trim();
-        if has_word(&l.code, "fn") && !trimmed.ends_with(';') {
-            if let Some(p) = annotation_payload(&lines, i, i, "LOCK-HELD:") {
-                let mut toks = p.split_whitespace();
-                match toks.next() {
-                    Some(name) => {
-                        let var = if toks.next() == Some("via") {
-                            toks.next().map(str::to_string)
-                        } else {
-                            None
-                        };
-                        pending_held.push((name.to_string(), var));
-                    }
-                    None => w.violations.push(Violation {
-                        file: file.to_path_buf(),
-                        line: l.no,
-                        lint: "lock-order",
-                        message: "malformed `// LOCK-HELD:` — expected `<name> [via <var>]`".into(),
-                    }),
-                }
-            }
-        }
-        if after > before && !pending_held.is_empty() {
-            for (name, var) in pending_held.drain(..) {
-                guards.push(GuardRec {
+        // `LOCK-HELD` preconditions on a function become pseudo-guards
+        // covering its body from the line it opens on.
+        for f in scan.fns.iter().filter(|f| line.contains(&f.open)) {
+            let Some(p) = scan.annotation(f.kw, "LOCK-HELD:") else {
+                continue;
+            };
+            let mut toks = p.split_whitespace();
+            match toks.next() {
+                Some(name) => guards.push(GuardRec {
                     lock: Some(name),
-                    var,
-                    depth: before + 1,
-                });
+                    var: (toks.next() == Some("via")).then(|| toks.next()).flatten(),
+                    depth: code[f.open].depth + 1,
+                }),
+                None => w.violations.push(violation(
+                    code[f.kw].line,
+                    "malformed `// LOCK-HELD:` — expected `<name> [via <var>]`".into(),
+                )),
             }
         }
 
-        apply_drops(&l.code, &mut guards);
+        for k in line.clone() {
+            if scan.reads(k, &["drop", "("])
+                && code.get(k + 2).is_some_and(|t| t.kind == Kind::Ident)
+            {
+                guards.retain(|g| g.var != Some(code[k + 2].text));
+            }
+        }
 
         let mut line_temps: Vec<GuardRec> = Vec::new();
-        for (_, col_after) in acquisition_cols(&l.code) {
-            let stmt = statement_start(&lines, i);
-            let var = binding_var(lines[stmt].code.trim());
-            let temporary = var.is_none() || chained_past_guard(&lines, i, col_after);
-            let waived_site = annotation_payload(&lines, i, stmt, "LOCK-ORDER-OK:").is_some();
-            let mut name: Option<String> = None;
-            if !waived_site {
-                match annotation_payload(&lines, i, stmt, "LOCK-ORDER:") {
+        for k in line {
+            let Some(end) = acquisition(&scan, k) else {
+                continue;
+            };
+            let var = binding_var(&code[code[k].stmt..k]);
+            let temporary = var.is_none() || chained_past_guard(&scan, end);
+            let mut name = None;
+            if scan.annotation(k, "LOCK-ORDER-OK:").is_none() {
+                match scan.annotation(k, "LOCK-ORDER:") {
                     Some(p) => {
                         let mut toks = p.split_whitespace();
                         match (toks.next(), toks.next().and_then(|r| r.parse::<u32>().ok())) {
                             (Some(n), Some(rank)) => {
-                                name = Some(n.to_string());
+                                name = Some(n);
                                 w.sites.push(SiteRec {
                                     name: n.to_string(),
                                     rank,
                                     file: file.to_path_buf(),
-                                    line: l.no,
+                                    line: no,
                                 });
                             }
-                            _ => w.violations.push(Violation {
-                                file: file.to_path_buf(),
-                                line: l.no,
-                                lint: "lock-order",
-                                message: format!(
+                            _ => w.violations.push(violation(
+                                no,
+                                format!(
                                     "malformed `// LOCK-ORDER:` annotation `{p}` — expected \
                                      `<name> <rank>`"
                                 ),
-                            }),
+                            )),
                         }
                     }
-                    None => w.violations.push(Violation {
-                        file: file.to_path_buf(),
-                        line: l.no,
-                        lint: "lock-order",
-                        message: "lock acquisition without a `// LOCK-ORDER: <name> <rank>` \
-                                  annotation (waiver: // LOCK-ORDER-OK: <why>)"
+                    None => w.violations.push(violation(
+                        no,
+                        "lock acquisition without a `// LOCK-ORDER: <name> <rank>` \
+                         annotation (waiver: // LOCK-ORDER-OK: <why>)"
                             .into(),
-                    }),
+                    )),
                 }
             }
             // A rebinding (`state = self.state.lock()`) replaces the old
             // guard before the nesting edges are recorded.
-            if let Some(v) = &var {
-                guards.retain(|g| g.var.as_deref() != Some(v.as_str()));
+            if var.is_some() {
+                guards.retain(|g| g.var != var);
             }
-            if let Some(n) = &name {
-                for g in guards.iter().chain(line_temps.iter()) {
-                    if let Some(o) = &g.lock {
-                        w.edges.push(EdgeRec {
-                            outer: o.clone(),
-                            inner: n.clone(),
-                            file: file.to_path_buf(),
-                            line: l.no,
-                        });
-                    }
+            if let Some(n) = name {
+                for o in guards.iter().chain(&line_temps).filter_map(|g| g.lock) {
+                    w.edges.push(EdgeRec {
+                        outer: o.to_string(),
+                        inner: n.to_string(),
+                        file: file.to_path_buf(),
+                        line: no,
+                    });
                 }
             }
             let rec = GuardRec {
                 lock: name,
-                var: var.clone(),
+                var,
                 depth: after,
             };
             if temporary {
@@ -476,53 +301,48 @@ fn lock_graph_check(sites: &[SiteRec], edges: &[EdgeRec]) -> Vec<Violation> {
     let mut v = Vec::new();
     let mut ranks: BTreeMap<&str, (u32, &Path, usize)> = BTreeMap::new();
     for s in sites {
-        match ranks.get(s.name.as_str()) {
-            Some(&(rank, file, line)) if rank != s.rank => v.push(Violation {
-                file: s.file.clone(),
-                line: s.line,
-                lint: "lock-order",
-                message: format!(
-                    "lock `{}` annotated with rank {} here but rank {} at {}:{}",
+        let &mut (rank, file, line) = ranks.entry(&s.name).or_insert((s.rank, &s.file, s.line));
+        if rank != s.rank {
+            v.push(Violation::new(
+                &s.file,
+                s.line,
+                "lock-order",
+                format!(
+                    "lock `{}` annotated with rank {} here but rank {rank} at {}:{line}",
                     s.name,
                     s.rank,
-                    rank,
                     file.display(),
-                    line
                 ),
-            }),
-            Some(_) => {}
-            None => {
-                ranks.insert(&s.name, (s.rank, &s.file, s.line));
-            }
+            ));
         }
     }
     for e in edges {
         if e.outer == e.inner {
-            v.push(Violation {
-                file: e.file.clone(),
-                line: e.line,
-                lint: "lock-order",
-                message: format!(
+            v.push(Violation::new(
+                &e.file,
+                e.line,
+                "lock-order",
+                format!(
                     "recursive acquisition: `{}` taken while a `{}` guard is already live",
                     e.inner, e.outer
                 ),
-            });
+            ));
             continue;
         }
         if let (Some(&(ro, ..)), Some(&(ri, ..))) =
             (ranks.get(e.outer.as_str()), ranks.get(e.inner.as_str()))
         {
             if ro >= ri {
-                v.push(Violation {
-                    file: e.file.clone(),
-                    line: e.line,
-                    lint: "lock-order",
-                    message: format!(
+                v.push(Violation::new(
+                    &e.file,
+                    e.line,
+                    "lock-order",
+                    format!(
                         "lock-order inversion: `{}` (rank {ri}) acquired while `{}` (rank {ro}) \
                          is held — ranks must strictly increase inward",
                         e.inner, e.outer
                     ),
-                });
+                ));
             }
         }
     }
@@ -591,7 +411,11 @@ pub fn scan_lock_order(file: &Path, source: &str) -> Vec<Violation> {
 // durability-ordering
 // ---------------------------------------------------------------------
 
-const SYNC_TOKENS: &[&str] = &[".sync()", ".sync_all()", ".sync_dir("];
+const SYNC_CALLS: &[&[&str]] = &[
+    &[".", "sync", "(", ")"],
+    &[".", "sync_all", "(", ")"],
+    &[".", "sync_dir", "("],
+];
 
 /// `durability-ordering`: in each function, a `rename` must be preceded
 /// by a sync-family call (the payload an atomic install publishes must
@@ -599,94 +423,51 @@ const SYNC_TOKENS: &[&str] = &[".sync()", ".sync_all()", ".sync_dir("];
 /// file must sync somewhere (no fire-and-forget file creation on the
 /// durability path).
 pub fn scan_durability(file: &Path, source: &str) -> Vec<Violation> {
-    let lines = scan_lines(source);
-    let mut v = Vec::new();
-
-    // Function regions: (first line, body depth). Lines outside any fn
-    // (trait signatures, struct fields) are skipped.
-    let mut depth = 0i32;
-    let mut region_of: Vec<Option<usize>> = vec![None; lines.len()];
-    let mut regions: Vec<(usize, usize)> = Vec::new(); // (start, end) line idx
-    let mut stack: Vec<(usize, i32)> = Vec::new(); // (region idx, body depth)
-    let mut pending_fn = false;
-    for (i, l) in lines.iter().enumerate() {
-        let before = depth;
-        let after = before + brace_delta(&l.code);
-        let min = min_depth_in_line(&l.code, before);
-        depth = after;
-        while let Some(&(r, d)) = stack.last() {
-            if d > min.max(after) {
-                regions[r].1 = i;
-                stack.pop();
-            } else {
-                break;
-            }
-        }
-        let trimmed = l.code.trim();
-        if has_word(&l.code, "fn") && !trimmed.ends_with(';') {
-            pending_fn = true;
-        }
-        if pending_fn && after > before {
-            regions.push((i, lines.len()));
-            stack.push((regions.len() - 1, before + 1));
-            pending_fn = false;
-        }
-        region_of[i] = stack.last().map(|&(r, _)| r);
-    }
-
-    // Ordered sync/rename/create events per region.
-    let has_sync = |code: &str| SYNC_TOKENS.iter().any(|t| code.contains(t));
-    let sync_before: Vec<BTreeSet<usize>> = {
-        // For each region, the set of line indices with a sync call.
-        let mut per: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); regions.len()];
-        for (i, l) in lines.iter().enumerate() {
-            if let Some(r) = region_of[i] {
-                if has_sync(&l.code) {
-                    per[r].insert(i);
-                }
-            }
-        }
-        per
+    let scan = Scan::new(source);
+    let code = &scan.code;
+    // The innermost `fn` body around token `k`, as an index into `fns`.
+    let body = |k: usize| {
+        scan.fns
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.open < k && k < f.close)
+            .max_by_key(|(_, f)| f.open)
+            .map(|(i, _)| i)
     };
-
-    for (i, l) in lines.iter().enumerate() {
-        if l.in_test_mod {
+    let syncs: Vec<(usize, Option<usize>)> = (0..code.len())
+        .filter(|&k| SYNC_CALLS.iter().any(|p| scan.reads(k, p)))
+        .map(|k| (k, body(k)))
+        .collect();
+    let mut v = Vec::new();
+    for k in 1..code.len() {
+        let call = |name| scan.reads(k, &[name, "("]);
+        let is_rename = call("rename") && matches!(code[k - 1].text, "." | "::");
+        let is_create = call("create_writable") && code[k - 1].text == ".";
+        if !(is_rename || is_create) || code[k].test {
             continue;
         }
-        let Some(r) = region_of[i] else { continue };
-        let code = &l.code;
-        let is_rename = (code.contains(".rename(") || code.contains("::rename("))
-            && !code.contains("fn rename");
-        let is_create = code.contains(".create_writable(") && !code.contains("fn create_writable");
-        if !is_rename && !is_create {
+        let Some(f) = body(k) else { continue };
+        if scan.annotation(k, "DURABILITY-OK:").is_some() {
             continue;
         }
-        let stmt = statement_start(&lines, i);
-        if annotation_payload(&lines, i, stmt, "DURABILITY-OK:").is_some() {
+        let synced_before = |end: usize| syncs.iter().any(|&(s, b)| s < end && b == Some(f));
+        let message = if is_rename && !synced_before(k) {
+            "`rename` with no preceding sync/sync_dir in this function — the \
+             payload must be durable before the install point flips \
+             (waiver: // DURABILITY-OK: <why>)"
+        } else if is_create && !synced_before(code.len()) {
+            "`create_writable` in a function that never syncs — created files \
+             must be synced (or the sync delegated and waived: \
+             // DURABILITY-OK: <why>)"
+        } else {
             continue;
-        }
-        if is_rename && sync_before[r].range(..i).next_back().is_none() {
-            v.push(Violation {
-                file: file.to_path_buf(),
-                line: l.no,
-                lint: "durability-ordering",
-                message: "`rename` with no preceding sync/sync_dir in this function — the \
-                          payload must be durable before the install point flips \
-                          (waiver: // DURABILITY-OK: <why>)"
-                    .into(),
-            });
-        }
-        if is_create && sync_before[r].is_empty() {
-            v.push(Violation {
-                file: file.to_path_buf(),
-                line: l.no,
-                lint: "durability-ordering",
-                message: "`create_writable` in a function that never syncs — created files \
-                          must be synced (or the sync delegated and waived: \
-                          // DURABILITY-OK: <why>)"
-                    .into(),
-            });
-        }
+        };
+        v.push(Violation::new(
+            file,
+            code[k].line,
+            "durability-ordering",
+            message,
+        ));
     }
     v
 }
@@ -727,54 +508,38 @@ fn normalize_metric(name: &str) -> String {
     out
 }
 
-/// Collects `obs::Registry` registrations (`.counter("...")` /
-/// `.gauge(..)` / `.histogram(..)`, literal or `&format!("...")`) whose
-/// names carry a tracked prefix. Registrations through a name variable
-/// are invisible to this scan — the tracked prefixes are all registered
-/// with literals.
+/// Collects `obs::Registry` registrations (`.counter(..)` / `.gauge(..)`
+/// / `.histogram(..)` whose arguments hold a string literal, plain or
+/// inside `&format!(..)`) whose names carry a tracked prefix.
+/// Registrations through a name variable are invisible to this scan —
+/// the tracked prefixes are all registered with literals.
 pub fn collect_metric_defs(file: &Path, source: &str, krate: &str) -> Vec<MetricDef> {
-    let lines = scan_lines(source);
+    let scan = Scan::new(source);
     let mut out = Vec::new();
-    for l in &lines {
-        if l.in_test_mod {
+    for (k, t) in scan.code.iter().enumerate() {
+        let Some(kind) = ["counter", "gauge", "histogram"]
+            .into_iter()
+            .find(|kind| scan.reads(k, &[".", kind, "("]))
+        else {
+            continue;
+        };
+        if t.test {
             continue;
         }
-        for (tok, kind) in [
-            (".counter(", "counter"),
-            (".gauge(", "gauge"),
-            (".histogram(", "histogram"),
-        ] {
-            // Match on blanked code (comments can't register metrics),
-            // then read the k-th occurrence from the raw line, where the
-            // string literal survives.
-            let mut k = 0;
-            let mut start = 0;
-            while let Some(pos) = l.code[start..].find(tok) {
-                start += pos + tok.len();
-                k += 1;
-                let mut raw_at = 0;
-                for _ in 0..k {
-                    match l.raw[raw_at..].find(tok) {
-                        Some(p) => raw_at += p + tok.len(),
-                        None => break,
-                    }
-                }
-                let rest = &l.raw[raw_at.min(l.raw.len())..];
-                let Some(q0) = rest.find('"') else { continue };
-                let Some(q1) = rest[q0 + 1..].find('"') else {
-                    continue;
-                };
-                let name = &rest[q0 + 1..q0 + 1 + q1];
-                if METRIC_PREFIXES.iter().any(|p| name.starts_with(p)) {
-                    out.push(MetricDef {
-                        name: normalize_metric(name),
-                        kind,
-                        krate: krate.to_string(),
-                        file: file.to_path_buf(),
-                        line: l.no,
-                    });
-                }
-            }
+        let args = &scan.code[k + 3..scan.close(k + 2)];
+        let name = args.iter().find(|a| a.kind == Kind::Lit).and_then(|a| {
+            let q0 = a.text.find('"')?;
+            let len = a.text[q0 + 1..].find('"')?;
+            Some(&a.text[q0 + 1..q0 + 1 + len])
+        });
+        if let Some(name) = name.filter(|n| METRIC_PREFIXES.iter().any(|p| n.starts_with(p))) {
+            out.push(MetricDef {
+                name: normalize_metric(name),
+                kind,
+                krate: krate.to_string(),
+                file: file.to_path_buf(),
+                line: t.line,
+            });
         }
     }
     out
@@ -831,10 +596,10 @@ pub fn metrics_drift(
     inventory: &[InventoryRow],
 ) -> Vec<Violation> {
     let mut v = Vec::new();
-    let mut documented: BTreeMap<&str, &InventoryRow> = BTreeMap::new();
-    for row in inventory {
-        documented.insert(&row.name, row);
-    }
+    let documented: BTreeMap<&str, &InventoryRow> = inventory
+        .iter()
+        .map(|row| (row.name.as_str(), row))
+        .collect();
     let (borrowed, owned): (Vec<&MetricDef>, Vec<&MetricDef>) = defs
         .iter()
         .partition(|d| METRIC_BORROWER_CRATES.contains(&d.krate.as_str()));
@@ -854,34 +619,34 @@ pub fn metrics_drift(
                 Some(o) => format!("its owner `{o}` does not register it as a {}", d.kind),
                 None => "METRICS.md lists no owner for it".to_string(),
             };
-            v.push(Violation {
-                file: d.file.clone(),
-                line: d.line,
-                lint: "metrics-drift",
-                message: format!(
+            v.push(Violation::new(
+                &d.file,
+                d.line,
+                "metrics-drift",
+                format!(
                     "`{}` registers {} `{}`, but {why}: the simulator speaks the \
                      store's metric names or its own `sim.*`",
                     d.krate, d.kind, d.name
                 ),
-            });
+            ));
         }
     }
     for (name, d) in &registered {
         match documented.get(name) {
-            None => v.push(Violation {
-                file: d.file.clone(),
-                line: d.line,
-                lint: "metrics-drift",
-                message: format!(
+            None => v.push(Violation::new(
+                &d.file,
+                d.line,
+                "metrics-drift",
+                format!(
                     "metric `{name}` is registered here but missing from METRICS.md \
                      (run `cargo xtask metrics` for the live inventory)"
                 ),
-            }),
-            Some(row) if row.kind != d.kind || row.krate != d.krate => v.push(Violation {
-                file: md_path.to_path_buf(),
-                line: row.line,
-                lint: "metrics-drift",
-                message: format!(
+            )),
+            Some(row) if row.kind != d.kind || row.krate != d.krate => v.push(Violation::new(
+                md_path,
+                row.line,
+                "metrics-drift",
+                format!(
                     "metric `{name}` documented as {}/{} but registered as {}/{} at {}:{}",
                     row.kind,
                     row.krate,
@@ -890,47 +655,43 @@ pub fn metrics_drift(
                     d.file.display(),
                     d.line
                 ),
-            }),
+            )),
             Some(_) => {}
         }
     }
     for (name, row) in &documented {
         if !registered.contains_key(name) {
-            v.push(Violation {
-                file: md_path.to_path_buf(),
-                line: row.line,
-                lint: "metrics-drift",
-                message: format!(
+            v.push(Violation::new(
+                md_path,
+                row.line,
+                "metrics-drift",
+                format!(
                     "metric `{name}` is documented in METRICS.md but never registered \
                      (stale row — remove it or restore the registration)"
                 ),
-            });
+            ));
         }
     }
     v
 }
 
-/// Collects the full tracked-prefix metric inventory over the repo.
+/// Collects the full tracked-prefix metric inventory over the repo: the
+/// `src/` of every crate.
 pub fn collect_repo_metrics(root: &Path) -> Vec<MetricDef> {
-    let mut defs = Vec::new();
     let crates = root.join("crates");
-    let Ok(entries) = std::fs::read_dir(&crates) else {
-        return defs;
-    };
-    let mut dirs: Vec<PathBuf> = entries.flatten().map(|e| e.path()).collect();
-    dirs.sort();
-    for dir in dirs {
-        if !dir.is_dir() {
-            continue;
-        }
-        let krate = dir
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let mut files = Vec::new();
-        rs_files(&dir.join("src"), &mut files);
-        for f in &files {
-            defs.extend(collect_metric_defs(f, &read(f), &krate));
+    let mut files = Vec::new();
+    rs_files(&crates, &mut files);
+    let mut defs = Vec::new();
+    for f in &files {
+        let mut parts = f
+            .strip_prefix(&crates)
+            .into_iter()
+            .flat_map(Path::components);
+        if let (Some(krate), Some(src)) = (parts.next(), parts.next()) {
+            if src.as_os_str() == "src" {
+                let krate = krate.as_os_str().to_string_lossy();
+                defs.extend(collect_metric_defs(f, &read(f), &krate));
+            }
         }
     }
     defs

@@ -160,3 +160,20 @@ fn repository_is_analysis_clean() {
             .join("\n")
     );
 }
+
+/// `'}'` and `b'}'` are literals, not braces: the guard before one stays
+/// live, and the `fn` body around one still holds the `rename` after it.
+#[test]
+fn brace_literals_move_no_guard_scope_or_fn_body() {
+    let (path, src) = fixture("brace_literals.rs");
+    let v = scan_lock_order(&path, &src);
+    assert_eq!(lines(&v), vec![8], "{v:#?}");
+    assert!(v[0].message.contains("inversion"), "{}", v[0]);
+    let v = scan_durability(&path, &src);
+    assert_eq!(
+        lines(&v),
+        vec![14],
+        "the unsynced rename after `b'}}'` must fire; the synced one after \
+         `b'{{'` must not: {v:#?}"
+    );
+}

@@ -108,3 +108,16 @@ fn repository_is_lint_clean() {
             .join("\n")
     );
 }
+
+/// A `b'"'` opens no string and a block comment holds no call: the
+/// lexer reads both as the tokens they are.
+#[test]
+fn no_panics_lint_reads_literals_and_block_comments_as_tokens() {
+    let (path, src) = fixture("lexer_panics.rs");
+    let v = scan_no_panics(&path, &src);
+    assert_eq!(
+        lines(&v),
+        vec![6],
+        "the unwrap after `b'\"'` must fire; the one inside `/* */` must not: {v:#?}"
+    );
+}

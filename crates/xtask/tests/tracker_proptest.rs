@@ -7,11 +7,13 @@
 //! the generator toward the shapes the tracker actually parses
 //! (acquisitions, annotations, renames, registrations).
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use xtask::{
-    collect_metric_defs, parse_metrics_inventory, scan_durability, scan_lock_order, violations_json,
+    collect_metric_defs, lex, parse_metrics_inventory, scan_determinism, scan_direct_fs,
+    scan_durability, scan_lock_order, scan_no_panics, scan_paper_constants, scan_safety,
+    violations_json,
 };
 
 /// Tokens biased toward every construct the tracker inspects.
@@ -99,4 +101,139 @@ proptest! {
         }
         run_all(&src);
     }
+}
+
+/// Lexer edge cases the tracker tokens above do not reach: char, byte
+/// and raw-string literals, lifetimes, nested and unterminated block
+/// comments, number shapes.
+const LEXISH: &[&str] = &[
+    "'",
+    "'\\''",
+    "'\"'",
+    "'{'",
+    "b'}'",
+    "b'\\\\'",
+    "'a",
+    "'static",
+    "r\"",
+    "r#\"",
+    "\"#",
+    "br##\"",
+    "r#type",
+    "c\"x\"",
+    "/*",
+    "*/",
+    "/* a /* b */ c */",
+    "///",
+    "1.5e-3",
+    "0x1f",
+    "2.",
+    "..=",
+    "::",
+    "\\u{1F980}",
+];
+
+/// The tokens of `src` and the whitespace between them rebuild it byte
+/// for byte, and each token's line is the line it starts on.
+fn lex_rebuilds(src: &str) -> Result<(), String> {
+    let mut rebuilt = String::with_capacity(src.len());
+    let mut line = 1;
+    for t in lex(src) {
+        if t.start < rebuilt.len() || t.text.is_empty() {
+            return Err(format!("token {t:?} overlaps or is empty"));
+        }
+        let gap = &src[rebuilt.len()..t.start];
+        if !gap.bytes().all(|b| b.is_ascii_whitespace()) {
+            return Err(format!("non-whitespace gap {gap:?} before {t:?}"));
+        }
+        line += gap.matches('\n').count();
+        if t.line != line {
+            return Err(format!("token {t:?} is on line {line}"));
+        }
+        line += t.text.matches('\n').count();
+        rebuilt.push_str(gap);
+        rebuilt.push_str(t.text);
+    }
+    let tail = &src[rebuilt.len()..];
+    if !tail.bytes().all(|b| b.is_ascii_whitespace()) {
+        return Err(format!("untokenized tail {tail:?}"));
+    }
+    rebuilt.push_str(tail);
+    if rebuilt != src {
+        return Err("tokens and gaps do not rebuild the input".into());
+    }
+    Ok(())
+}
+
+/// Every single-line lint over `src`.
+fn run_rules(src: &str) {
+    let path = Path::new("generated.rs");
+    let _ = scan_safety(path, src);
+    let _ = scan_paper_constants(path, src);
+    let _ = scan_determinism(path, src);
+    let _ = scan_no_panics(path, src);
+    let _ = scan_direct_fs(path, src);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn lexer_rebuilds_arbitrary_text(chars in prop::collection::vec(any::<char>(), 0..1200)) {
+        let src: String = chars.into_iter().collect();
+        if let Err(e) = lex_rebuilds(&src) {
+            panic!("{e} in {src:?}");
+        }
+        run_rules(&src);
+    }
+
+    #[test]
+    fn lexer_rebuilds_rustish_token_soup(
+        toks in prop::collection::vec(prop::sample::select([RUSTISH, LEXISH].concat()), 0..400),
+        seps in prop::collection::vec(prop_oneof![Just(" "), Just(""), Just("\n")], 0..400),
+    ) {
+        let mut src = String::new();
+        for (i, t) in toks.iter().enumerate() {
+            src.push_str(t);
+            src.push_str(seps.get(i).copied().unwrap_or(" "));
+        }
+        if let Err(e) = lex_rebuilds(&src) {
+            panic!("{e} in {src:?}");
+        }
+        run_rules(&src);
+        run_all(&src);
+    }
+}
+
+/// The round trip holds for every Rust file in the repo.
+#[test]
+fn lexer_rebuilds_every_repo_source_file() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("repo root");
+    let mut dirs: Vec<PathBuf> = ["crates", "shims", "tests", "examples"]
+        .iter()
+        .map(|d| root.join(d))
+        .collect();
+    let mut files = 0;
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("readable dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() && !path.ends_with("target") {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                let src = std::fs::read_to_string(&path).expect("readable source");
+                if let Err(e) = lex_rebuilds(&src) {
+                    panic!("{}: {e}", path.display());
+                }
+                files += 1;
+            }
+        }
+    }
+    assert!(
+        files > 100,
+        "only {files} .rs files found under {}",
+        root.display()
+    );
 }

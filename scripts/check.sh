@@ -16,27 +16,9 @@ cargo xtask lint
 # Scope-aware concurrency/durability lints: lock-order ranks,
 # sync-before-rename, metrics-drift.
 cargo xtask analyze
-# The server is threads on blocking sockets; no async costume grows
-# back. (`set -e` ignores a `!` status, hence the `|| exit`.)
-! grep -rnE 'async fn|async move|\.await|tokio::' --include='*.rs' crates tests examples || exit 1
-# A table has one key order, user-key filters, restart interval 16 and
-# checksummed reads: no knob for any of them grows back.
-! grep -rnE 'dyn Comparator|BytewiseComparator|internal_key_filter|block_restart_interval|verify_checksums' \
-    --include='*.rs' crates tests examples || exit 1
-# The kernel has one decoder and one comparer: neither second
-# implementation, nor the trait that let two decoders share a kernel,
-# grows back.
-! grep -rnE 'BasicInputDecoder|LinearComparer|run_kernel_basic|DecoderSource' \
-    --include='*.rs' crates tests examples || exit 1
-# One lock API: parking_lot's shape from `lsm::sync_shim` (or
-# `parking_lot` below `lsm`), never std's poisoning locks or a lock
-# helper. The loom facade in sync_shim.rs and xtask's lint patterns
-# are the only places these names may appear.
-! grep -rnE 'PoisonError|std::sync::(Mutex|Condvar|RwLock)|use std::sync::\{[^}]*(Mutex|Condvar)|shim_lock|sync_shim::lock' \
-    --include='*.rs' crates/*/src | grep -vE '^crates/(xtask/|lsm/src/sync_shim\.rs:)' || exit 1
-# No source file of any crate grows back into a 2,800-line db.rs.
-find crates/*/src -name '*.rs' -exec wc -l {} + \
-    | awk '$2 != "total" && $1 > 1200 { print $2 ": " $1 " lines (limit 1200)"; bad = 1 } END { exit bad }'
+# Regrowth rules: async, table knobs, a second kernel decoder or
+# comparer, std locks, and source files over 1,200 lines stay out.
+scripts/regrowth.sh
 # Every binary and script the docs, CI and this file name must exist.
 scripts/doc_commands.sh
 cargo build --release
