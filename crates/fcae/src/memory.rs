@@ -353,7 +353,7 @@ pub fn index_block_from_region(
                 index_memory.len()
             ))
         })?;
-    sstable::block::Block::new(bytes::Bytes::copy_from_slice(region)).map_err(lsm::Error::from)
+    sstable::block::Block::new(region.into()).map_err(lsm::Error::from)
 }
 
 #[cfg(test)]

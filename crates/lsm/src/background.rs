@@ -366,6 +366,9 @@ impl DbInner {
         drop(allocated);
         match result {
             Ok((edit, outcome)) => {
+                // The versions the merge dropped at or below its snapshot
+                // horizon are gone once this installs: reads run no lower.
+                state.compaction_horizon = state.compaction_horizon.max(smallest_snapshot);
                 if self.install(&mut state, edit, "compaction install").is_ok() {
                     let m = &self.metrics;
                     if use_engine {

@@ -76,6 +76,10 @@ pub(crate) struct DbState {
     pub(crate) force_compact_level: Option<usize>,
     /// Outstanding snapshots: sequence -> refcount.
     pub(crate) snapshots: BTreeMap<u64, u64>,
+    /// The largest `smallest_snapshot` of any installed compaction:
+    /// versions at or below it may be gone from the tables, so no read
+    /// runs below it (see [`crate::read_view`]).
+    pub(crate) compaction_horizon: u64,
     /// File numbers being written by an in-flight flush or compaction;
     /// protected from obsolete-file GC until installed in a version
     /// (LevelDB's `pending_outputs_`).
@@ -291,6 +295,7 @@ impl DbInner {
             mem: Arc::clone(&state.mem),
             imm: state.imm.clone(),
             version: state.versions.current(),
+            horizon: state.compaction_horizon,
         });
     }
 

@@ -126,6 +126,7 @@ impl Db {
             mem: Arc::clone(&mem),
             imm: None,
             version: versions.current(),
+            horizon: 0,
         });
         let inner = Arc::new(DbInner {
             dir,
@@ -145,6 +146,7 @@ impl Db {
                 flush_in_progress: false,
                 force_compact_level: None,
                 snapshots: BTreeMap::new(),
+                compaction_horizon: 0,
                 pending_outputs: HashSet::new(),
             }),
             epoch: Mutex::new(WalEpoch { wal: log, mem }),

@@ -79,6 +79,8 @@ impl Db {
     pub fn iter_with(&self, opts: ReadOptions) -> Result<crate::db_iter::DbIter> {
         let seq = opts.snapshot.unwrap_or_else(|| self.inner.ledger.visible());
         let view = self.inner.view();
+        // No lower than the compaction horizon: see `crate::read_view`.
+        let seq = seq.max(view.horizon);
         let tables = &self.inner.tables;
         // The memtable iterators are lazy and pin their `Arc`s; the
         // sequence cutoff inside DbIter hides any entries applied after
@@ -186,16 +188,18 @@ impl DbInner {
         self.get_stored_in(key, seq, &self.view())
     }
 
-    /// Lookup against one view. The value-log GC calls this while
-    /// holding the state and epoch locks; no lock is taken inside but a
-    /// memtable shard's, which ranks above both.
+    /// Lookup against one view, at `seq` or the view's compaction
+    /// horizon, whichever is later (see [`crate::read_view`]). The
+    /// value-log GC calls this while holding the state and epoch locks;
+    /// no lock is taken inside but a memtable shard's, which ranks above
+    /// both.
     pub(crate) fn get_stored_in(
         &self,
         key: &[u8],
         seq: u64,
         view: &ReadView,
     ) -> Result<Option<Vec<u8>>> {
-        let lookup = LookupKey::new(key, seq);
+        let lookup = LookupKey::new(key, seq.max(view.horizon));
         for mem in std::iter::once(&view.mem).chain(&view.imm) {
             match mem.get(&lookup) {
                 MemGet::Value(v) => return Ok(Some(v)),

@@ -21,6 +21,21 @@
 //! flush publishes table and dropped `imm` together). The loom model
 //! below checks the first half on the primitives production runs.
 //!
+//! **The compaction horizon.** The same order lets the loaded view be
+//! newer than the sampled sequence: a compaction picked after the sample
+//! merges at `smallest_snapshot` = the visible sequence of its pick, and
+//! drops every version but the newest at or below it — possibly the one
+//! the sample should have read. So the state keeps the largest
+//! `smallest_snapshot` any installed compaction used, each view carries
+//! it as [`ReadView::horizon`], and a read runs at `max(sequence,
+//! horizon)` (RocksDB's `GetImpl` notes the same hazard). That never
+//! raises a registered snapshot: a compaction picked after its
+//! registration used a horizon at or below it, and one picked before it
+//! used a visible sequence at or below it. And the memtable rule above
+//! still holds at the raised sequence: everything at or below the
+//! horizon was visible before that compaction was picked, so it is in
+//! the view installed after it.
+//!
 //! **What a view pins.** The `Arc<Version>` keeps every table file it
 //! names on disk (`VersionSet::live_files` counts any version still
 //! referenced), and each file's [`crate::table_cache::TableSlot`] keeps
@@ -41,6 +56,9 @@ pub(crate) struct ReadView {
     pub(crate) imm: Option<Arc<MemTable>>,
     /// The table files, level by level.
     pub(crate) version: Arc<Version>,
+    /// The compaction horizon when the view was published: reads run at
+    /// no sequence below it.
+    pub(crate) horizon: u64,
 }
 
 /// Holds the current [`ReadView`]. Built on [`crate::sync_shim`] so the
@@ -121,6 +139,7 @@ mod loom_models {
                 mem: first,
                 imm: None,
                 version: Arc::new(Version::empty()),
+                horizon: 0,
             }));
 
             let writers: Vec<_> = (0..2)
@@ -152,6 +171,7 @@ mod loom_models {
                         mem: fresh,
                         imm: Some(old),
                         version: Arc::new(Version::empty()),
+                        horizon: 0,
                     });
                 })
             };

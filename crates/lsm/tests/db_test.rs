@@ -201,6 +201,36 @@ fn snapshot_protects_entries_across_flush() {
     assert_eq!(db.get_with(b"k", read_opts).unwrap(), Some(b"v1".to_vec()));
 }
 
+/// A read at a sequence no snapshot holds — a reader that sampled the
+/// visible sequence and loaded its view after a compaction installed —
+/// still finds the key: the compaction kept only the newest version at
+/// or below its horizon, so the read runs at that horizon instead of
+/// finding nothing older than the version it dropped.
+#[test]
+fn a_read_below_a_compaction_horizon_still_finds_the_key() {
+    let (_env, options) = mem_options();
+    let db = Db::open("/db", options).unwrap();
+    db.put(b"k", b"v1").unwrap();
+    db.flush().unwrap();
+    let sampled = db.visible_sequence();
+    db.put(b"k", b"v2").unwrap();
+    // Two tables, so the compaction merges rather than moves.
+    db.flush().unwrap();
+    db.compact_all().unwrap();
+    let at_sampled = lsm::ReadOptions {
+        snapshot: Some(sampled),
+    };
+    assert_eq!(
+        db.get_with(b"k", at_sampled).unwrap(),
+        Some(b"v2".to_vec()),
+        "v1 was merged away, so the read runs at the compaction's horizon"
+    );
+    let mut it = db.iter_with(at_sampled).unwrap();
+    it.seek(b"k");
+    assert!(it.valid());
+    assert_eq!((it.key(), it.value()), (&b"k"[..], &b"v2"[..]));
+}
+
 #[test]
 fn scan_returns_live_range_in_order() {
     let (_env, options) = small_options();

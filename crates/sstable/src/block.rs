@@ -2,19 +2,92 @@
 //! sequential entry decoding).
 
 use std::cmp::Ordering;
-use std::ops::Range;
-
-use bytes::Bytes;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use crate::coding::{decode_fixed32, get_varint32};
 use crate::comparator::InternalKeyComparator;
 use crate::{corruption, Result};
 
+/// Fresh block buffers are sized in steps of this many bytes.
+const BUF_STEP: usize = 64;
+
+/// A block's decoded bytes: the first `len` bytes of a shared buffer that
+/// may be longer, so that the buffer one block leaves behind can hold the
+/// next (see [`Spare`]).
+#[derive(Clone)]
+pub struct BlockContents {
+    buf: Arc<[u8]>,
+    len: usize,
+}
+
+impl BlockContents {
+    /// `len` bytes written by `fill`: into `spare` when it is of this
+    /// length's size class, else into a fresh buffer. A spare that does
+    /// not fit stays in `spare`.
+    pub(crate) fn fill<E>(
+        len: usize,
+        spare: &mut Option<Spare>,
+        fill: impl FnOnce(&mut [u8]) -> std::result::Result<(), E>,
+    ) -> std::result::Result<BlockContents, E> {
+        let mut buf = match spare.take() {
+            Some(Spare(buf)) if Spare::fits(buf.len(), len) => buf,
+            unused => {
+                *spare = unused;
+                std::iter::repeat_n(0u8, len.next_multiple_of(BUF_STEP)).collect()
+            }
+        };
+        // A spare is its buffer's only owner and a fresh buffer is new:
+        // `make_mut` lends it without copying.
+        fill(&mut Arc::make_mut(&mut buf)[..len])?;
+        Ok(BlockContents { buf, len })
+    }
+}
+
+impl Deref for BlockContents {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+impl From<Vec<u8>> for BlockContents {
+    fn from(v: Vec<u8>) -> Self {
+        let len = v.len();
+        BlockContents { buf: v.into(), len }
+    }
+}
+
+impl From<&[u8]> for BlockContents {
+    fn from(v: &[u8]) -> Self {
+        BlockContents {
+            buf: v.into(),
+            len: v.len(),
+        }
+    }
+}
+
+/// The buffer of a block that left the block cache with no reader
+/// holding it: the next miss in its cache shard decodes into it rather
+/// than allocate, so a warm cache recycles its blocks' memory instead of
+/// freeing it on one thread and allocating it again on another.
+pub struct Spare(Arc<[u8]>);
+
+impl Spare {
+    /// A spare of `capacity` bytes holds a block of `len` when it wastes
+    /// at most a sixteenth of the block: every buffer the cache keeps is
+    /// then within 1/16 of its charge.
+    fn fits(capacity: usize, len: usize) -> bool {
+        len <= capacity && capacity - len <= len / 16
+    }
+}
+
 /// An immutable, decoded-on-demand block (data or index).
 #[derive(Clone)]
 pub struct Block {
     /// Entry bytes followed by the restart array and count.
-    contents: Bytes,
+    contents: BlockContents,
     /// Offset of the restart array.
     restart_offset: usize,
     /// Number of restart points.
@@ -23,7 +96,7 @@ pub struct Block {
 
 impl Block {
     /// Wraps decompressed block contents, validating the restart trailer.
-    pub fn new(contents: Bytes) -> Result<Block> {
+    pub fn new(contents: BlockContents) -> Result<Block> {
         if contents.len() < 4 {
             return Err(corruption("block too small for restart count"));
         }
@@ -42,7 +115,8 @@ impl Block {
         })
     }
 
-    /// Size of the raw block contents in bytes.
+    /// Size of the raw block contents in bytes (its block-cache charge;
+    /// the buffer holding them may be a little longer).
     pub fn size(&self) -> usize {
         self.contents.len()
     }
@@ -50,8 +124,18 @@ impl Block {
     /// The raw (uncompressed) block contents, including the restart array.
     /// Used by the FPGA host interface to relocate blocks into device
     /// memory images.
-    pub fn contents(&self) -> &Bytes {
+    pub fn contents(&self) -> &[u8] {
         &self.contents
+    }
+
+    /// The block's buffer as a [`Spare`] when this is its last holder;
+    /// the block itself back when a reader still holds a clone.
+    pub(crate) fn try_into_spare(self) -> std::result::Result<Spare, Block> {
+        let mut block = self;
+        match Arc::get_mut(&mut block.contents.buf) {
+            Some(_) => Ok(Spare(block.contents.buf)),
+            None => Err(block),
+        }
     }
 
     /// Number of restart points (≥1 for non-empty blocks).
@@ -483,6 +567,27 @@ mod tests {
             b.add(k, v);
         }
         (Block::new(b.finish().to_vec().into()).unwrap(), entries)
+    }
+
+    #[test]
+    fn fill_takes_a_spare_of_its_size_class_only() {
+        let spare = |capacity| Some(Spare(std::iter::repeat_n(7u8, capacity).collect()));
+        let ones = |out: &mut [u8]| {
+            out.fill(1);
+            Ok::<_, ()>(())
+        };
+        let mut fits = spare(4160);
+        let c = BlockContents::fill(4100, &mut fits, ones).unwrap();
+        assert!(fits.is_none(), "the spare was used");
+        assert_eq!((c.buf.len(), &c[..]), (4160, &[1u8; 4100][..]));
+        // Too large (over 1/16 wasted) or too small: a fresh buffer, in
+        // 64-byte steps, and the spare stays.
+        for capacity in [4400, 4096] {
+            let mut unused = spare(capacity);
+            let c = BlockContents::fill(4100, &mut unused, ones).unwrap();
+            assert_eq!(unused.map(|s| s.0.len()), Some(capacity));
+            assert_eq!((c.buf.len(), &c[..]), (4160, &[1u8; 4100][..]));
+        }
     }
 
     #[test]

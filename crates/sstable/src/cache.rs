@@ -1,5 +1,12 @@
 //! A sharded LRU block cache (LevelDB's `Cache`), shared across all open
 //! tables: keyed by (table id, block offset), charged by block size.
+//!
+//! Each shard also keeps up to [`SPARES`] buffers of blocks it evicted
+//! with no reader still holding them, and a lookup that misses takes one
+//! to read its block into: once the cache is warm, a block load
+//! allocates nothing, and no block's memory is freed on one thread to be
+//! allocated again on another (which left a cache's worth of free blocks
+//! in each reader thread's malloc arena).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,11 +14,16 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::block::Block;
+use crate::block::{Block, Spare};
 
 /// Number of shards (reduces lock contention, as in LevelDB's
 /// `ShardedLRUCache`).
 const SHARDS: usize = 16;
+
+/// Spare buffers a shard keeps: enough for the misses of a few readers
+/// in flight at once, each of which gives one back when its insert
+/// evicts.
+const SPARES: usize = 4;
 
 /// Globally unique id given to each opened table, used as the cache key
 /// prefix (LevelDB's `NewId`).
@@ -55,6 +67,8 @@ struct Shard {
     /// lock the lookup already holds, summed by [`BlockCache::stats`].
     hits: u64,
     misses: u64,
+    /// Buffers of evicted blocks no reader held, for the next misses.
+    spares: Vec<Spare>,
 }
 
 impl Default for Shard {
@@ -67,6 +81,7 @@ impl Default for Shard {
             bytes: 0,
             hits: 0,
             misses: 0,
+            spares: Vec::with_capacity(SPARES),
         }
     }
 }
@@ -128,6 +143,41 @@ impl Shard {
     fn pop_over(&mut self, capacity: usize) -> Option<Entry> {
         (self.bytes > capacity && self.oldest != NIL).then(|| self.remove_slot(self.oldest))
     }
+
+    /// Keeps `spare` when there is room; hands it back otherwise.
+    fn keep(&mut self, spare: Spare) -> Option<Spare> {
+        if self.spares.len() == SPARES {
+            return Some(spare);
+        }
+        self.spares.push(spare);
+        None
+    }
+
+    /// Keeps the buffer of a block leaving the cache as a spare when
+    /// there is room and no reader holds the block; hands the block back
+    /// otherwise, to be dropped once the lock is released.
+    fn recycle(&mut self, block: Block) -> Option<Block> {
+        if self.spares.len() == SPARES {
+            return Some(block);
+        }
+        match block.try_into_spare() {
+            Ok(spare) => {
+                self.spares.push(spare);
+                None
+            }
+            Err(block) => Some(block),
+        }
+    }
+}
+
+/// What [`BlockCache::lookup`] found.
+pub enum Lookup {
+    /// The cached block.
+    Hit(Block),
+    /// Not cached: the caller reads the block, into the spare buffer when
+    /// one came along (see [`crate::format::read_block_into`]), and
+    /// [`BlockCache::insert`]s it with whatever spare it did not use.
+    Miss(Option<Spare>),
 }
 
 /// The shared block cache.
@@ -165,6 +215,16 @@ impl BlockCache {
 
     /// Looks up the block for `(table_id, offset)`.
     pub fn get(&self, table_id: u64, offset: u64) -> Option<Block> {
+        match self.lookup(table_id, offset, false) {
+            Lookup::Hit(block) => Some(block),
+            Lookup::Miss(_) => None,
+        }
+    }
+
+    /// Looks up the block for `(table_id, offset)`; a miss takes one of
+    /// the shard's spare buffers along when `take_spare` is set (the
+    /// caller means to insert what it reads).
+    pub fn lookup(&self, table_id: u64, offset: u64, take_spare: bool) -> Lookup {
         let key = Key {
             table: table_id,
             offset,
@@ -175,29 +235,32 @@ impl BlockCache {
                 shard.unlink(slot);
                 shard.link_newest(slot);
                 shard.hits += 1;
-                Some(shard.entries[slot].block.clone())
+                Lookup::Hit(shard.entries[slot].block.clone())
             }
             None => {
                 shard.misses += 1;
-                None
+                Lookup::Miss(if take_spare { shard.spares.pop() } else { None })
             }
         }
     }
 
-    /// Inserts a block, evicting LRU entries past capacity. What leaves
-    /// the cache — the entry this one replaces, the victims — is freed
-    /// after the shard lock is released: a reader of the same shard does
-    /// not wait for 4 KiB blocks to go back to the allocator.
-    pub fn insert(&self, table_id: u64, offset: u64, block: Block) {
+    /// Inserts a block, evicting LRU entries past capacity, and takes
+    /// back the spare its miss did not use. The buffers of blocks that
+    /// leave — the entry this one replaces, the victims — become spares
+    /// while there is room and no reader holds them; the rest, and a
+    /// spare there is no room for, are freed after the shard lock is
+    /// released: a reader of the same shard does not wait for 4 KiB
+    /// blocks to go back to the allocator.
+    pub fn insert(&self, table_id: u64, offset: u64, block: Block, unused: Option<Spare>) {
         let key = Key {
             table: table_id,
             offset,
         };
         let charge = block.size().max(1);
         let capacity = self.capacity_per_shard;
-        let evicted = {
+        let freed = {
             let mut shard = self.shard(&key).lock();
-            let replaced = shard.remove(&key);
+            let replaced = shard.remove(&key).and_then(|e| shard.recycle(e.block));
             let slot = shard.entries.len();
             shard.entries.push(Entry {
                 key,
@@ -212,14 +275,17 @@ impl BlockCache {
             // Equal-sized blocks push out one victim per insert; only a
             // larger block needs the vector, so the common insert
             // allocates nothing under the lock.
-            let victim = shard.pop_over(capacity);
+            let victim = shard
+                .pop_over(capacity)
+                .and_then(|e| shard.recycle(e.block));
             let mut more_victims = Vec::new();
             while let Some(entry) = shard.pop_over(capacity) {
-                more_victims.push(entry);
+                more_victims.extend(shard.recycle(entry.block));
             }
-            (replaced, victim, more_victims)
+            let unused = unused.and_then(|spare| shard.keep(spare));
+            (replaced, victim, more_victims, unused)
         };
-        drop(evicted);
+        drop(freed);
     }
 
     /// Drops every block belonging to `table_id` (file deleted).
@@ -237,6 +303,7 @@ impl BlockCache {
             for k in removed {
                 if let Some(e) = shard.remove(&k) {
                     freed += e.charge;
+                    shard.recycle(e.block);
                 }
             }
         }
@@ -272,7 +339,7 @@ mod tests {
     fn hit_and_miss() {
         let c = BlockCache::new(1 << 20);
         assert!(c.get(1, 0).is_none());
-        c.insert(1, 0, block(100));
+        c.insert(1, 0, block(100), None);
         assert!(c.get(1, 0).is_some());
         assert!(c.get(1, 4096).is_none());
         assert!(c.get(2, 0).is_none());
@@ -285,7 +352,7 @@ mod tests {
         // Per-shard capacity 32 KiB ≈ 7 four-KiB blocks.
         let c = BlockCache::new((SHARDS * 32) << 10);
         for i in 0..1000u64 {
-            c.insert(1, i * 4096, block(4096));
+            c.insert(1, i * 4096, block(4096), None);
         }
         assert!(
             c.bytes() <= (SHARDS * 40) << 10,
@@ -301,7 +368,7 @@ mod tests {
         let c = BlockCache::new(SHARDS * 3000);
         // Per-shard capacity 3000 bytes ≈ 2 blocks of ~1100.
         for i in 0..6u64 {
-            c.insert(1, i, block(1000));
+            c.insert(1, i, block(1000), None);
         }
         // Touch the oldest surviving entries to refresh them, then insert
         // more and verify refresh helped at least once.
@@ -309,7 +376,7 @@ mod tests {
         assert!(!survivors.is_empty());
         let refreshed = survivors.pop().unwrap();
         for i in 6..12u64 {
-            c.insert(1, i, block(1000));
+            c.insert(1, i, block(1000), None);
         }
         // The refreshed key is at least as likely to be present as any
         // unrefreshed one; just assert no panic and bounded memory.
@@ -337,14 +404,14 @@ mod tests {
             c.shards[shard].lock().map.contains_key(&key)
         };
         for &o in &offsets[..4] {
-            c.insert(1, o, block(1000));
+            c.insert(1, o, block(1000), None);
         }
         // Use order is now 1, 3, 0, 2 (least to most recent).
         assert!(c.get(1, offsets[0]).is_some());
         assert!(c.get(1, offsets[2]).is_some());
         for (new, victim) in [(4, 1), (5, 3), (6, 0), (7, 2)] {
             assert!(resident(offsets[victim]), "block {victim} left early");
-            c.insert(1, offsets[new], block(1000));
+            c.insert(1, offsets[new], block(1000), None);
             assert!(
                 !resident(offsets[victim]),
                 "block {victim} should be the victim"
@@ -354,7 +421,7 @@ mod tests {
         }
         // Re-inserting a resident key replaces it; removing from the
         // middle (a slot swap) keeps the order of the rest.
-        c.insert(1, offsets[5], block(1000));
+        c.insert(1, offsets[5], block(1000), None);
         assert_eq!(c.bytes(), 4 * charge);
         c.shards[shard].lock().remove(&Key {
             table: 1,
@@ -372,11 +439,51 @@ mod tests {
     }
 
     #[test]
+    fn victims_become_spares_unless_a_reader_holds_them() {
+        let probe = Key {
+            table: 1,
+            offset: 0,
+        };
+        let shard = BlockCache::shard_index(&probe);
+        let offsets: Vec<u64> = (0..)
+            .filter(|&offset| BlockCache::shard_index(&Key { table: 1, offset }) == shard)
+            .take(SPARES + 4)
+            .collect();
+        let charge = block(1000).size();
+        // Room for one block per shard.
+        let c = BlockCache::new(SHARDS * (charge + charge / 2));
+        let spares = || c.shards[shard].lock().spares.len();
+        c.insert(1, offsets[0], block(1000), None);
+        c.insert(1, offsets[1], block(1000), None);
+        assert_eq!(spares(), 1, "the unheld victim's buffer is kept");
+        // A lookup that will not insert leaves the spare; one that will
+        // takes it, and its insert gives back what it did not use.
+        assert!(matches!(c.lookup(1, offsets[2], false), Lookup::Miss(None)));
+        let Lookup::Miss(Some(spare)) = c.lookup(1, offsets[2], true) else {
+            panic!("a miss takes the spare");
+        };
+        assert_eq!(spares(), 0);
+        c.insert(1, offsets[2], block(1000), Some(spare));
+        assert_eq!(spares(), 2, "the unused spare and the new victim");
+        // A block a reader holds leaves without becoming a spare.
+        let held = c.get(1, offsets[2]).unwrap();
+        let bytes = held.contents().to_vec();
+        c.insert(1, offsets[3], block(1000), None);
+        assert_eq!(spares(), 2);
+        assert_eq!(held.contents(), &bytes[..]);
+        // Never more than `SPARES` kept.
+        for &o in &offsets[4..] {
+            c.insert(1, o, block(1000), None);
+        }
+        assert_eq!(spares(), SPARES);
+    }
+
+    #[test]
     fn evict_table_removes_all() {
         let c = BlockCache::new(1 << 20);
         for i in 0..20u64 {
-            c.insert(7, i * 4096, block(500));
-            c.insert(8, i * 4096, block(500));
+            c.insert(7, i * 4096, block(500), None);
+            c.insert(8, i * 4096, block(500), None);
         }
         c.evict_table(7);
         for i in 0..20u64 {
@@ -419,8 +526,8 @@ mod tests {
     #[test]
     fn evict_table_reports_freed_bytes() {
         let c = BlockCache::new(1 << 20);
-        c.insert(5, 0, block(500));
-        c.insert(5, 4096, block(500));
+        c.insert(5, 0, block(500), None);
+        c.insert(5, 4096, block(500), None);
         let before = c.bytes();
         assert!(before > 0);
         let freed = c.evict_table(5);

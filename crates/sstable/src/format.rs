@@ -1,8 +1,9 @@
 //! On-disk framing shared by all blocks: handles, footer, and the
 //! compression + checksum trailer.
 
-use bytes::Bytes;
+use std::cell::RefCell;
 
+use crate::block::{BlockContents, Spare};
 use crate::coding::{decode_fixed32, get_varint64, put_fixed32, put_varint64};
 use crate::crc32c;
 use crate::env::RandomAccessFile;
@@ -193,31 +194,63 @@ pub fn frame_block_into(
     (ty, out.len() - start)
 }
 
+/// Framed blocks up to this size are read into the reading thread's own
+/// buffer, which therefore never holds more; a larger one (a big index or
+/// filter block) is read into a buffer of its own.
+const FRAMED_KEPT: usize = 64 << 10;
+
+thread_local! {
+    /// The framed bytes of the block this thread is reading: reused from
+    /// read to read, so a block load allocates at most the buffer its
+    /// decoded contents live in.
+    static FRAMED: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Reads and verifies one block (contents + trailer) from `file` at
 /// `handle`, decompressing if needed. Asks `file` its length to check
 /// the handle against; an open [`Table`](crate::table::Table) knows it.
-pub fn read_block(file: &dyn RandomAccessFile, handle: &BlockHandle) -> Result<Bytes> {
-    read_block_within(file, file.len()?, handle)
+pub fn read_block(file: &dyn RandomAccessFile, handle: &BlockHandle) -> Result<BlockContents> {
+    read_block_into(file, file.len()?, handle, &mut None)
 }
 
-/// [`read_block`] from a file of `file_size` bytes.
-pub(crate) fn read_block_within(
+/// The one block read: [`read_block`] from a file of `file_size` bytes,
+/// decoding into `spare` when it is of the block's size class (a spare
+/// that is not stays in `spare`). The framed bytes go through the calling
+/// thread's read buffer, so with a spare that fits nothing is allocated.
+pub fn read_block_into(
     file: &dyn RandomAccessFile,
     file_size: u64,
     handle: &BlockHandle,
-) -> Result<Bytes> {
-    let mut buf = vec![0u8; handle.framed_len_within(file_size)?];
-    let n = buf.len() - BLOCK_TRAILER_SIZE;
-    let read = file.read_at(handle.offset, &mut buf)?;
-    if read != buf.len() {
+    spare: &mut Option<Spare>,
+) -> Result<BlockContents> {
+    let framed_len = handle.framed_len_within(file_size)?;
+    if framed_len > FRAMED_KEPT {
+        return decode_framed(file, handle, &mut Vec::new(), framed_len, spare);
+    }
+    FRAMED.with(|framed| decode_framed(file, handle, &mut framed.borrow_mut(), framed_len, spare))
+}
+
+/// Reads the `framed_len` bytes at `handle` into `framed` (growing it
+/// only past its current length, which every byte read overwrites),
+/// checks the trailer and decodes the contents.
+fn decode_framed(
+    file: &dyn RandomAccessFile,
+    handle: &BlockHandle,
+    framed: &mut Vec<u8>,
+    framed_len: usize,
+    spare: &mut Option<Spare>,
+) -> Result<BlockContents> {
+    framed.resize(framed_len, 0);
+    let n = framed_len - BLOCK_TRAILER_SIZE;
+    let read = file.read_at(handle.offset, framed)?;
+    if read != framed_len {
         return Err(corruption(format!(
-            "truncated block read: wanted {} got {read}",
-            buf.len()
+            "truncated block read: wanted {framed_len} got {read}"
         )));
     }
-    let ty_byte = buf[n];
-    let stored = crc32c::unmask(decode_fixed32(&buf[n + 1..]));
-    let actual = crc32c::value(&buf[..n + 1]);
+    let ty_byte = framed[n];
+    let stored = crc32c::unmask(decode_fixed32(&framed[n + 1..]));
+    let actual = crc32c::value(&framed[..n + 1]);
     if stored != actual {
         return Err(corruption(format!(
             "block checksum mismatch at offset {}",
@@ -226,15 +259,18 @@ pub(crate) fn read_block_within(
     }
     let ty = CompressionType::from_u8(ty_byte)
         .ok_or_else(|| corruption(format!("unknown compression tag {ty_byte}")))?;
-    buf.truncate(n);
-    match ty {
-        CompressionType::None => Ok(Bytes::from(buf)),
+    let payload = &framed[..n];
+    Ok(match ty {
+        CompressionType::None => BlockContents::fill(n, spare, |out| {
+            out.copy_from_slice(payload);
+            Ok::<_, snap_codec::Error>(())
+        })?,
         // Decompressed straight into the buffer the block will live in.
-        CompressionType::Snappy => Ok(Bytes::try_init(
-            snap_codec::decompressed_len(&buf)?,
-            |out| snap_codec::decompress_into(&buf, out),
-        )?),
-    }
+        CompressionType::Snappy => {
+            let len = snap_codec::decompressed_len(payload)?;
+            BlockContents::fill(len, spare, |out| snap_codec::decompress_into(payload, out))?
+        }
+    })
 }
 
 #[cfg(test)]

@@ -10,9 +10,10 @@ use parking_lot::Mutex;
 
 use crate::block::{Block, BlockIter};
 use crate::bloom::BloomFilterPolicy;
+use crate::cache::Lookup;
 use crate::env::RandomAccessFile;
 use crate::filter_block::FilterBlockReader;
-use crate::format::{read_block_within, BlockHandle, Footer, FOOTER_ENCODED_LENGTH};
+use crate::format::{read_block_into, BlockHandle, Footer, FOOTER_ENCODED_LENGTH};
 use crate::iterator::InternalIterator;
 use crate::table_builder::filter_key;
 use crate::{corruption, Error, Result};
@@ -86,8 +87,9 @@ impl Table {
         }
         let footer = Footer::decode(&footer_buf)?;
 
-        let index_contents = read_block_within(file.as_ref(), file_size, &footer.index_handle)?;
-        let index_block = Block::new(index_contents)?;
+        let read =
+            |handle: &BlockHandle| read_block_into(file.as_ref(), file_size, handle, &mut None);
+        let index_block = Block::new(read(&footer.index_handle)?)?;
 
         // Filter metablock, if present and a policy is configured. The
         // metaindex holds one entry per metablock; it is searched by
@@ -95,9 +97,7 @@ impl Table {
         let mut filter = None;
         if let Some(policy) = options.filter_policy {
             if footer.metaindex_handle.size > 0 {
-                let meta_contents =
-                    read_block_within(file.as_ref(), file_size, &footer.metaindex_handle)?;
-                let meta_block = Block::new(meta_contents)?;
+                let meta_block = Block::new(read(&footer.metaindex_handle)?)?;
                 let mut it = meta_block.iter();
                 let key = policy.metaindex_key();
                 it.seek_to_first();
@@ -106,8 +106,7 @@ impl Table {
                 }
                 if it.valid() {
                     let (handle, _) = BlockHandle::decode_from(it.value())?;
-                    let filter_contents = read_block_within(file.as_ref(), file_size, &handle)?;
-                    filter = FilterBlockReader::new(policy, filter_contents.to_vec());
+                    filter = FilterBlockReader::new(policy, read(&handle)?.to_vec());
                 }
             }
         }
@@ -181,22 +180,25 @@ impl Table {
     /// lock and one block clone per load either way. Also returns whether
     /// the shared cache held the block (`None`: it was not consulted).
     /// Without `fill_cache` a miss is read and returned but not kept
-    /// (LevelDB's `ReadOptions::fill_cache`).
+    /// (LevelDB's `ReadOptions::fill_cache`); with it, a miss is read
+    /// into the spare buffer its lookup took, when the shard had one.
     fn load_block(&self, handle: &BlockHandle, fill_cache: bool) -> Result<(Block, Option<bool>)> {
-        let read = || -> Result<Block> {
-            Block::new(read_block_within(
+        let read = |spare: &mut _| -> Result<Block> {
+            Block::new(read_block_into(
                 self.file.as_ref(),
                 self.file_size,
                 handle,
+                spare,
             )?)
         };
         if let Some(cache) = &self.options.block_cache {
-            if let Some(block) = cache.get(self.cache_id, handle.offset) {
-                return Ok((block, Some(true)));
-            }
-            let block = read()?;
+            let mut spare = match cache.lookup(self.cache_id, handle.offset, fill_cache) {
+                Lookup::Hit(block) => return Ok((block, Some(true))),
+                Lookup::Miss(spare) => spare,
+            };
+            let block = read(&mut spare)?;
             if fill_cache {
-                cache.insert(self.cache_id, handle.offset, block.clone());
+                cache.insert(self.cache_id, handle.offset, block.clone(), spare);
             }
             return Ok((block, Some(false)));
         }
@@ -205,7 +207,7 @@ impl Table {
                 return Ok((block.clone(), None));
             }
         }
-        let block = read()?;
+        let block = read(&mut None)?;
         if fill_cache {
             *self.last_block.lock() = Some((handle.offset, block.clone()));
         }

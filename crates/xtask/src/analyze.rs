@@ -15,7 +15,9 @@
 //!
 //! * `// LOCK-ORDER: <name> <rank> [prose]` — names the lock and pins
 //!   its rank. Ranks are global: one name, one rank, and a lock may only
-//!   be acquired while strictly lower-ranked guards are held.
+//!   be acquired while strictly lower-ranked guards are held. Where one
+//!   annotation covers several acquisitions (two on one line), it names
+//!   each in acquisition order: `<name> <rank>, <name> <rank> [prose]`.
 //! * `// LOCK-ORDER-OK: <why>` — waives one site (a generic wrapper whose
 //!   lock is unknowable, e.g. the loom facade's `Mutex::lock` in
 //!   `lsm::sync_shim`).
@@ -27,8 +29,10 @@
 //!
 //! Guard liveness, line by line: a `let g = x.lock()` guard lives to the
 //! end of its brace scope, `drop(g)` or a rebinding of `g`; a chained
-//! acquisition (`x.lock().len()`) is a temporary, live for the rest of
-//! its line. `.unwrap()`, `.expect(..)` and `.unwrap_or_else(..)` after
+//! acquisition (`x.lock().len()`) is a temporary, live to the end of its
+//! statement (the scope pass's statement boundaries: `;`, `{`, `}`, `,`)
+//! and, where a line holds several statements, to the end of its line.
+//! `.unwrap()`, `.expect(..)` and `.unwrap_or_else(..)` after
 //! `.lock()` still yield the guard (std's poisoning `Mutex` binds that
 //! way; the workspace's locks return the guard directly).
 //!
@@ -85,6 +89,33 @@ struct GuardRec<'a> {
     /// Brace depth the guard lives at; it dies when the running depth
     /// drops below this.
     depth: i32,
+}
+
+/// A chained acquisition (`x.lock().len()`): live until its statement
+/// and its line have both ended.
+struct Temporary<'a> {
+    guard: GuardRec<'a>,
+    /// [`Code::stmt`] of the acquisition.
+    stmt: usize,
+    /// Its line.
+    line: usize,
+}
+
+/// The `<name> <rank>` pairs of a `LOCK-ORDER` annotation, a comma after
+/// a rank announcing the next pair; prose may follow the last. `None`
+/// when a pair is malformed.
+fn lock_names(annotation: &str) -> Option<Vec<(&str, u32)>> {
+    let mut toks = annotation.split_whitespace();
+    let mut names = Vec::new();
+    loop {
+        let name = toks.next()?;
+        let rank = toks.next()?;
+        let more = rank.ends_with(',');
+        names.push((name, rank.trim_end_matches(',').parse().ok()?));
+        if !more {
+            return Some(names);
+        }
+    }
 }
 
 /// One annotated acquisition site (rank table input).
@@ -176,6 +207,10 @@ fn walk_guards(file: &Path, source: &str) -> Walk {
     let code = &scan.code;
     let mut w = Walk::default();
     let mut guards: Vec<GuardRec> = Vec::new();
+    let mut temps: Vec<Temporary> = Vec::new();
+    // Acquisitions each `LOCK-ORDER` annotation has named so far, keyed
+    // by where its text starts.
+    let mut named: BTreeMap<usize, usize> = BTreeMap::new();
     let violation = |line, message: String| Violation::new(file, line, "lock-order", message);
 
     for line in scan.code_lines() {
@@ -221,7 +256,6 @@ fn walk_guards(file: &Path, source: &str) -> Walk {
             }
         }
 
-        let mut line_temps: Vec<GuardRec> = Vec::new();
         for k in line {
             let Some(end) = acquisition(&scan, k) else {
                 continue;
@@ -232,9 +266,12 @@ fn walk_guards(file: &Path, source: &str) -> Walk {
             if scan.annotation(k, "LOCK-ORDER-OK:").is_none() {
                 match scan.annotation(k, "LOCK-ORDER:") {
                     Some(p) => {
-                        let mut toks = p.split_whitespace();
-                        match (toks.next(), toks.next().and_then(|r| r.parse::<u32>().ok())) {
-                            (Some(n), Some(rank)) => {
+                        // The n-th acquisition an annotation covers takes
+                        // its n-th name.
+                        let nth = named.entry(p.as_ptr() as usize).or_insert(0);
+                        let names = lock_names(p);
+                        match names.as_deref().map(|names| names.get(*nth)) {
+                            Some(Some(&(n, rank))) => {
                                 name = Some(n);
                                 w.sites.push(SiteRec {
                                     name: n.to_string(),
@@ -243,14 +280,24 @@ fn walk_guards(file: &Path, source: &str) -> Walk {
                                     line: no,
                                 });
                             }
-                            _ => w.violations.push(violation(
+                            Some(None) => w.violations.push(violation(
+                                no,
+                                format!(
+                                    "`// LOCK-ORDER: {p}` names fewer locks than the {} \
+                                     acquisitions it covers — one `<name> <rank>` each, \
+                                     comma-separated, in acquisition order",
+                                    *nth + 1
+                                ),
+                            )),
+                            None => w.violations.push(violation(
                                 no,
                                 format!(
                                     "malformed `// LOCK-ORDER:` annotation `{p}` — expected \
-                                     `<name> <rank>`"
+                                     `<name> <rank>[, <name> <rank>...]`"
                                 ),
                             )),
                         }
+                        *nth += 1;
                     }
                     None => w.violations.push(violation(
                         no,
@@ -265,8 +312,15 @@ fn walk_guards(file: &Path, source: &str) -> Walk {
             if var.is_some() {
                 guards.retain(|g| g.var != var);
             }
+            // A temporary lives to the end of its statement, and a line
+            // with several statements is taken as one.
+            temps.retain(|t| t.stmt == code[k].stmt || t.line == no);
             if let Some(n) = name {
-                for o in guards.iter().chain(&line_temps).filter_map(|g| g.lock) {
+                for o in guards
+                    .iter()
+                    .chain(temps.iter().map(|t| &t.guard))
+                    .filter_map(|g| g.lock)
+                {
                     w.edges.push(EdgeRec {
                         outer: o.to_string(),
                         inner: n.to_string(),
@@ -281,7 +335,11 @@ fn walk_guards(file: &Path, source: &str) -> Walk {
                 depth: after,
             };
             if temporary {
-                line_temps.push(rec);
+                temps.push(Temporary {
+                    guard: rec,
+                    stmt: code[k].stmt,
+                    line: no,
+                });
             } else {
                 guards.push(rec);
             }

@@ -51,6 +51,32 @@ fn lock_order_lint_fires_on_each_violation_shape() {
 }
 
 #[test]
+fn lock_order_lint_follows_statements_and_names_each_acquisition() {
+    let (path, src) = fixture("lock_order_statements.rs");
+    let v = scan_lock_order(&path, &src);
+    assert_eq!(
+        lines(&v),
+        vec![8, 8, 23, 27],
+        "a temporary guard lives to the end of its statement, not its \
+         line; one annotation names each acquisition it covers in order \
+         (the in-order line and the inverted ones make a cycle), and one \
+         with too few names fires: {v:#?}"
+    );
+    assert!(
+        v[0].message.contains("inversion") && v[0].message.contains("`stmt.b` (rank 20)"),
+        "{}",
+        v[0]
+    );
+    assert!(v[1].message.contains("cycle"), "{}", v[1]);
+    assert!(
+        v[2].message.contains("inversion") && v[2].message.contains("`stmt.a` (rank 10)"),
+        "{}",
+        v[2]
+    );
+    assert!(v[3].message.contains("fewer locks"), "{}", v[3]);
+}
+
+#[test]
 fn lock_order_lint_detects_ab_ba_cycles() {
     let (path, src) = fixture("lock_order_cycle.rs");
     let v = scan_lock_order(&path, &src);

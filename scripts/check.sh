@@ -36,6 +36,16 @@ for i in $(seq 0 199); do
     POWER_CUT_SEED_BASE=$((i * 8)) timeout 20 "$power_cut_bin" -q > /dev/null \
         || { echo "power_cut run $i (POWER_CUT_SEED_BASE=$((i * 8))) failed or hung"; exit 1; }
 done
+# The acknowledged-write stress test once missed reads across compaction
+# installs 1-6 runs in 30 in release and never in debug: loop the
+# release binary the same way (≈0.3 s a run).
+stress_bin=$(cargo test --release -p fcae-repro --test concurrency_stress --no-run \
+        --message-format=json 2>/dev/null \
+    | sed -n 's/.*"executable":"\([^"]*concurrency_stress-[^"]*\)".*/\1/p' | tail -n 1)
+for i in $(seq 1 50); do
+    timeout 60 "$stress_bin" -q > /dev/null \
+        || { echo "concurrency_stress run $i failed or hung"; exit 1; }
+done
 
 # Observability smoke: two identical simulated runs must export
 # byte-identical output.
