@@ -14,21 +14,18 @@
 //! from), `merge` (what survives) and `output` (where they go). What is
 //! merged is decided in one place: [`Merger`] selects the smallest
 //! internal key across N [`MergeSource`]s (ties to the lower input index)
-//! and runs the [`DropFilter`] on it. It has three users, which differ
+//! and runs the [`DropFilter`] on it. It has two users, which differ
 //! only in where the pairs come from and go to:
 //!
-//! * **inline CPU** — [`TableRunSource`]s walked on the calling thread,
-//!   into the one `OutputTables` writer;
-//! * **read-ahead CPU** — [`ReadAheadSource`]s, each fed through a bounded
-//!   channel by a reader thread walking the same table-run cursor, into
-//!   the same writer;
+//! * **CPU** — [`CpuCompactionEngine`]: [`TableRunSource`]s walked on the
+//!   calling thread, into the one `OutputTables` writer, as LevelDB's
+//!   single background thread does;
 //! * **FCAE kernel** — `fcae`'s block decoders into its output encoder,
 //!   with the cycle model observing every selection (`fcae` re-exports
 //!   `Merger` under the paper's name, Comparer).
 //!
-//! [`CpuCompactionEngine`] picks between the first two from the request's
-//! input size. Flush, recovery and repair write their one table through
-//! the same `OutputTables` writer.
+//! Flush, recovery and repair write their one table through the same
+//! `OutputTables` writer.
 
 mod merge;
 mod output;
@@ -46,7 +43,7 @@ use crate::Result;
 pub use merge::{merge_sources, DropFilter, MergeSource, Merger, Selection};
 pub(crate) use output::write_level0_table;
 pub use output::OutputTableMeta;
-pub use sources::{ChainIterator, ReadAheadSource, TableRunSource};
+pub use sources::{ChainIterator, TableRunSource};
 /// The writer an [`OutputFileFactory`] hands out.
 pub use sstable::env::WritableFile;
 
@@ -106,9 +103,6 @@ pub struct CompactionOutcome {
     pub entries_written: u64,
     /// Wall-clock execution time of the engine.
     pub wall_time: Duration,
-    /// Reader threads the CPU engine fed the merge from (0 = every input
-    /// was walked inline on the calling thread).
-    pub reader_threads: usize,
     /// For simulated engines: the modeled device kernel time. The system
     /// simulator charges this, not `wall_time`.
     pub modeled_kernel_time: Option<Duration>,
@@ -166,60 +160,13 @@ pub trait CompactionEngine: Send + Sync {
     }
 }
 
-/// `req` merged on the calling thread alone: one [`TableRunSource`] per
-/// input.
-pub fn merge_inline(
-    req: &CompactionRequest,
-    out: &dyn OutputFileFactory,
-) -> Result<CompactionOutcome> {
-    let runs = req.inputs.iter().map(|input| input.tables.clone());
-    merge_sources(runs.map(TableRunSource::new).collect(), req, out)
-}
-
-/// `req` merged on the calling thread from one [`ReadAheadSource`] per
-/// input, each fed by a scoped reader thread (batches of about
-/// `batch_bytes`, `depth` in flight).
-pub fn merge_read_ahead(
-    req: &CompactionRequest,
-    out: &dyn OutputFileFactory,
-    batch_bytes: usize,
-    depth: usize,
-) -> Result<CompactionOutcome> {
-    // The scope joins the readers; an early return from the merge drops
-    // the sources first, which is what makes blocked readers exit.
-    let mut outcome = std::thread::scope(|s| {
-        let sources = req
-            .inputs
-            .iter()
-            .map(|input| {
-                let (source, reader) =
-                    ReadAheadSource::new(input.tables.clone(), batch_bytes, depth);
-                s.spawn(reader);
-                source
-            })
-            .collect();
-        merge_sources(sources, req, out)
-    })?;
-    outcome.reader_threads = req.inputs.len();
-    Ok(outcome)
-}
-
-/// Requests with at least this many input bytes are merged from reader
-/// threads; smaller ones inline. Measured on 2 vCPUs (EXPERIMENTS.md,
-/// "CPU merge traffic"): read-ahead ties the inline walk at 7 MB and is
-/// 1.05–1.25× faster from 26 MB up (more the smaller the values), so
-/// thread and channel setup is only paid where it is earned back.
-const READ_AHEAD_MIN_INPUT_BYTES: u64 = 8 << 20;
-/// Target size of one reader batch; also the size of an FCAE decoder's
-/// read window over its input.
+/// Size of an FCAE decoder's read window over its input (`fcae::memory`).
 pub const READ_AHEAD_BATCH_BYTES: usize = 256 << 10;
-/// Batches in flight per reader.
-const READ_AHEAD_DEPTH: usize = 4;
 
 /// The software engine (what LevelDB's background thread does on the
 /// CPU): the shared merge core over the standard table reader and
-/// builder, with per-input read-ahead threads once a job is large enough
-/// to pay for them. Both shapes write the same bytes.
+/// builder, one [`TableRunSource`] per input, all walked on the calling
+/// thread.
 pub struct CpuCompactionEngine;
 
 impl CompactionEngine for CpuCompactionEngine {
@@ -237,11 +184,8 @@ impl CompactionEngine for CpuCompactionEngine {
         out: &dyn OutputFileFactory,
     ) -> Result<CompactionOutcome> {
         let start = Instant::now();
-        let mut outcome = if req.input_bytes() < READ_AHEAD_MIN_INPUT_BYTES {
-            merge_inline(req, out)?
-        } else {
-            merge_read_ahead(req, out, READ_AHEAD_BATCH_BYTES, READ_AHEAD_DEPTH)?
-        };
+        let runs = req.inputs.iter().map(|input| input.tables.clone());
+        let mut outcome = merge_sources(runs.map(TableRunSource::new).collect(), req, out)?;
         outcome.wall_time = start.elapsed();
         Ok(outcome)
     }
@@ -257,21 +201,11 @@ mod tests {
     use std::path::Path;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    /// Runs `body` once — or, under `--cfg loom`, across the model
-    /// checker's interleavings — so each channel-protocol property below
-    /// is one test in tier-1 and one model in the loom suite.
-    pub(super) fn model(body: impl Fn() + Send + Sync + 'static) {
-        #[cfg(loom)]
-        loom::model(body);
-        #[cfg(not(loom))]
-        body();
-    }
-
     /// Output files in a `MemEnv`, counting the syncs they receive.
-    pub(super) struct Factory {
+    struct Factory {
         env: MemEnv,
         counter: AtomicU64,
-        pub(super) syncs: Arc<AtomicU64>,
+        syncs: Arc<AtomicU64>,
     }
 
     struct CountedFile(Box<dyn WritableFile>, Arc<AtomicU64>);
@@ -293,7 +227,7 @@ mod tests {
     }
 
     impl Factory {
-        pub(super) fn new(env: &MemEnv) -> Self {
+        fn new(env: &MemEnv) -> Self {
             Factory {
                 env: env.clone(),
                 counter: AtomicU64::new(0),
@@ -319,7 +253,7 @@ mod tests {
 
     /// Builds the table `name` holding user keys `keys` (sequence = key +
     /// 1), then flips one byte of its first data block when `corrupt`.
-    pub(super) fn build_table(
+    fn build_table(
         env: &MemEnv,
         name: &str,
         keys: impl Iterator<Item = u32>,
@@ -346,7 +280,7 @@ mod tests {
         Table::open(file, size, ropts).unwrap()
     }
 
-    pub(super) fn request(inputs: Vec<CompactionInput>) -> CompactionRequest {
+    fn request(inputs: Vec<CompactionInput>) -> CompactionRequest {
         CompactionRequest {
             level: 1,
             inputs,
@@ -360,7 +294,7 @@ mod tests {
     /// One flipped byte in a data block of a 1,000-entry table, compacted
     /// with a clean 1,000-entry table. The table-run cursor used to read
     /// the failed table as exhausted and step to the next one, so the
-    /// engines returned `Ok` with about half the entries — which the
+    /// engine returned `Ok` with about half the entries — which the
     /// store would install before deleting the inputs.
     #[test]
     fn a_corrupt_input_block_fails_the_merge_instead_of_truncating_it() {
@@ -377,24 +311,14 @@ mod tests {
                 vec![input(&[&bad]), input(&[&good])],
             ),
         ];
-        type Merge = fn(&CompactionRequest, &Factory) -> Result<CompactionOutcome>;
-        let merges: [(&str, Merge); 3] = [
-            ("inline", |req, out| merge_inline(req, out)),
-            // One pair per batch, one batch in flight.
-            ("read-ahead", |req, out| merge_read_ahead(req, out, 1, 1)),
-            ("engine", |req, out| CpuCompactionEngine.compact(req, out)),
-        ];
         for (shape, inputs) in shapes {
-            let req = request(inputs);
-            for (kind, merge) in merges {
-                let out = Factory::new(&env);
-                let result = merge(&req, &out);
-                assert!(
-                    matches!(&result, Err(e) if e.to_string().contains("checksum")),
-                    "{kind}, {shape}: {result:?}"
-                );
-                assert_eq!(out.syncs.load(Ordering::SeqCst), 0, "{kind}, {shape}");
-            }
+            let out = Factory::new(&env);
+            let result = CpuCompactionEngine.compact(&request(inputs), &out);
+            assert!(
+                matches!(&result, Err(e) if e.to_string().contains("checksum")),
+                "{shape}: {result:?}"
+            );
+            assert_eq!(out.syncs.load(Ordering::SeqCst), 0, "{shape}");
         }
     }
 
@@ -406,6 +330,5 @@ mod tests {
             .unwrap();
         assert!(outcome.outputs.is_empty());
         assert_eq!(outcome.entries_written, 0);
-        assert_eq!(outcome.reader_threads, 0);
     }
 }

@@ -5,25 +5,18 @@
 //! condvars), the parallel write path ([`crate::write_path`], the
 //! sharded [`crate::memtable::MemTable`], group commit in
 //! [`crate::write`]), the value log, the read-view cell, the offload
-//! scheduler's slot table and the server's replication state. The CPU
-//! engine's read-ahead sources ([`crate::compaction::ReadAheadSource`])
-//! take their bounded channels from here too.
+//! scheduler's slot table and the server's replication state.
 //!
 //! There is one lock API, parking_lot's: `m.lock()` returns the guard,
 //! `cv.wait(&mut guard)` and `cv.wait_until(&mut guard, deadline)`
 //! borrow it, and nothing is poisoned. Production builds re-export
-//! `parking_lot` (and `std`'s atomics and channels); building with
+//! `parking_lot` (and `std`'s atomics); building with
 //! `RUSTFLAGS="--cfg loom"` swaps in the same shapes over `loom`'s
 //! instrumented primitives, so the model suites explore interleavings
 //! of the exact protocol production runs, source unchanged.
 //!
 //! `sstable` and `obs` sit below `lsm` and lock `parking_lot` directly;
 //! their locks take no loom scheduling points.
-
-#[cfg(loom)]
-pub use loom::sync::mpsc::{sync_channel, Receiver, SyncSender};
-#[cfg(not(loom))]
-pub use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 #[cfg(loom)]
 pub use self::loom_facade::{Condvar, Mutex, MutexGuard};

@@ -109,10 +109,21 @@ impl VersionEdit {
         dst
     }
 
-    /// Parses an edit from a manifest record.
+    /// Parses an edit from a manifest record. A level past the tree or a
+    /// key shorter than its 8-byte trailer is corruption: the record's
+    /// CRC held, but applying it would index past the levels or compare
+    /// a key with no trailer.
     pub fn decode(mut src: &[u8]) -> Result<VersionEdit> {
         let mut edit = VersionEdit::default();
         let bad = |m: &str| Error::Corruption(format!("version edit: {m}"));
+        let level = |l: u32, m: &str| match l as usize {
+            l if l < NUM_LEVELS => Ok(l),
+            _ => Err(bad(&format!("{m} {l}"))),
+        };
+        let key = |k: &[u8], m: &str| match k.len() {
+            n if n >= 8 => Ok(InternalKey::from_encoded(k.to_vec())),
+            n => Err(bad(&format!("{m} of {n} bytes"))),
+        };
         while !src.is_empty() {
             let (tag, n) = get_varint32(src).ok_or_else(|| bad("tag"))?;
             src = &src[n..];
@@ -133,22 +144,22 @@ impl VersionEdit {
                     edit.last_sequence = Some(v);
                 }
                 TAG_COMPACT_POINTER => {
-                    let (level, n) = get_varint32(src).ok_or_else(|| bad("cp level"))?;
+                    let (l, n) = get_varint32(src).ok_or_else(|| bad("cp level"))?;
                     src = &src[n..];
-                    let (key, n) = get_length_prefixed_slice(src).ok_or_else(|| bad("cp key"))?;
+                    let (k, n) = get_length_prefixed_slice(src).ok_or_else(|| bad("cp key"))?;
                     src = &src[n..];
                     edit.compact_pointers
-                        .push((level as usize, InternalKey::from_encoded(key.to_vec())));
+                        .push((level(l, "cp level")?, key(k, "cp key")?));
                 }
                 TAG_DELETED_FILE => {
-                    let (level, n) = get_varint32(src).ok_or_else(|| bad("del level"))?;
+                    let (l, n) = get_varint32(src).ok_or_else(|| bad("del level"))?;
                     src = &src[n..];
                     let (num, n) = get_varint64(src).ok_or_else(|| bad("del num"))?;
                     src = &src[n..];
-                    edit.deleted_files.push((level as usize, num));
+                    edit.deleted_files.push((level(l, "del level")?, num));
                 }
                 TAG_NEW_FILE => {
-                    let (level, n) = get_varint32(src).ok_or_else(|| bad("nf level"))?;
+                    let (l, n) = get_varint32(src).ok_or_else(|| bad("nf level"))?;
                     src = &src[n..];
                     let (number, n) = get_varint64(src).ok_or_else(|| bad("nf num"))?;
                     src = &src[n..];
@@ -161,12 +172,12 @@ impl VersionEdit {
                         get_length_prefixed_slice(src).ok_or_else(|| bad("nf largest"))?;
                     src = &src[n..];
                     edit.new_files.push((
-                        level as usize,
+                        level(l, "nf level")?,
                         FileMetaData::new(
                             number,
                             file_size,
-                            InternalKey::from_encoded(sk.to_vec()),
-                            InternalKey::from_encoded(lk.to_vec()),
+                            key(sk, "nf smallest")?,
+                            key(lk, "nf largest")?,
                         ),
                     ));
                 }

@@ -5,9 +5,11 @@
 //! each table before the target built an iterator and searched its index
 //! block first — a seek into table *k* cost *k* of each.)
 //!
-//! Single `#[test]` in this binary: the global counter sees every thread,
-//! so parallel tests would pollute the measurement window. The store is
-//! fully compacted before counting, so its background workers are parked.
+//! The counts are the measuring thread's alone
+//! (`CountingAlloc::counting`): a store's worker thread starting up
+//! inside the window once read one high about 1 run in 15-20. The store
+//! is fully compacted before counting, so its background workers are
+//! parked.
 
 use std::sync::Arc;
 
@@ -17,12 +19,6 @@ use sstable::format::CompressionType;
 
 #[global_allocator]
 static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
-
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOC.allocations();
-    f();
-    ALLOC.allocations() - before
-}
 
 /// Keys in the store; with 8 KiB tables they fill exactly 64.
 const KEYS: u32 = 4_700;
@@ -34,7 +30,7 @@ fn key(n: u32) -> Vec<u8> {
 /// Allocations of one `seek(target)` on a freshly opened iterator.
 fn seek_cost(db: &Db, target: &[u8]) -> u64 {
     let mut it = db.iter().unwrap();
-    let n = allocations(|| it.seek(target));
+    let n = ALLOC.counting(|| it.seek(target));
     assert!(it.valid());
     assert_eq!(it.key(), target);
     n

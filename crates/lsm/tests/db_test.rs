@@ -1086,3 +1086,84 @@ fn compacted_away_tables_close_once_and_leave_the_block_cache() {
         assert_eq!(got.as_deref(), Some(&b"unique"[..]));
     }
 }
+
+/// Opens a store on `env`, then appends `record` to its MANIFEST as one
+/// more checksummed log record and reopens it.
+fn reopen_with_manifest_record(
+    env: &Arc<MemEnv>,
+    options: Options,
+    record: &[u8],
+) -> lsm::Result<Db> {
+    use lsm::filename::{current_file_name, manifest_file_name};
+    use lsm::wal::{LogReader, LogWriter};
+    use std::path::Path;
+
+    let db = Db::open("/db", options.clone()).unwrap();
+    db.put(b"key", b"value").unwrap();
+    db.flush().unwrap();
+    drop(db);
+    let dir = Path::new("/db");
+    let current = env
+        .open_random_access(&current_file_name(dir))
+        .unwrap()
+        .read_all()
+        .unwrap();
+    let number = String::from_utf8(current).unwrap();
+    let number: u64 = number
+        .trim()
+        .strip_prefix("MANIFEST-")
+        .unwrap()
+        .parse()
+        .unwrap();
+    let path = manifest_file_name(dir, number);
+    let file = env.open_random_access(&path).unwrap();
+    let mut reader = LogReader::new(file.as_ref()).unwrap();
+    let mut records = Vec::new();
+    while let Some(r) = reader.read_record() {
+        records.push(r);
+    }
+    assert!(!records.is_empty());
+    let mut writer = LogWriter::new(env.create_writable(&path).unwrap());
+    for r in records.iter().map(Vec::as_slice).chain([record]) {
+        writer.add_record(r).unwrap();
+    }
+    writer.sync().unwrap();
+    Db::open("/db", options)
+}
+
+/// A deleted-file record naming level 40 of a 7-level tree: `Db::open`
+/// used to index past the levels and panic.
+#[test]
+fn a_manifest_level_past_the_tree_is_corruption() {
+    let (env, options) = mem_options();
+    let mut edit = lsm::version::VersionEdit::default();
+    edit.deleted_files.push((40, 7));
+    let opened = reopen_with_manifest_record(&env, options, &edit.encode());
+    assert!(
+        matches!(&opened, Err(lsm::Error::Corruption(m)) if m.contains("level 40")),
+        "{:?}",
+        opened.err()
+    );
+}
+
+/// A new-file record whose smallest and largest keys are 3 bytes, short
+/// of the 8-byte trailer: `Db::open` used to panic on them (debug) or
+/// the first `get` did (release).
+#[test]
+fn a_manifest_key_shorter_than_its_trailer_is_corruption() {
+    use sstable::coding::{put_length_prefixed_slice, put_varint32, put_varint64};
+    let (env, options) = mem_options();
+    let mut record = Vec::new();
+    put_varint32(&mut record, 7); // new file (LevelDB's tag)
+    put_varint32(&mut record, 1); // level
+    put_varint64(&mut record, 99); // file number
+    put_varint64(&mut record, 1000); // file size
+    put_length_prefixed_slice(&mut record, b"abc");
+    put_length_prefixed_slice(&mut record, b"xyz");
+    let opened = reopen_with_manifest_record(&env, options, &record);
+    assert!(
+        matches!(&opened, Err(lsm::Error::Corruption(m)) if m.contains("3 bytes")),
+        "{:?}",
+        opened.err()
+    );
+}

@@ -14,8 +14,9 @@
 //! The counters beside the counts prove the reads did what the names
 //! say: every probe consulted a filter, the absent key loaded no block.
 //!
-//! Single `#[test]` in this binary: the global counter sees every thread,
-//! so parallel tests would pollute the measurement window. The stores
+//! The counts are the measuring thread's alone
+//! (`CountingAlloc::counting`): a store's worker thread starting up
+//! inside the window once read one high about 1 run in 15-20. The stores
 //! stay under the L0 compaction trigger, so their background workers are
 //! parked while the reads are counted.
 
@@ -26,12 +27,6 @@ use sstable::env::MemEnv;
 
 #[global_allocator]
 static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
-
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOC.allocations();
-    f();
-    ALLOC.allocations() - before
-}
 
 /// Keys per table. Table `t` of a store holds the keys `key{n:08}` with
 /// `n % 8 == t`, so every table spans the whole key range and a point
@@ -89,7 +84,7 @@ fn get_cost(db: &Db, key: &[u8], expect: Option<&[u8]>) -> (u64, [u64; 4]) {
     assert_eq!(db.get(key).unwrap().as_deref(), expect);
     let before = counters(db);
     let mut got = None;
-    let n = allocations(|| got = db.get(key).unwrap());
+    let n = ALLOC.counting(|| got = db.get(key).unwrap());
     assert_eq!(got.as_deref(), expect);
     let after = counters(db);
     (n, std::array::from_fn(|i| after[i] - before[i]))

@@ -7,8 +7,9 @@
 //! buffer and the value — exactly what a hit pays. (A miss allocated a
 //! framed read buffer and the decoded block besides: 5.)
 //!
-//! Single `#[test]` in this binary: the global counter sees every thread,
-//! so parallel tests would pollute the measurement window. The store
+//! The counts are the measuring thread's alone
+//! (`CountingAlloc::counting`): a store's worker thread starting up
+//! inside the window once read one high about 1 run in 15-20. The store
 //! stays under the L0 compaction trigger, so its background workers are
 //! parked while the reads are counted.
 
@@ -41,11 +42,11 @@ fn misses(db: &Db) -> u64 {
 /// Allocations of one `get(key)` and the block-cache misses it counted.
 fn get_cost(db: &Db, n: u32) -> (u64, u64) {
     let key = key(n);
-    let before = (ALLOC.allocations(), misses(db));
-    let got = db.get(&key).unwrap();
-    let after = (ALLOC.allocations(), misses(db));
+    let before = misses(db);
+    let mut got = None;
+    let allocs = ALLOC.counting(|| got = db.get(&key).unwrap());
     assert_eq!(got.as_deref(), Some(&[b'v'; 100][..]), "key {n}");
-    (after.0 - before.0, after.1 - before.1)
+    (allocs, misses(db) - before)
 }
 
 #[test]

@@ -7,8 +7,9 @@
 //! doubling, 12 → 24 → 48 → 176 bytes, then an `Arc` for the waiter, two
 //! group vectors, and a copy of the key the memtable had just stored.)
 //!
-//! Single `#[test]` in this binary: the global counter sees every thread,
-//! so parallel tests would pollute the measurement window. The write
+//! The counts are the measuring thread's alone
+//! (`CountingAlloc::counting`): a store's worker thread starting up
+//! inside the window once read one high about 1 run in 15-20. The write
 //! buffer is far larger than what is written, so nothing rotates and the
 //! background workers stay parked while the writes are counted.
 
@@ -27,11 +28,12 @@ const WRITES: u64 = 1_000;
 
 /// Allocations per write over `WRITES` calls of `write(i)`, rounded down.
 fn allocations_per_write(mut write: impl FnMut(u64)) -> u64 {
-    let before = ALLOC.allocations();
-    for i in 0..WRITES {
-        write(i);
-    }
-    (ALLOC.allocations() - before) / WRITES
+    let allocs = ALLOC.counting(|| {
+        for i in 0..WRITES {
+            write(i);
+        }
+    });
+    allocs / WRITES
 }
 
 /// A 16-byte key, built without allocating.

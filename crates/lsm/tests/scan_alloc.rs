@@ -15,9 +15,10 @@
 //!   memtable (34 while every iterator built its own comparator and
 //!   value buffer), so a 10-pair `scan` is 51 where it was 57.
 //!
-//! Single `#[test]` in this binary: the global counter sees every thread,
-//! so parallel tests would pollute the measurement window. Neither store
-//! flushes (the write buffer is larger than the data), so their
+//! The counts are the measuring thread's alone
+//! (`CountingAlloc::counting`): a store's worker thread starting up
+//! inside the window once read one high about 1 run in 15-20. Neither
+//! store flushes (the write buffer is larger than the data), so their
 //! background workers stay parked while the scans are counted.
 
 use std::sync::Arc;
@@ -29,12 +30,6 @@ use sstable::env::MemEnv;
 static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
 use lsm::ReadOptions;
-
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOC.allocations();
-    f();
-    ALLOC.allocations() - before
-}
 
 /// Opens a store holding `entries` keys, all in its active memtable
 /// (eight shards, whatever the box: the counts below must not depend on
@@ -66,7 +61,7 @@ fn allocations_per_scan(entries: u32) -> u64 {
     let scan = || db.scan(start.as_bytes(), None, 10).unwrap();
     assert_eq!(scan().len(), 10);
     let mut pairs = Vec::new();
-    let n = allocations(|| pairs = scan());
+    let n = ALLOC.counting(|| pairs = scan());
     assert_eq!(pairs.len(), 10);
     assert_eq!(pairs[0].0, start.as_bytes());
     n
@@ -85,7 +80,7 @@ fn scan_allocations_do_not_grow_with_the_memtable() {
     let db = memtable_only_store(500);
     let each = |limit: usize| {
         let mut seen = 0;
-        let n = allocations(|| {
+        let n = ALLOC.counting(|| {
             let (count, complete) = db
                 .scan_each(
                     ReadOptions::default(),
@@ -109,7 +104,7 @@ fn scan_allocations_do_not_grow_with_the_memtable() {
     // Collecting: two allocations a pair and one for the vector.
     for limit in [10usize, 100] {
         let mut outcome = None;
-        let with = allocations(|| {
+        let with = ALLOC.counting(|| {
             outcome = Some(
                 db.scan_with(
                     ReadOptions::default(),

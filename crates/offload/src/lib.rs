@@ -8,8 +8,9 @@
 //! instantiates that many [`fcae::FcaeEngine`] slots, and schedules the
 //! store's compactions across them:
 //!
-//! * **Priority queue** — queued jobs are served `Flush > L0->L1 >
-//!   deeper levels`, with starvation aging ([`queue::PriorityPolicy`]).
+//! * **Priority queue** — queued jobs are served `L0->L1 > deeper
+//!   levels > maintenance`, with starvation aging
+//!   ([`queue::PriorityPolicy`]).
 //! * **Hybrid dispatch** — a job waits up to a configurable budget for a
 //!   free slot, then falls back to the host CPU; oversized jobs (too many
 //!   inputs, or an estimated device time past the per-job timeout) go to
@@ -204,11 +205,6 @@ impl OffloadService {
         let busy = t0.elapsed();
         self.obs.cpu_busy_nanos.add(busy.as_nanos() as u64);
         self.obs.cpu_busy_micros.record(busy.as_micros() as u64);
-        // Large fallback jobs overlap block reads with the merge on
-        // reader threads; the engine decides from the input size.
-        if result.as_ref().is_ok_and(|o| o.reader_threads > 0) {
-            self.obs.cpu_pipelined_jobs.inc();
-        }
         result
     }
 
@@ -476,7 +472,7 @@ mod tests {
         };
         let svc = OffloadService::with_slots(FcaeConfig::two_input(), 1, cfg);
         // Occupy the only slot, as run_job would.
-        let held = svc.acquire_slot(JobClass::Flush).expect("idle slot");
+        let held = svc.acquire_slot(JobClass::L0ToL1).expect("idle slot");
         let mut ran = false;
         svc.run_maintenance(&mut || ran = true);
         assert!(ran, "GC still runs, just not on a slot");

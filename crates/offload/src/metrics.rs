@@ -50,9 +50,6 @@ pub struct OffloadMetrics {
     pub midjob_outputs_discarded: u64,
     /// Jobs retried on the CPU after a device fault.
     pub cpu_retries_after_fault: u64,
-    /// CPU-path jobs large enough that the CPU engine merged them from
-    /// read-ahead threads (`CompactionOutcome::reader_threads > 0`).
-    pub cpu_pipelined_jobs: u64,
     /// Maintenance jobs (value-log GC) routed through the scheduler.
     pub maintenance_jobs: u64,
     /// Maintenance jobs that ran inline because no engine slot freed
@@ -107,7 +104,6 @@ pub(crate) struct OffloadObs {
     pub(crate) fault_midjob_poisoned: Arc<obs::Counter>,
     pub(crate) fault_outputs_discarded: Arc<obs::Counter>,
     pub(crate) cpu_retries_after_fault: Arc<obs::Counter>,
-    pub(crate) cpu_pipelined_jobs: Arc<obs::Counter>,
     pub(crate) maintenance_jobs: Arc<obs::Counter>,
     pub(crate) maintenance_inline: Arc<obs::Counter>,
     pub(crate) max_fpga_in_flight: Arc<obs::Gauge>,
@@ -144,7 +140,6 @@ impl OffloadObs {
             fault_midjob_poisoned: r.counter("offload.fault.midjob_poisoned"),
             fault_outputs_discarded: r.counter("offload.fault.outputs_discarded"),
             cpu_retries_after_fault: r.counter("offload.cpu_retries_after_fault"),
-            cpu_pipelined_jobs: r.counter("offload.cpu_pipelined_jobs"),
             maintenance_jobs: r.counter("offload.maintenance.jobs"),
             maintenance_inline: r.counter("offload.maintenance.inline"),
             max_fpga_in_flight: r.gauge("offload.max_fpga_in_flight"),
@@ -198,7 +193,6 @@ impl OffloadObs {
             faults_midjob_poisoned,
             midjob_outputs_discarded: self.fault_outputs_discarded.get(),
             cpu_retries_after_fault: self.cpu_retries_after_fault.get(),
-            cpu_pipelined_jobs: self.cpu_pipelined_jobs.get(),
             maintenance_jobs: self.maintenance_jobs.get(),
             maintenance_inline: self.maintenance_inline.get(),
             max_fpga_in_flight: self.max_fpga_in_flight.get(),

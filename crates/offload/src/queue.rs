@@ -1,22 +1,19 @@
 //! Priority policy for the offload queue.
 //!
-//! Jobs are classed by what they unblock: a flush directly unblocks
-//! writers, an L0 -> L1 compaction drains the level whose file count
-//! throttles writes, and deeper compactions only reshape the tree. The
-//! scheduler therefore serves `Flush > L0ToL1 > Deeper(level)` — but a
+//! Jobs are classed by what they unblock: an L0 -> L1 compaction drains
+//! the level whose file count throttles writes, deeper compactions only
+//! reshape the tree, and maintenance only reclaims space. The scheduler
+//! therefore serves `L0ToL1 > Deeper(level) > Maintenance` — but a
 //! starved deep job *ages*: every `aging_interval` it waits promotes it
-//! one class, so a steady stream of flushes cannot postpone deep
-//! compactions forever (which would eventually stall writers anyway once
-//! the score imbalance propagates upward).
+//! one class, so a steady stream of L0 compactions cannot postpone deep
+//! ones forever (which would eventually stall writers anyway once the
+//! score imbalance propagates upward).
 
 use std::time::{Duration, Instant};
 
 /// What kind of work a queued job is, for scheduling purposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobClass {
-    /// Memtable flush (the store usually runs these on the host, but the
-    /// queue supports them so a service may accept flush jobs too).
-    Flush,
     /// L0 -> L1 compaction: drains the write-throttling level.
     L0ToL1,
     /// Compaction starting at `level >= 1`.
@@ -41,7 +38,6 @@ impl JobClass {
     /// Base rank; lower runs first.
     pub fn base_priority(&self) -> u64 {
         match self {
-            JobClass::Flush => 0,
             JobClass::L0ToL1 => 1,
             JobClass::Deeper(level) => 1 + *level as u64,
             // Below Deeper(8), the deepest level any 7-level tree submits.
@@ -108,12 +104,12 @@ mod tests {
     }
 
     #[test]
-    fn flush_beats_l0_beats_deeper() {
+    fn l0_beats_deeper_beats_maintenance() {
         let now = Instant::now();
         let waiting = vec![
-            waiter(1, JobClass::Deeper(3), now),
-            waiter(2, JobClass::L0ToL1, now),
-            waiter(3, JobClass::Flush, now),
+            waiter(1, JobClass::Maintenance, now),
+            waiter(2, JobClass::Deeper(3), now),
+            waiter(3, JobClass::L0ToL1, now),
         ];
         assert_eq!(policy().pick(now, &waiting).unwrap().id, 3);
         assert_eq!(policy().pick(now, &waiting[..2]).unwrap().id, 2);

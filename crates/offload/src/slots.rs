@@ -248,7 +248,7 @@ mod loom_models {
             };
             let svc = Arc::new(SlotTable::new(1, cfg));
             // Hold the only slot so every acquirer queues behind it.
-            let held = svc.acquire_slot(JobClass::Flush).expect("idle slot");
+            let held = svc.acquire_slot(JobClass::L0ToL1).expect("idle slot");
 
             let order = Arc::new(Mutex::new(Vec::new()));
             let serve = |svc: &SlotTable,

@@ -31,9 +31,9 @@
 //! The workspace reaches these primitives through one module,
 //! `lsm::sync_shim`: under `--cfg loom` it wraps [`sync::Mutex`] and
 //! [`sync::Condvar`] in parking_lot's shape (`lock()` returns the guard,
-//! waits borrow it) and re-exports the atomics and channels, so the
-//! store, scheduler, engine and server locks all cross scheduling points
-//! with their source unchanged.
+//! waits borrow it) and re-exports the atomics, so the store, scheduler,
+//! engine and server locks all cross scheduling points with their source
+//! unchanged.
 
 pub mod sync;
 pub mod thread;

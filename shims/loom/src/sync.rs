@@ -8,7 +8,6 @@ use std::time::Duration;
 pub use std::sync::Arc;
 
 pub mod atomic;
-pub mod mpsc;
 
 /// Mutual exclusion with scheduling points on acquire/release edges.
 /// Poisoning is swallowed (like parking_lot / real-loom behavior): a

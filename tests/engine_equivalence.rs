@@ -3,8 +3,7 @@
 //!
 //! Levels of agreement, from strictest to loosest:
 //!
-//! 1. **Golden files**: the one CPU merge core, fed from its inline
-//!    sources and from its read-ahead sources, must emit exactly the
+//! 1. **Golden files**: the one CPU merge core must emit exactly the
 //!    bytes [`CpuCompactionEngine`] shipped before the workspace's three
 //!    merge loops became one, for raw and Snappy-compressed outputs.
 //! 2. **Golden device files**: the FCAE engine must emit exactly the
@@ -22,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use fcae::{FcaeConfig, FcaeEngine};
 use lsm::compaction::{
-    merge_inline, merge_read_ahead, CompactionEngine, CompactionInput, CompactionOutcome,
-    CompactionRequest, CpuCompactionEngine, OutputFileFactory,
+    CompactionEngine, CompactionInput, CompactionOutcome, CompactionRequest, CpuCompactionEngine,
+    OutputFileFactory,
 };
 use sstable::block::Block;
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
@@ -181,7 +180,7 @@ fn digests(env: &MemEnv, fac: &Factory, outcome: &CompactionOutcome) -> Vec<u32>
 }
 
 #[test]
-fn both_cpu_source_kinds_reproduce_the_shipped_bytes() {
+fn the_cpu_merge_reproduces_the_shipped_bytes() {
     for (compression, golden) in [
         (CompressionType::None, &GOLDEN_RAW[..]),
         (CompressionType::Snappy, &GOLDEN_SNAPPY[..]),
@@ -189,28 +188,8 @@ fn both_cpu_source_kinds_reproduce_the_shipped_bytes() {
         let env = MemEnv::new();
         let req = request(&env, compression);
 
-        let fac = Factory::new(env.clone(), "inline");
-        let inline = merge_inline(&req, &fac).unwrap();
-        assert_eq!(digests(&env, &fac, &inline), golden, "{compression:?}");
-
-        // The engine's own batch size and depth, then 97-byte batches
-        // with one in flight: a batch boundary every pair or two and a
-        // reader blocked on nearly every send.
-        for (batch_bytes, depth) in [(256 << 10, 4), (97, 1)] {
-            let fac = Factory::new(env.clone(), "ahead");
-            let ahead = merge_read_ahead(&req, &fac, batch_bytes, depth).unwrap();
-            assert_eq!(ahead.reader_threads, 4);
-            assert_eq!(
-                digests(&env, &fac, &ahead),
-                golden,
-                "{compression:?}, {batch_bytes}-byte batches"
-            );
-        }
-
-        // The request is far below the engine's read-ahead cut.
         let fac = Factory::new(env.clone(), "cpu");
         let cpu = CpuCompactionEngine.compact(&req, &fac).unwrap();
-        assert_eq!(cpu.reader_threads, 0);
         assert_eq!(digests(&env, &fac, &cpu), golden, "{compression:?}");
     }
 }
