@@ -23,7 +23,7 @@ pub use lsm::compaction::{DropFilter, Merger as Comparer, Selection};
 mod tests {
     use super::*;
     use crate::memory::build_input_image;
-    use lsm::compaction::CompactionInput;
+    use lsm::compaction::{CompactionInput, MergeSource};
     use sstable::env::{MemEnv, StorageEnv};
     use sstable::ikey::{parse_internal_key, InternalKey, ValueType};
     use sstable::table::{Table, TableReadOptions};

@@ -90,7 +90,7 @@ macro_rules! contents {
 
 impl<'a> InputDecoder<'a> {
     /// Creates a decoder positioned before the first entry; call
-    /// [`InputDecoder::advance`] to reach it.
+    /// [`MergeSource::advance`] to reach it.
     pub fn new(image: &'a InputImage, w_in: u32) -> Self {
         InputDecoder {
             image,
@@ -101,63 +101,6 @@ impl<'a> InputDecoder<'a> {
             cursor: BlockCursor::new(),
             decomp_buf: Vec::new(),
             stats: DecoderStats::default(),
-        }
-    }
-
-    /// True when positioned on a decoded pair.
-    pub fn valid(&self) -> bool {
-        self.cursor.valid()
-    }
-
-    /// Current internal key.
-    pub fn key(&self) -> &[u8] {
-        assert!(self.cursor.valid(), "key on invalid decoder");
-        self.cursor.key()
-    }
-
-    /// Current value.
-    pub fn value(&self) -> &[u8] {
-        assert!(self.cursor.valid(), "value on invalid decoder");
-        self.cursor.value(contents!(self))
-    }
-
-    /// Moves to the next pair, crossing block and SSTable boundaries.
-    /// Returns `Ok(true)` while pairs remain.
-    pub fn advance(&mut self) -> Result<bool> {
-        // Within the current block?
-        if self.cursor.advance(contents!(self)) {
-            self.stats.pairs_decoded += 1;
-            return Ok(true);
-        }
-        if self.cursor.corrupted() {
-            return Err(corruption("malformed entry in data block"));
-        }
-        // Need the next data block (possibly crossing to the next table).
-        loop {
-            if self.index_iter.is_none() && !self.open_next_index()? {
-                self.block_src = BlockSrc::None;
-                return Ok(false);
-            }
-            // PANIC-OK: open_next_index() just returned true, which only
-            // happens after storing Some(index_iter).
-            let index_iter = self.index_iter.as_mut().expect("opened above");
-            if !index_iter.valid() {
-                // This SSTable is exhausted; move on.
-                self.index_iter = None;
-                continue;
-            }
-            let (handle, _) =
-                BlockHandle::decode_from(index_iter.value()).map_err(lsm::Error::from)?;
-            index_iter.next();
-            self.fetch_and_decode_block(&handle)?;
-            if self.cursor.advance(contents!(self)) {
-                self.stats.pairs_decoded += 1;
-                return Ok(true);
-            }
-            if self.cursor.corrupted() {
-                return Err(corruption("malformed entry in data block"));
-            }
-            // Empty block: keep going.
         }
     }
 
@@ -198,20 +141,61 @@ impl<'a> InputDecoder<'a> {
 }
 
 impl MergeSource for InputDecoder<'_> {
-    fn advance(&mut self) -> Result<bool> {
-        InputDecoder::advance(self)
-    }
-
+    /// True when positioned on a decoded pair.
     fn valid(&self) -> bool {
-        InputDecoder::valid(self)
+        self.cursor.valid()
     }
 
+    /// Current internal key.
     fn key(&self) -> &[u8] {
-        InputDecoder::key(self)
+        assert!(self.cursor.valid(), "key on invalid decoder");
+        self.cursor.key()
     }
 
+    /// Current value.
     fn value(&self) -> &[u8] {
-        InputDecoder::value(self)
+        assert!(self.cursor.valid(), "value on invalid decoder");
+        self.cursor.value(contents!(self))
+    }
+
+    /// Moves to the next pair, crossing block and SSTable boundaries.
+    /// Returns `Ok(true)` while pairs remain.
+    fn advance(&mut self) -> Result<bool> {
+        // Within the current block?
+        if self.cursor.advance(contents!(self)) {
+            self.stats.pairs_decoded += 1;
+            return Ok(true);
+        }
+        if self.cursor.corrupted() {
+            return Err(corruption("malformed entry in data block"));
+        }
+        // Need the next data block (possibly crossing to the next table).
+        loop {
+            if self.index_iter.is_none() && !self.open_next_index()? {
+                self.block_src = BlockSrc::None;
+                return Ok(false);
+            }
+            // PANIC-OK: open_next_index() just returned true, which only
+            // happens after storing Some(index_iter).
+            let index_iter = self.index_iter.as_mut().expect("opened above");
+            if !index_iter.valid() {
+                // This SSTable is exhausted; move on.
+                self.index_iter = None;
+                continue;
+            }
+            let (handle, _) =
+                BlockHandle::decode_from(index_iter.value()).map_err(lsm::Error::from)?;
+            index_iter.next();
+            self.fetch_and_decode_block(&handle)?;
+            if self.cursor.advance(contents!(self)) {
+                self.stats.pairs_decoded += 1;
+                return Ok(true);
+            }
+            if self.cursor.corrupted() {
+                return Err(corruption("malformed entry in data block"));
+            }
+            // Empty block: keep going.
+        }
     }
 }
 
@@ -303,7 +287,7 @@ mod tests {
         let env = MemEnv::new();
         let t1 = build_table(&env, "/t1", 0..40_000);
         let t2 = build_table(&env, "/t2", 40_000..50_000);
-        let window = lsm::compaction::READ_AHEAD_BATCH_BYTES as u64;
+        let window = crate::memory::DATA_WINDOW_BYTES as u64;
         assert!(t1.file_size() > 2 * window, "{} bytes", t1.file_size());
         let input = CompactionInput {
             tables: vec![t1, t2],

@@ -18,14 +18,14 @@ use lsm::compaction::{
     OutputTableMeta,
 };
 use lsm::sync_shim::Mutex;
-use sstable::block_builder::BlockBuilder;
 use sstable::bloom::BloomFilterPolicy;
-use sstable::format::{frame_block_into, BlockHandle, CompressionType, Footer, BLOCK_TRAILER_SIZE};
+use sstable::format::CompressionType;
 use sstable::ikey::InternalKey;
+use sstable::table_builder::TableWriter;
 
 use crate::comparer::Comparer;
 use crate::config::FcaeConfig;
-use crate::decoder::InputDecoder;
+use crate::decoder::{InputDecoder, MergeSource};
 use crate::encoder::OutputEncoder;
 use crate::memory::{build_input_images, InputImage, OutputTableImage};
 use crate::timing::PipelineModel;
@@ -196,68 +196,6 @@ impl FcaeEngine {
         };
         Ok((model, report))
     }
-
-    /// Host combine step (§V-B): writes one output image as a standard
-    /// SSTable file, laid out as `TableBuilder::finish` lays it out — data
-    /// blocks at their recorded offsets, the device's filter block
-    /// (uncompressed, named `filter.<policy>` in the metaindex; absent
-    /// without a `filter_policy`), the metaindex block, the index block,
-    /// and the footer.
-    pub fn assemble_table(
-        image: &OutputTableImage,
-        w_out: u32,
-        compression: CompressionType,
-        filter_policy: Option<BloomFilterPolicy>,
-        file: &mut dyn sstable::env::WritableFile,
-    ) -> Result<u64> {
-        let mut offset = 0u64;
-        for (framed, (_, handle)) in image.framed_blocks(w_out).zip(&image.index_entries) {
-            debug_assert_eq!(offset, handle.offset);
-            file.append(framed).map_err(lsm::Error::from)?;
-            offset += framed.len() as u64;
-        }
-
-        let (mut snappy, mut scratch, mut framed) =
-            (snap_codec::Encoder::new(), Vec::new(), Vec::new());
-        let mut write_block = |contents: &[u8], compression| -> Result<BlockHandle> {
-            framed.clear();
-            let (_, len) = frame_block_into(
-                contents,
-                compression,
-                &mut snappy,
-                &mut scratch,
-                &mut framed,
-            );
-            let handle = BlockHandle::new(offset, (len - BLOCK_TRAILER_SIZE) as u64);
-            file.append(&framed).map_err(lsm::Error::from)?;
-            offset += len as u64;
-            Ok(handle)
-        };
-
-        let mut metaindex = BlockBuilder::new(1);
-        if let (Some(policy), Some(filter)) = (filter_policy, &image.filter_block) {
-            let handle = write_block(filter, CompressionType::None)?;
-            metaindex.add(policy.metaindex_key().as_bytes(), &handle.encode());
-        }
-        let metaindex_handle = write_block(metaindex.finish(), compression)?;
-
-        // Index block from the device's index entries.
-        let mut index = BlockBuilder::new(1);
-        for (key, handle) in &image.index_entries {
-            index.add(key, &handle.encode());
-        }
-        let index_handle = write_block(index.finish(), compression)?;
-
-        let footer = Footer {
-            metaindex_handle,
-            index_handle,
-        };
-        let bytes = footer.encode();
-        file.append(&bytes).map_err(lsm::Error::from)?;
-        offset += bytes.len() as u64;
-        file.flush().map_err(lsm::Error::from)?;
-        Ok(offset)
-    }
 }
 
 /// Runs `kernel` with a sink that keeps every table.
@@ -349,15 +287,21 @@ impl CompactionEngine for FcaeEngine {
             let wire = crate::meta_wire::encode_meta_out(std::iter::once(&image.meta));
             let [meta] = <[_; 1]>::try_from(crate::meta_wire::decode_meta_out(&wire)?)
                 .map_err(|_| lsm::Error::Corruption("MetaOut lost its table".into()))?;
-            let (number, mut file) = out.new_output()?;
-            let file_size = Self::assemble_table(
-                &image,
-                self.config.w_out,
-                options.compression,
-                options.filter_policy,
-                file.as_mut(),
-            )?;
-            file.sync().map_err(lsm::Error::from)?;
+            let (number, file) = out.new_output()?;
+            // The device's data blocks at their index entries' offsets,
+            // then the tail `TableBuilder` writes.
+            let mut table = TableWriter::new(file);
+            for (framed, (key, handle)) in image
+                .framed_blocks(self.config.w_out)
+                .zip(&image.index_entries)
+            {
+                let written = table.append_framed(framed)?;
+                debug_assert_eq!(written, *handle);
+                table.add_index_entry(key, &written);
+            }
+            let filter = options.filter_policy.zip(image.filter_block.as_deref());
+            let file_size = table.finish(filter, options.compression)?;
+            table.sync()?;
             outcome.bytes_written += file_size;
             outcome.outputs.push(OutputTableMeta {
                 number,

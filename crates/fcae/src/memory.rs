@@ -20,7 +20,7 @@
 //! Memory are held whole, but Data Block Memory is a block list: each
 //! block's place in its table file and its aligned offset on the card.
 //! Its bytes reach a decoder through a `DataWindow` of
-//! [`READ_AHEAD_BATCH_BYTES`], refilled by one read of the table's next
+//! [`DATA_WINDOW_BYTES`], refilled by one read of the table's next
 //! whole blocks laid out at their aligned offsets — so decoder
 //! addressing, block fetches, [`InputImage::transfer_bytes`], the DRAM
 //! check and the cycle and PCIe models see the numbers the whole region
@@ -29,10 +29,8 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use lsm::compaction::{CompactionInput, READ_AHEAD_BATCH_BYTES};
-use sstable::coding::decode_fixed32;
-use sstable::crc32c;
-use sstable::format::{BlockHandle, CompressionType, BLOCK_TRAILER_SIZE};
+use lsm::compaction::CompactionInput;
+use sstable::format::{check_trailer, BlockHandle, CompressionType, BLOCK_TRAILER_SIZE};
 use sstable::table::Table;
 
 use crate::Result;
@@ -149,8 +147,12 @@ pub fn build_input_images(inputs: &[CompactionInput], w_in: u32) -> Result<Vec<I
     inputs.iter().map(|i| build_input_image(i, w_in)).collect()
 }
 
+/// Bytes of Data Block Memory a decoder's read window holds: one read of
+/// a table's consecutive blocks refills it.
+pub const DATA_WINDOW_BYTES: usize = 256 << 10;
+
 /// A decoder's window onto its input's Data Block Memory: the bytes of
-/// up to [`READ_AHEAD_BATCH_BYTES`] of consecutive blocks at their aligned
+/// up to [`DATA_WINDOW_BYTES`] of consecutive blocks at their aligned
 /// offsets (one block when a single block is larger), and the data cursor
 /// — the aligned offset of the next block the decoder fetches.
 pub(crate) struct DataWindow {
@@ -208,15 +210,7 @@ impl DataWindow {
         self.cursor = align_up(offset + len, u64::from(self.w_in));
         let start = (offset - self.start) as usize;
         let n = handle.size as usize;
-        let framed = &self.buf[start..start + n + BLOCK_TRAILER_SIZE];
-        let stored = crc32c::unmask(decode_fixed32(&framed[n + 1..]));
-        if stored != crc32c::value(&framed[..n + 1]) {
-            return Err(corruption(
-                "data block checksum mismatch in device memory".into(),
-            ));
-        }
-        let compression = CompressionType::from_u8(framed[n])
-            .ok_or_else(|| corruption(format!("unknown compression tag {}", framed[n])))?;
+        let (_, compression) = check_trailer(&self.buf[start..start + n + BLOCK_TRAILER_SIZE])?;
         Ok((start..start + n, compression))
     }
 
@@ -248,7 +242,7 @@ impl DataWindow {
             let prev = &blocks[last];
             if next.table != head.table
                 || next.handle.offset != prev.handle.offset + prev.framed_len()
-                || next.device_end() - offset > READ_AHEAD_BATCH_BYTES as u64
+                || next.device_end() - offset > DATA_WINDOW_BYTES as u64
             {
                 break;
             }
@@ -256,7 +250,7 @@ impl DataWindow {
         }
         let window_len = (blocks[last].device_end() - offset) as usize;
         self.buf.clear();
-        self.buf.reserve(window_len.max(READ_AHEAD_BATCH_BYTES));
+        self.buf.reserve(window_len.max(DATA_WINDOW_BYTES));
         image.tables[head.table].read_blocks(&head.handle, &blocks[last].handle, &mut self.buf)?;
         self.buf.resize(window_len, 0);
         let mut end = window_len;

@@ -47,6 +47,16 @@ fn read_u64(src: &mut &[u8], what: &str) -> Result<u64> {
     ))
 }
 
+/// A length-prefixed internal key: a user key and its 8-byte trailer. A
+/// shorter one is corruption, not a key the host can order.
+fn read_key(src: &mut &[u8], what: &str) -> Result<Vec<u8>> {
+    let len = read_u32(src, what)? as usize;
+    match take(src, len, what)? {
+        key if key.len() >= 8 => Ok(key.to_vec()),
+        _ => Err(corruption(&format!("{what} of {len} bytes"))),
+    }
+}
+
 /// Encodes a MetaIn region.
 pub fn encode_meta_in(meta: &MetaIn) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + meta.sstables.len() * 24);
@@ -102,7 +112,8 @@ where
     out
 }
 
-/// Decodes a MetaOut region.
+/// Decodes a MetaOut region. Its keys are internal keys: one shorter
+/// than its trailer is corruption.
 pub fn decode_meta_out(mut src: &[u8]) -> Result<Vec<MetaOutTable>> {
     let count = read_u32(&mut src, "table count")? as usize;
     if count > 1 << 20 {
@@ -112,13 +123,9 @@ pub fn decode_meta_out(mut src: &[u8]) -> Result<Vec<MetaOutTable>> {
     for _ in 0..count {
         let data_bytes = read_u64(&mut src, "data bytes")?;
         let entries = read_u64(&mut src, "entries")?;
-        let slen = read_u32(&mut src, "smallest len")? as usize;
-        let smallest = take(&mut src, slen, "smallest key")?.to_vec();
-        let llen = read_u32(&mut src, "largest len")? as usize;
-        let largest = take(&mut src, llen, "largest key")?.to_vec();
         out.push(MetaOutTable {
-            smallest,
-            largest,
+            smallest: read_key(&mut src, "smallest key")?,
+            largest: read_key(&mut src, "largest key")?,
             entries,
             data_bytes,
         });
@@ -132,6 +139,13 @@ pub fn decode_meta_out(mut src: &[u8]) -> Result<Vec<MetaOutTable>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sstable::ikey::{InternalKey, ValueType};
+
+    fn ikey(user_key: &[u8]) -> Vec<u8> {
+        InternalKey::new(user_key, 1, ValueType::Value)
+            .encoded()
+            .to_vec()
+    }
 
     fn sample_in() -> MetaIn {
         MetaIn {
@@ -167,13 +181,13 @@ mod tests {
     fn meta_out_roundtrip() {
         let tables = vec![
             MetaOutTable {
-                smallest: b"aaa".to_vec(),
-                largest: b"mmm".to_vec(),
+                smallest: ikey(b"aaa"),
+                largest: ikey(b"mmm"),
                 entries: 1000,
                 data_bytes: 2 << 20,
             },
             MetaOutTable {
-                smallest: b"n".to_vec(),
+                smallest: ikey(b"n"),
                 largest: vec![0xffu8; 300],
                 entries: 7,
                 data_bytes: 4096,
@@ -192,8 +206,8 @@ mod tests {
             assert!(decode_meta_in(&enc[..cut]).is_err(), "cut {cut}");
         }
         let tables = vec![MetaOutTable {
-            smallest: b"k".to_vec(),
-            largest: b"z".to_vec(),
+            smallest: ikey(b"k"),
+            largest: ikey(b"z"),
             entries: 1,
             data_bytes: 10,
         }];
@@ -201,6 +215,28 @@ mod tests {
         for cut in 0..enc.len() {
             assert!(decode_meta_out(&enc[..cut]).is_err(), "cut {cut}");
         }
+    }
+
+    #[test]
+    fn a_meta_out_key_shorter_than_its_trailer_is_corruption() {
+        let short = |smallest: &[u8], largest: &[u8]| {
+            let tables = [MetaOutTable {
+                smallest: smallest.to_vec(),
+                largest: largest.to_vec(),
+                entries: 1,
+                data_bytes: 10,
+            }];
+            decode_meta_out(&encode_meta_out(&tables))
+        };
+        assert!(matches!(
+            short(b"abc", &ikey(b"z")),
+            Err(lsm::Error::Corruption(_))
+        ));
+        assert!(matches!(
+            short(&ikey(b"a"), &[0u8; 7]),
+            Err(lsm::Error::Corruption(_))
+        ));
+        assert!(short(&[0u8; 8], &ikey(b"z")).is_ok());
     }
 
     #[test]

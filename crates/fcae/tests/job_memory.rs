@@ -3,7 +3,7 @@
 //! DRAM is accounted, and the engine stages each input's data blocks one
 //! window at a time and hands each output table to the host as soon as
 //! it is complete. A job over 16 MiB of inputs must grow the heap by at
-//! most `inputs × READ_AHEAD_BATCH_BYTES + 2 × max_output_file_size` plus
+//! most `inputs × DATA_WINDOW_BYTES + 2 × max_output_file_size` plus
 //! a fixed slack (MetaIn, Index Block Memory, the block list, decoder and
 //! encoder buffers).
 //!
@@ -14,10 +14,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use fcae::memory::DATA_WINDOW_BYTES;
 use fcae::{FcaeConfig, FcaeEngine};
-use lsm::compaction::{
-    CompactionEngine, CompactionInput, CompactionRequest, OutputFileFactory, READ_AHEAD_BATCH_BYTES,
-};
+use lsm::compaction::{CompactionEngine, CompactionInput, CompactionRequest, OutputFileFactory};
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
 use sstable::format::CompressionType;
 use sstable::ikey::{InternalKey, ValueType};
@@ -147,7 +146,7 @@ fn an_engine_job_holds_its_windows_and_one_output_table() {
 
     let slack = 1 << 20;
     let bound =
-        req.inputs.len() * READ_AHEAD_BATCH_BYTES + 2 * req.max_output_file_size as usize + slack;
+        req.inputs.len() * DATA_WINDOW_BYTES + 2 * req.max_output_file_size as usize + slack;
     assert!(
         growth <= bound,
         "a job over {input_bytes} input bytes grew the heap by {growth} bytes, \

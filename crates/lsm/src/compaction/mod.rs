@@ -160,9 +160,6 @@ pub trait CompactionEngine: Send + Sync {
     }
 }
 
-/// Size of an FCAE decoder's read window over its input (`fcae::memory`).
-pub const READ_AHEAD_BATCH_BYTES: usize = 256 << 10;
-
 /// The software engine (what LevelDB's background thread does on the
 /// CPU): the shared merge core over the standard table reader and
 /// builder, one [`TableRunSource`] per input, all walked on the calling

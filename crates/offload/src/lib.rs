@@ -12,9 +12,9 @@
 //!   levels > maintenance`, with starvation aging
 //!   ([`queue::PriorityPolicy`]).
 //! * **Hybrid dispatch** — a job waits up to a configurable budget for a
-//!   free slot, then falls back to the host CPU; oversized jobs (too many
-//!   inputs, or an estimated device time past the per-job timeout) go to
-//!   the CPU immediately, mirroring the paper's Fig. 6 software path.
+//!   free slot, then falls back to the host CPU; jobs with more inputs
+//!   than the device's `N` go to the CPU immediately, mirroring the
+//!   paper's Fig. 6 software path.
 //! * **Fault handling** — injected (or real) device faults are retried on
 //!   the CPU. *Transient* faults fire before the engine touches the
 //!   output-file factory, so those retries never duplicate or lose keys;
@@ -65,10 +65,6 @@ pub struct OffloadConfig {
     /// How long a job waits for a free slot before falling back to the
     /// CPU (hybrid dispatch).
     pub wait_budget: Duration,
-    /// Jobs whose *estimated* device time exceeds this run on the CPU
-    /// instead of occupying a slot (per-job timeout, decided up front so
-    /// a timed-out job never has device-side output to unwind).
-    pub job_timeout: Duration,
     /// Starvation aging interval for the priority queue.
     pub aging_interval: Duration,
     /// Queued jobs at which the service advises `WritePressure::Slowdown`.
@@ -81,7 +77,6 @@ impl Default for OffloadConfig {
     fn default() -> Self {
         OffloadConfig {
             wait_budget: Duration::from_millis(50),
-            job_timeout: Duration::from_secs(5),
             aging_interval: Duration::from_millis(20),
             slowdown_queue_depth: 4,
             stop_queue_depth: 8,
@@ -92,7 +87,6 @@ impl Default for OffloadConfig {
 /// The offload scheduler; a drop-in [`lsm::CompactionEngine`].
 pub struct OffloadService {
     device: FcaeConfig,
-    config: OffloadConfig,
     engines: Vec<FcaeEngine>,
     slots: SlotTable,
     faults: FaultInjector,
@@ -117,7 +111,6 @@ impl OffloadService {
         let engines = (0..slots).map(|_| FcaeEngine::new(device)).collect();
         OffloadService {
             device,
-            config,
             engines,
             slots: SlotTable::new(slots, config),
             faults: FaultInjector::new(),
@@ -158,15 +151,6 @@ impl OffloadService {
     /// The scheduler's totals, read off its bundle's registry.
     pub fn metrics(&self) -> OffloadMetrics {
         self.obs.metrics()
-    }
-
-    /// Rough device time for `req`: kernel at `V` bytes/cycle plus two
-    /// PCIe crossings. Used only to veto jobs against the per-job
-    /// timeout, so it errs simple rather than exact.
-    fn estimated_device_time(&self, bytes: u64) -> Duration {
-        let kernel = bytes as f64 / (self.device.v as f64 * self.device.freq_mhz as f64 * 1e6);
-        let pcie = self.device.pcie.round_trip_sec(2 * bytes);
-        Duration::from_secs_f64(kernel + pcie)
     }
 
     /// Waits for an engine slot ([`SlotTable::acquire_slot`]), counting
@@ -215,14 +199,9 @@ impl OffloadService {
         job: u64,
     ) -> lsm::Result<CompactionOutcome> {
         let o = &self.obs;
-        let input_bytes = req.input_bytes();
-        // Software paths first (Fig. 6): too many inputs for the device,
-        // or a job too large for the per-job device-time budget.
+        // Software path first (Fig. 6): too many inputs for the device.
         if req.inputs.len() > self.device.n_inputs {
             return self.run_cpu(&o.cpu_fallback_oversized, "oversized", req, out, job);
-        }
-        if self.estimated_device_time(input_bytes) > self.config.job_timeout {
-            return self.run_cpu(&o.cpu_fallback_timeout, "timeout", req, out, job);
         }
         let Some(slot) = self.acquire_slot(JobClass::from_level(req.level)) else {
             // Hybrid dispatch: the device is saturated, the host is idle.
@@ -232,7 +211,7 @@ impl OffloadService {
         self.trace(obs::EventKind::EngineDispatch {
             job,
             engine: "fcae",
-            bytes: input_bytes,
+            bytes: req.input_bytes(),
         });
         let injected = self.faults.should_fault();
         let device_out = CountingFactory {
@@ -670,7 +649,7 @@ mod loom_models {
             assert_eq!(m.cpu_retries_after_fault, 1, "one CPU retry per fault");
             assert_eq!(m.fpga_jobs, 2, "unfaulted jobs stay on the device");
             assert_eq!(
-                m.cpu_fallback_budget + m.cpu_fallback_oversized + m.cpu_fallback_timeout,
+                m.cpu_fallback_budget + m.cpu_fallback_oversized,
                 0,
                 "no job may take an unrelated CPU path in this model"
             );

@@ -25,9 +25,6 @@ pub struct OffloadMetrics {
     pub fpga_jobs: u64,
     /// Jobs sent to the CPU because they exceed the device's `N`.
     pub cpu_fallback_oversized: u64,
-    /// Jobs sent to the CPU because the device-time estimate exceeded the
-    /// per-job timeout.
-    pub cpu_fallback_timeout: u64,
     /// Jobs sent to the CPU because no slot freed within the wait budget.
     pub cpu_fallback_budget: u64,
     /// Device faults observed, all kinds (injected or real engine
@@ -71,10 +68,7 @@ pub struct OffloadMetrics {
 impl OffloadMetrics {
     /// Jobs that ended up on the CPU for any reason.
     pub fn cpu_jobs(&self) -> u64 {
-        self.cpu_fallback_oversized
-            + self.cpu_fallback_timeout
-            + self.cpu_fallback_budget
-            + self.cpu_retries_after_fault
+        self.cpu_fallback_oversized + self.cpu_fallback_budget + self.cpu_retries_after_fault
     }
 }
 
@@ -96,7 +90,6 @@ pub(crate) struct OffloadObs {
     pub(crate) jobs_submitted: Arc<obs::Counter>,
     pub(crate) fpga_jobs: Arc<obs::Counter>,
     pub(crate) cpu_fallback_oversized: Arc<obs::Counter>,
-    pub(crate) cpu_fallback_timeout: Arc<obs::Counter>,
     pub(crate) cpu_fallback_budget: Arc<obs::Counter>,
     pub(crate) device_faults: Arc<obs::Counter>,
     pub(crate) fault_transient: Arc<obs::Counter>,
@@ -132,7 +125,6 @@ impl OffloadObs {
             jobs_submitted: r.counter("offload.jobs_submitted"),
             fpga_jobs: r.counter("offload.fpga_jobs"),
             cpu_fallback_oversized: r.counter("offload.cpu_fallback_oversized"),
-            cpu_fallback_timeout: r.counter("offload.cpu_fallback_timeout"),
             cpu_fallback_budget: r.counter("offload.cpu_fallback_budget"),
             device_faults: r.counter("offload.device_faults"),
             fault_transient: r.counter("offload.fault.transient"),
@@ -185,7 +177,6 @@ impl OffloadObs {
             jobs_submitted: self.jobs_submitted.get(),
             fpga_jobs: self.fpga_jobs.get(),
             cpu_fallback_oversized: self.cpu_fallback_oversized.get(),
-            cpu_fallback_timeout: self.cpu_fallback_timeout.get(),
             cpu_fallback_budget: self.cpu_fallback_budget.get(),
             device_faults: faults_transient + faults_midjob_timeout + faults_midjob_poisoned,
             faults_transient,

@@ -97,17 +97,7 @@ pub struct Block {
 impl Block {
     /// Wraps decompressed block contents, validating the restart trailer.
     pub fn new(contents: BlockContents) -> Result<Block> {
-        if contents.len() < 4 {
-            return Err(corruption("block too small for restart count"));
-        }
-        let num_restarts = decode_fixed32(&contents[contents.len() - 4..]);
-        let max_restarts = (contents.len() as u64 - 4) / 4;
-        if u64::from(num_restarts) > max_restarts {
-            return Err(corruption(format!(
-                "restart count {num_restarts} exceeds block capacity"
-            )));
-        }
-        let restart_offset = contents.len() - 4 - num_restarts as usize * 4;
+        let (restart_offset, num_restarts) = parse_restarts(&contents)?;
         Ok(Block {
             contents,
             restart_offset,
@@ -215,6 +205,22 @@ impl Block {
             corrupt: false,
         }
     }
+}
+
+/// Parses a block's `restart[0..n] | fixed32 n` trailer into the end of
+/// its entries and `n`; a count the block cannot hold is corruption.
+#[inline]
+fn parse_restarts(contents: &[u8]) -> Result<(usize, u32)> {
+    let Some(array_end) = contents.len().checked_sub(4) else {
+        return Err(corruption("block too small for restart count"));
+    };
+    let num_restarts = decode_fixed32(&contents[array_end..]);
+    if u64::from(num_restarts) > array_end as u64 / 4 {
+        return Err(corruption(format!(
+            "restart count {num_restarts} exceeds block capacity"
+        )));
+    }
+    Ok((array_end - num_restarts as usize * 4, num_restarts))
 }
 
 /// Where [`Block::seek_entry`] stopped.
@@ -481,17 +487,7 @@ impl BlockCursor {
     /// entries + restart array + count), keeping the key buffer's
     /// capacity. Fails on a malformed restart trailer.
     pub fn reset(&mut self, contents: &[u8]) -> Result<()> {
-        if contents.len() < 4 {
-            return Err(corruption("block too small for restart count"));
-        }
-        let num_restarts = decode_fixed32(&contents[contents.len() - 4..]);
-        let max_restarts = (contents.len() as u64 - 4) / 4;
-        if u64::from(num_restarts) > max_restarts {
-            return Err(corruption(format!(
-                "restart count {num_restarts} exceeds block capacity"
-            )));
-        }
-        self.entries_end = contents.len() - 4 - num_restarts as usize * 4;
+        (self.entries_end, _) = parse_restarts(contents)?;
         self.next = 0;
         self.key.clear();
         self.value_range = (0, 0);
@@ -514,23 +510,18 @@ impl BlockCursor {
     /// Returns false at the end of the block or on corruption.
     pub fn advance(&mut self, contents: &[u8]) -> bool {
         let end = self.entries_end.min(contents.len());
+        self.valid = false;
         if self.next >= end {
-            self.valid = false;
             return false;
         }
         let Some(value) = decode_entry(&contents[..end], self.next, &mut self.key) else {
-            return self.fail();
+            self.corrupt = true;
+            return false;
         };
         self.value_range = value;
-        self.next = self.value_range.1;
+        self.next = value.1;
         self.valid = true;
         true
-    }
-
-    fn fail(&mut self) -> bool {
-        self.corrupt = true;
-        self.valid = false;
-        false
     }
 
     /// Current key (full, reconstructed from prefixes).

@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 
 use crate::block::{BlockContents, Spare};
-use crate::coding::{decode_fixed32, get_varint64, put_fixed32, put_varint64};
+use crate::coding::{decode_fixed32, decode_fixed64, get_varint64, put_fixed32, put_varint64};
 use crate::crc32c;
 use crate::env::RandomAccessFile;
 use crate::{corruption, Result};
@@ -26,17 +26,6 @@ pub enum CompressionType {
     None = 0,
     /// Snappy-compressed (the paper's assumed codec).
     Snappy = 1,
-}
-
-impl CompressionType {
-    /// Parses a trailer compression byte.
-    pub fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(CompressionType::None),
-            1 => Some(CompressionType::Snappy),
-            _ => None,
-        }
-    }
 }
 
 /// Location of a block within a table file: offset + size, varint-encoded.
@@ -120,8 +109,7 @@ impl Footer {
         self.metaindex_handle.encode_to(&mut dst);
         self.index_handle.encode_to(&mut dst);
         dst.resize(FOOTER_ENCODED_LENGTH - 8, 0);
-        dst.extend_from_slice(&(TABLE_MAGIC_NUMBER as u32).to_le_bytes());
-        dst.extend_from_slice(&((TABLE_MAGIC_NUMBER >> 32) as u32).to_le_bytes());
+        dst.extend_from_slice(&TABLE_MAGIC_NUMBER.to_le_bytes());
         debug_assert_eq!(dst.len(), FOOTER_ENCODED_LENGTH);
         dst
     }
@@ -131,9 +119,7 @@ impl Footer {
         if src.len() < FOOTER_ENCODED_LENGTH {
             return Err(corruption("footer too short"));
         }
-        let magic_lo = decode_fixed32(&src[FOOTER_ENCODED_LENGTH - 8..]) as u64;
-        let magic_hi = decode_fixed32(&src[FOOTER_ENCODED_LENGTH - 4..]) as u64;
-        let magic = (magic_hi << 32) | magic_lo;
+        let magic = decode_fixed64(&src[FOOTER_ENCODED_LENGTH - 8..]);
         if magic != TABLE_MAGIC_NUMBER {
             return Err(corruption(format!("bad table magic {magic:#x}")));
         }
@@ -194,6 +180,26 @@ pub fn frame_block_into(
     (ty, out.len() - start)
 }
 
+/// The one check of a framed block's trailer (block reads, the FCAE
+/// decoders): the masked CRC32C over payload and tag, then the tag.
+/// Returns the payload and how it is compressed.
+#[inline]
+pub fn check_trailer(framed: &[u8]) -> Result<(&[u8], CompressionType)> {
+    let Some(n) = framed.len().checked_sub(BLOCK_TRAILER_SIZE) else {
+        return Err(corruption("framed block shorter than its trailer"));
+    };
+    let stored = crc32c::unmask(decode_fixed32(&framed[n + 1..]));
+    if stored != crc32c::value(&framed[..n + 1]) {
+        return Err(corruption("block checksum mismatch"));
+    }
+    let ty = match framed[n] {
+        0 => CompressionType::None,
+        1 => CompressionType::Snappy,
+        tag => return Err(corruption(format!("unknown compression tag {tag}"))),
+    };
+    Ok((&framed[..n], ty))
+}
+
 /// Framed blocks up to this size are read into the reading thread's own
 /// buffer, which therefore never holds more; a larger one (a big index or
 /// filter block) is read into a buffer of its own.
@@ -241,27 +247,15 @@ fn decode_framed(
     spare: &mut Option<Spare>,
 ) -> Result<BlockContents> {
     framed.resize(framed_len, 0);
-    let n = framed_len - BLOCK_TRAILER_SIZE;
     let read = file.read_at(handle.offset, framed)?;
     if read != framed_len {
         return Err(corruption(format!(
             "truncated block read: wanted {framed_len} got {read}"
         )));
     }
-    let ty_byte = framed[n];
-    let stored = crc32c::unmask(decode_fixed32(&framed[n + 1..]));
-    let actual = crc32c::value(&framed[..n + 1]);
-    if stored != actual {
-        return Err(corruption(format!(
-            "block checksum mismatch at offset {}",
-            handle.offset
-        )));
-    }
-    let ty = CompressionType::from_u8(ty_byte)
-        .ok_or_else(|| corruption(format!("unknown compression tag {ty_byte}")))?;
-    let payload = &framed[..n];
+    let (payload, ty) = check_trailer(framed)?;
     Ok(match ty {
-        CompressionType::None => BlockContents::fill(n, spare, |out| {
+        CompressionType::None => BlockContents::fill(payload.len(), spare, |out| {
             out.copy_from_slice(payload);
             Ok::<_, snap_codec::Error>(())
         })?,

@@ -10,7 +10,7 @@
 //!   restart array and its count.
 //! * **Block trailer** (`format`) — a one-byte compression tag (none /
 //!   Snappy) plus a masked CRC32C over the block contents and tag,
-//!   verified on every block read.
+//!   verified on every block read by [`format::check_trailer`].
 //! * **Index block** — a data block whose keys are separators between
 //!   adjacent data blocks and whose values are [`format::BlockHandle`]s
 //!   (offset + size varints). This is the block the paper's *Index Block
@@ -28,8 +28,9 @@
 //!   descending. Data and index blocks hold internal keys only; a decoded
 //!   key shorter than the trailer is corruption.
 //!
-//! [`table_builder::TableBuilder`] writes tables, [`table::Table`] reads
-//! them, and [`iterator`] provides the
+//! [`table_builder::TableBuilder`] writes tables through the one tail
+//! writer, [`table_builder::TableWriter`], that also finishes the FCAE
+//! engine's; [`table::Table`] reads them, and [`iterator`] provides the
 //! iterator trait plus the k-way merging iterator compaction is built on.
 
 pub mod block;

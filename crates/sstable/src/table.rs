@@ -77,15 +77,11 @@ impl Table {
         file_size: u64,
         options: TableReadOptions,
     ) -> Result<Arc<Table>> {
-        if (file_size as usize) < FOOTER_ENCODED_LENGTH {
-            return Err(corruption("file too short to be an sstable"));
-        }
-        let mut footer_buf = vec![0u8; FOOTER_ENCODED_LENGTH];
-        let read = file.read_at(file_size - FOOTER_ENCODED_LENGTH as u64, &mut footer_buf)?;
-        if read != FOOTER_ENCODED_LENGTH {
-            return Err(corruption("truncated footer"));
-        }
-        let footer = Footer::decode(&footer_buf)?;
+        let footer_at = (file_size.checked_sub(FOOTER_ENCODED_LENGTH as u64))
+            .ok_or_else(|| corruption("file too short to be an sstable"))?;
+        let mut footer = [0u8; FOOTER_ENCODED_LENGTH];
+        let read = file.read_at(footer_at, &mut footer)?;
+        let footer = Footer::decode(&footer[..read])?;
 
         let read =
             |handle: &BlockHandle| read_block_into(file.as_ref(), file_size, handle, &mut None);
@@ -287,19 +283,6 @@ impl Table {
             error: None,
             fill_cache,
         }
-    }
-
-    /// Approximate file offset of `key` within the table (used for
-    /// `ApproximateSizes`-style queries and compaction splitting).
-    pub fn approximate_offset_of(&self, key: &[u8]) -> u64 {
-        let mut it = self.index_block.iter();
-        it.seek(key);
-        if it.valid() {
-            if let Ok((handle, _)) = BlockHandle::decode_from(it.value()) {
-                return handle.offset;
-            }
-        }
-        self.file_size
     }
 }
 
@@ -628,16 +611,5 @@ mod tests {
         assert!(Table::open(f, 100, TableReadOptions::default()).is_err());
         let f = env.open_random_access(Path::new("/bad")).unwrap();
         assert!(Table::open(f, 10, TableReadOptions::default()).is_err());
-    }
-
-    #[test]
-    fn approximate_offsets_monotonic() {
-        let env = MemEnv::new();
-        let table = build_table(&env, "/t", 1000, 512, CompressionType::None);
-        let o1 = table.approximate_offset_of(&ikey(b"key000100", MAX));
-        let o2 = table.approximate_offset_of(&ikey(b"key000500", MAX));
-        let o3 = table.approximate_offset_of(&ikey(b"key000900", MAX));
-        assert!(o1 <= o2 && o2 <= o3);
-        assert!(table.approximate_offset_of(&ikey(b"zzzz", MAX)) <= table.file_size());
     }
 }

@@ -14,7 +14,10 @@ use crate::bloom::BloomFilterPolicy;
 use crate::comparator::InternalKeyComparator;
 use crate::env::WritableFile;
 use crate::filter_block::FilterBlockBuilder;
-use crate::format::{frame_block_into, BlockHandle, CompressionType, Footer, BLOCK_TRAILER_SIZE};
+use crate::format::{
+    frame_block_into, BlockHandle, CompressionType, Footer, BLOCK_TRAILER_SIZE,
+    FOOTER_ENCODED_LENGTH,
+};
 use crate::{Error, Result};
 
 /// Table construction options.
@@ -48,25 +51,15 @@ pub fn filter_key(key: &[u8]) -> &[u8] {
 /// Incrementally builds one SSTable into a writable file.
 pub struct TableBuilder {
     options: TableBuilderOptions,
-    file: Box<dyn WritableFile>,
-    offset: u64,
+    table: TableWriter,
     num_entries: u64,
     data_block: BlockBuilder,
-    index_block: BlockBuilder,
     filter_builder: Option<FilterBlockBuilder>,
     /// Set after a data block is cut; the index entry is deferred until the
     /// next key arrives so the separator can be shortened.
     pending_index_entry: Option<BlockHandle>,
     last_key: Vec<u8>,
-    /// One Snappy encoder for every block of the table: its match table
-    /// is allocated once, not once a block.
-    snappy: snap_codec::Encoder,
-    compressed_scratch: Vec<u8>,
-    /// The block being written, framed.
-    framed: Vec<u8>,
     finished: bool,
-    /// Raw (uncompressed) data bytes added, for size stats.
-    raw_data_bytes: u64,
 }
 
 impl TableBuilder {
@@ -75,20 +68,13 @@ impl TableBuilder {
         let filter_builder = options.filter_policy.map(FilterBlockBuilder::new);
         TableBuilder {
             data_block: BlockBuilder::new(RESTART_INTERVAL),
-            // LevelDB uses restart interval 1 for index blocks.
-            index_block: BlockBuilder::new(1),
             options,
-            file,
-            offset: 0,
+            table: TableWriter::new(file),
             num_entries: 0,
             filter_builder,
             pending_index_entry: None,
             last_key: Vec::new(),
-            snappy: snap_codec::Encoder::new(),
-            compressed_scratch: Vec::new(),
-            framed: Vec::new(),
             finished: false,
-            raw_data_bytes: 0,
         }
     }
 
@@ -115,7 +101,7 @@ impl TableBuilder {
         if let Some(handle) = self.pending_index_entry.take() {
             // First key of a new block: index separator between blocks.
             let sep = InternalKeyComparator.find_shortest_separator(&self.last_key, key);
-            self.index_block.add(&sep, &handle.encode());
+            self.table.add_index_entry(&sep, &handle);
         }
 
         if let Some(fb) = &mut self.filter_builder {
@@ -125,7 +111,6 @@ impl TableBuilder {
         self.last_key.clear();
         self.last_key.extend_from_slice(key);
         self.num_entries += 1;
-        self.raw_data_bytes += (key.len() + value.len()) as u64;
         self.data_block.add(key, value);
 
         if self.data_block.current_size_estimate() >= self.options.block_size {
@@ -139,80 +124,32 @@ impl TableBuilder {
         if self.data_block.is_empty() {
             return Ok(());
         }
-        let contents = self.data_block.finish().to_vec();
-        let handle = self.write_framed_block(&contents, self.options.compression)?;
+        let handle = self
+            .table
+            .write_block(self.data_block.finish(), self.options.compression)?;
         self.data_block.reset();
         self.pending_index_entry = Some(handle);
         if let Some(fb) = &mut self.filter_builder {
-            fb.start_block(self.offset);
+            fb.start_block(self.table.offset);
         }
         Ok(())
     }
 
-    /// Writes block contents + trailer, returning its handle.
-    fn write_framed_block(
-        &mut self,
-        contents: &[u8],
-        compression: CompressionType,
-    ) -> Result<BlockHandle> {
-        self.framed.clear();
-        let (_, framed_len) = frame_block_into(
-            contents,
-            compression,
-            &mut self.snappy,
-            &mut self.compressed_scratch,
-            &mut self.framed,
-        );
-        let handle = BlockHandle::new(self.offset, (framed_len - BLOCK_TRAILER_SIZE) as u64);
-        self.file.append(&self.framed)?;
-        self.offset += framed_len as u64;
-        Ok(handle)
-    }
-
-    /// Finalizes the table: filter, metaindex, index blocks and footer.
-    /// Returns the total file size.
+    /// Writes the last data block and index entry, then the tail; returns
+    /// the file size.
     pub fn finish(&mut self) -> Result<u64> {
         if self.finished {
             return Err(Error::InvalidArgument("finish called twice".into()));
         }
         self.flush_data_block()?;
         self.finished = true;
-
-        // Filter metablock (never compressed).
-        let filter_handle = match &mut self.filter_builder {
-            Some(fb) => {
-                let contents = fb.finish().to_vec();
-                Some(self.write_framed_block(&contents, CompressionType::None)?)
-            }
-            None => None,
-        };
-
-        // Metaindex block: maps "filter.<policy name>" to the handle.
-        let mut metaindex = BlockBuilder::new(1);
-        if let (Some(policy), Some(handle)) = (&self.options.filter_policy, filter_handle) {
-            metaindex.add(policy.metaindex_key().as_bytes(), &handle.encode());
-        }
-        let metaindex_contents = metaindex.finish().to_vec();
-        let metaindex_handle =
-            self.write_framed_block(&metaindex_contents, self.options.compression)?;
-
-        // Index block: flush the pending entry with a short successor key.
         if let Some(handle) = self.pending_index_entry.take() {
             let succ = InternalKeyComparator.find_short_successor(&self.last_key);
-            self.index_block.add(&succ, &handle.encode());
+            self.table.add_index_entry(&succ, &handle);
         }
-        let index_contents = self.index_block.finish().to_vec();
-        let index_handle = self.write_framed_block(&index_contents, self.options.compression)?;
-
-        let footer = Footer {
-            metaindex_handle,
-            index_handle,
-        };
-        let footer_bytes = footer.encode();
-        self.file.append(&footer_bytes)?;
-        self.offset += footer_bytes.len() as u64;
-        self.file.flush()?;
-        Ok(self.offset)
+        let filter = (self.options.filter_policy)
+            .zip(self.filter_builder.as_mut().map(FilterBlockBuilder::finish));
+        self.table.finish(filter, self.options.compression)
     }
 
     /// Number of entries added so far.
@@ -222,15 +159,107 @@ impl TableBuilder {
 
     /// Current file size (bytes written, excluding buffered block).
     pub fn file_size(&self) -> u64 {
-        self.offset
-    }
-
-    /// Raw (uncompressed) key+value bytes added.
-    pub fn raw_data_bytes(&self) -> u64 {
-        self.raw_data_bytes
+        self.table.offset
     }
 
     /// Syncs the underlying file.
+    pub fn sync(&mut self) -> Result<()> {
+        self.table.sync()
+    }
+}
+
+/// A table file being written: framed blocks, their index entries, then
+/// the tail. [`TableBuilder`] frames its own blocks; the FCAE host combine
+/// step appends the blocks the device framed.
+pub struct TableWriter {
+    file: Box<dyn WritableFile>,
+    /// Bytes written so far: the offset of the next block.
+    offset: u64,
+    /// LevelDB's index blocks restart at every entry.
+    index_block: BlockBuilder,
+    /// One Snappy encoder for every block of the table: its match table
+    /// is allocated once, not once a block.
+    snappy: snap_codec::Encoder,
+    scratch: Vec<u8>,
+    /// The block being written, framed.
+    framed: Vec<u8>,
+}
+
+impl TableWriter {
+    /// Starts a table at the beginning of `file`.
+    pub fn new(file: Box<dyn WritableFile>) -> Self {
+        TableWriter {
+            file,
+            offset: 0,
+            index_block: BlockBuilder::new(1),
+            snappy: snap_codec::Encoder::new(),
+            scratch: Vec::new(),
+            framed: Vec::new(),
+        }
+    }
+
+    /// Frames `contents` ([`frame_block_into`]) and appends it.
+    fn write_block(
+        &mut self,
+        contents: &[u8],
+        compression: CompressionType,
+    ) -> Result<BlockHandle> {
+        let mut framed = std::mem::take(&mut self.framed);
+        framed.clear();
+        frame_block_into(
+            contents,
+            compression,
+            &mut self.snappy,
+            &mut self.scratch,
+            &mut framed,
+        );
+        let handle = self.append_framed(&framed);
+        self.framed = framed;
+        handle
+    }
+
+    /// Appends a block framed elsewhere (payload and trailer).
+    pub fn append_framed(&mut self, framed: &[u8]) -> Result<BlockHandle> {
+        let handle = BlockHandle::new(self.offset, (framed.len() - BLOCK_TRAILER_SIZE) as u64);
+        self.file.append(framed)?;
+        self.offset += framed.len() as u64;
+        Ok(handle)
+    }
+
+    /// Adds a data block's index entry: `key` is at or past the block's
+    /// last key and before the next block's first.
+    pub fn add_index_entry(&mut self, key: &[u8], handle: &BlockHandle) {
+        self.index_block.add(key, &handle.encode());
+    }
+
+    /// Writes the tail after the data blocks and flushes the file: the
+    /// filter block (never compressed) when there is one, the metaindex
+    /// naming it `filter.<policy>`, the index block and the footer.
+    /// Returns the file size.
+    pub fn finish(
+        &mut self,
+        filter: Option<(BloomFilterPolicy, &[u8])>,
+        compression: CompressionType,
+    ) -> Result<u64> {
+        let mut metaindex = BlockBuilder::new(1);
+        if let Some((policy, contents)) = filter {
+            let handle = self.write_block(contents, CompressionType::None)?;
+            metaindex.add(policy.metaindex_key().as_bytes(), &handle.encode());
+        }
+        let metaindex_handle = self.write_block(metaindex.finish(), compression)?;
+        let index = self.index_block.finish().to_vec();
+        let index_handle = self.write_block(&index, compression)?;
+        let footer = Footer {
+            metaindex_handle,
+            index_handle,
+        };
+        self.file.append(&footer.encode())?;
+        self.offset += FOOTER_ENCODED_LENGTH as u64;
+        self.file.flush()?;
+        Ok(self.offset)
+    }
+
+    /// Syncs the file.
     pub fn sync(&mut self) -> Result<()> {
         self.file.sync()
     }

@@ -81,8 +81,8 @@ fn main() {
         m.cpu_jobs()
     );
     println!(
-        "           CPU fallbacks: {} oversized, {} over-budget, {} over-timeout",
-        m.cpu_fallback_oversized, m.cpu_fallback_budget, m.cpu_fallback_timeout
+        "           CPU fallbacks: {} oversized, {} over-budget",
+        m.cpu_fallback_oversized, m.cpu_fallback_budget
     );
     println!(
         "           {} device faults, all retried on CPU: {}",

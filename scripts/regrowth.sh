@@ -17,6 +17,14 @@ cd "$(dirname "$0")/.."
 # grows back.
 ! grep -rnE 'BasicInputDecoder|LinearComparer|run_kernel_basic|DecoderSource' \
     --include='*.rs' crates tests examples || exit 1
+# One table format: the FCAE host path frames, checks and finishes
+# tables through `sstable`, so no second trailer check or table tail
+# grows back in `fcae`.
+! grep -rnE 'crc32c|decode_fixed32|Footer' --include='*.rs' crates/fcae/src || exit 1
+# Jobs the device can take run on it: no per-job device-time veto grows
+# back in the offload service.
+! grep -rnE '\b(job_timeout|estimated_device_time|cpu_fallback_timeout)\b' \
+    --include='*.rs' crates shims tests examples || exit 1
 # One lock API: parking_lot's shape from `lsm::sync_shim` (or
 # `parking_lot` below `lsm`), never std's poisoning locks or a lock
 # helper. The loom facade in sync_shim.rs and xtask's lint patterns
