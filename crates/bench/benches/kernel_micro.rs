@@ -102,10 +102,10 @@ fn bench_memtable(c: &mut Criterion) {
         );
     });
 
-    // What a kvbench `fill` memtable holds: two shards, filled to the
-    // 4 MiB write buffer's charge.
+    // What a kvbench `fill` memtable holds: filled to the 4 MiB write
+    // buffer's charge.
     let rows = fill_shape_rows();
-    let fresh = || MemTable::with_shards(2);
+    let fresh = || MemTable::new(InternalKeyComparator);
     g.throughput(Throughput::Elements(rows.len() as u64));
     g.bench_function("insert_fill_shape", |b| {
         b.iter_batched(
@@ -142,7 +142,7 @@ fn fill_shape_rows() -> Vec<(Vec<u8>, Vec<u8>)> {
         .generate(1 << 20)
         .to_vec();
     let mut rng = simkit::SplitMix64::new(211);
-    let charged = MemTable::with_shards(2);
+    let charged = MemTable::new(InternalKeyComparator);
     let mut rows = Vec::new();
     while charged.approximate_memory_usage() < 4 << 20 {
         let key = keys.format(rng.next_u64() % 1_350_000);

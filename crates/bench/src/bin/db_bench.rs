@@ -8,8 +8,8 @@
 //!
 //! `--threads N` runs each benchmark with N concurrent client threads
 //! sharing the store (the op count is split across threads), exercising
-//! the parallel write path: sequence reservation, the sharded memtable,
-//! and leader-elected WAL group commit. `--sync` turns on per-write WAL
+//! leader-elected WAL group commit: one leader stamps, logs and applies
+//! each group for its followers. `--sync` turns on per-write WAL
 //! syncs, where group commit amortizes the fsync across writers. The
 //! `ycsb-a` benchmark runs the 50/50 read/update zipfian mix.
 //!

@@ -11,8 +11,8 @@
 //! the standard table reader allocates when it opens a block, never per
 //! pair.
 //!
-//! Single `#[test]` in this binary: the global counter sees every thread,
-//! so parallel tests would pollute the measurement window.
+//! Every window is counted with `CountingAlloc::counting`: the merge runs
+//! on the measuring thread, and only that thread's allocations count.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -113,19 +113,19 @@ fn measure<S: MergeSource>(mut sources: Vec<S>, mut warm: impl FnMut(&[S]) -> bo
     }
 
     // Steady state: every select/read/advance must be allocation-free.
-    let before = ALLOC.allocations();
     let mut kvs = 0u64;
-    while let Some(sel) = comparer.select(&sources) {
-        let s = &mut sources[sel.input_no];
-        checksum = checksum
-            .wrapping_add(s.key().len() as u64)
-            .wrapping_add(s.value().len() as u64);
-        s.advance().unwrap();
-        kvs += 1;
-    }
-    let after = ALLOC.allocations();
+    let allocs = ALLOC.counting(|| {
+        while let Some(sel) = comparer.select(&sources) {
+            let s = &mut sources[sel.input_no];
+            checksum = checksum
+                .wrapping_add(s.key().len() as u64)
+                .wrapping_add(s.value().len() as u64);
+            s.advance().unwrap();
+            kvs += 1;
+        }
+    });
     assert!(checksum > 0);
-    (kvs, after - before)
+    (kvs, allocs)
 }
 
 /// The window over the device decoders. Warm-up runs until every decoder
@@ -181,20 +181,24 @@ fn measure_encoder(with_filter: bool) -> (u64, u64) {
         encoder = encoder.with_filter(BloomFilterPolicy::default());
     }
 
-    let mut before = 0;
-    let mut tables = 0u64;
-    while let Some(sel) = comparer.select(&decoders) {
+    // One merge step: whether it completed a table, `None` at the end.
+    let mut step = || {
+        let sel = comparer.select(&decoders)?;
         let d = &mut decoders[sel.input_no];
-        if !sel.drop && encoder.add(d.key(), d.value()).table_completed {
-            tables += 1;
-            if tables == 2 {
-                before = ALLOC.allocations();
-            }
-        }
+        let completed = !sel.drop && encoder.add(d.key(), d.value()).table_completed;
         d.advance().unwrap();
+        Some(completed)
+    };
+    let mut tables = 0u64;
+    while tables < 2 {
+        tables += u64::from(step().expect("warm-up exhausted input"));
     }
-    let after = ALLOC.allocations();
-    (tables - 2, after - before)
+    let allocs = ALLOC.counting(|| {
+        while let Some(completed) = step() {
+            tables += u64::from(completed);
+        }
+    });
+    (tables - 2, allocs)
 }
 
 #[test]

@@ -116,15 +116,9 @@ impl DbInner {
         let file_number = state.versions.new_file_number();
         state.pending_outputs.insert(file_number);
         let log_number = state.log_file_number;
-        let boundary = state.imm_boundary_seq;
 
         // Long-running build happens outside the lock.
         drop(state);
-        // Rotation barrier: writers that reserved sequences before the
-        // epoch swap may still be applying into this memtable. Once the
-        // boundary sequence is visible, every such group has finished, so
-        // the iteration below sees a complete table.
-        self.ledger.wait_visible(boundary);
         let t0 = self.obs.now_micros();
         let result = write_level0_table(&self.options, &self.dir, file_number, &imm);
         let flush_micros = self.obs.now_micros().saturating_sub(t0);
@@ -220,7 +214,7 @@ impl DbInner {
                     .keys()
                     .next()
                     .copied()
-                    .unwrap_or_else(|| self.ledger.visible());
+                    .unwrap_or_else(|| self.visible());
                 let bottommost = {
                     let v = state.versions.current();
                     ((level + 2)..NUM_LEVELS).all(|l| v.num_files(l) == 0)

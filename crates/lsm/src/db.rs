@@ -47,7 +47,6 @@ use crate::version::{VersionEdit, VersionSet};
 use crate::vlog::VlogRuntime;
 use crate::write::{CommitQueue, WalEpoch};
 use crate::write_batch::WriteBatch;
-use crate::write_path::{ApplyLedger, SeqReserver};
 use crate::{Error, Result};
 
 pub(crate) struct DbState {
@@ -56,11 +55,6 @@ pub(crate) struct DbState {
     /// table and is the copy writers pair with the WAL.
     pub(crate) mem: Arc<MemTable>,
     pub(crate) imm: Option<Arc<MemTable>>,
-    /// Rotation boundary: every sequence `<= imm_boundary_seq` was
-    /// reserved against `imm` (or older tables). The flush waits for this
-    /// sequence to become visible so in-flight writers finish applying
-    /// into the retiring memtable before it is iterated.
-    pub(crate) imm_boundary_seq: u64,
     pub(crate) versions: VersionSet,
     /// Number of the WAL backing the active memtable. `versions.log_number`
     /// lags behind until the immutable memtable is flushed, so the old WAL
@@ -100,16 +94,18 @@ pub(crate) struct DbInner {
     /// The WAL epoch: the log, the memtable it recovers into, and the log
     /// file number swap *together* under this lock, so a group leader
     /// always pairs its WAL append with the matching memtable even while
-    /// a rotation is in flight. Lock order: `state` may be acquired
-    /// before `epoch`, never after.
+    /// a rotation is in flight. Every commit stamps, appends, applies and
+    /// publishes its sequences inside one hold. Lock order: `state` may
+    /// be acquired before `epoch`, never after.
     pub(crate) epoch: Mutex<WalEpoch>,
     /// Writers awaiting group commit behind the current leader.
     pub(crate) commit_queue: Mutex<CommitQueue>,
-    /// Hands out contiguous, disjoint sequence ranges without a lock.
-    pub(crate) reserver: SeqReserver,
-    /// Tracks which reserved ranges have been applied; reads run at
-    /// [`ApplyLedger::visible`], which never exposes a gap.
-    pub(crate) ledger: ApplyLedger,
+    /// The visible sequence: every write at or below it is in a memtable.
+    /// Stored (`Release`) only by [`crate::write::WalEpoch::commit`],
+    /// under `epoch` and after its apply; loaded (`Acquire`) without a
+    /// lock by [`DbInner::visible`], so a reader that sees a sequence
+    /// also sees the view published before it (see [`crate::read_view`]).
+    pub(crate) visible: crate::sync_shim::atomic::AtomicU64,
     /// The sticky background error: empty while the store is writable,
     /// set once by [`DbInner::record_bg_error`], read without any lock.
     pub(crate) bg_error: OnceLock<String>,
@@ -223,7 +219,7 @@ impl Db {
         // Sampled under the state lock so a concurrent compaction cannot
         // capture a smallest-snapshot above this sequence before the
         // registration below lands.
-        let seq = self.inner.ledger.visible();
+        let seq = self.inner.visible();
         *state.snapshots.entry(seq).or_insert(0) += 1;
         Snapshot {
             inner: Arc::clone(&self.inner),
@@ -235,7 +231,7 @@ impl Db {
     /// readable. Leaders hand it to clients as a read-your-writes token;
     /// replicas compare it against tokens to decide wait-or-redirect.
     pub fn visible_sequence(&self) -> u64 {
-        self.inner.ledger.visible()
+        self.inner.visible()
     }
 
     /// Number of files at each level (diagnostic).
@@ -277,10 +273,16 @@ impl Drop for Db {
 }
 
 impl DbInner {
+    /// The visible sequence (the default read snapshot): every write at
+    /// or below it is applied and readable.
+    pub(crate) fn visible(&self) -> u64 {
+        self.visible.load(AtomicOrdering::Acquire)
+    }
+
     /// The view to read through: the memtables and version current when
     /// it was published, pinned for as long as the caller holds it. Takes
     /// no `state` lock. A caller reading at "latest" samples
-    /// `ledger.visible()` *before* this, never after — see
+    /// [`DbInner::visible`] *before* this, never after — see
     /// [`crate::read_view`].
     pub(crate) fn view(&self) -> Arc<ReadView> {
         self.view.load()
@@ -302,9 +304,9 @@ impl DbInner {
     /// The one version install: flush, trivial move and compaction all
     /// make their edit current through here, in this order —
     ///
-    /// 1. fold the visibility watermark into `versions.last_sequence`
-    ///    (reservations bypass the state lock, so the version set's copy
-    ///    lags between manifest writes);
+    /// 1. fold the visible sequence into `versions.last_sequence`
+    ///    (commits bypass the state lock, so the version set's copy lags
+    ///    between manifest writes);
     /// 2. `log_and_apply`: manifest record written and synced, version
     ///    swapped. A failure is a background error named after `what`
     ///    and nothing below runs;
@@ -320,7 +322,7 @@ impl DbInner {
     /// `imm`) does so before calling, so step 3 publishes both at once.
     // LOCK-HELD: db.state -- takes the guarded DbState by &mut.
     pub(crate) fn install(&self, state: &mut DbState, edit: VersionEdit, what: &str) -> Result<()> {
-        state.versions.last_sequence = state.versions.last_sequence.max(self.ledger.visible());
+        state.versions.last_sequence = state.versions.last_sequence.max(self.visible());
         if let Err(e) = state.versions.log_and_apply(edit) {
             self.set_bg_error(state, format!("{what} failed: {e}"));
             return Err(e);
@@ -348,7 +350,7 @@ impl DbInner {
     /// return [`Error::ReadOnly`]), reads keep working. Wakes nobody — a
     /// thread between its `writable()` check and its wait on `work_done`
     /// holds `state`, so the wake-up is [`DbInner::set_bg_error`]'s, or
-    /// [`DbInner::fail_commit`]'s for the commit step.
+    /// [`DbInner::wake_after_commit_error`]'s for the commit step.
     pub(crate) fn record_bg_error(&self, msg: String) {
         if self.bg_error.set(msg.clone()).is_ok() {
             self.metrics.bg_error_set.inc();

@@ -44,7 +44,6 @@ mod vlog_gc;
 pub mod wal;
 mod write;
 pub mod write_batch;
-pub mod write_path;
 
 pub use compaction::{
     CompactionEngine, CompactionInput, CompactionOutcome, CompactionRequest, CpuCompactionEngine,
@@ -61,7 +60,6 @@ pub use stats::{set_level_file_gauges, DbStats, LevelCompactionStats};
 pub use vlog_gc::VlogGcReport;
 pub use wal::TailState;
 pub use write_batch::WriteBatch;
-pub use write_path::{ApplyLedger, SeqReserver};
 
 /// Store-level errors.
 #[derive(Debug)]

@@ -1,42 +1,37 @@
-//! In-memory write buffer: a *sharded* arena-backed skiplist over
-//! internal keys (the paper's *MemTable* / *Immutable MemTable*, Fig. 1),
-//! supporting concurrent multi-reader/multi-writer inserts.
+//! In-memory write buffer: an arena-backed skiplist over internal keys
+//! (the paper's *MemTable* / *Immutable MemTable*, Fig. 1).
 //!
-//! Each shard is a safe-Rust skiplist with LevelDB's O(log n)
-//! insert/seek structure, kept in one arena: a node's links are arena
-//! offsets stored just before its key and value, so a search touches one
-//! cache line per node visited and a 4 MiB memtable performs a handful of
-//! large allocations rather than millions of small ones. A user key is routed
-//! to a shard by an FNV-1a hash, so every version of a key lives in one
-//! shard and a point lookup locks exactly one shard. Concurrent writers
-//! on different shards proceed in parallel; writers on the same shard
-//! serialize only against each other — this is the sharded-arena
-//! variant of KVLite's multi-reader/multi-writer memtable, kept entirely
-//! in safe Rust.
+//! The skiplist is safe Rust with LevelDB's O(log n) insert/seek
+//! structure, kept in one arena: a node's links are arena offsets stored
+//! just before its key and value, so a search touches one cache line per
+//! node visited and a 4 MiB memtable performs a handful of large
+//! allocations rather than millions of small ones. One writer at a time
+//! inserts — the group-commit leader, inside the WAL epoch section — and
+//! readers search beside it; the skiplist's one lock (rank
+//! `mem.skiplist 80`, a leaf) serializes the two for one step each.
 //!
 //! Size accounting (`approximate_memory_usage`, the flush trigger) is
 //! atomic so the write path can poll it without any lock.
 //!
-//! Iteration is lazy: [`MemTable::iter`] is a merging iterator over one
-//! cursor per shard. A cursor remembers a node's arena offset — offsets
-//! are stable because nodes are only ever appended — and takes its shard's
-//! lock (rank `mem.shard 80`) for exactly one `seek`/`next`/`prev`
-//! step, copying the entry it lands on into two reused buffers. Nothing
-//! is locked between calls, nothing is copied that the caller does not
-//! step over, and an open iterator pins only the `Arc<MemTable>` itself.
-//! An entry inserted after the iterator was created is found by a later
-//! seek and may or may not be met by `next`/`prev`; readers that need a
-//! frozen view filter by sequence number (`DbIter`), and the flush path
-//! only iterates frozen memtables.
+//! Iteration is lazy: a [`MemTableIter`] remembers a node's arena offset
+//! — offsets are stable because nodes are only ever appended — and takes
+//! the lock for exactly one `seek`/`next`/`prev` step, copying the entry
+//! it lands on into two reused buffers. Nothing is locked between calls,
+//! nothing is copied that the caller does not step over, and an open
+//! iterator pins only the `Arc<MemTable>` itself. An entry inserted after
+//! the iterator was created is found by a later seek and may or may not
+//! be met by `next`/`prev`; readers that need a frozen view filter by
+//! sequence number (`DbIter`), and the flush path only iterates frozen
+//! memtables.
 
 use std::cmp::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::{
     append_internal_key, parse_internal_key, LookupKey, SequenceNumber, ValueType,
 };
-use sstable::iterator::{InternalIterator, MergingIterator};
+use sstable::iterator::InternalIterator;
 
 use crate::sync_shim::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use crate::sync_shim::Mutex;
@@ -44,23 +39,6 @@ use crate::sync_shim::Mutex;
 const MAX_HEIGHT: usize = 12;
 /// Branching factor 4, as in LevelDB.
 const BRANCHING: u32 = 4;
-
-/// Default shard count for the concurrent memtable (see
-/// [`crate::Options::memtable_shards`]): one per core the process may
-/// run on, at most 8. A shard exists so two inserts can run at the same
-/// instant, and no more can than there are cores, while every iterator,
-/// flush and recovery pays a seek and a merge slot per shard.
-pub fn default_memtable_shards() -> usize {
-    static SHARDS: OnceLock<usize> = OnceLock::new();
-    *SHARDS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .clamp(1, 8)
-    })
-}
-/// Shard counts are clamped to this (routing uses a 64-bit hash, so more
-/// shards buy nothing but per-shard overhead).
-pub const MAX_MEMTABLE_SHARDS: usize = 64;
 
 /// Outcome of a memtable point lookup.
 #[derive(Debug, PartialEq, Eq)]
@@ -79,7 +57,7 @@ pub enum MemGet {
 /// flushes cut tables, at the same entries as then.
 const NODE_CHARGE: usize = 64;
 
-/// One shard: a single-writer skiplist whose nodes live in one arena,
+/// The skiplist: its nodes live in one arena,
 /// each laid out as `[height u8][next u32 × height][key_len u32]
 /// [value_len u32][internal key][value]`, links highest level first. A
 /// node is named by the arena offset of its `key_len`: its key is read
@@ -91,20 +69,19 @@ struct Core {
     /// The head sentinel's links.
     head: [u32; MAX_HEIGHT],
     max_height: usize,
-    /// Cheap xorshift state for height selection (deterministic per
-    /// shard given its insert order).
+    /// Cheap xorshift state for height selection (deterministic given
+    /// the insert order).
     rng_state: u32,
 }
 
 impl Core {
-    fn new(shard_index: usize) -> Self {
+    fn new() -> Self {
         Core {
             arena: Vec::with_capacity(1 << 16),
             head: [0; MAX_HEIGHT],
             max_height: 1,
-            // Distinct deterministic seed per shard (must be nonzero for
-            // xorshift).
-            rng_state: (0xdead_beef ^ (shard_index as u32).wrapping_mul(0x9e37_79b9)) | 1,
+            // Any nonzero seed works for xorshift.
+            rng_state: 0xdead_beef,
         }
     }
 
@@ -222,7 +199,7 @@ impl Core {
         key_len + value.len() + NODE_CHARGE
     }
 
-    /// Last node of the shard (0 if empty); LevelDB's `FindLast`.
+    /// Last node (0 if empty); LevelDB's `FindLast`.
     fn find_last(&self) -> u32 {
         let mut x = 0u32; // head
         for level in (0..self.max_height).rev() {
@@ -238,9 +215,9 @@ impl Core {
     }
 }
 
-/// The concurrent memtable: N independently locked skiplist shards.
+/// The memtable: one skiplist under one lock.
 pub struct MemTable {
-    shards: Box<[Mutex<Core>]>,
+    core: Mutex<Core>,
     /// Approximate memory usage (keys + values + [`NODE_CHARGE`] each), readable
     /// lock-free (drives the flush trigger on the write fast path).
     approx_bytes: AtomicUsize,
@@ -248,38 +225,14 @@ pub struct MemTable {
 }
 
 impl MemTable {
-    /// Creates an empty memtable with the default shard count. Its keys
-    /// are in the store's one order, which the argument only names.
+    /// Creates an empty memtable. Its keys are in the store's one order,
+    /// which the argument only names.
     pub fn new(_order: InternalKeyComparator) -> Self {
-        Self::with_shards(default_memtable_shards())
-    }
-
-    /// Creates an empty memtable with `shards` skiplist shards (clamped
-    /// to `1..=`[`MAX_MEMTABLE_SHARDS`]). One shard reproduces the old
-    /// single-skiplist layout (all writers serialize on it).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.clamp(1, MAX_MEMTABLE_SHARDS);
         MemTable {
-            shards: (0..n).map(|i| Mutex::new(Core::new(i))).collect(),
+            core: Mutex::new(Core::new()),
             approx_bytes: AtomicUsize::new(0),
             entries: AtomicUsize::new(0),
         }
-    }
-
-    /// Number of skiplist shards (the clamped construction argument).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard a user key routes to (FNV-1a; every version of a user
-    /// key lands in the same shard).
-    fn shard_for(&self, user_key: &[u8]) -> &Mutex<Core> {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in user_key {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
     /// Approximate bytes used (drives the flush trigger). Lock-free.
@@ -298,11 +251,11 @@ impl MemTable {
     }
 
     /// Inserts an entry. Internal keys are unique because sequence
-    /// numbers are unique, so no overwrite case exists. `&self`:
-    /// concurrent writers are legal and serialize only per shard.
+    /// numbers are unique, so no overwrite case exists. `&self`: readers
+    /// may search while it runs.
     pub fn add(&self, seq: SequenceNumber, value_type: ValueType, user_key: &[u8], value: &[u8]) {
         let charged = {
-            let mut core = self.shard_for(user_key).lock(); // LOCK-ORDER: mem.shard 80
+            let mut core = self.core.lock(); // LOCK-ORDER: mem.skiplist 80
             let height = core.random_height();
             core.add(height, seq, value_type, user_key, value)
         };
@@ -310,10 +263,9 @@ impl MemTable {
         self.approx_bytes.fetch_add(charged, AtomicOrdering::AcqRel);
     }
 
-    /// Point lookup at the snapshot encoded in `lookup`. Locks exactly
-    /// the shard owning the user key.
+    /// Point lookup at the snapshot encoded in `lookup`.
     pub fn get(&self, lookup: &LookupKey) -> MemGet {
-        let core = self.shard_for(lookup.user_key()).lock(); // LOCK-ORDER: mem.shard 80
+        let core = self.core.lock(); // LOCK-ORDER: mem.skiplist 80
         let idx = core.find_greater_or_equal(lookup.internal_key());
         if idx == 0 {
             return MemGet::NotFound;
@@ -331,31 +283,22 @@ impl MemTable {
         }
     }
 
-    /// Creates a lazy iterator over internal keys: a merge of one
-    /// [`ShardCursor`] per shard (internal keys are unique, so the merge
-    /// never sees a tie). It pins this memtable and holds no lock
-    /// between calls; see the module header for what concurrent inserts
-    /// it observes.
-    pub fn iter(self: &Arc<Self>) -> MergingIterator {
-        let cursors = (0..self.shards.len())
-            .map(|shard| {
-                Box::new(ShardCursor {
-                    mem: Arc::clone(self),
-                    shard,
-                    node: 0,
-                    key: Vec::new(),
-                    value: Vec::new(),
-                }) as Box<dyn InternalIterator>
-            })
-            .collect();
-        MergingIterator::new(cursors)
+    /// Creates a lazy iterator over internal keys. It pins this memtable
+    /// and holds no lock between calls; see the module header for what
+    /// concurrent inserts it observes.
+    pub fn iter(self: &Arc<Self>) -> MemTableIter {
+        MemTableIter {
+            mem: Arc::clone(self),
+            node: 0,
+            key: Vec::new(),
+            value: Vec::new(),
+        }
     }
 }
 
-/// A seekable cursor over one shard's skiplist.
-struct ShardCursor {
+/// A seekable cursor over a memtable's skiplist.
+pub struct MemTableIter {
     mem: Arc<MemTable>,
-    shard: usize,
     /// Arena offset of the current node; 0 (never a node) means invalid.
     node: u32,
     /// Copies of the current entry, so `key()`/`value()` need no lock.
@@ -363,12 +306,12 @@ struct ShardCursor {
     value: Vec<u8>,
 }
 
-impl ShardCursor {
-    /// Runs one positioning step under the shard lock — `step` picks
-    /// the new node from the shard and the cursor's current state — and
-    /// copies the entry it lands on out of the arena.
-    fn reposition(&mut self, step: impl FnOnce(&Core, &ShardCursor) -> u32) {
-        let core = self.mem.shards[self.shard].lock(); // LOCK-ORDER: mem.shard 80
+impl MemTableIter {
+    /// Runs one positioning step under the skiplist lock — `step` picks
+    /// the new node from the skiplist and the cursor's current state —
+    /// and copies the entry it lands on out of the arena.
+    fn reposition(&mut self, step: impl FnOnce(&Core, &MemTableIter) -> u32) {
+        let core = self.mem.core.lock(); // LOCK-ORDER: mem.skiplist 80
         self.node = step(&core, self);
         self.key.clear();
         self.value.clear();
@@ -379,7 +322,7 @@ impl ShardCursor {
     }
 }
 
-impl InternalIterator for ShardCursor {
+impl InternalIterator for MemTableIter {
     fn valid(&self) -> bool {
         self.node != 0
     }
@@ -533,7 +476,7 @@ mod tests {
         assert_eq!(parse_internal_key(it.key()).unwrap().user_key, b"key098");
     }
 
-    /// The iterator reads the shards when it is stepped, not when it is
+    /// The iterator reads the skiplist when it is stepped, not when it is
     /// created: an entry added in between is found by a later seek.
     #[test]
     fn iterator_is_lazy() {
@@ -599,25 +542,25 @@ mod tests {
     /// reallocated under them: links are offsets, not addresses.
     #[test]
     fn nodes_of_every_height_survive_arena_growth() {
-        let m = Arc::new(MemTable::with_shards(1));
-        let shard = &m.shards[0];
-        let initial = shard.lock().arena.capacity();
+        let m = memtable();
+        let skiplist = &m.core;
+        let initial = skiplist.lock().arena.capacity();
         // (user key, value, height), in insert order.
         let mut inserted: Vec<(Vec<u8>, Vec<u8>, usize)> = Vec::new();
-        while shard.lock().arena.capacity() == initial {
+        while skiplist.lock().arena.capacity() == initial {
             for height in 1..=MAX_HEIGHT {
                 for value_len in [0, 1024] {
                     let n = inserted.len() as u64;
                     // Distinct and out of order: n ↦ n·k mod a prime.
                     let key = format!("{:010}", n * 2_654_435_761 % 4_294_967_311).into_bytes();
                     let value = vec![n as u8; value_len];
-                    let mut core = shard.lock();
+                    let mut core = skiplist.lock();
                     core.add(height, n + 1, ValueType::Value, &key, &value);
                     inserted.push((key, value, height));
                 }
             }
         }
-        let core = shard.lock();
+        let core = skiplist.lock();
 
         // The arena walked in insert order, node by node.
         let mut at = 0;
@@ -689,23 +632,31 @@ mod tests {
         assert_eq!(backward, expected);
     }
 
+    /// The same `(key, seq)` set inserted in scrambled and in key order
+    /// yields the same walk: the skiplist's contents do not depend on
+    /// arrival order, as the memtable's did not when it was sharded.
     #[test]
     fn one_shard_matches_sharded_contents() {
-        let sharded = Arc::new(MemTable::with_shards(8));
-        let single = Arc::new(MemTable::with_shards(1));
-        for i in 0..500u64 {
-            let k = format!("k{:04}", (i * 37) % 500);
-            sharded.add(i + 1, ValueType::Value, k.as_bytes(), b"v");
-            single.add(i + 1, ValueType::Value, k.as_bytes(), b"v");
+        let scrambled = memtable();
+        let sorted = memtable();
+        let mut inserts: Vec<(u64, String)> = (0..500u64)
+            .map(|i| (i + 1, format!("k{:04}", (i * 37) % 500)))
+            .collect();
+        for (seq, k) in &inserts {
+            scrambled.add(*seq, ValueType::Value, k.as_bytes(), b"v");
         }
-        assert_eq!(entries(&sharded), entries(&single));
-        assert_eq!(sharded.len(), single.len());
+        inserts.sort_by(|a, b| a.1.cmp(&b.1));
+        for (seq, k) in &inserts {
+            sorted.add(*seq, ValueType::Value, k.as_bytes(), b"v");
+        }
+        assert_eq!(entries(&scrambled), entries(&sorted));
+        assert_eq!(scrambled.len(), sorted.len());
     }
 
     /// Multi-writer stress: concurrent inserts from several threads must
     /// all land, stay sorted, and serve concurrent point reads. Under
-    /// `--cfg loom` the shard locks cross scheduling points; under the
-    /// TSan CI job this is the data-race probe for the sharded memtable.
+    /// `--cfg loom` the skiplist lock crosses scheduling points; under the
+    /// TSan CI job this is the data-race probe for the memtable.
     #[test]
     fn concurrent_writers_and_readers() {
         const WRITERS: u64 = 4;
@@ -716,7 +667,8 @@ mod tests {
                 let m = &m;
                 s.spawn(move || {
                     for i in 0..PER_WRITER {
-                        // Interleave key ranges so threads collide on shards.
+                        // Interleave key ranges so inserts land between
+                        // other threads' keys.
                         let key = format!("key{:06}", i * WRITERS + w);
                         let seq = w * PER_WRITER + i + 1;
                         m.add(seq, ValueType::Value, key.as_bytes(), key.as_bytes());

@@ -7,6 +7,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, OnceLock};
 
+use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::{LookupKey, ValueType};
 
 use crate::background::background_thread;
@@ -25,7 +26,6 @@ use crate::vlog::{self, VlogRuntime};
 use crate::wal::{LogReader, LogWriter};
 use crate::write::{CommitQueue, WalEpoch};
 use crate::write_batch::{BatchOp, WriteBatch};
-use crate::write_path::{ApplyLedger, SeqReserver};
 use crate::{Error, Result};
 
 impl Db {
@@ -77,7 +77,7 @@ impl Db {
         };
 
         // Replay WALs newer than the recovered log number.
-        let mut mem = MemTable::with_shards(options.memtable_shards);
+        let mut mem = MemTable::new(InternalKeyComparator);
         if existed {
             versions.last_sequence =
                 replay_wals(&options, &dir, &versions, vlog_rt.as_deref(), &mem)?;
@@ -102,7 +102,7 @@ impl Db {
         };
         if !mem.is_empty() {
             let file_number = versions.new_file_number();
-            let imm = std::mem::replace(&mut mem, MemTable::with_shards(options.memtable_shards));
+            let imm = std::mem::replace(&mut mem, MemTable::new(InternalKeyComparator));
             if let Some(meta) = write_level0_table(&options, &dir, file_number, &Arc::new(imm))? {
                 edit.new_files.push((0, meta));
             }
@@ -115,9 +115,6 @@ impl Db {
         versions.log_and_apply(edit)?;
 
         let metrics = DbMetrics::new(&obs.registry);
-        obs.registry
-            .gauge("lsm.memtable.shards")
-            .set(mem.shard_count() as u64);
         let tables = TableOpener::new(dir.clone(), options.clone(), Arc::clone(&obs.trace));
         let last_sequence = versions.last_sequence;
         let l0_files = versions.current().num_files(0);
@@ -138,7 +135,6 @@ impl Db {
             state: Mutex::new(DbState {
                 mem: Arc::clone(&mem),
                 imm: None,
-                imm_boundary_seq: 0,
                 versions,
                 log_file_number: log_number,
                 offloads_in_flight: 0,
@@ -151,8 +147,7 @@ impl Db {
             }),
             epoch: Mutex::new(WalEpoch { wal: log, mem }),
             commit_queue: Mutex::new(CommitQueue::default()),
-            reserver: SeqReserver::new(last_sequence),
-            ledger: ApplyLedger::new(last_sequence),
+            visible: crate::sync_shim::atomic::AtomicU64::new(last_sequence),
             bg_error: OnceLock::new(),
             l0_hint: AtomicUsize::new(l0_files),
             active_mem_bytes: AtomicUsize::new(0),

@@ -47,13 +47,6 @@ pub struct Options {
     /// writers can raise this so more acks ride one sync; set it to 1 to
     /// effectively disable grouping.
     pub max_group_commit_bytes: usize,
-    /// Skiplist shard count for the concurrent memtable. Concurrent
-    /// writers serialize only per shard, so more shards admit more
-    /// parallel inserts; one shard reproduces the old single-writer
-    /// layout. Defaults to
-    /// [`crate::memtable::default_memtable_shards`] (one per core, at
-    /// most 8); clamped to `1..=`[`crate::memtable::MAX_MEMTABLE_SHARDS`].
-    pub memtable_shards: usize,
     /// Pre-built data-block cache shared across *stores*. A sharded
     /// serving layer passes the same `Arc` to every shard's `Options` so
     /// N shards share one cache budget instead of N private caches. When
@@ -100,7 +93,6 @@ impl Default for Options {
             block_cache_bytes: Some(8 << 20),
             sync_writes: false,
             max_group_commit_bytes: 1 << 20,
-            memtable_shards: crate::memtable::default_memtable_shards(),
             shared_block_cache: None,
             env: Arc::new(StdEnv),
             slowdown_sleep: true,

@@ -44,10 +44,10 @@ impl Db {
 
     fn get_with_inner(&self, key: &[u8], opts: ReadOptions) -> Result<Option<Vec<u8>>> {
         let inner = &self.inner;
-        // Reads run at the *visible* sequence — the watermark below which
-        // every reserved write has been applied — so a concurrent group
-        // commit can never expose a batch prefix or a sequence gap.
-        let seq = opts.snapshot.unwrap_or_else(|| inner.ledger.visible());
+        // Reads run at the *visible* sequence, which a group commit
+        // stores only once its whole group is applied, so a concurrent
+        // commit can never expose a batch prefix.
+        let seq = opts.snapshot.unwrap_or_else(|| inner.visible());
         let Some(stored) = inner.get_stored(key, seq)? else {
             return Ok(None);
         };
@@ -63,7 +63,7 @@ impl Db {
             // new copy. Snapshot reads never race this way: GC defers
             // segment removal while any snapshot is registered.
             Err(Error::Corruption(_)) if opts.snapshot.is_none() => {
-                match inner.get_stored(key, inner.ledger.visible())? {
+                match inner.get_stored(key, inner.visible())? {
                     Some(stored) => v.resolve(&stored).map(Some),
                     None => Ok(None),
                 }
@@ -74,10 +74,10 @@ impl Db {
 
     /// Creates a streaming iterator over the live contents of the store,
     /// frozen at the current (or a snapshot) sequence. The iterator pins
-    /// the memtables and version it was opened on and takes a memtable
-    /// shard lock only per step, so writes proceed concurrently.
+    /// the memtables and version it was opened on and takes a memtable's
+    /// lock only per step, so writes proceed concurrently.
     pub fn iter_with(&self, opts: ReadOptions) -> Result<crate::db_iter::DbIter> {
-        let seq = opts.snapshot.unwrap_or_else(|| self.inner.ledger.visible());
+        let seq = opts.snapshot.unwrap_or_else(|| self.inner.visible());
         let view = self.inner.view();
         // No lower than the compaction horizon: see `crate::read_view`.
         let seq = seq.max(view.horizon);
@@ -191,8 +191,8 @@ impl DbInner {
     /// Lookup against one view, at `seq` or the view's compaction
     /// horizon, whichever is later (see [`crate::read_view`]). The
     /// value-log GC calls this while holding the state and epoch locks;
-    /// no lock is taken inside but a memtable shard's, which ranks above
-    /// both.
+    /// no lock is taken inside but a memtable's skiplist lock, which
+    /// ranks above both.
     pub(crate) fn get_stored_in(
         &self,
         key: &[u8],

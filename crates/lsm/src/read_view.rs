@@ -12,14 +12,15 @@
 //! touches `db.state` (RocksDB's SuperVersion).
 //!
 //! **Order against the write path.** A reader samples the visible
-//! sequence *first* and loads the view *second*. Rotation publishes the
-//! view that names the fresh memtable inside the WAL epoch section,
-//! before the epoch lock is released — no group can reserve a sequence
-//! against the fresh memtable until then. So a sequence the reader
-//! sampled was either applied into a memtable the loaded view names, or
-//! that memtable was flushed and the view names the table it became (a
-//! flush publishes table and dropped `imm` together). The loom model
-//! below checks the first half on the primitives production runs.
+//! sequence *first* and loads the view *second*. A commit applies and
+//! publishes its sequences inside one WAL epoch section, and rotation
+//! publishes the view that names the fresh memtable inside its own,
+//! before the epoch lock is released — no group can commit into the
+//! fresh memtable until then. So a sequence the reader sampled was
+//! either applied into a memtable the loaded view names, or that
+//! memtable was flushed and the view names the table it became (a flush
+//! publishes table and dropped `imm` together). The loom model below
+//! checks the first half on the primitives production runs.
 //!
 //! **The compaction horizon.** The same order lets the loaded view be
 //! newer than the sampled sequence: a compaction picked after the sample
@@ -94,17 +95,19 @@ impl ViewCell {
 }
 
 /// Loom model of publish-at-rotation against a reader, run under
-/// `RUSTFLAGS="--cfg loom"` beside the write-path models.
+/// `RUSTFLAGS="--cfg loom"` beside the commit-queue model in
+/// [`crate::write`].
 #[cfg(all(loom, test))]
 mod loom_models {
     use super::*;
-    use crate::write_path::{ApplyLedger, SeqReserver};
+    use crate::sync_shim::atomic::{AtomicU64, Ordering};
+    use sstable::comparator::InternalKeyComparator;
     use sstable::ikey::{LookupKey, ValueType};
 
     use crate::memtable::MemGet;
 
     fn memtable() -> Arc<MemTable> {
-        Arc::new(MemTable::with_shards(1))
+        Arc::new(MemTable::new(InternalKeyComparator))
     }
 
     fn holds(mem: &MemTable, seq: u64) -> bool {
@@ -115,22 +118,23 @@ mod loom_models {
         )
     }
 
-    /// Two writers commit single-sequence groups through the epoch lock
-    /// while a rotator swaps the memtable and publishes the new view
-    /// inside the epoch section, as `rotate_memtable` does. A reader
-    /// samples `ledger.visible()` and *then* loads the view: every
-    /// sequence at or below the sample must be in a memtable that view
-    /// names. (Publishing after the epoch lock is released fails this
-    /// model: a write lands in the fresh memtable and becomes visible
-    /// while the cell still names only the old one.)
+    /// Two writers commit single-sequence groups as `WalEpoch::commit`
+    /// does — stamp from the visible sequence, apply, store the new
+    /// visible sequence, all under the epoch lock — while a rotator swaps
+    /// the memtable and publishes the new view inside the epoch section,
+    /// as `rotate_memtable` does. A reader samples the visible sequence
+    /// and *then* loads the view: every sequence at or below the sample
+    /// must be in a memtable that view names. (Publishing after the epoch
+    /// lock is released fails this model: a write lands in the fresh
+    /// memtable and becomes visible while the cell still names only the
+    /// old one.)
     #[test]
     fn loaded_view_holds_every_visible_sequence() {
         struct Epoch {
             mem: Arc<MemTable>,
         }
         loom::model(|| {
-            let reserver = Arc::new(SeqReserver::new(0));
-            let ledger = Arc::new(ApplyLedger::new(0));
+            let visible = Arc::new(AtomicU64::new(0));
             let first = memtable();
             let epoch = Arc::new(Mutex::new(Epoch {
                 mem: Arc::clone(&first),
@@ -144,20 +148,13 @@ mod loom_models {
 
             let writers: Vec<_> = (0..2)
                 .map(|_| {
-                    let (reserver, ledger, epoch) = (
-                        Arc::clone(&reserver),
-                        Arc::clone(&ledger),
-                        Arc::clone(&epoch),
-                    );
+                    let (visible, epoch) = (Arc::clone(&visible), Arc::clone(&epoch));
                     loom::thread::spawn(move || {
-                        let (seq, group, mem) = {
-                            let ep = epoch.lock();
-                            let seq = reserver.reserve(1);
-                            let group = ledger.register(seq, 1);
-                            (seq, group, Arc::clone(&ep.mem))
-                        };
-                        mem.add(seq, ValueType::Value, format!("k{seq}").as_bytes(), b"v");
-                        ledger.finish_members(group, 1);
+                        let ep = epoch.lock();
+                        let seq = visible.load(Ordering::Acquire) + 1;
+                        ep.mem
+                            .add(seq, ValueType::Value, format!("k{seq}").as_bytes(), b"v");
+                        visible.store(seq, Ordering::Release);
                     })
                 })
                 .collect();
@@ -176,10 +173,12 @@ mod loom_models {
                 })
             };
             let reader = {
-                let (ledger, cell) = (Arc::clone(&ledger), Arc::clone(&cell));
+                let (visible, cell) = (Arc::clone(&visible), Arc::clone(&cell));
                 loom::thread::spawn(move || {
-                    for _ in 0..3 {
-                        let visible = ledger.visible();
+                    // Eight samples: enough that the schedule perturber
+                    // lands one inside a rotation's swap-to-publish window.
+                    for _ in 0..8 {
+                        let visible = visible.load(Ordering::Acquire);
                         let view = cell.load();
                         for seq in 1..=visible {
                             assert!(
@@ -196,6 +195,7 @@ mod loom_models {
             }
             rotator.join().unwrap();
             reader.join().unwrap();
+            assert_eq!(visible.load(Ordering::Acquire), 2);
         });
     }
 }

@@ -36,7 +36,6 @@ use crate::db::Db;
 use crate::filename::{log_file_name, parse_file_name, FileType};
 use crate::vlog::{self, VlogRuntime};
 use crate::wal::LogReader;
-use crate::write::{apply_batch, Committed};
 use crate::write_batch::{BatchOp, WriteBatch};
 use crate::{Error, Result};
 
@@ -57,7 +56,7 @@ pub struct WalCursor {
 pub struct ReplRecord {
     /// `WriteBatch` wire bytes (raw values, leader-stamped sequences).
     pub data: Vec<u8>,
-    /// The last sequence number the leader reserved for this record's
+    /// The last sequence number the leader stamped for this record's
     /// batch — acks and read-your-writes tokens are phrased in it. May
     /// exceed the rebuilt batch's own count when stale-pointer ops were
     /// skipped.
@@ -408,14 +407,13 @@ impl Db {
     }
 
     /// Applies one record from a leader's replication stream — the
-    /// replica half of WAL shipping. The record is WAL-appended and
-    /// applied exactly like a local group of one, except the sequence
-    /// range arrives leader-stamped ([`SeqReserver::advance_to`] instead
-    /// of a local reservation), so leader and replica assign identical
-    /// sequences to identical ops and the replica's own recovery path
-    /// replays the shipped history unchanged.
+    /// replica half of WAL shipping. The record is committed exactly like
+    /// a local group of one, except it keeps the leader's sequence stamps,
+    /// so leader and replica assign identical sequences to identical ops
+    /// and the replica's own recovery path replays the shipped history
+    /// unchanged.
     ///
-    /// `last_seq` is the stream-declared end of the record's reserved
+    /// `last_seq` is the stream-declared end of the record's sequence
     /// range; it may exceed the batch's own op count when the leader
     /// skipped GC-shadowed pointer ops while re-inlining. Records at or
     /// below the current visible sequence are duplicates from a cursor
@@ -430,27 +428,25 @@ impl Db {
         let base = batch.sequence();
         let count = u64::from(batch.count());
         let end_seq = last_seq.max(base + count.saturating_sub(1));
-        if end_seq <= inner.ledger.visible() {
-            return Ok(inner.ledger.visible());
+        if end_seq <= inner.visible() {
+            return Ok(inner.visible());
         }
         // Re-run this store's own separation policy over the raw values;
         // the pin guards freshly appended segments against GC until the
         // apply is visible, mirroring `write_inner`.
-        let (batch, _append_pin) = inner.separate(batch)?;
-        let Committed { mem, group, result } = {
+        let (mut batch, _append_pin) = inner.separate(batch)?;
+        let committed = {
             let mut epoch = inner.epoch.lock(); // LOCK-ORDER: db.epoch 20
             inner.writable()?;
-            inner.reserver.advance_to(end_seq);
-            epoch.commit(inner, "wal commit", [batch.data()], sync, end_seq, 1)
+            epoch.commit(
+                inner,
+                "wal commit",
+                &mut batch,
+                &mut [],
+                sync,
+                Some(end_seq),
+            )
         };
-        if let Err(e) = result {
-            inner.fail_commit(group, 1);
-            return Err(e);
-        }
-        apply_batch(&mem, &batch);
-        inner.ledger.finish_members(group, 1);
-        inner.note_occupancy(&mem);
-        inner.ledger.wait_visible(end_seq);
-        Ok(inner.ledger.visible())
+        committed.inspect_err(|_| inner.wake_after_commit_error())
     }
 }

@@ -87,8 +87,8 @@ pub(crate) struct DbMetrics {
     pub(crate) scan_micros: Arc<obs::Histogram>,
     pub(crate) put_micros: Arc<obs::Histogram>,
     pub(crate) group_size: Arc<obs::Histogram>,
-    /// Time from a writer enqueueing to its sequence range being
-    /// reserved — the queueing delay of the parallel write path.
+    /// Time from a writer enqueueing to its group being committed —
+    /// stamped, logged, applied and visible.
     pub(crate) seq_reserve: Arc<obs::Histogram>,
     /// Group commits led / writes that rode another thread's commit.
     pub(crate) write_leader: Arc<obs::Counter>,

@@ -2,10 +2,10 @@
 //!
 //! Every lock in `lsm`, `offload`, `fcae` and `server` comes from here:
 //! the store's big lock (`db.state` with its `work_done` / `bg_work`
-//! condvars), the parallel write path ([`crate::write_path`], the
-//! sharded [`crate::memtable::MemTable`], group commit in
-//! [`crate::write`]), the value log, the read-view cell, the offload
-//! scheduler's slot table and the server's replication state.
+//! condvars), group commit in [`crate::write`], the
+//! [`crate::memtable::MemTable`] skiplist, the value log, the read-view
+//! cell, the offload scheduler's slot table and the server's replication
+//! state.
 //!
 //! There is one lock API, parking_lot's: `m.lock()` returns the guard,
 //! `cv.wait(&mut guard)` and `cv.wait_until(&mut guard, deadline)`

@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use crate::db::{Db, DbInner};
 use crate::vlog::VlogRuntime;
-use crate::write::{apply_batch, Committed};
 use crate::write_batch::WriteBatch;
 use crate::Result;
 
@@ -96,21 +95,18 @@ impl DbInner {
         if !self.state.lock().snapshots.is_empty() {
             return Ok(SegmentGc::Deferred { dead_bytes: 0 });
         }
-        // A pinned segment holds records appended by a write whose WAL
-        // commit is not yet visible. The liveness check below cannot see
-        // such a record (its batch is not applied yet), so it would be
-        // judged dead and the segment removed — and the write would then
-        // commit an acknowledged pointer to a deleted file. Sealed
-        // segments take no new appends, so the pin is guaranteed to
-        // drain; defer until it does.
+        // A pinned segment holds records appended by a write whose commit
+        // is not yet visible. The liveness check below cannot see such a
+        // record (its batch is not applied yet), so it would be judged
+        // dead and the segment removed — and the write would then commit
+        // an acknowledged pointer to a deleted file. Sealed segments take
+        // no new appends, so the pin is guaranteed to drain; defer until
+        // it does. A pin drops only after its write's commit, which
+        // applies and publishes in one epoch section: once drained, every
+        // record's installing write is visible.
         if v.is_pinned(segment) {
             return Ok(SegmentGc::Deferred { dead_bytes: 0 });
         }
-        // Pin-drained means every record's installing sequence has been
-        // *reserved*; waiting for the reservation watermark makes them
-        // *visible*, so the liveness pre-filter below cannot misjudge a
-        // just-installed record whose group is still finishing.
-        self.ledger.wait_visible(self.reserver.last_reserved());
 
         let (records, _seg_len) = v.read_segment(segment)?;
         let mut live_rewritten = 0u64;
@@ -121,8 +117,7 @@ impl DbInner {
             // Lock-free pre-filter: most records in an old segment are
             // dead (overwritten, deleted, or already rewritten); skip
             // them without touching the write path.
-            if self.get_stored(&rec.key, self.ledger.visible())?.as_deref()
-                != Some(old_stored.as_slice())
+            if self.get_stored(&rec.key, self.visible())?.as_deref() != Some(old_stored.as_slice())
             {
                 dead_bytes += rec.encoded_len();
                 continue;
@@ -177,10 +172,10 @@ impl DbInner {
 
     /// Atomically re-points `key` at its rewritten value if and only if
     /// its current stored bytes still equal `old_stored`. Holding the
-    /// epoch lock stops new sequence reservations; waiting for the
-    /// in-flight ones to become visible closes the GC-resurrection race
-    /// where a concurrent writer's newer value would be shadowed by the
-    /// GC copy.
+    /// epoch lock stops every other commit, and every commit publishes
+    /// inside its own epoch section, so the visible sequence read here
+    /// covers every write there is: no concurrent writer's newer value can
+    /// be shadowed by the GC copy.
     fn gc_install_if_current(
         &self,
         key: &[u8],
@@ -191,35 +186,19 @@ impl DbInner {
         self.writable()?;
         // LOCK-ORDER: db.epoch 20
         let mut epoch = self.epoch.lock();
-        // Waits holding `db.state` and `db.epoch`. Between reserving its
-        // range (under `db.epoch`, so before this hold began) and
-        // `ledger.finish_members`, a group takes neither lock — not when
-        // its WAL commit succeeds (apply, finish) and not when it fails
-        // (`fail_commit` finishes first and takes `db.state` after) — so
-        // every range this waits for becomes visible.
-        self.ledger.wait_visible(self.reserver.last_reserved());
-        let seq = self.ledger.visible();
         // The state lock is held, so the published view is what `state`
         // holds right now.
-        let current = self.get_stored_in(key, seq, &self.view())?;
+        let current = self.get_stored_in(key, self.visible(), &self.view())?;
         if current.as_deref() != Some(old_stored) {
             return Ok(false);
         }
         let mut batch = WriteBatch::new();
         batch.put(key, &new_stored);
-        batch.set_sequence(self.reserver.reserve(1));
-        let last_seq = batch.sequence();
-        let records = [batch.data()];
-        let Committed { mem, group, result } =
-            epoch.commit(self, "vlog gc wal append", records, false, last_seq, 1);
-        if let Err(e) = result {
-            // `fail_commit` with `state` already held.
-            self.ledger.finish_members(group, 1);
+        if let Err(e) = epoch.commit(self, "vlog gc wal append", &mut batch, &mut [], false, None) {
+            // `wake_after_commit_error` with `state` already held.
             self.work_done.notify_all();
             return Err(e);
         }
-        apply_batch(&mem, &batch);
-        self.ledger.finish_members(group, 1);
         Ok(true)
     }
 }

@@ -1,6 +1,5 @@
 //! The write path: the commit queue and its group leader, the one WAL
-//! commit step, write stalls, and memtable rotation. Sequence
-//! reservation and the visibility ledger are in [`crate::write_path`].
+//! commit step, write stalls, and memtable rotation.
 //!
 //! One rule for every signal on this path: it goes only to a waiter that
 //! is parked, and a writer never signals itself. A writer that finds no
@@ -12,6 +11,7 @@ use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::ValueType;
 
 use crate::compaction::WritePressure;
@@ -32,25 +32,22 @@ pub(crate) struct WalEpoch {
     pub(crate) mem: Arc<MemTable>,
 }
 
-/// What [`WalEpoch::commit`] hands back.
-pub(crate) struct Committed {
-    /// The memtable the committed batches apply into.
-    pub(crate) mem: Arc<MemTable>,
-    /// The group's id in the apply ledger.
-    pub(crate) group: u64,
-    /// Whether the append (and sync) went through. On `Err` the caller
-    /// owes the group a [`DbInner::fail_commit`].
-    pub(crate) result: Result<()>,
-}
-
 impl WalEpoch {
-    /// The one WAL commit step, shared by a group leader, a replica's
-    /// apply and a value-log GC rewrite. The caller has reserved the
-    /// records' sequence range, ending at `last_seq`, under this same
-    /// epoch lock hold; this appends them to the log, makes them durable
-    /// when `sync` is set, and registers the range with the ledger as one
-    /// group of `members` appliers — so WAL order, sequence order and
-    /// ledger order are one order.
+    /// The one commit step, shared by a group leader, a replica's apply
+    /// and a value-log GC rewrite. `mine` and the `followers`' batches are
+    /// one group; under this epoch lock hold the step
+    ///
+    /// 1. stamps them with consecutive sequences from the visible
+    ///    sequence + 1 — or, for a replica (`replicated_end` set), keeps
+    ///    the leader's stamps, whose range ends at `replicated_end`;
+    /// 2. appends one WAL record per batch, and makes them durable when
+    ///    `sync` is set;
+    /// 3. applies every batch into `self.mem`;
+    /// 4. stores the last sequence as the visible one, and returns it.
+    ///
+    /// WAL order, sequence order, apply order and visibility are thereby
+    /// one order, and a sequence is visible only once it and everything
+    /// below it is in the memtable.
     ///
     /// **Sync order.** The value log syncs *before* the WAL: the value
     /// bytes behind any pointer in these records must be durable before
@@ -63,24 +60,33 @@ impl WalEpoch {
     /// replay as garbage or silently drop acknowledged writes. So the
     /// first failure is sticky, and it sticks *here*, inside the epoch
     /// section: the store is read-only (an error named after `what`)
-    /// before the next committer can take `db.epoch`. The range is
-    /// registered all the same, so the caller can — and must — mark it
-    /// applied ([`DbInner::fail_commit`]): the visibility watermark then
-    /// skips the never-persisted, never-acknowledged range instead of
-    /// wedging every later reader and writer behind it.
+    /// before the next committer can take `db.epoch`. Nothing is applied;
+    /// the visible sequence still moves past the stamped range, which is
+    /// skipped, not left pending — no read can tell, as the range holds
+    /// nothing. The caller, once it has released `db.epoch`, owes the
+    /// threads parked on `work_done` a wake-up
+    /// ([`DbInner::wake_after_commit_error`]).
     // LOCK-HELD: db.epoch -- a method of the guarded value.
-    pub(crate) fn commit<'a>(
+    pub(crate) fn commit(
         &mut self,
         db: &DbInner,
         what: &str,
-        records: impl IntoIterator<Item = &'a [u8]>,
+        mine: &mut WriteBatch,
+        followers: &mut [QueuedWrite],
         sync: bool,
-        last_seq: u64,
-        members: usize,
-    ) -> Committed {
-        let result = (|| {
-            for record in records {
-                self.wal.add_record(record)?;
+        replicated_end: Option<u64>,
+    ) -> Result<u64> {
+        let visible = db.visible();
+        let mut next = visible + 1;
+        if replicated_end.is_none() {
+            for batch in group(mine, followers) {
+                batch.set_sequence(next);
+                next += u64::from(batch.count());
+            }
+        }
+        let appended = (|| {
+            for batch in group(mine, followers) {
+                self.wal.add_record(batch.data())?;
             }
             if sync {
                 if let Some(v) = &db.vlog {
@@ -90,15 +96,27 @@ impl WalEpoch {
             }
             Ok(())
         })();
-        if let Err(e) = &result {
+        let last_seq = replicated_end.unwrap_or(next - 1).max(visible);
+        if let Err(e) = appended {
             db.record_bg_error(format!("{what} failed: {e}"));
+            db.visible.store(last_seq, AtomicOrdering::Release);
+            return Err(e);
         }
-        Committed {
-            mem: Arc::clone(&self.mem),
-            group: db.ledger.register(last_seq, members),
-            result,
+        for batch in group(mine, followers) {
+            apply_batch(&self.mem, batch);
         }
+        db.visible.store(last_seq, AtomicOrdering::Release);
+        db.note_occupancy(&self.mem);
+        Ok(last_seq)
     }
+}
+
+/// A group's batches in commit order: the leader's, then its followers'.
+fn group<'a>(
+    mine: &'a mut WriteBatch,
+    followers: &'a mut [QueuedWrite],
+) -> impl Iterator<Item = &'a mut WriteBatch> {
+    std::iter::once(mine).chain(followers.iter_mut().map(|f| &mut f.write.batch))
 }
 
 /// One write on its way through a group commit.
@@ -120,7 +138,7 @@ pub(crate) struct CommitQueue {
 }
 
 /// A writer parked behind a leader, with the write it brought.
-struct QueuedWrite {
+pub(crate) struct QueuedWrite {
     write: PendingWrite,
     waiter: Arc<WriteWaiter>,
 }
@@ -143,15 +161,8 @@ struct WaiterSlot {
 enum Assignment {
     /// Promoted: lead the next group, starting with the write handed back.
     Lead(PendingWrite),
-    /// The leader committed this member's batch to the WAL, stamped; the
-    /// member applies it into `mem` and then reports to the ledger.
-    Apply {
-        batch: WriteBatch,
-        mem: Arc<MemTable>,
-        group: u64,
-        last_seq: u64,
-    },
-    /// Finished by the leader (error fan-out).
+    /// Finished by the leader: committed, applied and visible, or the
+    /// group's error.
     Done(Result<()>),
 }
 
@@ -187,8 +198,8 @@ impl WriteWaiter {
     }
 }
 
-/// Applies a sequence-stamped batch into the concurrent memtable.
-pub(crate) fn apply_batch(mem: &MemTable, batch: &WriteBatch) {
+/// Applies a sequence-stamped batch into the memtable.
+fn apply_batch(mem: &MemTable, batch: &WriteBatch) {
     // iterate() re-walks framing that was validated when the batch was
     // built, so the Err arm is unreachable; `let _` keeps this panic-free.
     let _ = batch.iterate(|op, seq| match op {
@@ -200,13 +211,12 @@ pub(crate) fn apply_batch(mem: &MemTable, batch: &WriteBatch) {
 impl Db {
     /// Applies a batch atomically, with leader-elected group commit:
     /// whoever finds no leader becomes it, without a hand-off; writers
-    /// arriving behind it enqueue. The leader reserves one contiguous
-    /// sequence range for the whole group, writes every member's batch to
-    /// the WAL in one pass (and one sync), then hands each member its
-    /// stamped batch back. Members apply into the concurrent memtable *in
-    /// parallel* and acknowledge once the group's last sequence is
-    /// visible, so a writer never returns before its own write is
-    /// readable.
+    /// arriving behind it enqueue. The leader stamps the whole group with
+    /// one contiguous sequence range, writes every member's batch to the
+    /// WAL in one pass (and one sync), applies them into the memtable and
+    /// makes the group visible, all in one epoch section; only then does
+    /// it tell each member it is done, so a writer never returns before
+    /// its own write is readable.
     pub fn write(&self, batch: WriteBatch, opts: WriteOptions) -> Result<()> {
         let t0 = self.inner.obs.now_micros();
         let result = self.write_inner(batch, opts, t0);
@@ -226,9 +236,9 @@ impl Db {
         // and applied carries pointers/tagged inline values only.
         // `_append_pin` guards the appended values' segments against GC
         // until this write's commit is visible (it drops when this
-        // function returns, which is after the visibility wait): an
-        // uncommitted append is invisible to GC's liveness check, so an
-        // unpinned segment could be retired out from under the write.
+        // function returns, which is after the commit): an uncommitted
+        // append is invisible to GC's liveness check, so an unpinned
+        // segment could be retired out from under the write.
         let (batch, _append_pin) = inner.separate(batch)?;
         let write = PendingWrite {
             batch,
@@ -255,19 +265,6 @@ impl Db {
         };
         match waiter.wait_assignment() {
             Assignment::Lead(write) => inner.lead_group(write),
-            Assignment::Apply {
-                batch,
-                mem,
-                group,
-                last_seq,
-            } => {
-                apply_batch(&mem, &batch);
-                inner.ledger.finish_members(group, 1);
-                // Ack only once every earlier sequence is applied too:
-                // after this returns, a read at "latest" sees this write.
-                inner.ledger.wait_visible(last_seq);
-                Ok(())
-            }
             Assignment::Done(result) => result,
         }
     }
@@ -309,11 +306,9 @@ impl DbInner {
     /// Leads one group commit, `mine` first. Under the epoch lock the
     /// leader drains the queue (up to the group byte cap) and promotes the
     /// next queued writer so the pipeline never idles — or, when nobody
-    /// is left, gives the lead up to whoever arrives next — then reserves
-    /// the group's sequence range, appends every batch to the WAL (one
-    /// sync covers them all), and registers the group with the apply
-    /// ledger. Members — including the leader — then apply their own
-    /// batches into the shared concurrent memtable in parallel.
+    /// is left, gives the lead up to whoever arrives next — then commits
+    /// the group ([`WalEpoch::commit`]: stamp, append with one sync, apply,
+    /// make visible) and tells every follower it is done.
     fn lead_group(&self, mut mine: PendingWrite) -> Result<()> {
         let max_group_bytes = self.options.max_group_commit_bytes.max(1);
         let mut followers: Vec<QueuedWrite> = Vec::new();
@@ -321,10 +316,10 @@ impl DbInner {
         // A sync commit costs an fsync — orders of magnitude more than
         // an enqueue — so before sealing the group give writers that
         // woke together with this leader (the previous group's members
-        // all become visible at once) a scheduling window to reach the
-        // queue. Without it, lock-step writers alternate groups of 1
-        // and N-1 and half the fsync amortization is lost. Buffered
-        // commits are too cheap to ever be worth waiting for.
+        // all finish at once) a scheduling window to reach the queue.
+        // Without it, lock-step writers alternate groups of 1 and N-1 and
+        // half the fsync amortization is lost. Buffered commits are too
+        // cheap to ever be worth waiting for.
         if mine.sync {
             let mut prev = 0;
             for _ in 0..8 {
@@ -337,11 +332,10 @@ impl DbInner {
             }
         }
 
-        // Epoch section: group collection, sequence reservation, WAL
-        // append, ledger registration. Holding the epoch lock across all
-        // four pins one (WAL, memtable) pair and makes WAL order,
-        // sequence order, and ledger order identical — which is what
-        // recovery and the visibility watermark both rely on. Collecting
+        // Epoch section: group collection and the commit. Holding the
+        // epoch lock across both pins one (WAL, memtable) pair and makes
+        // WAL order, sequence order and apply order identical — which is
+        // what recovery and the visible sequence both rely on. Collecting
         // *inside* the lock is what makes grouping effective: while the
         // previous leader's commit (and fsync) held the lock, followers
         // piled up in the queue, so group size tracks commit latency.
@@ -368,90 +362,57 @@ impl DbInner {
             if let Some(next) = next {
                 next.waiter.assign(Assignment::Lead(next.write));
             }
-            if let Err(e) = self.writable() {
-                // Writes queued behind a sticky background error are
-                // rejected as a group (reads keep working).
-                Err(e)
-            } else {
-                let mut sync = mine.sync;
-                let total = followers
-                    .iter()
-                    .fold(u64::from(mine.batch.count()), |n, f| {
-                        n + u64::from(f.write.batch.count())
-                    });
-                let mut seq = self.reserver.reserve(total);
-                mine.batch.set_sequence(seq);
-                seq += u64::from(mine.batch.count());
-                for f in &mut followers {
-                    sync |= f.write.sync;
-                    f.write.batch.set_sequence(seq);
-                    seq += u64::from(f.write.batch.count());
-                }
-                let last_seq = seq.saturating_sub(1);
-                let records = std::iter::once(mine.batch.data())
-                    .chain(followers.iter().map(|f| f.write.batch.data()));
-                let committed = epoch.commit(
+            // Writes queued behind a sticky background error are rejected
+            // as a group (reads keep working).
+            self.writable().map(|()| {
+                let sync = mine.sync || followers.iter().any(|f| f.write.sync);
+                epoch.commit(
                     self,
                     "wal commit",
-                    records,
+                    &mut mine.batch,
+                    &mut followers,
                     sync,
-                    last_seq,
-                    1 + followers.len(),
-                );
-                Ok((committed, last_seq))
-            }
+                    None,
+                )
+            })
         };
 
-        let members = 1 + followers.len();
-        let fan_out = |followers: Vec<QueuedWrite>, e: Error| -> Result<()> {
-            for f in followers {
-                f.waiter.assign(Assignment::Done(Err(replicate_err(&e))));
-            }
-            Err(e)
-        };
-        let (committed, last_seq) = match committed {
-            Ok(committed) => committed,
+        let members = 1 + followers.len() as u64;
+        let result = match committed {
             Err(e) => {
-                self.metrics.readonly_rejects.add(members as u64);
-                return fan_out(followers, e);
+                self.metrics.readonly_rejects.add(members);
+                Err(e)
+            }
+            Ok(commit) => {
+                let now = self.obs.now_micros();
+                let enqueued = followers.iter().map(|f| f.write.enqueued_micros);
+                for t in std::iter::once(mine.enqueued_micros).chain(enqueued) {
+                    self.metrics.seq_reserve.record(now.saturating_sub(t));
+                }
+                self.metrics.write_leader.inc();
+                self.metrics.write_follower.add(members - 1);
+                self.metrics.group_size.record(members);
+                commit
+                    .map(drop)
+                    .inspect_err(|_| self.wake_after_commit_error())
             }
         };
-        let Committed {
-            mem,
-            group: group_id,
-            result: commit,
-        } = committed;
-
-        let now = self.obs.now_micros();
-        self.metrics.write_leader.inc();
-        self.metrics.write_follower.add(followers.len() as u64);
-        self.metrics.group_size.record(members as u64);
-        let enqueued = followers.iter().map(|f| f.write.enqueued_micros);
-        for t in std::iter::once(mine.enqueued_micros).chain(enqueued) {
-            self.metrics.seq_reserve.record(now.saturating_sub(t));
-        }
-
-        if let Err(e) = commit {
-            self.fail_commit(group_id, members);
-            return fan_out(followers, e);
-        }
-
-        // Hand every follower its stamped batch first, then apply our
-        // own — members insert into disjoint memtable shards in parallel.
         for f in followers {
-            f.waiter.assign(Assignment::Apply {
-                batch: f.write.batch,
-                mem: Arc::clone(&mem),
-                group: group_id,
-                last_seq,
-            });
+            let done = match &result {
+                Ok(()) => Ok(()),
+                Err(e) => Err(replicate_err(e)),
+            };
+            f.waiter.assign(Assignment::Done(done));
         }
-        apply_batch(&mem, &mine.batch);
-        self.ledger.finish_members(group_id, 1);
-
-        self.note_occupancy(&mem);
-        self.ledger.wait_visible(last_seq);
-        Ok(())
+        // The followers just woken trail this leader back to the queue.
+        // A sync leader lets them run first, so that they reach the next
+        // group's window above instead of missing it: without this, four
+        // lock-step sync writers settle into two alternating groups of
+        // two and pay twice the fsyncs.
+        if mine.sync && members > 1 {
+            std::thread::yield_now();
+        }
+        result
     }
 
     /// Refreshes the fast-path room check and the occupancy gauge after
@@ -463,16 +424,13 @@ impl DbInner {
         self.metrics.mem_occupancy.set(occupancy as u64);
     }
 
-    /// The caller's half of [`WalEpoch::commit`]'s failure contract (the
-    /// store is read-only already): the group's `members` are all marked
-    /// applied so the watermark moves past the range nothing will ever
-    /// apply. Called holding nothing — a value-log GC install waits for
-    /// exactly this range to become visible while it holds `db.state` and
-    /// `db.epoch`. `db.state` is taken only afterwards, and only so that
-    /// a thread between its `writable()` check and its wait on `work_done`
-    /// (it holds `state` across both) cannot miss the wake-up.
-    pub(crate) fn fail_commit(&self, group: u64, members: usize) {
-        self.ledger.finish_members(group, members);
+    /// Wakes every thread parked on `work_done` after a failed
+    /// [`WalEpoch::commit`] made the store read-only. The commit records
+    /// the error under `db.epoch`, which ranks below `db.state`; the
+    /// wake-up goes under `db.state`, taken afterwards, so that a thread
+    /// between its `writable()` check and its wait on `work_done` (it
+    /// holds `state` across both) cannot miss it.
+    pub(crate) fn wake_after_commit_error(&self) {
         let _state = self.state.lock(); // LOCK-ORDER: db.state 10
         self.work_done.notify_all();
     }
@@ -565,11 +523,9 @@ impl DbInner {
     }
 
     /// Epoch handoff: swaps in a fresh memtable + WAL. The old memtable
-    /// becomes `imm`; writers already inside a group commit keep applying
-    /// into it through the `Arc` they captured under the epoch lock, and
-    /// the recorded boundary sequence tells the flush how long to wait
-    /// for them. Readers are never blocked — they keep reading whichever
-    /// `Arc`s they captured.
+    /// becomes `imm`, complete: every commit into it ran inside an epoch
+    /// section, and this swap takes the epoch lock. Readers are never
+    /// blocked — they keep reading whichever `Arc`s they captured.
     // LOCK-HELD: db.state via state
     pub(crate) fn rotate_memtable<'a>(
         &'a self,
@@ -584,7 +540,7 @@ impl DbInner {
         // The new WAL's directory entry must survive a power cut or every
         // synced record inside it is unreachable on recovery.
         self.options.env.sync_dir(&self.dir)?;
-        let fresh = Arc::new(MemTable::with_shards(self.options.memtable_shards));
+        let fresh = Arc::new(MemTable::new(InternalKeyComparator));
         {
             // LOCK-ORDER: db.epoch 20
             let mut epoch = self.epoch.lock();
@@ -602,14 +558,10 @@ impl DbInner {
             epoch.wal.sync()?;
             epoch.wal = LogWriter::new(file);
             let old_mem = std::mem::replace(&mut epoch.mem, Arc::clone(&fresh));
-            // Every sequence reserved so far went through the old epoch
-            // (reservation happens under this lock), so `last_reserved` is
-            // exactly the boundary between the two memtables.
-            state.imm_boundary_seq = self.reserver.last_reserved();
             state.imm = Some(old_mem);
             state.mem = fresh;
-            // Still inside the epoch section: no group can reserve a
-            // sequence against `fresh` before readers can find it.
+            // Still inside the epoch section: no group can commit into
+            // `fresh` before readers can find it.
             self.publish_view(&state);
         }
         self.active_mem_bytes.store(0, AtomicOrdering::Relaxed);
@@ -631,8 +583,8 @@ fn replicate_err(e: &Error) -> Error {
 }
 
 /// Loom model of the commit queue on a real store, run under
-/// `RUSTFLAGS="--cfg loom"` beside the ledger models in
-/// [`crate::write_path`].
+/// `RUSTFLAGS="--cfg loom"` beside the read-view model in
+/// [`crate::read_view`].
 #[cfg(all(loom, test))]
 mod loom_models {
     use super::*;

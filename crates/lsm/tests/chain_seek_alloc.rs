@@ -43,7 +43,6 @@ fn a_seek_opens_one_table_of_its_level() {
         write_buffer_size: 64 << 20,
         max_file_size: 8 << 10,
         compression: CompressionType::None,
-        memtable_shards: 8,
         ..Default::default()
     };
     let db = Db::open("/db", options).unwrap();

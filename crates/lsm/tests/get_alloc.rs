@@ -44,7 +44,6 @@ fn store(tables: u32) -> Db {
         env: Arc::new(MemEnv::new()),
         write_buffer_size: 64 << 20,
         block_cache_bytes: Some(64 << 20),
-        memtable_shards: 8,
         ..Default::default()
     };
     let db = Db::open("/db", options).unwrap();

@@ -56,7 +56,6 @@ fn a_get_that_misses_and_evicts_allocates_what_a_hit_does() {
         env: Arc::new(MemEnv::new()),
         write_buffer_size: 64 << 20,
         shared_block_cache: Some(Arc::clone(&cache)),
-        memtable_shards: 8,
         ..Default::default()
     };
     let db = Db::open("/db", options).unwrap();

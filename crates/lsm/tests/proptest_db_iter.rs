@@ -68,9 +68,6 @@ proptest! {
     fn db_iter_matches_btreemap_model(
         ops in ops(),
         probes in proptest::collection::vec(0u8..26, 1..6),
-        // Exercise the sharded memtable's merged-snapshot iteration at
-        // degenerate (1), odd (3), and default-ish (8) shard counts.
-        shards in prop_oneof![Just(1usize), Just(3usize), Just(8usize)],
         // With key-value separation on, values over 12 bytes live in the
         // value log and the iterator dereferences pointers as it walks —
         // the model must not be able to tell the difference.
@@ -85,7 +82,6 @@ proptest! {
             max_file_size: 4 << 10,
             level1_max_bytes: 16 << 10,
             slowdown_sleep: false,
-            memtable_shards: shards,
             value_log_threshold_bytes: if separation { Some(12) } else { None },
             value_log_segment_bytes: 2 << 10,
             ..Default::default()

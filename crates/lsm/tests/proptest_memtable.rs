@@ -2,7 +2,7 @@
 //! reference `BTreeMap` keyed by (user key, reverse sequence) under
 //! arbitrary insert sequences, for point lookups at arbitrary snapshots
 //! and for iteration: full walks, bounded seek-then-walk, and arbitrary
-//! cursor movement (both directions) at 1, 2 and 8 shards.
+//! cursor movement (both directions).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -42,11 +42,6 @@ fn user_key(id: u8) -> Vec<u8> {
     format!("key{id:03}").into_bytes()
 }
 
-/// One shard (all entries in one skiplist), two, and the default eight.
-fn shard_counts() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(1usize), Just(2usize), Just(8usize)]
-}
-
 #[derive(Debug, Clone, Copy)]
 enum Move {
     First,
@@ -70,10 +65,10 @@ fn cursor_move() -> impl Strategy<Value = Move> {
 /// `(internal key, value)` pairs in internal-key order.
 type Model = Vec<(Vec<u8>, Vec<u8>)>;
 
-/// Inserts `ops` (sequence = position + 1) into a memtable with `shards`
-/// shards; returns it with the model of its contents.
-fn build(ops: &[Ins], shards: usize) -> (Arc<MemTable>, Model) {
-    let mem = MemTable::with_shards(shards);
+/// Inserts `ops` (sequence = position + 1) into a memtable; returns it
+/// with the model of its contents.
+fn build(ops: &[Ins]) -> (Arc<MemTable>, Model) {
+    let mem = MemTable::new(InternalKeyComparator);
     let mut model = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         let ty = if op.delete {
@@ -173,9 +168,8 @@ proptest! {
         ops in inserts(),
         lo in 0u8..20,
         span in 1u8..10,
-        shards in shard_counts(),
     ) {
-        let (mem, model) = build(&ops, shards);
+        let (mem, model) = build(&ops);
         let start = user_key(lo);
         let end = user_key(lo.saturating_add(span));
         let mut it = mem.iter();
@@ -202,9 +196,8 @@ proptest! {
     fn cursor_moves_match_model(
         ops in inserts(),
         moves in proptest::collection::vec(cursor_move(), 1..80),
-        shards in shard_counts(),
     ) {
-        let (mem, model) = build(&ops, shards);
+        let (mem, model) = build(&ops);
         let mut it = mem.iter();
         // `model.len()` stands for "not valid".
         let mut pos = model.len();

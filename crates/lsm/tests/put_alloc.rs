@@ -22,8 +22,8 @@ use sstable::env::MemEnv;
 static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
 /// Writes per measurement: enough that a memtable arena or node vector
-/// doubling inside the window (a few per shard over the whole test)
-/// cannot round the per-write count up.
+/// doubling inside the window (a few over the whole test) cannot round
+/// the per-write count up.
 const WRITES: u64 = 1_000;
 
 /// Allocations per write over `WRITES` calls of `write(i)`, rounded down.
@@ -52,7 +52,6 @@ fn an_uncontended_put_allocates_its_batch_and_nothing_else() {
     let options = Options {
         env: Arc::new(MemEnv::new()),
         write_buffer_size: 256 << 20,
-        memtable_shards: 2,
         ..Default::default()
     };
     let db = Db::open("/db", options).unwrap();

@@ -11,9 +11,11 @@
 //! * collecting costs exactly what it keeps — `scan_with` allocates one
 //!   key, one value per pair and the vector that holds them, on top of
 //!   `scan_each`;
-//! * the fixed part only shrinks: 30 for the iterator over an 8-shard
-//!   memtable (34 while every iterator built its own comparator and
-//!   value buffer), so a 10-pair `scan` is 51 where it was 57.
+//! * the fixed part only shrinks: 7 for the iterator over the one
+//!   memtable skiplist (30 while the memtable was eight shards merged
+//!   under one iterator, 34 while every iterator also built its own
+//!   comparator and value buffer), so a 10-pair `scan` is 28 where it
+//!   was 51, and 57 before that.
 //!
 //! The counts are the measuring thread's alone
 //! (`CountingAlloc::counting`): a store's worker thread starting up
@@ -31,14 +33,11 @@ static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
 use lsm::ReadOptions;
 
-/// Opens a store holding `entries` keys, all in its active memtable
-/// (eight shards, whatever the box: the counts below must not depend on
-/// where the test runs).
+/// Opens a store holding `entries` keys, all in its active memtable.
 fn memtable_only_store(entries: u32) -> Db {
     let options = Options {
         env: Arc::new(MemEnv::new()),
         write_buffer_size: 64 << 20,
-        memtable_shards: 8,
         ..Default::default()
     };
     let db = Db::open("/db", options).unwrap();
@@ -99,7 +98,7 @@ fn scan_allocations_do_not_grow_with_the_memtable() {
     each(100);
     let (ten, hundred) = (each(10), each(100));
     assert_eq!(ten, hundred, "scan_each: 10 pairs vs 100");
-    assert_eq!(ten, 30, "the iterator's fixed cost");
+    assert_eq!(ten, 7, "the iterator's fixed cost");
 
     // Collecting: two allocations a pair and one for the vector.
     for limit in [10usize, 100] {
@@ -119,5 +118,5 @@ fn scan_allocations_do_not_grow_with_the_memtable() {
         assert_eq!(outcome.unwrap().pairs.len(), limit);
         assert_eq!(with, ten + 2 * limit as u64 + 1, "scan_with({limit})");
     }
-    assert_eq!(small, 51);
+    assert_eq!(small, 28);
 }

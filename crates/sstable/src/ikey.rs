@@ -135,37 +135,27 @@ pub(crate) fn test_key(user_key: &[u8], seq: SequenceNumber) -> Vec<u8> {
     InternalKey::new(user_key, seq, ValueType::Value).0
 }
 
-/// A seek key usable against both the memtable format (length-prefixed
-/// internal key) and the table format (bare internal key).
-pub struct LookupKey {
-    buf: Vec<u8>,
-    /// Offset where the internal key starts (after the length prefix).
-    ikey_offset: usize,
-}
+/// A point-lookup seek key: `user_key` at a snapshot sequence, encoded
+/// as the internal key that sorts before every version of `user_key`
+/// visible at that snapshot.
+pub struct LookupKey(Vec<u8>);
 
 impl LookupKey {
     /// Builds a lookup key for `user_key` at snapshot `seq`.
     pub fn new(user_key: &[u8], seq: SequenceNumber) -> Self {
-        let mut buf = Vec::with_capacity(user_key.len() + 13);
-        crate::coding::put_varint32(&mut buf, (user_key.len() + 8) as u32);
-        let ikey_offset = buf.len();
+        let mut buf = Vec::with_capacity(user_key.len() + 8);
         append_internal_key(&mut buf, user_key, seq, VALUE_TYPE_FOR_SEEK);
-        LookupKey { buf, ikey_offset }
-    }
-
-    /// Memtable format: varint length + internal key.
-    pub fn memtable_key(&self) -> &[u8] {
-        &self.buf
+        LookupKey(buf)
     }
 
     /// Bare internal key.
     pub fn internal_key(&self) -> &[u8] {
-        &self.buf[self.ikey_offset..]
+        &self.0
     }
 
     /// User-key portion only.
     pub fn user_key(&self) -> &[u8] {
-        &self.buf[self.ikey_offset..self.buf.len() - 8]
+        extract_user_key(&self.0)
     }
 }
 
@@ -211,9 +201,5 @@ mod tests {
         let p = parse_internal_key(lk.internal_key()).unwrap();
         assert_eq!(p.sequence, 77);
         assert_eq!(p.value_type, VALUE_TYPE_FOR_SEEK);
-        // memtable key = varint len + internal key
-        let (len, n) = crate::coding::get_varint32(lk.memtable_key()).unwrap();
-        assert_eq!(len as usize, lk.internal_key().len());
-        assert_eq!(&lk.memtable_key()[n..], lk.internal_key());
     }
 }

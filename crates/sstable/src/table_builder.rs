@@ -183,6 +183,8 @@ pub struct TableWriter {
     scratch: Vec<u8>,
     /// The block being written, framed.
     framed: Vec<u8>,
+    /// The index entry being added: a data block's encoded handle.
+    handle: Vec<u8>,
 }
 
 impl TableWriter {
@@ -195,6 +197,7 @@ impl TableWriter {
             snappy: snap_codec::Encoder::new(),
             scratch: Vec::new(),
             framed: Vec::new(),
+            handle: Vec::with_capacity(BlockHandle::MAX_ENCODED_LENGTH),
         }
     }
 
@@ -229,7 +232,9 @@ impl TableWriter {
     /// Adds a data block's index entry: `key` is at or past the block's
     /// last key and before the next block's first.
     pub fn add_index_entry(&mut self, key: &[u8], handle: &BlockHandle) {
-        self.index_block.add(key, &handle.encode());
+        self.handle.clear();
+        handle.encode_to(&mut self.handle);
+        self.index_block.add(key, &self.handle);
     }
 
     /// Writes the tail after the data blocks and flushes the file: the

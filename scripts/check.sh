@@ -17,7 +17,8 @@ cargo xtask lint
 # sync-before-rename, metrics-drift.
 cargo xtask analyze
 # Regrowth rules: async, table knobs, a second kernel decoder or
-# comparer, std locks, and source files over 1,200 lines stay out.
+# comparer, a second applier, std locks, and source files over 1,200
+# lines stay out.
 scripts/regrowth.sh
 # Every binary and script the docs, CI and this file name must exist.
 scripts/doc_commands.sh
@@ -99,9 +100,9 @@ POWER_CUT_SEED_BASE=100 cargo test -q -p server --test replication_sigkill
 scripts/server_smoke.sh
 cargo test -q -p server --test power_cut
 
-# Loom model suites (write path, fault-retry and aging interleavings,
-# read-view publication at rotation vs a reader). Deadlocks present as
-# hangs, so bound them.
+# Loom model suites (group commit's leader election, fault-retry and
+# aging interleavings, read-view publication at rotation vs a reader).
+# Deadlocks present as hangs, so bound them.
 RUSTFLAGS="--cfg loom" timeout 1200 cargo test -p lsm --lib -q
 RUSTFLAGS="--cfg loom" timeout 1200 cargo test -p offload --lib -q
 

@@ -25,6 +25,12 @@ cd "$(dirname "$0")/.."
 # back in the offload service.
 ! grep -rnE '\b(job_timeout|estimated_device_time|cpu_fallback_timeout)\b' \
     --include='*.rs' crates shims tests examples || exit 1
+# One applier: the group-commit leader stamps, appends, applies and
+# publishes its group inside one epoch section, into one skiplist. No
+# apply ledger, sequence reserver, visibility wait, rotation boundary or
+# memtable shard count grows back.
+! grep -rnE 'ApplyLedger|SeqReserver|memtable_shards|with_shards|wait_visible|finish_members|imm_boundary_seq' \
+    --include='*.rs' crates shims tests examples || exit 1
 # One lock API: parking_lot's shape from `lsm::sync_shim` (or
 # `parking_lot` below `lsm`), never std's poisoning locks or a lock
 # helper. The loom facade in sync_shim.rs and xtask's lint patterns
