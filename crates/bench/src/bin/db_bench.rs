@@ -14,7 +14,7 @@
 //! `ycsb-a` benchmark runs the 50/50 read/update zipfian mix.
 //!
 //! `--fault-every N` injects a transient device fault every Nth
-//! compaction dispatch (plus a mid-job timeout every 3Nth) through the
+//! compaction dispatch (plus a mid-job fault every 3Nth) through the
 //! offload scheduler; combine with `--stats` to see the
 //! `offload.fault.*` and `lsm.bg-error.*` counters after the run.
 //!
@@ -81,7 +81,7 @@ struct Config {
     /// Dump the store's stats/metrics/trace exports after the run.
     stats: bool,
     /// Inject a transient device fault every Nth compaction dispatch (and
-    /// a mid-job timeout every 3Nth), exercising the CPU-fallback path
+    /// a mid-job fault every 3Nth), exercising the CPU-fallback path
     /// under load. 0 disables injection.
     fault_every: u64,
 }
@@ -190,7 +190,7 @@ fn open_db(cfg: &Config) -> (Db, Option<Arc<OffloadService>>) {
         );
         svc.faults().fail_every(cfg.fault_every);
         svc.faults()
-            .fail_every_kind(DeviceFaultKind::MidJobTimeout, cfg.fault_every * 3);
+            .fail_every_kind(DeviceFaultKind::MidJob, cfg.fault_every * 3);
         let engine: Arc<dyn CompactionEngine> = Arc::clone(&svc) as _;
         let db = Db::open_with_engine(&cfg.db_path, options, engine).expect("open db");
         return (db, Some(svc));
@@ -338,12 +338,11 @@ fn main() {
     if let Some(svc) = &offload_svc {
         let m = svc.metrics();
         println!(
-            "device faults {} (transient {} / midjob-timeout {} / midjob-poisoned {}) | \
+            "device faults {} (transient {} / midjob {}) | \
              cpu retries {} | outputs discarded {}",
             m.device_faults,
             m.faults_transient,
-            m.faults_midjob_timeout,
-            m.faults_midjob_poisoned,
+            m.faults_midjob,
             m.cpu_retries_after_fault,
             m.midjob_outputs_discarded,
         );

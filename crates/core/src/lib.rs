@@ -14,8 +14,8 @@
 //!   the Table VII resource model and the calibrated CPU cost model;
 //! * [`offload`] — the multi-engine offload scheduler:
 //!   [`offload::OffloadService`] packs as many engine instances as fit
-//!   the card and dispatches compactions across them with priority
-//!   queueing, CPU fallback and fault retry;
+//!   the card and dispatches compactions across them with a bounded
+//!   wait for a slot, CPU fallback and fault retry;
 //! * [`sstable`] — the LevelDB table format;
 //! * [`snap_codec`] — the Snappy codec;
 //! * [`workloads`] — db_bench / YCSB generators;

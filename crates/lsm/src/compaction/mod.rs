@@ -147,14 +147,16 @@ pub trait CompactionEngine: Send + Sync {
     ) -> Result<CompactionOutcome>;
     /// Current backpressure toward writers. Plain engines never push back
     /// (the DB's own L0 triggers still apply); scheduling services
-    /// override this to surface queue saturation.
+    /// override this to surface queue saturation. Writers ask on every
+    /// put, and under `db.state` when they must make room, so an
+    /// implementation should read atomics rather than take a lock.
     fn write_pressure(&self) -> WritePressure {
         WritePressure::None
     }
     /// Runs a maintenance job (value-log GC) through the engine's
     /// scheduler so it contends with compactions for engine slots.
     /// Plain engines run it inline; scheduling services override this to
-    /// queue it at maintenance priority.
+    /// hold an engine slot while it runs.
     fn run_maintenance(&self, job: &mut dyn FnMut()) {
         job();
     }

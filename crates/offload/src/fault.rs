@@ -1,21 +1,17 @@
 //! Injectable device faults, for exercising the CPU-retry path without a
 //! real flaky card.
 //!
-//! Faults come in three kinds ([`DeviceFaultKind`]):
+//! Faults come in two kinds ([`DeviceFaultKind`]):
 //!
 //! * **Transient** — fires at dispatch time, *before* the engine touches
 //!   the output-file factory. A transiently-faulted job has no on-disk
 //!   side effects to clean up; the CPU retry is exactly-once by
 //!   construction.
-//! * **MidJobTimeout** — the engine runs to completion against the real
-//!   output factory, but the device never acknowledges within its
-//!   deadline. The scheduler must discard the produced outputs (the
-//!   store's pending-outputs GC sweeps the orphaned files) and retry on
-//!   the CPU with fresh output numbers.
-//! * **MidJobPoisoned** — the device "completes" but its output fails
-//!   validation and cannot be trusted. Same cleanup discipline as a
-//!   timeout; counted separately so operators can tell a slow card from
-//!   a corrupting one.
+//! * **MidJob** — the engine runs to completion against the real output
+//!   factory, then the device fails the job (it never acknowledges, or
+//!   its output fails validation). The scheduler must discard the
+//!   produced outputs (the store's pending-outputs GC sweeps the
+//!   orphaned files) and retry on the CPU with fresh output numbers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,21 +22,14 @@ pub enum DeviceFaultKind {
     /// never touched. Retryable with zero cleanup.
     Transient,
     /// The engine ran against the real output factory, then the device
-    /// timed out before acknowledging. Outputs must be discarded.
-    MidJobTimeout,
-    /// The engine ran, but its output is poisoned (fails validation).
-    /// Outputs must be discarded.
-    MidJobPoisoned,
+    /// failed the job. Outputs must be discarded.
+    MidJob,
 }
 
 impl DeviceFaultKind {
     /// Every kind, in decision-priority order (explicit budgets and
     /// periodic schedules are consulted in this order).
-    pub const ALL: [DeviceFaultKind; 3] = [
-        DeviceFaultKind::Transient,
-        DeviceFaultKind::MidJobTimeout,
-        DeviceFaultKind::MidJobPoisoned,
-    ];
+    pub const ALL: [DeviceFaultKind; 2] = [DeviceFaultKind::Transient, DeviceFaultKind::MidJob];
 
     /// True for kinds that fire *after* the engine used the output
     /// factory, i.e. the scheduler has device-side outputs to unwind.
@@ -52,16 +41,14 @@ impl DeviceFaultKind {
     pub fn name(self) -> &'static str {
         match self {
             DeviceFaultKind::Transient => "transient",
-            DeviceFaultKind::MidJobTimeout => "midjob_timeout",
-            DeviceFaultKind::MidJobPoisoned => "midjob_poisoned",
+            DeviceFaultKind::MidJob => "midjob",
         }
     }
 
     fn index(self) -> usize {
         match self {
             DeviceFaultKind::Transient => 0,
-            DeviceFaultKind::MidJobTimeout => 1,
-            DeviceFaultKind::MidJobPoisoned => 2,
+            DeviceFaultKind::MidJob => 1,
         }
     }
 }
@@ -71,9 +58,9 @@ impl DeviceFaultKind {
 pub struct FaultInjector {
     /// Explicit per-kind budgets: the next `n` dispatches fault with
     /// that kind.
-    fail_next: [AtomicU64; 3],
+    fail_next: [AtomicU64; 2],
     /// Per-kind periodic faults: every `n`-th dispatch faults (0 = off).
-    fail_every: [AtomicU64; 3],
+    fail_every: [AtomicU64; 2],
     /// Device dispatches observed so far.
     dispatches: AtomicU64,
 }
@@ -159,32 +146,28 @@ mod tests {
     #[test]
     fn kinds_have_independent_budgets() {
         let f = FaultInjector::new();
-        f.inject_kind(DeviceFaultKind::MidJobTimeout, 1);
-        f.inject_kind(DeviceFaultKind::MidJobPoisoned, 1);
-        // Budgets drain in ALL order: timeout first, then poisoned.
-        assert_eq!(f.should_fault(), Some(DeviceFaultKind::MidJobTimeout));
-        assert_eq!(f.should_fault(), Some(DeviceFaultKind::MidJobPoisoned));
+        f.inject_kind(DeviceFaultKind::MidJob, 1);
+        f.inject_kind(DeviceFaultKind::Transient, 1);
+        // Budgets drain in ALL order: transient first, then mid-job.
+        assert_eq!(f.should_fault(), Some(DeviceFaultKind::Transient));
+        assert_eq!(f.should_fault(), Some(DeviceFaultKind::MidJob));
         assert_eq!(f.should_fault(), None);
     }
 
     #[test]
     fn explicit_budget_wins_over_periodic_schedule() {
         let f = FaultInjector::new();
-        f.fail_every_kind(DeviceFaultKind::MidJobPoisoned, 1);
-        f.inject_kind(DeviceFaultKind::Transient, 1);
+        f.fail_every_kind(DeviceFaultKind::Transient, 1);
+        f.inject_kind(DeviceFaultKind::MidJob, 1);
+        assert_eq!(f.should_fault(), Some(DeviceFaultKind::MidJob));
         assert_eq!(f.should_fault(), Some(DeviceFaultKind::Transient));
-        assert_eq!(f.should_fault(), Some(DeviceFaultKind::MidJobPoisoned));
     }
 
     #[test]
     fn kind_predicates_and_names() {
         assert!(!DeviceFaultKind::Transient.is_mid_job());
-        assert!(DeviceFaultKind::MidJobTimeout.is_mid_job());
-        assert!(DeviceFaultKind::MidJobPoisoned.is_mid_job());
+        assert!(DeviceFaultKind::MidJob.is_mid_job());
         let names: Vec<&str> = DeviceFaultKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(
-            names,
-            vec!["transient", "midjob_timeout", "midjob_poisoned"]
-        );
+        assert_eq!(names, vec!["transient", "midjob"]);
     }
 }

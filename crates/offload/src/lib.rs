@@ -8,25 +8,24 @@
 //! instantiates that many [`fcae::FcaeEngine`] slots, and schedules the
 //! store's compactions across them:
 //!
-//! * **Priority queue** — queued jobs are served `L0->L1 > deeper
-//!   levels > maintenance`, with starvation aging
-//!   ([`queue::PriorityPolicy`]).
-//! * **Hybrid dispatch** — a job waits up to a configurable budget for a
-//!   free slot, then falls back to the host CPU; jobs with more inputs
-//!   than the device's `N` go to the CPU immediately, mirroring the
-//!   paper's Fig. 6 software path.
+//! * **Hybrid dispatch** — a job takes any free slot, or waits up to a
+//!   configurable budget for one and then falls back to the host CPU;
+//!   jobs with more inputs than the device's `N` go to the CPU
+//!   immediately, mirroring the paper's Fig. 6 software path. Waiters
+//!   are granted in no particular order: which compaction runs first is
+//!   the store's picker's decision.
 //! * **Fault handling** — injected (or real) device faults are retried on
 //!   the CPU. *Transient* faults fire before the engine touches the
 //!   output-file factory, so those retries never duplicate or lose keys;
-//!   *mid-job* faults (device timeout, poisoned output) fire after the
-//!   engine produced real outputs, and a real engine error can leave the
-//!   tables it already wrote — the scheduler discards the outcome,
-//!   counts the files the attempt created (the store's pending-outputs
-//!   GC sweeps the orphans) and the CPU retry installs a fresh set of
-//!   files exactly once.
-//! * **Backpressure** — queue saturation surfaces to the store as
-//!   [`lsm::WritePressure`], which `lsm::Db` turns into the same
-//!   slowdown/stall mechanics as its L0 triggers.
+//!   *mid-job* faults fire after the engine produced real outputs, and
+//!   a real engine error can leave the tables it already wrote — the
+//!   scheduler discards the outcome, counts the files the attempt
+//!   created (the store's pending-outputs GC sweeps the orphans) and the
+//!   CPU retry installs a fresh set of files exactly once.
+//! * **Backpressure** — the count of jobs waiting for a slot surfaces
+//!   to the store as [`lsm::WritePressure`], which `lsm::Db` turns into
+//!   the same slowdown/stall mechanics as its L0 triggers. Writers read
+//!   that count without taking the scheduler's lock.
 //!
 //! The service implements [`lsm::CompactionEngine`], so
 //! `Db::open_with_engine(dir, opts, Arc::new(OffloadService::new(..)))`
@@ -40,7 +39,6 @@
 
 pub mod fault;
 pub mod metrics;
-pub mod queue;
 mod slots;
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,7 +54,6 @@ use lsm::compaction::{
 pub use fault::{DeviceFaultKind, FaultInjector};
 pub use metrics::OffloadMetrics;
 use metrics::OffloadObs;
-pub use queue::{JobClass, PriorityPolicy, Waiter};
 use slots::{Slot, SlotTable};
 
 /// Scheduler tunables.
@@ -65,21 +62,12 @@ pub struct OffloadConfig {
     /// How long a job waits for a free slot before falling back to the
     /// CPU (hybrid dispatch).
     pub wait_budget: Duration,
-    /// Starvation aging interval for the priority queue.
-    pub aging_interval: Duration,
-    /// Queued jobs at which the service advises `WritePressure::Slowdown`.
-    pub slowdown_queue_depth: usize,
-    /// Queued jobs at which the service advises `WritePressure::Stop`.
-    pub stop_queue_depth: usize,
 }
 
 impl Default for OffloadConfig {
     fn default() -> Self {
         OffloadConfig {
             wait_budget: Duration::from_millis(50),
-            aging_interval: Duration::from_millis(20),
-            slowdown_queue_depth: 4,
-            stop_queue_depth: 8,
         }
     }
 }
@@ -112,7 +100,7 @@ impl OffloadService {
         OffloadService {
             device,
             engines,
-            slots: SlotTable::new(slots, config),
+            slots: SlotTable::new(slots, config.wait_budget),
             faults: FaultInjector::new(),
             obs: OffloadObs::new(obs::Obs::wall()),
         }
@@ -155,10 +143,10 @@ impl OffloadService {
 
     /// Waits for an engine slot ([`SlotTable::acquire_slot`]), counting
     /// the wait and the busy-slot high-water mark.
-    fn acquire_slot(&self, class: JobClass) -> Option<Slot<'_>> {
-        let enqueued = Instant::now();
-        let slot = self.slots.acquire_slot(class);
-        let waited = enqueued.elapsed();
+    fn acquire_slot(&self) -> Option<Slot<'_>> {
+        let asked = Instant::now();
+        let slot = self.slots.acquire_slot();
+        let waited = asked.elapsed();
         if let Some(slot) = &slot {
             self.obs.max_fpga_in_flight.set_max(slot.busy as u64);
         }
@@ -203,7 +191,7 @@ impl OffloadService {
         if req.inputs.len() > self.device.n_inputs {
             return self.run_cpu(&o.cpu_fallback_oversized, "oversized", req, out, job);
         }
-        let Some(slot) = self.acquire_slot(JobClass::from_level(req.level)) else {
+        let Some(slot) = self.acquire_slot() else {
             // Hybrid dispatch: the device is saturated, the host is idle.
             return self.run_cpu(&o.cpu_fallback_budget, "budget", req, out, job);
         };
@@ -234,16 +222,13 @@ impl OffloadService {
                 o.record_breakdown(&self.engines[slot.index].last_report().breakdown);
             }
             match (r, injected) {
-                (Ok(_), Some(kind)) => {
-                    // Mid-job fault: the engine already ran against the
-                    // real output factory. Discard the outcome and
-                    // surface a device error so the CPU retry installs a
-                    // fresh set of outputs exactly once.
-                    Err(lsm::Error::Io(std::io::Error::other(match kind {
-                        DeviceFaultKind::MidJobTimeout => "injected mid-job device timeout",
-                        _ => "injected poisoned device output",
-                    })))
-                }
+                // Mid-job fault: the engine already ran against the real
+                // output factory. Discard the outcome and surface a
+                // device error so the CPU retry installs a fresh set of
+                // outputs exactly once.
+                (Ok(_), Some(DeviceFaultKind::MidJob)) => Err(lsm::Error::Io(
+                    std::io::Error::other("injected mid-job device fault"),
+                )),
                 (r, _) => r,
             }
         };
@@ -323,17 +308,15 @@ impl CompactionEngine for OffloadService {
         self.slots.write_pressure()
     }
 
-    /// Value-log GC contends with compactions for engine slots: the job
-    /// queues at [`JobClass::Maintenance`] (lowest rank, ages like the
-    /// rest) and occupies the slot it wins while it runs, so a GC pass
-    /// and a compaction never overcommit the engines. On wait-budget
-    /// exhaustion the job runs inline instead — GC loses the contention
-    /// round but is never starved outright.
+    /// Value-log GC holds an engine slot while it runs, so a GC pass and
+    /// a compaction never overcommit the engines. It waits for its slot
+    /// like any job; on wait-budget exhaustion it runs inline instead —
+    /// GC loses the contention round but is never starved outright.
     fn run_maintenance(&self, job: &mut dyn FnMut()) {
         self.obs.maintenance_jobs.inc();
         // A granted slot frees when `slot` drops: after the job, or while
         // a panicking job unwinds.
-        let slot = self.acquire_slot(JobClass::Maintenance);
+        let slot = self.acquire_slot();
         if slot.is_none() {
             self.obs.maintenance_inline.inc();
         }
@@ -361,8 +344,8 @@ pub struct ShardOffloadHandle {
 
 impl OffloadService {
     /// A [`CompactionEngine`] for shard `shard` backed by this service.
-    /// Jobs submitted through the handle share the service's slots,
-    /// queue and wait budget with every other shard's.
+    /// Jobs submitted through the handle share the service's slots and
+    /// wait budget with every other shard's.
     pub fn shard_handle(self: &Arc<Self>, shard: usize) -> ShardOffloadHandle {
         let r = &self.obs.bundle.registry;
         ShardOffloadHandle {
@@ -447,11 +430,10 @@ mod tests {
     fn maintenance_runs_inline_when_slots_stay_busy() {
         let cfg = OffloadConfig {
             wait_budget: Duration::ZERO,
-            ..Default::default()
         };
         let svc = OffloadService::with_slots(FcaeConfig::two_input(), 1, cfg);
         // Occupy the only slot, as run_job would.
-        let held = svc.acquire_slot(JobClass::L0ToL1).expect("idle slot");
+        let held = svc.acquire_slot().expect("idle slot");
         let mut ran = false;
         svc.run_maintenance(&mut || ran = true);
         assert!(ran, "GC still runs, just not on a slot");
@@ -601,7 +583,6 @@ mod loom_models {
         loom::model(move || {
             let cfg = OffloadConfig {
                 wait_budget: Duration::from_secs(30),
-                ..Default::default()
             };
             let svc = Arc::new(OffloadService::with_slots(FcaeConfig::two_input(), 2, cfg));
             svc.faults().inject(1);
@@ -637,11 +618,7 @@ mod loom_models {
             assert_eq!(m.jobs_submitted, 3);
             assert_eq!(m.device_faults, 1, "exactly the injected fault fires");
             assert_eq!(m.faults_transient, 1, "the fault is dispatch-time");
-            assert_eq!(
-                m.faults_midjob_timeout + m.faults_midjob_poisoned,
-                0,
-                "no mid-job fault was injected"
-            );
+            assert_eq!(m.faults_midjob, 0, "no mid-job fault was injected");
             assert_eq!(
                 m.midjob_outputs_discarded, 0,
                 "a transient fault never has outputs to discard"

@@ -33,12 +33,9 @@ pub struct OffloadMetrics {
     /// Dispatch-time transient faults: the engine never touched the
     /// output factory, so the CPU retry needed no cleanup.
     pub faults_transient: u64,
-    /// Mid-job timeouts: the engine ran against the real output factory,
-    /// then the device failed to acknowledge; outputs were discarded.
-    pub faults_midjob_timeout: u64,
-    /// Mid-job poisoned outputs: the device "completed" but its output
-    /// failed validation; outputs were discarded.
-    pub faults_midjob_poisoned: u64,
+    /// Mid-job faults: the engine ran against the real output factory,
+    /// then the device failed the job; outputs were discarded.
+    pub faults_midjob: u64,
     /// Output files a failed device attempt had created: every output of
     /// an injected mid-job fault, and the tables an engine error left
     /// behind (the engine writes each table as it completes). The files
@@ -93,8 +90,7 @@ pub(crate) struct OffloadObs {
     pub(crate) cpu_fallback_budget: Arc<obs::Counter>,
     pub(crate) device_faults: Arc<obs::Counter>,
     pub(crate) fault_transient: Arc<obs::Counter>,
-    pub(crate) fault_midjob_timeout: Arc<obs::Counter>,
-    pub(crate) fault_midjob_poisoned: Arc<obs::Counter>,
+    pub(crate) fault_midjob: Arc<obs::Counter>,
     pub(crate) fault_outputs_discarded: Arc<obs::Counter>,
     pub(crate) cpu_retries_after_fault: Arc<obs::Counter>,
     pub(crate) maintenance_jobs: Arc<obs::Counter>,
@@ -128,8 +124,7 @@ impl OffloadObs {
             cpu_fallback_budget: r.counter("offload.cpu_fallback_budget"),
             device_faults: r.counter("offload.device_faults"),
             fault_transient: r.counter("offload.fault.transient"),
-            fault_midjob_timeout: r.counter("offload.fault.midjob_timeout"),
-            fault_midjob_poisoned: r.counter("offload.fault.midjob_poisoned"),
+            fault_midjob: r.counter("offload.fault.midjob"),
             fault_outputs_discarded: r.counter("offload.fault.outputs_discarded"),
             cpu_retries_after_fault: r.counter("offload.cpu_retries_after_fault"),
             maintenance_jobs: r.counter("offload.maintenance.jobs"),
@@ -152,8 +147,7 @@ impl OffloadObs {
         self.device_faults.inc();
         match kind {
             DeviceFaultKind::Transient => self.fault_transient.inc(),
-            DeviceFaultKind::MidJobTimeout => self.fault_midjob_timeout.inc(),
-            DeviceFaultKind::MidJobPoisoned => self.fault_midjob_poisoned.inc(),
+            DeviceFaultKind::MidJob => self.fault_midjob.inc(),
         }
     }
 
@@ -171,17 +165,15 @@ impl OffloadObs {
     /// The registry's totals in [`OffloadMetrics`]' shape.
     pub(crate) fn metrics(&self) -> OffloadMetrics {
         let faults_transient = self.fault_transient.get();
-        let faults_midjob_timeout = self.fault_midjob_timeout.get();
-        let faults_midjob_poisoned = self.fault_midjob_poisoned.get();
+        let faults_midjob = self.fault_midjob.get();
         OffloadMetrics {
             jobs_submitted: self.jobs_submitted.get(),
             fpga_jobs: self.fpga_jobs.get(),
             cpu_fallback_oversized: self.cpu_fallback_oversized.get(),
             cpu_fallback_budget: self.cpu_fallback_budget.get(),
-            device_faults: faults_transient + faults_midjob_timeout + faults_midjob_poisoned,
+            device_faults: faults_transient + faults_midjob,
             faults_transient,
-            faults_midjob_timeout,
-            faults_midjob_poisoned,
+            faults_midjob,
             midjob_outputs_discarded: self.fault_outputs_discarded.get(),
             cpu_retries_after_fault: self.cpu_retries_after_fault.get(),
             maintenance_jobs: self.maintenance_jobs.get(),

@@ -90,7 +90,6 @@ fn offload_state_matches_serial_cpu_run() {
         4,
         OffloadConfig {
             wait_budget: std::time::Duration::from_secs(2),
-            ..Default::default()
         },
     ));
     svc4.faults().fail_every(3);
@@ -186,13 +185,12 @@ fn midjob_faults_discard_outputs_and_stay_correct() {
         2,
         OffloadConfig::default(),
     ));
-    // Overlapping schedules: every 3rd dispatch times out mid-job, every
-    // 7th poisons its output (timeout wins when both land on the same
-    // dispatch). Both classes leave device-side outputs to discard.
-    svc.faults()
-        .fail_every_kind(DeviceFaultKind::MidJobTimeout, 3);
-    svc.faults()
-        .fail_every_kind(DeviceFaultKind::MidJobPoisoned, 7);
+    // Overlapping schedules: every 3rd dispatch faults mid-job, every
+    // 7th transiently (transient wins when both land on the same
+    // dispatch). Only the mid-job kind leaves device-side outputs to
+    // discard.
+    svc.faults().fail_every_kind(DeviceFaultKind::MidJob, 3);
+    svc.faults().fail_every_kind(DeviceFaultKind::Transient, 7);
     let engine = Arc::clone(&svc) as Arc<dyn CompactionEngine>;
     let options = Options {
         env: Arc::clone(&env) as Arc<dyn StorageEnv>,
@@ -203,17 +201,14 @@ fn midjob_faults_discard_outputs_and_stay_correct() {
     assert_eq!(dump(&db), expect, "mid-job faults corrupted the state");
 
     let m = svc.metrics();
-    assert!(
-        m.faults_midjob_timeout > 0,
-        "timeout schedule never fired: {m:?}"
-    );
+    assert!(m.faults_midjob > 0, "mid-job schedule never fired: {m:?}");
     assert!(
         m.midjob_outputs_discarded > 0,
         "mid-job faults must discard device outputs: {m:?}"
     );
     assert_eq!(
         m.device_faults,
-        m.faults_transient + m.faults_midjob_timeout + m.faults_midjob_poisoned,
+        m.faults_transient + m.faults_midjob,
         "per-kind counters must partition the total: {m:?}"
     );
     assert_eq!(

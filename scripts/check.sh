@@ -100,8 +100,9 @@ POWER_CUT_SEED_BASE=100 cargo test -q -p server --test replication_sigkill
 scripts/server_smoke.sh
 cargo test -q -p server --test power_cut
 
-# Loom model suites (group commit's leader election, fault-retry and
-# aging interleavings, read-view publication at rotation vs a reader).
+# Loom model suites (group commit's leader election, offload slot
+# exclusivity and exactly-once fault retry, read-view publication at
+# rotation vs a reader).
 # Deadlocks present as hangs, so bound them.
 RUSTFLAGS="--cfg loom" timeout 1200 cargo test -p lsm --lib -q
 RUSTFLAGS="--cfg loom" timeout 1200 cargo test -p offload --lib -q

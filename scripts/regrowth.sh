@@ -31,6 +31,12 @@ cd "$(dirname "$0")/.."
 # memtable shard count grows back.
 ! grep -rnE 'ApplyLedger|SeqReserver|memtable_shards|with_shards|wait_visible|finish_members|imm_boundary_seq' \
     --include='*.rs' crates shims tests examples || exit 1
+# One slot semaphore: the offload scheduler grants free slots in no
+# order within a wait budget, and a device fault is transient or
+# mid-job. No waiter ranking, aging, queue-depth knob or second mid-job
+# kind grows back.
+! grep -rnE 'PriorityPolicy|JobClass|aging_interval|slowdown_queue_depth|stop_queue_depth|MidJobTimeout|MidJobPoisoned|next_waiter_id' \
+    --include='*.rs' crates shims tests examples || exit 1
 # One lock API: parking_lot's shape from `lsm::sync_shim` (or
 # `parking_lot` below `lsm`), never std's poisoning locks or a lock
 # helper. The loom facade in sync_shim.rs and xtask's lint patterns

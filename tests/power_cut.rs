@@ -603,8 +603,8 @@ fn value_log_synced_acks_survive_power_cut_mid_gc() {
 }
 
 /// Multi-writer band: four concurrent writers stream into one store
-/// (exercising sequence reservation, leader-elected group commit, and
-/// epoch rotation under load); power is cut mid-flight. Every write a
+/// (exercising leader-elected group commit and epoch rotation under
+/// load); power is cut mid-flight. Every write a
 /// writer observed as acknowledged at-or-before its own last synced ack
 /// must survive recovery, and nothing may read back as garbage.
 #[test]
