@@ -1,7 +1,8 @@
-//! Background work: the worker loop, what it picks (Fig. 6), the flush,
-//! compaction dispatch to the engine and the install of its result
-//! (§IV), and the removal of files no version names any more. Every
-//! version change here goes through [`DbInner::install`].
+//! Background work: the background thread's loop, what it picks
+//! (Fig. 6), the flush, compaction dispatch to the engine and the
+//! install of its result (§IV), and the removal of files no version
+//! names any more. Every version change here goes through
+//! [`DbInner::install`].
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering as AtomicOrdering;
@@ -14,8 +15,7 @@ use crate::compaction::{
     write_level0_table, CompactionEngine, CompactionInput, CompactionRequest, CpuCompactionEngine,
     OutputFileFactory, OutputTableMeta,
 };
-use crate::conflict::{JobShape, JobTicket};
-use crate::db::{Db, DbInner, DbState, StateGuard};
+use crate::db::{Compacting, Db, DbInner, DbState, StateGuard};
 use crate::filename::{parse_file_name, table_file_name, FileType};
 use crate::options::NUM_LEVELS;
 use crate::sync_shim::Mutex;
@@ -70,7 +70,7 @@ impl Db {
                         break;
                     }
                     state.force_compact_level = Some(level);
-                    self.inner.wake_workers(&state);
+                    self.inner.wake_worker(&state);
                 }
                 self.wait_for_background_quiescence();
             }
@@ -81,11 +81,11 @@ impl Db {
     /// Blocks until no flush or compaction work is pending or in flight.
     pub fn wait_for_background_quiescence(&self) {
         let mut state = self.inner.state.lock(); // LOCK-ORDER: db.state 10
-        self.inner.wake_workers(&state);
+        self.inner.wake_worker(&state);
         loop {
             let needs_work = state.imm.is_some()
                 || state.flush_in_progress
-                || state.conflicts.in_flight() > 0
+                || state.compacting.is_some()
                 || state.versions.pick_compaction().is_some()
                 || state
                     .force_compact_level
@@ -160,17 +160,15 @@ impl DbInner {
         Ok(state)
     }
 
-    /// Finds the next admissible compaction while holding the state
-    /// lock. Trivial moves are applied inline (they only touch
+    /// Finds the next compaction while holding the state lock and marks
+    /// it in flight. Trivial moves are applied inline (they only touch
     /// metadata); the scan then restarts because the version changed.
-    /// Returns `None` when nothing can start right now — either there is
-    /// no work, or every candidate conflicts with an in-flight job.
-    fn find_work(&self, state: &mut DbState) -> Option<AdmittedCompaction> {
+    /// Returns `None` when there is no work.
+    fn find_work(&self, state: &mut DbState) -> Option<PickedCompaction> {
         'rescan: loop {
             // Candidate levels: the forced level (manual compaction)
             // first, then every level over its score threshold, most
-            // urgent first. The first candidate that passes admission
-            // wins; conflicting candidates stay for a later scan.
+            // urgent first. The first level with a compaction wins.
             let forced = state.force_compact_level;
             let scored = state.versions.candidate_levels();
             let scored = scored.into_iter().filter(|l| Some(*l) != forced);
@@ -183,9 +181,6 @@ impl DbInner {
                     }
                     continue;
                 };
-                let Some(ticket) = state.conflicts.try_admit(job_shape(&compaction)) else {
-                    continue;
-                };
 
                 if compaction.is_trivial_move() {
                     let f = &compaction.inputs[0][0];
@@ -194,18 +189,12 @@ impl DbInner {
                     edit.new_files.push((compaction.level + 1, (**f).clone()));
                     edit.compact_pointers
                         .push((compaction.level, compaction.largest_input_key.clone()));
-                    let moved = self.install(state, edit, "trivial move");
-                    state.conflicts.release(ticket);
-                    if moved.is_err() {
+                    if self.install(state, edit, "trivial move").is_err() {
                         return None;
                     }
                     self.metrics.trivial_moves.inc();
                     continue 'rescan;
                 }
-
-                self.metrics
-                    .max_concurrent_compactions
-                    .set_max(state.conflicts.in_flight() as u64);
 
                 // Capture the request context under the lock (paper §IV
                 // steps 1-3).
@@ -219,36 +208,41 @@ impl DbInner {
                     let v = state.versions.current();
                     ((level + 2)..NUM_LEVELS).all(|l| v.num_files(l) == 0)
                 };
-                return Some(AdmittedCompaction {
+                // Engine dispatch (Fig. 6): offload when the device can
+                // take the input count, otherwise software compaction.
+                // Decided in this lock hold, so a writer that finds a
+                // full memtable never mistakes an offloaded job for a
+                // host one and stalls behind it.
+                let use_engine = compaction.input_runs().count() <= self.engine.max_inputs();
+                state.compacting = Some(if use_engine && self.engine.name() != "cpu" {
+                    Compacting::Offloaded
+                } else {
+                    Compacting::OnHost
+                });
+                return Some(PickedCompaction {
                     compaction,
-                    ticket,
                     smallest_snapshot,
                     bottommost,
+                    use_engine,
                 });
             }
             return None;
         }
     }
 
-    /// Executes one admitted compaction outside the state lock and
-    /// installs the result. The admission ticket is always released.
-    fn execute_compaction(&self, job: AdmittedCompaction) {
-        let AdmittedCompaction {
+    /// Executes the picked compaction outside the state lock and installs
+    /// the result. `compacting` is always cleared.
+    fn execute_compaction(&self, job: PickedCompaction) {
+        let PickedCompaction {
             compaction,
-            ticket,
             smallest_snapshot,
             bottommost,
+            use_engine,
         } = job;
         let level = compaction.level;
 
-        // L0 files are separate inputs (newest first); a deeper level's
-        // run concatenates into one.
-        let [upper, lower] = &compaction.inputs;
-        let files_per_input = if level == 0 { 1 } else { upper.len().max(1) };
-        let inputs: Result<Vec<CompactionInput>> = upper
-            .chunks(files_per_input)
-            .chain([lower.as_slice()])
-            .filter(|run| !run.is_empty())
+        let inputs: Result<Vec<CompactionInput>> = compaction
+            .input_runs()
             .map(|run| {
                 let tables = run.iter().map(|m| self.tables.pinned(m).map(Arc::clone));
                 Ok(CompactionInput {
@@ -260,7 +254,7 @@ impl DbInner {
             Ok(inputs) => inputs,
             Err(e) => {
                 let mut state = self.state.lock(); // LOCK-ORDER: db.state 10
-                state.conflicts.release(ticket);
+                state.compacting = None;
                 self.set_bg_error(&mut state, format!("compaction open failed: {e}"));
                 return;
             }
@@ -281,14 +275,6 @@ impl DbInner {
             bytes: compaction.input_bytes(),
         });
         let t0 = self.obs.now_micros();
-
-        // Engine dispatch (Fig. 6): offload when the device can take the
-        // input count, otherwise software compaction.
-        let use_engine = req.inputs.len() <= self.engine.max_inputs();
-        let is_offload = use_engine && self.engine.name() != "cpu";
-        if is_offload {
-            self.state.lock().offloads_in_flight += 1; // LOCK-ORDER: db.state 10
-        }
         let factory = DbOutputFactory {
             inner: self,
             allocated: Mutex::new(Vec::new()),
@@ -346,10 +332,7 @@ impl DbInner {
         drop((req, compaction));
 
         let mut state = self.state.lock(); // LOCK-ORDER: db.state 10
-        if is_offload {
-            state.offloads_in_flight -= 1;
-        }
-        state.conflicts.release(ticket);
+        state.compacting = None;
         // Un-protect exactly this job's outputs: on success they enter
         // the version below (same lock hold, so GC cannot run between);
         // on failure the orphaned files become collectable.
@@ -393,9 +376,7 @@ impl DbInner {
                 self.set_bg_error(&mut state, format!("compaction failed: {e}"));
             }
         }
-        // Completion may unblock both waiters and conflicting candidates.
         self.work_done.notify_all();
-        self.wake_workers(&state);
         self.delete_obsolete_files_locked(&mut state);
     }
 
@@ -441,28 +422,14 @@ fn is_transient_io(e: &Error) -> bool {
     matches!(e, Error::Io(_) | Error::Table(sstable::Error::Io(_)))
 }
 
-/// A compaction that passed conflict admission, with its request context
-/// captured under the lock that admitted it.
-struct AdmittedCompaction {
+/// A picked compaction, with its request context and engine dispatch
+/// decided under the lock that picked it.
+struct PickedCompaction {
     compaction: crate::version::Compaction,
-    ticket: JobTicket,
     smallest_snapshot: u64,
     bottommost: bool,
-}
-
-/// The conflict footprint of a picked compaction: both input levels'
-/// file numbers and the union of their user-key ranges (outputs land
-/// anywhere inside it).
-fn job_shape(compaction: &crate::version::Compaction) -> JobShape {
-    let files = compaction.inputs.iter().flatten();
-    let smallest = files.clone().map(|f| f.smallest.user_key()).min();
-    let largest = files.clone().map(|f| f.largest.user_key()).max();
-    JobShape {
-        level: compaction.level,
-        smallest_user: smallest.unwrap_or_default().to_vec(),
-        largest_user: largest.unwrap_or_default().to_vec(),
-        files: files.map(|f| f.number).collect(),
-    }
+    /// Run on the configured engine; otherwise on the CPU engine.
+    use_engine: bool,
 }
 
 /// Allocates compaction output files inside the DB directory, remembering
@@ -490,8 +457,8 @@ impl OutputFileFactory for DbOutputFactory<'_> {
     }
 }
 
-/// Background worker: flushes and compactions until shutdown. All workers
-/// run this loop; the conflict checker keeps their picks disjoint.
+/// The background thread: flushes and compactions, one at a time, until
+/// shutdown.
 pub(crate) fn background_thread(inner: Arc<DbInner>) {
     loop {
         let job = {
@@ -503,15 +470,15 @@ pub(crate) fn background_thread(inner: Arc<DbInner>) {
                 if inner.bg_error.get().is_none() {
                     if state.imm.is_some() && !state.flush_in_progress {
                         // A flush goes first, under the lock hold that found
-                        // it (so two workers cannot both take it): the call
-                        // consumes the guard and sets `flush_in_progress`
-                        // before the lock drops for table I/O.
+                        // it (so a writer's concurrent flush cannot take it
+                        // too): the call consumes the guard and sets
+                        // `flush_in_progress` before the lock drops for
+                        // table I/O.
                         match inner.flush_immutable(state) {
                             Ok(s) => state = s,
                             Err(_) => state = inner.state.lock(), // LOCK-ORDER: db.state 10
                         }
                         // L0 grew (or an error idled us): re-scan.
-                        inner.wake_workers(&state);
                         continue;
                     }
                     if let Some(job) = inner.find_work(&mut state) {

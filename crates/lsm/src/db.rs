@@ -1,16 +1,14 @@
 //! The database handle and the state its modules share.
 //!
-//! Scheduling generalizes LevelDB v1.x: a pool of
-//! [`Options::background_threads`] workers handles memtable flushes and
-//! SSTable compactions. Each worker picks work under the big lock and
-//! admits it through a [`ConflictChecker`], so compactions at different
-//! levels with disjoint key ranges run concurrently (feeding a
-//! multi-engine offload service) while conflicting picks serialize
-//! exactly as the single-threaded scheduler would. When the configured
-//! [`CompactionEngine`] is an offload engine (the FPGA), the paper's key
-//! scheduling change applies: a flush may proceed *concurrently* with an
-//! in-flight offloaded compaction, because the host CPU is idle while the
-//! device merges. Engines may also push back on writers via
+//! Scheduling is LevelDB v1.x's: one background thread handles memtable
+//! flushes and SSTable compactions, one at a time, picking its work under
+//! the big lock. When the configured [`CompactionEngine`] is an offload
+//! engine (the FPGA), the paper's key scheduling change applies (§IV,
+//! Fig. 6): a flush may proceed *concurrently* with the in-flight
+//! offloaded compaction, on the writer's thread, because the host CPU is
+//! idle while the device merges. Several stores may share one offload
+//! service; their compactions are what overlap on its engine slots.
+//! Engines may also push back on writers via
 //! [`crate::compaction::WritePressure`]; the DB translates that into its
 //! L0-style slowdown/stall mechanics.
 //!
@@ -25,7 +23,7 @@
 //! | `open.rs` | recovery: manifest, value log, WAL replay, first install | none (nothing is shared yet) |
 //! | `write.rs` | commit queue, group leader, the WAL commit step, stalls, rotation | `db.state`, `db.epoch`, `db.commit_queue`, `db.waiter.slot` |
 //! | `read.rs` | `get`, iterators, scans — through the published view only | `db.view` (leaf) |
-//! | `background.rs` | worker loop, flush, compaction dispatch and install, obsolete files | `db.state`, `db.factory.outputs` |
+//! | `background.rs` | the background thread's loop, flush, compaction dispatch and install, obsolete files | `db.state`, `db.factory.outputs` |
 //! | `vlog_gc.rs` | value-log segment collection | `db.state`, `db.epoch` |
 //! | `repl.rs` | WAL tailing for a leader, `apply_replicated` for a replica | `db.state`, `db.epoch` |
 //! | `stats.rs` | metric handles, `DbStats` as a view of them, properties | none for `stats()`; `db.state` to read the version for a property |
@@ -36,7 +34,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOr
 use std::sync::{Arc, OnceLock};
 
 use crate::compaction::{CompactionEngine, CpuCompactionEngine};
-use crate::conflict::ConflictChecker;
 use crate::memtable::MemTable;
 use crate::options::{Options, ReadOptions, WriteOptions, NUM_LEVELS};
 use crate::read_view::{ReadView, ViewCell};
@@ -60,10 +57,9 @@ pub(crate) struct DbState {
     /// lags behind until the immutable memtable is flushed, so the old WAL
     /// survives a crash that happens mid-flush.
     pub(crate) log_file_number: u64,
-    /// Offloaded (non-CPU) compactions currently executing.
-    pub(crate) offloads_in_flight: usize,
-    /// Admission control for concurrent compactions.
-    pub(crate) conflicts: ConflictChecker,
+    /// The compaction the background thread has picked and not yet
+    /// installed or abandoned, and where it runs.
+    pub(crate) compacting: Option<Compacting>,
     /// Guards against two concurrent flushes.
     pub(crate) flush_in_progress: bool,
     /// Manual compaction request: drain this level regardless of score.
@@ -78,6 +74,16 @@ pub(crate) struct DbState {
     /// protected from obsolete-file GC until installed in a version
     /// (LevelDB's `pending_outputs_`).
     pub(crate) pending_outputs: HashSet<u64>,
+}
+
+/// Where the background thread's compaction runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Compacting {
+    /// Merging on the background thread: the configured engine is the
+    /// CPU one, or the job has more inputs than the device takes.
+    OnHost,
+    /// Going to an offload engine, which leaves the host idle.
+    Offloaded,
 }
 
 pub(crate) struct DbInner {
@@ -145,7 +151,8 @@ pub(crate) type StateGuard<'a> = MutexGuard<'a, DbState>;
 /// handle drops.
 pub struct Db {
     pub(crate) inner: Arc<DbInner>,
-    pub(crate) bg_threads: Vec<std::thread::JoinHandle<()>>,
+    /// The background thread; taken and joined when the handle drops.
+    pub(crate) bg_thread: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Snapshot guard: reads through [`ReadOptions::snapshot`] at this
@@ -257,16 +264,16 @@ impl Db {
 impl Drop for Db {
     fn drop(&mut self) {
         {
-            // Under the state lock: a worker that has just read the flag
-            // as clear still holds the lock until it parks on `bg_work`,
-            // so it cannot miss this notification.
+            // Under the state lock: a background thread that has just
+            // read the flag as clear still holds the lock until it parks
+            // on `bg_work`, so it cannot miss this notification.
             let _state = self.inner.state.lock(); // LOCK-ORDER: db.state 10
             self.inner
                 .shutting_down
                 .store(true, AtomicOrdering::Release);
-            self.inner.bg_work.notify_all();
+            self.inner.bg_work.notify_one();
         }
-        for handle in self.bg_threads.drain(..) {
+        if let Some(handle) = self.bg_thread.take() {
             let _ = handle.join();
         }
     }
@@ -376,12 +383,12 @@ impl DbInner {
         }
     }
 
-    /// Wakes every idle background worker to re-scan for work. Cheap:
-    /// workers that find nothing go back to sleep.
+    /// Wakes the background thread, if idle, to re-scan for work. Cheap:
+    /// finding nothing, it goes back to sleep.
     // LOCK-HELD: db.state -- takes the guarded DbState by ref.
-    pub(crate) fn wake_workers(&self, _state: &DbState) {
+    pub(crate) fn wake_worker(&self, _state: &DbState) {
         if !self.shutting_down.load(AtomicOrdering::Acquire) {
-            self.bg_work.notify_all();
+            self.bg_work.notify_one();
         }
     }
 }

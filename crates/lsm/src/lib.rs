@@ -24,7 +24,6 @@
 
 mod background;
 pub mod compaction;
-pub mod conflict;
 mod db;
 pub mod db_iter;
 pub mod filename;
@@ -49,7 +48,6 @@ pub use compaction::{
     CompactionEngine, CompactionInput, CompactionOutcome, CompactionRequest, CpuCompactionEngine,
     OutputTableMeta, WritePressure,
 };
-pub use conflict::{ConflictChecker, JobShape, JobTicket};
 pub use db::{Db, Snapshot};
 pub use db_iter::DbIter;
 pub use options::{Options, ReadOptions, WriteOptions};

@@ -12,7 +12,6 @@ use sstable::ikey::{LookupKey, ValueType};
 
 use crate::background::background_thread;
 use crate::compaction::{write_level0_table, CompactionEngine};
-use crate::conflict::ConflictChecker;
 use crate::db::{Db, DbInner, DbState};
 use crate::filename::{log_file_name, parse_file_name, FileType};
 use crate::memtable::{MemGet, MemTable};
@@ -137,8 +136,7 @@ impl Db {
                 imm: None,
                 versions,
                 log_file_number: log_number,
-                offloads_in_flight: 0,
-                conflicts: ConflictChecker::new(),
+                compacting: None,
                 flush_in_progress: false,
                 force_compact_level: None,
                 snapshots: BTreeMap::new(),
@@ -159,20 +157,18 @@ impl Db {
             shutting_down: AtomicBool::new(false),
         });
 
-        let workers = inner.options.background_threads.max(1);
-        let bg_threads = (0..workers)
-            .map(|i| {
-                let bg_inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("lsm-background-{i}"))
-                    .spawn(move || background_thread(bg_inner))
-                    // PANIC-OK: thread spawn fails only on resource
-                    // exhaustion at open(); no store state exists yet.
-                    .expect("spawn background thread")
-            })
-            .collect();
+        let bg_inner = Arc::clone(&inner);
+        let bg_thread = std::thread::Builder::new()
+            .name("lsm-background".into())
+            .spawn(move || background_thread(bg_inner))
+            // PANIC-OK: thread spawn fails only on resource
+            // exhaustion at open(); no store state exists yet.
+            .expect("spawn background thread");
 
-        let db = Db { inner, bg_threads };
+        let db = Db {
+            inner,
+            bg_thread: Some(bg_thread),
+        };
         db.inner
             .delete_obsolete_files_locked(&mut db.inner.state.lock()); // LOCK-ORDER: db.state 10
         Ok(db)

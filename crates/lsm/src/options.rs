@@ -58,11 +58,6 @@ pub struct Options {
     /// Tests disable this to run fast; the real sleep matters only for
     /// wall-clock experiments.
     pub slowdown_sleep: bool,
-    /// Background worker threads servicing flushes and compactions.
-    /// LevelDB uses 1; raise it (typically to the offload service's
-    /// engine-slot count) so disjoint-range compactions at different
-    /// levels run concurrently. Values are clamped to at least 1.
-    pub background_threads: usize,
     /// Observability bundle (metric registry + event trace + clock). The
     /// DB creates a private wall-clock bundle when `None`; simulators
     /// pass a shared bundle driven by a manual clock so exports are
@@ -96,7 +91,6 @@ impl Default for Options {
             shared_block_cache: None,
             env: Arc::new(StdEnv),
             slowdown_sleep: true,
-            background_threads: 1,
             obs: None,
             value_log_threshold_bytes: None,
             value_log_segment_bytes: 8 << 20,

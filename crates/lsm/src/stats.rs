@@ -70,8 +70,6 @@ pub struct DbStats {
     pub block_cache_hits: u64,
     /// Shared block cache misses.
     pub block_cache_misses: u64,
-    /// Peak number of (non-trivial) compactions in flight at once.
-    pub max_concurrent_compactions: u64,
     /// Writes delayed because the engine reported `WritePressure::Slowdown`.
     pub backpressure_slowdowns: u64,
     /// Writes stalled because the engine reported `WritePressure::Stop`.
@@ -123,7 +121,6 @@ pub(crate) struct DbMetrics {
     pub(crate) compaction_nanos: Arc<obs::Counter>,
     pub(crate) kernel_nanos: Arc<obs::Counter>,
     pub(crate) transfer_nanos: Arc<obs::Counter>,
-    pub(crate) max_concurrent_compactions: Arc<obs::Gauge>,
     pub(crate) concurrent_flushes: Arc<obs::Counter>,
     pub(crate) backpressure_slowdowns: Arc<obs::Counter>,
     pub(crate) backpressure_stalls: Arc<obs::Counter>,
@@ -169,7 +166,6 @@ impl DbMetrics {
             compaction_nanos: registry.counter("lsm.compact.wall_nanos"),
             kernel_nanos: registry.counter("lsm.compact.kernel_nanos"),
             transfer_nanos: registry.counter("lsm.compact.transfer_nanos"),
-            max_concurrent_compactions: registry.gauge("lsm.compact.max_concurrent"),
             concurrent_flushes: registry.counter("lsm.flush.concurrent"),
             backpressure_slowdowns: registry.counter("lsm.backpressure.slowdowns"),
             backpressure_stalls: registry.counter("lsm.backpressure.stalls"),
@@ -250,7 +246,6 @@ impl Db {
             grouped_writes: group_commits + m.write_follower.get(),
             block_cache_hits,
             block_cache_misses,
-            max_concurrent_compactions: m.max_concurrent_compactions.get(),
             backpressure_slowdowns: m.backpressure_slowdowns.get(),
             backpressure_stalls: m.backpressure_stalls.get(),
             per_level,

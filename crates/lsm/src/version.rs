@@ -300,6 +300,22 @@ impl Compaction {
         self.inputs[0].len() + self.inputs[1].len()
     }
 
+    /// The merge's sorted inputs: each level-0 file alone (they overlap,
+    /// newest first), a deeper level's files as one run, then the next
+    /// level's files as one run. Empty runs are skipped.
+    pub(crate) fn input_runs(&self) -> impl Iterator<Item = &[Arc<FileMetaData>]> {
+        let [upper, lower] = &self.inputs;
+        let files_per_run = if self.level == 0 {
+            1
+        } else {
+            upper.len().max(1)
+        };
+        upper
+            .chunks(files_per_run)
+            .chain([lower.as_slice()])
+            .filter(|run| !run.is_empty())
+    }
+
     /// A move-only compaction: one input file, nothing to merge with.
     /// LevelDB just relinks the file to the next level.
     pub fn is_trivial_move(&self) -> bool {

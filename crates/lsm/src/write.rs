@@ -15,7 +15,7 @@ use sstable::comparator::InternalKeyComparator;
 use sstable::ikey::ValueType;
 
 use crate::compaction::WritePressure;
-use crate::db::{Db, DbInner, StateGuard};
+use crate::db::{Compacting, Db, DbInner, StateGuard};
 use crate::filename::log_file_name;
 use crate::memtable::MemTable;
 use crate::options::{WriteOptions, L0_SLOWDOWN_WRITES_TRIGGER, L0_STOP_WRITES_TRIGGER};
@@ -457,7 +457,7 @@ impl DbInner {
             }
             let pressure = self.engine.write_pressure();
             let background_busy =
-                state.conflicts.in_flight() > 0 || state.imm.is_some() || state.flush_in_progress;
+                state.compacting.is_some() || state.imm.is_some() || state.flush_in_progress;
             if pressure == WritePressure::Stop && background_busy {
                 // The offload queue is full: stall like the L0 stop trigger.
                 self.metrics.backpressure_stalls.inc();
@@ -481,7 +481,10 @@ impl DbInner {
             if state.mem.approximate_memory_usage() <= self.options.write_buffer_size {
                 return Ok(state);
             }
-            if state.imm.is_some() && state.offloads_in_flight > 0 && !state.flush_in_progress {
+            if state.imm.is_some()
+                && state.compacting == Some(Compacting::Offloaded)
+                && !state.flush_in_progress
+            {
                 // Paper's scheduler: the previous memtable is still
                 // waiting and the device is busy compacting, so the host
                 // performs the flush itself, concurrently.
@@ -502,7 +505,7 @@ impl DbInner {
     /// accounts the wait.
     fn stall(&self, state: &mut StateGuard<'_>) {
         let t0 = Instant::now();
-        self.wake_workers(state);
+        self.wake_worker(state);
         self.work_done.wait(state);
         self.note_stall(t0.elapsed());
     }
@@ -566,7 +569,7 @@ impl DbInner {
         }
         self.active_mem_bytes.store(0, AtomicOrdering::Relaxed);
         state.log_file_number = new_log_number;
-        self.wake_workers(&state);
+        self.wake_worker(&state);
         Ok(state)
     }
 }

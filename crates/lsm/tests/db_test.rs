@@ -703,13 +703,15 @@ fn max_group_commit_bytes_is_honored() {
     assert_eq!(stats.group_commits, 800, "one commit per write");
 }
 
-/// `Db::drop` must wake a background worker that has seen the shutdown
-/// flag clear and is about to park: the flag is set and the workers are
-/// notified under the state lock. Each round leaves compactions for
-/// `wait_for_background_quiescence` to wait on, so the job that ends the
-/// wait also wakes the other workers — they are between the flag check
-/// and the park exactly when `drop` runs. Without the lock one of these
-/// drops in a few dozen joined a sleeping worker forever.
+/// `Db::drop` must wake a background thread that has seen the shutdown
+/// flag clear and is about to park: the flag is set and the thread is
+/// notified under the state lock. Each round waits out its compactions,
+/// then waits once more on the quiescent store: that call opens by waking
+/// the parked background thread, which goes back round its loop — from
+/// the flag check to the park — just as `drop` runs. A busy-wait of 0 to
+/// 59 µs, a different one each round, slides `drop` across that window.
+/// With the flag set and the thread notified outside the lock, this test
+/// hung in 20 of 20 runs.
 #[test]
 fn drop_right_after_quiescence_never_hangs() {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -717,13 +719,18 @@ fn drop_right_after_quiescence_never_hangs() {
         for round in 0..300u32 {
             let (_env, mut options) = small_options();
             options.write_buffer_size = 8 << 10;
-            options.background_threads = 4;
             let db = Db::open("/db", options).unwrap();
             for i in 0..600u32 {
                 db.put(format!("key{i:04}").as_bytes(), &[round as u8; 100])
                     .unwrap();
             }
             db.wait_for_background_quiescence();
+            db.wait_for_background_quiescence();
+            let delay = std::time::Duration::from_micros(u64::from(round % 60));
+            let t0 = std::time::Instant::now();
+            while t0.elapsed() < delay {
+                std::hint::spin_loop();
+            }
             drop(db);
         }
         let _ = done_tx.send(());
@@ -731,8 +738,112 @@ fn drop_right_after_quiescence_never_hangs() {
     // Watchdog: 300 rounds take a few seconds; a lost wakeup never ends.
     done_rx
         .recv_timeout(std::time::Duration::from_secs(120))
-        .expect("a Db::drop hung joining its background workers");
+        .expect("a Db::drop hung joining its background thread");
     worker.join().unwrap();
+}
+
+/// An offload engine that parks every job until its gate opens, then
+/// merges on the CPU. Its name is not `cpu`, so the store treats its
+/// jobs as offloaded.
+#[derive(Default)]
+struct GatedEngine {
+    parked: std::sync::atomic::AtomicBool,
+    open: std::sync::Mutex<bool>,
+    opened: std::sync::Condvar,
+}
+
+impl GatedEngine {
+    fn open_gate(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+impl lsm::CompactionEngine for GatedEngine {
+    fn name(&self) -> &str {
+        "gated"
+    }
+
+    fn max_inputs(&self) -> usize {
+        usize::MAX
+    }
+
+    fn compact(
+        &self,
+        req: &lsm::CompactionRequest,
+        out: &dyn lsm::compaction::OutputFileFactory,
+    ) -> lsm::Result<lsm::CompactionOutcome> {
+        self.parked.store(true, std::sync::atomic::Ordering::SeqCst);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+        drop(open);
+        lsm::CpuCompactionEngine.compact(req, out)
+    }
+}
+
+/// The paper's scheduling change on the real store (§IV): while the
+/// device merges, the host flushes a full memtable on the writer's
+/// thread instead of stalling behind the background thread, which is
+/// waiting for the device. Here the device never finishes until the
+/// test says so, so a store without the concurrent flush stalls its
+/// writer for good, and the watchdog fails the test.
+#[test]
+fn a_writer_flushes_while_the_background_thread_waits_on_the_device() {
+    let engine = Arc::new(GatedEngine::default());
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let gate = Arc::clone(&engine);
+    let writer = std::thread::spawn(move || {
+        let (_env, mut options) = small_options();
+        options.write_buffer_size = 16 << 10;
+        let db = Db::open_with_engine("/db", options, Arc::clone(&gate) as _).unwrap();
+        let mut model = std::collections::BTreeMap::new();
+        let mut put = |i: u32| {
+            // Scattered keys: every flushed table spans the key range, so
+            // L0 compacts through the engine instead of moving files.
+            let key = format!("key{:05}", i.wrapping_mul(7919) % 4000);
+            let value = format!("value-{i:0>90}");
+            db.put(key.as_bytes(), value.as_bytes()).unwrap();
+            model.insert(key, value);
+        };
+        let parked = || gate.parked.load(std::sync::atomic::Ordering::SeqCst);
+        let mut i = 0u32;
+        // Fill until L0 reaches its trigger and the background thread
+        // parks in the engine.
+        while !parked() && i < 200_000 {
+            put(i);
+            i += 1;
+        }
+        assert!(parked(), "no compaction reached the engine");
+        // Keep writing: the next full memtable finds the last one still
+        // waiting as `imm`, with the background thread on the device.
+        let fill_start = i;
+        while db.stats().concurrent_flushes == 0 && i < fill_start + 20_000 {
+            put(i);
+            i += 1;
+        }
+        assert!(
+            db.stats().concurrent_flushes >= 1,
+            "no writer flushed while the compaction was offloaded"
+        );
+        gate.open_gate();
+        db.flush().unwrap();
+        db.wait_for_background_quiescence();
+        for (key, value) in &model {
+            let got = db.get(key.as_bytes()).unwrap();
+            assert_eq!(got.as_deref(), Some(value.as_bytes()), "{key}");
+        }
+        let _ = done_tx.send(());
+    });
+    // Watchdog: the run takes well under a second; a writer stalled
+    // behind the parked compaction never ends.
+    let finished = done_rx.recv_timeout(std::time::Duration::from_secs(60));
+    if finished == Err(std::sync::mpsc::RecvTimeoutError::Timeout) {
+        engine.open_gate();
+        panic!("a writer stalled behind the offloaded compaction instead of flushing");
+    }
+    writer.join().unwrap();
 }
 
 // ------------------------------------------------- the WAL commit step's

@@ -31,20 +31,6 @@ impl DeviceFaultKind {
     /// periodic schedules are consulted in this order).
     pub const ALL: [DeviceFaultKind; 2] = [DeviceFaultKind::Transient, DeviceFaultKind::MidJob];
 
-    /// True for kinds that fire *after* the engine used the output
-    /// factory, i.e. the scheduler has device-side outputs to unwind.
-    pub fn is_mid_job(self) -> bool {
-        !matches!(self, DeviceFaultKind::Transient)
-    }
-
-    /// Stable lowercase name used in metric names and error messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            DeviceFaultKind::Transient => "transient",
-            DeviceFaultKind::MidJob => "midjob",
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             DeviceFaultKind::Transient => 0,
@@ -161,13 +147,5 @@ mod tests {
         f.inject_kind(DeviceFaultKind::MidJob, 1);
         assert_eq!(f.should_fault(), Some(DeviceFaultKind::MidJob));
         assert_eq!(f.should_fault(), Some(DeviceFaultKind::Transient));
-    }
-
-    #[test]
-    fn kind_predicates_and_names() {
-        assert!(!DeviceFaultKind::Transient.is_mid_job());
-        assert!(DeviceFaultKind::MidJob.is_mid_job());
-        let names: Vec<&str> = DeviceFaultKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names, vec!["transient", "midjob"]);
     }
 }

@@ -29,8 +29,9 @@
 //!
 //! The service implements [`lsm::CompactionEngine`], so
 //! `Db::open_with_engine(dir, opts, Arc::new(OffloadService::new(..)))`
-//! is all it takes; pair it with `Options::background_threads >= slots`
-//! so the store can actually keep several slots busy.
+//! is all it takes. A store runs one compaction at a time, so several
+//! slots are kept busy by several stores sharing one service through
+//! [`OffloadService::shard_handle`].
 //!
 //! The slot table (`slots.rs`) is the pure scheduling core: its lock and
 //! condvar are [`lsm::sync_shim`] locks, like the store's, so under
@@ -79,6 +80,10 @@ pub struct OffloadService {
     slots: SlotTable,
     faults: FaultInjector,
     obs: OffloadObs,
+    /// Jobs inside the service (any execution path).
+    jobs_in_flight: AtomicU64,
+    /// Trace ids handed out so far: the latest job's id.
+    job_ids: AtomicU64,
 }
 
 impl OffloadService {
@@ -103,6 +108,8 @@ impl OffloadService {
             slots: SlotTable::new(slots, config.wait_budget),
             faults: FaultInjector::new(),
             obs: OffloadObs::new(obs::Obs::wall()),
+            jobs_in_flight: AtomicU64::new(0),
+            job_ids: AtomicU64::new(0),
         }
     }
 
@@ -290,17 +297,12 @@ impl CompactionEngine for OffloadService {
         out: &dyn OutputFileFactory,
     ) -> lsm::Result<CompactionOutcome> {
         self.obs.jobs_submitted.inc();
-        let job = {
-            let mut state = self.slots.state.lock(); // LOCK-ORDER: offload.state 110
-            state.jobs_in_flight += 1;
-            self.obs
-                .max_jobs_in_flight
-                .set_max(state.jobs_in_flight as u64);
-            state.jobs_admitted += 1;
-            state.jobs_admitted
-        };
+        // Counts only: no scheduling decision reads them.
+        let in_flight = self.jobs_in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        self.obs.max_jobs_in_flight.set_max(in_flight);
+        let job = self.job_ids.fetch_add(1, Ordering::Relaxed) + 1;
         let result = self.run_job(req, out, job);
-        self.slots.state.lock().jobs_in_flight -= 1; // LOCK-ORDER: offload.state 110
+        self.jobs_in_flight.fetch_sub(1, Ordering::Relaxed);
         result
     }
 
@@ -331,15 +333,12 @@ impl CompactionEngine for OffloadService {
 /// handle to *one* service, so all shards' compaction jobs contend for
 /// the same K engine slots — the multi-tenant regime the paper never
 /// measured. The handle adds shard attribution on the service's registry
-/// (`offload.shard{i}.jobs`, `offload.shard{i}.max_in_flight`) while
-/// every scheduling decision, fallback and fault stays on the service's
-/// aggregate `offload.*` metrics.
+/// (`offload.shard{i}.jobs`) while every scheduling decision, fallback
+/// and fault stays on the service's aggregate `offload.*` metrics.
 pub struct ShardOffloadHandle {
     service: Arc<OffloadService>,
     name: String,
     jobs: Arc<obs::Counter>,
-    max_in_flight: Arc<obs::Gauge>,
-    in_flight: std::sync::atomic::AtomicU64,
 }
 
 impl OffloadService {
@@ -352,8 +351,6 @@ impl OffloadService {
             service: Arc::clone(self),
             name: format!("offload.shard{shard}"),
             jobs: r.counter(&format!("offload.shard{shard}.jobs")),
-            max_in_flight: r.gauge(&format!("offload.shard{shard}.max_in_flight")),
-            in_flight: std::sync::atomic::AtomicU64::new(0),
         }
     }
 }
@@ -372,13 +369,8 @@ impl CompactionEngine for ShardOffloadHandle {
         req: &CompactionRequest,
         out: &dyn OutputFileFactory,
     ) -> lsm::Result<CompactionOutcome> {
-        use std::sync::atomic::Ordering;
         self.jobs.inc();
-        let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.max_in_flight.set_max(now);
-        let result = self.service.compact(req, out);
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        result
+        self.service.compact(req, out)
     }
 
     fn write_pressure(&self) -> WritePressure {
@@ -630,7 +622,7 @@ mod loom_models {
                 0,
                 "no job may take an unrelated CPU path in this model"
             );
-            assert_eq!(svc.slots.state.lock().jobs_in_flight, 0);
+            assert_eq!(svc.jobs_in_flight.load(Ordering::SeqCst), 0);
         });
     }
 }

@@ -22,15 +22,11 @@ pub(crate) const SLOWDOWN_WAITERS: usize = 4;
 /// Waiting jobs at which the table advises `WritePressure::Stop`.
 pub(crate) const STOP_WAITERS: usize = 8;
 
-/// Scheduling state only: what is free, what is in flight. Event counts
-/// live on the registry (`OffloadObs`).
+/// Scheduling state only: what is free. Event counts live on the
+/// registry (`OffloadObs`).
 pub(crate) struct ServiceState {
     /// Indices of the slots that are idle.
     pub(crate) free_slots: Vec<usize>,
-    /// Jobs inside the service (any execution path).
-    pub(crate) jobs_in_flight: usize,
-    /// Jobs ever admitted; the latest one's trace id.
-    pub(crate) jobs_admitted: u64,
 }
 
 /// K slots behind one lock, granted within a wait budget.
@@ -72,8 +68,6 @@ impl SlotTable {
             wait_budget,
             state: Mutex::new(ServiceState {
                 free_slots: (0..slots).collect(),
-                jobs_in_flight: 0,
-                jobs_admitted: 0,
             }),
             waiting: AtomicUsize::new(0),
             slot_free: Condvar::new(),

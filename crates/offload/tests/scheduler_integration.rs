@@ -1,6 +1,7 @@
 //! End-to-end equivalence: the same workload through a serial CPU store,
-//! a single-slot offload service, and a four-slot offload service with
-//! injected device faults must leave byte-identical key-value state.
+//! a single-slot offload service, and four stores sharing a four-slot
+//! offload service with injected device faults must leave byte-identical
+//! key-value state.
 //!
 //! This is the acceptance test for the offload scheduler: correctness is
 //! defined as "indistinguishable from the serial CPU run", no matter how
@@ -20,14 +21,13 @@ use offload::{DeviceFaultKind, OffloadConfig, OffloadService};
 use sstable::env::{MemEnv, StorageEnv};
 
 /// Options small enough that the workload spans several levels.
-fn small_options(background_threads: usize) -> Options {
+fn small_options() -> Options {
     Options {
         env: Arc::new(MemEnv::new()) as Arc<dyn StorageEnv>,
         slowdown_sleep: false,
         write_buffer_size: 64 << 10,
         max_file_size: 16 << 10,
         level1_max_bytes: 32 << 10,
-        background_threads,
         ..Default::default()
     }
 }
@@ -55,8 +55,8 @@ fn dump(db: &Db) -> Vec<(Vec<u8>, Vec<u8>)> {
 
 #[test]
 fn offload_state_matches_serial_cpu_run() {
-    // Reference: plain CPU engine, one background thread (fully serial).
-    let serial = Db::open("/db", small_options(1)).unwrap();
+    // Reference: plain CPU engine (fully serial).
+    let serial = Db::open("/db", small_options()).unwrap();
     run_workload(&serial);
     let expect = dump(&serial);
     assert!(expect.len() > 5000, "workload too small: {}", expect.len());
@@ -75,16 +75,19 @@ fn offload_state_matches_serial_cpu_run() {
         OffloadConfig::default(),
     ));
     let engine1 = Arc::clone(&svc1) as Arc<dyn CompactionEngine>;
-    let db1 = Db::open_with_engine("/db", small_options(2), engine1).unwrap();
+    let db1 = Db::open_with_engine("/db", small_options(), engine1).unwrap();
     run_workload(&db1);
     assert_eq!(dump(&db1), expect, "K=1 service diverged from serial CPU");
     let m1 = svc1.metrics();
     assert!(m1.jobs_submitted > 0);
     assert!(m1.fpga_jobs + m1.cpu_jobs() == m1.jobs_submitted);
 
-    // Four-slot service, four workers, and every third device dispatch
-    // faulting: the scheduler must retry on the CPU without losing or
-    // duplicating a single key.
+    // The server's shape: four stores on one four-slot service, each
+    // through its own shard handle and written from its own thread, and
+    // every third device dispatch faulting. A store runs one compaction
+    // at a time, so the slots overlap jobs of different stores. The
+    // scheduler must retry on the CPU without losing or duplicating a
+    // single key in any store.
     let svc4 = Arc::new(OffloadService::with_slots(
         FcaeConfig::nine_input(),
         4,
@@ -93,10 +96,24 @@ fn offload_state_matches_serial_cpu_run() {
         },
     ));
     svc4.faults().fail_every(3);
-    let engine4 = Arc::clone(&svc4) as Arc<dyn CompactionEngine>;
-    let db4 = Db::open_with_engine("/db", small_options(4), engine4).unwrap();
-    run_workload(&db4);
-    assert_eq!(dump(&db4), expect, "K=4 service with faults diverged");
+    let stores: Vec<Db> = (0..4)
+        .map(|shard| {
+            let engine = Arc::new(svc4.shard_handle(shard)) as Arc<dyn CompactionEngine>;
+            Db::open_with_engine("/db", small_options(), engine).unwrap()
+        })
+        .collect();
+    std::thread::scope(|s| {
+        for db in &stores {
+            s.spawn(move || run_workload(db));
+        }
+    });
+    for (shard, db) in stores.iter().enumerate() {
+        assert_eq!(
+            dump(db),
+            expect,
+            "store {shard} on the K=4 service with faults diverged"
+        );
+    }
 
     let m4 = svc4.metrics();
     assert!(m4.jobs_submitted > 0, "{m4:?}");
@@ -109,16 +126,12 @@ fn offload_state_matches_serial_cpu_run() {
         m4.fpga_jobs > 0,
         "no job ever completed on the device: {m4:?}"
     );
-    // The acceptance bar: a 4-slot service on a multi-level workload keeps
-    // more than one compaction in flight at once.
+    // The acceptance bar: a 4-slot service shared by four stores on a
+    // multi-level workload keeps more than one compaction in flight at
+    // once.
     assert!(
         m4.max_jobs_in_flight > 1,
         "scheduler never overlapped compactions: {m4:?}"
-    );
-    let stats = db4.stats();
-    assert!(
-        stats.max_concurrent_compactions >= 1,
-        "store never admitted a compaction: {stats:?}"
     );
 }
 
@@ -128,12 +141,12 @@ fn offload_state_matches_serial_cpu_run() {
 fn large_cpu_fallback_jobs_match_the_serial_run() {
     // ~14 MB of uncompressed pairs, every flush spanning the whole key
     // range so L0 files overlap each other.
-    let options = |write_buffer_size: usize, background_threads| Options {
+    let options = |write_buffer_size: usize| Options {
         write_buffer_size,
         max_file_size: 256 << 10,
         level1_max_bytes: 1 << 20,
         compression: sstable::format::CompressionType::None,
-        ..small_options(background_threads)
+        ..small_options()
     };
     let workload = |db: &Db| {
         for i in 0..14_000u32 {
@@ -146,7 +159,7 @@ fn large_cpu_fallback_jobs_match_the_serial_run() {
     };
 
     // Reference: 512 KiB memtables, so an L0 job reads about 2 MiB.
-    let serial = Db::open("/db", options(512 << 10, 1)).unwrap();
+    let serial = Db::open("/db", options(512 << 10)).unwrap();
     workload(&serial);
     let expect = dump(&serial);
     assert_eq!(expect.len(), 12_000);
@@ -159,7 +172,7 @@ fn large_cpu_fallback_jobs_match_the_serial_run() {
         OffloadConfig::default(),
     ));
     let engine = Arc::clone(&svc) as Arc<dyn CompactionEngine>;
-    let db = Db::open_with_engine("/db", options(3 << 20, 2), engine).unwrap();
+    let db = Db::open_with_engine("/db", options(3 << 20), engine).unwrap();
     workload(&db);
     assert_eq!(dump(&db), expect, "CPU fallback diverged from serial");
 
@@ -175,7 +188,7 @@ fn large_cpu_fallback_jobs_match_the_serial_run() {
 /// swept by the store's obsolete-file GC rather than leaking.
 #[test]
 fn midjob_faults_discard_outputs_and_stay_correct() {
-    let serial = Db::open("/db", small_options(1)).unwrap();
+    let serial = Db::open("/db", small_options()).unwrap();
     run_workload(&serial);
     let expect = dump(&serial);
 
@@ -194,7 +207,7 @@ fn midjob_faults_discard_outputs_and_stay_correct() {
     let engine = Arc::clone(&svc) as Arc<dyn CompactionEngine>;
     let options = Options {
         env: Arc::clone(&env) as Arc<dyn StorageEnv>,
-        ..small_options(2)
+        ..small_options()
     };
     let db = Db::open_with_engine("/db", options, engine).unwrap();
     run_workload(&db);
@@ -294,12 +307,12 @@ impl CompactionEngine for SecondOutputFailsOnce {
 /// leave the serial run's state, and the table must be swept.
 #[test]
 fn a_device_job_failing_after_its_first_table_counts_and_sweeps_it() {
-    let serial = Db::open("/db", small_options(1)).unwrap();
+    let serial = Db::open("/db", small_options()).unwrap();
     run_workload(&serial);
     let expect = dump(&serial);
 
     let env = Arc::new(MemEnv::new());
-    // One slot and one worker: every job that fits the device runs on it.
+    // One slot: every job that fits the device runs on it.
     let svc = Arc::new(OffloadService::with_slots(
         FcaeConfig::nine_input(),
         1,
@@ -311,7 +324,7 @@ fn a_device_job_failing_after_its_first_table_counts_and_sweeps_it() {
     });
     let options = Options {
         env: Arc::clone(&env) as Arc<dyn StorageEnv>,
-        ..small_options(1)
+        ..small_options()
     };
     let db = Db::open_with_engine(
         "/db",
@@ -351,7 +364,7 @@ fn every_fault_is_retried_without_data_loss() {
     ));
     svc.faults().fail_every(1);
     let engine = Arc::clone(&svc) as Arc<dyn CompactionEngine>;
-    let db = Db::open_with_engine("/db", small_options(2), engine).unwrap();
+    let db = Db::open_with_engine("/db", small_options(), engine).unwrap();
     for i in 0..4000u32 {
         db.put(
             format!("k{:05}", (i * 31) % 5000).as_bytes(),
@@ -385,7 +398,7 @@ fn shared_obs_bundle_records_store_and_scheduler() {
     );
     svc.faults().fail_every(5);
     let engine = Arc::clone(&svc) as Arc<dyn CompactionEngine>;
-    let mut options = small_options(2);
+    let mut options = small_options();
     options.obs = Some(Arc::clone(&bundle));
     let db = Db::open_with_engine("/db", options, engine).unwrap();
     run_workload(&db);

@@ -358,7 +358,9 @@ impl WriteSim {
     }
 
     /// Levels an in-flight job makes off-limits (its own and the one it
-    /// writes into) — the simulation's miniature of `lsm::ConflictChecker`.
+    /// writes into). The simulated store overlaps jobs on disjoint
+    /// levels; a real `lsm::Db` runs one compaction at a time (DESIGN.md,
+    /// "Honest contention").
     fn busy_levels(&self) -> [bool; NUM_LEVELS] {
         let mut busy = [false; NUM_LEVELS];
         for job in self.jobs.values() {

@@ -37,6 +37,11 @@ cd "$(dirname "$0")/.."
 # kind grows back.
 ! grep -rnE 'PriorityPolicy|JobClass|aging_interval|slowdown_queue_depth|stop_queue_depth|MidJobTimeout|MidJobPoisoned|next_waiter_id' \
     --include='*.rs' crates shims tests examples || exit 1
+# One background thread per store, as LevelDB has: compactions of one
+# store never overlap, so no thread-count option, admission checker or
+# concurrent-compaction gauge grows back.
+! grep -rnE 'ConflictChecker|JobShape|JobTicket|background_threads|max_concurrent_compactions|compact\.max_concurrent' \
+    --include='*.rs' crates shims tests examples || exit 1
 # One lock API: parking_lot's shape from `lsm::sync_shim` (or
 # `parking_lot` below `lsm`), never std's poisoning locks or a lock
 # helper. The loom facade in sync_shim.rs and xtask's lint patterns

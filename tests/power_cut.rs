@@ -61,7 +61,6 @@ fn small_options(env: &FaultEnv) -> Options {
         max_file_size: 8 << 10,
         level1_max_bytes: 16 << 10,
         slowdown_sleep: false,
-        background_threads: 1,
         ..Default::default()
     }
 }
