@@ -6,7 +6,6 @@
 use bench::inputs::kernel_request;
 use bench::{banner, build_kernel_inputs, fmt, KernelInputSpec, MemFactory, TablePrinter};
 use fcae::{AblationFlags, FcaeConfig, FcaeEngine};
-use lsm::compaction::CompactionEngine;
 use sstable::env::MemEnv;
 
 fn speed(flags: AblationFlags, value_len: usize) -> f64 {
@@ -25,8 +24,8 @@ fn speed(flags: AblationFlags, value_len: usize) -> f64 {
     let inputs = build_kernel_inputs(&env, &spec);
     let engine = FcaeEngine::new(cfg);
     let factory = MemFactory::new(env);
-    engine.compact(&kernel_request(inputs), &factory).unwrap();
-    engine.last_report().compaction_speed_mb_s
+    let (_, report) = engine.compact(&kernel_request(inputs), &factory).unwrap();
+    report.compaction_speed_mb_s
 }
 
 fn main() {

@@ -78,8 +78,8 @@ fn main() {
             let engine = FcaeEngine::new(FcaeConfig::two_input().with_v(v));
             let inputs = build_kernel_inputs(&env, &spec);
             let factory = MemFactory::new(env.clone());
-            engine.compact(&kernel_request(inputs), &factory).unwrap();
-            let speed = engine.last_report().compaction_speed_mb_s;
+            let (_, report) = engine.compact(&kernel_request(inputs), &factory).unwrap();
+            let speed = report.compaction_speed_mb_s;
             row.push(fmt(speed));
             row.push(format!("({})", fmt(paper_by_v[vi])));
             ratios.push(speed / cpu_model);

@@ -13,10 +13,12 @@
 //! syncs, where group commit amortizes the fsync across writers. The
 //! `ycsb-a` benchmark runs the 50/50 read/update zipfian mix.
 //!
-//! `--fault-every N` injects a transient device fault every Nth
-//! compaction dispatch (plus a mid-job fault every 3Nth) through the
-//! offload scheduler; combine with `--stats` to see the
-//! `offload.fault.*` and `lsm.bg-error.*` counters after the run.
+//! `--engine fcae` runs compactions through the offload scheduler, on
+//! as many `--n-inputs` device slots as fit the card, with the paper's
+//! CPU fallback. `--fault-every N` injects a transient device fault
+//! every Nth compaction dispatch (plus a mid-job fault every 3Nth) there;
+//! combine with `--stats` to see the `offload.fault.*` and
+//! `lsm.bg-error.*` counters after the run.
 //!
 //! Unlike the simulator-backed benches (which model the paper's 2019
 //! hardware), this measures *this machine's* wall clock — useful for
@@ -28,8 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use fcae::{FcaeConfig, FcaeEngine};
-use lsm::compaction::{CompactionEngine, CpuCompactionEngine};
+use fcae::FcaeConfig;
 use lsm::{Db, Options};
 use offload::{DeviceFaultKind, OffloadConfig, OffloadService};
 use simkit::SplitMix64;
@@ -179,30 +180,24 @@ fn open_db(cfg: &Config) -> (Db, Option<Arc<OffloadService>>) {
         obs: Some(Arc::clone(&bundle)),
         ..Default::default()
     };
-    // Fault injection routes compactions through the offload scheduler so
-    // every injected fault exercises the real fallback-and-retry path.
+    if cfg.engine == Engine::Cpu && cfg.fault_every == 0 {
+        return (Db::open(&cfg.db_path, options).expect("open db"), None);
+    }
+    // The device path: the offload scheduler, where every injected fault
+    // exercises the real fallback-and-retry path.
+    if cfg.engine == Engine::Cpu {
+        eprintln!("--fault-every targets the device path; using the offload engine");
+    }
+    let svc = Arc::new(
+        OffloadService::new(device_config(cfg), OffloadConfig::default()).with_obs(bundle),
+    );
     if cfg.fault_every > 0 {
-        if cfg.engine == Engine::Cpu {
-            eprintln!("--fault-every targets the device path; using the offload engine");
-        }
-        let svc = Arc::new(
-            OffloadService::new(device_config(cfg), OffloadConfig::default()).with_obs(bundle),
-        );
         svc.faults().fail_every(cfg.fault_every);
         svc.faults()
             .fail_every_kind(DeviceFaultKind::MidJob, cfg.fault_every * 3);
-        let engine: Arc<dyn CompactionEngine> = Arc::clone(&svc) as _;
-        let db = Db::open_with_engine(&cfg.db_path, options, engine).expect("open db");
-        return (db, Some(svc));
     }
-    let engine: Arc<dyn CompactionEngine> = match cfg.engine {
-        Engine::Cpu => Arc::new(CpuCompactionEngine),
-        Engine::Fcae => Arc::new(FcaeEngine::new(device_config(cfg))),
-    };
-    (
-        Db::open_with_engine(&cfg.db_path, options, engine).expect("open db"),
-        None,
-    )
+    let db = Db::open_with_engine(&cfg.db_path, options, Arc::clone(&svc) as _);
+    (db.expect("open db"), Some(svc))
 }
 
 fn run_benchmark(name: &str, bench: Bench, cfg: &Config, db: &Db) {
@@ -320,8 +315,8 @@ fn main() {
     let stats = db.stats();
     println!("------------------------------------------------");
     println!(
-        "flushes {} | engine compactions {} | sw fallbacks {} | trivial {}",
-        stats.flushes, stats.engine_compactions, stats.sw_fallback_compactions, stats.trivial_moves
+        "flushes {} | engine compactions {} | trivial {}",
+        stats.flushes, stats.engine_compactions, stats.trivial_moves
     );
     println!(
         "compaction io {:.1} MB read / {:.1} MB written | stall {:?}",
@@ -337,6 +332,12 @@ fn main() {
     }
     if let Some(svc) = &offload_svc {
         let m = svc.metrics();
+        println!(
+            "offload: device jobs {} | cpu jobs {} (oversized {})",
+            m.fpga_jobs,
+            m.cpu_jobs(),
+            m.cpu_fallback_oversized
+        );
         println!(
             "device faults {} (transient {} / midjob {}) | \
              cpu retries {} | outputs discarded {}",

@@ -9,13 +9,14 @@
 //!
 //! * [`lsm`] — the store: [`lsm::Db`], options, the
 //!   [`lsm::CompactionEngine`] abstraction and the CPU baseline engine;
-//! * [`fcae`] — the simulated FPGA engine: [`fcae::FcaeEngine`],
+//! * [`fcae`] — the simulated FPGA device: [`fcae::FcaeEngine`],
 //!   configuration ([`fcae::FcaeConfig`]), the pipeline timing model,
 //!   the Table VII resource model and the calibrated CPU cost model;
-//! * [`offload`] — the multi-engine offload scheduler:
-//!   [`offload::OffloadService`] packs as many engine instances as fit
-//!   the card and dispatches compactions across them with a bounded
-//!   wait for a slot, CPU fallback and fault retry;
+//! * [`offload`] — the multi-engine offload scheduler, and a store's one
+//!   way to the device: [`offload::OffloadService`] packs as many engine
+//!   instances as fit the card and dispatches compactions across them
+//!   with a bounded wait for a slot, CPU fallback (the paper's Fig. 6)
+//!   and fault retry;
 //! * [`sstable`] — the LevelDB table format;
 //! * [`snap_codec`] — the Snappy codec;
 //! * [`workloads`] — db_bench / YCSB generators;
@@ -27,13 +28,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use fcae_repro::fcae::{FcaeConfig, FcaeEngine};
+//! use fcae_repro::fcae::FcaeConfig;
 //! use fcae_repro::lsm::{Db, Options};
+//! use fcae_repro::offload::{OffloadConfig, OffloadService};
 //!
 //! let dir = std::env::temp_dir().join("fcae-repro-doc");
 //! let _ = std::fs::remove_dir_all(&dir);
-//! let engine = Arc::new(FcaeEngine::new(FcaeConfig::nine_input()));
-//! let db = Db::open_with_engine(&dir, Options::default(), engine).unwrap();
+//! let engine = OffloadService::new(FcaeConfig::nine_input(), OffloadConfig::default());
+//! let db = Db::open_with_engine(&dir, Options::default(), Arc::new(engine)).unwrap();
 //! db.put(b"hello", b"world").unwrap();
 //! assert_eq!(db.get(b"hello").unwrap().as_deref(), Some(&b"world"[..]));
 //! ```

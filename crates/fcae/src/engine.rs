@@ -1,7 +1,6 @@
 //! The engine: functional N-way merge through the decoder → comparer →
 //! transfer → encoder pipeline, host-side image construction and output
-//! SSTable assembly, and the timing/transfer accounting — a drop-in
-//! [`lsm::CompactionEngine`].
+//! SSTable assembly, and the timing/transfer accounting.
 //!
 //! A job holds a window, not the job: the card's DRAM is accounted, not
 //! allocated ([`crate::memory`]). Host steps 3–4 stage MetaIn and Index
@@ -10,14 +9,17 @@
 //! as soon as the encoder completes it. So an engine job holds one window
 //! per input plus the one output table being encoded, while the DRAM
 //! check, block fetches and PCIe bytes are those of the whole images.
+//!
+//! The engine is a plain device: it takes a job or rejects it. Whether a
+//! job goes to the device or to the host CPU (the paper's Fig. 6) is the
+//! offload service's decision, so a store reaches this engine only
+//! through `offload::OffloadService`.
 
 use std::time::{Duration, Instant};
 
 use lsm::compaction::{
-    CompactionEngine, CompactionOutcome, CompactionRequest, DropFilter, OutputFileFactory,
-    OutputTableMeta,
+    CompactionOutcome, CompactionRequest, DropFilter, OutputFileFactory, OutputTableMeta,
 };
-use lsm::sync_shim::Mutex;
 use sstable::bloom::BloomFilterPolicy;
 use sstable::format::CompressionType;
 use sstable::ikey::InternalKey;
@@ -33,7 +35,7 @@ use crate::Result;
 
 /// Detailed kernel accounting for one offloaded compaction, beyond what
 /// [`CompactionOutcome`] carries.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct KernelReport {
     /// Kernel cycles at the configured clock.
     pub cycles: f64,
@@ -61,8 +63,6 @@ pub struct KernelReport {
 /// The simulated FPGA compaction engine.
 pub struct FcaeEngine {
     config: FcaeConfig,
-    /// Last kernel report, for benches that want the detail.
-    last_report: Mutex<KernelReport>,
 }
 
 impl FcaeEngine {
@@ -74,20 +74,7 @@ impl FcaeEngine {
             // a programmer error, not a runtime condition to propagate.
             panic!("invalid FCAE configuration: {e}");
         }
-        FcaeEngine {
-            config,
-            last_report: Mutex::new(KernelReport::default()),
-        }
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &FcaeConfig {
-        &self.config
-    }
-
-    /// Kernel accounting of the most recent compaction.
-    pub fn last_report(&self) -> KernelReport {
-        self.last_report.lock().clone()
+        FcaeEngine { config }
     }
 
     /// Runs the device pipeline over prepared images, returning the output
@@ -220,20 +207,17 @@ fn charge_new_blocks(model: &mut PipelineModel, seen: &mut u64, dec: &InputDecod
     }
 }
 
-impl CompactionEngine for FcaeEngine {
-    fn name(&self) -> &str {
-        "fcae"
-    }
-
-    fn max_inputs(&self) -> usize {
-        self.config.n_inputs
-    }
-
-    fn compact(
+impl FcaeEngine {
+    /// Runs one compaction on the device: host steps 3–4, the kernel and
+    /// host step 8, writing each output table through `out` as the
+    /// encoder completes it. Rejects a job with more inputs than the
+    /// device's `N`, or whose images overflow its DRAM, before the kernel
+    /// runs; on a later error the tables already written are left behind.
+    pub fn compact(
         &self,
         req: &CompactionRequest,
         out: &dyn OutputFileFactory,
-    ) -> Result<CompactionOutcome> {
+    ) -> Result<(CompactionOutcome, KernelReport)> {
         // DETERMINISM-OK: host-side wall time reported *alongside* the
         // modeled device time, never fed back into the cycle model.
         #[allow(clippy::disallowed_methods)]
@@ -325,13 +309,6 @@ impl CompactionEngine for FcaeEngine {
         outcome.wall_time = start.elapsed();
         outcome.modeled_kernel_time = Some(Duration::from_secs_f64(report.kernel_time_sec));
         outcome.modeled_transfer_time = Some(Duration::from_secs_f64(report.pcie_time_sec));
-        *self.last_report.lock() = report;
-        Ok(outcome)
-    }
-}
-
-impl Default for FcaeEngine {
-    fn default() -> Self {
-        FcaeEngine::new(FcaeConfig::two_input())
+        Ok((outcome, report))
     }
 }

@@ -43,6 +43,6 @@ pub use engine::{FcaeEngine, KernelReport};
 pub use resources::{ResourceModel, Utilization};
 pub use timing::{ModuleBreakdown, PipelineModel};
 
-/// Engine errors are the store's errors: the engine is a drop-in
-/// [`lsm::CompactionEngine`].
+/// Engine errors are the store's errors: the offload service hands a
+/// device job's error to its CPU retry, or on to the store.
 pub type Result<T> = lsm::Result<T>;

@@ -1,7 +1,8 @@
 //! The core correctness claim of the reproduction: the simulated FPGA
 //! engine and the CPU engine produce *equivalent* compactions — the same
 //! surviving entries in the same order, in files the standard reader can
-//! open — and the engine integrates with the full store unchanged.
+//! open. (A full store on the engine, through the offload service, is
+//! `offload`'s `scheduler_integration`.)
 
 use std::path::Path;
 use std::sync::Arc;
@@ -10,7 +11,6 @@ use fcae::{FcaeConfig, FcaeEngine};
 use lsm::compaction::{
     CompactionEngine, CompactionInput, CompactionRequest, CpuCompactionEngine, OutputFileFactory,
 };
-use lsm::{Db, Options};
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
 use sstable::format::CompressionType;
 use sstable::ikey::{parse_internal_key, InternalKey, ValueType};
@@ -200,7 +200,7 @@ fn fcae_and_cpu_produce_identical_entry_streams() {
             prefix: "fcae",
             counter: Default::default(),
         };
-        let fcae_out = engine
+        let (fcae_out, _) = engine
             .compact(&request(overlapping_inputs(&env)), &fcae_factory)
             .unwrap();
 
@@ -230,7 +230,7 @@ fn fcae_outputs_are_seekable_standard_tables() {
         prefix: "out",
         counter: Default::default(),
     };
-    let outcome = engine.compact(&request(inputs, true), &factory).unwrap();
+    let (outcome, _) = engine.compact(&request(inputs, true), &factory).unwrap();
     assert!(!outcome.outputs.is_empty());
 
     for meta in &outcome.outputs {
@@ -302,8 +302,7 @@ fn kernel_report_speed_behaviour_matches_paper_trends() {
             prefix: "spd",
             counter: Default::default(),
         };
-        engine.compact(&request(inputs, true), &factory).unwrap();
-        let report = engine.last_report();
+        let (_, report) = engine.compact(&request(inputs, true), &factory).unwrap();
         assert!(report.compaction_speed_mb_s > 0.0);
         speeds_by_value.push(report.compaction_speed_mb_s);
     }
@@ -311,95 +310,6 @@ fn kernel_report_speed_behaviour_matches_paper_trends() {
         speeds_by_value.windows(2).all(|w| w[0] < w[1]),
         "speed should grow with value length: {speeds_by_value:?}"
     );
-}
-
-#[test]
-fn full_store_runs_on_the_fcae_engine() {
-    let env = Arc::new(MemEnv::new());
-    let options = Options {
-        env: Arc::clone(&env) as Arc<dyn StorageEnv>,
-        write_buffer_size: 64 << 10,
-        max_file_size: 32 << 10,
-        level1_max_bytes: 128 << 10,
-        slowdown_sleep: false,
-        ..Default::default()
-    };
-    let engine = Arc::new(FcaeEngine::new(FcaeConfig::nine_input()));
-    let db = Db::open_with_engine("/db", options, engine).unwrap();
-    assert_eq!(db.engine_name(), "fcae");
-
-    // Mostly-sequential fill keeps L0 overlap narrow, so compactions fit
-    // the engine's N and are offloaded rather than falling back.
-    let value = vec![0x42u8; 400];
-    for i in 0..3000u32 {
-        db.put(format!("key{i:06}").as_bytes(), &value).unwrap();
-    }
-    for i in 0..1000u32 {
-        db.put(format!("key{i:06}").as_bytes(), &value).unwrap();
-    }
-    db.delete(b"key000007").unwrap();
-    db.flush().unwrap();
-    db.wait_for_background_quiescence();
-
-    let stats = db.stats();
-    assert!(
-        stats.engine_compactions > 0,
-        "the FCAE engine should have executed compactions: {stats:?}"
-    );
-    assert!(stats.modeled_kernel_time.as_nanos() > 0);
-
-    // Every key readable, deletion respected.
-    assert_eq!(db.get(b"key000007").unwrap(), None);
-    for i in (0..3000u32).step_by(37) {
-        if i == 7 {
-            continue;
-        }
-        assert_eq!(
-            db.get(format!("key{i:06}").as_bytes()).unwrap().as_deref(),
-            Some(&value[..]),
-            "key{i:06}"
-        );
-    }
-}
-
-#[test]
-fn l0_overload_falls_back_to_software() {
-    // With N=2, an L0 compaction involving >2 inputs must be executed by
-    // the software path (paper Fig. 6's SW Compaction branch).
-    let env = Arc::new(MemEnv::new());
-    let options = Options {
-        env: Arc::clone(&env) as Arc<dyn StorageEnv>,
-        write_buffer_size: 16 << 10,
-        max_file_size: 16 << 10,
-        slowdown_sleep: false,
-        ..Default::default()
-    };
-    let engine = Arc::new(FcaeEngine::new(FcaeConfig::two_input()));
-    let db = Db::open_with_engine("/db", options, engine).unwrap();
-    // Same key range in every flush → wide L0 overlap → >2 inputs.
-    for round in 0..8 {
-        for i in 0..200u32 {
-            db.put(
-                format!("key{i:04}").as_bytes(),
-                format!("r{round}").as_bytes(),
-            )
-            .unwrap();
-        }
-        db.flush().unwrap();
-    }
-    db.wait_for_background_quiescence();
-    let stats = db.stats();
-    assert!(
-        stats.sw_fallback_compactions > 0,
-        "expected software fallback for wide L0 compactions: {stats:?}"
-    );
-    // Data still correct.
-    for i in (0..200u32).step_by(11) {
-        assert_eq!(
-            db.get(format!("key{i:04}").as_bytes()).unwrap(),
-            Some(b"r7".to_vec())
-        );
-    }
 }
 
 /// The analytic steady-state speed (used by the system simulator) and the
@@ -453,8 +363,8 @@ fn analytic_and_functional_speeds_agree() {
             prefix: "cons",
             counter: Default::default(),
         };
-        engine.compact(&request(inputs, true), &factory).unwrap();
-        let functional = engine.last_report().compaction_speed_mb_s;
+        let (_, report) = engine.compact(&request(inputs, true), &factory).unwrap();
+        let functional = report.compaction_speed_mb_s;
 
         let analytic = PipelineModel::new(cfg).steady_state_speed_mb_s(24, value_len);
         let ratio = functional / analytic;

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use fcae::memory::DATA_WINDOW_BYTES;
 use fcae::{FcaeConfig, FcaeEngine};
-use lsm::compaction::{CompactionEngine, CompactionInput, CompactionRequest, OutputFileFactory};
+use lsm::compaction::{CompactionInput, CompactionRequest, OutputFileFactory};
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
 use sstable::format::CompressionType;
 use sstable::ikey::{InternalKey, ValueType};
@@ -133,7 +133,7 @@ fn an_engine_job_holds_its_windows_and_one_output_table() {
     };
 
     let before = ALLOC.reset_peak();
-    let outcome = engine.compact(&req, &out).unwrap();
+    let (outcome, _) = engine.compact(&req, &out).unwrap();
     let growth = ALLOC.peak_bytes() - before;
 
     assert_eq!(outcome.entries_written, 4 * KEYS - KEYS % 3);

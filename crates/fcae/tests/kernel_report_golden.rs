@@ -8,7 +8,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fcae::{FcaeConfig, FcaeEngine};
-use lsm::compaction::{CompactionEngine, CompactionInput, CompactionRequest, OutputFileFactory};
+use lsm::compaction::{CompactionInput, CompactionRequest, OutputFileFactory};
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
 use sstable::format::CompressionType;
 use sstable::ikey::{InternalKey, ValueType};
@@ -95,14 +95,13 @@ fn one_jobs_kernel_report_is_pinned() {
         env: env.clone(),
         next: AtomicU64::new(0),
     };
-    let outcome = engine.compact(&req, &out).unwrap();
+    let (outcome, r) = engine.compact(&req, &out).unwrap();
     assert!(
         outcome.outputs.len() > 2,
         "{} outputs",
         outcome.outputs.len()
     );
 
-    let r = engine.last_report();
     let got = (
         r.cycles.to_bits(),
         r.bytes_to_device,

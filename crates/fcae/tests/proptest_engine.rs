@@ -9,7 +9,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fcae::{FcaeConfig, FcaeEngine};
-use lsm::compaction::{CompactionEngine, CompactionInput, CompactionRequest, OutputFileFactory};
+use lsm::compaction::{CompactionInput, CompactionRequest, OutputFileFactory};
 use proptest::prelude::*;
 use sstable::env::{MemEnv, StorageEnv, WritableFile};
 use sstable::ikey::{parse_internal_key, InternalKey, ValueType};
@@ -152,7 +152,7 @@ proptest! {
             builder_options: builder_options(),
             max_output_file_size: 8 << 10,
         };
-        let outcome = engine.compact(&req, &factory).unwrap();
+        let (outcome, _) = engine.compact(&req, &factory).unwrap();
 
         // Read back every output entry.
         let mut got: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -199,7 +199,7 @@ proptest! {
             builder_options: builder_options(),
             max_output_file_size: 1 << 10,
         };
-        let outcome = engine.compact(&req, &factory).unwrap();
+        let (outcome, _) = engine.compact(&req, &factory).unwrap();
 
         let mut pairs = 0u64;
         for meta in &outcome.outputs {

@@ -1,7 +1,7 @@
-//! Background work: the background thread's loop, what it picks
-//! (Fig. 6), the flush, compaction dispatch to the engine and the
-//! install of its result (§IV), and the removal of files no version
-//! names any more. Every version change here goes through
+//! Background work: the background thread's loop, what it picks, the
+//! flush, compaction dispatch to the store's one engine and the install
+//! of its result (§IV), and the removal of files no version names any
+//! more. Every version change here goes through
 //! [`DbInner::install`].
 
 use std::collections::HashSet;
@@ -12,8 +12,7 @@ use std::time::Duration;
 use sstable::env::WritableFile;
 
 use crate::compaction::{
-    write_level0_table, CompactionEngine, CompactionInput, CompactionRequest, CpuCompactionEngine,
-    OutputFileFactory, OutputTableMeta,
+    write_level0_table, CompactionInput, CompactionRequest, OutputFileFactory, OutputTableMeta,
 };
 use crate::db::{Compacting, Db, DbInner, DbState, StateGuard};
 use crate::filename::{parse_file_name, table_file_name, FileType};
@@ -208,13 +207,12 @@ impl DbInner {
                     let v = state.versions.current();
                     ((level + 2)..NUM_LEVELS).all(|l| v.num_files(l) == 0)
                 };
-                // Engine dispatch (Fig. 6): offload when the device can
-                // take the input count, otherwise software compaction.
-                // Decided in this lock hold, so a writer that finds a
-                // full memtable never mistakes an offloaded job for a
-                // host one and stalls behind it.
-                let use_engine = compaction.input_runs().count() <= self.engine.max_inputs();
-                state.compacting = Some(if use_engine && self.engine.name() != "cpu" {
+                // Every job runs on the store's one engine; an offload
+                // service decides device or CPU (Fig. 6) itself. Marked
+                // in this lock hold, so a writer that finds a full
+                // memtable never mistakes an offloaded job for a host
+                // one and stalls behind it.
+                state.compacting = Some(if self.engine.name() != "cpu" {
                     Compacting::Offloaded
                 } else {
                     Compacting::OnHost
@@ -223,7 +221,6 @@ impl DbInner {
                     compaction,
                     smallest_snapshot,
                     bottommost,
-                    use_engine,
                 });
             }
             return None;
@@ -237,7 +234,6 @@ impl DbInner {
             compaction,
             smallest_snapshot,
             bottommost,
-            use_engine,
         } = job;
         let level = compaction.level;
 
@@ -288,12 +284,7 @@ impl DbInner {
         // keeping deterministic tests free of wall-clock waits.
         let mut attempt: u32 = 0;
         let result = loop {
-            let r = if use_engine {
-                self.engine.compact(&req, &factory)
-            } else {
-                CpuCompactionEngine.compact(&req, &factory)
-            };
-            match r {
+            match self.engine.compact(&req, &factory) {
                 Err(e) if attempt < COMPACTION_MAX_RETRIES && is_transient_io(&e) => {
                     attempt += 1;
                     let backoff = COMPACTION_RETRY_BACKOFF_MICROS
@@ -348,11 +339,7 @@ impl DbInner {
                 state.compaction_horizon = state.compaction_horizon.max(smallest_snapshot);
                 if self.install(&mut state, edit, "compaction install").is_ok() {
                     let m = &self.metrics;
-                    if use_engine {
-                        m.engine_compactions.inc();
-                    } else {
-                        m.sw_fallback_compactions.inc();
-                    }
+                    m.engine_compactions.inc();
                     let nanos = |t: Duration| t.as_nanos() as u64;
                     m.compaction_nanos.add(nanos(outcome.wall_time));
                     m.kernel_nanos
@@ -422,14 +409,12 @@ fn is_transient_io(e: &Error) -> bool {
     matches!(e, Error::Io(_) | Error::Table(sstable::Error::Io(_)))
 }
 
-/// A picked compaction, with its request context and engine dispatch
-/// decided under the lock that picked it.
+/// A picked compaction, with its request context decided under the lock
+/// that picked it.
 struct PickedCompaction {
     compaction: crate::version::Compaction,
     smallest_snapshot: u64,
     bottommost: bool,
-    /// Run on the configured engine; otherwise on the CPU engine.
-    use_engine: bool,
 }
 
 /// Allocates compaction output files inside the DB directory, remembering

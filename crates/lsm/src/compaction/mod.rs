@@ -132,13 +132,17 @@ pub enum WritePressure {
 }
 
 /// Executes compactions; implemented by the CPU merge here and by the
-/// simulated FPGA engine in the `fcae` crate.
+/// offload service in the `offload` crate, which decides per job whether
+/// the simulated FPGA device or the CPU runs it (the paper's Fig. 6). The
+/// store runs every compaction it picks on its one engine.
 pub trait CompactionEngine: Send + Sync {
     /// Engine name for logs and stats.
     fn name(&self) -> &str;
-    /// Maximum number of inputs the engine accepts (the paper's `N`);
-    /// requests with more inputs fall back to software (Fig. 6).
-    fn max_inputs(&self) -> usize;
+    /// Maximum number of inputs the engine accepts. The store does not
+    /// read it: every engine takes any job.
+    fn max_inputs(&self) -> usize {
+        usize::MAX
+    }
     /// Runs the compaction.
     fn compact(
         &self,
@@ -171,10 +175,6 @@ pub struct CpuCompactionEngine;
 impl CompactionEngine for CpuCompactionEngine {
     fn name(&self) -> &str {
         "cpu"
-    }
-
-    fn max_inputs(&self) -> usize {
-        usize::MAX
     }
 
     fn compact(

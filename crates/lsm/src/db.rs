@@ -80,7 +80,7 @@ pub(crate) struct DbState {
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Compacting {
     /// Merging on the background thread: the configured engine is the
-    /// CPU one, or the job has more inputs than the device takes.
+    /// CPU one.
     OnHost,
     /// Going to an offload engine, which leaves the host idle.
     Offloaded,
@@ -147,8 +147,9 @@ pub(crate) type StateGuard<'a> = MutexGuard<'a, DbState>;
 
 /// A LevelDB-like key-value store.
 ///
-/// Cloning the handle is cheap; the database shuts down when the last
-/// handle drops.
+/// `Db` is not `Clone`: threads share one store through an `Arc<Db>`
+/// (or by reference in scoped threads). The database shuts down when
+/// the handle drops.
 pub struct Db {
     pub(crate) inner: Arc<DbInner>,
     /// The background thread; taken and joined when the handle drops.

@@ -5,8 +5,9 @@
 //! serve `put`/`get`/`delete`, a background thread schedules flushes and
 //! compactions, and the *execution* of a compaction is delegated to a
 //! [`CompactionEngine`] — either the CPU merge
-//! ([`compaction::CpuCompactionEngine`]) or, via the `fcae` crate, the
-//! simulated FPGA engine. The on-disk format (WAL, MANIFEST, SSTables) is
+//! ([`compaction::CpuCompactionEngine`]) or, via the `offload` crate's
+//! service, the simulated FPGA engine with the paper's software
+//! fallback. The on-disk format (WAL, MANIFEST, SSTables) is
 //! LevelDB's, unchanged, because the paper integrates "without
 //! modifications on the original storage format".
 //!

@@ -42,10 +42,9 @@ pub struct LevelCompactionStats {
 pub struct DbStats {
     /// Memtable flushes performed.
     pub flushes: u64,
-    /// Compactions executed by the configured engine.
+    /// Compactions the store's engine ran: every installed merge, so
+    /// `engine_compactions == Σ per_level[l].compactions`.
     pub engine_compactions: u64,
-    /// Compactions that fell back to software (too many inputs).
-    pub sw_fallback_compactions: u64,
     /// Trivial moves (file relinked down a level).
     pub trivial_moves: u64,
     /// Bytes read by compactions.
@@ -111,10 +110,8 @@ pub(crate) struct DbMetrics {
     /// cache too; `DbStats` has the cache's own totals).
     pub(crate) block_cache_hits: Arc<obs::Counter>,
     pub(crate) block_cache_misses: Arc<obs::Counter>,
-    /// Compactions the configured engine ran / that exceeded its input
-    /// count and ran in software / that only relinked a file.
+    /// Compactions the store's engine ran / that only relinked a file.
     pub(crate) engine_compactions: Arc<obs::Counter>,
-    pub(crate) sw_fallback_compactions: Arc<obs::Counter>,
     pub(crate) trivial_moves: Arc<obs::Counter>,
     /// Wall time inside engines, and the device model's kernel and PCIe
     /// time, in nanoseconds.
@@ -161,7 +158,6 @@ impl DbMetrics {
             block_cache_hits: registry.counter("lsm.block_cache.hits"),
             block_cache_misses: registry.counter("lsm.block_cache.misses"),
             engine_compactions: registry.counter("lsm.compact.engine_jobs"),
-            sw_fallback_compactions: registry.counter("lsm.compact.sw_fallback_jobs"),
             trivial_moves: registry.counter("lsm.compact.trivial_moves"),
             compaction_nanos: registry.counter("lsm.compact.wall_nanos"),
             kernel_nanos: registry.counter("lsm.compact.kernel_nanos"),
@@ -233,7 +229,6 @@ impl Db {
         DbStats {
             flushes: m.flush_count.get(),
             engine_compactions: m.engine_compactions.get(),
-            sw_fallback_compactions: m.sw_fallback_compactions.get(),
             trivial_moves: m.trivial_moves.get(),
             compaction_bytes_read: per_level.iter().map(|l| l.bytes_read).sum(),
             compaction_bytes_written: per_level.iter().map(|l| l.bytes_written).sum(),
@@ -287,7 +282,10 @@ impl Db {
 
     /// Human-readable counterpart of LevelDB's `leveldb.stats` property:
     /// one row per level (files, resident bytes, compaction traffic)
-    /// plus the aggregate write-path counters.
+    /// plus the aggregate write-path counters. `files` and `size_kb` are
+    /// this store's; the columns after `bundle:` and the `bundle:` lines
+    /// are [`Db::stats`] totals, summed over every store on the same
+    /// [`crate::Options::obs`] bundle.
     pub fn stats_report(&self) -> String {
         use std::fmt::Write as _;
         let stats = self.stats();
@@ -301,13 +299,13 @@ impl Db {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "level  files  size_kb  compactions  read_kb  write_kb  files_merged"
+            "level  files  size_kb | bundle: compactions  read_kb  write_kb  files_merged"
         );
         for (level, (files, bytes)) in rows.enumerate() {
             let lv = stats.per_level[level];
             let _ = writeln!(
                 out,
-                "{level:>5}  {files:>5}  {:>7}  {:>11}  {:>7}  {:>8}  {:>12}",
+                "{level:>5}  {files:>5}  {:>7} | {:>19}  {:>7}  {:>8}  {:>12}",
                 bytes / 1024,
                 lv.compactions,
                 lv.bytes_read / 1024,
@@ -317,15 +315,12 @@ impl Db {
         }
         let _ = writeln!(
             out,
-            "flushes={} engine_compactions={} sw_fallbacks={} trivial_moves={}",
-            stats.flushes,
-            stats.engine_compactions,
-            stats.sw_fallback_compactions,
-            stats.trivial_moves
+            "bundle: flushes={} engine_compactions={} trivial_moves={}",
+            stats.flushes, stats.engine_compactions, stats.trivial_moves
         );
         let _ = writeln!(
             out,
-            "stall_micros={} group_commits={} grouped_writes={}",
+            "bundle: stall_micros={} group_commits={} grouped_writes={}",
             stats.stall_time.as_micros(),
             stats.group_commits,
             stats.grouped_writes

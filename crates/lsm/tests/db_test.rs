@@ -155,7 +155,7 @@ fn compactions_triggered_and_data_survives() {
     let stats = db.stats();
     assert!(stats.flushes >= 2, "expected multiple flushes: {stats:?}");
     assert!(
-        stats.engine_compactions + stats.trivial_moves + stats.sw_fallback_compactions >= 1,
+        stats.engine_compactions + stats.trivial_moves >= 1,
         "expected at least one compaction: {stats:?}"
     );
     // All 700 distinct keys must read back the last written value.
@@ -764,10 +764,6 @@ impl lsm::CompactionEngine for GatedEngine {
         "gated"
     }
 
-    fn max_inputs(&self) -> usize {
-        usize::MAX
-    }
-
     fn compact(
         &self,
         req: &lsm::CompactionRequest,
@@ -1120,6 +1116,47 @@ fn wal_failure_while_vlog_gc_installs_goes_read_only_and_never_hangs() {
         .recv_timeout(std::time::Duration::from_secs(60))
         .expect("a WAL failure under value-log GC hung the store");
     worker.join().unwrap();
+}
+
+/// Stores sharing one obs bundle count on one registry: `lsm.stats`
+/// prints the store's own `files` and `size_kb` beside the bundle's
+/// compaction, flush and write totals, and labels the latter.
+#[test]
+fn stats_report_labels_the_bundle_totals() {
+    let bundle = obs::Obs::wall();
+    let open = || {
+        let (_env, options) = small_options();
+        let options = Options {
+            obs: Some(Arc::clone(&bundle)),
+            ..options
+        };
+        Db::open("/db", options).unwrap()
+    };
+    let (a, b) = (open(), open());
+    for (db, flushes) in [(&a, 1), (&b, 2)] {
+        for i in 0..flushes {
+            db.put(format!("key{i}").as_bytes(), b"value").unwrap();
+            db.flush().unwrap();
+        }
+    }
+    let report = a.property("lsm.stats").unwrap();
+    let mut lines = report.lines();
+    assert_eq!(
+        lines.next(),
+        Some("level  files  size_kb | bundle: compactions  read_kb  write_kb  files_merged"),
+        "{report}"
+    );
+    let l0: Vec<&str> = lines.next().unwrap().split_whitespace().collect();
+    assert_eq!(
+        &l0[..2],
+        ["0", "1"],
+        "store a's own L0 file count:\n{report}"
+    );
+    assert!(
+        report.contains("\nbundle: flushes=3 "),
+        "flushes of both stores, labelled:\n{report}"
+    );
+    assert!(report.contains("\nbundle: stall_micros="), "{report}");
 }
 
 // ------------------------------------------------------- table lifetime

@@ -8,12 +8,14 @@
 //! instantiates that many [`fcae::FcaeEngine`] slots, and schedules the
 //! store's compactions across them:
 //!
-//! * **Hybrid dispatch** — a job takes any free slot, or waits up to a
-//!   configurable budget for one and then falls back to the host CPU;
-//!   jobs with more inputs than the device's `N` go to the CPU
-//!   immediately, mirroring the paper's Fig. 6 software path. Waiters
-//!   are granted in no particular order: which compaction runs first is
-//!   the store's picker's decision.
+//! * **Hybrid dispatch** — the one place the paper's Fig. 6 is decided:
+//!   a store runs every compaction it picks on its engine, and reaches
+//!   the device only through this service. Jobs with more inputs than
+//!   the device's `N` go to the host CPU immediately (Fig. 6's software
+//!   path); any other job takes a free slot, or waits up to a
+//!   configurable budget for one and then falls back to the CPU.
+//!   Waiters are granted in no particular order: which compaction runs
+//!   first is the store's picker's decision.
 //! * **Fault handling** — injected (or real) device faults are retried on
 //!   the CPU. *Transient* faults fire before the engine touches the
 //!   output-file factory, so those retries never duplicate or lose keys;
@@ -225,9 +227,10 @@ impl OffloadService {
             let busy = t0.elapsed();
             o.fpga_busy_nanos.add(busy.as_nanos() as u64);
             o.engine_busy_micros.record(busy.as_micros() as u64);
-            if r.is_ok() {
-                o.record_breakdown(&self.engines[slot.index].last_report().breakdown);
-            }
+            let r = r.map(|(outcome, report)| {
+                o.record_breakdown(&report.breakdown);
+                outcome
+            });
             match (r, injected) {
                 // Mid-job fault: the engine already ran against the real
                 // output factory. Discard the outcome and surface a
@@ -283,12 +286,6 @@ impl OutputFileFactory for CountingFactory<'_> {
 impl CompactionEngine for OffloadService {
     fn name(&self) -> &str {
         "offload"
-    }
-
-    fn max_inputs(&self) -> usize {
-        // The service handles oversized requests itself (CPU path), so it
-        // never asks the store to fall back.
-        usize::MAX
     }
 
     fn compact(
@@ -358,10 +355,6 @@ impl OffloadService {
 impl CompactionEngine for ShardOffloadHandle {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn max_inputs(&self) -> usize {
-        self.service.max_inputs()
     }
 
     fn compact(

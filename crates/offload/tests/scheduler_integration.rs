@@ -180,6 +180,63 @@ fn large_cpu_fallback_jobs_match_the_serial_run() {
     assert!(m.cpu_fallback_oversized > 0, "no job fell back: {m:?}");
 }
 
+/// A store on a one-slot nine-input service: its compactions run on the
+/// FCAE device, every installed merge ran on the store's one engine, and
+/// every key reads back.
+#[test]
+fn full_store_runs_on_the_fcae_engine() {
+    let options = Options {
+        max_file_size: 32 << 10,
+        level1_max_bytes: 128 << 10,
+        ..small_options()
+    };
+    let svc = Arc::new(OffloadService::with_slots(
+        FcaeConfig::nine_input(),
+        1,
+        OffloadConfig::default(),
+    ));
+    let engine = Arc::clone(&svc) as Arc<dyn CompactionEngine>;
+    let db = Db::open_with_engine("/db", options, engine).unwrap();
+    assert_eq!(db.engine_name(), "offload");
+
+    // Mostly-sequential fill keeps L0 overlap narrow, so compactions fit
+    // the engine's N and run on the device.
+    let value = vec![0x42u8; 400];
+    for i in 0..3000u32 {
+        db.put(format!("key{i:06}").as_bytes(), &value).unwrap();
+    }
+    for i in 0..1000u32 {
+        db.put(format!("key{i:06}").as_bytes(), &value).unwrap();
+    }
+    db.delete(b"key000007").unwrap();
+    db.flush().unwrap();
+    db.wait_for_background_quiescence();
+
+    let m = svc.metrics();
+    assert!(m.fpga_jobs > 0, "no compaction ran on the device: {m:?}");
+    assert_eq!(m.device_faults, 0, "{m:?}");
+    let stats = db.stats();
+    assert!(stats.modeled_kernel_time.as_nanos() > 0, "{stats:?}");
+    assert_eq!(
+        stats.engine_compactions,
+        stats.per_level.iter().map(|l| l.compactions).sum::<u64>(),
+        "every installed merge ran on the store's one engine: {stats:?}"
+    );
+
+    // Every key readable, deletion respected.
+    assert_eq!(db.get(b"key000007").unwrap(), None);
+    for i in (0..3000u32).step_by(37) {
+        if i == 7 {
+            continue;
+        }
+        assert_eq!(
+            db.get(format!("key{i:06}").as_bytes()).unwrap().as_deref(),
+            Some(&value[..]),
+            "key{i:06}"
+        );
+    }
+}
+
 /// Mid-job faults are the nasty class: the device engine already ran
 /// against the real output factory before the fault fired, so the
 /// scheduler has on-disk outputs to unwind. The run must still be
@@ -280,10 +337,6 @@ impl OutputFileFactory for SecondOutputFails<'_> {
 impl CompactionEngine for SecondOutputFailsOnce {
     fn name(&self) -> &str {
         "second-output-fails-once"
-    }
-
-    fn max_inputs(&self) -> usize {
-        self.svc.max_inputs()
     }
 
     fn compact(

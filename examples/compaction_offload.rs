@@ -116,8 +116,7 @@ fn main() {
             env: env.clone(),
             n: AtomicU64::new(1000 * u64::from(v)),
         };
-        let out = engine.compact(&request(inputs()), &factory).unwrap();
-        let r = engine.last_report();
+        let (out, r) = engine.compact(&request(inputs()), &factory).unwrap();
         println!(
             "{:<26}{:>14.1}   ({} outputs, kernel {:.2} ms, accel vs paper-CPU {:.1}x)",
             format!("FCAE N=2 V={v}"),

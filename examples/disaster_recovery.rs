@@ -7,9 +7,10 @@
 
 use std::sync::Arc;
 
-use fcae_repro::fcae::{FcaeConfig, FcaeEngine};
+use fcae_repro::fcae::FcaeConfig;
 use fcae_repro::lsm::filename::{parse_file_name, FileType};
 use fcae_repro::lsm::{repair_db, Db, Options};
+use fcae_repro::offload::{OffloadConfig, OffloadService};
 
 fn main() {
     let dir = std::env::temp_dir().join("fcae-disaster-demo");
@@ -27,7 +28,10 @@ fn main() {
         let db = Db::open_with_engine(
             &dir,
             options.clone(),
-            Arc::new(FcaeEngine::new(FcaeConfig::nine_input())),
+            Arc::new(OffloadService::new(
+                FcaeConfig::nine_input(),
+                OffloadConfig::default(),
+            )),
         )
         .expect("open");
         for i in 0..10_000u64 {

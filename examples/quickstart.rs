@@ -1,5 +1,6 @@
-//! Quickstart: open a store with the simulated FPGA compaction engine,
-//! write and read data, and inspect what the engine did.
+//! Quickstart: open a store on the offload service and its simulated
+//! FPGA compaction engine, write and read data, and inspect what the
+//! engine did.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -7,25 +8,33 @@
 
 use std::sync::Arc;
 
-use fcae_repro::fcae::{FcaeConfig, FcaeEngine};
-use fcae_repro::lsm::compaction::CompactionEngine;
+use fcae_repro::fcae::FcaeConfig;
 use fcae_repro::lsm::{Db, Options};
+use fcae_repro::obs::Obs;
+use fcae_repro::offload::{OffloadConfig, OffloadService};
 
 fn main() {
     let dir = std::env::temp_dir().join("fcae-quickstart");
     let _ = std::fs::remove_dir_all(&dir);
 
     // A 9-input engine (the paper's multi-input configuration) with small
-    // store limits so this demo triggers real compactions.
-    let engine = Arc::new(FcaeEngine::new(FcaeConfig::nine_input()));
-    let engine_dyn: Arc<dyn CompactionEngine> = Arc::clone(&engine) as _;
+    // store limits so this demo triggers real compactions. The service
+    // runs each job on the device, or on the CPU when the job has more
+    // inputs than the device takes (the paper's Fig. 6). The store and
+    // the service count on one bundle, so one registry holds both.
+    let bundle = Obs::wall();
+    let service = Arc::new(
+        OffloadService::new(FcaeConfig::nine_input(), OffloadConfig::default())
+            .with_obs(Arc::clone(&bundle)),
+    );
     let options = Options {
         write_buffer_size: 256 << 10,
         max_file_size: 128 << 10,
         level1_max_bytes: 512 << 10,
+        obs: Some(bundle),
         ..Default::default()
     };
-    let db = Db::open_with_engine(&dir, options, engine_dyn).expect("open database");
+    let db = Db::open_with_engine(&dir, options, Arc::clone(&service) as _).expect("open database");
 
     println!("engine: {}", db.engine_name());
 
@@ -65,8 +74,7 @@ fn main() {
     let stats = db.stats();
     println!("\n-- store statistics --");
     println!("flushes:                {}", stats.flushes);
-    println!("FCAE compactions:       {}", stats.engine_compactions);
-    println!("software fallbacks:     {}", stats.sw_fallback_compactions);
+    println!("compactions:            {}", stats.engine_compactions);
     println!("trivial moves:          {}", stats.trivial_moves);
     println!("compaction bytes read:  {}", stats.compaction_bytes_read);
     println!("compaction bytes write: {}", stats.compaction_bytes_written);
@@ -74,16 +82,21 @@ fn main() {
     println!("modeled PCIe time:      {:?}", stats.modeled_transfer_time);
     println!("levels: {:?}", db.level_file_counts());
 
-    let report = engine.last_report();
-    println!("\n-- last FCAE kernel --");
-    println!("input bytes:       {}", report.input_bytes);
-    println!("kernel cycles:     {:.0}", report.cycles);
+    let m = service.metrics();
+    println!("\n-- offload service --");
     println!(
-        "compaction speed:  {:.1} MB/s",
-        report.compaction_speed_mb_s
+        "device jobs {} | cpu jobs {} (oversized {})",
+        m.fpga_jobs,
+        m.cpu_jobs(),
+        m.cpu_fallback_oversized
     );
-    println!("pairs compared:    {}", report.pairs_compared);
-    println!("pairs dropped:     {}", report.pairs_dropped);
+
+    // Every device job's modeled kernel cycles, by module.
+    println!("\n-- FCAE kernel cycles, all device jobs --");
+    let metrics = db.obs().registry.export_text();
+    for line in metrics.lines().filter(|l| l.contains(" fcae.cycles.")) {
+        println!("{line}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

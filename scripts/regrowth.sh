@@ -42,6 +42,12 @@ cd "$(dirname "$0")/.."
 # concurrent-compaction gauge grows back.
 ! grep -rnE 'ConflictChecker|JobShape|JobTicket|background_threads|max_concurrent_compactions|compact\.max_concurrent' \
     --include='*.rs' crates shims tests examples || exit 1
+# One Fig. 6 dispatcher: a store runs every compaction on its one
+# engine and reaches the FCAE device only through the offload service,
+# which alone sends a job to the CPU. No store-side software branch, its
+# counter, or the device's report side channel grows back.
+! grep -rnE 'sw_fallback_compactions|sw_fallback_jobs|last_report|use_engine|impl CompactionEngine for FcaeEngine' \
+    --include='*.rs' crates shims tests examples || exit 1
 # One lock API: parking_lot's shape from `lsm::sync_shim` (or
 # `parking_lot` below `lsm`), never std's poisoning locks or a lock
 # helper. The loom facade in sync_shim.rs and xtask's lint patterns

@@ -8,8 +8,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
-use fcae_repro::fcae::{FcaeConfig, FcaeEngine};
+use fcae_repro::fcae::FcaeConfig;
 use fcae_repro::lsm::{Db, Options, ReadOptions};
+use fcae_repro::offload::{OffloadConfig, OffloadService};
 use fcae_repro::sstable::env::{MemEnv, StorageEnv};
 
 fn stress(engine_is_fcae: bool) {
@@ -22,15 +23,15 @@ fn stress(engine_is_fcae: bool) {
         slowdown_sleep: false,
         ..Default::default()
     };
-    let db = Arc::new(if engine_is_fcae {
-        Db::open_with_engine(
-            "/db",
-            options,
-            Arc::new(FcaeEngine::new(FcaeConfig::nine_input())),
-        )
-        .unwrap()
-    } else {
-        Db::open("/db", options).unwrap()
+    let svc = engine_is_fcae.then(|| {
+        Arc::new(OffloadService::new(
+            FcaeConfig::nine_input(),
+            OffloadConfig::default(),
+        ))
+    });
+    let db = Arc::new(match &svc {
+        Some(svc) => Db::open_with_engine("/db", options, Arc::clone(svc) as _).unwrap(),
+        None => Db::open("/db", options).unwrap(),
     });
 
     const WRITERS: usize = 3;
@@ -143,6 +144,13 @@ fn stress(engine_is_fcae: bool) {
             assert_eq!(got, expect, "stripe w{w} key {k}");
         }
     }
+    // The device merged, and never failed a job: the service would retry
+    // a failed one on the CPU without a trace in the data.
+    if let Some(svc) = svc {
+        let m = svc.metrics();
+        assert!(m.fpga_jobs > 0, "no compaction ran on the device: {m:?}");
+        assert_eq!(m.device_faults, 0, "{m:?}");
+    }
 }
 
 #[test]
@@ -173,6 +181,10 @@ fn acknowledged_writes_stay_readable_across_every_install() {
     const KEYS: usize = 64;
     const VERSIONS: u64 = 150;
 
+    let svc = Arc::new(OffloadService::new(
+        FcaeConfig::nine_input(),
+        OffloadConfig::default(),
+    ));
     let db = Arc::new(
         Db::open_with_engine(
             "/db",
@@ -188,7 +200,7 @@ fn acknowledged_writes_stay_readable_across_every_install() {
                 slowdown_sleep: false,
                 ..Default::default()
             },
-            Arc::new(FcaeEngine::new(FcaeConfig::nine_input())),
+            Arc::clone(&svc) as _,
         )
         .unwrap(),
     );
@@ -325,6 +337,9 @@ fn acknowledged_writes_stay_readable_across_every_install() {
     assert!(stats.flushes > 0, "no flush: {stats:?}");
     assert!(stats.trivial_moves > 0, "no trivial move: {stats:?}");
     assert!(stats.engine_compactions > 0, "no compaction: {stats:?}");
+    let m = svc.metrics();
+    assert!(m.fpga_jobs > 0, "no compaction ran on the device: {m:?}");
+    assert_eq!(m.device_faults, 0, "{m:?}");
 }
 
 /// A scanner beside four inserting writers. Iterators read the memtables

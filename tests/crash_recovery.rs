@@ -5,8 +5,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fcae_repro::fcae::{FcaeConfig, FcaeEngine};
+use fcae_repro::fcae::FcaeConfig;
 use fcae_repro::lsm::{Db, Options};
+use fcae_repro::offload::{OffloadConfig, OffloadService};
 use fcae_repro::sstable::env::{MemEnv, StorageEnv};
 
 fn options(env: &Arc<MemEnv>) -> Options {
@@ -61,13 +62,12 @@ fn repeated_reopen_preserves_everything() {
 fn recovery_after_fcae_compactions() {
     let env = Arc::new(MemEnv::new());
     let mut model: Model = HashMap::new();
+    let svc = Arc::new(OffloadService::new(
+        FcaeConfig::nine_input(),
+        OffloadConfig::default(),
+    ));
     {
-        let db = Db::open_with_engine(
-            "/db",
-            options(&env),
-            Arc::new(FcaeEngine::new(FcaeConfig::nine_input())),
-        )
-        .unwrap();
+        let db = Db::open_with_engine("/db", options(&env), Arc::clone(&svc) as _).unwrap();
         for i in 0..5_000u64 {
             let key = format!("{i:016}").into_bytes();
             let value = vec![(i % 251) as u8; 150];
@@ -94,6 +94,9 @@ fn recovery_after_fcae_compactions() {
             db.stats().engine_compactions > 0,
             "compactions must have run"
         );
+        let m = svc.metrics();
+        assert!(m.fpga_jobs > 0, "no compaction ran on the device: {m:?}");
+        assert_eq!(m.cpu_jobs(), 0, "every merge ran on the device: {m:?}");
     }
     // Recover with the default engine: FCAE-written tables are standard.
     let db = Db::open("/db", options(&env)).unwrap();

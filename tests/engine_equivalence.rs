@@ -203,7 +203,7 @@ fn fcae_engine_reproduces_the_shipped_bytes() {
         let env = MemEnv::new();
         let req = request(&env, compression);
         let fac = Factory::new(env.clone(), "fcae");
-        let dev = FcaeEngine::new(FcaeConfig::nine_input())
+        let (dev, _) = FcaeEngine::new(FcaeConfig::nine_input())
             .compact(&req, &fac)
             .unwrap();
         assert_eq!(digests(&env, &fac, &dev), golden, "{compression:?}");
@@ -242,7 +242,7 @@ fn device_filter_block_is_the_table_builders() {
         let cpu_fac = Factory::new(env.clone(), "cpu");
         let cpu = CpuCompactionEngine.compact(&req, &cpu_fac).unwrap();
         let dev_fac = Factory::new(env.clone(), "dev");
-        let dev = FcaeEngine::new(FcaeConfig::nine_input())
+        let (dev, _) = FcaeEngine::new(FcaeConfig::nine_input())
             .compact(&req, &dev_fac)
             .unwrap();
         assert_eq!((cpu.outputs.len(), dev.outputs.len()), (1, 1));
@@ -278,7 +278,7 @@ fn device_writes_no_filter_for_a_store_without_one() {
     let mut req = request(&env, CompressionType::Snappy);
     req.builder_options.filter_policy = None;
     let fac = Factory::new(env.clone(), "dev");
-    let dev = FcaeEngine::new(FcaeConfig::nine_input())
+    let (dev, _) = FcaeEngine::new(FcaeConfig::nine_input())
         .compact(&req, &fac)
         .unwrap();
     assert!(dev.outputs.len() > 1);

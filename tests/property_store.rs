@@ -5,8 +5,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fcae_repro::fcae::{FcaeConfig, FcaeEngine};
+use fcae_repro::fcae::FcaeConfig;
 use fcae_repro::lsm::{Db, Options};
+use fcae_repro::offload::{OffloadConfig, OffloadService};
 use fcae_repro::sstable::env::{MemEnv, StorageEnv};
 use proptest::prelude::*;
 
@@ -46,17 +47,15 @@ fn options(env: &Arc<MemEnv>) -> Options {
 
 fn run_model(ops: &[Op], fcae: bool) {
     let env = Arc::new(MemEnv::new());
-    let open = |env: &Arc<MemEnv>| {
-        if fcae {
-            Db::open_with_engine(
-                "/db",
-                options(env),
-                Arc::new(FcaeEngine::new(FcaeConfig::nine_input())),
-            )
-            .unwrap()
-        } else {
-            Db::open("/db", options(env)).unwrap()
-        }
+    let svc = fcae.then(|| {
+        Arc::new(OffloadService::new(
+            FcaeConfig::nine_input(),
+            OffloadConfig::default(),
+        ))
+    });
+    let open = |env: &Arc<MemEnv>| match &svc {
+        Some(svc) => Db::open_with_engine("/db", options(env), Arc::clone(svc) as _).unwrap(),
+        None => Db::open("/db", options(env)).unwrap(),
     };
     let mut db = open(&env);
     let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
@@ -91,6 +90,10 @@ fn run_model(ops: &[Op], fcae: bool) {
     assert_eq!(scanned.len(), model.len(), "phantom keys in scan");
     for (k, v) in &scanned {
         assert_eq!(model.get(k), Some(v), "scan key {k:?}");
+    }
+    // No device job failed over to the CPU unseen.
+    if let Some(svc) = &svc {
+        assert_eq!(svc.metrics().device_faults, 0, "{:?}", svc.metrics());
     }
 }
 

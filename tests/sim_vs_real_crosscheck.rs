@@ -120,11 +120,7 @@ fn simulator_matches_real_store_structure() {
         },
         // Both perform a nontrivial number of compactions.
         Check {
-            names: &[
-                "lsm.compact.engine_jobs",
-                "lsm.compact.sw_fallback_jobs",
-                "lsm.compact.trivial_moves",
-            ],
+            names: &["lsm.compact.engine_jobs", "lsm.compact.trivial_moves"],
             real: 3..=u64::MAX,
             sim: 3..=u64::MAX,
             ratio: 0.0..=f64::MAX,

@@ -5,8 +5,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fcae_repro::fcae::{FcaeConfig, FcaeEngine};
+use fcae_repro::fcae::FcaeConfig;
 use fcae_repro::lsm::{Db, Options};
+use fcae_repro::offload::{OffloadConfig, OffloadService};
 use fcae_repro::sstable::env::{MemEnv, RandomAccessFile, StorageEnv, WritableFile};
 use fcae_repro::sstable::Result as EnvResult;
 use fcae_repro::workloads::{KeyFormat, ValueGenerator};
@@ -29,10 +30,14 @@ fn cpu_and_fcae_stores_agree_on_reads() {
     let env_cpu = Arc::new(MemEnv::new());
     let env_fcae = Arc::new(MemEnv::new());
     let db_cpu = Db::open("/cpu", small_options(Arc::clone(&env_cpu))).unwrap();
+    let svc = Arc::new(OffloadService::new(
+        FcaeConfig::nine_input(),
+        OffloadConfig::default(),
+    ));
     let db_fcae = Db::open_with_engine(
         "/fcae",
         small_options(Arc::clone(&env_fcae)),
-        Arc::new(FcaeEngine::new(FcaeConfig::nine_input())),
+        Arc::clone(&svc) as _,
     )
     .unwrap();
 
@@ -71,6 +76,9 @@ fn cpu_and_fcae_stores_agree_on_reads() {
     assert!(db_cpu.stats().engine_compactions + db_cpu.stats().trivial_moves > 0);
     let f = db_fcae.stats();
     assert!(f.engine_compactions > 0, "{f:?}");
+    let m = svc.metrics();
+    assert!(m.fpga_jobs > 0, "no compaction ran on the device: {m:?}");
+    assert_eq!(m.device_faults, 0, "{m:?}");
 }
 
 /// Scans agree across engines after heavy churn.
@@ -79,10 +87,14 @@ fn scans_agree_across_engines() {
     let env_cpu = Arc::new(MemEnv::new());
     let env_fcae = Arc::new(MemEnv::new());
     let db_cpu = Db::open("/cpu", small_options(Arc::clone(&env_cpu))).unwrap();
+    let svc = Arc::new(OffloadService::new(
+        FcaeConfig::nine_input(),
+        OffloadConfig::default(),
+    ));
     let db_fcae = Db::open_with_engine(
         "/fcae",
         small_options(Arc::clone(&env_fcae)),
-        Arc::new(FcaeEngine::new(FcaeConfig::nine_input())),
+        Arc::clone(&svc) as _,
     )
     .unwrap();
 
@@ -111,6 +123,8 @@ fn scans_agree_across_engines() {
     for (k, v) in &a {
         assert!(v.starts_with(b"round-3"), "latest round wins: {k:?}");
     }
+    let m = svc.metrics();
+    assert_eq!(m.device_faults, 0, "{m:?}");
 }
 
 /// The std-filesystem environment works end to end with the FCAE engine.
@@ -128,7 +142,10 @@ fn fcae_store_on_real_filesystem() {
         let db = Db::open_with_engine(
             &dir,
             options.clone(),
-            Arc::new(FcaeEngine::new(FcaeConfig::nine_input())),
+            Arc::new(OffloadService::new(
+                FcaeConfig::nine_input(),
+                OffloadConfig::default(),
+            )),
         )
         .unwrap();
         for i in 0..2_000u64 {
@@ -215,12 +232,11 @@ fn absent_gets_on_device_built_tables_read_no_blocks() {
         slowdown_sleep: false,
         ..Default::default()
     };
-    let db = Db::open_with_engine(
-        "/db",
-        options,
-        Arc::new(FcaeEngine::new(FcaeConfig::nine_input())),
-    )
-    .unwrap();
+    let svc = Arc::new(OffloadService::new(
+        FcaeConfig::nine_input(),
+        OffloadConfig::default(),
+    ));
+    let db = Db::open_with_engine("/db", options, Arc::clone(&svc) as _).unwrap();
 
     // Even keys only, in two interleaved, overlapping flushes: compacting
     // them is a real merge (no trivial move keeps a flush-built table),
@@ -238,6 +254,9 @@ fn absent_gets_on_device_built_tables_read_no_blocks() {
     let stats = db.stats();
     assert!(stats.engine_compactions > 0, "{stats:?}");
     assert_eq!(db.level_file_counts()[0], 0, "nothing flush-built is left");
+    let m = svc.metrics();
+    assert!(m.fpga_jobs > 0, "no compaction ran on the device: {m:?}");
+    assert_eq!(m.cpu_jobs(), 0, "every merge ran on the device: {m:?}");
 
     let registry = db.obs().registry.clone();
     let probes = || registry.counter_value("lsm.get.table_probes").unwrap_or(0);
